@@ -1,7 +1,8 @@
 """Command-line surface: library operations plus the verification sweeps.
 
 Exit codes: 0 success / check passed, 1 a verification check failed
-(witnesses printed), 2 usage or parse error.  Text and DOT output are
+(witnesses printed), 2 usage or parse error, 3 a broken internal invariant
+(a fault in sytkit, not in the input).  Text and DOT output are
 byte-identical across runs and worker counts; JSON additionally carries
 wall-clock ``elapsed_ms``, the one intentionally nondeterministic field.
 """
@@ -14,7 +15,7 @@ import sys
 
 from . import hopf, verify, weakorder
 from .knuthclass import knuth_class
-from .permutation import ParseError, format_word, parse_word
+from .permutation import InvariantError, ParseError, format_word, parse_word
 from .report import VerificationReport
 from .tableau import (
     evacuate,
@@ -33,6 +34,7 @@ from .tableau import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 VERIFY_CHECKS = (
     "inner-translation",
@@ -294,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if getattr(args, "out", None):
         with open(args.out, "w") as handle:
             handle.write(text)

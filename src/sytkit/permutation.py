@@ -24,6 +24,14 @@ class ParseError(ValueError):
         self.position = position
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a fault in sytkit, never bad input.
+
+    Not a ValueError, so it is never reported as a usage error, and raised
+    explicitly, so ``python -O`` keeps the check.
+    """
+
+
 def check_word(word) -> Word:
     """Validate and normalize a permutation given as an integer iterable."""
     w = tuple(int(x) for x in word)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .permutation import (
+    InvariantError,
     ParseError,
     Word,
     check_word,
@@ -476,12 +477,14 @@ def jdt_slide_trace(
                 c += 1
             trace.append(((r, c), _snapshot(grid)))
         # the hole exits the diagram; it sits at the end of its row
-        assert c == outer[r - 1]
+        if c != outer[r - 1]:
+            raise InvariantError(f"forward slide stopped at {(r, c)}, inside row {r}")
         grid[r - 1].pop()
         outer[r - 1] -= 1
         inner[start_row - 1] -= 1
         if outer[r - 1] == 0:
-            assert r == len(outer)
+            if r != len(outer):
+                raise InvariantError(f"forward slide emptied row {r}, not the last row")
             grid.pop()
             outer.pop()
             inner.pop()
@@ -513,7 +516,10 @@ def jdt_slide_trace(
                 c -= 1
             trace.append(((r, c), _snapshot(grid)))
         # the hole joins the inner region
-        assert inner[r - 1] == c - 1
+        if inner[r - 1] != c - 1:
+            raise InvariantError(
+                f"backward slide stopped at {(r, c)}, not next to the inner shape"
+            )
         inner[r - 1] = c
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -573,6 +579,11 @@ def inner_tableau(rows: Rows, k: int) -> Rows:
     rows = check_standard(rows)
     if not (1 <= k <= size_of(rows)):
         raise ValueError(f"bad inner size {k} for n={size_of(rows)}")
+    return _inner_rows(rows, k)
+
+
+def _inner_rows(rows: Rows, k: int) -> Rows:
+    """:func:`inner_tableau` of a standard tableau, unchecked."""
     out = []
     for row in rows:
         m = bisect_right(row, k)
@@ -596,7 +607,11 @@ def evacuate(rows: Rows) -> Rows:
 
 def descent_set(rows: Rows) -> frozenset[int]:
     """Letters i whose successor i+1 sits in a strictly lower row."""
-    rows = check_standard(rows)
+    return _descents(check_standard(rows))
+
+
+def _descents(rows: Rows) -> frozenset[int]:
+    """:func:`descent_set` of a standard tableau, unchecked."""
     row_of = {}
     for r, row in enumerate(rows, 1):
         for x in row:
@@ -616,7 +631,7 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
     n = size_of(rows)
     if not (1 <= i <= n - 2):
         raise ValueError(f"triple start {i} out of range for n={n}")
-    des = descent_set(rows)
+    des = _descents(rows)
     if (i in des) == (i + 1 in des):
         raise ValueError(f"exactly one of {i}, {i + 1} must be a descent")
     return insertion_tableau(dual_knuth_move_word(row_word(rows), i))
@@ -624,12 +639,18 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
 
 def dual_knuth_tableau_neighbors(rows: Rows) -> list[Rows]:
     """All single dual Knuth moves that apply to the tableau."""
-    des = descent_set(rows)
-    out = []
-    for i in range(1, size_of(rows) - 1):
-        if (i in des) != ((i + 1) in des):
-            out.append(dual_knuth_move(rows, i))
-    return out
+    return [moved for _, moved in _dual_moves(check_standard(rows))]
+
+
+def _dual_moves(rows: Rows) -> list[tuple[int, Rows]]:
+    """(triple start, moved tableau) for every single dual Knuth move of a
+    standard tableau, unchecked."""
+    des = _descents(rows)
+    return [
+        (i, insertion_tableau(dual_knuth_move_word(row_word(rows), i)))
+        for i in range(1, size_of(rows) - 1)
+        if (i in des) != ((i + 1) in des)
+    ]
 
 
 def inner_translate(rows: Rows, sub_old: Rows, sub_new: Rows) -> Rows:
@@ -643,15 +664,20 @@ def inner_translate(rows: Rows, sub_old: Rows, sub_new: Rows) -> Rows:
     k = size_of(sub_old)
     if k > size_of(rows):
         raise ValueError("inner tableau larger than the tableau itself")
-    if inner_tableau(rows, k) != sub_old:
+    if _inner_rows(rows, k) != sub_old:
         raise ValueError("tableau does not restrict to the given inner tableau")
-    out = []
-    for r, row in enumerate(rows):
-        if r < len(sub_new):
-            out.append(sub_new[r] + row[len(sub_new[r]):])
-        else:
-            out.append(row)
-    return check_standard(tuple(out))
+    return _relabel_inner(rows, sub_new)
+
+
+def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
+    """The relabeling kernel behind :func:`inner_translate`, unchecked:
+    the leading cells of each row become the rows of ``sub_new``, which
+    must have the shape of the tableau's inner tableau of its size.  The
+    result is then standard."""
+    out = list(rows)
+    for r, head in enumerate(sub_new):
+        out[r] = head + rows[r][len(head):]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,20 @@ from .permutation import (
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
+    _dual_moves,
+    _inner_rows,
+    _relabel_inner,
     descent_set,
     dual_knuth_move,
     dual_knuth_tableau_neighbors,
     evacuate,
     format_tableau,
-    inner_tableau,
-    inner_translate,
     insertion_tableau,
     is_hook,
     partitions,
     restrict,
     reverse_insert,
     shape_of,
-    size_of,
     standard_tableaux,
     transpose,
 )
@@ -57,18 +57,8 @@ def _inner_groups(p: TableauPoset, k: int) -> dict[Rows, list[int]]:
     """Node ids grouped by the sub-tableau on the letters 1..k."""
     groups: dict[Rows, list[int]] = {}
     for node_id, node in enumerate(p.nodes):
-        groups.setdefault(inner_tableau(node, k), []).append(node_id)
+        groups.setdefault(_inner_rows(node, k), []).append(node_id)
     return groups
-
-
-def _dual_moves(rows: Rows) -> list[tuple[int, Rows]]:
-    """All (triple start, moved tableau) single dual Knuth moves."""
-    des = descent_set(rows)
-    out = []
-    for i in range(1, size_of(rows) - 1):
-        if (i in des) != ((i + 1) in des):
-            out.append((i, dual_knuth_move(rows, i)))
-    return out
 
 
 def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
@@ -86,12 +76,13 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
 def _translation_sweep(
     n: int, mode: str, family: str | None, jobs: int
 ) -> tuple[int, list[dict]]:
+    # poset nodes, their inner tableaux and the moves of those are all
+    # standard, so the sweep calls the unchecked kernels
     p = cached_poset(n, jobs=jobs)
+    nodes, index, reach = p.nodes, p.index, p.reach
     checked = 0
     violations: list[dict] = []
-    for k in range(1, n):
-        if k < 3:
-            continue  # no triple fits inside the inner tableau
+    for k in range(3, n):  # a triple must fit inside the inner tableau
         groups = _inner_groups(p, k)
         for sub in sorted(groups, key=canonical_key):
             if not _in_family(shape_of(sub), family):
@@ -102,43 +93,46 @@ def _translation_sweep(
             members = groups[sub]
             if mode == "cover":
                 pairs = induced_covers(p, members)
-            else:
-                pairs = [
-                    (a, b)
-                    for a in members
-                    for b in members
-                    if a != b and p.leq_ids(a, b)
-                ]
-            if not pairs:
+                count = len(pairs)
+            else:  # per member, the members above it (no tuple per pair)
+                mask = 0
+                for m in members:
+                    mask |= 1 << m
+                ups = [(a, _bits(reach[a] & mask & ~(1 << a))) for a in members]
+                count = sum(len(bs) for _, bs in ups)
+            if not count:
                 continue
             for i, moved_sub in moves:
                 relabeled = {
-                    m: p.index[inner_translate(p.nodes[m], sub, moved_sub)]
-                    for m in members
+                    m: index[_relabel_inner(nodes[m], moved_sub)] for m in members
                 }
+                checked += count
                 if mode == "cover":
                     target = set(induced_covers(p, sorted(relabeled.values())))
-                for a, b in pairs:
-                    checked += 1
-                    if mode == "cover":
-                        ok = (relabeled[a], relabeled[b]) in target
-                    else:
-                        ok = p.leq_ids(relabeled[a], relabeled[b])
-                    if not ok:
-                        violations.append(
-                            {
-                                "n": n,
-                                "k": k,
-                                "triple": [i, i + 1, i + 2],
-                                "R": format_tableau(sub),
-                                "R_moved": format_tableau(moved_sub),
-                                "S": format_tableau(p.nodes[a]),
-                                "T": format_tableau(p.nodes[b]),
-                                "S_relabeled": format_tableau(p.nodes[relabeled[a]]),
-                                "T_relabeled": format_tableau(p.nodes[relabeled[b]]),
-                                "relation": mode,
-                            }
-                        )
+                    broken = [
+                        (a, b) for a, b in pairs
+                        if (relabeled[a], relabeled[b]) not in target
+                    ]
+                else:
+                    broken = [
+                        (a, b) for a, bs in ups for b in bs
+                        if not reach[relabeled[a]] >> relabeled[b] & 1
+                    ]
+                for a, b in broken:
+                    violations.append(
+                        {
+                            "n": n,
+                            "k": k,
+                            "triple": [i, i + 1, i + 2],
+                            "R": format_tableau(sub),
+                            "R_moved": format_tableau(moved_sub),
+                            "S": format_tableau(nodes[a]),
+                            "T": format_tableau(nodes[b]),
+                            "S_relabeled": format_tableau(nodes[relabeled[a]]),
+                            "T_relabeled": format_tableau(nodes[relabeled[b]]),
+                            "relation": mode,
+                        }
+                    )
     return checked, violations
 
 

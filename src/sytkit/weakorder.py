@@ -2,19 +2,28 @@
 explicit poset.
 
 Nodes are all tableaux with n cells in a canonical order (shape first, then
-row word).  Raw comparabilities are projected from adjacent-transposition
-covers of words through the insertion map; reachability is their
-reflexive-transitive closure, stored per node as an integer bitmask, and
-the cover relation is recovered by transitive reduction.  Antisymmetry of
-the closure is a checked fact (see sytkit.verify), not an assumption.
+row word).  One depth-first walk over the n! words in lexicographic order
+row-inserts one letter per level and records each word's class (node id)
+by rank; the classes of a prefix's completions depend only on the prefix's
+insertion tableau, so recurring blocks are computed once.  Raw
+comparabilities are the adjacent-ascent swaps of words, read off that
+rank-indexed array through Lehmer codes.  Reachability is their
+reflexive-transitive closure, stored per node as an integer bitmask and
+computed over strongly connected components in topological order (Purdom
+1970), and the cover relation is recovered by transitive reduction.  A
+cycle among the projected edges would make its members reach each other,
+so antisymmetry of the closure stays a checked fact (see sytkit.verify),
+not an assumption.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from array import array
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
-from itertools import permutations as _lex_permutations
 from math import factorial
 
 from .report import VerificationReport, stopwatch
@@ -25,7 +34,6 @@ from .tableau import (
     descent_set,
     dominance_leq,
     format_tableau,
-    insertion_tableau,
     row_word,
     shape_of,
 )
@@ -83,66 +91,221 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _edge_chunk(args: tuple[int, int, int]) -> set[tuple[int, int]]:
-    """Projected cover edges for one slice of the word enumeration."""
-    n, start, stop = args
-    nodes = tuple(sorted(all_standard_tableaux(n), key=canonical_key))
-    index = {t: i for i, t in enumerate(nodes)}
-    edges: set[tuple[int, int]] = set()
-    words = islice(_lex_permutations(range(1, n + 1)), start, stop)
-    for u in words:
-        a = index[insertion_tableau(u)]
-        for p in range(n - 1):
-            if u[p] < u[p + 1]:
-                w = u[:p] + (u[p + 1], u[p]) + u[p + 2:]
-                b = index[insertion_tableau(w)]
-                if a != b:
-                    edges.add((a, b))
-    return edges
+def _row_code(rows) -> int:
+    """4 bits per letter x at bit 4(x-1): its row, counted from 1; 0 when
+    the letter is absent.  Determines a standard tableau on any letter set."""
+    code = 0
+    for r, row in enumerate(rows, 1):
+        for x in row:
+            code += r << 4 * (x - 1)
+    return code
+
+
+def _walk(grid, rest, code, ids_of, memo) -> array:
+    """Node ids of grid <- w for every word w on the letters ``rest`` (sorted),
+    in lexicographic order of w.  ``grid`` is row-inserted into and restored.
+
+    The block depends only on the insertion tableau so far, so blocks of 6
+    and 24 words are memoized by ``code``, the tableau's row code: smaller
+    blocks cost less to redo than to store, larger ones rarely recur.
+    """
+    if not rest:
+        return array("H", (ids_of[code],))
+    keep = 3 <= len(rest) <= 4
+    if keep:
+        block = memo.get(code)
+        if block is not None:
+            return block
+    block = array("H")
+    for i, x in enumerate(rest):
+        path = []
+        moved = code + (1 << 4 * (x - 1))
+        r = 0
+        while True:  # row insertion, remembering where each letter bumped
+            if r == len(grid):
+                grid.append([x])
+                break
+            row = grid[r]
+            if x > row[-1]:
+                row.append(x)
+                break
+            pos = bisect_left(row, x)
+            x, row[pos] = row[pos], x
+            path.append(pos)
+            moved += 1 << 4 * (x - 1)
+            r += 1
+        block += _walk(grid, rest[:i] + rest[i + 1:], moved, ids_of, memo)
+        row = grid[r]  # undo: take the new cell off, bump letters back up
+        x = row.pop()
+        if not row:
+            grid.pop()
+        for r in range(r - 1, -1, -1):
+            row = grid[r]
+            pos = path[r]
+            x, row[pos] = row[pos], x
+    if keep:
+        memo[code] = block
+    return block
+
+
+def _class_ids(job: tuple[int, tuple[int, ...], dict[int, int]]) -> array:
+    """Node id of every size-n word whose first letter is in ``firsts``, by
+    lexicographic rank; the words of one first letter are (n-1)! ranks.
+    ``ids_of`` maps each node's row code to its id."""
+    n, firsts, ids_of = job
+    letters = tuple(range(1, n + 1))
+    memo: dict[int, array] = {}
+    ids = array("H")
+    for first in firsts:
+        rest = tuple(x for x in letters if x != first)
+        ids += _walk([[first]], rest, 1 << 4 * (first - 1), ids_of, memo)
+    return ids
+
+
+# halves of a 32-bit unsigned int: (lower node) << 16 | (upper node)
+_HIGH, _LOW = (1, 0) if sys.byteorder == "little" else (0, 1)
+
+
+def _add_pairs(codes: set[int], lower: array, upper: array) -> None:
+    """Add lower[i] << 16 | upper[i] to ``codes`` for every i, without
+    making a Python object per pair that is already present."""
+    buf = bytearray(4 * len(lower))
+    halves = memoryview(buf).cast("H")
+    halves[_HIGH::2] = lower
+    halves[_LOW::2] = upper
+    codes.update(memoryview(buf).cast("I"))
+
+
+def _projected_edges(n: int, ids: array) -> list[int]:
+    """Sorted distinct a << 16 | b for a = class of u != b = class of u s_p,
+    over every word u and ascent p of u.
+
+    With Lehmer code c of u, p is an ascent iff c_p <= c_(p+1), and the
+    swap changes only those two digits, to c_(p+1)+1 and c_p.  Fixing p,
+    c_p and c_(p+1) leaves a grid of ranks: every prefix (stride (n-p)!)
+    times every suffix ((n-2-p)! consecutive ranks), all moved by the same
+    offset.  One slice per row or per column of the grid, whichever is
+    fewer, pairs them up.
+    """
+    total = len(ids)
+    codes: set[int] = set()
+    for p in range(n - 1):
+        stride, digit, run = factorial(n - p), factorial(n - 1 - p), factorial(n - 2 - p)
+        for cp in range(n - 1 - p):
+            for cq in range(cp, n - 1 - p):
+                start = cp * digit + cq * run
+                shift = (cq + 1 - cp) * digit + (cp - cq) * run
+                if run * stride >= total:  # no more prefixes than suffixes
+                    for s in range(start, total, stride):
+                        _add_pairs(codes, ids[s:s + run], ids[s + shift:s + shift + run])
+                else:
+                    for s in range(start, start + run):
+                        _add_pairs(codes, ids[s::stride], ids[s + shift::stride])
+    return [code for code in sorted(codes) if code >> 16 != code & 0xFFFF]
+
+
+def _closure(succ: list[list[int]]) -> list[int]:
+    """Reflexive-transitive closure as bitmasks: bit b of row a iff b is
+    reachable from a.
+
+    Tarjan's iterative strongly-connected-component pass emits components
+    sinks first; each component's row is its members' bits OR the rows of
+    its successors, all of which are final by then (Purdom 1970).  A
+    component with several members makes them reach each other.
+    """
+    count = len(succ)
+    reach = [0] * count
+    order = [-1] * count  # discovery index
+    low = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    seen = 0
+    for root in range(count):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == order[v]:
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    if w == v:
+                        break
+                row = 0
+                for w in members:
+                    row |= 1 << w
+                for w in members:
+                    for x in succ[w]:
+                        row |= reach[x]  # 0 for x inside this component
+                for w in members:
+                    reach[w] = row
+    return reach
 
 
 def build_poset(n: int, jobs: int = 1) -> TableauPoset:
     """Project every adjacent-ascent cover of words and close transitively.
 
-    Deterministic for any enumeration split: edge sets are merged before
-    the closure, and nodes are canonically sorted up front.
+    Deterministic for any worker count: workers split the words by first
+    letter and their blocks of ranks are concatenated in order, and nodes
+    are canonically sorted up front.  At most ``min(jobs, cores, n)``
+    worker processes start.
     """
     if not (1 <= n <= MAX_POSET_N):
         raise ValueError(f"n must be in 1..{MAX_POSET_N}")
     nodes = tuple(sorted(all_standard_tableaux(n), key=canonical_key))
     index = {t: i for i, t in enumerate(nodes)}
-    total = factorial(n)
-    if jobs <= 1:
-        edges = _edge_chunk((n, 0, total))
+    ids_of = {_row_code(t): i for i, t in enumerate(nodes)}
+    letters = tuple(range(1, n + 1))
+    workers = min(jobs, os.cpu_count() or 1, n)
+    if workers <= 1:
+        ids = _class_ids((n, letters, ids_of))
     else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        chunks = [(n, bounds[i], bounds[i + 1]) for i in range(jobs)]
-        edges = set()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_edge_chunk, chunks):
-                edges |= part
+        parts = [(n, letters[n * w // workers:n * (w + 1) // workers], ids_of)
+                 for w in range(workers)]
+        ids = array("H")
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for block in pool.map(_class_ids, parts):
+                ids += block
+    edges = _projected_edges(n, ids)
+    del ids
 
     count = len(nodes)
-    reach = [1 << i for i in range(count)]
-    for a, b in edges:
-        reach[a] |= 1 << b
-    for k in range(count):
-        bit_k = 1 << k
-        reach_k = reach[k]
-        for i in range(count):
-            row = reach[i]
-            if row & bit_k and row | reach_k != row:
-                reach[i] = row | reach_k
-
-    below = [1 << j for j in range(count)]
-    for a in range(count):
-        for b in _bits(reach[a] & ~(1 << a)):
-            below[b] |= 1 << a
+    succ: list[list[int]] = [[] for _ in range(count)]
+    pred: list[list[int]] = [[] for _ in range(count)]
+    for code in edges:
+        a, b = divmod(code, 1 << 16)
+        succ[a].append(b)
+        pred[b].append(a)
+    reach = _closure(succ)
+    below = _closure(pred)  # the closure of the reversed edges is the transpose
 
     # every cover is among the projected edges, so testing those for a
     # bypass is a full transitive reduction
     covers = []
-    for a, b in sorted(edges):
+    for code in edges:
+        a, b = divmod(code, 1 << 16)
         gap = reach[a] & below[b] & ~((1 << a) | (1 << b))
         if gap == 0:
             covers.append((a, b))

@@ -1,6 +1,8 @@
 import json
 
-from sytkit.cli import EXIT_OK, EXIT_USAGE, main
+import sytkit.cli as cli
+from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from sytkit.permutation import InvariantError
 
 
 def run(capsys, *argv):
@@ -33,6 +35,17 @@ def test_tableau_parse_error_position(capsys):
     code, _, err = run(capsys, "class", "1,3/2,x/5")
     assert code == EXIT_USAGE
     assert "position 6" in err
+
+
+def test_broken_invariant_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise InvariantError("slide stopped early")
+
+    monkeypatch.setattr(cli, "jdt_slide", broken)
+    code, out, err = run(capsys, "jdt", ".,.,4/.,2,5/1,3", "1", "2", "forward")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: slide stopped early\n"
 
 
 def test_usage_error_on_unknown_command(capsys):

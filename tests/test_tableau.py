@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import tableaux, words
 from sytkit.permutation import (
+    InvariantError,
     ParseError,
     all_words,
     descents_left,
@@ -212,6 +217,52 @@ def test_jdt_backward_golden_move_for_move():
     assert trace[0][1] == ((None, 2, 4), (None, 3, 5), (1, None))
     assert trace[1][1] == ((None, 2, 4), (None, None, 5), (1, 3))
     assert trace[2][1] == ((None, None, 4), (None, 2, 5), (1, 3))
+
+
+def _corrupt_skew(outer, inner, rows):
+    """A SkewTableau that skips validation, to break jdt's invariants."""
+    skew = object.__new__(SkewTableau)
+    object.__setattr__(skew, "outer", outer)
+    object.__setattr__(skew, "inner", inner)
+    object.__setattr__(skew, "rows", rows)
+    return skew
+
+
+@pytest.mark.parametrize(
+    "outer, inner, rows, hole, direction, message",
+    [
+        ((3,), (1,), ((None, None, 3),), (1, 1), "forward", "inside row 1"),
+        ((1, 1), (1,), ((None,), (None,)), (1, 1), "forward", "not the last row"),
+        ((2,), (), ((None, 2),), (1, 3), "backward", "not next to the inner"),
+    ],
+)
+def test_jdt_broken_invariant_is_not_a_value_error(
+    outer, inner, rows, hole, direction, message
+):
+    skew = _corrupt_skew(outer, inner, rows)
+    with pytest.raises(InvariantError, match=message) as info:
+        jdt_slide_trace(skew, hole, direction)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_jdt_invariant_check_survives_optimize():
+    code = (
+        "from sytkit.tableau import SkewTableau, jdt_slide\n"
+        "from sytkit.permutation import InvariantError\n"
+        "t = object.__new__(SkewTableau)\n"
+        "for k, v in (('outer', (3,)), ('inner', (1,)), ('rows', ((None, None, 3),))):\n"
+        "    object.__setattr__(t, k, v)\n"
+        "try:\n"
+        "    jdt_slide(t, (1, 1), 'forward')\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout == "raised\n", out.stderr
 
 
 def test_jdt_rejects_bad_holes():

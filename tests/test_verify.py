@@ -3,6 +3,8 @@ import pytest
 from sytkit.knuthclass import knuth_class_words
 from sytkit.permutation import coxeter_length
 from sytkit.tableau import (
+    _dual_moves,
+    _relabel_inner,
     descent_set,
     dual_knuth_move,
     inner_tableau,
@@ -55,6 +57,30 @@ def test_inner_tableau_translation_guards():
         verify_inner_tableau_translation(1)
     with pytest.raises(ValueError):
         verify_inner_tableau_translation(5, mode="sideways")
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_unchecked_relabel_matches_inner_translate(n):
+    # every (node, inner tableau, dual Knuth move) the sweep relabels
+    p = cached_poset(n)
+    count = 0
+    for node in p.nodes:
+        for k in range(3, n):
+            sub = inner_tableau(node, k)
+            for i, moved_sub in _dual_moves(sub):
+                assert moved_sub == dual_knuth_move(sub, i)
+                assert _relabel_inner(node, moved_sub) == inner_translate(
+                    node, sub, moved_sub
+                )
+                count += 1
+    assert count > 0
+
+
+@pytest.mark.parametrize("mode, checked", [("cover", 10412), ("order", 47136)])
+def test_inner_tableau_translation_n8(mode, checked):
+    report = verify_inner_tableau_translation(8, mode)
+    assert report.checked == checked
+    assert report.violations == []
 
 
 def test_order_mode_checks_at_least_cover_pairs():

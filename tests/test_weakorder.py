@@ -1,8 +1,13 @@
-"""Poset construction against an independently coded brute-force oracle,
-plus interval, isomorphism, and monotone-map behavior."""
+"""Poset construction against two oracles (an independently coded
+brute-force one and the original per-word construction), plus interval,
+isomorphism, and monotone-map behavior."""
+
+import os
+from itertools import permutations
 
 import pytest
 
+import sytkit.weakorder as weakorder
 from sytkit.knuthclass import knuth_class_words
 from sytkit.permutation import inversions_left
 from sytkit.tableau import (
@@ -10,6 +15,7 @@ from sytkit.tableau import (
     beside,
     evacuate,
     format_tableau,
+    insertion_tableau,
     over,
     parse_tableau,
     restrict,
@@ -69,6 +75,53 @@ def oracle_relation(n):
     return tabs, closure, covers
 
 
+# --- per-word oracle -------------------------------------------------------------
+# The original construction: insert every word and every ascent swap of it
+# from scratch, close with a Floyd-Warshall pass over bitmasks, transpose
+# bit by bit, reduce by the bypass test.
+
+def oracle_build(n):
+    nodes = tuple(sorted(all_standard_tableaux(n), key=canonical_key))
+    index = {t: i for i, t in enumerate(nodes)}
+    edges = set()
+    for u in permutations(range(1, n + 1)):
+        a = index[insertion_tableau(u)]
+        for p in range(n - 1):
+            if u[p] < u[p + 1]:
+                b = index[insertion_tableau(u[:p] + (u[p + 1], u[p]) + u[p + 2:])]
+                if a != b:
+                    edges.add((a, b))
+    count = len(nodes)
+    reach = [1 << i for i in range(count)]
+    for a, b in edges:
+        reach[a] |= 1 << b
+    for k in range(count):
+        for i in range(count):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    below = [1 << j for j in range(count)]
+    for a in range(count):
+        for b in range(count):
+            if a != b and reach[a] >> b & 1:
+                below[b] |= 1 << a
+    covers = tuple(
+        (a, b) for a, b in sorted(edges)
+        if reach[a] & below[b] & ~((1 << a) | (1 << b)) == 0
+    )
+    return nodes, tuple(reach), tuple(below), covers
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_poset_matches_per_word_oracle(n):
+    nodes, reach, below, covers = oracle_build(n)
+    p = build_poset(n)
+    assert p.nodes == nodes
+    assert p.reach == reach
+    assert p.below == below
+    assert p.covers == covers
+    assert p.index == {t: i for i, t in enumerate(nodes)}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_poset_matches_direct_definition_oracle(n):
     p = cached_poset(n)
@@ -105,11 +158,44 @@ def test_build_poset_guards():
 
 
 def test_parallel_build_is_identical():
-    serial = build_poset(4, jobs=1)
-    parallel = build_poset(4, jobs=2)
+    serial = build_poset(7, jobs=1)
+    parallel = build_poset(7, jobs=2)
     assert serial.nodes == parallel.nodes
     assert serial.covers == parallel.covers
     assert serial.reach == parallel.reach
+    assert serial.below == parallel.below
+
+
+@pytest.mark.parametrize("n, jobs", [(5, 10**6), (3, 64), (6, 2)])
+def test_jobs_are_clamped_to_cores_and_letters(monkeypatch, n, jobs):
+    asked = []
+
+    class SerialPool:  # records max_workers, runs the jobs inline
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(weakorder, "ProcessPoolExecutor", SerialPool)
+    got = build_poset(n, jobs=jobs)
+    expected = min(jobs, os.cpu_count() or 1, n)
+    assert asked == ([expected] if expected > 1 else [])
+    serial = build_poset(n)
+    assert (got.reach, got.covers) == (serial.reach, serial.covers)
+
+
+def test_closure_makes_a_cycle_mutual():
+    # a projected cycle is not assumed away: its members reach each other,
+    # which verify_antisymmetry would report
+    reach = weakorder._closure([[1], [2], [0, 3], []])
+    assert reach == [0b1111, 0b1111, 0b1111, 0b1000]
 
 
 def test_closure_is_needed_at_n5():
