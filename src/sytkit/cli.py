@@ -15,7 +15,7 @@ import sys
 
 from . import hopf, verify, weakorder
 from .knuthclass import knuth_class
-from .permutation import InvariantError, ParseError, format_word, parse_word
+from .permutation import InvariantError, format_word, parse_word
 from .report import VerificationReport
 from .tableau import (
     evacuate,
@@ -254,20 +254,12 @@ def _dispatch(args) -> tuple[int, str]:
         lines += [format_tableau(t) for t in members]
         return EXIT_OK, "\n".join(lines) + "\n"
 
-    if args.command == "restrict":
-        tab = restrict(parse_tableau(args.tableau), args.i, args.j)
-        if args.format == "json":
-            return EXIT_OK, _dumps(tableau_to_json(tab))
-        return EXIT_OK, format_tableau(tab) + "\n"
-
-    if args.command == "evac":
-        tab = evacuate(parse_tableau(args.tableau))
-        if args.format == "json":
-            return EXIT_OK, _dumps(tableau_to_json(tab))
-        return EXIT_OK, format_tableau(tab) + "\n"
-
-    if args.command == "transpose":
-        tab = transpose(parse_tableau(args.tableau))
+    if args.command in ("restrict", "evac", "transpose"):
+        tab = parse_tableau(args.tableau)
+        if args.command == "restrict":
+            tab = restrict(tab, args.i, args.j)
+        else:
+            tab = evacuate(tab) if args.command == "evac" else transpose(tab)
         if args.format == "json":
             return EXIT_OK, _dumps(tableau_to_json(tab))
         return EXIT_OK, format_tableau(tab) + "\n"
@@ -290,10 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         code, text = _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .knuthclass import knuth_class
-from .permutation import Word, interleavings, shifted
+from .permutation import InvariantError, Word, interleavings, shifted
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -74,33 +74,33 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     # distinct (u, w) pairs give distinct shuffle words (the sub-alphabets
     # split every word uniquely), so set sizes account for every word
     if total != sum(len(words) for words in grouped.values()):
-        raise ValueError("shuffle words unexpectedly repeated")
+        raise InvariantError("shuffle words unexpectedly repeated")
     terms: dict[Rows, int] = {}
     for tab in sorted(grouped, key=canonical_key):
         words = grouped[tab]
         cls = knuth_class(tab).words
         if words != cls:
-            raise ValueError(
+            raise InvariantError(
                 f"shuffle words cover class {format_tableau(tab)} only partially"
             )
         terms[tab] = 1
     return PlacticSum(terms)
 
 
-def interval_product(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, ...]:
-    """Support of the product read off the order: the interval between the
-    row-wise and column-wise concatenations."""
+def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:
+    """The product read off the order: the interval between the row-wise
+    and column-wise concatenations."""
     left = check_standard(left)
     right = check_standard(right)
     n = size_of(left) + size_of(right)
     if p.n != n:
         raise ValueError(f"poset is for size {p.n}, product needs {n}")
-    iv = interval(p, beside(left, right), over(left, right))
-    return iv.member_tableaux()
-
-
-def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:
     return interval(p, beside(left, right), over(left, right))
+
+
+def interval_product(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, ...]:
+    """Support of the product: the tableaux of :func:`product_interval`."""
+    return product_interval(left, right, p).member_tableaux()
 
 
 def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationReport:

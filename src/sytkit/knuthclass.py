@@ -34,7 +34,3 @@ def knuth_class(rows: Rows) -> KnuthClass:
                 seen.add(neighbor)
                 frontier.append(neighbor)
     return KnuthClass(rows, frozenset(seen))
-
-
-def knuth_class_words(rows: Rows) -> frozenset[Word]:
-    return knuth_class(rows).words

@@ -3,7 +3,10 @@
 Row insertion and its inverse, jeu de taquin slides and rectification,
 segment restriction, transposition and evacuation, descent sets, dual Knuth
 moves, inner-tableau relabeling, and the row/column concatenations that
-bound shuffle products.
+bound shuffle products.  Public functions validate their input; the
+underscored kernels trust theirs and serve sweeps over known-standard
+tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
+alike, runs in the one kernel ``_slide``.
 
 A tableau is a tuple of strictly increasing rows holding 1..n.  Cells are
 addressed 1-based as (row, col), rows counted from the top, columns from
@@ -286,20 +289,7 @@ def insertion_tableau(word: Word) -> Rows:
 
 def insert(rows: Rows, x: int) -> Rows:
     """Row-insert a single letter not already present."""
-    grid = [list(row) for row in rows]
-    r = 0
-    while True:
-        if r == len(grid):
-            grid.append([x])
-            break
-        row = grid[r]
-        if not row or x > row[-1]:
-            row.append(x)
-            break
-        pos = bisect_right(row, x)
-        x, row[pos] = row[pos], x
-        r += 1
-    return tuple(map(tuple, grid))
+    return insertion_tableau(row_word(rows) + (x,))
 
 
 def reverse_insert(rows: Rows, corner: Cell) -> tuple[Rows, int]:
@@ -436,35 +426,22 @@ def inner_corners(t: SkewTableau) -> list[Cell]:
     return removable_cells(t.inner) if t.inner else []
 
 
-def _snapshot(grid: list[list[int | None]]) -> tuple[tuple[int | None, ...], ...]:
-    return tuple(tuple(row) for row in grid)
+def _slide(grid, inner, hole, forward, trace=None):
+    """One jeu de taquin slide from ``hole``, in place and unchecked.
 
-
-def jdt_slide_trace(
-    t: SkewTableau, hole: Cell, direction: str
-) -> tuple[SkewTableau, tuple[tuple[Cell, tuple], ...]]:
-    """Like :func:`jdt_slide` but also returns every intermediate state.
-
-    The trace lists (hole position, grid) pairs, one for the starting hole
-    and one after each swap; the grid keeps the pre-slide outer shape with
-    None at the current hole.
+    ``grid`` holds the rows as lists, None in cut-out cells; ``inner`` is the
+    inner shape padded with zeros to one entry per row.  The hole must be a
+    removable inner cell (forward) or an addable outer cell (backward).  A
+    ``trace`` list receives the pairs described at :func:`jdt_slide_trace`.
     """
-    grid = [list(row) for row in t.rows]
-    outer = list(t.outer)
-    inner = list(t._inner_padded())
     r, c = hole
-    trace: list[tuple[Cell, tuple]] = []
-
-    if direction == "forward":
-        if hole not in inner_corners(t):
-            raise ValueError(f"{hole} is not a removable inner cell of {t.inner}")
+    if forward:
         start_row = r
-        trace.append(((r, c), _snapshot(grid)))
         while True:
-            right_val = grid[r - 1][c] if c < outer[r - 1] else None
-            below_val = (
-                grid[r][c - 1] if r < len(outer) and outer[r] >= c else None
-            )
+            if trace is not None:
+                trace.append(((r, c), tuple(map(tuple, grid))))
+            right_val = grid[r - 1][c] if c < len(grid[r - 1]) else None
+            below_val = grid[r][c - 1] if r < len(grid) and len(grid[r]) >= c else None
             if right_val is None and below_val is None:
                 break
             if right_val is None or (below_val is not None and below_val < right_val):
@@ -475,34 +452,26 @@ def jdt_slide_trace(
                 grid[r - 1][c - 1] = right_val
                 grid[r - 1][c] = None
                 c += 1
-            trace.append(((r, c), _snapshot(grid)))
         # the hole exits the diagram; it sits at the end of its row
-        if c != outer[r - 1]:
+        if c != len(grid[r - 1]):
             raise InvariantError(f"forward slide stopped at {(r, c)}, inside row {r}")
         grid[r - 1].pop()
-        outer[r - 1] -= 1
         inner[start_row - 1] -= 1
-        if outer[r - 1] == 0:
-            if r != len(outer):
+        if not grid[r - 1]:
+            if r != len(grid):
                 raise InvariantError(f"forward slide emptied row {r}, not the last row")
             grid.pop()
-            outer.pop()
             inner.pop()
-    elif direction == "backward":
-        if hole not in addable_cells(t.outer):
-            raise ValueError(f"{hole} is not an addable outer cell of {t.outer}")
-        if r > len(outer):
+    else:
+        if r > len(grid):
             grid.append([None])
-            outer.append(1)
             inner.append(0)
         else:
             grid[r - 1].append(None)
-            outer[r - 1] += 1
-        trace.append(((r, c), _snapshot(grid)))
         while True:
-            above_val = (
-                grid[r - 2][c - 1] if r >= 2 and len(grid[r - 2]) >= c else None
-            )
+            if trace is not None:
+                trace.append(((r, c), tuple(map(tuple, grid))))
+            above_val = grid[r - 2][c - 1] if r >= 2 and len(grid[r - 2]) >= c else None
             left_val = grid[r - 1][c - 2] if c >= 2 else None
             if above_val is None and left_val is None:
                 break
@@ -514,19 +483,40 @@ def jdt_slide_trace(
                 grid[r - 1][c - 1] = left_val
                 grid[r - 1][c - 2] = None
                 c -= 1
-            trace.append(((r, c), _snapshot(grid)))
         # the hole joins the inner region
         if inner[r - 1] != c - 1:
             raise InvariantError(
                 f"backward slide stopped at {(r, c)}, not next to the inner shape"
             )
         inner[r - 1] = c
+
+
+def _checked_slide(t: SkewTableau, hole: Cell, direction: str, trace) -> SkewTableau:
+    """Validate the hole and direction, slide once, build the result."""
+    if direction == "forward":
+        if hole not in inner_corners(t):
+            raise ValueError(f"{hole} is not a removable inner cell of {t.inner}")
+    elif direction == "backward":
+        if hole not in addable_cells(t.outer):
+            raise ValueError(f"{hole} is not an addable outer cell of {t.outer}")
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    grid = [list(row) for row in t.rows]
+    _slide(grid, list(t._inner_padded()), hole, direction == "forward", trace)
+    return SkewTableau.from_rows(grid)
 
-    while inner and inner[-1] == 0:
-        inner.pop()
-    result = SkewTableau(tuple(outer), tuple(inner), _snapshot(grid))
+
+def jdt_slide_trace(
+    t: SkewTableau, hole: Cell, direction: str
+) -> tuple[SkewTableau, tuple[tuple[Cell, tuple], ...]]:
+    """Like :func:`jdt_slide` but also returns every intermediate state.
+
+    The trace lists (hole position, grid) pairs, one for the starting hole
+    and one after each swap; the grid keeps the pre-slide outer shape with
+    None at the current hole.
+    """
+    trace: list[tuple[Cell, tuple]] = []
+    result = _checked_slide(t, hole, direction, trace)
     return result, tuple(trace)
 
 
@@ -538,8 +528,18 @@ def jdt_slide(t: SkewTableau, hole: Cell, direction: str) -> SkewTableau:
     backward: the hole starts at an addable outer cell and swaps with the
     larger of its left and above neighbors, growing both shapes.
     """
-    result, _ = jdt_slide_trace(t, hole, direction)
-    return result
+    return _checked_slide(t, hole, direction, None)
+
+
+def _rectify(grid, inner) -> Rows:
+    """Forward slides on a kernel grid (see :func:`_slide`) until the inner
+    shape is empty, each at the topmost removable inner cell."""
+    while inner and inner[0]:
+        r = 1
+        while r < len(inner) and inner[r] == inner[r - 1]:
+            r += 1
+        _slide(grid, inner, (r, inner[r - 1]), True)
+    return tuple(map(tuple, grid))
 
 
 def rectify(t: SkewTableau) -> tuple[tuple[int, ...], ...]:
@@ -548,10 +548,7 @@ def rectify(t: SkewTableau) -> tuple[tuple[int, ...], ...]:
     Uses the topmost removable inner cell at every step; the outcome is
     independent of that choice (asserted by tests, not assumed here).
     """
-    cur = t
-    while cur.inner:
-        cur = jdt_slide(cur, inner_corners(cur)[0], "forward")
-    return tuple(tuple(x for x in row) for row in cur.rows)
+    return _rectify([list(row) for row in t.rows], list(t._inner_padded()))
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +560,23 @@ def restrict(rows: Rows, i: int, j: int) -> Rows:
     n = size_of(rows)
     if not (1 <= i < j <= n):
         raise ValueError(f"bad segment [{i},{j}] for n={n}")
-    skew_rows = []
+    return _restrict(rows, i, j)
+
+
+def _restrict(rows: Rows, i: int, j: int) -> Rows:
+    """:func:`restrict` of a standard tableau to a valid segment, unchecked.
+    The letters below i become the inner shape, the kept ones are shifted
+    down before jeu de taquin (the shift keeps their order)."""
+    grid = []
+    inner = []
     for row in rows:
-        cut = sum(1 for x in row if x < i)
-        kept = tuple(x for x in row if i <= x <= j)
-        if cut or kept:
-            skew_rows.append((None,) * cut + kept)
-    rect = rectify(SkewTableau.from_rows(tuple(skew_rows)))
-    return tuple(tuple(x - (i - 1) for x in row) for row in rect)
+        cut = bisect_left(row, i)
+        end = bisect_right(row, j)
+        if not end:
+            break  # every row below holds only letters above j
+        grid.append([None] * cut + [x - i + 1 for x in row[cut:end]])
+        inner.append(cut)
+    return _rectify(grid, inner)
 
 
 def inner_tableau(rows: Rows, k: int) -> Rows:
@@ -631,10 +637,10 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
     n = size_of(rows)
     if not (1 <= i <= n - 2):
         raise ValueError(f"triple start {i} out of range for n={n}")
-    des = _descents(rows)
-    if (i in des) == (i + 1 in des):
-        raise ValueError(f"exactly one of {i}, {i + 1} must be a descent")
-    return insertion_tableau(dual_knuth_move_word(row_word(rows), i))
+    for start, moved in _dual_moves(rows):
+        if start == i:
+            return moved
+    raise ValueError(f"exactly one of {i}, {i + 1} must be a descent")
 
 
 def dual_knuth_tableau_neighbors(rows: Rows) -> list[Rows]:

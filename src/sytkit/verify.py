@@ -14,29 +14,33 @@ witness is a self-contained dict of text forms.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .knuthclass import knuth_class
 from .permutation import (
+    InvariantError,
     Word,
     all_words,
     descents_left,
     format_word,
     restrict_standardize,
+    weak_covers,
 )
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
+    _descents,
     _dual_moves,
     _inner_rows,
     _relabel_inner,
+    _restrict,
     descent_set,
-    dual_knuth_move,
     dual_knuth_tableau_neighbors,
     evacuate,
     format_tableau,
     insertion_tableau,
     is_hook,
     partitions,
-    restrict,
     reverse_insert,
     shape_of,
     standard_tableaux,
@@ -84,6 +88,8 @@ def _translation_sweep(
     violations: list[dict] = []
     for k in range(3, n):  # a triple must fit inside the inner tableau
         groups = _inner_groups(p, k)
+        # cover mode reads each group's induced covers, computed once per k
+        group_covers = lru_cache(maxsize=None)(lambda s: induced_covers(p, groups[s]))
         for sub in sorted(groups, key=canonical_key):
             if not _in_family(shape_of(sub), family):
                 continue
@@ -92,7 +98,7 @@ def _translation_sweep(
                 continue
             members = groups[sub]
             if mode == "cover":
-                pairs = induced_covers(p, members)
+                pairs = group_covers(sub)
                 count = len(pairs)
             else:  # per member, the members above it (no tuple per pair)
                 mask = 0
@@ -108,7 +114,13 @@ def _translation_sweep(
                 }
                 checked += count
                 if mode == "cover":
-                    target = set(induced_covers(p, sorted(relabeled.values())))
+                    # the relabeling maps onto the moved group: checked, not assumed
+                    if sorted(relabeled.values()) != groups[moved_sub]:
+                        raise InvariantError(
+                            f"relabeling {format_tableau(sub)} -> "
+                            f"{format_tableau(moved_sub)} is not onto its group"
+                        )
+                    target = set(group_covers(moved_sub))
                     broken = [
                         (a, b) for a, b in pairs
                         if (relabeled[a], relabeled[b]) not in target
@@ -202,34 +214,31 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     checked = 0
     found: list[dict] = []
     with stopwatch() as sw:
-        descents = [descent_set(t) for t in p.nodes]
-        moved: dict[tuple[int, int], int] = {}
-        for i in range(1, 5):
-            for a in range(len(p.nodes)):
-                if (i in descents[a]) != ((i + 1) in descents[a]):
-                    moved[(a, i)] = p.index[dual_knuth_move(p.nodes[a], i)]
-        for i in range(1, 5):
-            for a in range(len(p.nodes)):
-                if (a, i) not in moved:
+        descents = [_descents(t) for t in p.nodes]
+        moved = {
+            (a, i): p.index[t]
+            for a, node in enumerate(p.nodes)
+            for i, t in _dual_moves(node)
+        }
+        for (a, i), a_moved in moved.items():
+            # both endpoints must sit on the same side of the map's domain
+            # split, i.e. share which of i, i+1 descends
+            for b in _bits(p.reach[a] & ~(1 << a)):
+                if (b, i) not in moved:
                     continue
-                # both endpoints must sit on the same side of the map's
-                # domain split, i.e. share which of i, i+1 descends
-                for b in _bits(p.reach[a] & ~(1 << a)):
-                    if (b, i) not in moved:
-                        continue
-                    if (i in descents[a]) != (i in descents[b]):
-                        continue
-                    checked += 1
-                    if not p.leq_ids(moved[(a, i)], moved[(b, i)]):
-                        found.append(
-                            {
-                                "triple": [i, i + 1, i + 2],
-                                "S": format_tableau(p.nodes[a]),
-                                "T": format_tableau(p.nodes[b]),
-                                "S_relabeled": format_tableau(p.nodes[moved[(a, i)]]),
-                                "T_relabeled": format_tableau(p.nodes[moved[(b, i)]]),
-                            }
-                        )
+                if (i in descents[a]) != (i in descents[b]):
+                    continue
+                checked += 1
+                if not p.leq_ids(a_moved, moved[(b, i)]):
+                    found.append(
+                        {
+                            "triple": [i, i + 1, i + 2],
+                            "S": format_tableau(p.nodes[a]),
+                            "T": format_tableau(p.nodes[b]),
+                            "S_relabeled": format_tableau(p.nodes[a_moved]),
+                            "T_relabeled": format_tableau(p.nodes[moved[(b, i)]]),
+                        }
+                    )
         violations = []
         if _WITNESS not in found:
             violations.append({"missing_expected_witness": _WITNESS})
@@ -350,7 +359,7 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     checked += 1
-                    if restrict(tab, i, j) != insertion_tableau(
+                    if _restrict(tab, i, j) != insertion_tableau(
                         restrict_standardize(u, i, j)
                     ):
                         violations.append(
@@ -373,7 +382,7 @@ def verify_restriction_monotone(n: int, jobs: int = 1) -> VerificationReport:
         for node in p.nodes:
             per_segment = {}
             for i, j in segments:
-                per_segment[(i, j)] = small[j - i + 1].index[restrict(node, i, j)]
+                per_segment[(i, j)] = small[j - i + 1].index[_restrict(node, i, j)]
             restricted.append(per_segment)
         for a in range(len(p.nodes)):
             for b in _bits(p.reach[a] & ~(1 << a)):
@@ -498,9 +507,7 @@ def cover_witness_words(p: TableauPoset, lower, upper) -> tuple[Word, Word]:
     b = p.node_id(upper)
     target = p.nodes[b]
     for sigma in sorted(knuth_class(p.nodes[a]).words):
-        for j in range(p.n - 1):
-            if sigma[j] < sigma[j + 1]:
-                tau = sigma[:j] + (sigma[j + 1], sigma[j]) + sigma[j + 2:]
-                if insertion_tableau(tau) == target:
-                    return sigma, tau
+        for tau in weak_covers(sigma):
+            if insertion_tableau(tau) == target:
+                return sigma, tau
     raise ValueError("no adjacent-transposition witness: not a projected edge")

@@ -10,7 +10,7 @@ from test_weakorder import oracle_relation
 
 from sytkit.cli import main
 from sytkit.hopf import interval_product, plactic_product, verify_interval_isomorphism
-from sytkit.knuthclass import knuth_class_words
+from sytkit.knuthclass import knuth_class
 from sytkit.permutation import format_word, inversions_left, parse_word
 from sytkit.tableau import (
     format_skew,
@@ -67,7 +67,7 @@ def test_criterion_02_knuth_classes_golden(capsys):
     }
     t0 = time.perf_counter()
     for text, words in expected.items():
-        got = {format_word(w) for w in knuth_class_words(parse_tableau(text))}
+        got = {format_word(w) for w in knuth_class(parse_tableau(text)).words}
         assert got == words
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
@@ -82,8 +82,8 @@ def test_criterion_03_transitive_closure_is_necessary(capsys):
     assert leq(p, lower, upper)
     # the inversion (2,4) sits in every word of the lower class and in no
     # word of the upper class, so no direct witness pair exists
-    assert all((2, 4) in inversions_left(w) for w in knuth_class_words(lower))
-    assert all((2, 4) not in inversions_left(w) for w in knuth_class_words(upper))
+    assert all((2, 4) in inversions_left(w) for w in knuth_class(lower).words)
+    assert all((2, 4) not in inversions_left(w) for w in knuth_class(upper).words)
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         _report(3, "closure necessity at n=5", elapsed, 1.0)

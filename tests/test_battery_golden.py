@@ -1,0 +1,40 @@
+"""The default verification battery, run as a user runs it, reproduces the
+golden reports byte for byte (timings aside)."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "golden" / "desk.json"
+
+
+def _key(record):
+    return record["check"] + " " + json.dumps(record["range"], sort_keys=True)
+
+
+def test_default_battery_matches_golden_reports(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verification.py"),
+         "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("ALL PASS\n")
+
+    golden = json.loads(GOLDEN.read_text())
+    want = {_key(record): record for record in golden}
+    # a report run twice (antisymmetry, alone and in the structural
+    # bundle) is written to one file; its golden copies must agree
+    assert all(want[_key(record)] == record for record in golden)
+
+    got = {}
+    for path in sorted(tmp_path.glob("*.json")):
+        record = json.loads(path.read_text())
+        del record["elapsed_ms"]
+        record.setdefault("skipped", 0)
+        record.setdefault("details", {})
+        got[_key(record)] = record
+    assert got == want

@@ -3,6 +3,7 @@ import json
 import sytkit.cli as cli
 from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from sytkit.permutation import InvariantError
+from test_hopf import partial_classes
 
 
 def run(capsys, *argv):
@@ -46,6 +47,14 @@ def test_broken_invariant_is_not_a_usage_error(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: slide stopped early\n"
+
+
+def test_product_broken_invariant_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.hopf, "knuth_class", partial_classes)
+    code, out, err = run(capsys, "product", "1,2/3", "1/2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: shuffle words cover class")
 
 
 def test_usage_error_on_unknown_command(capsys):

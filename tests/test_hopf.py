@@ -2,12 +2,14 @@ from math import comb
 
 import pytest
 
+import sytkit.hopf as hopf
 from sytkit.hopf import (
     interval_product,
     plactic_product,
     verify_interval_isomorphism,
 )
-from sytkit.knuthclass import knuth_class_words
+from sytkit.knuthclass import KnuthClass, knuth_class
+from sytkit.permutation import InvariantError, interleavings
 from sytkit.tableau import (
     all_standard_tableaux,
     beside,
@@ -16,6 +18,7 @@ from sytkit.tableau import (
     over,
     parse_tableau,
     shape_of,
+    size_of,
 )
 from sytkit.weakorder import cached_poset
 
@@ -77,11 +80,11 @@ def test_class_size_counting_identity():
         for left in all_standard_tableaux(k):
             for right in all_standard_tableaux(l):
                 got = plactic_product(left, right)
-                total = sum(len(knuth_class_words(t)) for t in got.terms)
+                total = sum(len(knuth_class(t).words) for t in got.terms)
                 expected = (
                     comb(k + l, k)
-                    * len(knuth_class_words(left))
-                    * len(knuth_class_words(right))
+                    * len(knuth_class(left).words)
+                    * len(knuth_class(right).words)
                 )
                 assert total == expected
 
@@ -121,3 +124,33 @@ def test_interval_isomorphism_guards():
         verify_interval_isomorphism(4, 4)
     with pytest.raises(ValueError):
         verify_interval_isomorphism(0, 3)
+
+
+def partial_classes(rows):
+    """Knuth classes of size-5 tableaux with their smallest word missing."""
+    cls = knuth_class(rows)
+    if size_of(rows) < 5:
+        return cls
+    return KnuthClass(cls.tableau, frozenset(sorted(cls.words)[1:]))
+
+
+def repeated_interleavings(a, b):
+    words = interleavings(a, b)
+    return words + words[:1]
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("knuth_class", partial_classes, "only partially"),
+        ("interleavings", repeated_interleavings, "repeated"),
+    ],
+    ids=["partial-class", "repeated-word"],
+)
+def test_product_broken_invariant_is_not_a_value_error(
+    monkeypatch, name, fake, message
+):
+    monkeypatch.setattr(hopf, name, fake)
+    with pytest.raises(InvariantError, match=message) as info:
+        plactic_product(parse_tableau("1,2/3"), parse_tableau("1/2"))
+    assert not isinstance(info.value, ValueError)

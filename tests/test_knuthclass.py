@@ -3,7 +3,7 @@ from collections import defaultdict
 from hypothesis import given
 
 from conftest import tableaux
-from sytkit.knuthclass import knuth_class, knuth_class_words
+from sytkit.knuthclass import knuth_class
 from sytkit.permutation import all_words, descents_left, format_word, inversions_left
 from sytkit.tableau import (
     all_standard_tableaux,
@@ -15,28 +15,28 @@ from sytkit.tableau import (
 
 
 def test_class_goldens():
-    got = {format_word(w) for w in knuth_class_words(parse_tableau("1,2,5/3,4"))}
+    got = {format_word(w) for w in knuth_class(parse_tableau("1,2,5/3,4")).words}
     assert got == {"31425", "34125", "31452", "34152", "34512"}
-    got = {format_word(w) for w in knuth_class_words(parse_tableau("1,4,5/2/3"))}
+    got = {format_word(w) for w in knuth_class(parse_tableau("1,4,5/2/3")).words}
     assert got == {"32145", "32415", "32451", "34215", "34251", "34521"}
-    got = {format_word(w) for w in knuth_class_words(parse_tableau("1,4/2,5/3"))}
+    got = {format_word(w) for w in knuth_class(parse_tableau("1,4/2,5/3")).words}
     assert got == {"32154", "32514", "35214", "32541", "35241"}
 
 
 def test_single_row_class_is_identity():
-    assert knuth_class_words(((1, 2, 3, 4),)) == frozenset({(1, 2, 3, 4)})
+    assert knuth_class(((1, 2, 3, 4),)).words == frozenset({(1, 2, 3, 4)})
 
 
 def test_row_word_goldens():
     assert row_word(parse_tableau("1,3/2,4/5")) == (5, 2, 4, 1, 3)
-    assert (3, 4, 1, 2, 5) in knuth_class_words(parse_tableau("1,2,5/3,4"))
+    assert (3, 4, 1, 2, 5) in knuth_class(parse_tableau("1,2,5/3,4")).words
 
 
 def test_classes_partition_all_words_n7():
     for n in range(1, 8):
         coverage = []
         for tab in all_standard_tableaux(n):
-            coverage.extend(knuth_class_words(tab))
+            coverage.extend(knuth_class(tab).words)
         assert len(coverage) == len(set(coverage))
         assert sorted(coverage) == sorted(all_words(n))
 
@@ -47,7 +47,7 @@ def test_class_equals_insertion_fiber_n6():
         for u in all_words(n):
             fibers[insertion_tableau(u)].add(u)
         for tab, fiber in fibers.items():
-            assert knuth_class_words(tab) == fiber
+            assert knuth_class(tab).words == fiber
 
 
 @given(tableaux(max_n=6))
@@ -61,12 +61,12 @@ def test_every_class_word_inserts_back(tab):
 def test_descents_constant_on_classes_n5():
     for tab in all_standard_tableaux(5):
         expected = descent_set(tab)
-        for w in knuth_class_words(tab):
+        for w in knuth_class(tab).words:
             assert descents_left(w) == expected
 
 
 def test_known_inversion_stays_in_one_class_not_the_other():
     lower = parse_tableau("1,2,5/3,4")
     upper = parse_tableau("1,4/2,5/3")
-    assert all((2, 4) in inversions_left(w) for w in knuth_class_words(lower))
-    assert all((2, 4) not in inversions_left(w) for w in knuth_class_words(upper))
+    assert all((2, 4) in inversions_left(w) for w in knuth_class(lower).words)
+    assert all((2, 4) not in inversions_left(w) for w in knuth_class(upper).words)

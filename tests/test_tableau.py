@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import jdt_oracle as oracle
 from conftest import tableaux, words
 from sytkit.permutation import (
     InvariantError,
@@ -30,6 +31,7 @@ from sytkit.tableau import (
     evacuate,
     format_skew,
     format_tableau,
+    inner_corners,
     inner_tableau,
     inner_translate,
     insert,
@@ -403,6 +405,43 @@ def test_rectification_is_slide_order_independent_small():
         results = _rectify_all_orders(skew)
         assert len(results) == 1
         assert rectify(skew) == next(iter(results))
+
+
+def _candidate_holes(skew):
+    """Every cell of the bounding box one step past the outer shape."""
+    rows = len(skew.outer) + 1
+    cols = (skew.outer[0] if skew.outer else 0) + 1
+    return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+
+
+def test_slides_match_the_oracle_on_every_small_filling():
+    legal = 0
+    for skew in _all_skew_fillings(6):
+        for direction, holes in (
+            ("forward", inner_corners(skew)),
+            ("backward", addable_cells(skew.outer)),
+        ):
+            for hole in _candidate_holes(skew):
+                if hole not in holes:
+                    with pytest.raises(ValueError):
+                        oracle.jdt_slide_trace(skew, hole, direction)
+                    with pytest.raises(ValueError):
+                        jdt_slide(skew, hole, direction)
+                    continue
+                legal += 1
+                want, want_trace = oracle.jdt_slide_trace(skew, hole, direction)
+                assert jdt_slide_trace(skew, hole, direction) == (want, want_trace)
+                assert jdt_slide(skew, hole, direction) == want
+        assert rectify(skew) == oracle.rectify(skew)
+    assert legal == 1912
+
+
+def test_restrict_matches_the_oracle_n7():
+    for n in range(2, 8):
+        for tab in all_standard_tableaux(n):
+            for i in range(1, n):
+                for j in range(i + 1, n + 1):
+                    assert restrict(tab, i, j) == oracle.restrict(tab, i, j)
 
 
 def test_rectify_normal_tableau_is_identity():

@@ -1,6 +1,6 @@
 import pytest
 
-from sytkit.knuthclass import knuth_class_words
+from sytkit.knuthclass import knuth_class
 from sytkit.permutation import coxeter_length
 from sytkit.tableau import (
     _dual_moves,
@@ -297,7 +297,7 @@ def test_two_row_translation_proof_skeleton(n, k):
                 # the delicate case: confirm the conclusion and that some
                 # adjacent-swap witness pair exists for the relabeled cover
                 found = False
-                for s2 in sorted(knuth_class_words(expect_s)):
+                for s2 in sorted(knuth_class(expect_s).words):
                     for jj in range(n - 1):
                         if s2[jj] < s2[jj + 1]:
                             t2 = s2[:jj] + (s2[jj + 1], s2[jj]) + s2[jj + 2:]

@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 import sytkit.weakorder as weakorder
-from sytkit.knuthclass import knuth_class_words
+from sytkit.knuthclass import knuth_class
 from sytkit.permutation import inversions_left
 from sytkit.tableau import (
     all_standard_tableaux,
@@ -23,6 +23,7 @@ from sytkit.tableau import (
     transpose,
 )
 from sytkit.weakorder import (
+    TableauPoset,
     build_poset,
     cached_poset,
     canonical_key,
@@ -43,7 +44,7 @@ from sytkit.weakorder import (
 
 def oracle_relation(n):
     tabs = sorted(all_standard_tableaux(n), key=canonical_key)
-    classes = {t: knuth_class_words(t) for t in tabs}
+    classes = {t: knuth_class(t).words for t in tabs}
     invs = {t: [inversions_left(w) for w in sorted(classes[t])] for t in tabs}
     direct = {
         t: {
@@ -204,8 +205,8 @@ def test_closure_is_needed_at_n5():
     upper = parse_tableau("1,4/2,5/3")
     assert leq(p, lower, upper)
     # no single pair of class words certifies the relation directly
-    lo_invs = [inversions_left(w) for w in knuth_class_words(lower)]
-    up_invs = [inversions_left(w) for w in knuth_class_words(upper)]
+    lo_invs = [inversions_left(w) for w in knuth_class(lower).words]
+    up_invs = [inversions_left(w) for w in knuth_class(upper).words]
     assert not any(a <= b for a in lo_invs for b in up_invs)
 
 
@@ -309,6 +310,43 @@ def test_monotone_shape_direction_down(n):
     report = check_monotone_shape(cached_poset(n))
     assert report.passed
     assert report.details["direction"] == "down"
+
+
+def test_monotone_shape_direction_up_on_the_dual_order():
+    p = cached_poset(4)
+    dual = TableauPoset(
+        p.n,
+        p.nodes,
+        tuple(sorted((b, a) for a, b in p.covers)),
+        p.below,
+        p.reach,
+        p.index,
+    )
+    report = check_monotone_shape(dual)
+    assert report.passed
+    assert report.details["direction"] == "up"
+    assert report.checked == check_monotone_shape(p).checked
+
+
+def test_monotone_shape_direction_none():
+    # one cover rises in dominance, (2,1) -> (3); the other falls,
+    # (2,1) -> (1,1,1); ids follow the shapes' lexicographic order
+    nodes = (((1,), (2,), (3,)), ((1, 2), (3,)), ((1, 2, 3),))
+    p = TableauPoset(
+        3,
+        nodes,
+        ((1, 0), (1, 2)),
+        (0b001, 0b111, 0b100),
+        (0b011, 0b010, 0b110),
+        {t: i for i, t in enumerate(nodes)},
+    )
+    report = check_monotone_shape(p)
+    assert not report.passed
+    assert report.checked == 2
+    assert report.details["direction"] == "none"
+    assert report.violations == [
+        {"S": "1,2/3", "T": "1,2,3", "sh_S": [2, 1], "sh_T": [3]}
+    ]
 
 
 def test_restriction_is_order_monotone_n5():
