@@ -3,8 +3,9 @@
 
 Default scale is n <= 7 (seconds).  --stretch raises the translation sweep
 and antisymmetry check to n = 9, which rebuilds the poset from all 362880
-words (about 2.5 s in total with one process on a 2-vCPU machine under
-Python 3.11; the default scale takes about 0.6 s).  JSON reports land in --out-dir when given.
+words (about 1.8 s in total with one process on a 2-vCPU machine under
+Python 3.11; the default scale takes about 0.5 s).  JSON reports land in
+--out-dir when given.
 """
 
 import argparse

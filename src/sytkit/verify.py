@@ -8,13 +8,23 @@ its own check.  The remaining checks bundle the structural facts the other
 modules rely on: segment restriction, descent and shape monotonicity,
 evacuation/transposition symmetry, dual Knuth connectivity, antisymmetry.
 
+The translation sweep numbers the nodes by row sequence (the row of 1, the
+row of 2, ..., the row of n).  Tableaux with the same inner tableau on
+1..k share a prefix of that sequence, so for every k each group is one
+contiguous run of positions, and a relabeling, which keeps the rows of the
+letters above k, maps the x-th member of a run to the x-th member of the
+moved run.  The covers are closed again in that numbering, and each
+group's relations are read with one shift per member.  What the sweep
+relies on is checked, not assumed: the renumbered closure must have the
+size of ``reach`` at every node, the moved inner tableau must keep the
+shape and its run the same suffixes, or ``InvariantError`` is raised; the
+cheaper reduction is used only when the closure is antisymmetric.
+
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .knuthclass import knuth_class
 from .permutation import (
@@ -32,7 +42,6 @@ from .tableau import (
     _descents,
     _dual_moves,
     _inner_rows,
-    _relabel_inner,
     _restrict,
     descent_set,
     dual_knuth_tableau_neighbors,
@@ -49,20 +58,12 @@ from .tableau import (
 from .weakorder import (
     TableauPoset,
     _bits,
+    _closure,
     cached_poset,
     canonical_key,
-    induced_covers,
 )
 
 FAMILIES = ("two_row", "two_col", "hook")
-
-
-def _inner_groups(p: TableauPoset, k: int) -> dict[Rows, list[int]]:
-    """Node ids grouped by the sub-tableau on the letters 1..k."""
-    groups: dict[Rows, list[int]] = {}
-    for node_id, node in enumerate(p.nodes):
-        groups.setdefault(_inner_rows(node, k), []).append(node_id)
-    return groups
 
 
 def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
@@ -73,64 +74,131 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
     if family == "two_col":
         return shape[0] == 2
     if family == "hook":
-        return is_hook(shape)
+        return all(x == 1 for x in shape[1:])  # a poset node's shape is valid
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _seq_code(rows: Rows, size: int) -> int:
+    """The row sequence (row of 1, row of 2, ..., row of ``size``) of a
+    standard tableau as an integer, 4 bits per letter with letter 1 in the
+    highest digit, so that integer order is lexicographic order and the
+    code of the inner tableau on 1..k is ``code >> 4 * (size - k)``."""
+    code = 0
+    for r, row in enumerate(rows, 1):
+        for x in row:
+            code |= r << 4 * (size - x)
+    return code
+
+
+def _local_order(reach: list[int], lo: int, hi: int) -> list[int]:
+    """Strict up-sets inside the run [lo, hi), as bits of offsets."""
+    full = (1 << (hi - lo)) - 1
+    return [(reach[x] >> lo) & full & ~(1 << (x - lo)) for x in range(lo, hi)]
+
+
+def _local_covers(ups: list[int], antisymmetric: bool) -> list[int]:
+    """Transitive reduction of strict up-sets: b covers a unless some c
+    other than a and b has a <= c <= b.
+
+    In a partial order every non-cover lies above a cover, so only the
+    members still standing need their up-sets removed; with a cycle every
+    member above a is used.
+    """
+    covers = []
+    for up in ups:
+        row = up
+        rest = up
+        while rest:
+            low = rest & -rest
+            row &= ~ups[low.bit_length() - 1]
+            rest = (row if antisymmetric else rest) & ~((low << 1) - 1)
+        covers.append(row)
+    return covers
+
+
 def _translation_sweep(
-    n: int, mode: str, family: str | None, jobs: int
+    p: TableauPoset, mode: str, family: str | None
 ) -> tuple[int, list[dict]]:
-    # poset nodes, their inner tableaux and the moves of those are all
-    # standard, so the sweep calls the unchecked kernels
-    p = cached_poset(n, jobs=jobs)
-    nodes, index, reach = p.nodes, p.index, p.reach
+    """Check every (k, inner tableau, dual Knuth move) of the poset, run
+    by run in the row-sequence numbering (see the module docstring)."""
+    n, nodes = p.n, p.nodes
+    codes = [_seq_code(t, n) for t in nodes]
+    order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
+    seq = [codes[a] for a in order]
+    position = [0] * len(nodes)
+    for x, a in enumerate(order):
+        position[a] = x
+    succ: list[list[int]] = [[] for _ in nodes]
+    for a, b in p.covers:
+        if not p.reach[a] >> b & 1:
+            raise InvariantError(
+                f"closure of the covers disagrees with reach: cover "
+                f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} is not in it"
+            )
+        succ[position[a]].append(position[b])
+    reach = _closure(succ)
+    # every cover lies in the transitively closed reach, so their closure
+    # does too, and equal sizes make the rows equal
+    for a, row in enumerate(p.reach):
+        if reach[position[a]].bit_count() != row.bit_count():
+            raise InvariantError(
+                f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
+            )
+    # reflexive rows are pairwise distinct iff no two nodes reach each other
+    antisymmetric = len(set(reach)) == len(reach)
     checked = 0
     violations: list[dict] = []
     for k in range(3, n):  # a triple must fit inside the inner tableau
-        groups = _inner_groups(p, k)
-        # cover mode reads each group's induced covers, computed once per k
-        group_covers = lru_cache(maxsize=None)(lambda s: induced_covers(p, groups[s]))
-        for sub in sorted(groups, key=canonical_key):
-            if not _in_family(shape_of(sub), family):
+        cut = 4 * (n - k)
+        suffix = [code & ((1 << cut) - 1) for code in seq]
+        runs: dict[int, tuple[int, int]] = {}  # inner tableau code -> [lo, hi)
+        lo = 0
+        for x in range(1, len(seq) + 1):
+            if x == len(seq) or seq[x] >> cut != seq[lo] >> cut:
+                runs[seq[lo] >> cut] = (lo, x)
+                lo = x
+        rows: dict[int, list[int]] = {}  # run start -> order or cover rows
+
+        def rows_of(lo: int, hi: int) -> list[int]:
+            if lo not in rows:
+                ups = _local_order(reach, lo, hi)
+                rows[lo] = _local_covers(ups, antisymmetric) if mode == "cover" else ups
+            return rows[lo]
+
+        subs = sorted(
+            ((_inner_rows(nodes[order[lo]], k), lo, hi) for lo, hi in runs.values()),
+            key=lambda entry: canonical_key(entry[0]),
+        )
+        for sub, lo, hi in subs:
+            shape = shape_of(sub)
+            if not _in_family(shape, family):
                 continue
             moves = _dual_moves(sub)
             if not moves:
                 continue
-            members = groups[sub]
-            if mode == "cover":
-                pairs = group_covers(sub)
-                count = len(pairs)
-            else:  # per member, the members above it (no tuple per pair)
-                mask = 0
-                for m in members:
-                    mask |= 1 << m
-                ups = [(a, _bits(reach[a] & mask & ~(1 << a))) for a in members]
-                count = sum(len(bs) for _, bs in ups)
+            source = rows_of(lo, hi)
+            count = sum(row.bit_count() for row in source)
             if not count:
                 continue
             for i, moved_sub in moves:
-                relabeled = {
-                    m: index[_relabel_inner(nodes[m], moved_sub)] for m in members
-                }
+                # the relabeling maps the run onto the moved run: checked, not assumed
+                lo2, hi2 = runs.get(_seq_code(moved_sub, k), (0, 0))
+                if shape_of(moved_sub) != shape or suffix[lo:hi] != suffix[lo2:hi2]:
+                    raise InvariantError(
+                        f"relabeling {format_tableau(sub)} -> "
+                        f"{format_tableau(moved_sub)} is not onto its group"
+                    )
                 checked += count
-                if mode == "cover":
-                    # the relabeling maps onto the moved group: checked, not assumed
-                    if sorted(relabeled.values()) != groups[moved_sub]:
-                        raise InvariantError(
-                            f"relabeling {format_tableau(sub)} -> "
-                            f"{format_tableau(moved_sub)} is not onto its group"
-                        )
-                    target = set(group_covers(moved_sub))
-                    broken = [
-                        (a, b) for a, b in pairs
-                        if (relabeled[a], relabeled[b]) not in target
-                    ]
-                else:
-                    broken = [
-                        (a, b) for a, bs in ups for b in bs
-                        if not reach[relabeled[a]] >> relabeled[b] & 1
-                    ]
-                for a, b in broken:
+                target = rows_of(lo2, hi2)
+                if not any(row & ~image for row, image in zip(source, target)):
+                    continue
+                broken = [
+                    (order[lo + x], order[lo + y], order[lo2 + x], order[lo2 + y])
+                    for x, (row, image) in enumerate(zip(source, target))
+                    for y in _bits(row & ~image)
+                ]
+                broken.sort()  # by the node ids of the pair
+                for a, b, a2, b2 in broken:
                     violations.append(
                         {
                             "n": n,
@@ -140,8 +208,8 @@ def _translation_sweep(
                             "R_moved": format_tableau(moved_sub),
                             "S": format_tableau(nodes[a]),
                             "T": format_tableau(nodes[b]),
-                            "S_relabeled": format_tableau(nodes[relabeled[a]]),
-                            "T_relabeled": format_tableau(nodes[relabeled[b]]),
+                            "S_relabeled": format_tableau(nodes[a2]),
+                            "T_relabeled": format_tableau(nodes[b2]),
                             "relation": mode,
                         }
                     )
@@ -159,7 +227,9 @@ def verify_inner_tableau_translation(
     if mode not in ("cover", "order"):
         raise ValueError(f"mode must be 'cover' or 'order', got {mode!r}")
     with stopwatch() as sw:
-        checked, violations = _translation_sweep(n, mode, None, jobs)
+        checked, violations = _translation_sweep(
+            cached_poset(n, jobs=jobs), mode, None
+        )
     return VerificationReport(
         "inner-tableau-translation",
         {"n": n, "mode": mode},
@@ -181,7 +251,9 @@ def verify_special_cases(
     if mode not in ("cover", "order"):
         raise ValueError(f"mode must be 'cover' or 'order', got {mode!r}")
     with stopwatch() as sw:
-        checked, violations = _translation_sweep(n, mode, family, jobs)
+        checked, violations = _translation_sweep(
+            cached_poset(n, jobs=jobs), mode, family
+        )
     return VerificationReport(
         "inner-tableau-translation-special-cases",
         {"n": n, "family": family, "mode": mode},

@@ -484,8 +484,13 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
     """
     shapes = [shape_of(t) for t in p.nodes]
     with stopwatch() as sw:
-        down = all(dominance_leq(shapes[b], shapes[a]) for a, b in p.covers)
-        up = all(dominance_leq(shapes[a], shapes[b]) for a, b in p.covers)
+        # dominance between every two node shapes, each pair compared once;
+        # dom[sid[a]][sid[b]] says whether the shape of a is below that of b
+        distinct = sorted(set(shapes))
+        sid = [distinct.index(s) for s in shapes]
+        dom = [[dominance_leq(s, t) for t in distinct] for s in distinct]
+        down = all(dom[sid[b]][sid[a]] for a, b in p.covers)
+        up = all(dom[sid[a]][sid[b]] for a, b in p.covers)
         if down:
             direction = "down"
         elif up:
@@ -496,7 +501,7 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
         violations = []
         if direction == "none":
             for a, b in p.covers:
-                if not dominance_leq(shapes[b], shapes[a]):
+                if not dom[sid[b]][sid[a]]:
                     violations.append(
                         {
                             "S": format_tableau(p.nodes[a]),
@@ -510,7 +515,7 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
                 for b in _bits(p.reach[a] & ~(1 << a)):
                     checked += 1
                     lo, hi = (b, a) if direction == "down" else (a, b)
-                    if not dominance_leq(shapes[lo], shapes[hi]):
+                    if not dom[sid[lo]][sid[hi]]:
                         violations.append(
                             {
                                 "S": format_tableau(p.nodes[a]),

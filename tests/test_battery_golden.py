@@ -1,5 +1,6 @@
-"""The default verification battery, run as a user runs it, reproduces the
-golden reports byte for byte (timings aside)."""
+"""The verification battery, run as a user runs it, reproduces the golden
+reports byte for byte (timings aside): the default battery and the
+``--stretch`` one, which pins the n = 9 translation counts."""
 
 import json
 import pathlib
@@ -7,28 +8,28 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "perfbench" / "golden" / "desk.json"
+GOLDEN = ROOT / "perfbench" / "golden"
 
 
 def _key(record):
     return record["check"] + " " + json.dumps(record["range"], sort_keys=True)
 
 
-def test_default_battery_matches_golden_reports(tmp_path):
+def _check_battery(tmp_path, flags, golden):
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_verification.py"),
-         "--out-dir", str(tmp_path)],
+         *flags, "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.endswith("ALL PASS\n")
 
-    golden = json.loads(GOLDEN.read_text())
-    want = {_key(record): record for record in golden}
+    records = json.loads((GOLDEN / golden).read_text())
+    want = {_key(record): record for record in records}
     # a report run twice (antisymmetry, alone and in the structural
     # bundle) is written to one file; its golden copies must agree
-    assert all(want[_key(record)] == record for record in golden)
+    assert all(want[_key(record)] == record for record in records)
 
     got = {}
     for path in sorted(tmp_path.glob("*.json")):
@@ -38,3 +39,11 @@ def test_default_battery_matches_golden_reports(tmp_path):
         record.setdefault("details", {})
         got[_key(record)] = record
     assert got == want
+
+
+def test_default_battery_matches_golden_reports(tmp_path):
+    _check_battery(tmp_path, [], "desk.json")
+
+
+def test_stretch_battery_matches_golden_reports(tmp_path):
+    _check_battery(tmp_path, ["--stretch"], "stretch.json")

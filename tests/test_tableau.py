@@ -138,6 +138,20 @@ def test_rsk_is_a_bijection_n4():
     assert len(seen) == 24
 
 
+def test_rsk_is_a_bijection_n7():
+    # 5040 distinct (P, Q) pairs, f^lambda squared of each shape, and
+    # the squares add up to 7!
+    pairs = {rsk(u) for u in all_words(7)}
+    assert len(pairs) == 5040
+    per_shape = {}
+    for insertion, recording in pairs:
+        assert shape_of(insertion) == shape_of(recording)
+        per_shape[shape_of(insertion)] = per_shape.get(shape_of(insertion), 0) + 1
+    squares = {s: len(standard_tableaux(s)) ** 2 for s in partitions(7)}
+    assert per_shape == squares
+    assert sum(squares.values()) == 5040
+
+
 def test_same_shape_pair_count_recovers_factorial():
     from math import factorial
 

@@ -1,7 +1,13 @@
+import dataclasses
+import random
+
 import pytest
 
+import sytkit.verify as verify
+import translation_oracle as oracle
+from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import coxeter_length
+from sytkit.permutation import InvariantError, coxeter_length
 from sytkit.tableau import (
     _dual_moves,
     _relabel_inner,
@@ -28,7 +34,7 @@ from sytkit.verify import (
     verify_special_cases,
     verify_structural,
 )
-from sytkit.weakorder import cached_poset, induced_covers, leq
+from sytkit.weakorder import _bits, _closure, cached_poset, induced_covers, leq
 
 
 # --- headline sweep ------------------------------------------------------------
@@ -81,6 +87,142 @@ def test_inner_tableau_translation_n8(mode, checked):
     report = verify_inner_tableau_translation(8, mode)
     assert report.checked == checked
     assert report.violations == []
+
+
+# --- the run-based sweep against the pair-by-pair oracle ----------------------------------
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mode", ["cover", "order"])
+@pytest.mark.parametrize("family", [None, "two_row", "two_col", "hook"])
+def test_sweep_matches_the_oracle(n, mode, family):
+    p = cached_poset(n)
+    assert verify._translation_sweep(p, mode, family) == oracle.translation_sweep(
+        p, mode, family
+    )
+
+
+def _relations(p, nodes, kept):
+    """A poset on ``nodes`` whose order is the closure of the covers ``kept``."""
+    succ = [[] for _ in nodes]
+    pred = [[] for _ in nodes]
+    for a, b in kept:
+        succ[a].append(b)
+        pred[b].append(a)
+    reach, below = _closure(succ), _closure(pred)
+    covers = tuple(
+        (a, b)
+        for a in range(len(nodes))
+        for b in _bits(reach[a] & ~(1 << a))
+        if not reach[a] & below[b] & ~((1 << a) | (1 << b))
+    )
+    return dataclasses.replace(
+        p,
+        nodes=tuple(nodes),
+        covers=covers,
+        reach=tuple(reach),
+        below=tuple(below),
+        index={t: i for i, t in enumerate(nodes)},
+    )
+
+
+def _thinned(n, seed):
+    """The size-n order with about a third of its covers dropped."""
+    p = cached_poset(n)
+    rng = random.Random(seed)
+    kept = [edge for edge in p.covers if rng.randrange(3)]
+    return _relations(p, p.nodes, kept)
+
+
+@pytest.mark.parametrize("n, seed", [(6, 1), (6, 2), (7, 1)])
+@pytest.mark.parametrize("mode", ["cover", "order"])
+def test_sweep_matches_the_oracle_on_broken_orders(n, mode, seed):
+    # dropping covers breaks the translation property, so the witness
+    # lists are real and must agree entry for entry, in order
+    p = _thinned(n, seed)
+    for family in (None, "two_row", "hook"):
+        got = verify._translation_sweep(p, mode, family)
+        assert got == oracle.translation_sweep(p, mode, family)
+    assert got[1]
+
+
+def test_local_covers_match_the_gap_test_with_and_without_cycles():
+    rng = random.Random(5)
+    for _ in range(200):
+        size = rng.randrange(1, 8)
+        succ = [[b for b in range(size) if b != a and rng.random() < 0.3]
+                for a in range(size)]
+        reach = _closure(succ)
+        below = _closure([[a for a in range(size) if reach[a] >> b & 1]
+                          for b in range(size)])
+        ups = [reach[a] & ~(1 << a) for a in range(size)]
+        want = [
+            sum(1 << b for b in _bits(ups[a])
+                if not reach[a] & below[b] & ~((1 << a) | (1 << b)))
+            for a in range(size)
+        ]
+        assert verify._local_covers(ups, False) == want
+        if len(set(reach)) == size:
+            assert verify._local_covers(ups, True) == want
+
+
+def test_sweep_rejects_covers_that_do_not_close_to_reach():
+    p = cached_poset(5)
+    broken = dataclasses.replace(p, covers=p.covers[1:])
+    with pytest.raises(InvariantError, match="closure of the covers disagrees"):
+        verify._translation_sweep(broken, "order", None)
+    # a reversed cover lies outside reach
+    (a, b), rest = p.covers[0], p.covers[1:]
+    broken = dataclasses.replace(p, covers=((b, a),) + rest)
+    with pytest.raises(InvariantError, match="is not in it"):
+        verify._translation_sweep(broken, "cover", None)
+
+
+def _missing_node():
+    """The size-5 order restricted to all nodes but one in a group that
+    has a dual Knuth move at k = 3; its image run is longer than its run."""
+    p = cached_poset(5)
+    drop = p.index[parse_tableau("1,2,4/3,5")]
+    keep = [a for a in range(len(p.nodes)) if a != drop]
+    new = {a: i for i, a in enumerate(keep)}
+    kept = [(new[a], new[b]) for a in keep for b in _bits(p.reach[a])
+            if b != a and b in new]
+    return _relations(p, [p.nodes[a] for a in keep], kept)
+
+
+def test_sweep_rejects_runs_with_different_suffixes():
+    broken = _missing_node()
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="is not onto its group"):
+            verify._translation_sweep(broken, mode, None)
+
+
+def test_sweep_rejects_a_move_that_changes_the_shape(monkeypatch):
+    # inner tableaux of shapes (4, 1) and (3, 2) have the same suffixes at
+    # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell
+    def moves(sub):
+        return [(1, parse_tableau("1,2,3/4,5"))] if shape_of(sub) == (4, 1) else []
+
+    monkeypatch.setattr(verify, "_dual_moves", moves)
+    with pytest.raises(InvariantError, match="is not onto its group"):
+        verify._translation_sweep(cached_poset(6), "order", None)
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda: dataclasses.replace(cached_poset(5), covers=cached_poset(5).covers[1:]),
+         "closure of the covers disagrees"),
+        (_missing_node, "relabeling"),
+    ],
+)
+def test_broken_sweep_invariants_exit_3(capsys, monkeypatch, broken, message):
+    poset = broken()
+    monkeypatch.setattr(verify, "cached_poset", lambda n, jobs=1: poset)
+    code = main(["verify", "inner-translation", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: " + message)
 
 
 def test_order_mode_checks_at_least_cover_pairs():

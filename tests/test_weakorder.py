@@ -373,6 +373,15 @@ def test_evac_transpose_monotone_n5():
             assert leq(p, transpose(p.nodes[b]), transpose(p.nodes[a]))
 
 
+def test_transpose_reverses_the_hasse_diagram_n8():
+    # transpose is an anti-automorphism: every cover (a, b) maps to the
+    # cover (T(b), T(a)), and T is an involution on the nodes
+    p = cached_poset(8)
+    image = [p.index[transpose(t)] for t in p.nodes]
+    assert all(image[image[a]] == a for a in range(len(p.nodes)))
+    assert {(image[b], image[a]) for a, b in p.covers} == set(p.covers)
+
+
 # --- exports ----------------------------------------------------------------------------------
 
 EXPECTED_DOT_3 = """digraph weak_order_syt_3 {

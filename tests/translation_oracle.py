@@ -1,0 +1,139 @@
+"""The inner-tableau translation sweep as it stood before the run-based
+rewrite: a slow oracle for ``verify._translation_sweep``.
+
+It works pair by pair: per (k, inner tableau, dual Knuth move) it relabels
+every member through ``_relabel_inner`` and looks the result up by its
+rows; cover mode reads each group's Hasse edges from ``induced_covers``
+on full-poset bitmasks, order mode tests one ``reach`` bit per pair.  The
+sweep and its helpers are copied here as written, so that differential
+tests compare the fast sweep with an independent copy rather than with
+itself; the only change is that the sweep takes the poset instead of
+building it.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from sytkit.permutation import InvariantError
+from sytkit.tableau import (
+    Rows,
+    _dual_moves,
+    _inner_rows,
+    format_tableau,
+    is_hook,
+    shape_of,
+)
+from sytkit.weakorder import TableauPoset, _bits, canonical_key
+
+
+def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
+    out = list(rows)
+    for r, head in enumerate(sub_new):
+        out[r] = head + rows[r][len(head):]
+    return tuple(out)
+
+
+def induced_covers(
+    p: TableauPoset, member_ids: tuple[int, ...] | list[int]
+) -> tuple[tuple[int, int], ...]:
+    members = sorted(p.node_id(m) for m in member_ids)
+    mask = 0
+    for m in members:
+        mask |= 1 << m
+    out = []
+    for a in members:
+        for b in _bits(p.reach[a] & mask & ~(1 << a)):
+            gap = p.reach[a] & p.below[b] & mask & ~((1 << a) | (1 << b))
+            if gap == 0:
+                out.append((a, b))
+    return tuple(sorted(out))
+
+
+def _inner_groups(p: TableauPoset, k: int) -> dict[Rows, list[int]]:
+    """Node ids grouped by the sub-tableau on the letters 1..k."""
+    groups: dict[Rows, list[int]] = {}
+    for node_id, node in enumerate(p.nodes):
+        groups.setdefault(_inner_rows(node, k), []).append(node_id)
+    return groups
+
+
+def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
+    if family is None:
+        return True
+    if family == "two_row":
+        return len(shape) == 2
+    if family == "two_col":
+        return shape[0] == 2
+    if family == "hook":
+        return is_hook(shape)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def translation_sweep(
+    p: TableauPoset, mode: str, family: str | None
+) -> tuple[int, list[dict]]:
+    n = p.n
+    nodes, index, reach = p.nodes, p.index, p.reach
+    checked = 0
+    violations: list[dict] = []
+    for k in range(3, n):  # a triple must fit inside the inner tableau
+        groups = _inner_groups(p, k)
+        # cover mode reads each group's induced covers, computed once per k
+        group_covers = lru_cache(maxsize=None)(lambda s: induced_covers(p, groups[s]))
+        for sub in sorted(groups, key=canonical_key):
+            if not _in_family(shape_of(sub), family):
+                continue
+            moves = _dual_moves(sub)
+            if not moves:
+                continue
+            members = groups[sub]
+            if mode == "cover":
+                pairs = group_covers(sub)
+                count = len(pairs)
+            else:  # per member, the members above it (no tuple per pair)
+                mask = 0
+                for m in members:
+                    mask |= 1 << m
+                ups = [(a, _bits(reach[a] & mask & ~(1 << a))) for a in members]
+                count = sum(len(bs) for _, bs in ups)
+            if not count:
+                continue
+            for i, moved_sub in moves:
+                relabeled = {
+                    m: index[_relabel_inner(nodes[m], moved_sub)] for m in members
+                }
+                checked += count
+                if mode == "cover":
+                    # the relabeling maps onto the moved group: checked, not assumed
+                    if sorted(relabeled.values()) != groups[moved_sub]:
+                        raise InvariantError(
+                            f"relabeling {format_tableau(sub)} -> "
+                            f"{format_tableau(moved_sub)} is not onto its group"
+                        )
+                    target = set(group_covers(moved_sub))
+                    broken = [
+                        (a, b) for a, b in pairs
+                        if (relabeled[a], relabeled[b]) not in target
+                    ]
+                else:
+                    broken = [
+                        (a, b) for a, bs in ups for b in bs
+                        if not reach[relabeled[a]] >> relabeled[b] & 1
+                    ]
+                for a, b in broken:
+                    violations.append(
+                        {
+                            "n": n,
+                            "k": k,
+                            "triple": [i, i + 1, i + 2],
+                            "R": format_tableau(sub),
+                            "R_moved": format_tableau(moved_sub),
+                            "S": format_tableau(nodes[a]),
+                            "T": format_tableau(nodes[b]),
+                            "S_relabeled": format_tableau(nodes[relabeled[a]]),
+                            "T_relabeled": format_tableau(nodes[relabeled[b]]),
+                            "relation": mode,
+                        }
+                    )
+    return checked, violations
