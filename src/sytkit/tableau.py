@@ -88,8 +88,12 @@ def addable_cells(shape: Shape) -> list[Cell]:
 
 def is_hook(shape) -> bool:
     """True for shapes (a, 1, 1, ..., 1), including single rows and columns."""
-    p = check_partition(shape)
-    return all(x == 1 for x in p[1:])
+    return _is_hook(check_partition(shape))
+
+
+def _is_hook(shape: Shape) -> bool:
+    """``is_hook`` of a shape already known to be a partition."""
+    return all(x == 1 for x in shape[1:])
 
 
 def dominance_leq(a, b) -> bool:

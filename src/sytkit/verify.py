@@ -17,8 +17,12 @@ moved run.  The covers are closed again in that numbering, and each
 group's relations are read with one shift per member.  What the sweep
 relies on is checked, not assumed: the renumbered closure must have the
 size of ``reach`` at every node, the moved inner tableau must keep the
-shape and its run the same suffixes, or ``InvariantError`` is raised; the
-cheaper reduction is used only when the closure is antisymmetric.
+shape and its run the same suffixes, or ``InvariantError`` is raised.
+The sweep thus needs the covers to close to ``reach``.  In an order with
+a cycle no relation into or out of the cycle is a cover, nor any inside a
+cycle of three or more nodes, so unless every cycle is an isolated pair
+of nodes such an order raises ``InvariantError`` here;
+``verify_antisymmetry`` is the check that reports cycles as violations.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -42,6 +46,7 @@ from .tableau import (
     _descents,
     _dual_moves,
     _inner_rows,
+    _is_hook,
     _restrict,
     descent_set,
     dual_knuth_tableau_neighbors,
@@ -74,7 +79,7 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
     if family == "two_col":
         return shape[0] == 2
     if family == "hook":
-        return all(x == 1 for x in shape[1:])  # a poset node's shape is valid
+        return _is_hook(shape)  # a poset node's shape is a partition
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -96,14 +101,11 @@ def _local_order(reach: list[int], lo: int, hi: int) -> list[int]:
     return [(reach[x] >> lo) & full & ~(1 << (x - lo)) for x in range(lo, hi)]
 
 
-def _local_covers(ups: list[int], antisymmetric: bool) -> list[int]:
-    """Transitive reduction of strict up-sets: b covers a unless some c
-    other than a and b has a <= c <= b.
-
-    In a partial order every non-cover lies above a cover, so only the
-    members still standing need their up-sets removed; with a cycle every
-    member above a is used.
-    """
+def _local_covers(ups: list[int]) -> list[int]:
+    """Transitive reduction of the strict up-sets of a partial order: b
+    covers a unless some c other than a and b has a < c < b.  Every
+    non-cover lies above a member still standing, so only those members
+    need their up-sets removed."""
     covers = []
     for up in ups:
         row = up
@@ -111,7 +113,7 @@ def _local_covers(ups: list[int], antisymmetric: bool) -> list[int]:
         while rest:
             low = rest & -rest
             row &= ~ups[low.bit_length() - 1]
-            rest = (row if antisymmetric else rest) & ~((low << 1) - 1)
+            rest = row & ~((low << 1) - 1)
         covers.append(row)
     return covers
 
@@ -144,8 +146,6 @@ def _translation_sweep(
             raise InvariantError(
                 f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
             )
-    # reflexive rows are pairwise distinct iff no two nodes reach each other
-    antisymmetric = len(set(reach)) == len(reach)
     checked = 0
     violations: list[dict] = []
     for k in range(3, n):  # a triple must fit inside the inner tableau
@@ -162,7 +162,7 @@ def _translation_sweep(
         def rows_of(lo: int, hi: int) -> list[int]:
             if lo not in rows:
                 ups = _local_order(reach, lo, hi)
-                rows[lo] = _local_covers(ups, antisymmetric) if mode == "cover" else ups
+                rows[lo] = _local_covers(ups) if mode == "cover" else ups
             return rows[lo]
 
         subs = sorted(

@@ -145,12 +145,18 @@ def test_sweep_matches_the_oracle_on_broken_orders(n, mode, seed):
     assert got[1]
 
 
-def test_local_covers_match_the_gap_test_with_and_without_cycles():
+def test_local_covers_match_the_gap_test():
+    # random partial orders, numbered in a random order so that the
+    # numbering is not a linear extension
     rng = random.Random(5)
     for _ in range(200):
         size = rng.randrange(1, 8)
-        succ = [[b for b in range(size) if b != a and rng.random() < 0.3]
-                for a in range(size)]
+        label = rng.sample(range(size), size)
+        succ = [[] for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < 0.3:
+                    succ[label[i]].append(label[j])
         reach = _closure(succ)
         below = _closure([[a for a in range(size) if reach[a] >> b & 1]
                           for b in range(size)])
@@ -160,9 +166,19 @@ def test_local_covers_match_the_gap_test_with_and_without_cycles():
                 if not reach[a] & below[b] & ~((1 << a) | (1 << b)))
             for a in range(size)
         ]
-        assert verify._local_covers(ups, False) == want
-        if len(set(reach)) == size:
-            assert verify._local_covers(ups, True) == want
+        assert verify._local_covers(ups) == want
+
+
+def test_sweep_rejects_an_order_with_a_cycle():
+    # a reversed cover added to the order makes a two-node cycle that the
+    # bottom element reaches, so the covers no longer close to reach
+    p = cached_poset(5)
+    a, b = p.covers[-1]
+    cyclic = _relations(p, p.nodes, list(p.covers) + [(b, a)])
+    assert cyclic.reach[a] == cyclic.reach[b]
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="closure of the covers disagrees"):
+            verify._translation_sweep(cyclic, mode, None)
 
 
 def test_sweep_rejects_covers_that_do_not_close_to_reach():
