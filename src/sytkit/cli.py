@@ -10,6 +10,7 @@ wall-clock ``elapsed_ms``, the one intentionally nondeterministic field.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -36,16 +37,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-VERIFY_CHECKS = (
-    "inner-translation",
-    "inner-translation-fails",
-    "special-cases",
-    "hook-eta",
-    "structural",
-    "antisymmetry",
-    "monotone",
-    "interval-isomorphism",
-)
+VERIFY_CHECKS = tuple(verify.CHECKS)
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -79,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="size swept (the hook length k for hook-eta)")
     p_verify.add_argument("--k", type=int, default=None,
                           help="first factor size for interval-isomorphism")
-    p_verify.add_argument("--mode", choices=("cover", "order"), default="cover")
-    p_verify.add_argument("--family", choices=("two-row", "two-col", "hook"),
-                          default=None)
+    p_verify.add_argument("--mode", choices=verify.MODES, default=None)
+    p_verify.add_argument("--family", default=None,
+                          choices=[f.replace("_", "-") for f in verify.FAMILIES])
     p_verify.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p_verify)
 
@@ -135,31 +127,14 @@ def _report_text(reports: list[VerificationReport]) -> str:
 
 
 def _run_verify(args) -> tuple[int, str]:
-    check = args.check
-    if check == "inner-translation":
-        reports = [verify.verify_inner_tableau_translation(args.n, args.mode, args.jobs)]
-    elif check == "inner-translation-fails":
-        reports = [verify.verify_inner_translation_fails(args.jobs)]
-    elif check == "special-cases":
-        if args.family is None:
-            raise ValueError("special-cases needs --family")
-        family = args.family.replace("-", "_")
-        reports = [verify.verify_special_cases(args.n, family, args.mode, args.jobs)]
-    elif check == "hook-eta":
-        reports = [verify.verify_hook_eta(args.n)]
-    elif check == "structural":
-        reports = verify.verify_structural(args.n, jobs=args.jobs)
-    elif check == "antisymmetry":
-        reports = [verify.verify_antisymmetry(args.n, jobs=args.jobs)]
-    elif check == "monotone":
-        p = weakorder.cached_poset(args.n, jobs=args.jobs)
-        reports = [
-            weakorder.check_monotone_descent(p),
-            weakorder.check_monotone_shape(p),
-        ]
-    else:  # interval-isomorphism
-        k = args.k if args.k is not None else args.n // 2
-        reports = [hopf.verify_interval_isomorphism(k, args.n - k, jobs=args.jobs)]
+    run = verify.CHECKS[args.check]
+    family = args.family and args.family.replace("-", "_")
+    given = {"k": args.k, "mode": args.mode, "family": family}
+    options = {flag: value for flag, value in given.items() if value is not None}
+    for flag in options:
+        if flag not in inspect.signature(run).parameters:
+            raise ValueError(f"{args.check} does not take --{flag}")
+    reports = run(n=args.n, jobs=args.jobs, **options)
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.format == "json":
         payload = [r.to_json() for r in reports]

@@ -30,6 +30,9 @@ witness is a self-contained dict of text forms.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
+from .hopf import verify_interval_isomorphism
 from .knuthclass import knuth_class
 from .permutation import (
     InvariantError,
@@ -66,9 +69,12 @@ from .weakorder import (
     _closure,
     cached_poset,
     canonical_key,
+    check_monotone_descent,
+    check_monotone_shape,
 )
 
 FAMILIES = ("two_row", "two_col", "hook")
+MODES = ("cover", "order")
 
 
 def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
@@ -216,27 +222,29 @@ def _translation_sweep(
     return checked, violations
 
 
+def _translation_report(
+    check: str, top: int, n: int, mode: str, family: str | None, jobs: int
+) -> VerificationReport:
+    """The guard, sweep and report shared by both translation checks."""
+    if not (2 <= n <= top):
+        raise ValueError(f"n must be in 2..{top}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    with stopwatch() as sw:
+        checked, violations = _translation_sweep(cached_poset(n, jobs=jobs), mode, family)
+    scope = {"n": n, "mode": mode}
+    if family is not None:
+        scope["family"] = family
+    return VerificationReport(check, scope, checked, violations, sw.ms)
+
+
 def verify_inner_tableau_translation(
     n: int, mode: str = "cover", jobs: int = 1
 ) -> VerificationReport:
     """Relabeling a shared inner tableau along one dual Knuth move must
     preserve induced covers (mode "cover") or all order relations between
     same-inner-tableau nodes (mode "order")."""
-    if not (2 <= n <= 9):
-        raise ValueError("n must be in 2..9")
-    if mode not in ("cover", "order"):
-        raise ValueError(f"mode must be 'cover' or 'order', got {mode!r}")
-    with stopwatch() as sw:
-        checked, violations = _translation_sweep(
-            cached_poset(n, jobs=jobs), mode, None
-        )
-    return VerificationReport(
-        "inner-tableau-translation",
-        {"n": n, "mode": mode},
-        checked,
-        violations,
-        sw.ms,
-    )
+    return _translation_report("inner-tableau-translation", 9, n, mode, None, jobs)
 
 
 def verify_special_cases(
@@ -244,22 +252,10 @@ def verify_special_cases(
 ) -> VerificationReport:
     """The translation sweep restricted to two-row, two-column, or hook
     inner tableaux (proved cases; must come back clean)."""
-    if not (2 <= n <= 8):
-        raise ValueError("n must be in 2..8")
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    if mode not in ("cover", "order"):
-        raise ValueError(f"mode must be 'cover' or 'order', got {mode!r}")
-    with stopwatch() as sw:
-        checked, violations = _translation_sweep(
-            cached_poset(n, jobs=jobs), mode, family
-        )
-    return VerificationReport(
-        "inner-tableau-translation-special-cases",
-        {"n": n, "family": family, "mode": mode},
-        checked,
-        violations,
-        sw.ms,
+    return _translation_report(
+        "inner-tableau-translation-special-cases", 8, n, mode, family, jobs
     )
 
 
@@ -566,6 +562,61 @@ def verify_structural(n: int, jobs: int = 1) -> list[VerificationReport]:
         verify_dual_knuth_connectivity(n),
         verify_antisymmetry(n, jobs=jobs),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the check table: `sytkit verify <name>` and the verification battery
+
+def _monotone(n: int, jobs: int = 1) -> list[VerificationReport]:
+    p = cached_poset(n, jobs=jobs)
+    return [check_monotone_descent(p), check_monotone_shape(p)]
+
+
+def _interval_isomorphism(n: int, k: int | None = None, jobs: int = 1):
+    k = n // 2 if k is None else k
+    return [verify_interval_isomorphism(k, n - k, jobs=jobs)]
+
+
+# Each check takes the options of `sytkit verify`: n and jobs always, and
+# k, mode or family only where its signature names them.  Battery order.
+CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
+    "antisymmetry": lambda n, jobs=1: [verify_antisymmetry(n, jobs)],
+    "inner-translation": lambda n, mode="cover", jobs=1: [
+        verify_inner_tableau_translation(n, mode, jobs)
+    ],
+    # the known witness is at n = 6, whatever n is given
+    "inner-translation-fails": lambda n=None, jobs=1: [verify_inner_translation_fails(jobs)],
+    "special-cases": lambda n, family=None, mode="cover", jobs=1: [
+        verify_special_cases(n, family, mode, jobs)
+    ],
+    "hook-eta": lambda n, jobs=1: [verify_hook_eta(n)],
+    "structural": verify_structural,
+    "monotone": _monotone,
+    "interval-isomorphism": _interval_isomorphism,
+}
+
+
+def battery(top: int = 7) -> Iterator[tuple[str, dict]]:
+    """The verification battery as (check, options) pairs in run order;
+    ``top`` is 7 at the default scale and 9 at the stretch scale."""
+    for n in range(2, top + 1):
+        yield "antisymmetry", {"n": n}
+    for n in range(2, top + 1):
+        for mode in MODES:
+            yield "inner-translation", {"n": n, "mode": mode}
+    yield "inner-translation-fails", {}
+    for family in FAMILIES:
+        for n in range(2, min(top, 8) + 1):
+            yield "special-cases", {"n": n, "family": family}
+    for k in range(5, top + 1):
+        yield "hook-eta", {"n": k}
+    for n in range(2, 6 + 1):
+        yield "structural", {"n": n}
+    for n in range(2, 7 + 1):
+        yield "monotone", {"n": n}
+    for total in range(2, 6 + 1):
+        for k in range(1, total):
+            yield "interval-isomorphism", {"n": total, "k": k}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The verification battery, run as a user runs it, reproduces the golden
-reports byte for byte (timings aside): the default battery and the
-``--stretch`` one, which pins the n = 9 translation counts."""
+reports byte for byte (timings aside) and in their order: the default
+battery and the ``--stretch`` one, which pins the n = 9 translation
+counts."""
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -26,6 +28,21 @@ def _check_battery(tmp_path, flags, golden):
     assert out.stdout.endswith("ALL PASS\n")
 
     records = json.loads((GOLDEN / golden).read_text())
+    # one stdout line per report, in the golden list's order
+    printed = [
+        re.fullmatch(r"PASS (\S+) \[(.*)\] checked=(\d+)( skipped=\d+)? \(\d+ ms\)", line)
+        .groups()[:3]
+        for line in out.stdout.splitlines()[:-1]
+    ]
+    assert printed == [
+        (
+            record["check"],
+            " ".join(f"{k}={v}" for k, v in sorted(record["range"].items())),
+            str(record["checked"]),
+        )
+        for record in records
+    ]
+
     want = {_key(record): record for record in records}
     # a report run twice (antisymmetry, alone and in the structural
     # bundle) is written to one file; its golden copies must agree

@@ -1,9 +1,18 @@
 import json
+import pathlib
+import re
+
+import pytest
 
 import sytkit.cli as cli
+from sytkit import verify
 from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from sytkit.hopf import verify_interval_isomorphism
 from sytkit.permutation import InvariantError
+from sytkit.weakorder import cached_poset, check_monotone_descent, check_monotone_shape
 from test_hopf import partial_classes
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -151,6 +160,61 @@ def test_verify_hook_eta(capsys):
     code, out, _ = run(capsys, "verify", "hook-eta", "--n", "5")
     assert code == EXIT_OK
     assert "skipped: 2" in out
+
+
+# every check's arguments at a small n, and the library calls they stand for
+DIRECT = {
+    "antisymmetry": (["--n", "4"], lambda: [verify.verify_antisymmetry(4)]),
+    "inner-translation": (
+        ["--n", "5", "--mode", "order"],
+        lambda: [verify.verify_inner_tableau_translation(5, "order")],
+    ),
+    "inner-translation-fails": ([], lambda: [verify.verify_inner_translation_fails()]),
+    "special-cases": (
+        ["--n", "5", "--family", "two-col"],
+        lambda: [verify.verify_special_cases(5, "two_col")],
+    ),
+    "hook-eta": (["--n", "5"], lambda: [verify.verify_hook_eta(5)]),
+    "structural": (["--n", "4"], lambda: verify.verify_structural(4)),
+    "monotone": (
+        ["--n", "4"],
+        lambda: [check_monotone_descent(cached_poset(4)), check_monotone_shape(cached_poset(4))],
+    ),
+    "interval-isomorphism": (
+        ["--n", "5", "--k", "2"],
+        lambda: [verify_interval_isomorphism(2, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(verify.CHECKS))
+def test_verify_command_prints_the_library_reports(capsys, check):
+    argv, calls = DIRECT[check]
+    code, out, _ = run(capsys, "verify", check, *argv)
+    assert code == EXIT_OK
+    assert out == "\n\n".join("\n".join(r.text_lines()) for r in calls()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "check, flag, value",
+    [
+        ("inner-translation", "--family", "hook"),
+        ("inner-translation-fails", "--mode", "order"),
+        ("antisymmetry", "--k", "2"),
+        ("hook-eta", "--mode", "cover"),
+        ("monotone", "--family", "two-row"),
+    ],
+)
+def test_verify_rejects_a_flag_the_check_does_not_take(capsys, check, flag, value):
+    code, out, err = run(capsys, "verify", check, "--n", "5", flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {check} does not take {flag}\n"
+
+
+def test_readme_lists_every_verify_check():
+    commands = re.findall(r"sytkit verify ([a-z-]+)", README.read_text())
+    assert set(commands) == set(verify.CHECKS)
 
 
 def test_product_golden(capsys):
