@@ -38,6 +38,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 VERIFY_CHECKS = tuple(verify.CHECKS)
+FAMILIES = tuple(f.replace("_", "-") for f in verify.FAMILIES)  # CLI spellings
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -72,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=None,
                           help="first factor size for interval-isomorphism")
     p_verify.add_argument("--mode", choices=verify.MODES, default=None)
-    p_verify.add_argument("--family", default=None,
-                          choices=[f.replace("_", "-") for f in verify.FAMILIES])
+    p_verify.add_argument("--family", default=None, choices=FAMILIES)
     p_verify.add_argument("--jobs", type=int, default=1)
     _add_output_flags(p_verify)
 
@@ -131,9 +131,12 @@ def _run_verify(args) -> tuple[int, str]:
     family = args.family and args.family.replace("-", "_")
     given = {"k": args.k, "mode": args.mode, "family": family}
     options = {flag: value for flag, value in given.items() if value is not None}
+    params = inspect.signature(run).parameters
     for flag in options:
-        if flag not in inspect.signature(run).parameters:
+        if flag not in params:
             raise ValueError(f"{args.check} does not take --{flag}")
+    if "family" in params and family is None:
+        raise ValueError(f"{args.check} needs --family, one of {', '.join(FAMILIES)}")
     reports = run(n=args.n, jobs=args.jobs, **options)
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.format == "json":

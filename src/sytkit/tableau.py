@@ -603,15 +603,21 @@ def _inner_rows(rows: Rows, k: int) -> Rows:
 
 
 def transpose(rows: Rows) -> Rows:
-    rows = check_standard(rows)
-    return tuple(
-        tuple(row[c] for row in rows if len(row) > c) for c in range(len(rows[0]))
-    )
+    return _transpose(check_standard(rows))
+
+
+def _transpose(rows: Rows) -> Rows:
+    """:func:`transpose` of a standard tableau, unchecked."""
+    return tuple(tuple(row[c] for row in rows if len(row) > c) for c in range(len(rows[0])))
 
 
 def evacuate(rows: Rows) -> Rows:
     """Reverse-complement a reading word of the tableau and re-insert."""
-    rows = check_standard(rows)
+    return _evacuate(check_standard(rows))
+
+
+def _evacuate(rows: Rows) -> Rows:
+    """:func:`evacuate` of a standard tableau, unchecked."""
     return insertion_tableau(evac_word(row_word(rows)))
 
 
@@ -645,11 +651,6 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
         if start == i:
             return moved
     raise ValueError(f"exactly one of {i}, {i + 1} must be a descent")
-
-
-def dual_knuth_tableau_neighbors(rows: Rows) -> list[Rows]:
-    """All single dual Knuth moves that apply to the tableau."""
-    return [moved for _, moved in _dual_moves(check_standard(rows))]
 
 
 def _dual_moves(rows: Rows) -> list[tuple[int, Rows]]:

@@ -29,9 +29,9 @@ from math import factorial
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
+    _descents,
     all_standard_tableaux,
     check_standard,
-    descent_set,
     dominance_leq,
     format_tableau,
     row_word,
@@ -89,6 +89,24 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _unpreserved(rows, image, up) -> list[tuple[int, int]]:
+    """The pairs (a, b), b a bit of ``rows[a]`` other than a, in (a, b)
+    order, whose ``image[b]`` is not a bit of ``up[image[a]]``.  The fibres
+    of the targets in ``up[u]`` are ORed into one pull mask, so each node is
+    one ``row & ~pull`` test.  Nothing is assumed of ``rows`` or ``up``."""
+    fibre: dict[int, int] = {}  # target -> the nodes it is the image of
+    for b, t in enumerate(image):
+        fibre[t] = fibre.get(t, 0) | 1 << b
+    pull: dict[int, int] = {}
+    broken = []
+    for a, row in enumerate(rows):
+        u = image[a]
+        if u not in pull:  # the fibres are disjoint, so their sum is their OR
+            pull[u] = sum(fibre.get(t, 0) for t in _bits(up[u]))
+        broken += [(a, b) for b in _bits(row & ~pull[u] & ~(1 << a))]
+    return broken
 
 
 def _row_code(rows) -> int:
@@ -450,27 +468,21 @@ def is_isomorphic(a: Interval, b: Interval) -> bool:
 
 def check_monotone_descent(p: TableauPoset) -> VerificationReport:
     """Along every order relation, descent sets only gain elements."""
-    masks = []
-    for t in p.nodes:
-        m = 0
-        for i in descent_set(t):
-            m |= 1 << i
-        masks.append(m)
-    checked = 0
-    violations = []
+    descents = [_descents(t) for t in p.nodes]
+    masks = [sum(1 << i for i in des) for des in descents]
     with stopwatch() as sw:
-        for a in range(len(p.nodes)):
-            for b in _bits(p.reach[a] & ~(1 << a)):
-                checked += 1
-                if masks[a] & ~masks[b]:
-                    violations.append(
-                        {
-                            "S": format_tableau(p.nodes[a]),
-                            "T": format_tableau(p.nodes[b]),
-                            "des_S": sorted(descent_set(p.nodes[a])),
-                            "des_T": sorted(descent_set(p.nodes[b])),
-                        }
-                    )
+        # the descent masks ordered by inclusion: bit t of up[m] iff m <= t
+        up = {m: sum(1 << t for t in set(masks) if not m & ~t) for m in set(masks)}
+        checked = sum(row.bit_count() for row in p.reach) - len(p.nodes)
+        violations = [
+            {
+                "S": format_tableau(p.nodes[a]),
+                "T": format_tableau(p.nodes[b]),
+                "des_S": sorted(descents[a]),
+                "des_T": sorted(descents[b]),
+            }
+            for a, b in _unpreserved(p.reach, masks, up)
+        ]
     return VerificationReport(
         "monotone-descent-map", {"n": p.n}, checked, violations, sw.ms
     )
@@ -491,39 +503,25 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
         dom = [[dominance_leq(s, t) for t in distinct] for s in distinct]
         down = all(dom[sid[b]][sid[a]] for a, b in p.covers)
         up = all(dom[sid[a]][sid[b]] for a, b in p.covers)
-        if down:
-            direction = "down"
-        elif up:
-            direction = "up"
-        else:
-            direction = "none"
+        direction = "down" if down else "up" if up else "none"
         checked = len(p.covers)
-        violations = []
         if direction == "none":
-            for a, b in p.covers:
-                if not dom[sid[b]][sid[a]]:
-                    violations.append(
-                        {
-                            "S": format_tableau(p.nodes[a]),
-                            "T": format_tableau(p.nodes[b]),
-                            "sh_S": list(shapes[a]),
-                            "sh_T": list(shapes[b]),
-                        }
-                    )
+            broken = [(a, b) for a, b in p.covers if not dom[sid[b]][sid[a]]]
         else:
-            for a in range(len(p.nodes)):
-                for b in _bits(p.reach[a] & ~(1 << a)):
-                    checked += 1
-                    lo, hi = (b, a) if direction == "down" else (a, b)
-                    if not dom[sid[lo]][sid[hi]]:
-                        violations.append(
-                            {
-                                "S": format_tableau(p.nodes[a]),
-                                "T": format_tableau(p.nodes[b]),
-                                "sh_S": list(shapes[a]),
-                                "sh_T": list(shapes[b]),
-                            }
-                        )
+            # ahead[s][t]: shape t may lie above shape s in the direction
+            ahead = dom if direction == "up" else list(zip(*dom))
+            checked += sum(row.bit_count() for row in p.reach) - len(p.nodes)
+            masks = [sum(1 << t for t, ok in enumerate(row) if ok) for row in ahead]
+            broken = _unpreserved(p.reach, sid, masks)
+        violations = [
+            {
+                "S": format_tableau(p.nodes[a]),
+                "T": format_tableau(p.nodes[b]),
+                "sh_S": list(shapes[a]),
+                "sh_T": list(shapes[b]),
+            }
+            for a, b in broken
+        ]
     label = {
         "down": "shape moves down in dominance as tableaux move up",
         "up": "shape moves up in dominance as tableaux move up",

@@ -148,6 +148,14 @@ def test_verify_special_cases_needs_family(capsys):
     assert "family" in err
 
 
+def test_verify_special_cases_names_the_families_as_the_cli_spells_them(capsys):
+    code, out, err = run(capsys, "verify", "special-cases", "--n", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: special-cases needs --family, one of two-row, two-col, hook\n"
+    assert "_" not in err
+
+
 def test_verify_special_cases(capsys):
     code, out, _ = run(
         capsys, "verify", "special-cases", "--n", "5", "--family", "two-row"

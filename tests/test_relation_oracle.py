@@ -1,0 +1,119 @@
+"""The relation checks, mask tests through one kernel, against the
+pair-by-pair oracle in ``relation_oracle``: ``checked`` and the violation
+lists must agree entry for entry, in order, on the real orders and on
+broken ones where the lists are not empty."""
+
+import dataclasses
+
+import pytest
+
+import relation_oracle as oracle
+import sytkit.verify as verify
+from sytkit.tableau import format_tableau, shape_of
+from sytkit.weakorder import (
+    _unpreserved,
+    cached_poset,
+    check_monotone_descent,
+    check_monotone_shape,
+)
+from test_verify import _relations, _thinned
+
+
+def _outcome(report):
+    return report.checked, report.violations
+
+
+def _compare(monkeypatch, posets: dict) -> dict:
+    """Run every relation check on ``posets`` (size -> order; the largest is
+    the one checked, the smaller ones are restriction targets) and its
+    oracle; return the new reports by check."""
+    monkeypatch.setattr(verify, "cached_poset", lambda m, jobs=1: posets[m])
+    n = max(posets)
+    p = posets[n]
+    got = {
+        "antisymmetry": verify.verify_antisymmetry(n),
+        "restriction": verify.verify_restriction_monotone(n),
+        "evac-transpose": verify.verify_evac_transpose_monotone(n),
+        "descent": check_monotone_descent(p),
+        "shape": check_monotone_shape(p),
+    }
+    assert _outcome(got["antisymmetry"]) == oracle.antisymmetry(p)
+    assert _outcome(got["restriction"]) == oracle.restriction_monotone(p, posets)
+    assert _outcome(got["evac-transpose"]) == oracle.evac_transpose_monotone(p)
+    assert _outcome(got["descent"]) == oracle.monotone_descent(p)
+    assert _outcome(got["shape"]) == oracle.monotone_shape(p)
+    if n == 6:
+        report = verify.verify_inner_translation_fails()
+        checked, found = oracle.single_triple_failures(p)
+        assert report.checked == checked
+        assert report.details["failures_found"] == len(found)
+        assert report.passed == (verify._WITNESS in found)
+        got["fails"] = report
+    return got
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_relation_checks_match_the_oracle(monkeypatch, n):
+    got = _compare(monkeypatch, {m: cached_poset(m) for m in range(2, n + 1)})
+    assert all(report.passed for report in got.values())
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (6, 2)])
+def test_relation_checks_match_the_oracle_with_covers_dropped(monkeypatch, n, seed):
+    # each size loses about a third of its covers and is closed again, so
+    # the maps into the thinned orders break
+    got = _compare(monkeypatch, {m: _thinned(m, seed) for m in range(2, n + 1)})
+    assert got["restriction"].violations
+    maps = {v["map"] for v in got["evac-transpose"].violations}
+    assert maps == {"evacuation", "transpose"}
+    assert not got["antisymmetry"].violations
+
+
+def _shape_cover(p):
+    """The first cover of ``p`` that changes the shape."""
+    return next(
+        (a, b) for a, b in p.covers if shape_of(p.nodes[a]) != shape_of(p.nodes[b])
+    )
+
+
+def _with_cycle(p, a, b, covers):
+    """``p`` with the edge b -> a added and closed again; ``covers`` given."""
+    return dataclasses.replace(_relations(p, p.nodes, [*p.covers, (b, a)]), covers=covers)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_relation_checks_match_the_oracle_on_a_two_node_cycle(monkeypatch, n):
+    # the covers stay those of the order, so the shape map keeps its
+    # direction and is tested on every relation, the reversed one included
+    p = cached_poset(n)
+    a, b = _shape_cover(p)
+    posets = {m: cached_poset(m) for m in range(2, n)}
+    posets[n] = _with_cycle(p, a, b, p.covers)
+    got = _compare(monkeypatch, posets)
+    low, high = sorted((a, b))  # the pair is reported once, by node id
+    assert got["antisymmetry"].violations == [
+        {"S": format_tableau(p.nodes[low]), "T": format_tableau(p.nodes[high])}
+    ]
+    assert got["shape"].details["direction"] == "down"
+    for check in ("restriction", "evac-transpose", "descent", "shape"):
+        assert got[check].violations, check
+
+
+def test_shape_cover_branch_matches_the_oracle_on_a_two_node_cycle():
+    # with the reversed cover among the covers no direction holds
+    p = cached_poset(5)
+    a, b = _shape_cover(p)
+    cyclic = _with_cycle(p, a, b, (*p.covers, (b, a)))
+    report = check_monotone_shape(cyclic)
+    assert report.details["direction"] == "none"
+    assert report.violations
+    assert _outcome(report) == oracle.monotone_shape(cyclic)
+
+
+def test_unpreserved_assumes_nothing_of_either_side():
+    # neither side transitive or reflexive; a non-injective map; pairs come
+    # back in (a, b) order and the diagonal is never tested
+    rows = [0b1111, 0b0110, 0b0000, 0b0011]
+    image = [0, 1, 1, 2]
+    up = [0b010, 0b000, 0b001]
+    assert _unpreserved(rows, image, up) == [(0, 3), (1, 2), (3, 1)]

@@ -382,6 +382,15 @@ def test_transpose_reverses_the_hasse_diagram_n8():
     assert {(image[b], image[a]) for a, b in p.covers} == set(p.covers)
 
 
+def test_evacuation_preserves_the_hasse_diagram_n8():
+    # evacuation is an automorphism: every cover (a, b) maps to the cover
+    # (E(a), E(b)), and E is an involution on the nodes
+    p = cached_poset(8)
+    image = [p.index[evacuate(t)] for t in p.nodes]
+    assert all(image[image[a]] == a for a in range(len(p.nodes)))
+    assert {(image[a], image[b]) for a, b in p.covers} == set(p.covers)
+
+
 # --- exports ----------------------------------------------------------------------------------
 
 EXPECTED_DOT_3 = """digraph weak_order_syt_3 {
