@@ -17,6 +17,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from sytkit import verify  # noqa: E402
+from sytkit.cli import positive_int  # noqa: E402
 
 
 def emit(report, out_dir):
@@ -44,7 +45,7 @@ def main() -> int:
         action="store_true",
         help="push the translation sweep, antisymmetry and hook-eta to n = 9",
     )
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--out-dir", type=pathlib.Path, default=None)
     args = parser.parse_args()
 

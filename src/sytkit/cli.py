@@ -41,6 +41,13 @@ VERIFY_CHECKS = tuple(verify.CHECKS)
 FAMILIES = tuple(f.replace("_", "-") for f in verify.FAMILIES)  # CLI spellings
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of ``--jobs``: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _add_output_flags(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poset = sub.add_parser("poset", help="the weak order poset on size-n tableaux")
     p_poset.add_argument("--n", type=int, required=True)
-    p_poset.add_argument("--jobs", type=int, default=1)
+    p_poset.add_argument("--jobs", type=positive_int, default=1)
     _add_output_flags(p_poset, formats=("text", "json", "dot"))
 
     p_verify = sub.add_parser("verify", help="run an exhaustive check")
@@ -74,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="first factor size for interval-isomorphism")
     p_verify.add_argument("--mode", choices=verify.MODES, default=None)
     p_verify.add_argument("--family", default=None, choices=FAMILIES)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=positive_int, default=1)
     _add_output_flags(p_verify)
 
     p_product = sub.add_parser("product", help="shuffle product of two tableau classes")
@@ -87,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_interval.add_argument("left")
     p_interval.add_argument("right")
-    p_interval.add_argument("--jobs", type=int, default=1)
+    p_interval.add_argument("--jobs", type=positive_int, default=1)
     _add_output_flags(p_interval)
 
     p_restrict = sub.add_parser("restrict", help="restrict a tableau to a letter segment")

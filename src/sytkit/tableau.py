@@ -6,7 +6,8 @@ moves, inner-tableau relabeling, and the row/column concatenations that
 bound shuffle products.  Public functions validate their input; the
 underscored kernels trust theirs and serve sweeps over known-standard
 tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
-alike, runs in the one kernel ``_slide``.
+alike, runs in the one kernel ``_slide``.  A dual Knuth move exchanges two
+entries in place (``_dual_moves``); the row-word route is a test oracle.
 
 A tableau is a tuple of strictly increasing rows holding 1..n.  Cells are
 addressed 1-based as (row, col), rows counted from the top, columns from
@@ -24,7 +25,6 @@ from .permutation import (
     ParseError,
     Word,
     check_word,
-    dual_knuth_move_word,
     evac_word,
 )
 
@@ -111,13 +111,6 @@ def dominance_leq(a, b) -> bool:
     return True
 
 
-def conjugate(shape) -> Shape:
-    p = check_partition(shape)
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > c) for c in range(p[0]))
-
-
 # ---------------------------------------------------------------------------
 # standard tableaux
 
@@ -145,14 +138,6 @@ def check_standard(rows) -> Rows:
             if t[r][c] >= t[r + 1][c]:
                 raise ValueError(f"column {c + 1} not increasing")
     return t
-
-
-def cell_of(rows: Rows, value: int) -> Cell:
-    for r, row in enumerate(rows, 1):
-        c = bisect_left(row, value)
-        if c < len(row) and row[c] == value:
-            return (r, c + 1)
-    raise ValueError(f"{value} not in tableau")
 
 
 def corners(rows: Rows) -> list[Cell]:
@@ -395,9 +380,6 @@ class SkewTableau:
     def from_tableau(cls, rows: Rows) -> "SkewTableau":
         return cls.from_rows(check_standard(rows))
 
-    def entry_count(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
 
 def format_skew(t: SkewTableau) -> str:
     return "/".join(
@@ -626,14 +608,19 @@ def descent_set(rows: Rows) -> frozenset[int]:
     return _descents(check_standard(rows))
 
 
-def _descents(rows: Rows) -> frozenset[int]:
-    """:func:`descent_set` of a standard tableau, unchecked."""
-    row_of = {}
-    for r, row in enumerate(rows, 1):
+def _rows_of(rows: Rows) -> list[int]:
+    """The row, counted from 0, of each letter of a standard tableau."""
+    row_of = [0] * (size_of(rows) + 1)
+    for r, row in enumerate(rows):
         for x in row:
             row_of[x] = r
-    n = len(row_of)
-    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+    return row_of
+
+
+def _descents(rows: Rows) -> frozenset[int]:
+    """:func:`descent_set` of a standard tableau, unchecked."""
+    r = _rows_of(rows)
+    return frozenset(i for i in range(1, len(r) - 1) if r[i + 1] > r[i])
 
 
 def dual_knuth_move(rows: Rows, i: int) -> Rows:
@@ -655,13 +642,24 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
 
 def _dual_moves(rows: Rows) -> list[tuple[int, Rows]]:
     """(triple start, moved tableau) for every single dual Knuth move of a
-    standard tableau, unchecked."""
-    des = _descents(rows)
-    return [
-        (i, insertion_tableau(dual_knuth_move_word(row_word(rows), i)))
-        for i in range(1, size_of(rows) - 1)
-        if (i in des) != ((i + 1) in des)
-    ]
+    standard tableau, unchecked.  With r(x) the row of x, the move at i
+    exists when exactly one of i, i+1 is a descent; it exchanges i+1 and
+    i+2 if r(i) >= r(i+2) exactly when i is a descent, else i and i+1, two
+    letters in different rows (Haiman, Dual equivalence, 1992)."""
+    r = _rows_of(rows)
+    out = []
+    for i in range(1, len(r) - 2):
+        falls = r[i + 1] > r[i]
+        if falls == (r[i + 2] > r[i + 1]):
+            continue
+        x = i + 1 if (r[i] >= r[i + 2]) == falls else i
+        moved = list(rows)
+        for old, new in ((x, x + 1), (x + 1, x)):
+            row = rows[r[old]]
+            c = bisect_left(row, old)
+            moved[r[old]] = row[:c] + (new,) + row[c + 1:]
+        out.append((i, tuple(moved)))
+    return out
 
 
 def inner_translate(rows: Rows, sub_old: Rows, sub_new: Rows) -> Rows:
@@ -694,14 +692,11 @@ def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
 # ---------------------------------------------------------------------------
 # row/column concatenations
 
-def shifted_rows(rows: Rows, k: int) -> Rows:
-    return tuple(tuple(x + k for x in row) for row in rows)
-
-
 def beside(left: Rows, right: Rows) -> Rows:
     """Append the rows of the shifted second tableau to the first's rows."""
     left = check_standard(left)
-    right = shifted_rows(check_standard(right), size_of(left))
+    k = size_of(left)
+    right = tuple(tuple(x + k for x in row) for row in check_standard(right))
     out = []
     for r in range(max(len(left), len(right))):
         a = left[r] if r < len(left) else ()

@@ -59,6 +59,7 @@ from .tableau import (
     _inner_rows,
     _is_hook,
     _restrict,
+    _rows_of,
     _transpose,
     format_tableau,
     insertion_tableau,
@@ -95,15 +96,13 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _seq_code(rows: Rows, size: int) -> int:
-    """The row sequence (row of 1, row of 2, ..., row of ``size``) of a
-    standard tableau as an integer, 4 bits per letter with letter 1 in the
-    highest digit, so that integer order is lexicographic order and the
-    code of the inner tableau on 1..k is ``code >> 4 * (size - k)``."""
+def _seq_code(rows: Rows) -> int:
+    """The row sequence (row of 1, ..., row of n) of a standard tableau in
+    4-bit digits, letter 1 highest: integer order is lexicographic order,
+    and the code of the inner tableau on 1..k is ``code >> 4 * (n - k)``."""
     code = 0
-    for r, row in enumerate(rows, 1):
-        for x in row:
-            code |= r << 4 * (size - x)
+    for r in _rows_of(rows)[1:]:
+        code = code << 4 | r
     return code
 
 
@@ -136,7 +135,7 @@ def _translation_sweep(
     """Check every (k, inner tableau, dual Knuth move) of the poset, run
     by run in the row-sequence numbering (see the module docstring)."""
     n, nodes = p.n, p.nodes
-    codes = [_seq_code(t, n) for t in nodes]
+    codes = [_seq_code(t) for t in nodes]
     order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
     seq = [codes[a] for a in order]
     position = [0] * len(nodes)
@@ -194,7 +193,7 @@ def _translation_sweep(
                 continue
             for i, moved_sub in moves:
                 # the relabeling maps the run onto the moved run: checked, not assumed
-                lo2, hi2 = runs.get(_seq_code(moved_sub, k), (0, 0))
+                lo2, hi2 = runs.get(_seq_code(moved_sub), (0, 0))
                 if shape_of(moved_sub) != shape or suffix[lo:hi] != suffix[lo2:hi2]:
                     raise InvariantError(
                         f"relabeling {format_tableau(sub)} -> "
@@ -396,7 +395,7 @@ def verify_antisymmetry(n: int, jobs: int = 1) -> VerificationReport:
     would."""
     p = cached_poset(n, jobs=jobs)
     with stopwatch() as sw:
-        checked = sum(row.bit_count() for row in p.reach) - len(p.nodes)
+        checked = p.strict_relations()
         violations = [
             {"S": format_tableau(p.nodes[a]), "T": format_tableau(p.nodes[b])}
             for a, (up, down) in enumerate(zip(p.reach, p.below))
@@ -453,7 +452,7 @@ def verify_restriction_monotone(n: int, jobs: int = 1) -> VerificationReport:
             q = small[j - i + 1]
             image = [q.index[_restrict(node, i, j)] for node in p.nodes]
             broken += [(a, b, s) for a, b in _unpreserved(p.reach, image, q.reach)]
-        checked = (sum(row.bit_count() for row in p.reach) - len(p.nodes)) * len(segments)
+        checked = p.strict_relations() * len(segments)
         violations = [
             {
                 "S": format_tableau(p.nodes[a]),
@@ -481,7 +480,7 @@ def verify_evac_transpose_monotone(n: int, jobs: int = 1) -> VerificationReport:
             for m, (_, image, up) in enumerate(maps)
             for a, b in _unpreserved(p.reach, image, up)
         )
-        checked = sum(row.bit_count() for row in p.reach) - len(p.nodes)
+        checked = p.strict_relations()
         violations = [
             {
                 "map": maps[m][0],
@@ -510,20 +509,13 @@ def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
                 tab = frontier.pop()
                 for _, neighbor in _dual_moves(tab):
                     checked += 1
-                    if shape_of(neighbor) != shape:
+                    if neighbor not in tab_set:  # which holds every tableau of the shape
+                        same = shape_of(neighbor) == shape
                         violations.append(
                             {
                                 "T": format_tableau(tab),
                                 "moved": format_tableau(neighbor),
-                                "reason": "shape changed",
-                            }
-                        )
-                    elif neighbor not in tab_set:
-                        violations.append(
-                            {
-                                "T": format_tableau(tab),
-                                "moved": format_tableau(neighbor),
-                                "reason": "left the tableau set",
+                                "reason": "left the tableau set" if same else "shape changed",
                             }
                         )
                     elif neighbor not in seen:

@@ -81,6 +81,10 @@ class TableauPoset:
     def leq_ids(self, a: int, b: int) -> bool:
         return bool(self.reach[a] >> b & 1)
 
+    def strict_relations(self) -> int:
+        """The number of pairs a < b with a != b."""
+        return sum(row.bit_count() for row in self.reach) - len(self.nodes)
+
 
 def _bits(mask: int) -> list[int]:
     out = []
@@ -473,7 +477,7 @@ def check_monotone_descent(p: TableauPoset) -> VerificationReport:
     with stopwatch() as sw:
         # the descent masks ordered by inclusion: bit t of up[m] iff m <= t
         up = {m: sum(1 << t for t in set(masks) if not m & ~t) for m in set(masks)}
-        checked = sum(row.bit_count() for row in p.reach) - len(p.nodes)
+        checked = p.strict_relations()
         violations = [
             {
                 "S": format_tableau(p.nodes[a]),
@@ -510,7 +514,7 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
         else:
             # ahead[s][t]: shape t may lie above shape s in the direction
             ahead = dom if direction == "up" else list(zip(*dom))
-            checked += sum(row.bit_count() for row in p.reach) - len(p.nodes)
+            checked += p.strict_relations()
             masks = [sum(1 << t for t, ok in enumerate(row) if ok) for row in ahead]
             broken = _unpreserved(p.reach, sid, masks)
         violations = [

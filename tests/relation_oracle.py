@@ -7,14 +7,16 @@ as written, so that differential tests compare the mask tests with an
 independent copy rather than with themselves; the only change is that
 each check takes the poset (and restriction its smaller posets) instead
 of building it, and returns ``(checked, violations)`` rather than a
-report, plus the failure list for the single-triple scan.
+report, plus the failure list for the single-triple scan, whose dual
+Knuth moves come from the word-route oracle ``move_oracle.dual_moves``
+rather than from the exchange kernel ``tableau._dual_moves``.
 """
 
 from __future__ import annotations
 
+from move_oracle import dual_moves
 from sytkit.tableau import (
     _descents,
-    _dual_moves,
     _restrict,
     descent_set,
     dominance_leq,
@@ -174,7 +176,7 @@ def single_triple_failures(p: TableauPoset) -> tuple[int, list[dict]]:
     moved = {
         (a, i): p.index[t]
         for a, node in enumerate(p.nodes)
-        for i, t in _dual_moves(node)
+        for i, t in dual_moves(node)
     }
     for (a, i), a_moved in moved.items():
         # both endpoints must sit on the same side of the map's domain

@@ -1,6 +1,8 @@
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +14,8 @@ from sytkit.permutation import InvariantError
 from sytkit.weakorder import cached_poset, check_monotone_descent, check_monotone_shape
 from test_hopf import partial_classes
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -103,6 +106,30 @@ def test_poset_jobs_do_not_change_output(capsys):
     _, serial, _ = run(capsys, "poset", "--n", "4", "--format", "dot")
     _, parallel, _ = run(capsys, "poset", "--n", "4", "--format", "dot", "--jobs", "2")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [("poset", "--n", "4"), ("verify", "antisymmetry", "--n", "4"), ("interval", "1,2/3", "1/2")],
+)
+def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument --jobs: must be at least 1, got {jobs}" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_run_verification_rejects_jobs_below_one(jobs):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), "--jobs", jobs],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == EXIT_USAGE
+    assert out.stdout == ""
+    assert f"argument --jobs: must be at least 1, got {jobs}" in out.stderr
 
 
 def test_verify_translation_pass(capsys):

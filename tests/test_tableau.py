@@ -7,6 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import jdt_oracle as oracle
+import move_oracle
 from conftest import tableaux, words
 from sytkit.permutation import (
     InvariantError,
@@ -20,6 +21,7 @@ from sytkit.permutation import (
 from sytkit.knuthclass import knuth_class
 from sytkit.tableau import (
     SkewTableau,
+    _dual_moves,
     addable_cells,
     all_standard_tableaux,
     beside,
@@ -575,6 +577,14 @@ def test_dual_knuth_move_preserves_shape_n5():
                 moved_des = descent_set(moved)
                 assert (i in moved_des) != (i in des)
                 assert dual_knuth_move(moved, i) == tab
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dual_moves_match_the_word_route(n):
+    # the entry exchange against row word -> dual Knuth rewrite -> insertion,
+    # move for move and in order, on every standard tableau of size n
+    for tab in all_standard_tableaux(n):
+        assert _dual_moves(tab) == move_oracle.dual_moves(tab)
 
 
 # --- inner translation ---------------------------------------------------------------------------

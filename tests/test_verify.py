@@ -374,6 +374,24 @@ def test_dual_knuth_connectivity_per_shape(n):
     assert verify_dual_knuth_connectivity(n).passed
 
 
+def test_dual_knuth_connectivity_names_each_broken_move(monkeypatch):
+    # from 1,3/2, where the search starts: one move changes the shape, one
+    # keeps it but is not a standard tableau, and none reaches 1,2/3
+    broken = [(1, parse_tableau("1,2,3")), (1, ((2, 1), (3,)))]
+    monkeypatch.setattr(
+        verify, "_dual_moves", lambda t: broken if t == parse_tableau("1,3/2") else []
+    )
+    report = verify_dual_knuth_connectivity(3)
+    assert report.checked == 2
+    assert [v["reason"] for v in report.violations] == [
+        "shape changed",
+        "left the tableau set",
+        "shape class not connected",
+    ]
+    assert report.violations[0] == {"T": "1,3/2", "moved": "1,2,3", "reason": "shape changed"}
+    assert report.violations[2]["unreached"] == ["1,2/3"]
+
+
 # --- determinism ------------------------------------------------------------------------------
 
 def test_reports_replay_identically():

@@ -391,6 +391,13 @@ def test_evacuation_preserves_the_hasse_diagram_n8():
     assert {(image[a], image[b]) for a, b in p.covers} == set(p.covers)
 
 
+def test_poset_counts_n9():
+    # an identity oracle at the largest size: nodes (one per involution of
+    # 9 letters), covers and strict relations, as measured at n = 9
+    p = cached_poset(9)
+    assert (len(p.nodes), len(p.covers), p.strict_relations()) == (2620, 9826, 284975)
+
+
 # --- exports ----------------------------------------------------------------------------------
 
 EXPECTED_DOT_3 = """digraph weak_order_syt_3 {

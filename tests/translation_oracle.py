@@ -7,18 +7,20 @@ rows; cover mode reads each group's Hasse edges from ``induced_covers``
 on full-poset bitmasks, order mode tests one ``reach`` bit per pair.  The
 sweep and its helpers are copied here as written, so that differential
 tests compare the fast sweep with an independent copy rather than with
-itself; the only change is that the sweep takes the poset instead of
-building it.
+itself; the only changes are that the sweep takes the poset instead of
+building it, and takes its dual Knuth moves from the word-route oracle
+``move_oracle.dual_moves``, so that it also cross-checks the exchange
+kernel ``tableau._dual_moves``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from move_oracle import dual_moves
 from sytkit.permutation import InvariantError
 from sytkit.tableau import (
     Rows,
-    _dual_moves,
     _inner_rows,
     format_tableau,
     is_hook,
@@ -84,7 +86,7 @@ def translation_sweep(
         for sub in sorted(groups, key=canonical_key):
             if not _in_family(shape_of(sub), family):
                 continue
-            moves = _dual_moves(sub)
+            moves = dual_moves(sub)
             if not moves:
                 continue
             members = groups[sub]
