@@ -2,9 +2,9 @@
 """Run the full verification battery and summarize one line per check.
 
 Each entry of ``sytkit.verify.battery`` runs one check of the table behind
-``sytkit verify``.  Default scale is n <= 7 (about 0.5 s).  --stretch
+``sytkit verify``.  Default scale is n <= 7 (about 0.3 s).  --stretch
 raises the translation sweep, antisymmetry and hook-eta to n = 9, which
-rebuilds the poset from all 362880 words (about 1.6 s in total with one
+rebuilds the poset from all 362880 words (about 1.1 s in total with one
 process on a 2-vCPU machine under Python 3.11).  JSON reports land in
 --out-dir when given.  Exits 1 when a check fails.
 """

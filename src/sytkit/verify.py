@@ -24,6 +24,13 @@ cycle of three or more nodes, so unless every cycle is an isolated pair
 of nodes such an order raises ``InvariantError`` here;
 ``verify_antisymmetry`` is the check that reports cycles as violations.
 
+The numbering, the closure, the runs and the moves are one layout per
+poset: made, and checked, on the poset's first sweep and kept on it
+(``TableauPoset._cache``), so the sweeps of every mode and family share
+them; a run's cover rows are made the first time a sweep reads them.
+Each sweep still applies its own family filter and compares every move
+run against run.
+
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
 strict relation a < b into a target order.  They are mask tests through
@@ -70,6 +77,7 @@ from .tableau import (
     standard_tableaux,
 )
 from .weakorder import (
+    MAX_POSET_N,
     TableauPoset,
     _bits,
     _closure,
@@ -129,77 +137,133 @@ def _local_covers(ups: list[int]) -> list[int]:
     return covers
 
 
+def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi) of positions whose codes agree above the
+    lowest ``cut`` bits."""
+    runs = []
+    lo = 0
+    for x in range(1, len(seq) + 1):
+        if x == len(seq) or seq[x] >> cut != seq[lo] >> cut:
+            runs.append((lo, x))
+            lo = x
+    return runs
+
+
+class _SweepLayout:
+    """What every translation sweep of one poset shares, made on its first
+    sweep: the row-sequence numbering, checked to close the covers to
+    ``reach``; per k, the runs in canonical order of their inner tableaux,
+    each with its shape and its dual Knuth moves, every move checked to be
+    onto its image run; and each run's cover rows, made on first use.
+
+    Every run lies inside one run at k = 3, so only each position's strict
+    up-set inside that run is kept (``ups``, bits of offsets from the
+    run's ``start``), and a run's order rows are shifted out of it."""
+
+    def __init__(self, p: TableauPoset) -> None:
+        n, nodes = p.n, p.nodes
+        codes = [_seq_code(t) for t in nodes]
+        order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
+        position = [0] * len(nodes)
+        for x, a in enumerate(order):
+            position[a] = x
+        succ: list[list[int]] = [[] for _ in nodes]
+        for a, b in p.covers:
+            if not p.reach[a] >> b & 1:
+                raise InvariantError(
+                    f"closure of the covers disagrees with reach: cover "
+                    f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} is not in it"
+                )
+            succ[position[a]].append(position[b])
+        reach = _closure(succ)
+        # every cover lies in the transitively closed reach, so their closure
+        # does too, and equal sizes make the rows equal
+        for a, row in enumerate(p.reach):
+            if reach[position[a]].bit_count() != row.bit_count():
+                raise InvariantError(
+                    f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
+                )
+        seq = [codes[a] for a in order]
+        self.order = order
+        self.start: list[int] = []
+        self.ups: list[int] = []
+        for lo, hi in _runs(seq, 4 * (n - 3)) if n > 3 else ():
+            self.start += [lo] * (hi - lo)
+            self.ups += _local_order(reach, lo, hi)
+        # levels[k - 3]: (shape, lo, hi, moves) per run, moves (i, the index
+        # of the moved run in the level)
+        self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]
+        self.cover_rows: dict[tuple[int, int], list[int]] = {}
+
+    def _level(self, nodes, seq: list[int], n: int, k: int) -> list[tuple]:
+        cut = 4 * (n - k)
+        runs = sorted(
+            ((_inner_rows(nodes[self.order[lo]], k), lo, hi) for lo, hi in _runs(seq, cut)),
+            key=lambda run: canonical_key(run[0]),
+        )
+        where = {sub: t for t, (sub, _, _) in enumerate(runs)}
+        shapes = [shape_of(sub) for sub, _, _ in runs]
+        # the rows of the letters above k, member by member
+        tails = [[code & ((1 << cut) - 1) for code in seq[lo:hi]] for _, lo, hi in runs]
+        level = []
+        for s, (sub, lo, hi) in enumerate(runs):
+            moves = []
+            for i, moved_sub in _dual_moves(sub):
+                # the relabeling maps the run onto the moved run: checked, not assumed
+                t = where.get(moved_sub)
+                if t is None or shapes[t] != shapes[s] or tails[t] != tails[s]:
+                    raise InvariantError(
+                        f"relabeling {format_tableau(sub)} -> "
+                        f"{format_tableau(moved_sub)} is not onto its group"
+                    )
+                moves.append((i, t))
+            level.append((shapes[s], lo, hi, tuple(moves)))
+        return level
+
+    def rows(self, mode: str, lo: int, hi: int) -> list[int]:
+        """The order (mode "order") or cover rows of the run [lo, hi)."""
+        if mode == "cover":
+            if (lo, hi) not in self.cover_rows:
+                self.cover_rows[lo, hi] = _local_covers(self.rows("order", lo, hi))
+            return self.cover_rows[lo, hi]
+        shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
+        return [up >> shift & full for up in self.ups[lo:hi]]
+
+
+def _sweep_layout(p: TableauPoset) -> _SweepLayout:
+    """The poset's sweep layout, made on its first sweep and kept on it."""
+    if "sweep" not in p._cache:
+        p._cache["sweep"] = _SweepLayout(p)
+    return p._cache["sweep"]
+
+
 def _translation_sweep(
     p: TableauPoset, mode: str, family: str | None
 ) -> tuple[int, list[dict]]:
     """Check every (k, inner tableau, dual Knuth move) of the poset, run
     by run in the row-sequence numbering (see the module docstring)."""
-    n, nodes = p.n, p.nodes
-    codes = [_seq_code(t) for t in nodes]
-    order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
-    seq = [codes[a] for a in order]
-    position = [0] * len(nodes)
-    for x, a in enumerate(order):
-        position[a] = x
-    succ: list[list[int]] = [[] for _ in nodes]
-    for a, b in p.covers:
-        if not p.reach[a] >> b & 1:
-            raise InvariantError(
-                f"closure of the covers disagrees with reach: cover "
-                f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} is not in it"
-            )
-        succ[position[a]].append(position[b])
-    reach = _closure(succ)
-    # every cover lies in the transitively closed reach, so their closure
-    # does too, and equal sizes make the rows equal
-    for a, row in enumerate(p.reach):
-        if reach[position[a]].bit_count() != row.bit_count():
-            raise InvariantError(
-                f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
-            )
+    layout = _sweep_layout(p)
+    n, nodes, order = p.n, p.nodes, layout.order
     checked = 0
     violations: list[dict] = []
-    for k in range(3, n):  # a triple must fit inside the inner tableau
-        cut = 4 * (n - k)
-        suffix = [code & ((1 << cut) - 1) for code in seq]
-        runs: dict[int, tuple[int, int]] = {}  # inner tableau code -> [lo, hi)
-        lo = 0
-        for x in range(1, len(seq) + 1):
-            if x == len(seq) or seq[x] >> cut != seq[lo] >> cut:
-                runs[seq[lo] >> cut] = (lo, x)
-                lo = x
-        rows: dict[int, list[int]] = {}  # run start -> order or cover rows
+    for k, level in enumerate(layout.levels, 3):  # a triple must fit inside
+        rows: dict[int, list[int]] = {}  # run start -> its rows, this call
 
         def rows_of(lo: int, hi: int) -> list[int]:
             if lo not in rows:
-                ups = _local_order(reach, lo, hi)
-                rows[lo] = _local_covers(ups) if mode == "cover" else ups
+                rows[lo] = layout.rows(mode, lo, hi)
             return rows[lo]
 
-        subs = sorted(
-            ((_inner_rows(nodes[order[lo]], k), lo, hi) for lo, hi in runs.values()),
-            key=lambda entry: canonical_key(entry[0]),
-        )
-        for sub, lo, hi in subs:
-            shape = shape_of(sub)
-            if not _in_family(shape, family):
-                continue
-            moves = _dual_moves(sub)
-            if not moves:
+        for shape, lo, hi, moves in level:
+            if not _in_family(shape, family) or not moves:
                 continue
             source = rows_of(lo, hi)
             count = sum(row.bit_count() for row in source)
             if not count:
                 continue
-            for i, moved_sub in moves:
-                # the relabeling maps the run onto the moved run: checked, not assumed
-                lo2, hi2 = runs.get(_seq_code(moved_sub), (0, 0))
-                if shape_of(moved_sub) != shape or suffix[lo:hi] != suffix[lo2:hi2]:
-                    raise InvariantError(
-                        f"relabeling {format_tableau(sub)} -> "
-                        f"{format_tableau(moved_sub)} is not onto its group"
-                    )
+            for i, t in moves:
                 checked += count
+                _, lo2, hi2, _ = level[t]
                 target = rows_of(lo2, hi2)
                 if not any(row & ~image for row, image in zip(source, target)):
                     continue
@@ -209,6 +273,8 @@ def _translation_sweep(
                     for y in _bits(row & ~image)
                 ]
                 broken.sort()  # by the node ids of the pair
+                sub = _inner_rows(nodes[order[lo]], k)
+                moved_sub = _inner_rows(nodes[order[lo2]], k)
                 for a, b, a2, b2 in broken:
                     violations.append(
                         {
@@ -249,7 +315,9 @@ def verify_inner_tableau_translation(
     """Relabeling a shared inner tableau along one dual Knuth move must
     preserve induced covers (mode "cover") or all order relations between
     same-inner-tableau nodes (mode "order")."""
-    return _translation_report("inner-tableau-translation", 9, n, mode, None, jobs)
+    return _translation_report(
+        "inner-tableau-translation", MAX_POSET_N, n, mode, None, jobs
+    )
 
 
 def verify_special_cases(
@@ -421,21 +489,36 @@ def verify_descents_constant(n: int) -> VerificationReport:
 
 
 def verify_restriction_insertion(n: int) -> VerificationReport:
-    """Restricting a word to a letter segment commutes with insertion."""
+    """Restricting a word to a letter segment commutes with insertion.
+
+    Every (word, segment) is checked, but each (tableau, segment) is
+    restricted once and each distinct restricted word inserted once; equal
+    tableaux are kept as one object."""
     checked = 0
     violations = []
     with stopwatch() as sw:
+        segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        same: dict[Rows, Rows] = {}
+        inserted: dict[Word, Rows] = {}
+        restricted: dict[Rows, list[Rows]] = {}  # tableau -> one per segment
+
+        def tableau_of(word: Word) -> Rows:
+            if word not in inserted:
+                tab = insertion_tableau(word)
+                inserted[word] = same.setdefault(tab, tab)
+            return inserted[word]
+
         for u in all_words(n):
-            tab = insertion_tableau(u)
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    checked += 1
-                    if _restrict(tab, i, j) != insertion_tableau(
-                        restrict_standardize(u, i, j)
-                    ):
-                        violations.append(
-                            {"word": format_word(u), "segment": [i, j]}
-                        )
+            tab = tableau_of(u)
+            if tab not in restricted:
+                restricted[tab] = [
+                    same.setdefault(out, out)
+                    for out in (_restrict(tab, i, j) for i, j in segments)
+                ]
+            for (i, j), out in zip(segments, restricted[tab]):
+                checked += 1
+                if out != tableau_of(restrict_standardize(u, i, j)):
+                    violations.append({"word": format_word(u), "segment": [i, j]})
     return VerificationReport(
         "restriction-commutes-with-insertion", {"n": n}, checked, violations, sw.ms
     )

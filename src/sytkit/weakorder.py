@@ -3,9 +3,10 @@ explicit poset.
 
 Nodes are all tableaux with n cells in a canonical order (shape first, then
 row word).  One depth-first walk over the n! words in lexicographic order
-row-inserts one letter per level and records each word's class (node id)
-by rank; the classes of a prefix's completions depend only on the prefix's
-insertion tableau, so recurring blocks are computed once.  Raw
+row-inserts one letter per level (the last one read-only) and records
+each word's class (node id) by rank; the classes of a prefix's completions
+depend only on the prefix's insertion tableau, so recurring blocks are
+computed once.  Raw
 comparabilities are the adjacent-ascent swaps of words, read off that
 rank-indexed array through Lehmer codes.  Reachability is their
 reflexive-transitive closure, stored per node as an integer bitmask and
@@ -49,10 +50,15 @@ def canonical_key(rows: Rows) -> tuple:
 
 @dataclass
 class TableauPoset:
-    """Built once, then immutable; safe to share between threads.
+    """Built once, then immutable but for ``_cache``; safe to share
+    between threads.
 
     ``reach[a]`` has bit b set iff a <= b (reflexively); ``below`` is the
-    transpose.  ``covers`` is the transitive reduction, sorted.
+    transpose.  ``covers`` is the transitive reduction, sorted.  ``_cache``
+    keeps what checks derive from the order, made on first use (the
+    translation sweep's layout, see sytkit.verify); two threads making the
+    same entry at once store equal values.  It is not an init field, so a
+    poset made by ``dataclasses.replace`` starts with an empty one.
     """
 
     n: int
@@ -61,6 +67,7 @@ class TableauPoset:
     reach: tuple[int, ...]
     below: tuple[int, ...]
     index: dict[Rows, int] = field(repr=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -127,11 +134,15 @@ def _walk(grid, rest, code, ids_of, memo) -> array:
     """Node ids of grid <- w for every word w on the letters ``rest`` (sorted),
     in lexicographic order of w.  ``grid`` is row-inserted into and restored.
 
-    The block depends only on the insertion tableau so far, so blocks of 6
-    and 24 words are memoized by ``code``, the tableau's row code: smaller
-    blocks cost less to redo than to store, larger ones rarely recur.
+    With two letters left, the first of each order is inserted for real and
+    the last is placed read-only: walking down the rows, each letter it
+    bumps only moves the row code one row on, so no row is changed, undone
+    or recursed into.  The block depends only on the insertion tableau so
+    far, so blocks of 6 and 24 words are memoized by ``code``, the
+    tableau's row code: smaller blocks cost less to redo than to store,
+    larger ones rarely recur.
     """
-    if not rest:
+    if not rest:  # reached only for words of at most two letters
         return array("H", (ids_of[code],))
     keep = 3 <= len(rest) <= 4
     if keep:
@@ -156,7 +167,17 @@ def _walk(grid, rest, code, ids_of, memo) -> array:
             path.append(pos)
             moved += 1 << 4 * (x - 1)
             r += 1
-        block += _walk(grid, rest[:i] + rest[i + 1:], moved, ids_of, memo)
+        if len(rest) == 2:  # place the other letter read-only
+            y = rest[1 - i]
+            moved += 1 << 4 * (y - 1)
+            for row in grid:
+                if y > row[-1]:
+                    break
+                y = row[bisect_left(row, y)]
+                moved += 1 << 4 * (y - 1)
+            block.append(ids_of[moved])
+        else:
+            block += _walk(grid, rest[:i] + rest[i + 1:], moved, ids_of, memo)
         row = grid[r]  # undo: take the new cell off, bump letters back up
         x = row.pop()
         if not row:

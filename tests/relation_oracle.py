@@ -9,23 +9,31 @@ each check takes the poset (and restriction its smaller posets) instead
 of building it, and returns ``(checked, violations)`` rather than a
 report, plus the failure list for the single-triple scan, whose dual
 Knuth moves come from the word-route oracle ``move_oracle.dual_moves``
-rather than from the exchange kernel ``tableau._dual_moves``.
+rather than from the exchange kernel ``tableau._dual_moves``.  Descent
+sets are read off the row word (``permutation.descents_left``), not from
+``tableau._rows_of``, which the code under test shares.
 """
 
 from __future__ import annotations
 
 from move_oracle import dual_moves
+from sytkit.permutation import descents_left
 from sytkit.tableau import (
-    _descents,
+    Rows,
     _restrict,
-    descent_set,
     dominance_leq,
     evacuate,
     format_tableau,
+    row_word,
     shape_of,
     transpose,
 )
 from sytkit.weakorder import TableauPoset, _bits
+
+
+def descent_set(rows: Rows) -> frozenset[int]:
+    """Letters i with i+1 before i in the row word, i.e. in a lower row."""
+    return descents_left(row_word(rows))
 
 
 def antisymmetry(p: TableauPoset) -> tuple[int, list[dict]]:
@@ -172,7 +180,7 @@ def single_triple_failures(p: TableauPoset) -> tuple[int, list[dict]]:
     """Pairs checked and every failure found, in scan order."""
     checked = 0
     found: list[dict] = []
-    descents = [_descents(t) for t in p.nodes]
+    descents = [descent_set(t) for t in p.nodes]
     moved = {
         (a, i): p.index[t]
         for a, node in enumerate(p.nodes)

@@ -248,8 +248,13 @@ def test_verify_rejects_a_flag_the_check_does_not_take(capsys, check, flag, valu
 
 
 def test_readme_lists_every_verify_check():
-    commands = re.findall(r"sytkit verify ([a-z-]+)", README.read_text())
+    text = README.read_text()
+    commands = re.findall(r"sytkit verify ([a-z-]+)", text)
     assert set(commands) == set(verify.CHECKS)
+    # the command list under "## CLI" has one line per check, none twice
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    names = re.findall(r"^sytkit verify ([a-z-]+)", block, re.M)
+    assert sorted(names) == sorted(verify.CHECKS)
 
 
 def test_product_golden(capsys):

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 import sytkit.weakorder as weakorder
+import walk_oracle
 from sytkit.knuthclass import knuth_class
 from sytkit.permutation import inversions_left
 from sytkit.tableau import (
@@ -165,6 +166,34 @@ def test_parallel_build_is_identical():
     assert serial.covers == parallel.covers
     assert serial.reach == parallel.reach
     assert serial.below == parallel.below
+
+
+def _ids_of(n):
+    return {weakorder._row_code(t): i for i, t in enumerate(cached_poset(n).nodes)}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_walk_matches_the_walk_oracle(n):
+    letters = tuple(range(1, n + 1))
+    ids_of = _ids_of(n)
+    assert weakorder._class_ids((n, letters, ids_of)) == walk_oracle.class_ids(n, ids_of)
+
+
+def test_parallel_walk_matches_the_walk_oracle(monkeypatch):
+    # the class ids the workers send back, concatenated, as the edge
+    # projection receives them
+    seen = []
+    project = weakorder._projected_edges
+
+    def recording(n, ids):
+        seen.append(ids[:])
+        return project(n, ids)
+
+    monkeypatch.setattr(weakorder, "_projected_edges", recording)
+    parallel = build_poset(8, jobs=2)
+    assert seen == [walk_oracle.class_ids(8, _ids_of(8))]
+    serial = cached_poset(8)
+    assert (parallel.reach, parallel.covers) == (serial.reach, serial.covers)
 
 
 @pytest.mark.parametrize("n, jobs", [(5, 10**6), (3, 64), (6, 2)])
