@@ -50,7 +50,10 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"cannot use --out-dir: {exc}")
 
     ok = True
     for name, options in verify.battery(9) if args.stretch else verify.battery():

@@ -274,8 +274,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -6,6 +6,12 @@ resulting words are regrouped by insertion tableau.  The regrouping must
 decompose into whole classes, each exactly once; that fact is asserted, not
 assumed.  The same support is also available as an order interval between
 the row-wise and column-wise concatenations of the two tableaux.
+
+For fixed shapes, the intervals of all (left, right) choices are
+isomorphic.  The check writes the isomorphism down instead of searching for
+one: relabel the left factor's inner tableau, evacuate, relabel the other
+factor's, evacuate back.  Every map is tested; a violation means that this
+natural map is not an isomorphism, not that none exists.
 """
 
 from __future__ import annotations
@@ -17,6 +23,11 @@ from .permutation import InvariantError, Word, interleavings, shifted
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
+    _beside,
+    _evacuate,
+    _inner_rows,
+    _relabel_inner,
+    _transpose,
     beside,
     check_standard,
     format_tableau,
@@ -27,12 +38,13 @@ from .tableau import (
     standard_tableaux,
 )
 from .weakorder import (
+    MAX_POSET_N,
     Interval,
     TableauPoset,
+    _bits,
     cached_poset,
     canonical_key,
     interval,
-    is_isomorphic,
 )
 
 MAX_PRODUCT_SIZE = 9
@@ -103,46 +115,93 @@ def interval_product(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, ..
     return product_interval(left, right, p).member_tableaux()
 
 
+def _product_mask(p: TableauPoset, left: Rows, right: Rows) -> int:
+    """The members of :func:`product_interval` as a bit mask, from the
+    unchecked concatenations of two standard tableaux."""
+    bottom = p.index[_beside(left, right)]
+    top = p.index[_transpose(_beside(_transpose(left), _transpose(right)))]
+    return p.reach[bottom] & p.below[top]
+
+
+def _is_isomorphism(reach, base: int, image: dict[int, int], target: int) -> bool:
+    """Whether ``image`` (each member of the mask ``base`` -> a node) is an
+    order isomorphism onto the members of the mask ``target``: injective,
+    onto exactly ``target``, and carrying each member's up-set in the base
+    onto its image's up-set in the target, which both preserves and
+    reflects the order."""
+    if len(set(image.values())) != len(image):
+        return False
+    onto = 0
+    for x in image.values():
+        onto |= 1 << x
+    if onto != target:
+        return False
+    return all(
+        sum(1 << image[b] for b in _bits(reach[a] & base)) == reach[x] & target
+        for a, x in image.items()
+    )
+
+
 def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationReport:
     """Product intervals depend only on the two shapes: for fixed shapes,
-    every (left, right) choice gives an isomorphic interval.
+    every (left, right) choice gives an interval isomorphic to that of the
+    first choice (L0, R0) of its shape pair.
 
-    Each choice is compared against the first one of its shape pair, which
-    covers all pairs by transitivity of isomorphism.
+    With rho the relabeling of the cells of 1..|A| from an inner tableau A
+    to B and eps evacuation, a base member T goes to
+    eps(rho_{eps R0 -> eps R}(eps(rho_{L0 -> L}(T)))).  The L side is the
+    inner-tableau translation; evacuation swaps the two factors, so the R
+    side is one too.  Nothing about the map is assumed: every base member
+    must have inner tableau L0, every evacuated image inner tableau eps R0,
+    and the map must be an isomorphism onto the (L, R) interval
+    (:func:`_is_isomorphism`).  A violation means that this map is not an
+    isomorphism; the two intervals may still be isomorphic by another.
     """
-    if k < 1 or l < 1 or k + l > 7:
-        raise ValueError("need k, l >= 1 and k + l <= 7")
+    if k < 1 or l < 1 or k + l > MAX_POSET_N:
+        raise ValueError(f"need k, l >= 1 and k + l <= {MAX_POSET_N}")
     p = cached_poset(k + l, jobs=jobs)
     checked = 0
     violations = []
     with stopwatch() as sw:
         for shape_left in partitions(k):
+            lefts = standard_tableaux(shape_left)
             for shape_right in partitions(l):
-                base = None
-                base_pair = None
-                for left in standard_tableaux(shape_left):
-                    for right in standard_tableaux(shape_right):
-                        iv = product_interval(left, right, p)
-                        if base is None:
-                            base = iv
-                            base_pair = (left, right)
+                rights = standard_tableaux(shape_right)
+                left0, right0 = lefts[0], rights[0]
+                base = _product_mask(p, left0, right0)
+                members = _bits(base)
+                tabs = [p.nodes[a] for a in members]
+                base_ok = all(_inner_rows(t, k) == left0 for t in tabs)
+                evac_right0 = _evacuate(right0)
+                for left in lefts:
+                    # eps(rho_{L0 -> L}(T)) per member; None when some base
+                    # member or image breaks the relabeling's precondition
+                    halves = None
+                    if base_ok:
+                        halves = [_evacuate(_relabel_inner(t, left)) for t in tabs]
+                        if any(_inner_rows(e, l) != evac_right0 for e in halves):
+                            halves = None
+                    for right in rights:
+                        if (left, right) == (left0, right0):
                             continue
                         checked += 1
-                        if not is_isomorphic(base, iv):
-                            violations.append(
-                                {
-                                    "shape_left": list(shape_left),
-                                    "shape_right": list(shape_right),
-                                    "base": [
-                                        format_tableau(base_pair[0]),
-                                        format_tableau(base_pair[1]),
-                                    ],
-                                    "other": [
-                                        format_tableau(left),
-                                        format_tableau(right),
-                                    ],
-                                }
-                            )
+                        if halves is not None:
+                            evac_right = _evacuate(right)
+                            image = {
+                                a: p.index[_evacuate(_relabel_inner(e, evac_right))]
+                                for a, e in zip(members, halves)
+                            }
+                            target = _product_mask(p, left, right)
+                            if _is_isomorphism(p.reach, base, image, target):
+                                continue
+                        violations.append(
+                            {
+                                "shape_left": list(shape_left),
+                                "shape_right": list(shape_right),
+                                "base": [format_tableau(left0), format_tableau(right0)],
+                                "other": [format_tableau(left), format_tableau(right)],
+                            }
+                        )
     return VerificationReport(
         "product-interval-isomorphism",
         {"k": k, "l": l},

@@ -694,15 +694,18 @@ def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
 
 def beside(left: Rows, right: Rows) -> Rows:
     """Append the rows of the shifted second tableau to the first's rows."""
-    left = check_standard(left)
+    return check_standard(_beside(check_standard(left), check_standard(right)))
+
+
+def _beside(left: Rows, right: Rows) -> Rows:
+    """:func:`beside` of two standard tableaux, unchecked."""
     k = size_of(left)
-    right = tuple(tuple(x + k for x in row) for row in check_standard(right))
     out = []
     for r in range(max(len(left), len(right))):
         a = left[r] if r < len(left) else ()
-        b = right[r] if r < len(right) else ()
+        b = tuple(x + k for x in right[r]) if r < len(right) else ()
         out.append(a + b)
-    return check_standard(tuple(out))
+    return tuple(out)
 
 
 def over(first: Rows, second: Rows) -> Rows:

@@ -418,76 +418,6 @@ def interval(p: TableauPoset, bottom: NodeRef, top: NodeRef) -> Interval:
     return Interval(p, lo, hi, members, induced_covers(p, members))
 
 
-def _interval_signatures(iv: Interval) -> dict[int, tuple[int, int, int, int]]:
-    up_deg = {m: 0 for m in iv.members}
-    down_deg = {m: 0 for m in iv.members}
-    for a, b in iv.covers:
-        up_deg[a] += 1
-        down_deg[b] += 1
-    mask = 0
-    for m in iv.members:
-        mask |= 1 << m
-    p = iv.poset
-    return {
-        m: (
-            up_deg[m],
-            down_deg[m],
-            (p.reach[m] & mask).bit_count(),
-            (p.below[m] & mask).bit_count(),
-        )
-        for m in iv.members
-    }
-
-
-def is_isomorphic(a: Interval, b: Interval) -> bool:
-    """Order isomorphism test by backtracking with invariant pruning."""
-    if len(a.members) != len(b.members):
-        return False
-    sig_a = _interval_signatures(a)
-    sig_b = _interval_signatures(b)
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-
-    def local_leq(iv: Interval, x: int, y: int) -> bool:
-        return iv.poset.leq_ids(x, y)
-
-    # match rare signatures first to fail fast
-    freq: dict[tuple, int] = {}
-    for sig in sig_a.values():
-        freq[sig] = freq.get(sig, 0) + 1
-    order = sorted(a.members, key=lambda m: (freq[sig_a[m]], m))
-    candidates = {
-        m: [x for x in b.members if sig_b[x] == sig_a[m]] for m in order
-    }
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        x = order[idx]
-        for y in candidates[x]:
-            if y in used:
-                continue
-            ok = True
-            for px, py in assigned.items():
-                if local_leq(a, x, px) != local_leq(b, y, py) or local_leq(
-                    a, px, x
-                ) != local_leq(b, py, y):
-                    ok = False
-                    break
-            if ok:
-                assigned[x] = y
-                used.add(y)
-                if extend(idx + 1):
-                    return True
-                del assigned[x]
-                used.remove(y)
-        return False
-
-    return extend(0)
-
-
 # ---------------------------------------------------------------------------
 # monotone-map checks
 

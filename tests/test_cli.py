@@ -309,3 +309,26 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text().startswith("digraph weak_order_syt_3 {")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "rsk", "52413", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_verification_rejects_an_out_dir_that_is_a_file(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), "--out-dir", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == EXIT_USAGE
+    assert out.stdout == ""
+    assert "error: cannot use --out-dir" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -20,7 +20,7 @@ from sytkit.tableau import (
     shape_of,
     size_of,
 )
-from sytkit.weakorder import cached_poset
+from sytkit.weakorder import MAX_POSET_N, cached_poset
 
 
 def test_product_golden_four_terms():
@@ -119,9 +119,18 @@ def test_interval_isomorphism_small_sweeps():
         assert report.passed, report.violations
 
 
+@pytest.mark.parametrize(
+    "k, checked", [(1, 217), (2, 130), (3, 83), (4, 75), (5, 83), (6, 130), (7, 217)]
+)
+def test_interval_isomorphism_n8(k, checked):
+    report = verify_interval_isomorphism(k, 8 - k)
+    assert report.checked == checked
+    assert report.violations == []
+
+
 def test_interval_isomorphism_guards():
     with pytest.raises(ValueError):
-        verify_interval_isomorphism(4, 4)
+        verify_interval_isomorphism(4, MAX_POSET_N + 1 - 4)
     with pytest.raises(ValueError):
         verify_interval_isomorphism(0, 3)
 

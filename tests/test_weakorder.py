@@ -9,6 +9,7 @@ import pytest
 
 import sytkit.weakorder as weakorder
 import walk_oracle
+from interval_oracle import is_isomorphic
 from sytkit.knuthclass import knuth_class
 from sytkit.permutation import inversions_left
 from sytkit.tableau import (
@@ -32,7 +33,6 @@ from sytkit.weakorder import (
     check_monotone_shape,
     induced_covers,
     interval,
-    is_isomorphic,
     leq,
     poset_to_json,
     to_dot,
