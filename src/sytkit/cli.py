@@ -10,8 +10,10 @@ wall-clock ``elapsed_ms``, the one intentionally nondeterministic field.
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import json
+import os
 import sys
 
 from . import hopf, verify, weakorder
@@ -259,12 +261,31 @@ def _dispatch(args) -> tuple[int, str]:
     raise ValueError(f"unknown command {args.command!r}")
 
 
+def _check_out_path(path: str) -> None:
+    """Raise the error that opening ``path`` for writing would raise when
+    it is a directory or its directory is missing, so that an unwritable
+    ``--out`` fails before the command runs."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    out = getattr(args, "out", None)
+    if out:
+        try:
+            _check_out_path(out)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         code, text = _dispatch(args)
     except ValueError as exc:  # ParseError included
@@ -273,9 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if getattr(args, "out", None):
+    if out:
         try:
-            with open(args.out, "w") as handle:
+            with open(out, "w") as handle:
                 handle.write(text)
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)

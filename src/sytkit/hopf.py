@@ -26,13 +26,11 @@ from .tableau import (
     _beside,
     _evacuate,
     _inner_rows,
+    _over,
     _relabel_inner,
-    _transpose,
-    beside,
     check_standard,
     format_tableau,
     insertion_tableau,
-    over,
     partitions,
     size_of,
     standard_tableaux,
@@ -107,7 +105,7 @@ def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:
     n = size_of(left) + size_of(right)
     if p.n != n:
         raise ValueError(f"poset is for size {p.n}, product needs {n}")
-    return interval(p, beside(left, right), over(left, right))
+    return interval(p, p.index[_beside(left, right)], p.index[_over(left, right)])
 
 
 def interval_product(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, ...]:
@@ -119,7 +117,7 @@ def _product_mask(p: TableauPoset, left: Rows, right: Rows) -> int:
     """The members of :func:`product_interval` as a bit mask, from the
     unchecked concatenations of two standard tableaux."""
     bottom = p.index[_beside(left, right)]
-    top = p.index[_transpose(_beside(_transpose(left), _transpose(right)))]
+    top = p.index[_over(left, right)]
     return p.reach[bottom] & p.below[top]
 
 

@@ -694,7 +694,7 @@ def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
 
 def beside(left: Rows, right: Rows) -> Rows:
     """Append the rows of the shifted second tableau to the first's rows."""
-    return check_standard(_beside(check_standard(left), check_standard(right)))
+    return _beside(check_standard(left), check_standard(right))
 
 
 def _beside(left: Rows, right: Rows) -> Rows:
@@ -710,4 +710,9 @@ def _beside(left: Rows, right: Rows) -> Rows:
 
 def over(first: Rows, second: Rows) -> Rows:
     """Stack the shifted second tableau's columns under the first's columns."""
-    return transpose(beside(transpose(first), transpose(second)))
+    return _over(check_standard(first), check_standard(second))
+
+
+def _over(first: Rows, second: Rows) -> Rows:
+    """:func:`over` of two standard tableaux, unchecked."""
+    return _transpose(_beside(_transpose(first), _transpose(second)))

@@ -2,13 +2,12 @@
 explicit poset.
 
 Nodes are all tableaux with n cells in a canonical order (shape first, then
-row word).  One depth-first walk over the n! words in lexicographic order
-row-inserts one letter per level (the last one read-only) and records
-each word's class (node id) by rank; the classes of a prefix's completions
-depend only on the prefix's insertion tableau, so recurring blocks are
-computed once.  Raw
-comparabilities are the adjacent-ascent swaps of words, read off that
-rank-indexed array through Lehmer codes.  Reachability is their
+row word).  Raw comparabilities are the adjacent-ascent swaps of words,
+projected to their classes (node ids).  No word is walked: by Schensted's
+theorem the class of x.w is x column-inserted into the class of w, so one
+table per size k and first letter x maps the size k - 1 classes to size k,
+and the size-n edges are lifted from size n - 1 through those tables, plus
+the swaps of the first two letters.  Reachability is their
 reflexive-transitive closure, stored per node as an integer bitmask and
 computed over strongly connected components in topological order (Purdom
 1970), and the cover relation is recovered by transitive reduction.  A
@@ -19,18 +18,14 @@ not an assumption.
 
 from __future__ import annotations
 
-import os
-import sys
-from array import array
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import factorial
 
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
     _descents,
+    _transpose,
     all_standard_tableaux,
     check_standard,
     dominance_leq,
@@ -130,121 +125,68 @@ def _row_code(rows) -> int:
     return code
 
 
-def _walk(grid, rest, code, ids_of, memo) -> array:
-    """Node ids of grid <- w for every word w on the letters ``rest`` (sorted),
-    in lexicographic order of w.  ``grid`` is row-inserted into and restored.
+def _column_tables(prev: tuple[Rows, ...], ids_of: dict[int, int], k: int) -> list[list[int]]:
+    """``tables[x - 1][t]``: the size-k node id of x column-inserted into
+    node t of ``prev`` (the size k - 1 nodes) with its letters >= x raised
+    by one.  ``ids_of`` maps each size-k node's row code to its id.
 
-    With two letters left, the first of each order is inserted for real and
-    the last is placed read-only: walking down the rows, each letter it
-    bumps only moves the row code one row on, so no row is changed, undone
-    or recursed into.  The block depends only on the insertion tableau so
-    far, so blocks of 6 and 24 words are memoized by ``code``, the
-    tableau's row code: smaller blocks cost less to redo than to store,
-    larger ones rarely recur.
+    The columns of node t are searched as they are: a raised letter z + 1
+    bumps the first entry >= z + 1 as an unraised one, so only the row code
+    is raised and each bump moves one letter's row in it.
     """
-    if not rest:  # reached only for words of at most two letters
-        return array("H", (ids_of[code],))
-    keep = 3 <= len(rest) <= 4
-    if keep:
-        block = memo.get(code)
-        if block is not None:
-            return block
-    block = array("H")
-    for i, x in enumerate(rest):
-        path = []
-        moved = code + (1 << 4 * (x - 1))
-        r = 0
-        while True:  # row insertion, remembering where each letter bumped
-            if r == len(grid):
-                grid.append([x])
-                break
-            row = grid[r]
-            if x > row[-1]:
-                row.append(x)
-                break
-            pos = bisect_left(row, x)
-            x, row[pos] = row[pos], x
-            path.append(pos)
-            moved += 1 << 4 * (x - 1)
-            r += 1
-        if len(rest) == 2:  # place the other letter read-only
-            y = rest[1 - i]
-            moved += 1 << 4 * (y - 1)
-            for row in grid:
-                if y > row[-1]:
+    columns = [(_transpose(t) if t else (), _row_code(t)) for t in prev]
+    tables = []
+    for x in range(1, k + 1):
+        keep = (1 << 4 * (x - 1)) - 1
+        table = []
+        for cols, code in columns:
+            code = code & keep | (code & ~keep) << 4
+            v, c = x, 0
+            while True:
+                col = cols[c] if c < len(cols) else ()
+                pos = bisect_left(col, v)
+                code += pos + 1 << 4 * (v - 1)
+                if pos == len(col):
                     break
-                y = row[bisect_left(row, y)]
-                moved += 1 << 4 * (y - 1)
-            block.append(ids_of[moved])
-        else:
-            block += _walk(grid, rest[:i] + rest[i + 1:], moved, ids_of, memo)
-        row = grid[r]  # undo: take the new cell off, bump letters back up
-        x = row.pop()
-        if not row:
-            grid.pop()
-        for r in range(r - 1, -1, -1):
-            row = grid[r]
-            pos = path[r]
-            x, row[pos] = row[pos], x
-    if keep:
-        memo[code] = block
-    return block
+                v = col[pos] + 1  # the bumped letter, raised, leaves row pos + 1
+                code -= pos + 1 << 4 * (v - 1)
+                c += 1
+            table.append(ids_of[code])
+        tables.append(table)
+    return tables
 
 
-def _class_ids(job: tuple[int, tuple[int, ...], dict[int, int]]) -> array:
-    """Node id of every size-n word whose first letter is in ``firsts``, by
-    lexicographic rank; the words of one first letter are (n-1)! ranks.
-    ``ids_of`` maps each node's row code to its id."""
-    n, firsts, ids_of = job
-    letters = tuple(range(1, n + 1))
-    memo: dict[int, array] = {}
-    ids = array("H")
-    for first in firsts:
-        rest = tuple(x for x in letters if x != first)
-        ids += _walk([[first]], rest, 1 << 4 * (first - 1), ids_of, memo)
-    return ids
+def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
+    """The size-n nodes, canonically sorted, and the sorted distinct
+    a << 16 | b for a = class of u != b = class of u s_p, over every word u
+    and ascent p of u.
 
-
-# halves of a 32-bit unsigned int: (lower node) << 16 | (upper node)
-_HIGH, _LOW = (1, 0) if sys.byteorder == "little" else (0, 1)
-
-
-def _add_pairs(codes: set[int], lower: array, upper: array) -> None:
-    """Add lower[i] << 16 | upper[i] to ``codes`` for every i, without
-    making a Python object per pair that is already present."""
-    buf = bytearray(4 * len(lower))
-    halves = memoryview(buf).cast("H")
-    halves[_HIGH::2] = lower
-    halves[_LOW::2] = upper
-    codes.update(memoryview(buf).cast("I"))
-
-
-def _projected_edges(n: int, ids: array) -> list[int]:
-    """Sorted distinct a << 16 | b for a = class of u != b = class of u s_p,
-    over every word u and ascent p of u.
-
-    With Lehmer code c of u, p is an ascent iff c_p <= c_(p+1), and the
-    swap changes only those two digits, to c_(p+1)+1 and c_p.  Fixing p,
-    c_p and c_(p+1) leaves a grid of ranks: every prefix (stride (n-p)!)
-    times every suffix ((n-2-p)! consecutive ranks), all moved by the same
-    offset.  One slice per row or per column of the grid, whichever is
-    fewer, pairs them up.
+    By Schensted's theorem the class of x.w is x column-inserted into the
+    class of w (Fulton, *Young Tableaux*, appendix A), one lookup in the
+    table C_k[x] of :func:`_column_tables` once w is standardized.  So the
+    ascent swaps behind the first letter are the size k - 1 edges E mapped
+    through every C_k[x], and a swap of the first two letters x < y pairs
+    C_k[x][C_(k-1)[y-1][t]] with C_k[y][C_(k-1)[x][t]] for every size k - 2
+    node t.
     """
-    total = len(ids)
-    codes: set[int] = set()
-    for p in range(n - 1):
-        stride, digit, run = factorial(n - p), factorial(n - 1 - p), factorial(n - 2 - p)
-        for cp in range(n - 1 - p):
-            for cq in range(cp, n - 1 - p):
-                start = cp * digit + cq * run
-                shift = (cq + 1 - cp) * digit + (cp - cq) * run
-                if run * stride >= total:  # no more prefixes than suffixes
-                    for s in range(start, total, stride):
-                        _add_pairs(codes, ids[s:s + run], ids[s + shift:s + shift + run])
-                else:
-                    for s in range(start, start + run):
-                        _add_pairs(codes, ids[s::stride], ids[s + shift::stride])
-    return [code for code in sorted(codes) if code >> 16 != code & 0xFFFF]
+    nodes: tuple[Rows, ...] = ((),)
+    before: list[list[int]] = []  # the tables of the previous size
+    edges: list[int] = []
+    for k in range(1, n + 1):
+        prev = nodes
+        nodes = tuple(sorted(all_standard_tableaux(k), key=canonical_key))
+        tables = _column_tables(prev, {_row_code(t): i for i, t in enumerate(nodes)}, k)
+        codes: set[int] = set()
+        for table in tables:
+            codes.update([table[e >> 16] << 16 | table[e & 0xFFFF] for e in edges])
+        for x in range(1, k):
+            low, up = tables[x - 1], before[x - 1]
+            for y in range(x + 1, k + 1):
+                high, down = tables[y - 1], before[y - 2]
+                codes.update([low[a] << 16 | high[b] for a, b in zip(down, up)])
+        edges = [code for code in sorted(codes) if code >> 16 != code & 0xFFFF]
+        before = tables
+    return nodes, edges
 
 
 def _closure(succ: list[list[int]]) -> list[int]:
@@ -308,32 +250,21 @@ def _closure(succ: list[list[int]]) -> list[int]:
 
 
 def build_poset(n: int, jobs: int = 1) -> TableauPoset:
-    """Project every adjacent-ascent cover of words and close transitively.
+    """Lift the projected ascent swaps from size n - 1 (see
+    :func:`_lift_edges`) and close transitively.
 
-    Deterministic for any worker count: workers split the words by first
-    letter and their blocks of ranks are concatenated in order, and nodes
-    are canonically sorted up front.  At most ``min(jobs, cores, n)``
-    worker processes start.
+    Serial and deterministic: ``jobs`` is accepted for the callers that
+    pass it and has no effect, since the whole build of n = 9 takes less
+    than starting a process pool.
     """
     if not (1 <= n <= MAX_POSET_N):
         raise ValueError(f"n must be in 1..{MAX_POSET_N}")
-    nodes = tuple(sorted(all_standard_tableaux(n), key=canonical_key))
-    index = {t: i for i, t in enumerate(nodes)}
-    ids_of = {_row_code(t): i for i, t in enumerate(nodes)}
-    letters = tuple(range(1, n + 1))
-    workers = min(jobs, os.cpu_count() or 1, n)
-    if workers <= 1:
-        ids = _class_ids((n, letters, ids_of))
-    else:
-        parts = [(n, letters[n * w // workers:n * (w + 1) // workers], ids_of)
-                 for w in range(workers)]
-        ids = array("H")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_class_ids, parts):
-                ids += block
-    edges = _projected_edges(n, ids)
-    del ids
+    return _poset(n, *_lift_edges(n))
 
+
+def _poset(n: int, nodes: tuple[Rows, ...], edges: list[int]) -> TableauPoset:
+    """The poset whose order is the reflexive-transitive closure of the
+    sorted ``edges`` (a << 16 | b) on ``nodes``."""
     count = len(nodes)
     succ: list[list[int]] = [[] for _ in range(count)]
     pred: list[list[int]] = [[] for _ in range(count)]
@@ -359,7 +290,7 @@ def build_poset(n: int, jobs: int = 1) -> TableauPoset:
         covers=tuple(covers),
         reach=tuple(reach),
         below=tuple(below),
-        index=index,
+        index={t: i for i, t in enumerate(nodes)},
     )
 
 

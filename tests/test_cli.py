@@ -320,6 +320,29 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "file-parent"])
+def test_unwritable_out_path_fails_before_the_command(tmp_path, capsys, monkeypatch, where):
+    (tmp_path / "taken").write_text("")
+    target = {
+        "directory": tmp_path,
+        "missing-parent": tmp_path / "missing" / "out.txt",
+        "file-parent": tmp_path / "taken" / "out.txt",
+    }[where]
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+
+    def dispatch(args):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+    code, out, err = run(
+        capsys, "verify", "interval-isomorphism", "--n", "6", "--out", str(target)
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write --out: {opened.value}\n"
+
+
 def test_run_verification_rejects_an_out_dir_that_is_a_file(tmp_path):
     target = tmp_path / "taken"
     target.write_text("")

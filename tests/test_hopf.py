@@ -3,6 +3,8 @@ from math import comb
 import pytest
 
 import sytkit.hopf as hopf
+import sytkit.tableau as tableau
+import sytkit.weakorder as weakorder
 from sytkit.hopf import (
     interval_product,
     plactic_product,
@@ -63,6 +65,28 @@ def test_support_equals_interval_members_upto_6():
 def test_interval_product_needs_matching_poset():
     with pytest.raises(ValueError):
         interval_product(((1,),), ((1,),), cached_poset(3))
+
+
+def test_product_interval_validates_each_factor_once(monkeypatch):
+    left, right = parse_tableau("1,2/3"), parse_tableau("1/2")
+    p = cached_poset(5)
+    calls = []
+    check = tableau.check_standard
+
+    def counting(rows):
+        calls.append(rows)
+        return check(rows)
+
+    for module in (tableau, hopf, weakorder):
+        monkeypatch.setattr(module, "check_standard", counting)
+    iv = hopf.product_interval(left, right, p)
+    assert calls == [left, right]
+    assert (p.nodes[iv.bottom], p.nodes[iv.top]) == (
+        parse_tableau("1,2,4/3,5"), parse_tableau("1,2/3/4/5")
+    )
+    assert len(iv.members) == 4
+    with pytest.raises(ValueError):
+        hopf.product_interval(((2, 1), (3,)), right, p)
 
 
 def test_endpoints_belong_to_support():

@@ -1,12 +1,16 @@
-"""Poset construction against two oracles (an independently coded
-brute-force one and the original per-word construction), plus interval,
-isomorphism, and monotone-map behavior."""
+"""Poset construction against three oracles (an independently coded
+brute-force one, the original per-word construction, and the word walk
+with its edge projection), plus interval, isomorphism, and monotone-map
+behavior."""
 
-import os
+import concurrent.futures
+import concurrent.futures.process
+import functools
 from itertools import permutations
 
 import pytest
 
+import projection_oracle
 import sytkit.weakorder as weakorder
 import walk_oracle
 from interval_oracle import is_isomorphic
@@ -174,51 +178,66 @@ def _ids_of(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_walk_matches_the_walk_oracle(n):
-    letters = tuple(range(1, n + 1))
     ids_of = _ids_of(n)
-    assert weakorder._class_ids((n, letters, ids_of)) == walk_oracle.class_ids(n, ids_of)
+    assert projection_oracle.class_ids(n, ids_of) == walk_oracle.class_ids(n, ids_of)
 
 
-def test_parallel_walk_matches_the_walk_oracle(monkeypatch):
-    # the class ids the workers send back, concatenated, as the edge
-    # projection receives them
-    seen = []
-    project = weakorder._projected_edges
-
-    def recording(n, ids):
-        seen.append(ids[:])
-        return project(n, ids)
-
-    monkeypatch.setattr(weakorder, "_projected_edges", recording)
-    parallel = build_poset(8, jobs=2)
-    assert seen == [walk_oracle.class_ids(8, _ids_of(8))]
-    serial = cached_poset(8)
-    assert (parallel.reach, parallel.covers) == (serial.reach, serial.covers)
+@functools.cache
+def _walked(n):
+    return projection_oracle.lift_edges(n)
 
 
-@pytest.mark.parametrize("n, jobs", [(5, 10**6), (3, 64), (6, 2)])
-def test_jobs_are_clamped_to_cores_and_letters(monkeypatch, n, jobs):
-    asked = []
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lifted_edges_match_the_projection_oracle(n):
+    assert weakorder._lift_edges(n) == _walked(n)
 
-    class SerialPool:  # records max_workers, runs the jobs inline
-        def __init__(self, max_workers):
-            asked.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize("n", range(1, 10))
+def test_build_poset_matches_the_projection_oracle(n):
+    expected = weakorder._poset(n, *_walked(n))
+    got = cached_poset(n)
+    assert (got.nodes, got.covers, got.reach, got.below) == (
+        expected.nodes, expected.covers, expected.reach, expected.below
+    )
+    assert got.index == expected.index
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+def _size(m):
+    """The size-m nodes (m may be 0) and their ids by tableau."""
+    nodes = tuple(sorted(all_standard_tableaux(m), key=canonical_key)) if m else ((),)
+    return nodes, {t: i for i, t in enumerate(nodes)}
 
-    monkeypatch.setattr(weakorder, "ProcessPoolExecutor", SerialPool)
-    got = build_poset(n, jobs=jobs)
-    expected = min(jobs, os.cpu_count() or 1, n)
-    assert asked == ([expected] if expected > 1 else [])
-    serial = build_poset(n)
-    assert (got.reach, got.covers) == (serial.reach, serial.covers)
+
+@pytest.mark.parametrize("m", range(8))
+def test_column_tables_insert_a_first_letter(m):
+    # Schensted: P(x.w) is x column-inserted into P(w), for every word w of
+    # m letters and every first letter x, with w's letters >= x raised
+    nodes, index = _size(m)
+    _, bigger = _size(m + 1)
+    tables = weakorder._column_tables(
+        nodes, {weakorder._row_code(t): i for t, i in bigger.items()}, m + 1
+    )
+    assert len(tables) == m + 1 and all(len(table) == len(nodes) for table in tables)
+    for w in permutations(range(1, m + 1)):
+        t = index[insertion_tableau(w)]
+        for x in range(1, m + 2):
+            xw = (x,) + tuple(a + (a >= x) for a in w)
+            assert tables[x - 1][t] == bigger[insertion_tableau(xw)]
+
+
+@pytest.mark.parametrize("jobs", [2, 64, 10**6])
+def test_jobs_start_no_process_pool(monkeypatch, jobs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_poset started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(weakorder, "ProcessPoolExecutor", refuse, raising=False)
+    got = build_poset(7, jobs=jobs)
+    serial = build_poset(7)
+    assert (got.nodes, got.covers, got.reach, got.below) == (
+        serial.nodes, serial.covers, serial.reach, serial.below
+    )
 
 
 def test_closure_makes_a_cycle_mutual():

@@ -1,10 +1,10 @@
-"""The word walk of ``weakorder.build_poset`` as it stood before the last
-letter was placed read-only: a slow oracle for ``weakorder._walk``.
+"""The word walk of ``projection_oracle`` as it stood before the last
+letter was placed read-only: a slow oracle for ``projection_oracle._walk``.
 
 It row-inserts every letter for real, down to words of no letters left,
 and undoes each insertion on the way back.  The body is copied here as
 written, so that differential tests compare the walk with an independent
-copy rather than with itself; ``class_ids`` is ``weakorder._class_ids``
+copy rather than with itself; ``class_ids`` is ``projection_oracle.class_ids``
 over this walk.
 """
 
