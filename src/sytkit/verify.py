@@ -13,16 +13,17 @@ row of 2, ..., the row of n).  Tableaux with the same inner tableau on
 1..k share a prefix of that sequence, so for every k each group is one
 contiguous run of positions, and a relabeling, which keeps the rows of the
 letters above k, maps the x-th member of a run to the x-th member of the
-moved run.  The covers are closed again in that numbering, and each
-group's relations are read with one shift per member.  What the sweep
-relies on is checked, not assumed: the renumbered closure must have the
-size of ``reach`` at every node, the moved inner tableau must keep the
-shape and its run the same suffixes, or ``InvariantError`` is raised.
-The sweep thus needs the covers to close to ``reach``.  In an order with
-a cycle no relation into or out of the cycle is a cover, nor any inside a
-cycle of three or more nodes, so unless every cycle is an isolated pair
-of nodes such an order raises ``InvariantError`` here;
-``verify_antisymmetry`` is the check that reports cycles as violations.
+moved run.  The covers are closed again in that numbering, in one pass,
+and each group's relations are read with one shift per member.  What the
+sweep relies on is checked, not assumed: every cover must go up in the
+row-sequence numbering, the renumbered closure must have the size of
+``reach`` at every node, the moved inner tableau must keep the shape and
+its run the same suffixes, or ``InvariantError`` is raised.  So an order
+with a cycle raises here: no relation into or out of a cycle is a cover,
+nor any inside a cycle of three or more nodes, so those relations are not
+closed again, and a two-node cycle has covers both ways, one of which
+goes down.  ``verify_antisymmetry`` is the check that reports cycles as
+violations.
 
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
@@ -80,7 +81,6 @@ from .weakorder import (
     MAX_POSET_N,
     TableauPoset,
     _bits,
-    _closure,
     _unpreserved,
     cached_poset,
     canonical_key,
@@ -151,10 +151,11 @@ def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
 
 class _SweepLayout:
     """What every translation sweep of one poset shares, made on its first
-    sweep: the row-sequence numbering, checked to close the covers to
-    ``reach``; per k, the runs in canonical order of their inner tableaux,
-    each with its shape and its dual Knuth moves, every move checked to be
-    onto its image run; and each run's cover rows, made on first use.
+    sweep: the row-sequence numbering, checked to number every cover
+    upwards and to close the covers to ``reach``; per k, the runs in
+    canonical order of their inner tableaux, each with its shape and its
+    dual Knuth moves, every move checked to be onto its image run; and each
+    run's cover rows, made on first use.
 
     Every run lies inside one run at k = 3, so only each position's strict
     up-set inside that run is kept (``ups``, bits of offsets from the
@@ -169,13 +170,24 @@ class _SweepLayout:
             position[a] = x
         succ: list[list[int]] = [[] for _ in nodes]
         for a, b in p.covers:
-            if not p.reach[a] >> b & 1:
+            problem = (
+                "is not in it" if not p.reach[a] >> b & 1
+                else "goes down in the row-sequence numbering" if position[a] > position[b]
+                else None
+            )
+            if problem:
                 raise InvariantError(
                     f"closure of the covers disagrees with reach: cover "
-                    f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} is not in it"
+                    f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} {problem}"
                 )
             succ[position[a]].append(position[b])
-        reach = _closure(succ)
+        # every cover goes up, so each position's successors are closed first
+        reach = [0] * len(nodes)
+        for x in range(len(nodes) - 1, -1, -1):
+            row = 1 << x
+            for y in succ[x]:
+                row |= reach[y]
+            reach[x] = row
         # every cover lies in the transitively closed reach, so their closure
         # does too, and equal sizes make the rows equal
         for a, row in enumerate(p.reach):

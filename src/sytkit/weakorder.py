@@ -7,20 +7,25 @@ projected to their classes (node ids).  No word is walked: by Schensted's
 theorem the class of x.w is x column-inserted into the class of w, so one
 table per size k and first letter x maps the size k - 1 classes to size k,
 and the size-n edges are lifted from size n - 1 through those tables, plus
-the swaps of the first two letters.  Reachability is their
-reflexive-transitive closure, stored per node as an integer bitmask and
-computed over strongly connected components in topological order (Purdom
-1970), and the cover relation is recovered by transitive reduction.  A
-cycle among the projected edges would make its members reach each other,
-so antisymmetry of the closure stays a checked fact (see sytkit.verify),
-not an assumption.
+the swaps of the first two letters.  Each size is lifted once per process
+and kept for the larger ones.
+
+Every projected edge a -> b goes down in the id order (a > b), which is
+checked on every edge: the id order is then a linear extension, so the
+order has no cycle and antisymmetry is a fact checked during the build.
+Reachability, stored per node as an integer bitmask, and the cover
+relation come out of one pass in increasing id order, the transitive
+reduction of a graph numbered by a linear extension (Aho, Garey and
+Ullman 1972); the down-sets come out of the mirror pass.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from .permutation import InvariantError
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -54,6 +59,10 @@ class TableauPoset:
     translation sweep's layout, see sytkit.verify); two threads making the
     same entry at once store equal values.  It is not an init field, so a
     poset made by ``dataclasses.replace`` starts with an empty one.
+
+    The lifted sizes that :func:`build_poset` keeps for later builds
+    (``_LIFTED``) are as safe: two threads lifting the same size store
+    equal values for it, and no entry is ever mutated.
     """
 
     n: int
@@ -156,6 +165,11 @@ def _column_tables(prev: tuple[Rows, ...], ids_of: dict[int, int], k: int) -> li
     return tables
 
 
+# size k -> (nodes, tables, edges) as :func:`_lift_edges` leaves them for
+# size k: arrays, since the small sizes stay for the rest of the process
+_LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], array]] = {}
+
+
 def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
     """The size-n nodes, canonically sorted, and the sorted distinct
     a << 16 | b for a = class of u != b = class of u s_p, over every word u
@@ -167,12 +181,15 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
     ascent swaps behind the first letter are the size k - 1 edges E mapped
     through every C_k[x], and a swap of the first two letters x < y pairs
     C_k[x][C_(k-1)[y-1][t]] with C_k[y][C_(k-1)[x][t]] for every size k - 2
-    node t.
+    node t.  The lift starts from the largest size already lifted.
     """
-    nodes: tuple[Rows, ...] = ((),)
-    before: list[list[int]] = []  # the tables of the previous size
-    edges: list[int] = []
-    for k in range(1, n + 1):
+    top = n
+    while top and top not in _LIFTED:
+        top -= 1
+    nodes, before, edges = _LIFTED[top] if top else (((),), [], [])
+    before = [list(table) for table in before]
+    edges = list(edges)
+    for k in range(top + 1, n + 1):
         prev = nodes
         nodes = tuple(sorted(all_standard_tableaux(k), key=canonical_key))
         tables = _column_tables(prev, {_row_code(t): i for i, t in enumerate(nodes)}, k)
@@ -186,72 +203,14 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
                 codes.update([low[a] << 16 | high[b] for a, b in zip(down, up)])
         edges = [code for code in sorted(codes) if code >> 16 != code & 0xFFFF]
         before = tables
+        _LIFTED[k] = (nodes, [array("H", table) for table in tables], array("I", edges))
     return nodes, edges
-
-
-def _closure(succ: list[list[int]]) -> list[int]:
-    """Reflexive-transitive closure as bitmasks: bit b of row a iff b is
-    reachable from a.
-
-    Tarjan's iterative strongly-connected-component pass emits components
-    sinks first; each component's row is its members' bits OR the rows of
-    its successors, all of which are final by then (Purdom 1970).  A
-    component with several members makes them reach each other.
-    """
-    count = len(succ)
-    reach = [0] * count
-    order = [-1] * count  # discovery index
-    low = [0] * count
-    on_stack = [False] * count
-    stack: list[int] = []
-    seen = 0
-    for root in range(count):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = seen
-        seen += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if order[w] < 0:
-                    order[w] = low[w] = seen
-                    seen += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == order[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                row = 0
-                for w in members:
-                    row |= 1 << w
-                for w in members:
-                    for x in succ[w]:
-                        row |= reach[x]  # 0 for x inside this component
-                for w in members:
-                    reach[w] = row
-    return reach
 
 
 def build_poset(n: int, jobs: int = 1) -> TableauPoset:
     """Lift the projected ascent swaps from size n - 1 (see
-    :func:`_lift_edges`) and close transitively.
+    :func:`_lift_edges`), then close and reduce them in one pass over the
+    id order (see :func:`_poset`).
 
     Serial and deterministic: ``jobs`` is accepted for the callers that
     pass it and has no effect, since the whole build of n = 9 takes less
@@ -264,25 +223,44 @@ def build_poset(n: int, jobs: int = 1) -> TableauPoset:
 
 def _poset(n: int, nodes: tuple[Rows, ...], edges: list[int]) -> TableauPoset:
     """The poset whose order is the reflexive-transitive closure of the
-    sorted ``edges`` (a << 16 | b) on ``nodes``."""
+    sorted ``edges`` (a << 16 | b) on ``nodes``.
+
+    An edge with a < b raises ``InvariantError``: every edge must go down
+    in the id order.  Then node a's successors all have smaller ids, and
+    their rows are final when a's row is made.  Visited from the highest
+    id down, a successor reached through another one is visited after it,
+    so it is a bit of the row by then; every other successor is a cover.
+    """
     count = len(nodes)
     succ: list[list[int]] = [[] for _ in range(count)]
     pred: list[list[int]] = [[] for _ in range(count)]
     for code in edges:
-        a, b = divmod(code, 1 << 16)
+        a, b = code >> 16, code & 0xFFFF
+        if a < b:
+            raise InvariantError(
+                f"projected edge {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
+                f"goes up in the id order"
+            )
         succ[a].append(b)
         pred[b].append(a)
-    reach = _closure(succ)
-    below = _closure(pred)  # the closure of the reversed edges is the transpose
 
-    # every cover is among the projected edges, so testing those for a
-    # bypass is a full transitive reduction
+    reach: list[int] = []
     covers = []
-    for code in edges:
-        a, b = divmod(code, 1 << 16)
-        gap = reach[a] & below[b] & ~((1 << a) | (1 << b))
-        if gap == 0:
-            covers.append((a, b))
+    for a, down in enumerate(succ):
+        row = 1 << a
+        kept = []
+        for b in reversed(down):
+            if not row >> b & 1:
+                kept.append(b)
+                row |= reach[b]
+        reach.append(row)
+        covers += [(a, b) for b in reversed(kept)]
+    below = [0] * count
+    for b in range(count - 1, -1, -1):
+        row = 1 << b
+        for a in pred[b]:
+            row |= below[a]
+        below[b] = row
 
     return TableauPoset(
         n=n,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from closure_oracle import closure
 import restriction_oracle
 import sytkit.tableau as tableau
 import sytkit.verify as verify
@@ -36,7 +37,7 @@ from sytkit.verify import (
     verify_special_cases,
     verify_structural,
 )
-from sytkit.weakorder import _bits, _closure, cached_poset, induced_covers, leq
+from sytkit.weakorder import _bits, cached_poset, induced_covers, leq
 
 
 # --- headline sweep ------------------------------------------------------------
@@ -110,7 +111,7 @@ def _relations(p, nodes, kept):
     for a, b in kept:
         succ[a].append(b)
         pred[b].append(a)
-    reach, below = _closure(succ), _closure(pred)
+    reach, below = closure(succ), closure(pred)
     covers = tuple(
         (a, b)
         for a in range(len(nodes))
@@ -159,9 +160,9 @@ def test_local_covers_match_the_gap_test():
             for j in range(i + 1, size):
                 if rng.random() < 0.3:
                     succ[label[i]].append(label[j])
-        reach = _closure(succ)
-        below = _closure([[a for a in range(size) if reach[a] >> b & 1]
-                          for b in range(size)])
+        reach = closure(succ)
+        below = closure([[a for a in range(size) if reach[a] >> b & 1]
+                         for b in range(size)])
         ups = [reach[a] & ~(1 << a) for a in range(size)]
         want = [
             sum(1 << b for b in _bits(ups[a])
@@ -181,6 +182,17 @@ def test_sweep_rejects_an_order_with_a_cycle():
     for mode in ("cover", "order"):
         with pytest.raises(InvariantError, match="closure of the covers disagrees"):
             verify._translation_sweep(cyclic, mode, None)
+
+
+def test_sweep_rejects_a_cover_that_goes_down():
+    # the two-node cycle has covers both ways, and one of them goes down
+    # in the row-sequence numbering
+    p = cached_poset(4)
+    a, b = p.covers[0]
+    cyclic = _relations(p, p.nodes, list(p.covers) + [(b, a)])
+    assert (a, b) in cyclic.covers and (b, a) in cyclic.covers
+    with pytest.raises(InvariantError, match="goes down in the row-sequence numbering"):
+        verify._translation_sweep(cyclic, "order", None)
 
 
 def test_sweep_rejects_covers_that_do_not_close_to_reach():

@@ -14,8 +14,9 @@ import projection_oracle
 import sytkit.weakorder as weakorder
 import walk_oracle
 from interval_oracle import is_isomorphic
+from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import inversions_left
+from sytkit.permutation import InvariantError, inversions_left
 from sytkit.tableau import (
     all_standard_tableaux,
     beside,
@@ -240,11 +241,64 @@ def test_jobs_start_no_process_pool(monkeypatch, jobs):
     )
 
 
-def test_closure_makes_a_cycle_mutual():
-    # a projected cycle is not assumed away: its members reach each other,
-    # which verify_antisymmetry would report
-    reach = weakorder._closure([[1], [2], [0, 3], []])
-    assert reach == [0b1111, 0b1111, 0b1111, 0b1000]
+def _cyclic_lift(n):
+    """The size-n nodes and lifted edges with the reverse of one edge
+    added, which makes a two-node cycle, and that edge's ends."""
+    nodes, edges = weakorder._lift_edges(n)
+    a, b = edges[len(edges) // 2] >> 16, edges[len(edges) // 2] & 0xFFFF
+    return nodes, sorted(edges + [b << 16 | a]), (nodes[b], nodes[a])
+
+
+def test_an_edge_that_goes_up_is_an_invariant_error():
+    # antisymmetry is checked during the build: the id order must be a
+    # linear extension, so a cycle among the edges cannot be closed
+    nodes, edges, (lower, upper) = _cyclic_lift(5)
+    with pytest.raises(InvariantError) as raised:
+        weakorder._poset(5, nodes, edges)
+    assert str(raised.value) == (
+        f"projected edge {format_tableau(lower)} < {format_tableau(upper)} "
+        "goes up in the id order"
+    )
+
+
+def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch):
+    nodes, edges, _ = _cyclic_lift(5)
+    monkeypatch.setattr(weakorder, "_lift_edges", lambda n: (nodes, edges))
+    monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
+    code = main(["poset", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: projected edge ")
+
+
+def test_each_size_is_lifted_once(monkeypatch):
+    sizes = []
+
+    def counted(prev, ids_of, k):
+        sizes.append(k)
+        return column_tables(prev, ids_of, k)
+
+    column_tables = weakorder._column_tables
+    monkeypatch.setattr(weakorder, "_column_tables", counted)
+    monkeypatch.setattr(weakorder, "_LIFTED", {})
+    for n in range(2, 10):
+        build_poset(n)
+    assert sizes == list(range(1, 10))
+
+
+def _fields(p):
+    return p.nodes, p.covers, p.reach, p.below, p.index
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_build_poset_does_not_depend_on_the_sizes_lifted_before(monkeypatch, n):
+    monkeypatch.setattr(weakorder, "_LIFTED", {})
+    cold = _fields(build_poset(n))
+    for first in (n + 1, n - 3):
+        monkeypatch.setattr(weakorder, "_LIFTED", {})
+        build_poset(first)
+        assert _fields(build_poset(n)) == cold
 
 
 def test_closure_is_needed_at_n5():
