@@ -6,8 +6,10 @@ moves, inner-tableau relabeling, and the row/column concatenations that
 bound shuffle products.  Public functions validate their input; the
 underscored kernels trust theirs and serve sweeps over known-standard
 tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
-alike, runs in the one kernel ``_slide``.  A dual Knuth move exchanges two
-entries in place (``_dual_moves``); the row-word route is a test oracle.
+alike, runs in the one kernel ``_slide``, and every reverse row insertion,
+behind ``reverse_insert`` and ``knuthclass.knuth_class``, in
+``_reverse_bump``.  A dual Knuth move exchanges two entries in place
+(``_dual_moves``); the row-word route is a test oracle.
 
 A tableau is a tuple of strictly increasing rows holding 1..n.  Cells are
 addressed 1-based as (row, col), rows counted from the top, columns from
@@ -289,16 +291,26 @@ def reverse_insert(rows: Rows, corner: Cell) -> tuple[Rows, int]:
     """
     if corner not in corners(rows):
         raise ValueError(f"{corner} is not a removable cell of {shape_of(rows)}")
-    r, _ = corner
-    grid = [list(row) for row in rows]
-    x = grid[r - 1].pop()
-    if not grid[r - 1]:
-        grid.pop()
-    for above in range(r - 2, -1, -1):
-        row = grid[above]
+    return _reverse_bump(tuple(map(tuple, rows)), corner[0])
+
+
+def _reverse_bump(rows: Rows, r: int) -> tuple[Rows, int]:
+    """Reverse-bump the last entry of row r (1-based), which must end at a
+    corner; the rows below r are shared with the input, not copied."""
+    i = r - 1
+    row = rows[i]
+    x = row[-1]
+    out = list(rows)
+    if len(row) == 1:
+        out.pop()  # a one-cell corner row is the last row
+    else:
+        out[i] = row[:-1]
+    for above in range(i - 1, -1, -1):
+        row = rows[above]
         pos = bisect_left(row, x) - 1  # rightmost entry below x
-        row[pos], x = x, row[pos]
-    return tuple(map(tuple, grid)), x
+        out[above] = row[:pos] + (x,) + row[pos + 1:]
+        x = row[pos]
+    return tuple(out), x
 
 
 def row_word(rows: Rows) -> Word:

@@ -1,0 +1,88 @@
+"""``knuthclass.knuth_class`` (reverse bumping) against the Knuth-move walk
+in ``class_oracle``: the classes, the hook-eta report built on them and the
+``sytkit class`` output must agree exactly."""
+
+import json
+
+import pytest
+
+import class_oracle as oracle
+import sytkit.cli as cli
+from sytkit import verify
+from sytkit.cli import EXIT_OK, main
+from sytkit.knuthclass import KnuthClass, knuth_class
+from sytkit.tableau import (
+    all_standard_tableaux,
+    format_tableau,
+    is_hook,
+    partitions,
+    standard_tableaux,
+)
+
+
+def oracle_class(rows):
+    return KnuthClass(rows, oracle.class_words(rows))
+
+
+def hook_eta_tableaux(k):
+    """The tableaux whose classes ``verify_hook_eta(k)`` reads: hooks with
+    at least three rows and columns whose corners hold k and k - 1."""
+    return [
+        tab
+        for shape in partitions(k)
+        if is_hook(shape) and len(shape) >= 3 and shape[0] >= 3
+        for tab in standard_tableaux(shape)
+        if {tab[0][-1], tab[-1][0]} == {k, k - 1}
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_class_matches_the_oracle(n):
+    for tab in all_standard_tableaux(n):
+        assert knuth_class(tab).words == oracle.class_words(tab), format_tableau(tab)
+
+
+def test_hook_eta_classes_match_the_oracle_k9():
+    tabs = hook_eta_tableaux(9)
+    assert len(tabs) == 124
+    for tab in tabs:
+        assert knuth_class(tab).words == oracle.class_words(tab), format_tableau(tab)
+
+
+def _counts(report):
+    return report.checked, report.skipped, report.violations
+
+
+@pytest.mark.parametrize("k", range(5, 10))
+def test_hook_eta_report_is_the_same_on_oracle_classes(monkeypatch, k):
+    fast = verify.verify_hook_eta(k)
+    monkeypatch.setattr(verify, "knuth_class", oracle_class)
+    assert _counts(fast) == _counts(verify.verify_hook_eta(k))
+
+
+def test_hook_eta_violations_are_the_same_on_oracle_classes(monkeypatch):
+    # with prefixes "inserted" to themselves every group of two or more
+    # words is a violation, so the listed words of each are compared too
+    monkeypatch.setattr(verify, "insertion_tableau", lambda word: word)
+    fast = verify.verify_hook_eta(6)
+    assert fast.violations
+    assert all(v["words"] == sorted(v["words"]) for v in fast.violations)
+    monkeypatch.setattr(verify, "knuth_class", oracle_class)
+    assert _counts(fast) == _counts(verify.verify_hook_eta(6))
+
+
+def _class_outputs(capsys, tab):
+    out = []
+    for fmt in ("text", "json"):
+        code = main(["class", format_tableau(tab), "--format", fmt])
+        assert code == EXIT_OK
+        out.append(capsys.readouterr().out)
+    return out
+
+
+def test_class_command_output_is_the_same_on_oracle_classes(capsys, monkeypatch):
+    tabs = [tab for n in range(1, 7) for tab in all_standard_tableaux(n)]
+    fast = [_class_outputs(capsys, tab) for tab in tabs]
+    monkeypatch.setattr(cli, "knuth_class", oracle_class)
+    assert fast == [_class_outputs(capsys, tab) for tab in tabs]
+    assert json.loads(fast[-1][1])["tableau"] == format_tableau(tabs[-1])

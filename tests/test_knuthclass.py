@@ -1,10 +1,20 @@
 from collections import defaultdict
 
+import pytest
 from hypothesis import given
 
+import class_oracle
+import sytkit.knuthclass as knuthclass
 from conftest import tableaux
+from sytkit.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import all_words, descents_left, format_word, inversions_left
+from sytkit.permutation import (
+    InvariantError,
+    all_words,
+    descents_left,
+    format_word,
+    inversions_left,
+)
 from sytkit.tableau import (
     all_standard_tableaux,
     descent_set,
@@ -70,3 +80,40 @@ def test_known_inversion_stays_in_one_class_not_the_other():
     upper = parse_tableau("1,4/2,5/3")
     assert all((2, 4) in inversions_left(w) for w in knuth_class(lower).words)
     assert all((2, 4) not in inversions_left(w) for w in knuth_class(upper).words)
+
+
+def test_more_than_ten_cells_is_refused_before_any_word(capsys, monkeypatch):
+    def listing(rows, memo):
+        raise AssertionError("class words listed for an oversized tableau")
+
+    monkeypatch.setattr(knuthclass, "_class_words", listing)
+    eleven = "1,2,3,4,5,6/7,8,9,10,11"
+    with pytest.raises(ValueError, match="tableau size 11 exceeds the supported maximum 10"):
+        knuth_class(parse_tableau(eleven))
+    assert main(["class", eleven]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the supported maximum 10" in captured.err
+
+
+def test_ten_cells_are_accepted():
+    tab = parse_tableau("1,2,3,4,5/6,7,8,9,10")
+    cls = knuth_class(tab)
+    assert len(cls) == 42
+    assert cls.words == class_oracle.class_words(tab)
+
+
+def test_a_repeated_word_is_an_invariant_error(capsys, monkeypatch):
+    real = knuthclass._reverse_bump
+
+    def wrong_exit(rows, r):
+        return real(rows, r)[0], 1
+
+    monkeypatch.setattr(knuthclass, "_reverse_bump", wrong_exit)
+    text = "1,2,3/4,5/6"
+    with pytest.raises(InvariantError, match="repeated a word of class 1,2,3/4,5/6"):
+        knuth_class(parse_tableau(text))
+    assert main(["class", text]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: reverse bumping repeated")
