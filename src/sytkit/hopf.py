@@ -4,8 +4,14 @@ The product of two classes is computed literally: every word of the first
 class is shuffled with every (shifted) word of the second, and the
 resulting words are regrouped by insertion tableau.  The regrouping must
 decompose into whole classes, each exactly once; that fact is asserted, not
-assumed.  The same support is also available as an order interval between
-the row-wise and column-wise concatenations of the two tableaux.
+assumed.  Each factor class is listed once, and each term's group is
+checked against the hook-length count of its shape rather than against its
+listed class: a group of words that all insert to T is a subset of the
+class of T, so it is the whole class exactly when it has as many words.
+The literal form, with every term's class listed, is the test oracle
+``tests/product_oracle.py``.  The same support is also available as an
+order interval between the row-wise and column-wise concatenations of the
+two tableaux.
 
 For fixed shapes, the intervals of all (left, right) choices are
 isomorphic.  The check writes the isomorphism down instead of searching for
@@ -25,6 +31,7 @@ from .tableau import (
     Rows,
     _beside,
     _evacuate,
+    _hook_count,
     _inner_rows,
     _over,
     _relabel_inner,
@@ -32,6 +39,7 @@ from .tableau import (
     format_tableau,
     insertion_tableau,
     partitions,
+    shape_of,
     size_of,
     standard_tableaux,
 )
@@ -65,7 +73,13 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     """Shuffle every pair of class words and regroup by insertion tableau.
 
     Raises if the shuffle words fail to decompose into whole classes; they
-    never do, and the interval description below relies on that.
+    never do, and the interval description below relies on that.  Each
+    factor class is listed once.  A term's group is checked by a count,
+    which is the same check as comparing it with the term's class: every
+    word in the group of T was row-inserted to T, so the group is a subset
+    of class(T), and class(T) has exactly f^shape(T) words, one per
+    standard recording tableau (RSK).  A subset of that size is the whole
+    class.
     """
     left = check_standard(left)
     right = check_standard(right)
@@ -74,11 +88,12 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
         raise ValueError(
             f"product size {k + size_of(right)} exceeds {MAX_PRODUCT_SIZE}"
         )
+    rights = [shifted(w, k) for w in knuth_class(right).words]
     grouped: dict[Rows, set[Word]] = {}
     total = 0
-    for u in sorted(knuth_class(left).words):
-        for w in sorted(knuth_class(right).words):
-            for word in interleavings(u, shifted(w, k)):
+    for u in knuth_class(left).words:
+        for w in rights:
+            for word in interleavings(u, w):
                 total += 1
                 grouped.setdefault(insertion_tableau(word), set()).add(word)
     # distinct (u, w) pairs give distinct shuffle words (the sub-alphabets
@@ -87,9 +102,7 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
         raise InvariantError("shuffle words unexpectedly repeated")
     terms: dict[Rows, int] = {}
     for tab in sorted(grouped, key=canonical_key):
-        words = grouped[tab]
-        cls = knuth_class(tab).words
-        if words != cls:
+        if len(grouped[tab]) != _hook_count(shape_of(tab)):
             raise InvariantError(
                 f"shuffle words cover class {format_tableau(tab)} only partially"
             )

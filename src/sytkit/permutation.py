@@ -7,8 +7,10 @@ Everything in this module is a pure function of immutable values.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as _lex_permutations
+from operator import itemgetter
 from typing import Iterator
 
 Word = tuple[int, ...]
@@ -183,22 +185,29 @@ def shifted(w: Word, k: int) -> Word:
 
 
 def interleavings(a: Word, b: Word) -> list[Word]:
-    """All riffles of two words, each keeping its own letter order."""
-    n = len(a) + len(b)
-    out = []
-    for spots in combinations(range(n), len(a)):
-        spot_set = set(spots)
-        word = []
-        ai = bi = 0
-        for p in range(n):
-            if p in spot_set:
-                word.append(a[ai])
-                ai += 1
-            else:
-                word.append(b[bi])
-                bi += 1
-        out.append(tuple(word))
-    return out
+    """All riffles of two words, each keeping its own letter order.
+
+    The riffles come in the order of the places of ``a`` as
+    ``combinations(range(len(a) + len(b)), len(a))`` lists them; each is
+    one lookup of a cached index table into the concatenation ``a + b``.
+    """
+    ab = (*a, *b)
+    if len(ab) <= 1:  # one riffle; a one-index itemgetter gives no tuple
+        return [ab]
+    return [pick(ab) for pick in _riffles(len(a), len(ab))]
+
+
+@lru_cache(maxsize=None)
+def _riffles(k: int, n: int) -> tuple[itemgetter, ...]:
+    """One picker per riffle of a k-letter word into n >= 2 places: it maps
+    the concatenation of the two words to the riffle.  Built on first use."""
+    pickers = []
+    for spots in combinations(range(n), k):
+        index = list(range(k, n))  # the second word's letters, in order
+        for ai, p in enumerate(spots):
+            index.insert(p, ai)
+        pickers.append(itemgetter(*index))
+    return tuple(pickers)
 
 
 def shuffle(u: Word, w: Word) -> list[Word]:

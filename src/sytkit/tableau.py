@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .permutation import (
     InvariantError,
@@ -125,13 +126,37 @@ def size_of(rows: Rows) -> int:
 
 
 def check_standard(rows) -> Rows:
+    t = _check_rows(rows)
+    n = size_of(t)
+    if sorted(x for row in t for x in row) != list(range(1, n + 1)):
+        raise ValueError(f"entries must be exactly 1..{n}")
+    _check_increasing(t)
+    return t
+
+
+def check_tableau(rows) -> Rows:
+    """Validate a tableau on any letters: distinct positive integers,
+    strictly increasing along rows and down columns."""
+    t = _check_rows(rows)
+    entries = [x for row in t for x in row]
+    if min(entries) < 1:
+        raise ValueError("entries must be positive")
+    if len(set(entries)) != len(entries):
+        raise ValueError("entries must be distinct")
+    _check_increasing(t)
+    return t
+
+
+def _check_rows(rows) -> Rows:
+    """Integer rows, none empty, whose lengths form a partition."""
     t = tuple(tuple(int(x) for x in row) for row in rows)
     if not t or any(not row for row in t):
         raise ValueError("tableau must have nonempty rows")
     check_partition(shape_of(t))
-    n = size_of(t)
-    if sorted(x for row in t for x in row) != list(range(1, n + 1)):
-        raise ValueError(f"entries must be exactly 1..{n}")
+    return t
+
+
+def _check_increasing(t: Rows) -> None:
     for row in t:
         if any(a >= b for a, b in zip(row, row[1:])):
             raise ValueError(f"row not increasing: {row}")
@@ -139,7 +164,6 @@ def check_standard(rows) -> Rows:
         for c in range(len(t[r + 1])):
             if t[r][c] >= t[r + 1][c]:
                 raise ValueError(f"column {c + 1} not increasing")
-    return t
 
 
 def corners(rows: Rows) -> list[Cell]:
@@ -166,6 +190,19 @@ def _standard_tableaux(shape: Shape) -> tuple[Rows, ...]:
                 grid.append((n,))
             out.append(tuple(grid))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _hook_count(shape: Shape) -> int:
+    """Number of standard tableaux of a partition shape, f^shape, by the
+    hook-length formula (Frame, Robinson and Thrall 1954): n! over the
+    product of the hook lengths.  No tableau is listed."""
+    hooks = 1
+    for r, length in enumerate(shape):
+        for c in range(length):
+            below = sum(1 for rest in shape[r + 1:] if rest > c)
+            hooks *= length - c + below
+    return factorial(sum(shape)) // hooks
 
 
 def standard_tableaux(shape) -> tuple[Rows, ...]:
@@ -287,11 +324,14 @@ def reverse_insert(rows: Rows, corner: Cell) -> tuple[Rows, int]:
     """Reverse row insertion through a removable cell.
 
     Returns the shrunken tableau and the letter that exits at the top; row
-    inserting that letter back reproduces the input.
+    inserting that letter back reproduces the input.  The tableau may hold
+    any distinct positive letters (:func:`check_tableau`), such as an
+    earlier result.
     """
+    rows = check_tableau(rows)
     if corner not in corners(rows):
         raise ValueError(f"{corner} is not a removable cell of {shape_of(rows)}")
-    return _reverse_bump(tuple(map(tuple, rows)), corner[0])
+    return _reverse_bump(rows, corner[0])
 
 
 def _reverse_bump(rows: Rows, r: int) -> tuple[Rows, int]:

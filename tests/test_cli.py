@@ -12,7 +12,7 @@ from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.permutation import InvariantError
 from sytkit.weakorder import cached_poset, check_monotone_descent, check_monotone_shape
-from test_hopf import partial_classes
+from test_hopf import partial_classes, repeated_interleavings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -63,6 +63,23 @@ def test_broken_invariant_is_not_a_usage_error(capsys, monkeypatch):
 
 def test_product_broken_invariant_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli.hopf, "knuth_class", partial_classes)
+    code, out, err = run(capsys, "product", "1,2,4/3,5", "1/2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: shuffle words cover class")
+
+
+def test_product_repeated_word_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.hopf, "interleavings", repeated_interleavings)
+    code, out, err = run(capsys, "product", "1,2/3", "1/2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: shuffle words unexpectedly repeated\n"
+
+
+def test_product_term_short_of_its_hook_count_exits_3(capsys, monkeypatch):
+    count = cli.hopf._hook_count
+    monkeypatch.setattr(cli.hopf, "_hook_count", lambda shape: count(shape) + 1)
     code, out, err = run(capsys, "product", "1,2/3", "1/2")
     assert code == EXIT_INTERNAL
     assert out == ""

@@ -160,7 +160,9 @@ def test_interval_isomorphism_guards():
 
 
 def partial_classes(rows):
-    """Knuth classes of size-5 tableaux with their smallest word missing."""
+    """Knuth classes of tableaux with at least five cells, with their
+    smallest word missing: a product with such a factor leaves some term's
+    group of shuffle words one or more words short."""
     cls = knuth_class(rows)
     if size_of(rows) < 5:
         return cls
@@ -185,5 +187,14 @@ def test_product_broken_invariant_is_not_a_value_error(
 ):
     monkeypatch.setattr(hopf, name, fake)
     with pytest.raises(InvariantError, match=message) as info:
+        plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1/2"))
+    assert not isinstance(info.value, ValueError)
+
+
+def test_product_term_short_of_its_hook_count_is_an_invariant_error(monkeypatch):
+    count = hopf._hook_count
+    monkeypatch.setattr(hopf, "_hook_count", lambda shape: count(shape) + 1)
+    with pytest.raises(InvariantError, match="only partially") as info:
         plactic_product(parse_tableau("1,2/3"), parse_tableau("1/2"))
     assert not isinstance(info.value, ValueError)
+    assert str(info.value).startswith("shuffle words cover class")

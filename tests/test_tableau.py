@@ -185,6 +185,30 @@ def test_reverse_insert_rejects_non_corner():
         reverse_insert(parse_tableau("1,3/2,4/5"), (1, 1))
 
 
+def test_reverse_insert_rejects_a_decreasing_row():
+    with pytest.raises(ValueError, match="row not increasing"):
+        reverse_insert(((3, 1), (2,)), (2, 1))
+
+
+def test_reverse_insert_rejects_a_decreasing_column():
+    with pytest.raises(ValueError, match="column 2 not increasing"):
+        reverse_insert(((1, 5), (3, 4)), (2, 2))
+
+
+def test_reverse_insert_rejects_repeated_and_nonpositive_letters():
+    with pytest.raises(ValueError, match="distinct"):
+        reverse_insert(((1, 2), (2,)), (2, 1))
+    with pytest.raises(ValueError, match="positive"):
+        reverse_insert(((0, 2), (3,)), (2, 1))
+
+
+def test_reverse_insert_on_other_letters():
+    tab = ((2, 5), (7,))
+    assert reverse_insert(tab, (2, 1)) == (((2, 7),), 5)
+    assert reverse_insert(tab, (1, 2)) == (((2,), (7,)), 5)
+    assert insertion_tableau((2, 7, 5)) == tab
+
+
 def test_reverse_insert_then_insert_is_identity_n5():
     for tab in all_standard_tableaux(5):
         for corner in corners(tab):
