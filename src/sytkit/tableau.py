@@ -9,7 +9,9 @@ tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
 alike, runs in the one kernel ``_slide``, and every reverse row insertion,
 behind ``reverse_insert`` and ``knuthclass.knuth_class``, in
 ``_reverse_bump``.  A dual Knuth move exchanges two entries in place
-(``_dual_moves``); the row-word route is a test oracle.
+(``_dual_moves``); the row-word route is a test oracle.  A skew tableau
+is built from its rows alone; its outer and inner shapes are read off
+them, so they cannot disagree with the rows.
 
 A tableau is a tuple of strictly increasing rows holding 1..n.  Cells are
 addressed 1-based as (row, col), rows counted from the top, columns from
@@ -19,7 +21,7 @@ the left.  Text form: rows joined by "/", entries by ",", e.g. "1,3/2,4/5".
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
@@ -316,7 +318,17 @@ def insertion_tableau(word: Word) -> Rows:
 
 
 def insert(rows: Rows, x: int) -> Rows:
-    """Row-insert a single letter not already present."""
+    """Row-insert the letter x, a positive integer not already present.
+
+    The tableau may hold any distinct positive letters
+    (:func:`check_tableau`), or be the empty tableau ``()`` that
+    :func:`reverse_insert` leaves of a one-cell tableau.
+    """
+    rows = check_tableau(rows) if rows else ()
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ValueError(f"letter must be a positive integer, got {x!r}")
+    if any(x in row for row in rows):
+        raise ValueError(f"letter {x} is already in the tableau")
     return insertion_tableau(row_word(rows) + (x,))
 
 
@@ -366,48 +378,41 @@ def row_word(rows: Rows) -> Word:
 
 @dataclass(frozen=True)
 class SkewTableau:
-    """Partial filling of the cells between two nested shapes.
+    """Partial filling of the cells between two nested shapes, given by its
+    rows alone: None in the cut-out cells, then distinct integers increasing
+    along rows and down columns.  ``outer`` (the row lengths) and ``inner``
+    (the leading gaps, trailing zeros trimmed) are read off the rows."""
 
-    ``rows[r]`` has ``outer[r]`` slots; the first ``inner[r]`` are None (the
-    cut-out region), the rest hold distinct integers that increase along
-    rows and down columns.
-    """
-
-    outer: Shape
-    inner: Shape
+    outer: Shape = field(init=False)
+    inner: Shape = field(init=False)
     rows: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self) -> None:
-        check_partition(self.outer)
-        if self.inner:
-            if any(x < 1 for x in self.inner) or any(
-                a < b for a, b in zip(self.inner, self.inner[1:])
-            ):
-                raise ValueError(f"inner shape must be a partition: {self.inner}")
-        if len(self.inner) > len(self.outer):
-            raise ValueError("inner shape has more rows than outer shape")
-        inner = self._inner_padded()
-        if any(m > l for m, l in zip(inner, self.outer)):
-            raise ValueError("inner shape not contained in outer shape")
-        if tuple(len(r) for r in self.rows) != self.outer:
-            raise ValueError("row lengths disagree with the outer shape")
+        rows = tuple(tuple(row) for row in self.rows)
+        gaps = [0] * len(rows)
+        for r, row in enumerate(rows):
+            while gaps[r] < len(row) and row[gaps[r]] is None:
+                gaps[r] += 1
+        depth = max((r + 1 for r, g in enumerate(gaps) if g), default=0)
+        inner = tuple(gaps[:depth])
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "outer", check_partition(len(row) for row in rows))
+        object.__setattr__(self, "inner", inner)
+        if any(x < 1 for x in inner) or any(a < b for a, b in zip(inner, inner[1:])):
+            raise ValueError(f"inner shape must be a partition: {inner}")
         entries = []
-        for r, row in enumerate(self.rows):
-            for c, val in enumerate(row):
-                if (val is None) != (c < inner[r]):
+        for r, (row, g) in enumerate(zip(rows, gaps)):
+            for val in row[g:]:
+                if val is None:
                     raise ValueError(f"gap pattern of row {r + 1} disagrees with the inner shape")
-                if val is not None:
-                    entries.append(int(val))
+                entries.append(int(val))
         if len(set(entries)) != len(entries):
             raise ValueError("entries must be distinct")
-        for row in self.rows:
-            vals = [v for v in row if v is not None]
-            if any(a >= b for a, b in zip(vals, vals[1:])):
+        for row, g in zip(rows, gaps):
+            if any(a >= b for a, b in zip(row[g:], row[g + 1:])):
                 raise ValueError(f"row not increasing: {row}")
-        for r in range(len(self.rows) - 1):
-            for c in range(len(self.rows[r + 1])):
-                lo = self.rows[r + 1][c]
-                hi = self.rows[r][c] if c < len(self.rows[r]) else None
+        for upper, lower in zip(rows, rows[1:]):
+            for c, (hi, lo) in enumerate(zip(upper, lower)):
                 if lo is not None and hi is not None and hi >= lo:
                     raise ValueError(f"column {c + 1} not increasing")
 
@@ -416,21 +421,11 @@ class SkewTableau:
 
     @classmethod
     def from_rows(cls, rows) -> "SkewTableau":
-        rows = tuple(tuple(r) for r in rows)
-        outer = tuple(len(r) for r in rows)
-        inner = []
-        for row in rows:
-            g = 0
-            while g < len(row) and row[g] is None:
-                g += 1
-            inner.append(g)
-        while inner and inner[-1] == 0:
-            inner.pop()
-        return cls(outer, tuple(inner), rows)
+        return cls(rows)
 
     @classmethod
     def from_tableau(cls, rows: Rows) -> "SkewTableau":
-        return cls.from_rows(check_standard(rows))
+        return cls(check_standard(rows))
 
 
 def format_skew(t: SkewTableau) -> str:

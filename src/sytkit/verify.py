@@ -13,17 +13,17 @@ row of 2, ..., the row of n).  Tableaux with the same inner tableau on
 1..k share a prefix of that sequence, so for every k each group is one
 contiguous run of positions, and a relabeling, which keeps the rows of the
 letters above k, maps the x-th member of a run to the x-th member of the
-moved run.  The covers are closed again in that numbering, in one pass,
-and each group's relations are read with one shift per member.  What the
-sweep relies on is checked, not assumed: every cover must go up in the
-row-sequence numbering, the renumbered closure must have the size of
-``reach`` at every node, the moved inner tableau must keep the shape and
-its run the same suffixes, or ``InvariantError`` is raised.  So an order
-with a cycle raises here: no relation into or out of a cycle is a cover,
-nor any inside a cycle of three or more nodes, so those relations are not
-closed again, and a two-node cycle has covers both ways, one of which
-goes down.  ``verify_antisymmetry`` is the check that reports cycles as
-violations.
+moved run.  The covers are closed again inside each run at k = 3, in one
+pass, and each group's relations are read with one shift per member.
+What the sweep relies on is checked, not assumed: every cover must lie in
+``reach`` and go up in the row-sequence numbering, each node's ``reach``
+row must be the node plus the rows of its covers, the moved inner tableau
+must keep the shape and its run the same suffixes, or ``InvariantError``
+is raised.  With the covers going up, the row identity holds at every node
+exactly when ``reach`` is the closure of the covers (by induction from the
+top position), whatever ``reach`` is.  So an order with a cycle raises
+here: the closure of covers that all go up has none.
+``verify_antisymmetry`` is the check that reports cycles as violations.
 
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
@@ -114,12 +114,6 @@ def _seq_code(rows: Rows) -> int:
     return code
 
 
-def _local_order(reach: list[int], lo: int, hi: int) -> list[int]:
-    """Strict up-sets inside the run [lo, hi), as bits of offsets."""
-    full = (1 << (hi - lo)) - 1
-    return [(reach[x] >> lo) & full & ~(1 << (x - lo)) for x in range(lo, hi)]
-
-
 def _local_covers(ups: list[int]) -> list[int]:
     """Transitive reduction of the strict up-sets of a partial order: b
     covers a unless some c other than a and b has a < c < b.  Every
@@ -181,17 +175,14 @@ class _SweepLayout:
                     f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} {problem}"
                 )
             succ[position[a]].append(position[b])
-        # every cover goes up, so each position's successors are closed first
-        reach = [0] * len(nodes)
-        for x in range(len(nodes) - 1, -1, -1):
-            row = 1 << x
-            for y in succ[x]:
-                row |= reach[y]
-            reach[x] = row
-        # every cover lies in the transitively closed reach, so their closure
-        # does too, and equal sizes make the rows equal
+        # every cover goes up, so by induction from the top position, reach
+        # is the closure of the covers exactly when each row is its node
+        # plus the rows of its covers
         for a, row in enumerate(p.reach):
-            if reach[position[a]].bit_count() != row.bit_count():
+            closed = 1 << a
+            for y in succ[position[a]]:
+                closed |= p.reach[order[y]]
+            if closed != row:
                 raise InvariantError(
                     f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
                 )
@@ -200,8 +191,15 @@ class _SweepLayout:
         self.start: list[int] = []
         self.ups: list[int] = []
         for lo, hi in _runs(seq, 4 * (n - 3)) if n > 3 else ():
+            # covers go up, so a path between two members of a run stays
+            # inside it: each run is closed from its own covers
+            ups = [0] * (hi - lo)
+            for x in range(hi - 1, lo - 1, -1):
+                for y in succ[x]:
+                    if y < hi:
+                        ups[x - lo] |= 1 << (y - lo) | ups[y - lo]
             self.start += [lo] * (hi - lo)
-            self.ups += _local_order(reach, lo, hi)
+            self.ups += ups
         # levels[k - 3]: (shape, lo, hi, moves) per run, moves (i, the index
         # of the moved run in the level)
         self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]

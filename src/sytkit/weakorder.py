@@ -305,9 +305,9 @@ def induced_covers(
     """Hasse edges of the order induced on a node subset.
 
     Computed within the subset (an induced cover need not be a cover of the
-    whole poset).
+    whole poset).  A node given more than once counts once.
     """
-    members = sorted(p.node_id(m) for m in member_ids)
+    members = sorted({p.node_id(m) for m in member_ids})
     mask = 0
     for m in members:
         mask |= 1 << m

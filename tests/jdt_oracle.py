@@ -111,7 +111,7 @@ def jdt_slide_trace(
 
     while inner and inner[-1] == 0:
         inner.pop()
-    result = SkewTableau(tuple(outer), tuple(inner), _snapshot(grid))
+    result = SkewTableau(_snapshot(grid))
     return result, tuple(trace)
 
 

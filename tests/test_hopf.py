@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 import sytkit.hopf as hopf
+import sytkit.knuthclass as knuthclass
 import sytkit.tableau as tableau
 import sytkit.weakorder as weakorder
 from sytkit.hopf import (
@@ -49,6 +50,36 @@ def test_product_size_guard():
         plactic_product(
             all_standard_tableaux(5)[0], all_standard_tableaux(5)[0]
         )
+
+
+def test_product_size_guard_messages():
+    five = parse_tableau("1,2,3,4,5")
+    with pytest.raises(ValueError, match="product size 10 exceeds 9"):
+        plactic_product(five, five)
+    # a factor beyond the class listing's limit is refused by knuth_class
+    eleven = (tuple(range(1, 12)),)
+    with pytest.raises(ValueError, match="tableau size 11 exceeds the supported maximum"):
+        plactic_product(eleven, ((1,),))
+
+
+def test_plactic_product_validates_each_factor_once(monkeypatch):
+    left, right = parse_tableau("1,2/3"), parse_tableau("1/2")
+    calls = []
+    check = tableau.check_standard
+
+    def counting(rows):
+        calls.append(rows)
+        return check(rows)
+
+    for module in (tableau, hopf, knuthclass):
+        monkeypatch.setattr(module, "check_standard", counting)
+    product = hopf.plactic_product(left, right)
+    assert calls == [left, right]
+    assert len(product) == 4
+    with pytest.raises(ValueError, match="row not increasing"):
+        hopf.plactic_product(((2, 1), (3,)), right)
+    with pytest.raises(ValueError, match="column 1 not increasing"):
+        hopf.plactic_product(left, ((2,), (1,)))
 
 
 def test_support_equals_interval_members_upto_6():

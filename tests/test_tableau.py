@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -222,6 +223,34 @@ def test_reverse_insert_exit_matches_class_words():
     matching = [w for w in knuth_class(tab).words
                 if w[-1] == eta and insertion_tableau(w[:-1]) == up]
     assert matching
+
+
+def test_insert_rejects_a_tableau_that_is_not_increasing():
+    with pytest.raises(ValueError, match="row not increasing"):
+        insert(((3, 1), (2,)), 4)
+
+
+def test_insert_rejects_a_nonpositive_letter():
+    with pytest.raises(ValueError, match="positive integer"):
+        insert(((1, 3), (2,)), 0)
+
+
+def test_insert_rejects_a_letter_already_present():
+    with pytest.raises(ValueError, match="already in the tableau"):
+        insert(((1, 3), (2,)), 3)
+
+
+def test_insert_into_the_empty_tableau():
+    up, eta = reverse_insert(((4,),), (1, 1))
+    assert (up, eta) == ((), 4)
+    assert insert(up, eta) == ((4,),)
+
+
+def test_insert_undoes_reverse_insert_on_other_letters():
+    tab = ((2, 5), (7,))
+    for corner in corners(tab):
+        up, eta = reverse_insert(tab, corner)
+        assert insert(up, eta) == tab
 
 
 # --- row word -----------------------------------------------------------------------
@@ -487,6 +516,60 @@ def test_restrict_matches_the_oracle_n7():
 def test_rectify_normal_tableau_is_identity():
     tab = parse_tableau("1,3/2,4/5")
     assert rectify(SkewTableau.from_tableau(tab)) == tab
+
+
+# --- skew tableaux from their rows ---------------------------------------------------
+
+def _old_shapes(rows):
+    """The outer and inner shapes as they were once passed in beside the
+    rows: row lengths, and leading gaps with trailing zeros trimmed."""
+    outer = tuple(len(row) for row in rows)
+    inner = [next((c for c, x in enumerate(row) if x is not None), len(row)) for row in rows]
+    while inner and inner[-1] == 0:
+        inner.pop()
+    return outer, tuple(inner)
+
+
+def test_skew_constructor_is_from_rows():
+    rows = ((None, None, 4), (None, 2, 5), (1, 3))
+    t = SkewTableau(rows)
+    assert t == SkewTableau.from_rows(rows)
+    assert (t.outer, t.inner, t.rows) == ((3, 3, 2), (2, 1), rows)
+    assert hash(t) == hash(parse_skew(P_TEXT))
+
+
+def test_skew_rows_come_back_as_tuples():
+    t = SkewTableau([[None, 2], [1]])
+    assert t.rows == ((None, 2), (1,))
+    assert t == parse_skew(".,2/1")
+
+
+def test_skew_replace_derives_both_shapes_again():
+    t = parse_skew(P_TEXT)
+    moved = dataclasses.replace(t, rows=((None, 2, 4), (None, 3, 5), (1,)))
+    assert (moved.outer, moved.inner) == ((3, 3, 1), (1, 1))
+    assert moved == parse_skew(Q_TEXT)
+    with pytest.raises(ValueError, match="column 2 not increasing"):
+        dataclasses.replace(t, rows=((None, 5), (None, 2)))
+
+
+def test_skew_shapes_match_the_old_derivation_on_every_small_filling():
+    fillings = _all_skew_fillings(6)
+    assert fillings
+    for t in fillings:
+        assert (t.outer, t.inner) == _old_shapes(t.rows)
+
+
+def test_skew_rejects_a_gap_after_an_entry():
+    with pytest.raises(ValueError, match="gap pattern of row 2 disagrees with the inner shape"):
+        SkewTableau(((None, 1), (2, None)))
+    with pytest.raises(ParseError, match="gap pattern of row 1"):
+        parse_skew("1,.,2")
+
+
+def test_skew_rejects_an_entry_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        SkewTableau(((None, "x"),))
 
 
 # --- restriction -----------------------------------------------------------------------

@@ -207,6 +207,39 @@ def test_sweep_rejects_covers_that_do_not_close_to_reach():
         verify._translation_sweep(broken, "cover", None)
 
 
+def _non_transitive():
+    """The size-6 order with one reach row moved off the closure of the
+    covers: at the first cover (a, b) where b reaches some c != b that a
+    does not cover, a stops reaching c and reaches instead the lowest id it
+    did not reach.  Every row keeps its size, and a < b < c no longer
+    gives a < c."""
+    p = cached_poset(6)
+    covered = {}
+    for a, b in p.covers:
+        covered.setdefault(a, set()).add(b)
+    a, b, c = next(
+        (a, b, c)
+        for a, b in p.covers
+        for c in _bits(p.reach[b])
+        if c != b and c not in covered[a]
+    )
+    x = next(x for x in range(len(p.nodes)) if x != a and not p.reach[a] >> x & 1)
+    reach = list(p.reach)
+    reach[a] = reach[a] & ~(1 << c) | 1 << x
+    return dataclasses.replace(p, reach=tuple(reach))
+
+
+@pytest.mark.parametrize("mode", ["cover", "order"])
+def test_sweep_rejects_a_reach_that_is_not_transitive(mode):
+    p = cached_poset(6)
+    broken = _non_transitive()
+    changed = [a for a in range(len(p.nodes)) if broken.reach[a] != p.reach[a]]
+    assert len(changed) == 1
+    assert broken.reach[changed[0]].bit_count() == p.reach[changed[0]].bit_count()
+    with pytest.raises(InvariantError, match="closure of the covers disagrees with reach at"):
+        verify._translation_sweep(broken, mode, None)
+
+
 def _missing_node():
     """The size-5 order restricted to all nodes but one in a group that
     has a dual Knuth move at k = 3; its image run is longer than its run."""
@@ -281,6 +314,7 @@ def test_single_family_sweep_makes_only_the_rows_it_reads():
         (lambda: dataclasses.replace(cached_poset(5), covers=cached_poset(5).covers[1:]),
          "closure of the covers disagrees"),
         (_missing_node, "relabeling"),
+        (_non_transitive, "closure of the covers disagrees with reach at"),
     ],
 )
 def test_broken_sweep_invariants_exit_3(capsys, monkeypatch, broken, message):

@@ -347,6 +347,16 @@ def test_induced_covers_differ_from_restriction_of_global_covers():
     assert induced_covers(p, [bottom, top]) == ((bottom, top),)
 
 
+def test_induced_covers_count_a_repeated_node_once():
+    p = cached_poset(4)
+    iv = interval(p, parse_tableau("1,2,3,4"), parse_tableau("1/2/3/4"))
+    m = list(iv.members)
+    assert len(m) == 10
+    covers = induced_covers(p, m + m[:2])
+    assert covers.count((1, 0)) == 1
+    assert covers == induced_covers(p, m) == iv.covers
+
+
 def test_induced_covers_contain_known_failure_pair():
     p = cached_poset(6)
     sub = parse_tableau("1,2,4/3")
