@@ -379,9 +379,10 @@ def row_word(rows: Rows) -> Word:
 @dataclass(frozen=True)
 class SkewTableau:
     """Partial filling of the cells between two nested shapes, given by its
-    rows alone: None in the cut-out cells, then distinct integers increasing
-    along rows and down columns.  ``outer`` (the row lengths) and ``inner``
-    (the leading gaps, trailing zeros trimmed) are read off the rows."""
+    rows alone: None in the cut-out cells, then distinct positive integers
+    increasing along rows and down columns.  ``outer`` (the row lengths)
+    and ``inner`` (the leading gaps, trailing zeros trimmed) are read off
+    the rows."""
 
     outer: Shape = field(init=False)
     inner: Shape = field(init=False)
@@ -405,7 +406,9 @@ class SkewTableau:
             for val in row[g:]:
                 if val is None:
                     raise ValueError(f"gap pattern of row {r + 1} disagrees with the inner shape")
-                entries.append(int(val))
+                if type(val) is not int or val < 1:  # bool is not an entry either
+                    raise ValueError(f"entry {val!r} is not a positive integer")
+                entries.append(val)
         if len(set(entries)) != len(entries):
             raise ValueError("entries must be distinct")
         for row, g in zip(rows, gaps):

@@ -17,20 +17,23 @@ moved run.  The covers are closed again inside each run at k = 3, in one
 pass, and each group's relations are read with one shift per member.
 What the sweep relies on is checked, not assumed: every cover must lie in
 ``reach`` and go up in the row-sequence numbering, each node's ``reach``
-row must be the node plus the rows of its covers, the moved inner tableau
-must keep the shape and its run the same suffixes, or ``InvariantError``
-is raised.  With the covers going up, the row identity holds at every node
-exactly when ``reach`` is the closure of the covers (by induction from the
-top position), whatever ``reach`` is.  So an order with a cycle raises
-here: the closure of covers that all go up has none.
+row must be the node plus the rows of its covers, no cover inside a run
+at k = 3 may pass through another, the moved inner tableau must keep the
+shape and its run the same suffixes, or ``InvariantError`` is raised.
+With the covers going up, the row identity holds at every node exactly
+when ``reach`` is the closure of the covers (by induction from the top
+position), whatever ``reach`` is.  So an order with a cycle raises here:
+the closure of covers that all go up has none.
 ``verify_antisymmetry`` is the check that reports cycles as violations.
+As every cover goes up, every chain between two members of a run stays
+inside it: each run is convex, so its induced covers are the poset's
+covers with both ends in it, read off them with no reduction per run.
 
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
-them; a run's cover rows are made the first time a sweep reads them.
-Each sweep still applies its own family filter and compares every move
-run against run.
+them.  Each sweep still applies its own family filter and compares every
+move run against run, whole runs first: equal rows hold every relation.
 
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
@@ -114,23 +117,6 @@ def _seq_code(rows: Rows) -> int:
     return code
 
 
-def _local_covers(ups: list[int]) -> list[int]:
-    """Transitive reduction of the strict up-sets of a partial order: b
-    covers a unless some c other than a and b has a < c < b.  Every
-    non-cover lies above a member still standing, so only those members
-    need their up-sets removed."""
-    covers = []
-    for up in ups:
-        row = up
-        rest = up
-        while rest:
-            low = rest & -rest
-            row &= ~ups[low.bit_length() - 1]
-            rest = row & ~((low << 1) - 1)
-        covers.append(row)
-    return covers
-
-
 def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
     """The maximal runs [lo, hi) of positions whose codes agree above the
     lowest ``cut`` bits."""
@@ -146,14 +132,15 @@ def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
 class _SweepLayout:
     """What every translation sweep of one poset shares, made on its first
     sweep: the row-sequence numbering, checked to number every cover
-    upwards and to close the covers to ``reach``; per k, the runs in
-    canonical order of their inner tableaux, each with its shape and its
-    dual Knuth moves, every move checked to be onto its image run; and each
-    run's cover rows, made on first use.
+    upwards, to close the covers to ``reach`` and to keep no cover inside a
+    run at k = 3 that passes through another; per k, the runs in canonical
+    order of their inner tableaux, each with its shape and its dual Knuth
+    moves, every move checked to be onto its image run.
 
     Every run lies inside one run at k = 3, so only each position's strict
-    up-set inside that run is kept (``ups``, bits of offsets from the
-    run's ``start``), and a run's order rows are shifted out of it."""
+    up-set and covers inside that run are kept (``ups`` and ``covers``,
+    bits of offsets from the run's ``start``), and a run's order and cover
+    rows are shifted out of them."""
 
     def __init__(self, p: TableauPoset) -> None:
         n, nodes = p.n, p.nodes
@@ -190,20 +177,31 @@ class _SweepLayout:
         self.order = order
         self.start: list[int] = []
         self.ups: list[int] = []
+        self.covers: list[int] = []
         for lo, hi in _runs(seq, 4 * (n - 3)) if n > 3 else ():
             # covers go up, so a path between two members of a run stays
             # inside it: each run is closed from its own covers
-            ups = [0] * (hi - lo)
+            ups, covers = [0] * (hi - lo), [0] * (hi - lo)
             for x in range(hi - 1, lo - 1, -1):
+                cover = above = 0
                 for y in succ[x]:
                     if y < hi:
-                        ups[x - lo] |= 1 << (y - lo) | ups[y - lo]
+                        cover |= 1 << (y - lo)
+                        above |= ups[y - lo]
+                if cover & above:
+                    y = lo + (cover & above).bit_length() - 1
+                    raise InvariantError(
+                        f"covers are not reduced: cover {format_tableau(nodes[order[x]])} < "
+                        f"{format_tableau(nodes[order[y]])} passes through another"
+                    )
+                ups[x - lo] = cover | above
+                covers[x - lo] = cover
             self.start += [lo] * (hi - lo)
             self.ups += ups
+            self.covers += covers
         # levels[k - 3]: (shape, lo, hi, moves) per run, moves (i, the index
         # of the moved run in the level)
         self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]
-        self.cover_rows: dict[tuple[int, int], list[int]] = {}
 
     def _level(self, nodes, seq: list[int], n: int, k: int) -> list[tuple]:
         cut = 4 * (n - k)
@@ -232,12 +230,9 @@ class _SweepLayout:
 
     def rows(self, mode: str, lo: int, hi: int) -> list[int]:
         """The order (mode "order") or cover rows of the run [lo, hi)."""
-        if mode == "cover":
-            if (lo, hi) not in self.cover_rows:
-                self.cover_rows[lo, hi] = _local_covers(self.rows("order", lo, hi))
-            return self.cover_rows[lo, hi]
+        masks = self.covers if mode == "cover" else self.ups
         shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
-        return [up >> shift & full for up in self.ups[lo:hi]]
+        return [mask >> shift & full for mask in masks[lo:hi]]
 
 
 def _sweep_layout(p: TableauPoset) -> _SweepLayout:
@@ -275,7 +270,9 @@ def _translation_sweep(
                 checked += count
                 _, lo2, hi2, _ = level[t]
                 target = rows_of(lo2, hi2)
-                if not any(row & ~image for row, image in zip(source, target)):
+                if source == target or not any(
+                    row & ~image for row, image in zip(source, target)
+                ):
                     continue
                 broken = [
                     (order[lo + x], order[lo + y], order[lo2 + x], order[lo2 + y])

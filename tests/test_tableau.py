@@ -568,8 +568,24 @@ def test_skew_rejects_a_gap_after_an_entry():
 
 
 def test_skew_rejects_an_entry_that_is_not_an_integer():
-    with pytest.raises(ValueError, match="invalid literal for int"):
+    with pytest.raises(ValueError, match="entry 'x' is not a positive integer"):
         SkewTableau(((None, "x"),))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: skew_from_json({"rows": [[None, 1.5], [2.5]]}),
+        lambda: SkewTableau(((None, "3"), ("2",))),
+        lambda: SkewTableau(((None, 3), (-1,))),
+        lambda: SkewTableau(((None, 3), (0,))),
+        lambda: SkewTableau(((None, True), (2,))),
+    ],
+    ids=["float", "string", "negative", "zero", "bool"],
+)
+def test_skew_rejects_an_entry_that_is_not_a_positive_int(make):
+    with pytest.raises(ValueError, match="is not a positive integer"):
+        make()
 
 
 # --- restriction -----------------------------------------------------------------------

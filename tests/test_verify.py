@@ -169,7 +169,82 @@ def test_local_covers_match_the_gap_test():
                 if not reach[a] & below[b] & ~((1 << a) | (1 << b)))
             for a in range(size)
         ]
-        assert verify._local_covers(ups) == want
+        assert oracle.local_covers(ups) == want
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_layout_cover_rows_are_the_reduction_of_the_order_rows(n):
+    # each run is convex, so its cover rows, read off the poset's covers,
+    # are the transitive reduction of its order rows
+    layout = verify._sweep_layout(cached_poset(n))
+    runs = {(lo, hi) for level in layout.levels for _, lo, hi, _ in level}
+    for lo, hi in runs:
+        assert layout.rows("cover", lo, hi) == oracle.local_covers(
+            layout.rows("order", lo, hi)
+        )
+    assert runs
+
+
+def _moves(p):
+    """(k, triple start, source run, target run, position -> node id) of
+    every move of the sweep layout of a copy of ``p``, each run as
+    (lo, hi)."""
+    layout = verify._sweep_layout(dataclasses.replace(p))
+    for k, level in enumerate(layout.levels, 3):
+        for _, lo, hi, moves in level:
+            for i, t in moves:
+                yield k, i, (lo, hi), level[t][1:3], layout.order
+
+
+def _move_witnesses(p, violations, k, i, run):
+    lo = run[0]
+    sub = inner_tableau(p.nodes[verify._sweep_layout(p).order[lo]], k)
+    return [
+        v for v in violations
+        if (v["k"], v["triple"][0], v["R"]) == (k, i, tableau.format_tableau(sub))
+    ]
+
+
+def _richer(p, mode):
+    """``p`` with two unrelated members of a target run put in order, the
+    first two found whose target rows then strictly contain the source's
+    rows, with that move."""
+    for k, i, source, (lo, hi), order in _moves(p):
+        for x in range(lo, hi):
+            for y in range(x + 1, hi):
+                if p.reach[order[x]] >> order[y] & 1:
+                    continue
+                richer = _relations(p, p.nodes, list(p.covers) + [(order[x], order[y])])
+                layout = verify._sweep_layout(richer)
+                rows, images = layout.rows(mode, *source), layout.rows(mode, lo, hi)
+                if rows != images and not any(r & ~im for r, im in zip(rows, images)):
+                    return richer, k, i, source
+    raise AssertionError("no such order")
+
+
+@pytest.mark.parametrize("mode", ["cover", "order"])
+def test_sweep_passes_a_target_run_with_more_relations(mode):
+    # the rows differ, so the whole-run test fails, and the row test must
+    # still find nothing for that move
+    richer, k, i, source = _richer(cached_poset(6), mode)
+    got = verify._translation_sweep(richer, mode, None)
+    assert _move_witnesses(richer, got[1], k, i, source) == []
+    assert got == oracle.translation_sweep(richer, mode, None)
+
+
+@pytest.mark.parametrize("mode", ["cover", "order"])
+def test_sweep_lists_the_relations_a_target_run_misses(mode):
+    p = cached_poset(6)
+    k, i, source, target, a, b = next(
+        (k, i, source, target, a, b)
+        for k, i, source, target, order in _moves(p)
+        for a, b in p.covers
+        if {a, b} <= set(order[target[0]:target[1]])
+    )
+    poorer = _relations(p, p.nodes, [edge for edge in p.covers if edge != (a, b)])
+    got = verify._translation_sweep(poorer, mode, None)
+    assert _move_witnesses(poorer, got[1], k, i, source)
+    assert got == oracle.translation_sweep(poorer, mode, None)
 
 
 def test_sweep_rejects_an_order_with_a_cycle():
@@ -294,18 +369,50 @@ def test_sweep_layout_is_made_once_per_poset():
     assert p._cache["sweep"] is layout
 
 
-def test_single_family_sweep_makes_only_the_rows_it_reads():
+def test_single_family_sweep_reads_only_two_row_runs(monkeypatch):
     p = dataclasses.replace(cached_poset(7))
-    verify._translation_sweep(p, "cover", "two_row")
-    layout = p._cache["sweep"]
+    layout = verify._sweep_layout(p)
     two_row = {
         (lo, hi)
         for level in layout.levels
         for shape, lo, hi, _ in level
         if len(shape) == 2
     }
+    read = []
+    rows = layout.rows
+
+    def recorded(mode, lo, hi):
+        read.append((lo, hi))
+        return rows(mode, lo, hi)
+
+    monkeypatch.setattr(layout, "rows", recorded)
+    for mode in ("cover", "order"):
+        verify._translation_sweep(p, mode, "two_row")
     # a move keeps the shape, so its image run is two-row too
-    assert layout.cover_rows and set(layout.cover_rows) <= two_row
+    assert read and set(read) <= two_row
+
+
+def _unreduced():
+    """The size-5 order with one more cover a < c, where a and c have the
+    same inner tableau on 1..3 and a < b < c are covers: the new cover
+    passes through b."""
+    p = cached_poset(5)
+    covered = {}
+    for a, b in p.covers:
+        covered.setdefault(a, []).append(b)
+    a, c = next(
+        (a, c)
+        for a, b in p.covers
+        for c in covered.get(b, ())
+        if inner_tableau(p.nodes[a], 3) == inner_tableau(p.nodes[c], 3)
+    )
+    return dataclasses.replace(p, covers=p.covers + ((a, c),))
+
+
+def test_sweep_rejects_covers_that_are_not_reduced():
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="covers are not reduced"):
+            verify._translation_sweep(_unreduced(), mode, None)
 
 
 @pytest.mark.parametrize(
@@ -315,6 +422,7 @@ def test_single_family_sweep_makes_only_the_rows_it_reads():
          "closure of the covers disagrees"),
         (_missing_node, "relabeling"),
         (_non_transitive, "closure of the covers disagrees with reach at"),
+        (_unreduced, "covers are not reduced"),
     ],
 )
 def test_broken_sweep_invariants_exit_3(capsys, monkeypatch, broken, message):

@@ -11,6 +11,10 @@ itself; the only changes are that the sweep takes the poset instead of
 building it, and takes its dual Knuth moves from the word-route oracle
 ``move_oracle.dual_moves``, so that it also cross-checks the exchange
 kernel ``tableau._dual_moves``.
+
+``local_covers`` is the per-run transitive reduction that the run-based
+sweep used before it read each run's cover rows off the poset's covers;
+it is kept as the oracle for those rows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,23 @@ def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
     for r, head in enumerate(sub_new):
         out[r] = head + rows[r][len(head):]
     return tuple(out)
+
+
+def local_covers(ups: list[int]) -> list[int]:
+    """Transitive reduction of the strict up-sets of a partial order: b
+    covers a unless some c other than a and b has a < c < b.  Every
+    non-cover lies above a member still standing, so only those members
+    need their up-sets removed."""
+    covers = []
+    for up in ups:
+        row = up
+        rest = up
+        while rest:
+            low = rest & -rest
+            row &= ~ups[low.bit_length() - 1]
+            rest = row & ~((low << 1) - 1)
+        covers.append(row)
+    return covers
 
 
 def induced_covers(
