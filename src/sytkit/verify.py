@@ -16,14 +16,13 @@ letters above k, maps the x-th member of a run to the x-th member of the
 moved run.  The covers are closed again inside each run at k = 3, in one
 pass, and each group's relations are read with one shift per member.
 What the sweep relies on is checked, not assumed: every cover must lie in
-``reach`` and go up in the row-sequence numbering, each node's ``reach``
-row must be the node plus the rows of its covers, no cover inside a run
-at k = 3 may pass through another, the moved inner tableau must keep the
-shape and its run the same suffixes, or ``InvariantError`` is raised.
-With the covers going up, the row identity holds at every node exactly
-when ``reach`` is the closure of the covers (by induction from the top
-position), whatever ``reach`` is.  So an order with a cycle raises here:
-the closure of covers that all go up has none.
+``reach`` and go strictly up in the row-sequence numbering (a loop is
+refused), ``reach`` must be the closure of the covers
+(``weakorder._closure_fault``, the test the relation checks share), no
+cover inside a run at k = 3 may pass through another, the moved inner
+tableau must keep the shape and its run the same suffixes, or
+``InvariantError`` is raised.  So an order with a cycle raises here: the
+closure of covers that all go up has none.
 ``verify_antisymmetry`` is the check that reports cycles as violations.
 As every cover goes up, every chain between two members of a run stays
 inside it: each run is convex, so its induced covers are the poset's
@@ -37,10 +36,19 @@ move run against run, whole runs first: equal rows hold every relation.
 
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
-strict relation a < b into a target order.  They are mask tests through
-one kernel, ``weakorder._unpreserved``, one test per node; antisymmetry
-tests each node's up-set against its down-set.  Nothing about the order is
-assumed, and ``checked`` still counts every pair a test covers.
+strict relation a < b into a target order.  The order is the closure of
+its covers, so a map into a transitive target keeps every relation once
+it keeps every cover: ``weakorder._unpreserved_covers`` tests the covers
+first, when ``reach`` is checked to be their closure, and falls through
+to the mask kernel ``weakorder._unpreserved`` (one test per node, nothing
+assumed) when that check or a cover fails, so broken pairs are listed
+the same way.  Each check names why its target is transitive.  The
+single-triple scan, where failures are expected, calls the kernel
+directly; antisymmetry tests each node's up-set against its down-set.
+``checked`` still counts every strict relation, each a chain of tested
+covers.  Restriction images are composed from two one-step tables per
+size (drop the largest letter; drop 1 and rectify), which jeu de taquin
+confluence allows and the tests check against ``tableau._restrict``.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -55,10 +63,11 @@ from .knuthclass import knuth_class
 from .permutation import (
     InvariantError,
     Word,
+    _restrict_word,
+    _segment_letters,
     all_words,
     descents_left,
     format_word,
-    restrict_standardize,
     weak_covers,
 )
 from .report import VerificationReport, stopwatch
@@ -84,7 +93,9 @@ from .weakorder import (
     MAX_POSET_N,
     TableauPoset,
     _bits,
+    _closure_fault,
     _unpreserved,
+    _unpreserved_covers,
     cached_poset,
     canonical_key,
     check_monotone_descent,
@@ -132,8 +143,9 @@ def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
 class _SweepLayout:
     """What every translation sweep of one poset shares, made on its first
     sweep: the row-sequence numbering, checked to number every cover
-    upwards, to close the covers to ``reach`` and to keep no cover inside a
-    run at k = 3 that passes through another; per k, the runs in canonical
+    strictly upwards, to close the covers to ``reach`` (the shared
+    ``weakorder._closure_fault``) and to keep no cover inside a run at
+    k = 3 that passes through another; per k, the runs in canonical
     order of their inner tableaux, each with its shape and its dual Knuth
     moves, every move checked to be onto its image run.
 
@@ -154,6 +166,7 @@ class _SweepLayout:
             problem = (
                 "is not in it" if not p.reach[a] >> b & 1
                 else "goes down in the row-sequence numbering" if position[a] > position[b]
+                else "is a loop" if a == b
                 else None
             )
             if problem:
@@ -162,17 +175,11 @@ class _SweepLayout:
                     f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} {problem}"
                 )
             succ[position[a]].append(position[b])
-        # every cover goes up, so by induction from the top position, reach
-        # is the closure of the covers exactly when each row is its node
-        # plus the rows of its covers
-        for a, row in enumerate(p.reach):
-            closed = 1 << a
-            for y in succ[position[a]]:
-                closed |= p.reach[order[y]]
-            if closed != row:
-                raise InvariantError(
-                    f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
-                )
+        # reach must be the closure of the covers, checked once per poset
+        # in the id order and shared with the relation checks
+        fault = _closure_fault(p)
+        if fault is not None:
+            raise InvariantError(f"closure of the covers disagrees with {fault}")
         seq = [codes[a] for a in order]
         self.order = order
         self.start: list[int] = []
@@ -497,37 +504,72 @@ def verify_descents_constant(n: int) -> VerificationReport:
     )
 
 
+def _one_step(p: TableauPoset, q: TableauPoset) -> tuple[list[int], list[int]]:
+    """For the size-m poset ``p`` and the size m - 1 poset ``q``: the ids in
+    ``q`` of every node of ``p`` restricted to [1, m - 1] (its m dropped)
+    and to [2, m] (its 1 dropped and the rest rectified).  Made once per
+    poset and kept on it."""
+    if "steps" not in p._cache:
+        m = p.n
+        p._cache["steps"] = (
+            [q.index[_restrict(t, 1, m - 1)] for t in p.nodes],
+            [q.index[_restrict(t, 2, m)] for t in p.nodes],
+        )
+    return p._cache["steps"]
+
+
+def _segment_images(posets: dict[int, TableauPoset], n: int) -> dict[tuple[int, int], list[int]]:
+    """Per segment [i, j] of 1..n, the id in ``posets[j - i + 1]`` of every
+    node of ``posets[n]`` restricted to it: i - 1 drops of the lowest letter,
+    then n - j drops of the largest, one :func:`_one_step` table lookup
+    each.  By the confluence of jeu de taquin this is ``_restrict`` on the
+    segment (the differential tests compare them on every tableau and
+    segment for n <= 9)."""
+    images = {}
+    low = list(range(len(posets[n].nodes)))  # restricted to [i, n]
+    for i in range(1, n):
+        image = low
+        for j in range(n, i, -1):
+            images[i, j] = image
+            m = j - i + 1
+            if m > 2:
+                image = list(map(_one_step(posets[m], posets[m - 1])[0].__getitem__, image))
+        m = n - i + 1
+        if m > 2:
+            low = list(map(_one_step(posets[m], posets[m - 1])[1].__getitem__, low))
+    return images
+
+
 def verify_restriction_insertion(n: int) -> VerificationReport:
     """Restricting a word to a letter segment commutes with insertion.
 
-    Every (word, segment) is checked, but each (tableau, segment) is
-    restricted once and each distinct restricted word inserted once; equal
-    tableaux are kept as one object."""
+    Every (word, segment) is checked: the node of the word's tableau,
+    restricted to the segment through the one-step tables
+    (:func:`_segment_images`), must be the node of the restricted word's
+    tableau.  Each distinct word is inserted once."""
+    posets = {m: cached_poset(m) for m in range(1, n + 1)}
     checked = 0
     violations = []
     with stopwatch() as sw:
-        segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        same: dict[Rows, Rows] = {}
-        inserted: dict[Word, Rows] = {}
-        restricted: dict[Rows, list[Rows]] = {}  # tableau -> one per segment
+        images = _segment_images(posets, n)
+        segments = [
+            ((i, j), images[i, j], _segment_letters(n, i, j))
+            for i in range(1, n)
+            for j in range(i + 1, n + 1)
+        ]
+        ids: dict[Word, int] = {}  # word -> the node of its tableau
 
-        def tableau_of(word: Word) -> Rows:
-            if word not in inserted:
-                tab = insertion_tableau(word)
-                inserted[word] = same.setdefault(tab, tab)
-            return inserted[word]
+        def id_of(word: Word) -> int:
+            if word not in ids:
+                ids[word] = posets[len(word)].index[insertion_tableau(word)]
+            return ids[word]
 
         for u in all_words(n):
-            tab = tableau_of(u)
-            if tab not in restricted:
-                restricted[tab] = [
-                    same.setdefault(out, out)
-                    for out in (_restrict(tab, i, j) for i, j in segments)
-                ]
-            for (i, j), out in zip(segments, restricted[tab]):
+            a = id_of(u)
+            for segment, image, letters in segments:
                 checked += 1
-                if out != tableau_of(restrict_standardize(u, i, j)):
-                    violations.append({"word": format_word(u), "segment": [i, j]})
+                if image[a] != id_of(_restrict_word(u, letters)):
+                    violations.append({"word": format_word(u), "segment": list(segment)})
     return VerificationReport(
         "restriction-commutes-with-insertion", {"n": n}, checked, violations, sw.ms
     )
@@ -539,11 +581,16 @@ def verify_restriction_monotone(n: int, jobs: int = 1) -> VerificationReport:
     small = {m: cached_poset(m) for m in range(2, n + 1)}
     with stopwatch() as sw:
         segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        images = _segment_images(small, n)
         broken = []
         for s, (i, j) in enumerate(segments):
             q = small[j - i + 1]
-            image = [q.index[_restrict(node, i, j)] for node in p.nodes]
-            broken += [(a, b, s) for a, b in _unpreserved(p.reach, image, q.reach)]
+            # q's reach is transitive when it is the closure of q's covers
+            transitive = _closure_fault(q) is None
+            broken += [
+                (a, b, s)
+                for a, b in _unpreserved_covers(p, images[i, j], q.reach, transitive)
+            ]
         checked = p.strict_relations() * len(segments)
         violations = [
             {
@@ -567,10 +614,12 @@ def verify_evac_transpose_monotone(n: int, jobs: int = 1) -> VerificationReport:
             # reversing: a < b must give T(b) <= T(a), i.e. T(b) below T(a)
             ("transpose", [p.index[_transpose(t)] for t in p.nodes], p.below),
         )
+        # reach and below are transitive when they are the closures of the
+        # covers, which is what the covers-first test checks of p itself
         broken = sorted(
             (a, b, m)
             for m, (_, image, up) in enumerate(maps)
-            for a, b in _unpreserved(p.reach, image, up)
+            for a, b in _unpreserved_covers(p, image, up, True)
         )
         checked = p.strict_relations()
         violations = [

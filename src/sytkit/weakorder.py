@@ -17,6 +17,14 @@ Reachability, stored per node as an integer bitmask, and the cover
 relation come out of one pass in increasing id order, the transitive
 reduction of a graph numbered by a linear extension (Aho, Garey and
 Ullman 1972); the down-sets come out of the mirror pass.
+
+The monotone-map checks here and in sytkit.verify test a map on the covers
+first (:func:`_unpreserved_covers`).  The premise is checked, not assumed:
+every cover goes down in the id order and each ``reach`` and ``below`` row
+is its node plus the rows of its covers (:func:`_closure_fault`), so every
+relation is a chain of covers.  The target must be transitive; each caller
+names why.  When either fails, every relation is tested by the mask
+kernel :func:`_unpreserved`.
 """
 
 from __future__ import annotations
@@ -56,9 +64,11 @@ class TableauPoset:
     ``reach[a]`` has bit b set iff a <= b (reflexively); ``below`` is the
     transpose.  ``covers`` is the transitive reduction, sorted.  ``_cache``
     keeps what checks derive from the order, made on first use (the
-    translation sweep's layout, see sytkit.verify); two threads making the
-    same entry at once store equal values.  It is not an init field, so a
-    poset made by ``dataclasses.replace`` starts with an empty one.
+    closure check of :func:`_closure_fault`, and the translation sweep's
+    layout and the one-step restriction tables of sytkit.verify); two
+    threads making the same entry at once store equal values.  It is not
+    an init field, so a poset made by ``dataclasses.replace`` starts with
+    an empty one.
 
     The lifted sizes that :func:`build_poset` keeps for later builds
     (``_LIFTED``) are as safe: two threads lifting the same size store
@@ -110,7 +120,9 @@ def _unpreserved(rows, image, up) -> list[tuple[int, int]]:
     """The pairs (a, b), b a bit of ``rows[a]`` other than a, in (a, b)
     order, whose ``image[b]`` is not a bit of ``up[image[a]]``.  The fibres
     of the targets in ``up[u]`` are ORed into one pull mask, so each node is
-    one ``row & ~pull`` test.  Nothing is assumed of ``rows`` or ``up``."""
+    one ``row & ~pull`` test.  Nothing is assumed of ``rows`` or ``up``: this
+    is the kernel the covers-first test of :func:`_unpreserved_covers` falls
+    through to, and the one for maps expected to fail."""
     fibre: dict[int, int] = {}  # target -> the nodes it is the image of
     for b, t in enumerate(image):
         fibre[t] = fibre.get(t, 0) | 1 << b
@@ -122,6 +134,66 @@ def _unpreserved(rows, image, up) -> list[tuple[int, int]]:
             pull[u] = sum(fibre.get(t, 0) for t in _bits(up[u]))
         broken += [(a, b) for b in _bits(row & ~pull[u] & ~(1 << a))]
     return broken
+
+
+def _closure_fault(p: TableauPoset) -> str | None:
+    """None when ``reach`` and ``below`` are the reflexive-transitive
+    closures of ``p.covers`` upwards and downwards; else what fails first.
+
+    Checked as every cover (a, b) going down in the id order (a > b),
+    ``reach[a]`` being a plus the ``reach`` rows of its covers and
+    ``below[b]`` being b plus the ``below`` rows of the nodes it covers: by
+    induction from id 0 upwards for ``reach`` and from the top id downwards
+    for ``below``, each row is then its node's closure, whatever the rows
+    are.  Made once per poset and kept in ``p._cache``.
+    """
+    if "closure" not in p._cache:
+        p._cache["closure"] = _find_closure_fault(p)
+    return p._cache["closure"]
+
+
+def _find_closure_fault(p: TableauPoset) -> str | None:
+    # one row is made at a time, so no second table of rows is held
+    succ: list[list[int]] = [[] for _ in p.nodes]
+    pred: list[list[int]] = [[] for _ in p.nodes]
+    for a, b in p.covers:
+        if a <= b:
+            return (
+                f"reach: cover {format_tableau(p.nodes[a])} < "
+                f"{format_tableau(p.nodes[b])} does not go down in the id order"
+            )
+        succ[a].append(b)
+        pred[b].append(a)
+    for rows, links, ids, name in (
+        (p.reach, succ, range(len(p.nodes)), "reach"),
+        (p.below, pred, range(len(p.nodes) - 1, -1, -1), "below"),
+    ):
+        for a in ids:
+            closed = 1 << a
+            for b in links[a]:
+                closed |= rows[b]
+            if closed != rows[a]:
+                return f"{name} at {format_tableau(p.nodes[a])}"
+    return None
+
+
+def _unpreserved_covers(p: TableauPoset, image, up, transitive: bool) -> list[tuple[int, int]]:
+    """:func:`_unpreserved` of ``p.reach``, tested on the covers first.
+
+    When ``reach`` is the closure of the covers (:func:`_closure_fault`),
+    every strict relation a < b is a chain of covers, so a map into a
+    transitive ``up`` that keeps every cover keeps every relation: then no
+    pair is broken and no relation is tested.  Otherwise, or when some
+    cover's image misses ``up``, every relation is tested, and the broken
+    pairs come back in the same order.  The caller says whether ``up`` is
+    transitive; a check's ``checked`` still counts every strict relation,
+    each being a chain of tested covers.
+    """
+    if transitive and _closure_fault(p) is None and all(
+        up[image[a]] >> image[b] & 1 for a, b in p.covers
+    ):
+        return []
+    return _unpreserved(p.reach, image, up)
 
 
 def _row_code(rows) -> int:
@@ -336,7 +408,8 @@ def check_monotone_descent(p: TableauPoset) -> VerificationReport:
     masks = [sum(1 << i for i in des) for des in descents]
     with stopwatch() as sw:
         # the descent masks ordered by inclusion: bit t of up[m] iff m <= t
-        up = {m: sum(1 << t for t in set(masks) if not m & ~t) for m in set(masks)}
+        distinct = set(masks)
+        up = {m: sum(1 << t for t in distinct if not m & ~t) for m in distinct}
         checked = p.strict_relations()
         violations = [
             {
@@ -345,7 +418,8 @@ def check_monotone_descent(p: TableauPoset) -> VerificationReport:
                 "des_S": sorted(descents[a]),
                 "des_T": sorted(descents[b]),
             }
-            for a, b in _unpreserved(p.reach, masks, up)
+            # inclusion is transitive
+            for a, b in _unpreserved_covers(p, masks, up, True)
         ]
     return VerificationReport(
         "monotone-descent-map", {"n": p.n}, checked, violations, sw.ms
@@ -356,7 +430,8 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
     """Shapes change monotonically in dominance along the order.
 
     The direction is detected on the cover relation first, then asserted on
-    every comparable pair; the report names the direction that holds.
+    every comparable pair: at once when the covers close to ``reach``,
+    pair by pair otherwise.  The report names the direction that holds.
     """
     shapes = [shape_of(t) for t in p.nodes]
     with stopwatch() as sw:
@@ -372,11 +447,16 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
         if direction == "none":
             broken = [(a, b) for a, b in p.covers if not dom[sid[b]][sid[a]]]
         else:
-            # ahead[s][t]: shape t may lie above shape s in the direction
-            ahead = dom if direction == "up" else list(zip(*dom))
             checked += p.strict_relations()
-            masks = [sum(1 << t for t, ok in enumerate(row) if ok) for row in ahead]
-            broken = _unpreserved(p.reach, sid, masks)
+            if _closure_fault(p) is None:
+                # the direction holds on every cover, and dominance is a
+                # partial order, so it holds along every chain of covers
+                broken = []
+            else:
+                # ahead[s][t]: shape t may lie above shape s in the direction
+                ahead = dom if direction == "up" else list(zip(*dom))
+                masks = [sum(1 << t for t, ok in enumerate(row) if ok) for row in ahead]
+                broken = _unpreserved(p.reach, sid, masks)
         violations = [
             {
                 "S": format_tableau(p.nodes[a]),

@@ -11,6 +11,7 @@ import relation_oracle as oracle
 import sytkit.verify as verify
 from sytkit.tableau import format_tableau, shape_of
 from sytkit.weakorder import (
+    _closure_fault,
     _unpreserved,
     cached_poset,
     check_monotone_descent,
@@ -52,7 +53,7 @@ def _compare(monkeypatch, posets: dict) -> dict:
     return got
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_relation_checks_match_the_oracle(monkeypatch, n):
     got = _compare(monkeypatch, {m: cached_poset(m) for m in range(2, n + 1)})
     assert all(report.passed for report in got.values())
@@ -67,6 +68,54 @@ def test_relation_checks_match_the_oracle_with_covers_dropped(monkeypatch, n, se
     maps = {v["map"] for v in got["evac-transpose"].violations}
     assert maps == {"evacuation", "transpose"}
     assert not got["antisymmetry"].violations
+
+
+def _dropped(m, cover):
+    """The size-m order with one cover removed and closed again."""
+    p = cached_poset(m)
+    return _relations(p, p.nodes, [edge for edge in p.covers if edge != cover])
+
+
+def test_relation_checks_fall_through_when_a_cover_image_misses(monkeypatch):
+    # the size-6 and size-4 orders each lose a cover and are closed again:
+    # their covers still close to reach, so the covers are tested first,
+    # and the evacuated and restricted covers that land on a lost one
+    # miss the target, so every relation is tested after all
+    n = 6
+    posets = {m: cached_poset(m) for m in range(2, n + 1)}
+    posets[n] = _dropped(n, posets[n].covers[0])
+    posets[4] = _dropped(4, posets[4].covers[0])
+    assert _closure_fault(posets[n]) is None and _closure_fault(posets[4]) is None
+    got = _compare(monkeypatch, posets)
+    assert {v["map"] for v in got["evac-transpose"].violations} == {"evacuation", "transpose"}
+    # only the segments of four letters land in the thinned size-4 order
+    assert {j - i + 1 for i, j in (v["segment"] for v in got["restriction"].violations)} == {4}
+
+
+def _looped(p):
+    """``p`` with the loop (51, 51) added to its covers."""
+    return dataclasses.replace(p, covers=(*p.covers, (51, 51)))
+
+
+def _upward(p):
+    """``p`` with its first cover (a, b) also given as (b, a), which goes up
+    in the id order; ``reach`` is left as it is."""
+    a, b = p.covers[0]
+    return dataclasses.replace(p, covers=(*p.covers, (b, a)))
+
+
+@pytest.mark.parametrize("broken", [_looped, _upward])
+def test_relation_checks_fall_through_when_a_cover_does_not_go_down(monkeypatch, broken):
+    # the covers do not close to reach by the id-order test, so every
+    # relation is tested, on the real order and on one with covers dropped,
+    # and nothing is raised
+    for thinned in (False, True):
+        posets = {m: _thinned(m, 2) if thinned else cached_poset(m) for m in range(2, 7)}
+        posets[6] = broken(posets[6])
+        assert _closure_fault(posets[6]) is not None
+        got = _compare(monkeypatch, posets)
+        for check in ("restriction", "evac-transpose", "descent"):
+            assert bool(got[check].violations) == (thinned and check != "descent"), check
 
 
 def _shape_cover(p):

@@ -409,6 +409,20 @@ def _unreduced():
     return dataclasses.replace(p, covers=p.covers + ((a, c),))
 
 
+def _self_loop():
+    """The size-6 order with the loop (51, 51) added to its covers: node 51
+    has nothing below it in its run at k = 3, so only the loop test can
+    tell."""
+    p = cached_poset(6)
+    return dataclasses.replace(p, covers=(*p.covers, (51, 51)))
+
+
+def test_sweep_rejects_a_self_loop_cover():
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="is a loop"):
+            verify._translation_sweep(_self_loop(), mode, None)
+
+
 def test_sweep_rejects_covers_that_are_not_reduced():
     for mode in ("cover", "order"):
         with pytest.raises(InvariantError, match="covers are not reduced"):
@@ -423,6 +437,7 @@ def test_sweep_rejects_covers_that_are_not_reduced():
         (_missing_node, "relabeling"),
         (_non_transitive, "closure of the covers disagrees with reach at"),
         (_unreduced, "covers are not reduced"),
+        (_self_loop, "closure of the covers disagrees with reach: cover"),
     ],
 )
 def test_broken_sweep_invariants_exit_3(capsys, monkeypatch, broken, message):
@@ -572,20 +587,49 @@ def test_restriction_insertion_matches_the_oracle(n):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypatch, n):
-    # the restriction to [2, 4] comes out transposed on shape (2, 1) only,
-    # so some words of every class break it and others do not
+    # dropping the 1 of a size-4 tableau comes out transposed on shape
+    # (2, 1) only, so the segments [i, j] with i >= n - 2, whose images
+    # pass through that step, break for some words of every class and not
+    # for others.  The check reads its images off the one-step tables of
+    # fresh posets; the oracle restricts each segment step by step
     real = tableau._restrict
 
     def broken(rows, i, j):
         out = real(rows, i, j)
         return tableau.transpose(out) if (i, j) == (2, 4) and shape_of(out) == (2, 1) else out
 
-    monkeypatch.setattr(tableau, "_restrict", broken)
+    def stepwise(rows, i, j):
+        size = sum(map(len, rows))
+        for m in range(size, size - i + 1, -1):
+            rows = broken(rows, 2, m)
+        for m in range(size - i + 1, j - i + 1, -1):
+            rows = broken(rows, 1, m - 1)
+        return rows
+
+    posets = {m: dataclasses.replace(cached_poset(m)) for m in range(1, n + 1)}
+    monkeypatch.setattr(verify, "cached_poset", lambda m, jobs=1: posets[m])
     monkeypatch.setattr(verify, "_restrict", broken)
+    monkeypatch.setattr(tableau, "_restrict", stepwise)
     report = verify_restriction_insertion(n)
-    assert {tuple(v["segment"]) for v in report.violations} == {(2, 4)}
-    assert 0 < len(report.violations) < len(list(all_words(n)))
+    broken_words = {}
+    for v in report.violations:
+        broken_words.setdefault(tuple(v["segment"]), []).append(v["word"])
+    assert {i for i, _ in broken_words} == set(range(n - 2, n))
+    assert all(0 < len(words) < len(list(all_words(n))) for words in broken_words.values())
     assert (report.checked, report.violations) == restriction_oracle.restriction_insertion(n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_segment_images_are_the_restrictions(n):
+    # the one-step tables composed, against jeu de taquin on every
+    # tableau and segment: slide-order independence is checked here
+    posets = {m: cached_poset(m) for m in range(2, n + 1)}
+    images = verify._segment_images(posets, n)
+    segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    assert sorted(images) == segments
+    for i, j in segments:
+        q = posets[j - i + 1]
+        assert images[i, j] == [q.index[tableau._restrict(t, i, j)] for t in posets[n].nodes]
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -5,6 +5,7 @@ behavior."""
 
 import concurrent.futures
 import concurrent.futures.process
+import dataclasses
 import functools
 from itertools import permutations
 
@@ -406,6 +407,35 @@ def test_non_isomorphic_intervals_detected():
     diamond = interval(p, p.node_id(parse_tableau("1,2,3")),
                        p.node_id(parse_tableau("1/2/3")))
     assert not is_isomorphic(chain, diamond)
+
+
+# --- the closure of the covers ------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_built_orders_are_the_closures_of_their_covers(n):
+    p = dataclasses.replace(cached_poset(n))
+    assert weakorder._closure_fault(p) is None
+    assert "closure" in p._cache
+
+
+def test_closure_fault_names_what_fails_first():
+    p = cached_poset(5)
+    (a, b), rest = p.covers[0], p.covers[1:]
+    c = p.covers[-1][1]  # just above the bottom, so few nodes lie below it
+    reach, below = list(p.reach), list(p.below)
+    reach[a] &= ~(1 << b)
+    below[c] |= 1 << next(x for x in range(len(p.nodes)) if not below[c] >> x & 1)
+    cases = [
+        (dataclasses.replace(p, reach=tuple(reach)), f"reach at {format_tableau(p.nodes[a])}"),
+        (dataclasses.replace(p, below=tuple(below)), f"below at {format_tableau(p.nodes[c])}"),
+        (dataclasses.replace(p, covers=((b, a),) + rest), "reach: cover "),
+        (dataclasses.replace(p, covers=p.covers + ((a, a),)), "reach: cover "),
+    ]
+    for broken, fault in cases:
+        assert weakorder._closure_fault(broken).startswith(fault)
+    # a cover going up and a loop fail the id-order premise, not a row
+    for broken, _ in cases[2:]:
+        assert weakorder._closure_fault(broken).endswith("does not go down in the id order")
 
 
 # --- monotone maps -------------------------------------------------------------------------
