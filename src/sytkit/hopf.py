@@ -109,20 +109,28 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     return PlacticSum(terms)
 
 
-def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:
-    """The product read off the order: the interval between the row-wise
-    and column-wise concatenations."""
+def _factors(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, Rows]:
+    """The two factors, each checked once, for a product read off ``p``."""
     left = check_standard(left)
     right = check_standard(right)
     n = size_of(left) + size_of(right)
     if p.n != n:
         raise ValueError(f"poset is for size {p.n}, product needs {n}")
+    return left, right
+
+
+def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:
+    """The product read off the order: the interval between the row-wise
+    and column-wise concatenations."""
+    left, right = _factors(left, right, p)
     return interval(p, p.index[_beside(left, right)], p.index[_over(left, right)])
 
 
 def interval_product(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, ...]:
-    """Support of the product: the tableaux of :func:`product_interval`."""
-    return product_interval(left, right, p).member_tableaux()
+    """Support of the product: the tableaux of :func:`product_interval`,
+    read from its member mask without its induced covers."""
+    left, right = _factors(left, right, p)
+    return tuple(p.nodes[a] for a in _bits(_product_mask(p, left, right)))
 
 
 def _product_mask(p: TableauPoset, left: Rows, right: Rows) -> int:

@@ -34,6 +34,14 @@ class InvariantError(RuntimeError):
     """
 
 
+def check_int(x, name: str) -> int:
+    """An integer argument of a public function, returned as it is; a
+    bool, a float such as 2.0 or any other non-int raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def check_word(word) -> Word:
     """Validate and normalize a permutation given as an integer iterable."""
     w = tuple(int(x) for x in word)
@@ -123,7 +131,7 @@ def descents_left(u: Word) -> frozenset[int]:
 
 def restrict_standardize(u: Word, i: int, j: int) -> Word:
     """Subword of the letters in [i, j], shifted down to a word on 1..j-i+1."""
-    if not (1 <= i < j <= len(u)):
+    if not (1 <= check_int(i, "i") < check_int(j, "j") <= len(u)):
         raise ValueError(f"bad segment [{i},{j}] for n={len(u)}")
     return tuple(x - i + 1 for x in u if i <= x <= j)
 
@@ -176,7 +184,7 @@ def dual_knuth_move_word(u: Word, i: int) -> Word:
     Exchanges the positions of two of the three values; a unique move exists
     exactly when one of i, i+1 (but not both) is a left descent of u.
     """
-    if not (1 <= i <= len(u) - 2):
+    if not (1 <= check_int(i, "i") <= len(u) - 2):
         raise ValueError(f"triple start {i} out of range for n={len(u)}")
     ui = inverse(u)
     moved = _window_move(ui[i - 1], ui[i], ui[i + 1])

@@ -29,6 +29,7 @@ from .permutation import (
     InvariantError,
     ParseError,
     Word,
+    check_int,
     check_word,
     evac_word,
 )
@@ -594,7 +595,7 @@ def restrict(rows: Rows, i: int, j: int) -> Rows:
     """Keep the letters in [i, j], rectify, and shift down to 1..j-i+1."""
     rows = check_standard(rows)
     n = size_of(rows)
-    if not (1 <= i < j <= n):
+    if not (1 <= check_int(i, "i") < check_int(j, "j") <= n):
         raise ValueError(f"bad segment [{i},{j}] for n={n}")
     return _restrict(rows, i, j)
 
@@ -619,7 +620,7 @@ def inner_tableau(rows: Rows, k: int) -> Rows:
     """The sub-tableau on the cells holding 1..k (no slides needed: those
     cells always form a normal shape sitting at the top left)."""
     rows = check_standard(rows)
-    if not (1 <= k <= size_of(rows)):
+    if not (1 <= check_int(k, "k") <= size_of(rows)):
         raise ValueError(f"bad inner size {k} for n={size_of(rows)}")
     return _inner_rows(rows, k)
 
@@ -682,7 +683,7 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
     """
     rows = check_standard(rows)
     n = size_of(rows)
-    if not (1 <= i <= n - 2):
+    if not (1 <= check_int(i, "i") <= n - 2):
         raise ValueError(f"triple start {i} out of range for n={n}")
     for start, moved in _dual_moves(rows):
         if start == i:

@@ -15,14 +15,15 @@ contiguous run of positions, and a relabeling, which keeps the rows of the
 letters above k, maps the x-th member of a run to the x-th member of the
 moved run.  The covers are closed again inside each run at k = 3, in one
 pass, and each group's relations are read with one shift per member.
-What the sweep relies on is checked, not assumed: every cover must lie in
-``reach`` and go strictly up in the row-sequence numbering (a loop is
-refused), ``reach`` must be the closure of the covers
-(``weakorder._closure_fault``, the test the relation checks share), no
-cover inside a run at k = 3 may pass through another, the moved inner
-tableau must keep the shape and its run the same suffixes, or
-``InvariantError`` is raised.  So an order with a cycle raises here: the
-closure of covers that all go up has none.
+What the sweep relies on is checked, not assumed, or ``InvariantError``
+is raised.  The order's premises come from ``weakorder._closure_fault``,
+the one test of them, shared with the relation checks: every cover goes
+down in the id order, ``reach`` and ``below`` are the closures of the
+covers, and the covers are reduced.  The layout checks only its own:
+every cover goes strictly up in the row-sequence numbering, and each
+moved inner tableau keeps the shape and its run the same suffixes.  So an
+order with a cycle raises here: the closure of covers that all go down in
+the id order has none.
 ``verify_antisymmetry`` is the check that reports cycles as violations.
 As every cover goes up, every chain between two members of a run stays
 inside it: each run is convex, so its induced covers are the poset's
@@ -143,11 +144,11 @@ def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
 class _SweepLayout:
     """What every translation sweep of one poset shares, made on its first
     sweep: the row-sequence numbering, checked to number every cover
-    strictly upwards, to close the covers to ``reach`` (the shared
-    ``weakorder._closure_fault``) and to keep no cover inside a run at
-    k = 3 that passes through another; per k, the runs in canonical
-    order of their inner tableaux, each with its shape and its dual Knuth
-    moves, every move checked to be onto its image run.
+    strictly upwards; per k, the runs in canonical order of their inner
+    tableaux, each with its shape and its dual Knuth moves, every move
+    checked to be onto its image run.  That the covers go down in the id
+    order, close to ``reach`` and ``below`` and are reduced is read from
+    ``weakorder._closure_fault`` first, and its message raised as it is.
 
     Every run lies inside one run at k = 3, so only each position's strict
     up-set and covers inside that run are kept (``ups`` and ``covers``,
@@ -155,6 +156,10 @@ class _SweepLayout:
     rows are shifted out of them."""
 
     def __init__(self, p: TableauPoset) -> None:
+        # the order's premises, checked once per poset (see the docstring)
+        fault = _closure_fault(p)
+        if fault is not None:
+            raise InvariantError(fault)
         n, nodes = p.n, p.nodes
         codes = [_seq_code(t) for t in nodes]
         order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
@@ -163,23 +168,12 @@ class _SweepLayout:
             position[a] = x
         succ: list[list[int]] = [[] for _ in nodes]
         for a, b in p.covers:
-            problem = (
-                "is not in it" if not p.reach[a] >> b & 1
-                else "goes down in the row-sequence numbering" if position[a] > position[b]
-                else "is a loop" if a == b
-                else None
-            )
-            if problem:
+            if position[a] > position[b]:
                 raise InvariantError(
-                    f"closure of the covers disagrees with reach: cover "
-                    f"{format_tableau(nodes[a])} < {format_tableau(nodes[b])} {problem}"
+                    f"cover {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
+                    f"goes down in the row-sequence numbering"
                 )
             succ[position[a]].append(position[b])
-        # reach must be the closure of the covers, checked once per poset
-        # in the id order and shared with the relation checks
-        fault = _closure_fault(p)
-        if fault is not None:
-            raise InvariantError(f"closure of the covers disagrees with {fault}")
         seq = [codes[a] for a in order]
         self.order = order
         self.start: list[int] = []
@@ -195,12 +189,6 @@ class _SweepLayout:
                     if y < hi:
                         cover |= 1 << (y - lo)
                         above |= ups[y - lo]
-                if cover & above:
-                    y = lo + (cover & above).bit_length() - 1
-                    raise InvariantError(
-                        f"covers are not reduced: cover {format_tableau(nodes[order[x]])} < "
-                        f"{format_tableau(nodes[order[y]])} passes through another"
-                    )
                 ups[x - lo] = cover | above
                 covers[x - lo] = cover
             self.start += [lo] * (hi - lo)

@@ -20,11 +20,11 @@ Ullman 1972); the down-sets come out of the mirror pass.
 
 The monotone-map checks here and in sytkit.verify test a map on the covers
 first (:func:`_unpreserved_covers`).  The premise is checked, not assumed:
-every cover goes down in the id order and each ``reach`` and ``below`` row
-is its node plus the rows of its covers (:func:`_closure_fault`), so every
-relation is a chain of covers.  The target must be transitive; each caller
-names why.  When either fails, every relation is tested by the mask
-kernel :func:`_unpreserved`.
+every cover goes down in the id order, each ``reach`` and ``below`` row
+is its node plus the rows of its covers, and no cover passes through
+another (:func:`_closure_fault`), so every relation is a chain of covers.
+The target must be transitive; each caller names why.  When either
+fails, every relation is tested by the mask kernel :func:`_unpreserved`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .permutation import InvariantError
+from .permutation import InvariantError, check_int
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -62,7 +62,8 @@ class TableauPoset:
     between threads.
 
     ``reach[a]`` has bit b set iff a <= b (reflexively); ``below`` is the
-    transpose.  ``covers`` is the transitive reduction, sorted.  ``_cache``
+    transpose.  ``covers`` is the transitive reduction, sorted: a checked
+    fact, with the closures, by :func:`_closure_fault`.  ``_cache``
     keeps what checks derive from the order, made on first use (the
     closure check of :func:`_closure_fault`, and the translation sweep's
     layout and the one-step restriction tables of sytkit.verify); two
@@ -88,7 +89,7 @@ class TableauPoset:
 
     def node_id(self, node: NodeRef) -> int:
         if isinstance(node, int):
-            if not 0 <= node < len(self.nodes):
+            if not 0 <= check_int(node, "node id") < len(self.nodes):
                 raise ValueError(f"node id {node} out of range")
             return node
         key = check_standard(node)
@@ -138,14 +139,17 @@ def _unpreserved(rows, image, up) -> list[tuple[int, int]]:
 
 def _closure_fault(p: TableauPoset) -> str | None:
     """None when ``reach`` and ``below`` are the reflexive-transitive
-    closures of ``p.covers`` upwards and downwards; else what fails first.
+    closures of ``p.covers`` upwards and downwards and the covers are
+    reduced; else the message of what fails first.
 
     Checked as every cover (a, b) going down in the id order (a > b),
     ``reach[a]`` being a plus the ``reach`` rows of its covers and
     ``below[b]`` being b plus the ``below`` rows of the nodes it covers: by
     induction from id 0 upwards for ``reach`` and from the top id downwards
     for ``below``, each row is then its node's closure, whatever the rows
-    are.  Made once per poset and kept in ``p._cache``.
+    are.  In the ``reach`` pass no cover of a may lie strictly above
+    another (Aho, Garey and Ullman 1972).  Made once per poset and kept in
+    ``p._cache``.
     """
     if "closure" not in p._cache:
         p._cache["closure"] = _find_closure_fault(p)
@@ -154,26 +158,36 @@ def _closure_fault(p: TableauPoset) -> str | None:
 
 def _find_closure_fault(p: TableauPoset) -> str | None:
     # one row is made at a time, so no second table of rows is held
-    succ: list[list[int]] = [[] for _ in p.nodes]
-    pred: list[list[int]] = [[] for _ in p.nodes]
+    nodes = p.nodes
+    succ: list[list[int]] = [[] for _ in nodes]
+    pred: list[list[int]] = [[] for _ in nodes]
     for a, b in p.covers:
         if a <= b:
             return (
-                f"reach: cover {format_tableau(p.nodes[a])} < "
-                f"{format_tableau(p.nodes[b])} does not go down in the id order"
+                f"closure of the covers disagrees with reach: cover {format_tableau(nodes[a])}"
+                f" < {format_tableau(nodes[b])} does not go down in the id order"
             )
         succ[a].append(b)
         pred[b].append(a)
-    for rows, links, ids, name in (
-        (p.reach, succ, range(len(p.nodes)), "reach"),
-        (p.below, pred, range(len(p.nodes) - 1, -1, -1), "below"),
-    ):
-        for a in ids:
-            closed = 1 << a
-            for b in links[a]:
-                closed |= rows[b]
-            if closed != rows[a]:
-                return f"{name} at {format_tableau(p.nodes[a])}"
+    for a, links in enumerate(succ):
+        ends = through = 0
+        for b in links:  # reach[b] is proved closed already, so it holds b
+            ends |= 1 << b
+            through |= p.reach[b] ^ 1 << b  # strictly above b
+        if 1 << a | ends | through != p.reach[a]:
+            return f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
+        if through & ends:
+            c = (through & ends).bit_length() - 1
+            return (
+                f"covers are not reduced: cover {format_tableau(nodes[a])} < "
+                f"{format_tableau(nodes[c])} passes through another"
+            )
+    for b in range(len(nodes) - 1, -1, -1):
+        closed = 1 << b
+        for a in pred[b]:
+            closed |= p.below[a]
+        if closed != p.below[b]:
+            return f"closure of the covers disagrees with below at {format_tableau(nodes[b])}"
     return None
 
 
@@ -430,8 +444,9 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
     """Shapes change monotonically in dominance along the order.
 
     The direction is detected on the cover relation first, then asserted on
-    every comparable pair: at once when the covers close to ``reach``,
-    pair by pair otherwise.  The report names the direction that holds.
+    every comparable pair through :func:`_unpreserved_covers`: at once
+    when the order's premises hold, pair by pair otherwise.  The report
+    names the direction that holds.
     """
     shapes = [shape_of(t) for t in p.nodes]
     with stopwatch() as sw:
@@ -448,15 +463,11 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
             broken = [(a, b) for a, b in p.covers if not dom[sid[b]][sid[a]]]
         else:
             checked += p.strict_relations()
-            if _closure_fault(p) is None:
-                # the direction holds on every cover, and dominance is a
-                # partial order, so it holds along every chain of covers
-                broken = []
-            else:
-                # ahead[s][t]: shape t may lie above shape s in the direction
-                ahead = dom if direction == "up" else list(zip(*dom))
-                masks = [sum(1 << t for t, ok in enumerate(row) if ok) for row in ahead]
-                broken = _unpreserved(p.reach, sid, masks)
+            # ahead[s][t]: shape t may lie above shape s in the direction
+            ahead = dom if direction == "up" else list(zip(*dom))
+            masks = [sum(1 << t for t, ok in enumerate(row) if ok) for row in ahead]
+            # dominance is a partial order
+            broken = _unpreserved_covers(p, sid, masks, True)
         violations = [
             {
                 "S": format_tableau(p.nodes[a]),

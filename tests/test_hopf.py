@@ -116,8 +116,14 @@ def test_product_interval_validates_each_factor_once(monkeypatch):
         parse_tableau("1,2,4/3,5"), parse_tableau("1,2/3/4/5")
     )
     assert len(iv.members) == 4
-    with pytest.raises(ValueError):
-        hopf.product_interval(((2, 1), (3,)), right, p)
+    calls.clear()
+    # the support is read from the member mask: no covers are induced
+    monkeypatch.setattr(weakorder, "induced_covers", None)
+    assert hopf.interval_product(left, right, p) == iv.member_tableaux()
+    assert calls == [left, right]
+    for product in (hopf.product_interval, hopf.interval_product):
+        with pytest.raises(ValueError):
+            product(((2, 1), (3,)), right, p)
 
 
 def test_endpoints_belong_to_support():

@@ -17,7 +17,7 @@ from sytkit.weakorder import (
     check_monotone_descent,
     check_monotone_shape,
 )
-from test_verify import _relations, _thinned
+from test_verify import _relations, _thinned, _unreduced
 
 
 def _outcome(report):
@@ -104,11 +104,12 @@ def _upward(p):
     return dataclasses.replace(p, covers=(*p.covers, (b, a)))
 
 
-@pytest.mark.parametrize("broken", [_looped, _upward])
+@pytest.mark.parametrize("broken", [_looped, _upward, _unreduced])
 def test_relation_checks_fall_through_when_a_cover_does_not_go_down(monkeypatch, broken):
-    # the covers do not close to reach by the id-order test, so every
-    # relation is tested, on the real order and on one with covers dropped,
-    # and nothing is raised
+    # the covers fail the id-order test, or (_unreduced: an added cover
+    # a < c passes through the covers a < b < c) the reduction test, so
+    # every relation is tested, on the real order and on one with covers
+    # dropped, and nothing is raised
     for thinned in (False, True):
         posets = {m: _thinned(m, 2) if thinned else cached_poset(m) for m in range(2, 7)}
         posets[6] = broken(posets[6])

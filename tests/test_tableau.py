@@ -15,6 +15,7 @@ from sytkit.permutation import (
     ParseError,
     all_words,
     descents_left,
+    dual_knuth_move_word,
     evac_word,
     restrict_standardize,
     transpose_word,
@@ -61,6 +62,7 @@ from sytkit.tableau import (
     tableau_to_json,
     transpose,
 )
+from sytkit.weakorder import cached_poset
 
 
 # --- shapes -----------------------------------------------------------------
@@ -688,6 +690,36 @@ def test_dual_knuth_move_preconditions():
     with pytest.raises(ValueError):
         dual_knuth_move(tab, 10)  # out of range
     assert shape_of(dual_knuth_move(tab, 2)) == (3, 3)  # exactly one: fine
+
+
+_SMALL = ((1, 2), (3,))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (restrict, (_SMALL, 1.5, 3)),
+        (restrict, (_SMALL, 1, 3.0)),
+        (restrict, (_SMALL, True, 3)),
+        (restrict_standardize, ((2, 1, 3), 1.5, 3)),
+        (restrict_standardize, ((2, 1, 3), 1, "3")),
+        (inner_tableau, (_SMALL, 2.0)),
+        (inner_tableau, (_SMALL, True)),
+        (dual_knuth_move, (((1, 2, 3), (4, 5, 6)), 2.0)),
+        (dual_knuth_move_word, ((1, 3, 2), 1.0)),
+        (lambda node: cached_poset(3).node_id(node), (True,)),
+        (lambda node: cached_poset(3).node_id(node), (False,)),
+    ],
+    ids=[
+        "restrict-float-i", "restrict-float-j", "restrict-bool",
+        "restrict_standardize-float", "restrict_standardize-str",
+        "inner_tableau-float", "inner_tableau-bool", "dual_knuth_move-float",
+        "dual_knuth_move_word-float", "node_id-True", "node_id-False",
+    ],
+)
+def test_integer_arguments_refuse_non_ints(call, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
 
 
 def test_dual_knuth_move_preserves_shape_n5():

@@ -37,7 +37,7 @@ from sytkit.verify import (
     verify_special_cases,
     verify_structural,
 )
-from sytkit.weakorder import _bits, cached_poset, induced_covers, leq
+from sytkit.weakorder import _bits, _closure_fault, cached_poset, induced_covers, leq
 
 
 # --- headline sweep ------------------------------------------------------------
@@ -260,14 +260,15 @@ def test_sweep_rejects_an_order_with_a_cycle():
 
 
 def test_sweep_rejects_a_cover_that_goes_down():
-    # the two-node cycle has covers both ways, and one of them goes down
-    # in the row-sequence numbering
+    # the size-4 order with the cover 1,3/2,4 < 1,2/3/4 added and closed
+    # again: it goes down in the id order and the covers close and are
+    # reduced, so only the row-sequence numbering is broken
     p = cached_poset(4)
-    a, b = p.covers[0]
-    cyclic = _relations(p, p.nodes, list(p.covers) + [(b, a)])
-    assert (a, b) in cyclic.covers and (b, a) in cyclic.covers
-    with pytest.raises(InvariantError, match="goes down in the row-sequence numbering"):
-        verify._translation_sweep(cyclic, "order", None)
+    extra = _relations(p, p.nodes, list(p.covers) + [(4, 3)])
+    assert (4, 3) in extra.covers and _closure_fault(extra) is None
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="goes down in the row-sequence numbering"):
+            verify._translation_sweep(extra, mode, None)
 
 
 def test_sweep_rejects_covers_that_do_not_close_to_reach():
@@ -275,10 +276,10 @@ def test_sweep_rejects_covers_that_do_not_close_to_reach():
     broken = dataclasses.replace(p, covers=p.covers[1:])
     with pytest.raises(InvariantError, match="closure of the covers disagrees"):
         verify._translation_sweep(broken, "order", None)
-    # a reversed cover lies outside reach
+    # a reversed cover lies outside reach, and goes up in the id order
     (a, b), rest = p.covers[0], p.covers[1:]
     broken = dataclasses.replace(p, covers=((b, a),) + rest)
-    with pytest.raises(InvariantError, match="is not in it"):
+    with pytest.raises(InvariantError, match="does not go down in the id order"):
         verify._translation_sweep(broken, "cover", None)
 
 
@@ -392,11 +393,11 @@ def test_single_family_sweep_reads_only_two_row_runs(monkeypatch):
     assert read and set(read) <= two_row
 
 
-def _unreduced():
-    """The size-5 order with one more cover a < c, where a and c have the
-    same inner tableau on 1..3 and a < b < c are covers: the new cover
-    passes through b."""
-    p = cached_poset(5)
+def _unreduced(p=None):
+    """The size-5 order, or ``p``, with one more cover a < c, where a and c
+    have the same inner tableau on 1..3 and a < b < c are covers: the new
+    cover passes through b."""
+    p = cached_poset(5) if p is None else p
     covered = {}
     for a, b in p.covers:
         covered.setdefault(a, []).append(b)
@@ -411,15 +412,15 @@ def _unreduced():
 
 def _self_loop():
     """The size-6 order with the loop (51, 51) added to its covers: node 51
-    has nothing below it in its run at k = 3, so only the loop test can
-    tell."""
+    has nothing below it in its run at k = 3, so only the id-order test
+    can tell."""
     p = cached_poset(6)
     return dataclasses.replace(p, covers=(*p.covers, (51, 51)))
 
 
 def test_sweep_rejects_a_self_loop_cover():
     for mode in ("cover", "order"):
-        with pytest.raises(InvariantError, match="is a loop"):
+        with pytest.raises(InvariantError, match="does not go down in the id order"):
             verify._translation_sweep(_self_loop(), mode, None)
 
 

@@ -421,20 +421,28 @@ def test_built_orders_are_the_closures_of_their_covers(n):
 def test_closure_fault_names_what_fails_first():
     p = cached_poset(5)
     (a, b), rest = p.covers[0], p.covers[1:]
-    c = p.covers[-1][1]  # just above the bottom, so few nodes lie below it
+    e, c = p.covers[-1]  # c is just above the bottom, so few nodes lie below it
+    d = next(d for x, d in p.covers if x == c)  # e < c < d are covers
     reach, below = list(p.reach), list(p.below)
     reach[a] &= ~(1 << b)
     below[c] |= 1 << next(x for x in range(len(p.nodes)) if not below[c] >> x & 1)
+    disagrees = "closure of the covers disagrees with "
     cases = [
-        (dataclasses.replace(p, reach=tuple(reach)), f"reach at {format_tableau(p.nodes[a])}"),
-        (dataclasses.replace(p, below=tuple(below)), f"below at {format_tableau(p.nodes[c])}"),
-        (dataclasses.replace(p, covers=((b, a),) + rest), "reach: cover "),
-        (dataclasses.replace(p, covers=p.covers + ((a, a),)), "reach: cover "),
+        (dataclasses.replace(p, reach=tuple(reach)),
+         f"{disagrees}reach at {format_tableau(p.nodes[a])}"),
+        (dataclasses.replace(p, below=tuple(below)),
+         f"{disagrees}below at {format_tableau(p.nodes[c])}"),
+        (dataclasses.replace(p, covers=((b, a),) + rest), f"{disagrees}reach: cover "),
+        (dataclasses.replace(p, covers=p.covers + ((a, a),)), f"{disagrees}reach: cover "),
+        # the rows still close, and the added cover e < d passes through c
+        (dataclasses.replace(p, covers=tuple(sorted((*p.covers, (e, d))))),
+         f"covers are not reduced: cover {format_tableau(p.nodes[e])} < "
+         f"{format_tableau(p.nodes[d])} passes through another"),
     ]
     for broken, fault in cases:
         assert weakorder._closure_fault(broken).startswith(fault)
     # a cover going up and a loop fail the id-order premise, not a row
-    for broken, _ in cases[2:]:
+    for broken, _ in cases[2:4]:
         assert weakorder._closure_fault(broken).endswith("does not go down in the id order")
 
 
