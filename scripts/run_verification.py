@@ -5,7 +5,7 @@ Each entry of ``sytkit.verify.battery`` runs one check of the table behind
 ``sytkit verify``.  Default scale is n <= 7 (about 0.2 s, interpreter
 start included; the checks themselves take about 0.08 s).  --stretch
 raises the translation sweep, antisymmetry and hook-eta to n = 9, with
-the poset on 2620 tableaux (about 0.35 s in total on a 2-vCPU machine
+the poset on 2620 tableaux (about 0.3 s in total on a 2-vCPU machine
 under Python 3.11, interpreter start included).  --jobs is accepted and
 has no effect: the poset build is serial.  JSON reports land in --out-dir
 when given.  Exits 1 when a check fails.

@@ -43,8 +43,13 @@ def check_int(x, name: str) -> int:
 
 
 def check_word(word) -> Word:
-    """Validate and normalize a permutation given as an integer iterable."""
-    w = tuple(int(x) for x in word)
+    """Validate and normalize a permutation given as an integer iterable.
+    Letters are taken as they are: anything but an ``int`` (a bool, a
+    float such as 2.0) raises ValueError."""
+    w = tuple(word)
+    for x in w:
+        if type(x) is not int:
+            raise ValueError(f"word letters must be integers, got {x!r}")
     n = len(w)
     if n < 1:
         raise ValueError("empty word")
@@ -131,6 +136,7 @@ def descents_left(u: Word) -> frozenset[int]:
 
 def restrict_standardize(u: Word, i: int, j: int) -> Word:
     """Subword of the letters in [i, j], shifted down to a word on 1..j-i+1."""
+    u = check_word(u)
     if not (1 <= check_int(i, "i") < check_int(j, "j") <= len(u)):
         raise ValueError(f"bad segment [{i},{j}] for n={len(u)}")
     return tuple(x - i + 1 for x in u if i <= x <= j)
@@ -184,6 +190,7 @@ def dual_knuth_move_word(u: Word, i: int) -> Word:
     Exchanges the positions of two of the three values; a unique move exists
     exactly when one of i, i+1 (but not both) is a left descent of u.
     """
+    u = check_word(u)
     if not (1 <= check_int(i, "i") <= len(u) - 2):
         raise ValueError(f"triple start {i} out of range for n={len(u)}")
     ui = inverse(u)

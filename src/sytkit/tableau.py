@@ -151,8 +151,17 @@ def check_tableau(rows) -> Rows:
 
 
 def _check_rows(rows) -> Rows:
-    """Integer rows, none empty, whose lengths form a partition."""
-    t = tuple(tuple(int(x) for x in row) for row in rows)
+    """Integer rows, none empty, whose lengths form a partition.  Entries
+    are taken as they are: anything but an ``int`` (a bool, a float such
+    as 2.0) raises ValueError."""
+    try:
+        t = tuple(map(tuple, rows))
+    except TypeError:
+        raise ValueError(f"a tableau is a sequence of rows, got {rows!r}") from None
+    for row in t:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"tableau entries must be integers, got {x!r}")
     if not t or any(not row for row in t):
         raise ValueError("tableau must have nonempty rows")
     check_partition(shape_of(t))

@@ -32,8 +32,14 @@ covers with both ends in it, read off them with no reduction per run.
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
-them.  Each sweep still applies its own family filter and compares every
-move run against run, whole runs first: equal rows hold every relation.
+them.  The layout remakes no tableau: it reads each node's row code once,
+names every run by the id of its inner tableau in the lift's size-k code
+map (``weakorder._lifted``), and reads the moves from a size-k table of
+(triple start, moved id), made once per size and process from
+``tableau._dual_moves`` (:func:`_size_moves`), so the layouts of every
+larger poset share it.  Each sweep still applies its own family filter
+and compares every move run against run, whole runs first: equal rows
+hold every relation.
 
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
@@ -58,6 +64,7 @@ witness is a self-contained dict of text forms.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from operator import xor
 
 from .hopf import verify_interval_isomorphism
 from .knuthclass import knuth_class
@@ -81,7 +88,6 @@ from .tableau import (
     _is_hook,
     _restrict,
     _reverse_bump,
-    _rows_of,
     _transpose,
     format_tableau,
     insertion_tableau,
@@ -95,6 +101,9 @@ from .weakorder import (
     TableauPoset,
     _bits,
     _closure_fault,
+    _insertion_id,
+    _lifted,
+    _row_code,
     _unpreserved,
     _unpreserved_covers,
     cached_poset,
@@ -119,26 +128,41 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _seq_code(rows: Rows) -> int:
-    """The row sequence (row of 1, ..., row of n) of a standard tableau in
-    4-bit digits, letter 1 highest: integer order is lexicographic order,
-    and the code of the inner tableau on 1..k is ``code >> 4 * (n - k)``."""
-    code = 0
-    for r in _rows_of(rows)[1:]:
-        code = code << 4 | r
-    return code
+# size k -> per size-k node id, its dual Knuth moves as (i, moved id):
+# made with ``tableau._dual_moves`` once per size and process, and shared
+# by the sweep layouts of every larger poset, as ``weakorder._LIFTED`` is
+_MOVES: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
 
-def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
-    """The maximal runs [lo, hi) of positions whose codes agree above the
-    lowest ``cut`` bits."""
-    runs = []
-    lo = 0
-    for x in range(1, len(seq) + 1):
-        if x == len(seq) or seq[x] >> cut != seq[lo] >> cut:
-            runs.append((lo, x))
-            lo = x
-    return runs
+def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
+    """The size-k entry of ``_MOVES``, made first when it is missing."""
+    if k not in _MOVES:
+        nodes = _lifted(k)[0]
+        index = {sub: t for t, sub in enumerate(nodes)}
+        table = []
+        for sub in nodes:
+            moves = []
+            for i, moved_sub in _dual_moves(sub):
+                t = index.get(moved_sub)
+                if t is None:
+                    raise InvariantError(
+                        f"relabeling {format_tableau(sub)} -> "
+                        f"{format_tableau(moved_sub)} is not onto its group"
+                    )
+                moves.append((i, t))
+            table.append(tuple(moves))
+        _MOVES[k] = table
+    return _MOVES[k]
+
+
+def _spans(starts: list[int], end: int) -> list[tuple[int, int]]:
+    """The runs [lo, hi) that begin at ``starts`` and end at the next one,
+    the last at ``end``."""
+    return list(zip(starts, starts[1:] + [end]))
+
+
+# each byte's two 4-bit digits exchanged
+_NIBBLES_SWAPPED = bytes((b & 15) << 4 | b >> 4 for b in range(256))
 
 
 class _SweepLayout:
@@ -149,6 +173,16 @@ class _SweepLayout:
     checked to be onto its image run.  That the covers go down in the id
     order, close to ``reach`` and ``below`` and are reduced is read from
     ``weakorder._closure_fault`` first, and its message raised as it is.
+
+    No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
+    letter x in the 4-bit digit x - 1) is taken once from ``p.nodes``; the
+    numbering sorts the codes with their digits reversed, letter 1 first.
+    Positions x - 1 and x then share the inner tableau on 1..k exactly
+    when their codes agree on the lowest k digits, so one pass over those
+    shared lengths cuts the runs at every k.  A run's inner tableau is its
+    code's lowest k digits, named by its size-k id in the map that the lift
+    keeps (``weakorder._lifted``); ids are in canonical order, and the
+    moves are read from the size-k table of :func:`_size_moves`.
 
     Every run lies inside one run at k = 3, so only each position's strict
     up-set and covers inside that run are kept (``ups`` and ``covers``,
@@ -161,8 +195,15 @@ class _SweepLayout:
         if fault is not None:
             raise InvariantError(fault)
         n, nodes = p.n, p.nodes
-        codes = [_seq_code(t) for t in nodes]
-        order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
+        codes = [_row_code(t) for t in nodes]
+        width = (n + 1) // 2
+
+        def letter_1_first(a: int) -> int:
+            # the digits of a's code reversed: each byte's digits swapped, the
+            # bytes read backwards (n odd adds a 0 digit last to every code)
+            return int.from_bytes(codes[a].to_bytes(width, "little").translate(_NIBBLES_SWAPPED), "big")
+
+        order = sorted(range(len(nodes)), key=letter_1_first)  # position -> id
         position = [0] * len(nodes)
         for x, a in enumerate(order):
             position[a] = x
@@ -175,11 +216,16 @@ class _SweepLayout:
                 )
             succ[position[a]].append(position[b])
         seq = [codes[a] for a in order]
+        # shared[x]: the letters 1.. whose rows positions x - 1 and x share,
+        # the lowest digit in which their codes differ (-1 at x = 0); the
+        # runs at k start where fewer than k are shared
+        shared = [-1] + [((d & -d).bit_length() - 1) >> 2 for d in map(xor, seq, seq[1:])]
+        starts = {k: [x for x, m in enumerate(shared) if m < k] for k in range(3, n)}
         self.order = order
         self.start: list[int] = []
         self.ups: list[int] = []
         self.covers: list[int] = []
-        for lo, hi in _runs(seq, 4 * (n - 3)) if n > 3 else ():
+        for lo, hi in _spans(starts[3], len(seq)) if n > 3 else ():
             # covers go up, so a path between two members of a run stays
             # inside it: each run is closed from its own covers
             ups, covers = [0] * (hi - lo), [0] * (hi - lo)
@@ -196,30 +242,41 @@ class _SweepLayout:
             self.covers += covers
         # levels[k - 3]: (shape, lo, hi, moves) per run, moves (i, the index
         # of the moved run in the level)
-        self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]
+        self.levels = [
+            self._level(nodes, seq, k, _spans(starts[k], len(seq))) for k in range(3, n)
+        ]
 
-    def _level(self, nodes, seq: list[int], n: int, k: int) -> list[tuple]:
-        cut = 4 * (n - k)
-        runs = sorted(
-            ((_inner_rows(nodes[self.order[lo]], k), lo, hi) for lo, hi in _runs(seq, cut)),
-            key=lambda run: canonical_key(run[0]),
-        )
-        where = {sub: t for t, (sub, _, _) in enumerate(runs)}
-        shapes = [shape_of(sub) for sub, _, _ in runs]
+    def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
+        subs, _, _, ids_of = _lifted(k)
+        table = _size_moves(k)
+        digits = (1 << 4 * k) - 1
+        runs = []  # (size-k id, lo, hi)
+        for lo, hi in spans:
+            t = ids_of.get(seq[lo] & digits)
+            if t is None:
+                raise InvariantError(
+                    f"inner tableau {format_tableau(_inner_rows(nodes[self.order[lo]], k))} "
+                    f"of a run is not a size-{k} node"
+                )
+            runs.append((t, lo, hi))
+        runs.sort()  # canonical order
+        where = {t: s for s, (t, _, _) in enumerate(runs)}
+        shapes = [shape_of(subs[t]) for t, _, _ in runs]
         # the rows of the letters above k, member by member
-        tails = [[code & ((1 << cut) - 1) for code in seq[lo:hi]] for _, lo, hi in runs]
+        high = [code >> 4 * k for code in seq]
+        tails = [high[lo:hi] for _, lo, hi in runs]
         level = []
-        for s, (sub, lo, hi) in enumerate(runs):
+        for s, (t, lo, hi) in enumerate(runs):
             moves = []
-            for i, moved_sub in _dual_moves(sub):
+            for i, moved in table[t]:
                 # the relabeling maps the run onto the moved run: checked, not assumed
-                t = where.get(moved_sub)
-                if t is None or shapes[t] != shapes[s] or tails[t] != tails[s]:
+                u = where.get(moved)
+                if u is None or shapes[u] != shapes[s] or tails[u] != tails[s]:
                     raise InvariantError(
-                        f"relabeling {format_tableau(sub)} -> "
-                        f"{format_tableau(moved_sub)} is not onto its group"
+                        f"relabeling {format_tableau(subs[t])} -> "
+                        f"{format_tableau(subs[moved])} is not onto its group"
                     )
-                moves.append((i, t))
+                moves.append((i, u))
             level.append((shapes[s], lo, hi, tuple(moves)))
         return level
 
@@ -405,13 +462,21 @@ def verify_hook_eta(k: int) -> VerificationReport:
     cells hold k and k-1: the two reverse-insertion exit letters differ,
     and class words sharing a last letter share their prefix insertion
     tableau.  Hooks whose corners hold other labels are outside the
-    hypothesis and are counted as skipped."""
+    hypothesis and are counted as skipped.
+
+    Each prefix's tableau is named by its node id, found by inserting the
+    prefix from the right through the lift's column-insertion tables
+    (``weakorder._insertion_id``): one popcount rank and one table lookup
+    per letter, with no tableau built."""
     if not (5 <= k <= 9):
         raise ValueError("k must be in 5..9")
     checked = 0
     skipped = 0
     violations: list[dict] = []
     with stopwatch() as sw:
+        # per size m < k, the tables of a letter column-inserted into the
+        # size m - 1 nodes, lifted once per process
+        tables = [_lifted(m)[1] for m in range(1, k)]
         for shape in partitions(k):
             if not is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
@@ -443,7 +508,7 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     checked += 1
                     # every prefix is inserted anew: the class was listed
                     # from these prefixes, so reading them off it checks nothing
-                    prefixes = {insertion_tableau(w[:-1]) for w in group}
+                    prefixes = {_insertion_id(w[:-1], tables) for w in group}
                     if len(prefixes) != 1:
                         violations.append(
                             {

@@ -8,7 +8,9 @@ theorem the class of x.w is x column-inserted into the class of w, so one
 table per size k and first letter x maps the size k - 1 classes to size k,
 and the size-n edges are lifted from size n - 1 through those tables, plus
 the swaps of the first two letters.  Each size is lifted once per process
-and kept for the larger ones.
+and kept for the larger ones, with its map from row code to node id; the
+sweep layout of sytkit.verify names its runs through those maps, and the
+hook-eta check inserts words through the tables (:func:`_insertion_id`).
 
 Every projected edge a -> b goes down in the id order (a > b), which is
 checked on every edge: the id order is then a linear extension, so the
@@ -251,9 +253,18 @@ def _column_tables(prev: tuple[Rows, ...], ids_of: dict[int, int], k: int) -> li
     return tables
 
 
-# size k -> (nodes, tables, edges) as :func:`_lift_edges` leaves them for
-# size k: arrays, since the small sizes stay for the rest of the process
-_LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], array]] = {}
+# size k -> (nodes, tables, edges, ids_of) as :func:`_lift_edges` leaves
+# them for size k, ``ids_of`` mapping each node's row code to its id:
+# arrays, since the small sizes stay for the rest of the process
+_LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], array, dict[int, int]]] = {}
+
+
+def _lifted(k: int) -> tuple[tuple[Rows, ...], list[array], array, dict[int, int]]:
+    """The size-k entry of ``_LIFTED`` (k >= 1), lifted first when it is
+    missing."""
+    if k not in _LIFTED:
+        _lift_edges(k)
+    return _LIFTED[k]
 
 
 def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
@@ -272,13 +283,14 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
     top = n
     while top and top not in _LIFTED:
         top -= 1
-    nodes, before, edges = _LIFTED[top] if top else (((),), [], [])
+    nodes, before, edges, _ = _LIFTED[top] if top else (((),), [], [], None)
     before = [list(table) for table in before]
     edges = list(edges)
     for k in range(top + 1, n + 1):
         prev = nodes
         nodes = tuple(sorted(all_standard_tableaux(k), key=canonical_key))
-        tables = _column_tables(prev, {_row_code(t): i for i, t in enumerate(nodes)}, k)
+        ids_of = {_row_code(t): i for i, t in enumerate(nodes)}
+        tables = _column_tables(prev, ids_of, k)
         codes: set[int] = set()
         for table in tables:
             codes.update([table[e >> 16] << 16 | table[e & 0xFFFF] for e in edges])
@@ -289,8 +301,25 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
                 codes.update([low[a] << 16 | high[b] for a, b in zip(down, up)])
         edges = [code for code in sorted(codes) if code >> 16 != code & 0xFFFF]
         before = tables
-        _LIFTED[k] = (nodes, [array("H", table) for table in tables], array("I", edges))
+        _LIFTED[k] = (nodes, [array("H", table) for table in tables], array("I", edges), ids_of)
     return nodes, edges
+
+
+def _insertion_id(word, tables) -> int:
+    """The id among the size-m nodes of the insertion tableau of ``word``,
+    a word of m distinct positive letters, standardized; ``tables[j - 1]``
+    holds the size-j tables of ``_LIFTED`` for j = 1..m.
+
+    By Schensted's theorem P(x.w) is x column-inserted into P(w), so the
+    word is inserted from the right: each letter is standardized among the
+    letters after it by one popcount rank, then inserted by one lookup in
+    ``tables[j - 1][rank]`` (see :func:`_column_tables`).  Unchecked."""
+    t = seen = 0
+    for table, x in zip(tables, word[::-1]):
+        bit = 1 << x
+        t = table[(seen & bit - 1).bit_count()][t]
+        seen |= bit
+    return t
 
 
 def build_poset(n: int, jobs: int = 1) -> TableauPoset:

@@ -8,12 +8,14 @@ import pytest
 
 import class_oracle as oracle
 import sytkit.cli as cli
+import sytkit.weakorder as weakorder
 from sytkit import verify
 from sytkit.cli import EXIT_OK, main
 from sytkit.knuthclass import KnuthClass, knuth_class
 from sytkit.tableau import (
     all_standard_tableaux,
     format_tableau,
+    insertion_tableau,
     is_hook,
     partitions,
     standard_tableaux,
@@ -49,6 +51,19 @@ def test_hook_eta_classes_match_the_oracle_k9():
         assert knuth_class(tab).words == oracle.class_words(tab), format_tableau(tab)
 
 
+def test_hook_eta_prefix_ids_are_the_insertion_tableaux_k9():
+    # the ids verify_hook_eta(9) compares, against the prefixes inserted
+    tables = [weakorder._lifted(m)[1] for m in range(1, 9)]
+    index = weakorder.cached_poset(8).index
+    count = 0
+    for tab in hook_eta_tableaux(9):
+        for w in knuth_class(tab).words:
+            prefix = tuple(x - (x > w[-1]) for x in w[:-1])  # standardized
+            assert weakorder._insertion_id(w[:-1], tables) == index[insertion_tableau(prefix)]
+            count += 1
+    assert count == 6832
+
+
 def _counts(report):
     return report.checked, report.skipped, report.violations
 
@@ -63,7 +78,7 @@ def test_hook_eta_report_is_the_same_on_oracle_classes(monkeypatch, k):
 def test_hook_eta_violations_are_the_same_on_oracle_classes(monkeypatch):
     # with prefixes "inserted" to themselves every group of two or more
     # words is a violation, so the listed words of each are compared too
-    monkeypatch.setattr(verify, "insertion_tableau", lambda word: word)
+    monkeypatch.setattr(verify, "_insertion_id", lambda word, tables: word)
     fast = verify.verify_hook_eta(6)
     assert fast.violations
     assert all(v["words"] == sorted(v["words"]) for v in fast.violations)

@@ -97,6 +97,23 @@ def test_class_command(capsys):
     assert out.split() == ["31425", "31452", "34125", "34152", "34512"]
 
 
+@pytest.mark.parametrize(
+    "argv, parser, value",
+    [
+        (("evac", "x"), "parse_tableau", ((1.5, 2), (3,))),
+        (("transpose", "x"), "parse_tableau", ((True, 2), (3,))),
+        (("rsk", "x"), "parse_word", (2.9, 1.0)),
+    ],
+)
+def test_non_int_entries_are_usage_errors(capsys, monkeypatch, argv, parser, value):
+    # what a library caller might pass in place of a parsed argument
+    monkeypatch.setattr(cli, parser, lambda text: value)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be integers, got" in err
+
+
 def test_poset_dot(capsys):
     code, out, _ = run(capsys, "poset", "--n", "3", "--format", "dot")
     assert code == EXIT_OK

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 
@@ -255,3 +257,32 @@ def test_interleavings_keep_orders():
     for word in interleavings((1, 3), (2, 4)):
         assert word.index(1) < word.index(3)
         assert word.index(2) < word.index(4)
+
+
+# --- validation at the boundary ------------------------------------------------
+
+@pytest.mark.parametrize(
+    "word, letter",
+    [((2.9, 1.0), "2.9"), ((2, 1.0), "1.0"), ((True, 2), "True"), (("2", 1), "'2'")],
+    ids=["float", "integral-float", "bool", "str"],
+)
+def test_check_word_refuses_non_int_letters(word, letter):
+    # the letters are not coerced: (2.9, 1.0) once came back as (2, 1)
+    with pytest.raises(ValueError, match=f"word letters must be integers, got {re.escape(letter)}$"):
+        check_word(word)
+
+
+def test_restrict_standardize_checks_its_word():
+    # (1, 1, 7) once restricted to (1, 1)
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        restrict_standardize((1, 1, 7), 1, 2)
+    with pytest.raises(ValueError, match="word letters must be integers"):
+        restrict_standardize((2.0, 1, 3), 1, 2)
+
+
+def test_dual_knuth_move_word_checks_its_word():
+    # (3, 4, 5) once raised IndexError
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        dual_knuth_move_word((3, 4, 5), 1)
+    with pytest.raises(ValueError, match="word letters must be integers"):
+        dual_knuth_move_word((1, 3.0, 2), 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,7 @@ from sytkit.tableau import (
     all_standard_tableaux,
     beside,
     check_standard,
+    check_tableau,
     corners,
     descent_set,
     dominance_leq,
@@ -720,6 +722,31 @@ _SMALL = ((1, 2), (3,))
 def test_integer_arguments_refuse_non_ints(call, args):
     with pytest.raises(ValueError, match="must be an integer"):
         call(*args)
+
+
+@pytest.mark.parametrize(
+    "rows, entry",
+    [
+        (((1.5, 2.2),), "1.5"),
+        (((True, 2),), "True"),
+        (((1, 2), (3.0,)), "3.0"),
+        ((("1", 2),), "'1'"),
+    ],
+    ids=["float", "bool", "integral-float", "str"],
+)
+def test_tableau_entries_refuse_non_ints(rows, entry):
+    # the entries are not coerced: ((1.5, 2.2),) once came back as ((1, 2),)
+    for check in (check_standard, check_tableau):
+        with pytest.raises(ValueError, match=f"tableau entries must be integers, got {re.escape(entry)}$"):
+            check(rows)
+
+
+def test_node_id_refuses_a_tableau_of_non_ints():
+    p = cached_poset(3)
+    with pytest.raises(ValueError, match="tableau entries must be integers, got 1.5"):
+        p.node_id(((1.5, 2), (3,)))
+    with pytest.raises(ValueError, match="a tableau is a sequence of rows, got 1.5"):
+        p.node_id(1.5)
 
 
 def test_dual_knuth_move_preserves_shape_n5():

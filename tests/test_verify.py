@@ -7,6 +7,7 @@ from closure_oracle import closure
 import restriction_oracle
 import sytkit.tableau as tableau
 import sytkit.verify as verify
+import sytkit.weakorder as weakorder
 import translation_oracle as oracle
 from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.knuthclass import knuth_class
@@ -337,15 +338,45 @@ def test_sweep_rejects_runs_with_different_suffixes():
 
 def test_sweep_rejects_a_move_that_changes_the_shape(monkeypatch):
     # inner tableaux of shapes (4, 1) and (3, 2) have the same suffixes at
-    # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell
-    def moves(sub):
-        return [(1, parse_tableau("1,2,3/4,5"))] if shape_of(sub) == (4, 1) else []
-
-    monkeypatch.setattr(verify, "_dual_moves", moves)
+    # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell;
+    # the move goes into the size-5 table of a fresh move cache
+    subs, _, _, ids_of = weakorder._lifted(5)
+    moved = ids_of[weakorder._row_code(parse_tableau("1,2,3/4,5"))]
+    table = [((1, moved),) if shape_of(sub) == (4, 1) else () for sub in subs]
+    monkeypatch.setattr(verify, "_MOVES", {5: table})
     # a copy, whose sweep layout is made afresh: the cached poset's may
     # already hold the real moves
     with pytest.raises(InvariantError, match="is not onto its group"):
         verify._translation_sweep(dataclasses.replace(cached_poset(6)), "order", None)
+
+
+def _without_a_size_3_node(monkeypatch):
+    """A fresh lift cache whose size-3 code map has lost the node 1,3/2,
+    and a copy of the size-5 order to lay out with it."""
+    p = dataclasses.replace(cached_poset(5))
+    lifted = dict(weakorder._LIFTED)
+    subs, tables, edges, ids_of = lifted[3]
+    gone = ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
+    lifted[3] = (subs, tables, edges, {c: t for c, t in ids_of.items() if t != gone})
+    monkeypatch.setattr(weakorder, "_LIFTED", lifted)
+    return p
+
+
+def test_sweep_rejects_a_run_whose_inner_tableau_is_not_a_node(monkeypatch):
+    p = _without_a_size_3_node(monkeypatch)
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="inner tableau 1,3/2 of a run is not a size-3 node"):
+            verify._translation_sweep(p, mode, None)
+
+
+def test_a_run_whose_inner_tableau_is_not_a_node_exits_3(capsys, monkeypatch):
+    p = _without_a_size_3_node(monkeypatch)
+    monkeypatch.setattr(verify, "cached_poset", lambda n, jobs=1: p)
+    code = main(["verify", "inner-translation", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: inner tableau 1,3/2 of a run")
 
 
 def test_a_replaced_poset_does_not_reuse_the_sweep_layout():
@@ -428,6 +459,47 @@ def test_sweep_rejects_covers_that_are_not_reduced():
     for mode in ("cover", "order"):
         with pytest.raises(InvariantError, match="covers are not reduced"):
             verify._translation_sweep(_unreduced(), mode, None)
+
+
+_LAYOUT_FIELDS = ("order", "start", "ups", "covers", "levels")
+
+
+def _layouts(p):
+    """The fields of the sweep layout of a copy of ``p`` and of the
+    tableau-built oracle's, or the message each raises."""
+    out = []
+    for make in (verify._SweepLayout, oracle.sweep_layout):
+        try:
+            layout = make(dataclasses.replace(p))
+        except InvariantError as error:
+            out.append(str(error))
+        else:
+            out.append([getattr(layout, name) for name in _LAYOUT_FIELDS])
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sweep_layout_matches_the_tableau_built_oracle(n):
+    fast, slow = _layouts(cached_poset(n))
+    assert fast == slow
+    assert n < 4 or fast[-1]
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (_missing_node, "relabeling "),
+        (lambda: _richer(cached_poset(6), "cover")[0], None),
+        (_unreduced, "covers are not reduced"),
+    ],
+)
+def test_sweep_layout_matches_the_oracle_on_test_made_orders(broken, message):
+    fast, slow = _layouts(broken())
+    assert fast == slow
+    if message is None:
+        assert fast[-1]
+    else:
+        assert fast.startswith(message)
 
 
 @pytest.mark.parametrize(

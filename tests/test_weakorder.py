@@ -227,6 +227,24 @@ def test_column_tables_insert_a_first_letter(m):
             assert tables[x - 1][t] == bigger[insertion_tableau(xw)]
 
 
+def _standardized(word):
+    rank = {x: r for r, x in enumerate(sorted(word), 1)}
+    return tuple(rank[x] for x in word)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_insertion_ids_are_the_insertion_tableaux(m):
+    # every word of m letters, on 1..m or with a gap at g (its letters
+    # >= g raised), column-inserted from the right through the lift's tables
+    tables = [weakorder._lifted(j)[1] for j in range(1, m + 1)]
+    index = cached_poset(m).index
+    for w in permutations(range(1, m + 1)):
+        for gap in range(1, m + 2):
+            word = tuple(x + (x >= gap) for x in w)
+            want = index[insertion_tableau(_standardized(word))]
+            assert weakorder._insertion_id(word, tables) == want
+
+
 @pytest.mark.parametrize("jobs", [2, 64, 10**6])
 def test_jobs_start_no_process_pool(monkeypatch, jobs):
     def refuse(*args, **kwargs):

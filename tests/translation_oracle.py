@@ -15,6 +15,14 @@ kernel ``tableau._dual_moves``.
 ``local_covers`` is the per-run transitive reduction that the run-based
 sweep used before it read each run's cover rows off the poset's covers;
 it is kept as the oracle for those rows.
+
+``sweep_layout`` is the run-based sweep's layout as it stood before it read
+node ids from the lift's per-size tables: it remakes each node's row
+sequence from its rows, cuts the runs with one scan per k, names each
+run by its inner tableau, sorts the runs by canonical key and takes every
+run's moves from ``tableau._dual_moves``.  It is the oracle for
+``verify._SweepLayout``: the same numbering, runs, rows and moves, and the
+same ``InvariantError`` messages on broken orders.
 """
 
 from __future__ import annotations
@@ -25,12 +33,14 @@ from move_oracle import dual_moves
 from sytkit.permutation import InvariantError
 from sytkit.tableau import (
     Rows,
+    _dual_moves,
     _inner_rows,
+    _rows_of,
     format_tableau,
     is_hook,
     shape_of,
 )
-from sytkit.weakorder import TableauPoset, _bits, canonical_key
+from sytkit.weakorder import TableauPoset, _bits, _closure_fault, canonical_key
 
 
 def _relabel_inner(rows: Rows, sub_new: Rows) -> Rows:
@@ -160,3 +170,92 @@ def translation_sweep(
                         }
                     )
     return checked, violations
+
+
+def _seq_code(rows: Rows) -> int:
+    """The row sequence (row of 1, ..., row of n) of a standard tableau in
+    4-bit digits, letter 1 highest: integer order is lexicographic order,
+    and the code of the inner tableau on 1..k is ``code >> 4 * (n - k)``."""
+    code = 0
+    for r in _rows_of(rows)[1:]:
+        code = code << 4 | r
+    return code
+
+
+def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi) of positions whose codes agree above the
+    lowest ``cut`` bits."""
+    runs = []
+    lo = 0
+    for x in range(1, len(seq) + 1):
+        if x == len(seq) or seq[x] >> cut != seq[lo] >> cut:
+            runs.append((lo, x))
+            lo = x
+    return runs
+
+
+class sweep_layout:
+    """The sweep layout of ``p``, made from its tableaux: ``order``,
+    ``start``, ``ups``, ``covers`` and ``levels`` as in
+    ``verify._SweepLayout``."""
+
+    def __init__(self, p: TableauPoset) -> None:
+        fault = _closure_fault(p)
+        if fault is not None:
+            raise InvariantError(fault)
+        n, nodes = p.n, p.nodes
+        codes = [_seq_code(t) for t in nodes]
+        order = sorted(range(len(nodes)), key=codes.__getitem__)  # position -> id
+        position = [0] * len(nodes)
+        for x, a in enumerate(order):
+            position[a] = x
+        succ: list[list[int]] = [[] for _ in nodes]
+        for a, b in p.covers:
+            if position[a] > position[b]:
+                raise InvariantError(
+                    f"cover {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
+                    f"goes down in the row-sequence numbering"
+                )
+            succ[position[a]].append(position[b])
+        seq = [codes[a] for a in order]
+        self.order = order
+        self.start: list[int] = []
+        self.ups: list[int] = []
+        self.covers: list[int] = []
+        for lo, hi in _runs(seq, 4 * (n - 3)) if n > 3 else ():
+            ups, covers = [0] * (hi - lo), [0] * (hi - lo)
+            for x in range(hi - 1, lo - 1, -1):
+                cover = above = 0
+                for y in succ[x]:
+                    if y < hi:
+                        cover |= 1 << (y - lo)
+                        above |= ups[y - lo]
+                ups[x - lo] = cover | above
+                covers[x - lo] = cover
+            self.start += [lo] * (hi - lo)
+            self.ups += ups
+            self.covers += covers
+        self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]
+
+    def _level(self, nodes, seq: list[int], n: int, k: int) -> list[tuple]:
+        cut = 4 * (n - k)
+        runs = sorted(
+            ((_inner_rows(nodes[self.order[lo]], k), lo, hi) for lo, hi in _runs(seq, cut)),
+            key=lambda run: canonical_key(run[0]),
+        )
+        where = {sub: t for t, (sub, _, _) in enumerate(runs)}
+        shapes = [shape_of(sub) for sub, _, _ in runs]
+        tails = [[code & ((1 << cut) - 1) for code in seq[lo:hi]] for _, lo, hi in runs]
+        level = []
+        for s, (sub, lo, hi) in enumerate(runs):
+            moves = []
+            for i, moved_sub in _dual_moves(sub):
+                t = where.get(moved_sub)
+                if t is None or shapes[t] != shapes[s] or tails[t] != tails[s]:
+                    raise InvariantError(
+                        f"relabeling {format_tableau(sub)} -> "
+                        f"{format_tableau(moved_sub)} is not onto its group"
+                    )
+                moves.append((i, t))
+            level.append((shapes[s], lo, hi, tuple(moves)))
+        return level
