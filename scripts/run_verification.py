@@ -6,9 +6,8 @@ Each entry of ``sytkit.verify.battery`` runs one check of the table behind
 start included; the checks themselves take about 0.08 s).  --stretch
 raises the translation sweep, antisymmetry and hook-eta to n = 9, with
 the poset on 2620 tableaux (about 0.3 s in total on a 2-vCPU machine
-under Python 3.11, interpreter start included).  --jobs is accepted and
-has no effect: the poset build is serial.  JSON reports land in --out-dir
-when given.  Exits 1 when a check fails.
+under Python 3.11, interpreter start included).  JSON reports land in
+--out-dir when given.  Exits 1 when a check fails.
 """
 
 import argparse
@@ -19,7 +18,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from sytkit import verify  # noqa: E402
-from sytkit.cli import positive_int  # noqa: E402
 
 
 def emit(report, out_dir):
@@ -47,8 +45,6 @@ def main() -> int:
         action="store_true",
         help="push the translation sweep, antisymmetry and hook-eta to n = 9",
     )
-    parser.add_argument("--jobs", type=positive_int, default=1,
-                        help="accepted for compatibility; the build is serial")
     parser.add_argument("--out-dir", type=pathlib.Path, default=None)
     args = parser.parse_args()
 
@@ -60,7 +56,7 @@ def main() -> int:
 
     ok = True
     for name, options in verify.battery(9) if args.stretch else verify.battery():
-        for report in verify.CHECKS[name](**options, jobs=args.jobs):
+        for report in verify.CHECKS[name](**options):
             ok &= emit(report, args.out_dir)
 
     print("ALL PASS" if ok else "FAILURES PRESENT")

@@ -3,8 +3,8 @@
 Exit codes: 0 success / check passed, 1 a verification check failed
 (witnesses printed), 2 usage or parse error, 3 a broken internal invariant
 (a fault in sytkit, not in the input).  Text and DOT output are
-byte-identical across runs and worker counts; JSON additionally carries
-wall-clock ``elapsed_ms``, the one intentionally nondeterministic field.
+byte-identical across runs; JSON additionally carries wall-clock
+``elapsed_ms``, the one intentionally nondeterministic field.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ VERIFY_CHECKS = tuple(verify.CHECKS)
 FAMILIES = tuple(f.replace("_", "-") for f in verify.FAMILIES)  # CLI spellings
 
 
-def positive_int(text: str) -> int:
-    """The argparse type of ``--jobs``: an integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
-
-
 def _add_output_flags(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -72,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poset = sub.add_parser("poset", help="the weak order poset on size-n tableaux")
     p_poset.add_argument("--n", type=int, required=True)
-    p_poset.add_argument("--jobs", type=positive_int, default=1)
     _add_output_flags(p_poset, formats=("text", "json", "dot"))
 
     p_verify = sub.add_parser("verify", help="run an exhaustive check")
@@ -83,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="first factor size for interval-isomorphism")
     p_verify.add_argument("--mode", choices=verify.MODES, default=None)
     p_verify.add_argument("--family", default=None, choices=FAMILIES)
-    p_verify.add_argument("--jobs", type=positive_int, default=1)
     _add_output_flags(p_verify)
 
     p_product = sub.add_parser("product", help="shuffle product of two tableau classes")
@@ -96,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_interval.add_argument("left")
     p_interval.add_argument("right")
-    p_interval.add_argument("--jobs", type=positive_int, default=1)
     _add_output_flags(p_interval)
 
     p_restrict = sub.add_parser("restrict", help="restrict a tableau to a letter segment")
@@ -146,7 +136,7 @@ def _run_verify(args) -> tuple[int, str]:
             raise ValueError(f"{args.check} does not take --{flag}")
     if "family" in params and family is None:
         raise ValueError(f"{args.check} needs --family, one of {', '.join(FAMILIES)}")
-    reports = run(n=args.n, jobs=args.jobs, **options)
+    reports = run(n=args.n, **options)
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.format == "json":
         payload = [r.to_json() for r in reports]
@@ -183,7 +173,7 @@ def _dispatch(args) -> tuple[int, str]:
         return EXIT_OK, "".join(format_word(w) + "\n" for w in words)
 
     if args.command == "poset":
-        p = weakorder.cached_poset(args.n, jobs=args.jobs)
+        p = weakorder.cached_poset(args.n)
         if args.format == "dot":
             return EXIT_OK, weakorder.to_dot(p)
         if args.format == "json":
@@ -222,7 +212,7 @@ def _dispatch(args) -> tuple[int, str]:
         left = parse_tableau(args.left)
         right = parse_tableau(args.right)
         n = sum(len(r) for r in left) + sum(len(r) for r in right)
-        p = weakorder.cached_poset(n, jobs=args.jobs)
+        p = weakorder.cached_poset(n)
         iv = hopf.product_interval(left, right, p)
         members = iv.member_tableaux()
         if args.format == "json":

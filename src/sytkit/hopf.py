@@ -177,7 +177,7 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
     """
     if k < 1 or l < 1 or k + l > MAX_POSET_N:
         raise ValueError(f"need k, l >= 1 and k + l <= {MAX_POSET_N}")
-    p = cached_poset(k + l, jobs=jobs)
+    p = cached_poset(k + l)
     checked = 0
     violations = []
     with stopwatch() as sw:

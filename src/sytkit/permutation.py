@@ -42,14 +42,19 @@ def check_int(x, name: str) -> int:
     return x
 
 
-def check_word(word) -> Word:
-    """Validate and normalize a permutation given as an integer iterable.
-    Letters are taken as they are: anything but an ``int`` (a bool, a
-    float such as 2.0) raises ValueError."""
-    w = tuple(word)
-    for x in w:
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, taken as they are: anything but an ``int`` (a
+    bool, a float such as 2.0) raises ValueError naming ``what``."""
+    v = tuple(values)
+    for x in v:
         if type(x) is not int:
-            raise ValueError(f"word letters must be integers, got {x!r}")
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    return v
+
+
+def check_word(word) -> Word:
+    """Validate a permutation given as an iterable of ints (see :func:`_ints`)."""
+    w = _ints(word, "word letters")
     n = len(w)
     if n < 1:
         raise ValueError("empty word")
@@ -249,7 +254,7 @@ def shuffle(u: Word, w: Word) -> list[Word]:
     k, l = len(u), len(w)
     if k + l > MAX_N:
         raise ValueError(f"shuffle output size {k + l} exceeds {MAX_N}")
-    w = tuple(int(x) for x in w)
+    w = _ints(w, "word letters")
     if sorted(w) == list(range(1, l + 1)):
         w = shifted(w, k)
     elif sorted(w) != list(range(k + 1, k + l + 1)):

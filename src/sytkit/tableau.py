@@ -29,6 +29,7 @@ from .permutation import (
     InvariantError,
     ParseError,
     Word,
+    _ints,
     check_int,
     check_word,
     evac_word,
@@ -43,7 +44,7 @@ Cell = tuple[int, int]
 # shapes
 
 def check_partition(parts) -> Shape:
-    p = tuple(int(x) for x in parts)
+    p = _ints(parts, "partition parts")
     if any(x < 1 for x in p):
         raise ValueError(f"partition parts must be positive: {p}")
     if any(a < b for a, b in zip(p, p[1:])):
@@ -159,9 +160,7 @@ def _check_rows(rows) -> Rows:
     except TypeError:
         raise ValueError(f"a tableau is a sequence of rows, got {rows!r}") from None
     for row in t:
-        for x in row:
-            if type(x) is not int:
-                raise ValueError(f"tableau entries must be integers, got {x!r}")
+        _ints(row, "tableau entries")
     if not t or any(not row for row in t):
         raise ValueError("tableau must have nonempty rows")
     check_partition(shape_of(t))

@@ -353,7 +353,7 @@ def _translation_sweep(
 
 
 def _translation_report(
-    check: str, top: int, n: int, mode: str, family: str | None, jobs: int
+    check: str, top: int, n: int, mode: str, family: str | None
 ) -> VerificationReport:
     """The guard, sweep and report shared by both translation checks."""
     if not (2 <= n <= top):
@@ -361,7 +361,7 @@ def _translation_report(
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     with stopwatch() as sw:
-        checked, violations = _translation_sweep(cached_poset(n, jobs=jobs), mode, family)
+        checked, violations = _translation_sweep(cached_poset(n), mode, family)
     scope = {"n": n, "mode": mode}
     if family is not None:
         scope["family"] = family
@@ -374,9 +374,7 @@ def verify_inner_tableau_translation(
     """Relabeling a shared inner tableau along one dual Knuth move must
     preserve induced covers (mode "cover") or all order relations between
     same-inner-tableau nodes (mode "order")."""
-    return _translation_report(
-        "inner-tableau-translation", MAX_POSET_N, n, mode, None, jobs
-    )
+    return _translation_report("inner-tableau-translation", MAX_POSET_N, n, mode, None)
 
 
 def verify_special_cases(
@@ -386,9 +384,7 @@ def verify_special_cases(
     inner tableaux (proved cases; must come back clean)."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    return _translation_report(
-        "inner-tableau-translation-special-cases", 8, n, mode, family, jobs
-    )
+    return _translation_report("inner-tableau-translation-special-cases", 8, n, mode, family)
 
 
 # the known size-6 witness: relabeling along the triple {3,4,5} breaks the
@@ -402,6 +398,19 @@ _WITNESS = {
 }
 
 
+def _node_moves(p: TableauPoset) -> list[dict[int, int]]:
+    """Per node, its dual Knuth moves as {i: moved node id}, read from the
+    size-n table of :func:`_size_moves` through each node's row code."""
+    subs, _, _, ids_of = _lifted(p.n)
+    size_ids = [ids_of[_row_code(t)] for t in p.nodes]
+    node_of = dict(zip(size_ids, range(len(p.nodes))))
+    try:
+        return [{i: node_of[moved] for i, moved in _size_moves(p.n)[u]} for u in size_ids]
+    except KeyError as exc:
+        gone = format_tableau(subs[exc.args[0]])
+        raise InvariantError(f"a dual Knuth move gives {gone}, not a node of the order") from None
+
+
 def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     """The *single-triple* relabeling acting on whole tableaux does NOT
     preserve the order; reproduce the known size-6 witness by scanning all
@@ -410,17 +419,17 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     The check passes when the expected witness is found; the witness rides
     in the report details.
     """
-    p = cached_poset(6, jobs=jobs)
+    p = cached_poset(6)
     with stopwatch() as sw:
         descents = [_descents(t) for t in p.nodes]
-        moves = [dict(_dual_moves(node)) for node in p.nodes]
+        moves = _node_moves(p)
         checked = 0
         broken = []
         for i in range(1, p.n - 1):
             domain = sum(1 << a for a, m in enumerate(moves) if i in m)
             falls = sum(1 << a for a, des in enumerate(descents) if i in des)
             # the move at i, and the identity off its domain, whose rows are empty
-            image = [p.index[m[i]] if i in m else a for a, m in enumerate(moves)]
+            image = [m.get(i, a) for a, m in enumerate(moves)]
             # both endpoints must lie in the map's domain and on the same side
             # of its split, i.e. share which of i, i+1 descends
             rows = [
@@ -435,8 +444,8 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
                 "triple": [i, i + 1, i + 2],
                 "S": format_tableau(p.nodes[a]),
                 "T": format_tableau(p.nodes[b]),
-                "S_relabeled": format_tableau(moves[a][i]),
-                "T_relabeled": format_tableau(moves[b][i]),
+                "S_relabeled": format_tableau(p.nodes[moves[a][i]]),
+                "T_relabeled": format_tableau(p.nodes[moves[b][i]]),
             }
             for a, i, b in sorted(broken)
         ]
@@ -530,7 +539,7 @@ def verify_antisymmetry(n: int, jobs: int = 1) -> VerificationReport:
     node's up-set meets its down-set in the node alone, one mask test per
     node.  ``checked`` counts the strict relations, as one test per pair
     would."""
-    p = cached_poset(n, jobs=jobs)
+    p = cached_poset(n)
     with stopwatch() as sw:
         checked = p.strict_relations()
         violations = [
@@ -628,9 +637,9 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
     )
 
 
-def verify_restriction_monotone(n: int, jobs: int = 1) -> VerificationReport:
+def verify_restriction_monotone(n: int) -> VerificationReport:
     """Order relations survive restriction to every letter segment."""
-    p = cached_poset(n, jobs=jobs)
+    p = cached_poset(n)
     small = {m: cached_poset(m) for m in range(2, n + 1)}
     with stopwatch() as sw:
         segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
@@ -658,9 +667,9 @@ def verify_restriction_monotone(n: int, jobs: int = 1) -> VerificationReport:
     )
 
 
-def verify_evac_transpose_monotone(n: int, jobs: int = 1) -> VerificationReport:
+def verify_evac_transpose_monotone(n: int) -> VerificationReport:
     """Evacuation preserves the order; transposition reverses it."""
-    p = cached_poset(n, jobs=jobs)
+    p = cached_poset(n)
     with stopwatch() as sw:
         maps = (
             ("evacuation", [p.index[_evacuate(t)] for t in p.nodes], p.reach),
@@ -734,42 +743,38 @@ def verify_structural(n: int, jobs: int = 1) -> list[VerificationReport]:
     if not (2 <= n <= 7):
         raise ValueError("n must be in 2..7")
     return [
-        verify_restriction_monotone(n, jobs=jobs),
+        verify_restriction_monotone(n),
         verify_descents_constant(n),
         verify_restriction_insertion(n),
-        verify_evac_transpose_monotone(n, jobs=jobs),
+        verify_evac_transpose_monotone(n),
         verify_dual_knuth_connectivity(n),
-        verify_antisymmetry(n, jobs=jobs),
+        verify_antisymmetry(n),
     ]
 
 
 # ---------------------------------------------------------------------------
 # the check table: `sytkit verify <name>` and the verification battery
 
-def _monotone(n: int, jobs: int = 1) -> list[VerificationReport]:
-    p = cached_poset(n, jobs=jobs)
+def _monotone(n: int) -> list[VerificationReport]:
+    p = cached_poset(n)
     return [check_monotone_descent(p), check_monotone_shape(p)]
 
 
-def _interval_isomorphism(n: int, k: int | None = None, jobs: int = 1):
+def _interval_isomorphism(n: int, k: int | None = None):
     k = n // 2 if k is None else k
-    return [verify_interval_isomorphism(k, n - k, jobs=jobs)]
+    return [verify_interval_isomorphism(k, n - k)]
 
 
-# Each check takes the options of `sytkit verify`: n and jobs always, and
-# k, mode or family only where its signature names them (family is then
+# Each check takes the options of `sytkit verify`: n always, and k, mode
+# or family only where its signature names them (family is then
 # required).  Battery order.
 CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
-    "antisymmetry": lambda n, jobs=1: [verify_antisymmetry(n, jobs)],
-    "inner-translation": lambda n, mode="cover", jobs=1: [
-        verify_inner_tableau_translation(n, mode, jobs)
-    ],
+    "antisymmetry": lambda n: [verify_antisymmetry(n)],
+    "inner-translation": lambda n, mode="cover": [verify_inner_tableau_translation(n, mode)],
     # the known witness is at n = 6, whatever n is given
-    "inner-translation-fails": lambda n=None, jobs=1: [verify_inner_translation_fails(jobs)],
-    "special-cases": lambda n, family, mode="cover", jobs=1: [
-        verify_special_cases(n, family, mode, jobs)
-    ],
-    "hook-eta": lambda n, jobs=1: [verify_hook_eta(n)],
+    "inner-translation-fails": lambda n=None: [verify_inner_translation_fails()],
+    "special-cases": lambda n, family, mode="cover": [verify_special_cases(n, family, mode)],
+    "hook-eta": lambda n: [verify_hook_eta(n)],
     "structural": verify_structural,
     "monotone": _monotone,
     "interval-isomorphism": _interval_isomorphism,

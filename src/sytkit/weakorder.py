@@ -27,6 +27,11 @@ is its node plus the rows of its covers, and no cover passes through
 another (:func:`_closure_fault`), so every relation is a chain of covers.
 The target must be transitive; each caller names why.  When either
 fails, every relation is tested by the mask kernel :func:`_unpreserved`.
+
+The seven functions that perfbench calls with ``jobs=1``
+(:func:`cached_poset`, ``hopf.verify_interval_isomorphism`` and five
+checks of sytkit.verify) still take that keyword and ignore it, as every
+build is serial; it goes once perfbench stops passing it.
 """
 
 from __future__ import annotations
@@ -322,14 +327,11 @@ def _insertion_id(word, tables) -> int:
     return t
 
 
-def build_poset(n: int, jobs: int = 1) -> TableauPoset:
+def build_poset(n: int) -> TableauPoset:
     """Lift the projected ascent swaps from size n - 1 (see
     :func:`_lift_edges`), then close and reduce them in one pass over the
-    id order (see :func:`_poset`).
-
-    Serial and deterministic: ``jobs`` is accepted for the callers that
-    pass it and has no effect, since the whole build of n = 9 takes less
-    than starting a process pool.
+    id order (see :func:`_poset`).  Serial and deterministic: the whole
+    build of n = 9 takes less than starting a process pool would.
     """
     if not (1 <= n <= MAX_POSET_N):
         raise ValueError(f"n must be in 1..{MAX_POSET_N}")
@@ -392,7 +394,7 @@ _POSET_CACHE: dict[int, TableauPoset] = {}
 
 def cached_poset(n: int, jobs: int = 1) -> TableauPoset:
     if n not in _POSET_CACHE:
-        _POSET_CACHE[n] = build_poset(n, jobs=jobs)
+        _POSET_CACHE[n] = build_poset(n)
     return _POSET_CACHE[n]
 
 

@@ -11,7 +11,12 @@ from sytkit import verify
 from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.permutation import InvariantError
-from sytkit.weakorder import cached_poset, check_monotone_descent, check_monotone_shape
+from sytkit.weakorder import (
+    cached_poset,
+    check_monotone_descent,
+    check_monotone_shape,
+    to_dot,
+)
 from test_hopf import partial_classes, repeated_interleavings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -136,10 +141,39 @@ def test_poset_text_deterministic(capsys):
     assert first == second
 
 
-def test_poset_jobs_do_not_change_output(capsys):
-    _, serial, _ = run(capsys, "poset", "--n", "4", "--format", "dot")
-    _, parallel, _ = run(capsys, "poset", "--n", "4", "--format", "dot", "--jobs", "2")
-    assert serial == parallel
+def _script(name, *argv):
+    """Run ``scripts/<name>.py`` with ``argv`` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{name}.py"), *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def _assert_jobs_refused(capsys, argv, jobs):
+    """``--jobs`` is no option of any command: argparse refuses it, exit 2."""
+    if argv == ("run_verification",):
+        done = _script("run_verification", "--jobs", jobs)
+        code, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"error: unrecognized arguments: --jobs {jobs}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "--n", "4"),
+        ("verify", "antisymmetry", "--n", "4"),
+        ("interval", "1,2/3", "1/2"),
+        ("run_verification",),
+    ],
+    ids=["poset", "verify", "interval", "run_verification"],
+)
+def test_jobs_is_an_unrecognized_argument(capsys, argv):
+    _assert_jobs_refused(capsys, argv, "2")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -148,22 +182,19 @@ def test_poset_jobs_do_not_change_output(capsys):
     [("poset", "--n", "4"), ("verify", "antisymmetry", "--n", "4"), ("interval", "1,2/3", "1/2")],
 )
 def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
-    code, out, err = run(capsys, *argv, "--jobs", jobs)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert f"argument --jobs: must be at least 1, got {jobs}" in err
+    _assert_jobs_refused(capsys, argv, jobs)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
-def test_run_verification_rejects_jobs_below_one(jobs):
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), "--jobs", jobs],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == EXIT_USAGE
-    assert out.stdout == ""
-    assert f"argument --jobs: must be at least 1, got {jobs}" in out.stderr
+def test_run_verification_rejects_jobs_below_one(capsys, jobs):
+    _assert_jobs_refused(capsys, ("run_verification",), jobs)
+
+
+def test_poset_jobs_do_not_change_output(capsys):
+    # cached_poset keeps an ignored jobs keyword for the benchmark's callers
+    code, out, _ = run(capsys, "poset", "--n", "4", "--format", "dot")
+    assert code == EXIT_OK
+    assert out == to_dot(cached_poset(4, jobs=2))
 
 
 def test_verify_translation_pass(capsys):
@@ -389,3 +420,25 @@ def test_run_verification_rejects_an_out_dir_that_is_a_file(tmp_path):
     assert out.stdout == ""
     assert "error: cannot use --out-dir" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_export_hasse_writes_the_dot_of_every_size(tmp_path):
+    done = _script("export_hasse", "--out-dir", str(tmp_path), "--max-n", "4")
+    assert done.returncode == EXIT_OK
+    names = [f"weak_order_syt_{n}.dot" for n in (2, 3, 4)]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for n, name in zip((2, 3, 4), names):
+        p = cached_poset(n)
+        assert (tmp_path / name).read_text() == to_dot(p)
+        assert f"{tmp_path / name}: {len(p.nodes)} nodes, {len(p.covers)} covers\n" in done.stdout
+
+
+@pytest.mark.parametrize("max_n", ["1", "10", "-3"])
+def test_export_hasse_refuses_an_out_of_range_max_n(tmp_path, max_n):
+    # --max-n 10 once wrote eight files and then died with a traceback
+    target = tmp_path / "out"
+    done = _script("export_hasse", "--out-dir", str(target), "--max-n", max_n)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert f"error: --max-n must be in 2..9, got {max_n}" in done.stderr
+    assert not target.exists()

@@ -30,7 +30,7 @@ def test_interval_isomorphism_with_covers_dropped(monkeypatch, n, seed):
     # about a third of the covers dropped and closed again: some intervals
     # stop being isomorphic, and the map must fail on each of those
     p = _thinned(n, seed)
-    monkeypatch.setattr(hopf, "cached_poset", lambda m, jobs=1: p)
+    monkeypatch.setattr(hopf, "cached_poset", lambda m: p)
     found = 0
     for k in range(1, n):
         report = verify_interval_isomorphism(k, n - k)
@@ -64,7 +64,7 @@ def test_members_without_the_base_inner_tableau_are_violations(monkeypatch):
     p = cached_poset(6)
     line = sorted(range(len(p.nodes)), key=lambda a: (p.below[a].bit_count(), a))
     total = _relations(p, p.nodes, list(zip(line, line[1:])))
-    monkeypatch.setattr(hopf, "cached_poset", lambda m, jobs=1: total)
+    monkeypatch.setattr(hopf, "cached_poset", lambda m: total)
     monkeypatch.setattr(hopf, "_relabel_inner", _contract_checked_relabel)
     report = verify_interval_isomorphism(3, 3)
     assert report.checked == len(report.violations) == 7

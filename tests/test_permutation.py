@@ -272,6 +272,17 @@ def test_check_word_refuses_non_int_letters(word, letter):
         check_word(word)
 
 
+@pytest.mark.parametrize(
+    "second, letter",
+    [((1.5, 2.0), "1.5"), ((1, 2.0), "2.0"), ((True, 2), "True"), ((3, "4"), "'4'")],
+    ids=["float", "integral-float", "bool", "str"],
+)
+def test_shuffle_refuses_non_int_letters_in_the_second_word(second, letter):
+    # the letters are not coerced: (1.5, 2.0) once gave the shuffles of (3, 4)
+    with pytest.raises(ValueError, match=f"word letters must be integers, got {re.escape(letter)}$"):
+        shuffle((1, 2), second)
+
+
 def test_restrict_standardize_checks_its_word():
     # (1, 1, 7) once restricted to (1, 1)
     with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):

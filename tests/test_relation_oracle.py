@@ -28,7 +28,7 @@ def _compare(monkeypatch, posets: dict) -> dict:
     """Run every relation check on ``posets`` (size -> order; the largest is
     the one checked, the smaller ones are restriction targets) and its
     oracle; return the new reports by check."""
-    monkeypatch.setattr(verify, "cached_poset", lambda m, jobs=1: posets[m])
+    monkeypatch.setattr(verify, "cached_poset", lambda m: posets[m])
     n = max(posets)
     p = posets[n]
     got = {

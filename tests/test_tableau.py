@@ -28,6 +28,7 @@ from sytkit.tableau import (
     addable_cells,
     all_standard_tableaux,
     beside,
+    check_partition,
     check_standard,
     check_tableau,
     corners,
@@ -739,6 +740,30 @@ def test_tableau_entries_refuse_non_ints(rows, entry):
     for check in (check_standard, check_tableau):
         with pytest.raises(ValueError, match=f"tableau entries must be integers, got {re.escape(entry)}$"):
             check(rows)
+
+
+@pytest.mark.parametrize(
+    "call, args, part",
+    [
+        (check_partition, ((2.5, 1),), "2.5"),
+        (check_partition, ((True, True),), "True"),
+        (check_partition, ((2, 1.0),), "1.0"),
+        (check_partition, (("2", 1),), "'2'"),
+        (dominance_leq, ((2, 1), (2.0, 1)), "2.0"),
+        (dominance_leq, ((True, 1), (2,)), "True"),
+        (standard_tableaux, ((2.5, 1),), "2.5"),
+        (is_hook, ((3, True),), "True"),
+    ],
+    ids=[
+        "float", "bool", "integral-float", "str", "dominance_leq-float",
+        "dominance_leq-bool", "standard_tableaux-float", "is_hook-bool",
+    ],
+)
+def test_partition_parts_refuse_non_ints(call, args, part):
+    # the parts are not coerced: (2.5, 1) once came back as (2, 1) and
+    # (True, True) as (1, 1)
+    with pytest.raises(ValueError, match=f"partition parts must be integers, got {re.escape(part)}$"):
+        call(*args)
 
 
 def test_node_id_refuses_a_tableau_of_non_ints():

@@ -317,11 +317,12 @@ def test_sweep_rejects_a_reach_that_is_not_transitive(mode):
         verify._translation_sweep(broken, mode, None)
 
 
-def _missing_node():
-    """The size-5 order restricted to all nodes but one in a group that
-    has a dual Knuth move at k = 3; its image run is longer than its run."""
-    p = cached_poset(5)
-    drop = p.index[parse_tableau("1,2,4/3,5")]
+def _missing_node(n=5, gone="1,2,4/3,5"):
+    """The size-n order restricted to all nodes but ``gone``; by default
+    one in a size-5 group that has a dual Knuth move at k = 3, so its
+    image run is longer than its run."""
+    p = cached_poset(n)
+    drop = p.index[parse_tableau(gone)]
     keep = [a for a in range(len(p.nodes)) if a != drop]
     new = {a: i for i, a in enumerate(keep)}
     kept = [(new[a], new[b]) for a in keep for b in _bits(p.reach[a])
@@ -371,7 +372,7 @@ def test_sweep_rejects_a_run_whose_inner_tableau_is_not_a_node(monkeypatch):
 
 def test_a_run_whose_inner_tableau_is_not_a_node_exits_3(capsys, monkeypatch):
     p = _without_a_size_3_node(monkeypatch)
-    monkeypatch.setattr(verify, "cached_poset", lambda n, jobs=1: p)
+    monkeypatch.setattr(verify, "cached_poset", lambda n: p)
     code = main(["verify", "inner-translation", "--n", "5"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
@@ -515,7 +516,7 @@ def test_sweep_layout_matches_the_oracle_on_test_made_orders(broken, message):
 )
 def test_broken_sweep_invariants_exit_3(capsys, monkeypatch, broken, message):
     poset = broken()
-    monkeypatch.setattr(verify, "cached_poset", lambda n, jobs=1: poset)
+    monkeypatch.setattr(verify, "cached_poset", lambda n: poset)
     code = main(["verify", "inner-translation", "--n", "5"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
@@ -540,6 +541,27 @@ def test_single_triple_failure_reproduced():
     assert witness["S_relabeled"] == "1,2,3/4,5,6"
     assert witness["T_relabeled"] == "1,2,5/3,6/4"
     assert report.details["failures_found"] >= 1
+
+
+def test_single_triple_scan_rejects_a_move_off_the_node_set(capsys, monkeypatch):
+    # the witness's S moves onto 1,2,3/4,5,6, which is dropped
+    broken = _missing_node(6, "1,2,3/4,5,6")
+    monkeypatch.setattr(verify, "cached_poset", lambda n: broken)
+    message = "a dual Knuth move gives 1,2,3/4,5,6, not a node of the order"
+    with pytest.raises(InvariantError, match=message):
+        verify_inner_translation_fails()
+    code = main(["verify", "inner-translation-fails"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
+
+
+def test_single_triple_moves_are_the_dual_moves():
+    for n in range(1, 8):
+        p = cached_poset(n)
+        for node, moves in zip(p.nodes, verify._node_moves(p)):
+            assert {i: p.nodes[m] for i, m in moves.items()} == dict(_dual_moves(node))
 
 
 def test_single_triple_failure_witness_replays():
@@ -680,7 +702,7 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
         return rows
 
     posets = {m: dataclasses.replace(cached_poset(m)) for m in range(1, n + 1)}
-    monkeypatch.setattr(verify, "cached_poset", lambda m, jobs=1: posets[m])
+    monkeypatch.setattr(verify, "cached_poset", lambda m: posets[m])
     monkeypatch.setattr(verify, "_restrict", broken)
     monkeypatch.setattr(tableau, "_restrict", stepwise)
     report = verify_restriction_insertion(n)
