@@ -34,12 +34,16 @@ poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
 them.  The layout remakes no tableau: it reads each node's row code once,
 names every run by the id of its inner tableau in the lift's size-k code
-map (``weakorder._lifted``), and reads the moves from a size-k table of
-(triple start, moved id), made once per size and process from
-``tableau._dual_moves`` (:func:`_size_moves`), so the layouts of every
-larger poset share it.  Each sweep still applies its own family filter
-and compares every move run against run, whole runs first: equal rows
-hold every relation.
+map (``weakorder._lifted``), and reads the moves from :func:`_size_moves`.
+Each sweep still applies its own family filter and compares every move
+run against run, whole runs first: equal rows hold every relation.
+
+:func:`_size_moves` is the one place that applies a dual Knuth move: per
+size k, a table of (triple start, moved id), made once per process from
+``tableau._dual_moves`` and named through the same code map.  The layouts
+of every larger poset, the single-triple scan and dual Knuth connectivity
+(one search per shape over the ids) read it, and a move off the node set
+raises ``InvariantError`` in each.
 
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
@@ -107,7 +111,6 @@ from .weakorder import (
     _unpreserved,
     _unpreserved_covers,
     cached_poset,
-    canonical_key,
     check_monotone_descent,
     check_monotone_shape,
 )
@@ -128,23 +131,23 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-# size k -> per size-k node id, its dual Knuth moves as (i, moved id):
-# made with ``tableau._dual_moves`` once per size and process, and shared
-# by the sweep layouts of every larger poset, as ``weakorder._LIFTED`` is
+# size k -> per size-k node id, its dual Knuth moves as (i, moved id),
+# made once per size and process (see the module docstring)
 _MOVES: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
 
 def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """The size-k entry of ``_MOVES``, made first when it is missing."""
+    """The size-k entry of ``_MOVES``, made first when it is missing; a
+    move off the size-k nodes raises ``InvariantError``."""
     if k not in _MOVES:
-        nodes = _lifted(k)[0]
-        index = {sub: t for t, sub in enumerate(nodes)}
+        nodes, _, _, ids_of = _lifted(k)
         table = []
         for sub in nodes:
             moves = []
             for i, moved_sub in _dual_moves(sub):
-                t = index.get(moved_sub)
-                if t is None:
+                t = ids_of.get(_row_code(moved_sub))
+                # the code names the rows' letters, not their order in a row
+                if t is None or nodes[t] != moved_sub:
                     raise InvariantError(
                         f"relabeling {format_tableau(sub)} -> "
                         f"{format_tableau(moved_sub)} is not onto its group"
@@ -360,8 +363,9 @@ def _translation_report(
         raise ValueError(f"n must be in 2..{top}")
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    p = cached_poset(n)
     with stopwatch() as sw:
-        checked, violations = _translation_sweep(cached_poset(n), mode, family)
+        checked, violations = _translation_sweep(p, mode, family)
     scope = {"n": n, "mode": mode}
     if family is not None:
         scope["family"] = family
@@ -398,19 +402,6 @@ _WITNESS = {
 }
 
 
-def _node_moves(p: TableauPoset) -> list[dict[int, int]]:
-    """Per node, its dual Knuth moves as {i: moved node id}, read from the
-    size-n table of :func:`_size_moves` through each node's row code."""
-    subs, _, _, ids_of = _lifted(p.n)
-    size_ids = [ids_of[_row_code(t)] for t in p.nodes]
-    node_of = dict(zip(size_ids, range(len(p.nodes))))
-    try:
-        return [{i: node_of[moved] for i, moved in _size_moves(p.n)[u]} for u in size_ids]
-    except KeyError as exc:
-        gone = format_tableau(subs[exc.args[0]])
-        raise InvariantError(f"a dual Knuth move gives {gone}, not a node of the order") from None
-
-
 def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     """The *single-triple* relabeling acting on whole tableaux does NOT
     preserve the order; reproduce the known size-6 witness by scanning all
@@ -420,9 +411,12 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     in the report details.
     """
     p = cached_poset(6)
+    # the moves are read by size-6 id, which must be the node id
+    if p.nodes != _lifted(6)[0]:
+        raise InvariantError("the size-6 order's nodes are not the lift's size-6 tableaux")
     with stopwatch() as sw:
         descents = [_descents(t) for t in p.nodes]
-        moves = _node_moves(p)
+        moves = [dict(m) for m in _size_moves(6)]
         checked = 0
         broken = []
         for i in range(1, p.n - 1):
@@ -479,13 +473,13 @@ def verify_hook_eta(k: int) -> VerificationReport:
     per letter, with no tableau built."""
     if not (5 <= k <= 9):
         raise ValueError("k must be in 5..9")
+    # per size m < k, the tables of a letter column-inserted into the size
+    # m - 1 nodes, lifted once per process
+    tables = [_lifted(m)[1] for m in range(1, k)]
     checked = 0
     skipped = 0
     violations: list[dict] = []
     with stopwatch() as sw:
-        # per size m < k, the tables of a letter column-inserted into the
-        # size m - 1 nodes, lifted once per process
-        tables = [_lifted(m)[1] for m in range(1, k)]
         for shape in partitions(k):
             if not is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
@@ -699,40 +693,36 @@ def verify_evac_transpose_monotone(n: int) -> VerificationReport:
 
 def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
     """Single dual Knuth moves preserve the shape and connect every two
-    tableaux of the same shape."""
+    tableaux of the same shape: one bitmask search per shape over the
+    size-n table of :func:`_size_moves`.  Ids sort by shape first, so each
+    shape is one run of ids, cut where the shape changes, and a shape split
+    in two shows up as violations."""
+    if not (1 <= n <= MAX_POSET_N):
+        raise ValueError(f"n must be in 1..{MAX_POSET_N}")
+    nodes = _lifted(n)[0]
     checked = 0
     violations = []
     with stopwatch() as sw:
-        for shape in partitions(n):
-            tabs = standard_tableaux(shape)
-            tab_set = set(tabs)
-            seen = {tabs[0]}
-            frontier = [tabs[0]]
+        table = _size_moves(n)
+        shapes = [shape_of(t) for t in nodes]
+        starts = [a for a, shape in enumerate(shapes) if not a or shape != shapes[a - 1]]
+        for lo, hi in _spans(starts, len(nodes)):
+            seen, frontier = 1, [lo]  # bit a - lo of seen: member a is reached
             while frontier:
-                tab = frontier.pop()
-                for _, neighbor in _dual_moves(tab):
+                a = frontier.pop()
+                for _, b in table[a]:
                     checked += 1
-                    if neighbor not in tab_set:  # which holds every tableau of the shape
-                        same = shape_of(neighbor) == shape
-                        violations.append(
-                            {
-                                "T": format_tableau(tab),
-                                "moved": format_tableau(neighbor),
-                                "reason": "left the tableau set" if same else "shape changed",
-                            }
-                        )
-                    elif neighbor not in seen:
-                        seen.add(neighbor)
-                        frontier.append(neighbor)
-            if seen != tab_set:
-                stranded = sorted(tab_set - seen, key=canonical_key)
-                violations.append(
-                    {
-                        "shape": list(shape),
-                        "unreached": [format_tableau(t) for t in stranded],
-                        "reason": "shape class not connected",
-                    }
-                )
+                    if not lo <= b < hi:
+                        t, moved = format_tableau(nodes[a]), format_tableau(nodes[b])
+                        violations.append({"T": t, "moved": moved, "reason": "shape changed"})
+                    elif not seen >> (b - lo) & 1:
+                        seen |= 1 << (b - lo)
+                        frontier.append(b)
+            unreached = ~seen & (1 << (hi - lo)) - 1
+            if unreached:
+                stranded = [format_tableau(nodes[lo + x]) for x in _bits(unreached)]
+                reason = "shape class not connected"
+                violations.append({"shape": list(shapes[lo]), "unreached": stranded, "reason": reason})
     return VerificationReport(
         "dual-knuth-connectivity", {"n": n}, checked, violations, sw.ms
     )
@@ -760,6 +750,13 @@ def _monotone(n: int) -> list[VerificationReport]:
     return [check_monotone_descent(p), check_monotone_shape(p)]
 
 
+def _single_triple_scan(n: int | None = None) -> list[VerificationReport]:
+    # the known witness is at n = 6, the one n the scan takes
+    if n not in (None, 6):
+        raise ValueError("inner-translation-fails takes n = 6 only")
+    return [verify_inner_translation_fails()]
+
+
 def _interval_isomorphism(n: int, k: int | None = None):
     k = n // 2 if k is None else k
     return [verify_interval_isomorphism(k, n - k)]
@@ -771,8 +768,7 @@ def _interval_isomorphism(n: int, k: int | None = None):
 CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
     "antisymmetry": lambda n: [verify_antisymmetry(n)],
     "inner-translation": lambda n, mode="cover": [verify_inner_tableau_translation(n, mode)],
-    # the known witness is at n = 6, whatever n is given
-    "inner-translation-fails": lambda n=None: [verify_inner_translation_fails()],
+    "inner-translation-fails": _single_triple_scan,
     "special-cases": lambda n, family, mode="cover": [verify_special_cases(n, family, mode)],
     "hook-eta": lambda n: [verify_hook_eta(n)],
     "structural": verify_structural,

@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import re
@@ -64,6 +65,17 @@ def test_broken_invariant_is_not_a_usage_error(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: slide stopped early\n"
+
+
+def test_source_has_no_assert():
+    # InvariantError is raised explicitly so that python -O keeps every
+    # check; an assert statement would vanish under -O
+    sources = sorted((ROOT / "src" / "sytkit").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
 def test_product_broken_invariant_exits_3(capsys, monkeypatch):
@@ -220,6 +232,15 @@ def test_verify_fails_check_exits_zero_and_prints_witness(capsys):
     assert "1,2,4/3,5,6" in out
     assert "1,2,5/3,6/4" in out
     assert out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("n", ["9", "-4", "5"])
+def test_verify_single_triple_scan_refuses_any_n_but_6(capsys, n):
+    code, out, err = run(capsys, "verify", "inner-translation-fails", "--n", n)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: inner-translation-fails takes n = 6 only\n"
+    assert run(capsys, "verify", "inner-translation-fails", "--n", "6")[0] == EXIT_OK
 
 
 def test_verify_structural(capsys):

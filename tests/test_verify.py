@@ -1,9 +1,12 @@
 import dataclasses
 import random
+import re
+import time
 
 import pytest
 
 from closure_oracle import closure
+import move_oracle
 import restriction_oracle
 import sytkit.tableau as tableau
 import sytkit.verify as verify
@@ -547,7 +550,7 @@ def test_single_triple_scan_rejects_a_move_off_the_node_set(capsys, monkeypatch)
     # the witness's S moves onto 1,2,3/4,5,6, which is dropped
     broken = _missing_node(6, "1,2,3/4,5,6")
     monkeypatch.setattr(verify, "cached_poset", lambda n: broken)
-    message = "a dual Knuth move gives 1,2,3/4,5,6, not a node of the order"
+    message = "the size-6 order's nodes are not the lift's size-6 tableaux"
     with pytest.raises(InvariantError, match=message):
         verify_inner_translation_fails()
     code = main(["verify", "inner-translation-fails"])
@@ -557,11 +560,14 @@ def test_single_triple_scan_rejects_a_move_off_the_node_set(capsys, monkeypatch)
     assert captured.err == f"internal error: {message}\n"
 
 
-def test_single_triple_moves_are_the_dual_moves():
-    for n in range(1, 8):
-        p = cached_poset(n)
-        for node, moves in zip(p.nodes, verify._node_moves(p)):
-            assert {i: p.nodes[m] for i, m in moves.items()} == dict(_dual_moves(node))
+def test_size_moves_are_the_dual_moves():
+    # the one move table of the sweep, the scan and connectivity, against
+    # the exchange kernel and the word route on every node
+    for n in range(1, 9):
+        subs = weakorder._lifted(n)[0]
+        for sub, moves in zip(subs, verify._size_moves(n)):
+            named = [(i, subs[t]) for i, t in moves]
+            assert named == _dual_moves(sub) == move_oracle.dual_moves(sub)
 
 
 def test_single_triple_failure_witness_replays():
@@ -732,22 +738,90 @@ def test_dual_knuth_connectivity_per_shape(n):
     assert verify_dual_knuth_connectivity(n).passed
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dual_knuth_connectivity_matches_the_oracle(n):
+    report = verify_dual_knuth_connectivity(n)
+    assert (report.checked, report.violations) == move_oracle.connectivity(n)
+
+
 def test_dual_knuth_connectivity_names_each_broken_move(monkeypatch):
-    # from 1,3/2, where the search starts: one move changes the shape, one
-    # keeps it but is not a standard tableau, and none reaches 1,2/3
-    broken = [(1, parse_tableau("1,2,3")), (1, ((2, 1), (3,)))]
-    monkeypatch.setattr(
-        verify, "_dual_moves", lambda t: broken if t == parse_tableau("1,3/2") else []
-    )
-    report = verify_dual_knuth_connectivity(3)
-    assert report.checked == 2
-    assert [v["reason"] for v in report.violations] == [
-        "shape changed",
-        "left the tableau set",
-        "shape class not connected",
+    # the search of shape (3, 1) starts at its first id, whose one move
+    # now goes into shape (2, 2), so neither other member is reached
+    subs = weakorder._lifted(4)[0]
+    table = list(verify._size_moves(4))
+    run = [t for t, sub in enumerate(subs) if shape_of(sub) == (3, 1)]
+    other = next(t for t, sub in enumerate(subs) if shape_of(sub) == (2, 2))
+    assert len(run) == 3
+    table[run[0]] = ((2, other),)
+    monkeypatch.setattr(verify, "_MOVES", {4: table})
+    report = verify_dual_knuth_connectivity(4)
+    assert report.checked == sum(len(moves) for t, moves in enumerate(table) if t not in run[1:])
+    assert report.violations == [
+        {
+            "T": tableau.format_tableau(subs[run[0]]),
+            "moved": tableau.format_tableau(subs[other]),
+            "reason": "shape changed",
+        },
+        {
+            "shape": [3, 1],
+            "unreached": [tableau.format_tableau(subs[t]) for t in run[1:]],
+            "reason": "shape class not connected",
+        },
     ]
-    assert report.violations[0] == {"T": "1,3/2", "moved": "1,2,3", "reason": "shape changed"}
-    assert report.violations[2]["unreached"] == ["1,2/3"]
+
+
+@pytest.mark.parametrize(
+    "moved",
+    [
+        ((2, 1), (3,)),  # rows out of order: the row code of 1,2/3
+        ((2, 3), (1,)),  # 1 in row 2: the row code of no node
+        ((1, 4), (2,)),  # a letter past the size
+    ],
+)
+def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, moved):
+    # the move table is made afresh from a kernel that leaves the tableaux
+    monkeypatch.setattr(verify, "_MOVES", {})
+    monkeypatch.setattr(
+        verify, "_dual_moves", lambda t: [(1, moved)] if t == parse_tableau("1,3/2") else []
+    )
+    message = f"relabeling 1,3/2 -> {tableau.format_tableau(moved)} is not onto its group"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        verify_dual_knuth_connectivity(3)
+
+
+@pytest.mark.parametrize("n", [0, -1, 10])
+def test_dual_knuth_connectivity_refuses_n_outside_the_lift(n):
+    with pytest.raises(ValueError, match="n must be in 1..9"):
+        verify_dual_knuth_connectivity(n)
+
+
+# --- timing ------------------------------------------------------------------------------------
+
+def test_elapsed_ms_times_the_check_alone(monkeypatch):
+    # the poset and the lift tables are made before the stopwatch starts:
+    # slowed by 0.2 s a call, neither shows in a report's time
+    checks = [
+        lambda: verify.CHECKS["inner-translation"](5, "order"),
+        lambda: verify.CHECKS["special-cases"](5, "hook"),
+        lambda: verify.CHECKS["hook-eta"](5),
+        lambda: verify.CHECKS["inner-translation-fails"](),
+        lambda: verify.CHECKS["antisymmetry"](5),
+        lambda: [verify_dual_knuth_connectivity(5)],
+    ]
+    for check in checks:  # every table and layout made first
+        check()
+
+    def slowed(make):
+        def slow(n):
+            time.sleep(0.2)
+            return make(n)
+        return slow
+
+    monkeypatch.setattr(verify, "cached_poset", slowed(verify.cached_poset))
+    monkeypatch.setattr(verify, "_lifted", slowed(verify._lifted))
+    for check in checks:
+        for report in check():
+            assert report.elapsed_ms < 200, report.check
 
 
 # --- determinism ------------------------------------------------------------------------------
