@@ -9,9 +9,10 @@ tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
 alike, runs in the one kernel ``_slide``, and every reverse row insertion,
 behind ``reverse_insert`` and ``knuthclass.knuth_class``, in
 ``_reverse_bump``.  A dual Knuth move exchanges two entries in place
-(``_dual_moves``); the row-word route is a test oracle.  A skew tableau
-is built from its rows alone; its outer and inner shapes are read off
-them, so they cannot disagree with the rows.
+(``_dual_moves``), by the rule of ``_move_exchanges``, which the move
+tables of sytkit.verify apply to row codes; the row-word route is a test
+oracle.  A skew tableau is built from its rows alone; its outer and inner
+shapes are read off them, so they cannot disagree with the rows.
 
 A tableau is a tuple of strictly increasing rows holding 1..n.  Cells are
 addressed 1-based as (row, col), rows counted from the top, columns from
@@ -699,19 +700,30 @@ def dual_knuth_move(rows: Rows, i: int) -> Rows:
     raise ValueError(f"exactly one of {i}, {i + 1} must be a descent")
 
 
-def _dual_moves(rows: Rows) -> list[tuple[int, Rows]]:
-    """(triple start, moved tableau) for every single dual Knuth move of a
-    standard tableau, unchecked.  With r(x) the row of x, the move at i
-    exists when exactly one of i, i+1 is a descent; it exchanges i+1 and
-    i+2 if r(i) >= r(i+2) exactly when i is a descent, else i and i+1, two
-    letters in different rows (Haiman, Dual equivalence, 1992)."""
-    r = _rows_of(rows)
+def _move_exchanges(r) -> list[tuple[int, int]]:
+    """(triple start i, x) for every single dual Knuth move of a standard
+    tableau given by the rows of its letters: ``r[y]`` is the row of letter
+    y for y = 1..n, counted from any base (``r[0]`` is not read).  The move
+    at i exchanges the letters x and x + 1.  It exists when exactly one of
+    i, i+1 is a descent; it exchanges i+1 and i+2 if r(i) >= r(i+2) exactly
+    when i is a descent, else i and i+1, two letters in different rows
+    (Haiman, Dual equivalence, 1992)."""
     out = []
     for i in range(1, len(r) - 2):
         falls = r[i + 1] > r[i]
         if falls == (r[i + 2] > r[i + 1]):
             continue
-        x = i + 1 if (r[i] >= r[i + 2]) == falls else i
+        out.append((i, i + 1 if (r[i] >= r[i + 2]) == falls else i))
+    return out
+
+
+def _dual_moves(rows: Rows) -> list[tuple[int, Rows]]:
+    """(triple start, moved tableau) for every single dual Knuth move of a
+    standard tableau, unchecked: the exchanges of :func:`_move_exchanges`,
+    made in place."""
+    r = _rows_of(rows)
+    out = []
+    for i, x in _move_exchanges(r):
         moved = list(rows)
         for old, new in ((x, x + 1), (x + 1, x)):
             row = rows[r[old]]

@@ -18,9 +18,9 @@ pass, and each group's relations are read with one shift per member.
 What the sweep relies on is checked, not assumed, or ``InvariantError``
 is raised.  The order's premises come from ``weakorder._closure_fault``,
 the one test of them, shared with the relation checks: every cover goes
-down in the id order, ``reach`` and ``below`` are the closures of the
-covers, and the covers are reduced.  The layout checks only its own:
-every cover goes strictly up in the row-sequence numbering, and each
+down in the id order, ``reach`` is the closure of the covers, and the
+covers are reduced; no sweep reads ``below``.  The layout checks only its
+own: every cover goes strictly up in the row-sequence numbering, and each
 moved inner tableau keeps the shape and its run the same suffixes.  So an
 order with a cycle raises here: the closure of covers that all go down in
 the id order has none.
@@ -39,11 +39,11 @@ Each sweep still applies its own family filter and compares every move
 run against run, whole runs first: equal rows hold every relation.
 
 :func:`_size_moves` is the one place that applies a dual Knuth move: per
-size k, a table of (triple start, moved id), made once per process from
-``tableau._dual_moves`` and named through the same code map.  The layouts
-of every larger poset, the single-triple scan and dual Knuth connectivity
-(one search per shape over the ids) read it, and a move off the node set
-raises ``InvariantError`` in each.
+size k, a table of (triple start, moved id), made once per process on the
+row codes of the same code map by the rule of ``tableau._move_exchanges``.
+The layouts of every larger poset, the single-triple scan and dual Knuth
+connectivity (one search per shape over the ids) read it, and a move off
+the node set raises ``InvariantError`` in each.
 
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
@@ -53,13 +53,16 @@ it keeps every cover: ``weakorder._unpreserved_covers`` tests the covers
 first, when ``reach`` is checked to be their closure, and falls through
 to the mask kernel ``weakorder._unpreserved`` (one test per node, nothing
 assumed) when that check or a cover fails, so broken pairs are listed
-the same way.  Each check names why its target is transitive.  The
+the same way.  Each check names why its target is transitive.
+Transposition reverses the order, so its covers are tested through
+``reach`` too, and only its fall-through reads ``below``.  The
 single-triple scan, where failures are expected, calls the kernel
-directly; antisymmetry tests each node's up-set against its down-set.
-``checked`` still counts every strict relation, each a chain of tested
-covers.  Restriction images are composed from two one-step tables per
-size (drop the largest letter; drop 1 and rectify), which jeu de taquin
-confluence allows and the tests check against ``tableau._restrict``.
+directly; antisymmetry reads ``reach`` alone, each row tested for an id
+above its node's.  ``checked`` still counts every strict relation, each a
+chain of tested covers.  Restriction images are composed from two
+one-step tables per size (drop the largest letter; drop 1 and rectify),
+which jeu de taquin confluence allows and the tests check against
+``tableau._restrict``.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -86,10 +89,10 @@ from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
     _descents,
-    _dual_moves,
     _evacuate,
     _inner_rows,
     _is_hook,
+    _move_exchanges,
     _restrict,
     _reverse_bump,
     _transpose,
@@ -137,22 +140,28 @@ _MOVES: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
 
 def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """The size-k entry of ``_MOVES``, made first when it is missing; a
-    move off the size-k nodes raises ``InvariantError``."""
+    """The size-k entry of ``_MOVES``, made first when it is missing.
+
+    No tableau is made: each node's row code is read from the lift's map,
+    the rule of ``tableau._move_exchanges`` is read off its digits, and the
+    move exchanges the digits x - 1 and x (the rows of x and x + 1).  The
+    moved code is named through the same map; a code missing from it, or a
+    move onto the node itself, raises ``InvariantError``."""
     if k not in _MOVES:
         nodes, _, _, ids_of = _lifted(k)
+        shifts = range(0, 4 * k, 4)
         table = []
-        for sub in nodes:
+        for t, code in enumerate(ids_of):  # the map is made in id order
             moves = []
-            for i, moved_sub in _dual_moves(sub):
-                t = ids_of.get(_row_code(moved_sub))
-                # the code names the rows' letters, not their order in a row
-                if t is None or nodes[t] != moved_sub:
+            for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
+                swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
+                u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
+                if u is None or u == t:
                     raise InvariantError(
-                        f"relabeling {format_tableau(sub)} -> "
-                        f"{format_tableau(moved_sub)} is not onto its group"
+                        f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
+                        f"{format_tableau(nodes[t])} is not onto another size-{k} node"
                     )
-                moves.append((i, t))
+                moves.append((i, u))
             table.append(tuple(moves))
         _MOVES[k] = table
     return _MOVES[k]
@@ -174,8 +183,9 @@ class _SweepLayout:
     strictly upwards; per k, the runs in canonical order of their inner
     tableaux, each with its shape and its dual Knuth moves, every move
     checked to be onto its image run.  That the covers go down in the id
-    order, close to ``reach`` and ``below`` and are reduced is read from
-    ``weakorder._closure_fault`` first, and its message raised as it is.
+    order, close to ``reach`` and are reduced is read from
+    ``weakorder._closure_fault`` first, and its message raised as it is;
+    no layout reads ``below``.
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
     letter x in the 4-bit digit x - 1) is taken once from ``p.nodes``; the
@@ -529,18 +539,21 @@ def verify_hook_eta(k: int) -> VerificationReport:
 # structural bundle
 
 def verify_antisymmetry(n: int, jobs: int = 1) -> VerificationReport:
-    """No two distinct tableaux reach each other in the closure: each
-    node's up-set meets its down-set in the node alone, one mask test per
-    node.  ``checked`` counts the strict relations, as one test per pair
-    would."""
+    """No two distinct tableaux reach each other in the closure, read from
+    ``reach`` alone: a node's row may hold no id above its own, one length
+    test per node, and only a row that does is read bit by bit, each higher
+    bit b a violation when b reaches the node back.  ``checked`` counts the
+    strict relations, as one test per pair would."""
     p = cached_poset(n)
+    reach = p.reach
     with stopwatch() as sw:
         checked = p.strict_relations()
         violations = [
             {"S": format_tableau(p.nodes[a]), "T": format_tableau(p.nodes[b])}
-            for a, (up, down) in enumerate(zip(p.reach, p.below))
-            if up & down != 1 << a
-            for b in _bits(up & down & ~((2 << a) - 1))  # each pair once, a < b
+            for a, up in enumerate(reach)
+            if up.bit_length() > a + 1
+            for b in _bits(up & ~((2 << a) - 1))  # each pair once, a < b
+            if reach[b] >> a & 1
         ]
     return VerificationReport("antisymmetry", {"n": n}, checked, violations, sw.ms)
 
@@ -665,26 +678,26 @@ def verify_evac_transpose_monotone(n: int) -> VerificationReport:
     """Evacuation preserves the order; transposition reverses it."""
     p = cached_poset(n)
     with stopwatch() as sw:
-        maps = (
-            ("evacuation", [p.index[_evacuate(t)] for t in p.nodes], p.reach),
-            # reversing: a < b must give T(b) <= T(a), i.e. T(b) below T(a)
-            ("transpose", [p.index[_transpose(t)] for t in p.nodes], p.below),
-        )
-        # reach and below are transitive when they are the closures of the
-        # covers, which is what the covers-first test checks of p itself
-        broken = sorted(
-            (a, b, m)
-            for m, (_, image, up) in enumerate(maps)
-            for a, b in _unpreserved_covers(p, image, up, True)
-        )
+        evacuation = [p.index[_evacuate(t)] for t in p.nodes]
+        transpose = [p.index[_transpose(t)] for t in p.nodes]
+        # reach is transitive when it is the closure of the covers, which is
+        # what the covers-first test checks of p itself
+        broken = [(a, b, 0) for a, b in _unpreserved_covers(p, evacuation, p.reach, True)]
+        # reversing: a < b must give T(b) <= T(a), bit T(a) of reach[T(b)].
+        # Tested on the covers the same way, through reach, so below (the
+        # transpose of reach, transitive with it) is read only to list pairs
+        if _closure_fault(p) is not None or not all(
+            p.reach[transpose[b]] >> transpose[a] & 1 for a, b in p.covers
+        ):
+            broken += [(a, b, 1) for a, b in _unpreserved(p.reach, transpose, p.below)]
         checked = p.strict_relations()
         violations = [
             {
-                "map": maps[m][0],
+                "map": ("evacuation", "transpose")[m],
                 "S": format_tableau(p.nodes[a]),
                 "T": format_tableau(p.nodes[b]),
             }
-            for a, b, m in broken
+            for a, b, m in sorted(broken)
         ]
     return VerificationReport(
         "evacuation-transpose-monotone", {"n": n}, checked, violations, sw.ms

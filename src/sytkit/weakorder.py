@@ -13,18 +13,22 @@ sweep layout of sytkit.verify names its runs through those maps, and the
 hook-eta check inserts words through the tables (:func:`_insertion_id`).
 
 Every projected edge a -> b goes down in the id order (a > b), which is
-checked on every edge: the id order is then a linear extension, so the
+checked for every node: the id order is then a linear extension, so the
 order has no cycle and antisymmetry is a fact checked during the build.
 Reachability, stored per node as an integer bitmask, and the cover
-relation come out of one pass in increasing id order, the transitive
+relation come out of one pass in increasing id order over the sorted
+edges, each node's successors one slice of them: the transitive
 reduction of a graph numbered by a linear extension (Aho, Garey and
-Ullman 1972); the down-sets come out of the mirror pass.
+Ullman 1972).  The down-sets (``below``) are not stored: the sweeps and
+the relation checks read ``reach`` and the covers only, and ``below`` is
+made from them when an interval, a product or a fall-through first reads
+it.
 
 The monotone-map checks here and in sytkit.verify test a map on the covers
 first (:func:`_unpreserved_covers`).  The premise is checked, not assumed:
-every cover goes down in the id order, each ``reach`` and ``below`` row
-is its node plus the rows of its covers, and no cover passes through
-another (:func:`_closure_fault`), so every relation is a chain of covers.
+every cover goes down in the id order, each ``reach`` row is its node plus
+the rows of its covers, and no cover passes through another
+(:func:`_closure_fault`), so every relation is a chain of covers.
 The target must be transitive; each caller names why.  When either
 fails, every relation is tested by the mask kernel :func:`_unpreserved`.
 
@@ -39,6 +43,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 
 from .permutation import InvariantError, check_int
 from .report import VerificationReport, stopwatch
@@ -68,15 +74,15 @@ class TableauPoset:
     """Built once, then immutable but for ``_cache``; safe to share
     between threads.
 
-    ``reach[a]`` has bit b set iff a <= b (reflexively); ``below`` is the
-    transpose.  ``covers`` is the transitive reduction, sorted: a checked
-    fact, with the closures, by :func:`_closure_fault`.  ``_cache``
-    keeps what checks derive from the order, made on first use (the
-    closure check of :func:`_closure_fault`, and the translation sweep's
-    layout and the one-step restriction tables of sytkit.verify); two
-    threads making the same entry at once store equal values.  It is not
-    an init field, so a poset made by ``dataclasses.replace`` starts with
-    an empty one.
+    ``reach[a]`` has bit b set iff a <= b (reflexively).  ``covers`` is
+    the transitive reduction, sorted: a checked fact, with the closure, by
+    :func:`_closure_fault`.  The down-sets, :attr:`below`, are not stored:
+    they are made on first read.  ``_cache`` keeps what is derived from
+    the order, made on first use (``below``, the closure check of
+    :func:`_closure_fault`, and the translation sweep's layout and the
+    one-step restriction tables of sytkit.verify); two threads making the
+    same entry at once store equal values.  It is not an init field, so a
+    poset made by ``dataclasses.replace`` starts with an empty one.
 
     The lifted sizes that :func:`build_poset` keeps for later builds
     (``_LIFTED``) are as safe: two threads lifting the same size store
@@ -87,7 +93,6 @@ class TableauPoset:
     nodes: tuple[Rows, ...]
     covers: tuple[tuple[int, int], ...]
     reach: tuple[int, ...]
-    below: tuple[int, ...]
     index: dict[Rows, int] = field(repr=False)
     _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -106,6 +111,29 @@ class TableauPoset:
             raise ValueError(
                 f"not a node of the size-{self.n} poset: {format_tableau(key)}"
             ) from None
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        """``below[b]`` has bit a set iff a <= b: the transpose of ``reach``,
+        made once and kept in ``_cache``.  When ``reach`` is the closure of
+        the covers (:func:`_closure_fault`), by the mirror pass over the
+        covers: taken in decreasing order of a, each cover (a, b) finds the
+        row of a final, as everything above a has a larger id.  Otherwise,
+        for orders made broken by hand, ``reach`` is transposed bit by bit.
+        """
+        if "below" not in self._cache:
+            count = len(self.nodes)
+            if _closure_fault(self) is None:
+                below = [1 << b for b in range(count)]
+                for a, b in sorted(self.covers, reverse=True):
+                    below[b] |= below[a]
+            else:
+                below = [0] * count
+                for a, row in enumerate(self.reach):
+                    for b in _bits(row):
+                        below[b] |= 1 << a
+            self._cache["below"] = tuple(below)
+        return self._cache["below"]
 
     def leq_ids(self, a: int, b: int) -> bool:
         return bool(self.reach[a] >> b & 1)
@@ -145,18 +173,17 @@ def _unpreserved(rows, image, up) -> list[tuple[int, int]]:
 
 
 def _closure_fault(p: TableauPoset) -> str | None:
-    """None when ``reach`` and ``below`` are the reflexive-transitive
-    closures of ``p.covers`` upwards and downwards and the covers are
-    reduced; else the message of what fails first.
+    """None when ``reach`` is the reflexive-transitive closure of
+    ``p.covers`` and the covers are reduced; else the message of what fails
+    first.
 
-    Checked as every cover (a, b) going down in the id order (a > b),
-    ``reach[a]`` being a plus the ``reach`` rows of its covers and
-    ``below[b]`` being b plus the ``below`` rows of the nodes it covers: by
-    induction from id 0 upwards for ``reach`` and from the top id downwards
-    for ``below``, each row is then its node's closure, whatever the rows
-    are.  In the ``reach`` pass no cover of a may lie strictly above
-    another (Aho, Garey and Ullman 1972).  Made once per poset and kept in
-    ``p._cache``.
+    Checked as every cover (a, b) going down in the id order (a > b) and
+    ``reach[a]`` being a plus the ``reach`` rows of its covers: by
+    induction from id 0 upwards, each row is then its node's closure,
+    whatever the rows are, and no cover of a may lie strictly above another
+    (Aho, Garey and Ullman 1972).  ``below`` needs no check: it is made
+    from ``reach`` (:attr:`TableauPoset.below`).  Made once per poset and
+    kept in ``p._cache``.
     """
     if "closure" not in p._cache:
         p._cache["closure"] = _find_closure_fault(p)
@@ -164,18 +191,15 @@ def _closure_fault(p: TableauPoset) -> str | None:
 
 
 def _find_closure_fault(p: TableauPoset) -> str | None:
-    # one row is made at a time, so no second table of rows is held
     nodes = p.nodes
     succ: list[list[int]] = [[] for _ in nodes]
-    pred: list[list[int]] = [[] for _ in nodes]
     for a, b in p.covers:
         if a <= b:
             return (
-                f"closure of the covers disagrees with reach: cover {format_tableau(nodes[a])}"
-                f" < {format_tableau(nodes[b])} does not go down in the id order"
+                f"cover {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
+                f"does not go down in the id order"
             )
         succ[a].append(b)
-        pred[b].append(a)
     for a, links in enumerate(succ):
         ends = through = 0
         for b in links:  # reach[b] is proved closed already, so it holds b
@@ -189,12 +213,6 @@ def _find_closure_fault(p: TableauPoset) -> str | None:
                 f"covers are not reduced: cover {format_tableau(nodes[a])} < "
                 f"{format_tableau(nodes[c])} passes through another"
             )
-    for b in range(len(nodes) - 1, -1, -1):
-        closed = 1 << b
-        for a in pred[b]:
-            closed |= p.below[a]
-        if closed != p.below[b]:
-            return f"closure of the covers disagrees with below at {format_tableau(nodes[b])}"
     return None
 
 
@@ -259,8 +277,8 @@ def _column_tables(prev: tuple[Rows, ...], ids_of: dict[int, int], k: int) -> li
 
 
 # size k -> (nodes, tables, edges, ids_of) as :func:`_lift_edges` leaves
-# them for size k, ``ids_of`` mapping each node's row code to its id:
-# arrays, since the small sizes stay for the rest of the process
+# them for size k, ``ids_of`` mapping each node's row code to its id, made
+# in id order: arrays, since the small sizes stay for the rest of the process
 _LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], array, dict[int, int]]] = {}
 
 
@@ -342,49 +360,47 @@ def _poset(n: int, nodes: tuple[Rows, ...], edges: list[int]) -> TableauPoset:
     """The poset whose order is the reflexive-transitive closure of the
     sorted ``edges`` (a << 16 | b) on ``nodes``.
 
-    An edge with a < b raises ``InvariantError``: every edge must go down
-    in the id order.  Then node a's successors all have smaller ids, and
-    their rows are final when a's row is made.  Visited from the highest
-    id down, a successor reached through another one is visited after it,
-    so it is a bit of the row by then; every other successor is a cover.
+    Node a's successors are the slice of ``edges`` between a << 16 and
+    (a + 1) << 16, found by bisection, so the edges must be strictly
+    increasing; that is checked once, or ``InvariantError`` is raised.  So
+    is an edge with a < b: every edge must go down in the id order, which
+    holds when each slice's last edge does.  Then node a's successors all
+    have smaller ids, and their rows are final when a's row is made.
+    Visited from the highest id down, a successor reached through another
+    one is visited after it, so it is a bit of the row by then; every other
+    successor is a cover.  No down-set is made here (see
+    :attr:`TableauPoset.below`).
     """
-    count = len(nodes)
-    succ: list[list[int]] = [[] for _ in range(count)]
-    pred: list[list[int]] = [[] for _ in range(count)]
-    for code in edges:
-        a, b = code >> 16, code & 0xFFFF
-        if a < b:
+    if not all(map(lt, edges, islice(edges, 1, None))):
+        raise InvariantError("projected edges are not strictly increasing")
+    reach: list[int] = []
+    covers = []
+    hi = 0
+    for a in range(len(nodes)):
+        lo, hi = hi, bisect_left(edges, a + 1 << 16, hi)
+        if lo < hi and edges[hi - 1] & 0xFFFF > a:
+            b = edges[bisect_left(edges, a << 16 | a + 1, lo, hi)] & 0xFFFF
             raise InvariantError(
                 f"projected edge {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
                 f"goes up in the id order"
             )
-        succ[a].append(b)
-        pred[b].append(a)
-
-    reach: list[int] = []
-    covers = []
-    for a, down in enumerate(succ):
         row = 1 << a
         kept = []
-        for b in reversed(down):
+        for code in reversed(edges[lo:hi]):
+            b = code & 0xFFFF
             if not row >> b & 1:
                 kept.append(b)
                 row |= reach[b]
         reach.append(row)
         covers += [(a, b) for b in reversed(kept)]
-    below = [0] * count
-    for b in range(count - 1, -1, -1):
-        row = 1 << b
-        for a in pred[b]:
-            row |= below[a]
-        below[b] = row
+    if hi < len(edges):
+        raise InvariantError(f"projected edge from node id {edges[hi] >> 16}, past the last node")
 
     return TableauPoset(
         n=n,
         nodes=nodes,
         covers=tuple(covers),
         reach=tuple(reach),
-        below=tuple(below),
         index={t: i for i, t in enumerate(nodes)},
     )
 

@@ -24,10 +24,13 @@ def _rows(p):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_one_pass_build_matches_the_oracle(n):
+    # the build makes no below: it is made on first read, here by the
+    # mirror pass over the covers, as reach is their closure
     nodes, edges = weakorder._lift_edges(n)
-    assert _rows(weakorder._poset(n, nodes, edges)) == oracle.close_and_reduce(
-        len(nodes), edges
-    )
+    p = weakorder._poset(n, nodes, edges)
+    assert "below" not in p._cache
+    assert weakorder._closure_fault(p) is None
+    assert _rows(p) == oracle.close_and_reduce(len(nodes), edges)
 
 
 def test_one_pass_build_matches_the_oracle_on_random_graphs():

@@ -17,7 +17,7 @@ from sytkit.weakorder import (
     check_monotone_descent,
     check_monotone_shape,
 )
-from test_verify import _relations, _thinned, _unreduced
+from test_verify import _non_transitive, _relations, _self_loop, _thinned, _unreduced
 
 
 def _outcome(report):
@@ -149,6 +149,24 @@ def test_relation_checks_match_the_oracle_on_a_two_node_cycle(monkeypatch, n):
         assert got[check].violations, check
 
 
+def test_antisymmetry_passes_an_upward_edge_without_a_cycle(monkeypatch):
+    # the edge x -> y added between incomparable nodes x < y: reach[x] then
+    # holds ids above x that do not reach x back, which are no violation
+    p = cached_poset(5)
+    count = len(p.nodes)
+    x, y = next(
+        (x, y)
+        for x in range(count)
+        for y in range(x + 1, count)
+        if not p.reach[x] >> y & 1 and not p.reach[y] >> x & 1
+    )
+    posets = {m: cached_poset(m) for m in range(2, 5)}
+    posets[5] = _relations(p, p.nodes, [*p.covers, (x, y)])
+    assert posets[5].reach[x].bit_length() > x + 1
+    got = _compare(monkeypatch, posets)
+    assert got["antisymmetry"].violations == []
+
+
 def test_shape_cover_branch_matches_the_oracle_on_a_two_node_cycle():
     # with the reversed cover among the covers no direction holds
     p = cached_poset(5)
@@ -167,3 +185,36 @@ def test_unpreserved_assumes_nothing_of_either_side():
     image = [0, 1, 1, 2]
     up = [0b010, 0b000, 0b001]
     assert _unpreserved(rows, image, up) == [(0, 3), (1, 2), (3, 1)]
+
+
+def _transposed(reach):
+    """``reach`` transposed bit by bit."""
+    return tuple(
+        sum(1 << a for a, row in enumerate(reach) if row >> b & 1) for b in range(len(reach))
+    )
+
+
+def _two_node_cycle():
+    """The size-5 order with its last cover also given reversed, closed again."""
+    p = cached_poset(5)
+    a, b = p.covers[-1]
+    return _relations(p, p.nodes, [*p.covers, (b, a)])
+
+
+@pytest.mark.parametrize(
+    "broken, mirrored",
+    [
+        (lambda: _thinned(6, 1), True),
+        (_two_node_cycle, False),
+        (_self_loop, False),
+        (lambda: _upward(cached_poset(6)), False),
+        (_non_transitive, False),
+        (_unreduced, False),
+    ],
+)
+def test_below_is_the_transpose_of_reach_on_broken_orders(broken, mirrored):
+    # below comes from the mirror pass over the covers when reach is their
+    # closure, and from reach bit by bit otherwise: the transpose either way
+    p = broken()
+    assert (_closure_fault(p) is None) == mirrored
+    assert p.below == _transposed(p.reach)

@@ -127,7 +127,6 @@ def _relations(p, nodes, kept):
         nodes=tuple(nodes),
         covers=covers,
         reach=tuple(reach),
-        below=tuple(below),
         index={t: i for i, t in enumerate(nodes)},
     )
 
@@ -253,13 +252,13 @@ def test_sweep_lists_the_relations_a_target_run_misses(mode):
 
 def test_sweep_rejects_an_order_with_a_cycle():
     # a reversed cover added to the order makes a two-node cycle that the
-    # bottom element reaches, so the covers no longer close to reach
+    # bottom element reaches, and one of its covers goes up in the id order
     p = cached_poset(5)
     a, b = p.covers[-1]
     cyclic = _relations(p, p.nodes, list(p.covers) + [(b, a)])
     assert cyclic.reach[a] == cyclic.reach[b]
     for mode in ("cover", "order"):
-        with pytest.raises(InvariantError, match="closure of the covers disagrees"):
+        with pytest.raises(InvariantError, match="does not go down in the id order"):
             verify._translation_sweep(cyclic, mode, None)
 
 
@@ -514,7 +513,7 @@ def test_sweep_layout_matches_the_oracle_on_test_made_orders(broken, message):
         (_missing_node, "relabeling"),
         (_non_transitive, "closure of the covers disagrees with reach at"),
         (_unreduced, "covers are not reduced"),
-        (_self_loop, "closure of the covers disagrees with reach: cover"),
+        (_self_loop, "cover 1,4,5,6/2/3 < 1,4,5,6/2/3 does not go down in the id order"),
     ],
 )
 def test_broken_sweep_invariants_exit_3(capsys, monkeypatch, broken, message):
@@ -560,10 +559,24 @@ def test_single_triple_scan_rejects_a_move_off_the_node_set(capsys, monkeypatch)
     assert captured.err == f"internal error: {message}\n"
 
 
+def test_the_stretch_checks_make_no_below(monkeypatch):
+    # the sweeps, antisymmetry, the monotone maps and evacuation-transpose
+    # read reach and the covers only, so fresh posets keep no down-sets
+    monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
+    for name, options in verify.battery(9):
+        if options.get("n", 0) >= 7:
+            assert all(report.passed for report in verify.CHECKS[name](**options))
+    for n in range(7, 10):
+        assert verify.verify_evac_transpose_monotone(n).passed
+    posets = weakorder._POSET_CACHE
+    assert sorted(posets) == [7, 8, 9]
+    assert not any("below" in p._cache for p in posets.values())
+
+
 def test_size_moves_are_the_dual_moves():
-    # the one move table of the sweep, the scan and connectivity, against
-    # the exchange kernel and the word route on every node
-    for n in range(1, 9):
+    # the one move table of the sweep, the scan and connectivity, made on
+    # row codes, against the exchange kernel and the word route on every node
+    for n in range(1, 10):
         subs = weakorder._lifted(n)[0]
         for sub, moves in zip(subs, verify._size_moves(n)):
             named = [(i, subs[t]) for i, t in moves]
@@ -773,18 +786,20 @@ def test_dual_knuth_connectivity_names_each_broken_move(monkeypatch):
 @pytest.mark.parametrize(
     "moved",
     [
-        ((2, 1), (3,)),  # rows out of order: the row code of 1,2/3
-        ((2, 3), (1,)),  # 1 in row 2: the row code of no node
-        ((1, 4), (2,)),  # a letter past the size
+        ("1,3/2", 1),  # 1 and 2 exchanged: 2,3/1, the row code of no node
+        ("1,3/2", 3),  # 3 and 4 exchanged: a letter past the size
+        ("1,2,3", 1),  # 1 and 2 share a row: the move is onto the node itself
     ],
 )
 def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, moved):
-    # the move table is made afresh from a kernel that leaves the tableaux
+    # the move table is made afresh from a rule that leaves the tableaux:
+    # at one node, told by the rows of its letters, it exchanges x and x + 1
+    text, x = moved
+    code = weakorder._row_code(parse_tableau(text))
+    rows = [0, *(code >> 4 * y & 15 for y in range(3))]  # the rows of 1, 2, 3
     monkeypatch.setattr(verify, "_MOVES", {})
-    monkeypatch.setattr(
-        verify, "_dual_moves", lambda t: [(1, moved)] if t == parse_tableau("1,3/2") else []
-    )
-    message = f"relabeling 1,3/2 -> {tableau.format_tableau(moved)} is not onto its group"
+    monkeypatch.setattr(verify, "_move_exchanges", lambda r: [(1, x)] if r == rows else [])
+    message = f"dual Knuth move on the triple 1,2,3 of {text} is not onto another size-3 node"
     with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(3)
 
