@@ -67,10 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_poset.add_argument("--n", type=int, required=True)
     _add_output_flags(p_poset, formats=("text", "json", "dot"))
 
-    p_verify = sub.add_parser("verify", help="run an exhaustive check")
+    ranges = "".join(f"  {check:<24} {lo}..{hi}\n" for check, (lo, hi, _, _) in verify.SCALES.items())
+    p_verify = sub.add_parser("verify", help="run an exhaustive check",
+                              epilog="the --n each check accepts:\n" + ranges,
+                              formatter_class=argparse.RawDescriptionHelpFormatter)
     p_verify.add_argument("check", choices=VERIFY_CHECKS)
     p_verify.add_argument("--n", type=int, default=6,
-                          help="size swept (the hook length k for hook-eta)")
+                          help="size swept (hook length k for hook-eta, k + l for interval-isomorphism)")
     p_verify.add_argument("--k", type=int, default=None,
                           help="first factor size for interval-isomorphism")
     p_verify.add_argument("--mode", choices=verify.MODES, default=None)

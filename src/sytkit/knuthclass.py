@@ -42,7 +42,11 @@ def knuth_class(rows: Rows) -> KnuthClass:
     tableaux give distinct words; that is checked, not assumed: a repeated
     word raises :class:`InvariantError`.
     """
-    rows = check_standard(rows)
+    return _knuth_class(check_standard(rows))
+
+
+def _knuth_class(rows: Rows) -> KnuthClass:
+    """``knuth_class`` of a tableau already checked to be standard."""
     n = size_of(rows)
     if n > MAX_N:
         raise ValueError(f"tableau size {n} exceeds the supported maximum {MAX_N}")

@@ -95,13 +95,12 @@ from .tableau import (
     _move_exchanges,
     _restrict,
     _reverse_bump,
+    _standard_tableaux,
     _transpose,
     format_tableau,
     insertion_tableau,
-    is_hook,
     partitions,
     shape_of,
-    standard_tableaux,
 )
 from .weakorder import (
     MAX_POSET_N,
@@ -366,11 +365,10 @@ def _translation_sweep(
 
 
 def _translation_report(
-    check: str, top: int, n: int, mode: str, family: str | None
+    check: str, n: int, mode: str, family: str | None
 ) -> VerificationReport:
-    """The guard, sweep and report shared by both translation checks."""
-    if not (2 <= n <= top):
-        raise ValueError(f"n must be in 2..{top}")
+    """The mode guard, sweep and report shared by both translation checks,
+    each of which guards its n first."""
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     p = cached_poset(n)
@@ -388,7 +386,8 @@ def verify_inner_tableau_translation(
     """Relabeling a shared inner tableau along one dual Knuth move must
     preserve induced covers (mode "cover") or all order relations between
     same-inner-tableau nodes (mode "order")."""
-    return _translation_report("inner-tableau-translation", MAX_POSET_N, n, mode, None)
+    _check_scale("inner-translation", n)
+    return _translation_report("inner-tableau-translation", n, mode, None)
 
 
 def verify_special_cases(
@@ -398,7 +397,8 @@ def verify_special_cases(
     inner tableaux (proved cases; must come back clean)."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    return _translation_report("inner-tableau-translation-special-cases", 8, n, mode, family)
+    _check_scale("special-cases", n)
+    return _translation_report("inner-tableau-translation-special-cases", n, mode, family)
 
 
 # the known size-6 witness: relabeling along the triple {3,4,5} breaks the
@@ -481,8 +481,7 @@ def verify_hook_eta(k: int) -> VerificationReport:
     prefix from the right through the lift's column-insertion tables
     (``weakorder._insertion_id``): one popcount rank and one table lookup
     per letter, with no tableau built."""
-    if not (5 <= k <= 9):
-        raise ValueError("k must be in 5..9")
+    _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
     tables = [_lifted(m)[1] for m in range(1, k)]
@@ -491,16 +490,16 @@ def verify_hook_eta(k: int) -> VerificationReport:
     violations: list[dict] = []
     with stopwatch() as sw:
         for shape in partitions(k):
-            if not is_hook(shape) or len(shape) < 3 or shape[0] < 3:
+            if not _is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
-            for tab in standard_tableaux(shape):
+            for tab in _standard_tableaux(shape):
                 labels = {tab[0][-1], tab[-1][0]}
                 if labels != {k, k - 1}:
                     skipped += 1
                     continue
                 checked += 1
                 # the two corners end row 1 and the last row; the tableaux
-                # come from standard_tableaux, so the kernel needs no check
+                # come from _standard_tableaux, so the kernel needs no check
                 _, eta_top = _reverse_bump(tab, 1)
                 _, eta_bottom = _reverse_bump(tab, len(shape))
                 if eta_top == eta_bottom:
@@ -743,8 +742,7 @@ def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
 
 def verify_structural(n: int, jobs: int = 1) -> list[VerificationReport]:
     """One report per bundled structural statement (six in total)."""
-    if not (2 <= n <= 7):
-        raise ValueError("n must be in 2..7")
+    _check_scale("structural", n)
     return [
         verify_restriction_monotone(n),
         verify_descents_constant(n),
@@ -765,8 +763,8 @@ def _monotone(n: int) -> list[VerificationReport]:
 
 def _single_triple_scan(n: int | None = None) -> list[VerificationReport]:
     # the known witness is at n = 6, the one n the scan takes
-    if n not in (None, 6):
-        raise ValueError("inner-translation-fails takes n = 6 only")
+    if n is not None:
+        _check_scale("inner-translation-fails", n)
     return [verify_inner_translation_fails()]
 
 
@@ -789,26 +787,62 @@ CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
     "interval-isomorphism": _interval_isomorphism,
 }
 
+# The one table of check scales, a row per check in the order of CHECKS:
+# the lowest and highest n the check accepts (the hook length k for
+# hook-eta, the total k + l for interval-isomorphism), then the battery's
+# top n at the default and at the stretch scale.  The guards read it
+# through _check_scale; antisymmetry and monotone are refused by
+# cached_poset and interval-isomorphism by its own guard in hopf, each at
+# MAX_POSET_N.
+SCALES: dict[str, tuple[int, int, int, int]] = {
+    "antisymmetry": (1, MAX_POSET_N, 7, 9),
+    "inner-translation": (2, MAX_POSET_N, 7, 9),
+    "inner-translation-fails": (6, 6, 6, 6),
+    "special-cases": (2, 8, 7, 8),
+    "hook-eta": (5, 9, 7, 9),
+    "structural": (2, 7, 6, 6),
+    "monotone": (1, MAX_POSET_N, 7, 7),
+    "interval-isomorphism": (2, MAX_POSET_N, 6, 6),
+}
 
-def battery(top: int = 7) -> Iterator[tuple[str, dict]]:
-    """The verification battery as (check, options) pairs in run order;
-    ``top`` is 7 at the default scale and 9 at the stretch scale."""
-    for n in range(2, top + 1):
+
+def _check_scale(check: str, n: int, name: str = "n") -> None:
+    """Refuse an n (called ``name`` in the message) outside the check's row
+    of SCALES."""
+    lo, hi, _, _ = SCALES[check]
+    if lo == hi != n:
+        raise ValueError(f"{check} takes {name} = {lo} only")
+    if not lo <= n <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}")
+
+
+def battery(stretch: bool = False) -> Iterator[tuple[str, dict]]:
+    """The verification battery as (check, options) pairs in run order:
+    each check from the lowest n of its SCALES row, but not below 2 (one
+    tableau has no relation to check), to its top at the default or at the
+    stretch scale."""
+
+    def sizes(check: str) -> range:
+        lo, _, top, stretch_top = SCALES[check]
+        return range(max(lo, 2), (stretch_top if stretch else top) + 1)
+
+    for n in sizes("antisymmetry"):
         yield "antisymmetry", {"n": n}
-    for n in range(2, top + 1):
+    for n in sizes("inner-translation"):
         for mode in MODES:
             yield "inner-translation", {"n": n, "mode": mode}
-    yield "inner-translation-fails", {}
+    for n in sizes("inner-translation-fails"):
+        yield "inner-translation-fails", {"n": n}
     for family in FAMILIES:
-        for n in range(2, min(top, 8) + 1):
+        for n in sizes("special-cases"):
             yield "special-cases", {"n": n, "family": family}
-    for k in range(5, top + 1):
+    for k in sizes("hook-eta"):
         yield "hook-eta", {"n": k}
-    for n in range(2, 6 + 1):
+    for n in sizes("structural"):
         yield "structural", {"n": n}
-    for n in range(2, 7 + 1):
+    for n in sizes("monotone"):
         yield "monotone", {"n": n}
-    for total in range(2, 6 + 1):
+    for total in sizes("interval-isomorphism"):
         for k in range(1, total):
             yield "interval-isomorphism", {"n": total, "k": k}
 

@@ -79,7 +79,7 @@ def test_source_has_no_assert():
 
 
 def test_product_broken_invariant_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.hopf, "knuth_class", partial_classes)
+    monkeypatch.setattr(cli.hopf, "_knuth_class", partial_classes)
     code, out, err = run(capsys, "product", "1,2,4/3,5", "1/2")
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -341,6 +341,56 @@ def test_readme_lists_every_verify_check():
     block = text.split("## CLI", 1)[1].split("```")[1]
     names = re.findall(r"^sytkit verify ([a-z-]+)", block, re.M)
     assert sorted(names) == sorted(verify.CHECKS)
+    # and each line gives the --n its check accepts, as the table does
+    ranges = re.findall(r"^sytkit verify ([a-z-]+).*# --n (\d+)\.\.(\d+)", block, re.M)
+    assert {name: (int(lo), int(hi)) for name, lo, hi in ranges} == {
+        name: row[:2] for name, row in verify.SCALES.items()
+    }
+
+
+def test_verify_help_lists_each_checks_range(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == EXIT_OK
+    listed = re.findall(r"^  ([a-z-]+) +(\d+)\.\.(\d+)$", out, re.M)
+    assert list(verify.SCALES) == list(verify.CHECKS)
+    assert listed == [(name, str(lo), str(hi)) for name, (lo, hi, _, _) in verify.SCALES.items()]
+
+
+def _verify_argv(check, n):
+    family = ["--family", "hook"] if check == "special-cases" else []
+    return ["verify", check, "--n", str(n), *family]
+
+
+@pytest.mark.parametrize("check", list(verify.SCALES))
+def test_verify_accepts_exactly_the_range_in_its_row(capsys, check):
+    lo, hi, _, _ = verify.SCALES[check]
+    for n in (lo - 1, hi + 1):
+        code, out, err = run(capsys, *_verify_argv(check, n))
+        assert code == EXIT_USAGE, n
+        assert out == ""
+        assert err.startswith("error: ")
+    code, out, _ = run(capsys, *_verify_argv(check, lo))
+    assert code == EXIT_OK
+    assert out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("stretch", [False, True])
+def test_battery_stays_inside_each_checks_row(stretch):
+    tops = {}
+    for check, options in verify.battery(stretch):
+        lo, hi, _, _ = verify.SCALES[check]
+        n = options["n"]
+        assert lo <= n <= hi, (check, options)
+        tops[check] = max(tops.get(check, n), n)
+    # each check reaches the top of its row's column at that scale
+    assert tops == {check: row[3 if stretch else 2] for check, row in verify.SCALES.items()}
+
+
+def test_product_too_large_exits_2(capsys):
+    code, out, err = run(capsys, "product", "1,2,3/4,5", "1,2,3/4,5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: product size 10 exceeds 9\n"
 
 
 def test_product_golden(capsys):

@@ -52,14 +52,21 @@ def test_product_size_guard():
         )
 
 
-def test_product_size_guard_messages():
+def test_product_size_guard_messages(monkeypatch):
+    listed = []
+    monkeypatch.setattr(hopf, "_knuth_class", listed.append)
     five = parse_tableau("1,2,3,4,5")
     with pytest.raises(ValueError, match="product size 10 exceeds 9"):
         plactic_product(five, five)
-    # a factor beyond the class listing's limit is refused by knuth_class
+    # a factor beyond the class listing's limit is refused by the product's
+    # size too: each factor is checked, then the size compared, before any
+    # class is listed
     eleven = (tuple(range(1, 12)),)
-    with pytest.raises(ValueError, match="tableau size 11 exceeds the supported maximum"):
+    with pytest.raises(ValueError, match="product size 12 exceeds 9"):
         plactic_product(eleven, ((1,),))
+    with pytest.raises(ValueError, match="row not increasing"):
+        plactic_product(((2, 1), (3,)), eleven)
+    assert listed == []
 
 
 def test_plactic_product_validates_each_factor_once(monkeypatch):
@@ -214,7 +221,7 @@ def repeated_interleavings(a, b):
 @pytest.mark.parametrize(
     "name, fake, message",
     [
-        ("knuth_class", partial_classes, "only partially"),
+        ("_knuth_class", partial_classes, "only partially"),
         ("interleavings", repeated_interleavings, "repeated"),
     ],
     ids=["partial-class", "repeated-word"],

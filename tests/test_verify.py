@@ -563,7 +563,7 @@ def test_the_stretch_checks_make_no_below(monkeypatch):
     # the sweeps, antisymmetry, the monotone maps and evacuation-transpose
     # read reach and the covers only, so fresh posets keep no down-sets
     monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
-    for name, options in verify.battery(9):
+    for name, options in verify.battery(stretch=True):
         if options.get("n", 0) >= 7:
             assert all(report.passed for report in verify.CHECKS[name](**options))
     for n in range(7, 10):
