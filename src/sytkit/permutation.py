@@ -147,20 +147,6 @@ def restrict_standardize(u: Word, i: int, j: int) -> Word:
     return tuple(x - i + 1 for x in u if i <= x <= j)
 
 
-def _segment_letters(n: int, i: int, j: int) -> list[int]:
-    """Per letter 0..n of a word on 1..n, its letter in the restriction to
-    the segment [i, j] (see :func:`restrict_standardize`), 0 outside it."""
-    letters = [0] * (n + 1)
-    letters[i:j + 1] = range(1, j - i + 2)
-    return letters
-
-
-def _restrict_word(u: Word, letters: list[int]) -> Word:
-    """:func:`restrict_standardize` of a word on 1..n, through the table
-    ``_segment_letters(n, i, j)`` of a valid segment; unchecked."""
-    return tuple(filter(None, map(letters.__getitem__, u)))
-
-
 def _window_move(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     """The unique Knuth rewrite on three adjacent letters, if one applies.
 

@@ -64,6 +64,11 @@ one-step tables per size (drop the largest letter; drop 1 and rectify),
 which jeu de taquin confluence allows and the tests check against
 ``tableau._restrict``.
 
+The two checks that walk all n! words make no tableau from a word: each
+walks the words depth first, built from the right, and names each suffix's
+tableau (per segment, for restriction) by one lookup in the lift's column
+tables (``weakorder._lifted``); restriction's images are the one-step tables.
+
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
 """
@@ -75,16 +80,7 @@ from operator import xor
 
 from .hopf import verify_interval_isomorphism
 from .knuthclass import knuth_class
-from .permutation import (
-    InvariantError,
-    Word,
-    _restrict_word,
-    _segment_letters,
-    all_words,
-    descents_left,
-    format_word,
-    weak_covers,
-)
+from .permutation import MAX_N, InvariantError, Word, format_word, weak_covers
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -106,6 +102,7 @@ from .weakorder import (
     MAX_POSET_N,
     TableauPoset,
     _bits,
+    _check_poset_size,
     _closure_fault,
     _insertion_id,
     _lifted,
@@ -559,14 +556,41 @@ def verify_antisymmetry(n: int, jobs: int = 1) -> VerificationReport:
 
 def verify_descents_constant(n: int) -> VerificationReport:
     """Left descents of a word equal the descent set of its insertion
-    tableau, hence are constant on each class."""
+    tableau, hence are constant on each class.
+
+    One depth-first walk over the words, built from the right.  The
+    insertion side is the lift's column tables: prepending x names the
+    suffix's tableau by one popcount rank and one lookup, as
+    :func:`weakorder._insertion_id` does.  The word side: x sets the left
+    descent x - 1 when x - 1 is to its right, and x when x + 1 is not.
+    Each word's mask is compared with its node's ``_descents``."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}")
+    nodes, _, _, _ = _lifted(n)
+    tables = [_lifted(m)[1] for m in range(1, n + 1)]  # by suffix length
     checked = 0
-    violations = []
+    broken: list[Word] = []
     with stopwatch() as sw:
-        for u in all_words(n):
-            checked += 1
-            if descents_left(u) != _descents(insertion_tableau(u)):
-                violations.append({"word": format_word(u)})
+        masks = [sum(1 << d for d in _descents(t)) for t in nodes]
+        full = (2 << n) - 2  # bit x for letter x
+        inner = full >> 1 & ~1  # the descents 1..n - 1
+        stack = [(0, 0, 0, ())]  # letters placed, their node, mask, suffix
+        while stack:
+            seen, t, mask, suffix = stack.pop()
+            table = tables[seen.bit_count()]
+            for x in range(1, n + 1):
+                bit = 1 << x
+                if seen & bit:
+                    continue
+                u = table[(seen & bit - 1).bit_count()][t]
+                m = mask | seen & bit >> 1 | bit & ~seen >> 1 & inner
+                if seen | bit != full:
+                    stack.append((seen | bit, u, m, (x, *suffix)))
+                    continue
+                checked += 1
+                if m != masks[u]:
+                    broken.append((x, *suffix))
+        violations = [{"word": format_word(u)} for u in sorted(broken)]
     return VerificationReport(
         "descent-sets-constant-on-classes", {"n": n}, checked, violations, sw.ms
     )
@@ -611,33 +635,62 @@ def _segment_images(posets: dict[int, TableauPoset], n: int) -> dict[tuple[int, 
 def verify_restriction_insertion(n: int) -> VerificationReport:
     """Restricting a word to a letter segment commutes with insertion.
 
-    Every (word, segment) is checked: the node of the word's tableau,
-    restricted to the segment through the one-step tables
-    (:func:`_segment_images`), must be the node of the restricted word's
-    tableau.  Each distinct word is inserted once."""
+    Every (word, segment) is checked, in one depth-first walk over the
+    words, built from the right.  The insertion side is the lift's column
+    tables: each suffix carries the node id of its restriction to every
+    segment, and prepending x changes only the segments holding x, each by
+    one popcount rank and one lookup, as :func:`weakorder._insertion_id`
+    does.  The restriction side is the jeu-de-taquin one-step tables
+    (:func:`_segment_images`), compared per word in one tuple comparison."""
+    _check_poset_size(n)
     posets = {m: cached_poset(m) for m in range(1, n + 1)}
+    # the walk names nodes by lift id, the images by poset id
+    for m, p in posets.items():
+        if p.nodes != _lifted(m)[0]:
+            raise InvariantError(
+                f"the size-{m} order's nodes are not the lift's size-{m} tableaux"
+            )
+    tables = [_lifted(m)[1] for m in range(1, n + 1)]  # by restriction length
+    segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     checked = 0
-    violations = []
+    broken: list[tuple[Word, int]] = []
     with stopwatch() as sw:
         images = _segment_images(posets, n)
-        segments = [
-            ((i, j), images[i, j], _segment_letters(n, i, j))
-            for i in range(1, n)
-            for j in range(i + 1, n + 1)
+        expected = list(zip(*(images[s] for s in segments)))  # per node a
+        # per letter x, the segments [i, j] holding it: (index, bits i..j,
+        # bits i..x - 1), bit y standing for letter y
+        holding = [
+            [
+                (s, (2 << j) - (1 << i), (1 << x) - (1 << i))
+                for s, (i, j) in enumerate(segments)
+                if i <= x <= j
+            ]
+            for x in range(n + 1)
         ]
-        ids: dict[Word, int] = {}  # word -> the node of its tableau
-
-        def id_of(word: Word) -> int:
-            if word not in ids:
-                ids[word] = posets[len(word)].index[insertion_tableau(word)]
-            return ids[word]
-
-        for u in all_words(n):
-            a = id_of(u)
-            for segment, image, letters in segments:
-                checked += 1
-                if image[a] != id_of(_restrict_word(u, letters)):
-                    violations.append({"word": format_word(u), "segment": list(segment)})
+        full = (2 << n) - 2
+        whole = n - 2  # the segment [1, n]
+        # letters placed, the suffix, its ids per segment; n = 1 has no segment
+        stack = [(0, (), [0] * len(segments))] if segments else []
+        while stack:
+            seen, suffix, ids = stack.pop()
+            for x in range(1, n + 1):
+                bit = 1 << x
+                if seen & bit:
+                    continue
+                new = ids[:]
+                for s, segment, lower in holding[x]:
+                    new[s] = tables[(seen & segment).bit_count()][(seen & lower).bit_count()][new[s]]
+                if seen | bit != full:
+                    stack.append((seen | bit, (x, *suffix), new))
+                    continue
+                checked += len(segments)
+                new = tuple(new)
+                image = expected[new[whole]]
+                if new != image:
+                    broken += [((x, *suffix), s) for s, a in enumerate(new) if a != image[s]]
+        violations = [
+            {"word": format_word(u), "segment": list(segments[s])} for u, s in sorted(broken)
+        ]
     return VerificationReport(
         "restriction-commutes-with-insertion", {"n": n}, checked, violations, sw.ms
     )
@@ -709,8 +762,7 @@ def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
     size-n table of :func:`_size_moves`.  Ids sort by shape first, so each
     shape is one run of ids, cut where the shape changes, and a shape split
     in two shows up as violations."""
-    if not (1 <= n <= MAX_POSET_N):
-        raise ValueError(f"n must be in 1..{MAX_POSET_N}")
+    _check_poset_size(n)
     nodes = _lifted(n)[0]
     checked = 0
     violations = []

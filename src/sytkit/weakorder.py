@@ -345,14 +345,20 @@ def _insertion_id(word, tables) -> int:
     return t
 
 
+def _check_poset_size(n: int) -> None:
+    """Refuse a size outside 1..MAX_POSET_N, the sizes whose orders are
+    built."""
+    if not 1 <= n <= MAX_POSET_N:
+        raise ValueError(f"n must be in 1..{MAX_POSET_N}")
+
+
 def build_poset(n: int) -> TableauPoset:
     """Lift the projected ascent swaps from size n - 1 (see
     :func:`_lift_edges`), then close and reduce them in one pass over the
     id order (see :func:`_poset`).  Serial and deterministic: the whole
     build of n = 9 takes less than starting a process pool would.
     """
-    if not (1 <= n <= MAX_POSET_N):
-        raise ValueError(f"n must be in 1..{MAX_POSET_N}")
+    _check_poset_size(n)
     return _poset(n, *_lift_edges(n))
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import random
+from array import array
 import re
 import time
 
 import pytest
 
 from closure_oracle import closure
+import descents_oracle
 import move_oracle
 import restriction_oracle
 import sytkit.tableau as tableau
@@ -14,7 +16,7 @@ import sytkit.weakorder as weakorder
 import translation_oracle as oracle
 from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import InvariantError, all_words, coxeter_length
+from sytkit.permutation import InvariantError, all_words, coxeter_length, descents_left, format_word
 from sytkit.tableau import (
     _dual_moves,
     _relabel_inner,
@@ -731,6 +733,76 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
     assert {i for i, _ in broken_words} == set(range(n - 2, n))
     assert all(0 < len(words) < len(list(all_words(n))) for words in broken_words.values())
     assert (report.checked, report.violations) == restriction_oracle.restriction_insertion(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_descents_constant_matches_the_oracle(n):
+    report = verify_descents_constant(n)
+    assert report.passed
+    assert (report.checked, report.violations) == descents_oracle.descents_constant(n)
+
+
+def test_the_word_walks_make_no_tableau_from_a_word(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a word-walking check made a tableau from a word")
+
+    monkeypatch.setattr(verify, "insertion_tableau", refused)
+    monkeypatch.setattr(tableau, "insertion_tableau", refused)
+    assert verify_restriction_insertion(6).checked == 10800
+    assert verify_descents_constant(6).checked == 720
+
+
+def test_structural_word_walks_at_n7_check_every_word():
+    reports = {r.check: r for r in verify_structural(7)}
+    restriction = reports["restriction-commutes-with-insertion"]
+    descents = reports["descent-sets-constant-on-classes"]
+    assert (restriction.checked, restriction.passed) == (105840, True)
+    assert (descents.checked, descents.passed) == (5040, True)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
+    # one entry of the size-3 column tables is wrong: 1 inserted into the
+    # row 1,2 gives a tableau of another descent set.  Both walks name their
+    # suffixes through the tables, so each must list what inserting every
+    # word and every restricted word through the same tables would give,
+    # words in lexicographic order, then segments in order
+    real = verify._lifted
+    nodes, tables, edges, ids_of = real(3)
+    tables = [array(t.typecode, t) for t in tables]
+    right = tables[0][1]
+    tables[0][1] = next(
+        b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
+    )
+    broken = (nodes, tables, edges, ids_of)
+    clean_checked = (verify_restriction_insertion(n).checked, verify_descents_constant(n).checked)
+    monkeypatch.setattr(verify, "_lifted", lambda k: broken if k == 3 else real(k))
+    inserting = [verify._lifted(m)[1] for m in range(1, n + 1)]
+
+    def node_of(word):
+        return weakorder._insertion_id(word, inserting)
+
+    words = list(all_words(n))
+    images = verify._segment_images({m: cached_poset(m) for m in range(1, n + 1)}, n)
+    segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    expected = [
+        {"word": format_word(u), "segment": [i, j]}
+        for u in words
+        for i, j in segments
+        if images[i, j][node_of(u)] != node_of([x for x in u if i <= x <= j])
+    ]
+    report = verify_restriction_insertion(n)
+    assert report.violations and report.checked == clean_checked[0]
+    assert report.violations == expected
+    nodes_n = verify._lifted(n)[0]
+    expected = [
+        {"word": format_word(u)}
+        for u in words
+        if descents_left(u) != tableau._descents(nodes_n[node_of(u)])
+    ]
+    report = verify_descents_constant(n)
+    assert report.violations and report.checked == clean_checked[1]
+    assert report.violations == expected
 
 
 @pytest.mark.parametrize("n", range(2, 10))
