@@ -32,9 +32,10 @@ covers with both ends in it, read off them with no reduction per run.
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
-them.  The layout remakes no tableau: it reads each node's row code once,
-names every run by the id of its inner tableau in the lift's size-k code
-map (``weakorder._lifted``), and reads the moves from :func:`_size_moves`.
+them.  The layout remakes no tableau: it reads the nodes' row codes from
+the lift's size-n code map (``weakorder._lifted``), names every run by the
+id of its inner tableau in the size-k code map, and reads the moves from
+:func:`_size_moves`.
 Each sweep still applies its own family filter and compares every move
 run against run, whole runs first: equal rows hold every relation.
 
@@ -184,8 +185,10 @@ class _SweepLayout:
     no layout reads ``below``.
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
-    letter x in the 4-bit digit x - 1) is taken once from ``p.nodes``; the
-    numbering sorts the codes with their digits reversed, letter 1 first.
+    letter x in the 4-bit digit x - 1) is read from the lift's size-n code
+    map (``weakorder._lifted``), which is in id order, when the nodes are
+    the lift's, and made from ``p.nodes`` otherwise; the numbering sorts
+    the codes with their digits reversed, letter 1 first.
     Positions x - 1 and x then share the inner tableau on 1..k exactly
     when their codes agree on the lowest k digits, so one pass over those
     shared lengths cuts the runs at every k.  A run's inner tableau is its
@@ -204,7 +207,10 @@ class _SweepLayout:
         if fault is not None:
             raise InvariantError(fault)
         n, nodes = p.n, p.nodes
-        codes = [_row_code(t) for t in nodes]
+        # the lift's code map is in id order; an order made on other nodes
+        # (by hand, in tests) has its codes made node by node
+        lift_nodes, _, _, ids_of = _lifted(n)
+        codes = list(ids_of) if nodes == lift_nodes else [_row_code(t) for t in nodes]
         width = (n + 1) // 2
 
         def letter_1_first(a: int) -> int:

@@ -18,7 +18,7 @@ from sytkit.weakorder import (
     check_monotone_shape,
     to_dot,
 )
-from test_hopf import partial_classes, repeated_interleavings
+from test_hopf import partial_classes, short_word_classes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -86,12 +86,15 @@ def test_product_broken_invariant_exits_3(capsys, monkeypatch):
     assert err.startswith("internal error: shuffle words cover class")
 
 
-def test_product_repeated_word_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.hopf, "interleavings", repeated_interleavings)
+def test_product_short_word_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.hopf, "_knuth_class", short_word_classes)
     code, out, err = run(capsys, "product", "1,2/3", "1/2")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err == "internal error: shuffle words unexpectedly repeated\n"
+    assert err == (
+        "internal error: counted 10 shuffle words, "
+        "not the 2 * 1 * C(5, 3) = 20 of the two classes\n"
+    )
 
 
 def test_product_term_short_of_its_hook_count_exits_3(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from sytkit.hopf import (
     verify_interval_isomorphism,
 )
 from sytkit.knuthclass import KnuthClass, knuth_class
-from sytkit.permutation import InvariantError, interleavings
+from sytkit.permutation import InvariantError
 from sytkit.tableau import (
     all_standard_tableaux,
     beside,
@@ -213,18 +213,24 @@ def partial_classes(rows):
     return KnuthClass(cls.tableau, frozenset(sorted(cls.words)[1:]))
 
 
-def repeated_interleavings(a, b):
-    words = interleavings(a, b)
-    return words + words[:1]
+def short_word_classes(rows):
+    """Knuth classes of tableaux with at least three cells, with their
+    smallest word one letter short: no path through that word ends on the
+    whole alphabet, so the counted shuffle words fall short of the total."""
+    cls = knuth_class(rows)
+    if size_of(rows) < 3:
+        return cls
+    first, *rest = sorted(cls.words)
+    return KnuthClass(cls.tableau, frozenset([first[1:], *rest]))
 
 
 @pytest.mark.parametrize(
     "name, fake, message",
     [
         ("_knuth_class", partial_classes, "only partially"),
-        ("interleavings", repeated_interleavings, "repeated"),
+        ("_knuth_class", short_word_classes, "counted 84 shuffle words, not the 5 "),
     ],
-    ids=["partial-class", "repeated-word"],
+    ids=["partial-class", "short-word"],
 )
 def test_product_broken_invariant_is_not_a_value_error(
     monkeypatch, name, fake, message
@@ -233,6 +239,40 @@ def test_product_broken_invariant_is_not_a_value_error(
     with pytest.raises(InvariantError, match=message) as info:
         plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1/2"))
     assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "change, listed",
+    [
+        (lambda first, *rest: [first[:-1], *rest], 3),
+        (lambda first, *rest: [(*first, 5), *rest], 3),
+        (lambda first, *rest: [(first[1], *first[1:]), *rest], 3),
+        (lambda first, *rest: [(first[0], *first), *rest], 3),
+        (lambda first, *rest: [(*first[:-1], 9), *rest], 3),
+        # the first word stays listed and the second does not, but 2
+        # prepended to each is: their trie nodes (same letters, one child
+        # 2 each) differ only in that the first ends a word
+        (lambda first, second, *rest: [first, (2, *first), (2, *second), *rest], 4),
+    ],
+    ids=["short", "long", "repeated-letter", "doubled-letter", "foreign-letter", "unlisted-suffix"],
+)
+def test_product_counts_only_listed_words_on_their_alphabet(monkeypatch, change, listed):
+    # words of the left class 1,2,4/3 changed so that only two are right:
+    # no path through the others is counted, so the total falls short,
+    # whatever the tables say
+    def classes(rows):
+        cls = knuth_class(rows)
+        if size_of(rows) != 4:
+            return cls
+        return KnuthClass(cls.tableau, frozenset(change(*sorted(cls.words))))
+
+    monkeypatch.setattr(hopf, "_knuth_class", classes)
+    message = (
+        f"^counted 30 shuffle words, not the {listed} \\* 1 \\* C\\(6, 4\\) = "
+        f"{listed * 15} of the two classes$"
+    )
+    with pytest.raises(InvariantError, match=message):
+        plactic_product(parse_tableau("1,2,4/3"), parse_tableau("1,2"))
 
 
 def test_product_term_short_of_its_hook_count_is_an_invariant_error(monkeypatch):

@@ -1,14 +1,22 @@
-"""``hopf.plactic_product`` (each factor class listed once, terms checked by
-the hook-length count, riffles from cached index tables) against the
-literal product in ``product_oracle``: the same terms in the same order."""
+"""``hopf.plactic_product`` (each factor class listed once, its words
+counted by insertion tableau through the lift's column tables, suffix by
+suffix from the right, and terms checked by the total, the hook-length
+count and the restriction to the factors) against the literal product in
+``product_oracle``, which row-inserts every shuffle word: the same terms
+in the same order, also when a table is broken and the product raises."""
 
 import random
+from array import array
 
 import pytest
 
 import product_oracle as oracle
+import sytkit.hopf as hopf
+import sytkit.permutation as permutation
+import sytkit.tableau as tableau
+import sytkit.weakorder as weakorder
 from sytkit.hopf import MAX_PRODUCT_SIZE, plactic_product
-from sytkit.permutation import interleavings
+from sytkit.permutation import InvariantError, interleavings
 from sytkit.tableau import (
     _hook_count,
     all_standard_tableaux,
@@ -47,6 +55,71 @@ def test_sampled_products_match_the_oracle(n):
     rng = random.Random(n)
     for left, right in rng.sample(pairs(n), 40):
         assert_same_product(left, right)
+
+
+def test_the_product_makes_no_tableau_from_a_word(monkeypatch):
+    expected = oracle.plactic_product(((1, 3), (2,)), ((1, 2, 4), (3,))).terms
+
+    def refuse(*args):
+        raise AssertionError("a shuffle word was spelled out or inserted")
+
+    monkeypatch.setattr(permutation, "interleavings", refuse)
+    monkeypatch.setattr(tableau, "insertion_tableau", refuse)
+    monkeypatch.setattr(tableau, "insert", refuse)
+    got = plactic_product(((1, 3), (2,)), ((1, 2, 4), (3,))).terms
+    assert list(got.items()) == list(expected.items())
+
+
+def broken_lift(size, x, t, wrong):
+    """``weakorder._lifted`` with ``tables[x][t]`` of the size-``size``
+    tables replaced by ``wrong``, in a copy: the shared entry is kept."""
+    lifted = weakorder._lifted
+    nodes, tables, edges, ids_of = lifted(size)
+    tables = [array("H", table) for table in tables]
+    tables[x][t] = wrong
+    entry = (nodes, tables, edges, ids_of)
+    return lambda m: entry if m == size else lifted(m)
+
+
+def test_a_broken_column_table_is_an_invariant_error(monkeypatch):
+    # the smallest letter column-inserted into a row of two gives a row of
+    # three (the word 123); made 1/2/3 instead, every term's count still
+    # matches its hook count, and only the restriction to the factors
+    # tells that the product of 1 and 1,2 is wrong
+    shared = [list(table) for table in weakorder._lifted(3)[1]]
+    assert weakorder._lifted(3)[0][shared[0][1]] == ((1, 2, 3),)
+    monkeypatch.setattr(hopf, "_lifted", broken_lift(3, 0, 1, 0))
+    with pytest.raises(InvariantError, match=r"^term 1/2/3 does not restrict to the two factors$"):
+        plactic_product(((1,),), ((1, 2),))
+    assert [list(table) for table in weakorder._LIFTED[3][1]] == shared
+
+
+def test_a_broken_column_table_never_gives_wrong_terms(monkeypatch):
+    # each size-3 table entry changed to each other node in turn: every
+    # product of total 3..6 raises or is right, and some raise
+    shared = [list(table) for table in weakorder._lifted(3)[1]]
+    count = len(weakorder._lifted(3)[0])
+    products = [
+        (left, right, list(oracle.plactic_product(left, right).terms.items()))
+        for n in range(3, 7)
+        for left, right in pairs(n)
+    ]
+    for x, table in enumerate(shared):
+        for t, right_id in enumerate(table):
+            for wrong in range(count):
+                if wrong == right_id:
+                    continue
+                monkeypatch.setattr(hopf, "_lifted", broken_lift(3, x, t, wrong))
+                raised = 0
+                for left, right, expected in products:
+                    try:
+                        got = plactic_product(left, right).terms
+                    except InvariantError:
+                        raised += 1
+                        continue
+                    assert list(got.items()) == expected, (x, t, wrong, left, right)
+                assert raised, (x, t, wrong)
+    assert [list(table) for table in weakorder._LIFTED[3][1]] == shared
 
 
 @pytest.mark.parametrize("n", range(0, 10))

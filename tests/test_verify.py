@@ -490,6 +490,21 @@ def test_sweep_layout_matches_the_tableau_built_oracle(n):
     assert n < 4 or fast[-1]
 
 
+@pytest.mark.parametrize("n", [5, 9])
+def test_the_layout_reads_the_lifts_row_codes(monkeypatch, n):
+    # the lift's nodes take their codes from its code map; the order made
+    # without one node still gets a layout, its codes made node by node
+    expected = _layouts(cached_poset(n))[0]
+    missing = _layouts(_missing_node(5))[0]
+    made = []
+    monkeypatch.setattr(verify, "_row_code", lambda t: made.append(t) or weakorder._row_code(t))
+    layout = verify._SweepLayout(dataclasses.replace(cached_poset(n)))
+    assert [getattr(layout, name) for name in _LAYOUT_FIELDS] == expected
+    assert made == []
+    assert _layouts(_missing_node(5))[0] == missing
+    assert len(made) == len(cached_poset(5).nodes) - 1
+
+
 @pytest.mark.parametrize(
     "broken, message",
     [
