@@ -1,22 +1,24 @@
 """Shuffle product of insertion-tableau classes and its interval form.
 
-The product of two classes is counted, not spelled out: every word of the
-first class shuffled with every (shifted) word of the second is placed
-from the right, one letter at a time, and the insertion tableau of what is
-placed is named by one lookup in the lift's column-insertion tables
-(``weakorder._lifted``), as P(x.w) is x column-inserted into P(w)
-(Schensted 1961).  Equal states are merged level by level and carry their
-word counts.  The counts must decompose into whole classes, each exactly
-once; that fact is asserted, not assumed.  Each factor class is listed
-once, and each term's count is checked against the hook-length count of
-its shape rather than against its listed class: words that all insert to
-T are a subset of the class of T, so they are the whole class exactly when
-there are as many.  Each term is also checked to restrict to the two
-factors, which no lookup table is trusted for.  The literal form, which
-row-inserts every shuffle word and lists every term's class, is the test
-oracle ``tests/product_oracle.py``.  The same support is also available as
-an order interval between the row-wise and column-wise concatenations of
-the two tableaux.
+The product of two classes is counted, not spelled out: no word of either
+class or of their shuffle is made.  Each factor's class is its
+reverse-bump graph (``knuthclass._bump_graph``), whose paths from the
+tableau to the empty one spell the class words from the right.  The two
+graphs are walked together, one letter placed per level from the right,
+and the insertion tableau of what is placed is named by one lookup in the
+lift's column-insertion tables (``weakorder._lifted``), as P(x.w) is x
+column-inserted into P(w) (Schensted 1961).  Equal states are merged level
+by level and carry their word counts.  The counts must decompose into
+whole classes, each exactly once; that fact is asserted, not assumed.  The
+total is checked against the hook-length counts of the two factors, each
+term's count against the hook-length count of its shape: words that all
+insert to T are a subset of the class of T, so they are the whole class
+exactly when there are as many.  Each term is also checked to restrict to
+the two factors, which neither the graphs nor the tables are trusted for.
+The literal form, which row-inserts every shuffle word and lists every
+term's class, is the test oracle ``tests/product_oracle.py``.  The same
+support is also available as an order interval between the row-wise and
+column-wise concatenations of the two tableaux.
 
 For fixed shapes, the intervals of all (left, right) choices are
 isomorphic.  The check writes the isomorphism down instead of searching for
@@ -30,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .knuthclass import _knuth_class
-from .permutation import InvariantError, shifted
+from .knuthclass import _bump_graph
+from .permutation import InvariantError, check_int
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -80,35 +82,39 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     """Count the shuffle words of the two classes by insertion tableau.
 
     Each factor is validated once, and the product's size is compared with
-    ``MAX_PRODUCT_SIZE`` before either class is listed; each class is then
-    listed once, from the checked factor, the right one shifted above the
-    left one's letters.  No shuffle word is made: the words are placed from
-    the right, n levels in all, through the suffix trie of each class
-    (:func:`_suffix_trie`).  A state is a node of each trie and the id of
-    the placed suffix's insertion tableau; prepending a letter costs one
-    popcount rank and one lookup in the lift's table of the new length, as
-    in ``weakorder._insertion_id``.  States with the same two nodes and id
-    are merged at each level, their word counts added.  The two alphabets
-    are disjoint, so each path spells one shuffle word and distinct paths
-    spell distinct words: the counts are exact.
+    ``MAX_PRODUCT_SIZE`` before either factor's reverse-bump graph
+    (``knuthclass._bump_graph``) is made.  No word is made, of a class or
+    of the shuffle: the words are placed from the right, n levels in all,
+    one step of either graph per level.  A state is a node of each graph
+    and the id of the placed suffix's insertion tableau; prepending a
+    letter costs one popcount rank and one lookup in the lift's table of
+    the new length, as in ``weakorder._insertion_id``.  A step's rank is
+    read from its graph (:func:`_ranked`); the right factor is used
+    unshifted, since every placed left letter is below every right one and
+    the right letters' ranks among themselves do not change under a shift.
+    States with the same two nodes and id are merged at each level, their
+    word counts added.  The two alphabets are disjoint, so each pair of
+    paths and interleaving spells one shuffle word and distinct ones spell
+    distinct words: the counts are exact.
 
     Raises :class:`InvariantError` if the counted words fail to decompose
     into whole classes; they never do, and the interval description below
-    relies on that.  The total, over the paths that end a word of each
-    class on exactly its alphabet, must be the number of shuffles,
-    |class(left)| |class(right)| C(n, k).  A term's count is then checked
-    against the hook-length count of its shape, the same check as
-    comparing its words with its class: every word counted to T inserts to
-    T, so the words of T are a subset of class(T), and class(T) has
-    exactly f^shape(T) words, one per standard recording tableau (RSK).  A
-    subset of that size is the whole class.  Last, each term must restrict
-    to the factors: its letters 1..k are ``left`` and its letters above k
-    rectify to ``right``, by jeu de taquin rather than by the tables.
-    The terms of the product are exactly the tableaux that restrict so
-    (Poirier and Reutenauer 1995): restriction to 1..k and to k + 1..n
-    commutes with insertion.  So the terms kept are true terms whose hook
-    counts add up to the total of all of them, hence all of them: a broken
-    table can make this raise, never return a wrong term.  Terms come in
+    relies on that.  The total, over the paths that end at the empty
+    tableau of both graphs, must be the number of shuffles,
+    f^shape(left) f^shape(right) C(n, k), from the hook-length formula and
+    not from the graphs.  A term's count is then checked against the
+    hook-length count of its shape, the same check as comparing its words
+    with its class: every word counted to T inserts to T, so the words of
+    T are a subset of class(T), and class(T) has exactly f^shape(T) words,
+    one per standard recording tableau (RSK).  A subset of that size is
+    the whole class.  Last, each term must restrict to the factors: its
+    letters 1..k are ``left`` and its letters above k rectify to
+    ``right``, by jeu de taquin rather than by the tables.  The terms of
+    the product are exactly the tableaux that restrict so (Poirier and
+    Reutenauer 1995): restriction to 1..k and to k + 1..n commutes with
+    insertion.  So the terms kept are true terms whose hook counts add up
+    to the total of all of them, hence all of them: a broken table or
+    graph can make this raise, never return a wrong term.  Terms come in
     id order, which is canonical order.
     """
     left, right = check_standard(left), check_standard(right)
@@ -116,12 +122,10 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     n = k + size_of(right)
     if n > MAX_PRODUCT_SIZE:
         raise ValueError(f"product size {n} exceeds {MAX_PRODUCT_SIZE}")
-    lefts = _knuth_class(left).words
-    rights = [shifted(w, k) for w in _knuth_class(right).words]
-    left_root, left_steps, placed, left_ends = _suffix_trie(lefts, 0, k)
-    right_root, right_steps, _, right_ends = _suffix_trie(rights, k, n)
+    left_steps, placed = _ranked(left)
+    right_steps, _ = _ranked(right)
     # (left node, right node) -> {suffix id: number of suffixes}
-    states: dict[tuple[int, int], dict[int, int]] = {(left_root, right_root): {0: 1}}
+    states: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
     for m in range(1, n + 1):
         tables = _lifted(m)[1]
         following: dict[tuple[int, int], dict[int, int]] = {}
@@ -135,16 +139,13 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
                     t = table[t]
                     merged[t] = merged.get(t, 0) + count
         states = following
-    words: dict[int, int] = {}
-    for (a, b), counts in states.items():
-        if a in left_ends and b in right_ends:
-            for t, count in counts.items():
-                words[t] = words.get(t, 0) + count
-    expected = len(lefts) * len(rights) * comb(n, k)
+    words = states.get((len(left_steps) - 1, len(right_steps) - 1), {})
+    f_left, f_right = _hook_count(shape_of(left)), _hook_count(shape_of(right))
+    expected = f_left * f_right * comb(n, k)
     if sum(words.values()) != expected:
         raise InvariantError(
             f"counted {sum(words.values())} shuffle words, not the "
-            f"{len(lefts)} * {len(rights)} * C({n}, {k}) = {expected} of the two classes"
+            f"{f_left} * {f_right} * C({n}, {k}) = {expected} of the two classes"
         )
     nodes = _lifted(n)[0]
     terms: dict[Rows, int] = {}
@@ -162,59 +163,30 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     return PlacticSum(terms)
 
 
-def _suffix_trie(words, low: int, high: int) -> tuple[int, list[list[tuple[int, int]]], list[int], set[int]]:
-    """The words read from the right, as a trie with equal subtrees
-    merged.
+def _ranked(rows: Rows) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The reverse-bump graph of a factor as the product walks it, from
+    node 0 to its last node, the empty tableau.
 
-    Each trie node is a suffix, its parent's with one letter prepended;
-    the ends are the nodes where a word holding every letter of
-    low + 1..high ends.  Two nodes with the same letters, the same
-    children (merged first) and both or neither an end are completed to
-    an end by the same prefixes, so they become one node: each word at an
-    end is still spelled by exactly one path from the root, and no other
-    path reaches an end.  A word at an end may be longer, with a letter
-    repeated, but no shuffle through it is counted: the other factor's
-    path then holds too few letters to reach an end.
-
-    Returns the root; ``steps[a]``, a (child, rank) pair per letter x
-    prepended at node a, rank being how many of a's letters are below x;
-    ``placed[a]``, how many distinct letters a has; and the ends.
+    ``steps[a]`` holds a (child, rank) pair per step of node a, rank being
+    how many of the letters already placed at a (the tableau's letters
+    that a no longer holds) are below the step's exit letter;
+    ``placed[a]`` is how many letters are placed at a.  Each step must
+    take exactly its exit letter from a's letters, or ``InvariantError``
+    is raised: then a path of d steps has placed d letters, which keeps
+    every rank inside the walk's tables.
     """
-    children: list[dict[int, int]] = [{}]
-    masks = [0]
-    full = (1 << high + 1) - (1 << low + 1)
-    ends = set()
-    for word in words:
-        a = 0
-        for x in reversed(word):
-            kids = children[a]
-            c = kids.get(x)
-            if c is None:
-                c = kids[x] = len(masks)
-                children.append({})
-                masks.append(masks[a] | 1 << x)
-            a = c
-        if masks[a] == full:
-            ends.add(a)
-    # children come after their parents: merge from the last node back
-    merged = [0] * len(masks)
-    get = merged.__getitem__
-    same: dict[tuple, int] = {}
-    steps: list[list[tuple[int, int]]] = []
-    placed = []
-    kept_ends = set()
-    for a in range(len(masks) - 1, -1, -1):
-        kids, mask = children[a], masks[a]
-        key = (mask, a in ends, frozenset(zip(kids, map(get, kids.values()))))
-        m = same.get(key)
-        if m is None:
-            m = same[key] = len(steps)
-            steps.append([(get(c), (mask & (1 << x) - 1).bit_count()) for x, c in kids.items()])
-            placed.append(mask.bit_count())
-            if a in ends:
-                kept_ends.add(m)
-        merged[a] = m
-    return merged[0], steps, placed, kept_ends
+    masks, steps = _bump_graph(rows)
+    full = masks[0]
+    ranked = []
+    for mask, out in zip(masks, steps):
+        for c, x in out:
+            if masks[c] | 1 << x != mask or masks[c] == mask:
+                raise InvariantError(
+                    f"a reverse-bump step of {format_tableau(rows)} does not "
+                    f"take exactly its letter {x}"
+                )
+        ranked.append([(c, ((full ^ mask) & (1 << x) - 1).bit_count()) for c, x in out])
+    return ranked, [(full ^ mask).bit_count() for mask in masks]
 
 
 def _factors(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, Rows]:
@@ -283,7 +255,7 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
     (:func:`_is_isomorphism`).  A violation means that this map is not an
     isomorphism; the two intervals may still be isomorphic by another.
     """
-    if k < 1 or l < 1 or k + l > MAX_POSET_N:
+    if check_int(k, "k") < 1 or check_int(l, "l") < 1 or k + l > MAX_POSET_N:
         raise ValueError(f"need k, l >= 1 and k + l <= {MAX_POSET_N}")
     p = cached_poset(k + l)
     checked = 0

@@ -1,8 +1,8 @@
 """Knuth classes: all words sharing a given insertion tableau.
 
-A class is listed by reverse bumping, not by walking Knuth moves.  Row
-inserting the last letter x of a word w = u·x into P(u) adds one cell, a
-corner c of P(w), and reverse bumping P(w) at c gives back P(u) and the
+A class is read off its reverse-bump graph, not walked by Knuth moves.
+Row inserting the last letter x of a word w = u·x into P(u) adds one cell,
+a corner c of P(w), and reverse bumping P(w) at c gives back P(u) and the
 letter x (Schensted 1961).  So with (P_c, x_c) the result of reverse
 bumping P at its corner c,
 
@@ -11,9 +11,15 @@ bumping P at its corner c,
 and every such word does insert to P, since inserting x_c into P_c gives P.
 This is the RSK bijection read one letter at a time from the end: the class
 of P is {RSK⁻¹(P, Q) : Q standard of P's shape} (Knuth 1970), the corner c
-being the cell of n in Q.  The recursion bottoms out at a one-cell tableau,
-whose class is its one letter.  Sub-tableaux met twice are listed once per
-call; nothing is cached between calls.
+being the cell of n in Q.
+
+:func:`_bump_graph` makes that recursion a graph: one node per sub-tableau
+reached, one step per corner, down to the empty tableau.  Each path from
+the tableau to the empty one spells one class word from its last letter,
+so the graph is the class's suffix trie with equal subtrees merged.  The
+class listing reads it from the empty end back, and
+``hopf.plactic_product`` walks it without listing a word.  Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def _knuth_class(rows: Rows) -> KnuthClass:
     n = size_of(rows)
     if n > MAX_N:
         raise ValueError(f"tableau size {n} exceeds the supported maximum {MAX_N}")
-    words = _class_words(rows, {})
+    words = _class_words(rows)
     distinct = frozenset(words)
     if len(distinct) != len(words):
         raise InvariantError(
@@ -59,20 +65,46 @@ def _knuth_class(rows: Rows) -> KnuthClass:
     return KnuthClass(rows, distinct)
 
 
-def _class_words(rows: Rows, memo: dict[Rows, list[Word]]) -> list[Word]:
-    """The class words of a tableau with distinct entries, by reverse
-    bumping every corner; ``memo`` holds the sub-tableaux already listed."""
-    words = memo.get(rows)
-    if words is None:
-        last = len(rows)
-        if last == 1 and len(rows[0]) == 1:
-            words = [rows[0]]
-        else:
-            words = []
-            for r in range(1, last + 1):
-                if r == last or len(rows[r - 1]) > len(rows[r]):
-                    sub, x = _reverse_bump(rows, r)
-                    tail = (x,)
-                    words += [u + tail for u in _class_words(sub, memo)]
-        memo[rows] = words
-    return words
+def _bump_graph(rows: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The reverse-bump graph of a tableau with distinct entries.
+
+    Node 0 is the tableau and the nodes come in depth order, one level per
+    letter removed, so the empty tableau is the last node, the one end.
+    ``masks[a]`` holds node a's letters as bits; ``steps[a]`` holds one
+    (child, exit letter) pair per corner of node a, top row first, the
+    child being the sub-tableau left by reverse bumping that corner.
+    """
+    ids = {rows: 0}
+    tabs = [rows]
+    masks = [sum(1 << x for row in rows for x in row)]
+    steps: list[list[tuple[int, int]]] = []
+    # tabs grows as the loop runs: each level is found from the one before
+    for a, tab in enumerate(tabs):
+        out = []
+        last = len(tab)
+        for r in range(1, last + 1):
+            if r == last or len(tab[r - 1]) > len(tab[r]):
+                sub, x = _reverse_bump(tab, r)
+                c = ids.get(sub)
+                if c is None:
+                    c = ids[sub] = len(tabs)
+                    tabs.append(sub)
+                    masks.append(masks[a] & ~(1 << x))
+                out.append((c, x))
+        steps.append(out)
+    return masks, steps
+
+
+def _class_words(rows: Rows) -> list[Word]:
+    """The class words of a tableau with distinct entries, read off its
+    :func:`_bump_graph` from the end back: a node's words are its
+    children's words, each followed by the step's exit letter."""
+    _, steps = _bump_graph(rows)
+    words: list[list[Word]] = [[()]] * len(steps)  # all but the end set below
+    for a in range(len(steps) - 2, -1, -1):
+        out = []
+        for c, x in steps[a]:
+            tail = (x,)
+            out += [u + tail for u in words[c]]
+        words[a] = out
+    return words[0]

@@ -7,10 +7,8 @@ Everything in this module is a pure function of immutable values.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as _lex_permutations
-from operator import itemgetter
 from typing import Iterator
 
 Word = tuple[int, ...]
@@ -209,25 +207,15 @@ def interleavings(a: Word, b: Word) -> list[Word]:
 
     The riffles come in the order of the places of ``a`` as
     ``combinations(range(len(a) + len(b)), len(a))`` lists them; each is
-    one lookup of a cached index table into the concatenation ``a + b``.
+    ``b`` with the letters of ``a`` inserted at their places, left to right.
     """
-    ab = (*a, *b)
-    if len(ab) <= 1:  # one riffle; a one-index itemgetter gives no tuple
-        return [ab]
-    return [pick(ab) for pick in _riffles(len(a), len(ab))]
-
-
-@lru_cache(maxsize=None)
-def _riffles(k: int, n: int) -> tuple[itemgetter, ...]:
-    """One picker per riffle of a k-letter word into n >= 2 places: it maps
-    the concatenation of the two words to the riffle.  Built on first use."""
-    pickers = []
-    for spots in combinations(range(n), k):
-        index = list(range(k, n))  # the second word's letters, in order
-        for ai, p in enumerate(spots):
-            index.insert(p, ai)
-        pickers.append(itemgetter(*index))
-    return tuple(pickers)
+    out = []
+    for spots in combinations(range(len(a) + len(b)), len(a)):
+        word = list(b)
+        for p, x in zip(spots, a):
+            word.insert(p, x)
+        out.append(tuple(word))
+    return out
 
 
 def shuffle(u: Word, w: Word) -> list[Word]:

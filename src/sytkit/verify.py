@@ -81,7 +81,7 @@ from operator import xor
 
 from .hopf import verify_interval_isomorphism
 from .knuthclass import knuth_class
-from .permutation import MAX_N, InvariantError, Word, format_word, weak_covers
+from .permutation import MAX_N, InvariantError, Word, check_int, format_word, weak_covers
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -91,7 +91,6 @@ from .tableau import (
     _is_hook,
     _move_exchanges,
     _restrict,
-    _reverse_bump,
     _standard_tableaux,
     _transpose,
     format_tableau,
@@ -480,8 +479,11 @@ def verify_hook_eta(k: int) -> VerificationReport:
     tableau.  Hooks whose corners hold other labels are outside the
     hypothesis and are counted as skipped.
 
-    Each prefix's tableau is named by its node id, found by inserting the
-    prefix from the right through the lift's column-insertion tables
+    The exit letters are read off the class: reverse bumping a corner
+    exits the last letter of the words listed through it, so the two
+    differ exactly when the words end in two letters.  Each prefix's
+    tableau is named by its node id, found by inserting the prefix from
+    the right through the lift's column-insertion tables
     (``weakorder._insertion_id``): one popcount rank and one table lookup
     per letter, with no tableau built."""
     _check_scale("hook-eta", k, "k")
@@ -501,21 +503,16 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     skipped += 1
                     continue
                 checked += 1
-                # the two corners end row 1 and the last row; the tableaux
-                # come from _standard_tableaux, so the kernel needs no check
-                _, eta_top = _reverse_bump(tab, 1)
-                _, eta_bottom = _reverse_bump(tab, len(shape))
-                if eta_top == eta_bottom:
-                    violations.append(
-                        {
-                            "R": format_tableau(tab),
-                            "eta_top": eta_top,
-                            "eta_bottom": eta_bottom,
-                        }
-                    )
                 by_last: dict[int, list[Word]] = {}
                 for word in knuth_class(tab).words:
                     by_last.setdefault(word[-1], []).append(word)
+                # the last letters of the class words are the exit letters
+                # of the two corners, one each: one letter means they agree
+                if len(by_last) == 1:
+                    (eta,) = by_last
+                    violations.append(
+                        {"R": format_tableau(tab), "eta_top": eta, "eta_bottom": eta}
+                    )
                 for last in sorted(by_last):
                     group = by_last[last]
                     if len(group) < 2:
@@ -570,7 +567,7 @@ def verify_descents_constant(n: int) -> VerificationReport:
     :func:`weakorder._insertion_id` does.  The word side: x sets the left
     descent x - 1 when x - 1 is to its right, and x when x + 1 is not.
     Each word's mask is compared with its node's ``_descents``."""
-    if not 1 <= n <= MAX_N:
+    if not 1 <= check_int(n, "n") <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}")
     nodes, _, _, _ = _lifted(n)
     tables = [_lifted(m)[1] for m in range(1, n + 1)]  # by suffix length
@@ -866,7 +863,8 @@ SCALES: dict[str, tuple[int, int, int, int]] = {
 
 def _check_scale(check: str, n: int, name: str = "n") -> None:
     """Refuse an n (called ``name`` in the message) outside the check's row
-    of SCALES."""
+    of SCALES; a bool or a float is no n."""
+    check_int(n, name)
     lo, hi, _, _ = SCALES[check]
     if lo == hi != n:
         raise ValueError(f"{check} takes {name} = {lo} only")

@@ -347,8 +347,8 @@ def _insertion_id(word, tables) -> int:
 
 def _check_poset_size(n: int) -> None:
     """Refuse a size outside 1..MAX_POSET_N, the sizes whose orders are
-    built."""
-    if not 1 <= n <= MAX_POSET_N:
+    built; a bool or a float is no size."""
+    if not 1 <= check_int(n, "n") <= MAX_POSET_N:
         raise ValueError(f"n must be in 1..{MAX_POSET_N}")
 
 
@@ -415,6 +415,8 @@ _POSET_CACHE: dict[int, TableauPoset] = {}
 
 
 def cached_poset(n: int, jobs: int = 1) -> TableauPoset:
+    # checked before the lookup: True and 3.0 would hit the entries of 1 and 3
+    check_int(n, "n")
     if n not in _POSET_CACHE:
         _POSET_CACHE[n] = build_poset(n)
     return _POSET_CACHE[n]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import sytkit.cli as cli
+import sytkit.knuthclass as knuthclass
 from sytkit import verify
 from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from sytkit.hopf import verify_interval_isomorphism
@@ -18,7 +19,7 @@ from sytkit.weakorder import (
     check_monotone_shape,
     to_dot,
 )
-from test_hopf import partial_classes, short_word_classes
+from test_hopf import GRAPH_FAULTS, cut_short, graph_fault
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -79,27 +80,37 @@ def test_source_has_no_assert():
 
 
 def test_product_broken_invariant_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.hopf, "_knuth_class", partial_classes)
-    code, out, err = run(capsys, "product", "1,2,4/3,5", "1/2")
-    assert code == EXIT_INTERNAL
-    assert out == ""
-    assert err.startswith("internal error: shuffle words cover class")
+    for fault, message in GRAPH_FAULTS.values():
+        with monkeypatch.context() as patch:
+            fault(patch)
+            code, out, err = run(capsys, "product", "1,2,4/3,5", "1/2")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == f"internal error: {message}\n"
 
 
 def test_product_short_word_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.hopf, "_knuth_class", short_word_classes)
+    graph_fault(cut_short)(monkeypatch)
     code, out, err = run(capsys, "product", "1,2/3", "1/2")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err == (
-        "internal error: counted 10 shuffle words, "
-        "not the 2 * 1 * C(5, 3) = 20 of the two classes\n"
-    )
+    assert err == "internal error: a reverse-bump step of 1,2/3 does not take exactly its letter 1\n"
+
+
+def test_product_lists_no_class_word(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a class word was listed")
+
+    monkeypatch.setattr(knuthclass, "_class_words", refuse)
+    code, out, _ = run(capsys, "product", "1,2/3", "1/2")
+    assert code == EXIT_OK
+    assert out == "1,2/3/4/5 x1\n1,2/3,4/5 x1\n1,2,4/3/5 x1\n1,2,4/3,5 x1\n"
 
 
 def test_product_term_short_of_its_hook_count_exits_3(capsys, monkeypatch):
+    # only the terms' shapes, of 5 cells: the total stays right
     count = cli.hopf._hook_count
-    monkeypatch.setattr(cli.hopf, "_hook_count", lambda shape: count(shape) + 1)
+    monkeypatch.setattr(cli.hopf, "_hook_count", lambda shape: count(shape) + (sum(shape) == 5))
     code, out, err = run(capsys, "product", "1,2/3", "1/2")
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -389,7 +400,9 @@ def test_battery_stays_inside_each_checks_row(stretch):
     assert tops == {check: row[3 if stretch else 2] for check, row in verify.SCALES.items()}
 
 
-def test_product_too_large_exits_2(capsys):
+def test_product_too_large_exits_2(capsys, monkeypatch):
+    # refused before either reverse-bump graph is made
+    monkeypatch.setattr(cli.hopf, "_bump_graph", None)
     code, out, err = run(capsys, "product", "1,2,3/4,5", "1,2,3/4,5")
     assert code == EXIT_USAGE
     assert out == ""

@@ -11,7 +11,7 @@ from sytkit.hopf import (
     plactic_product,
     verify_interval_isomorphism,
 )
-from sytkit.knuthclass import KnuthClass, knuth_class
+from sytkit.knuthclass import knuth_class
 from sytkit.permutation import InvariantError
 from sytkit.tableau import (
     all_standard_tableaux,
@@ -54,13 +54,13 @@ def test_product_size_guard():
 
 def test_product_size_guard_messages(monkeypatch):
     listed = []
-    monkeypatch.setattr(hopf, "_knuth_class", listed.append)
+    monkeypatch.setattr(hopf, "_bump_graph", listed.append)
     five = parse_tableau("1,2,3,4,5")
     with pytest.raises(ValueError, match="product size 10 exceeds 9"):
         plactic_product(five, five)
     # a factor beyond the class listing's limit is refused by the product's
     # size too: each factor is checked, then the size compared, before any
-    # class is listed
+    # reverse-bump graph is made
     eleven = (tuple(range(1, 12)),)
     with pytest.raises(ValueError, match="product size 12 exceeds 9"):
         plactic_product(eleven, ((1,),))
@@ -203,81 +203,98 @@ def test_interval_isomorphism_guards():
         verify_interval_isomorphism(0, 3)
 
 
-def partial_classes(rows):
-    """Knuth classes of tableaux with at least five cells, with their
-    smallest word missing: a product with such a factor leaves some term's
-    group of shuffle words one or more words short."""
-    cls = knuth_class(rows)
-    if size_of(rows) < 5:
-        return cls
-    return KnuthClass(cls.tableau, frozenset(sorted(cls.words)[1:]))
+def drop_root_step(masks, steps):
+    """The graph's first root step dropped: it spells a partial class,
+    the words through the other corners only."""
+    del steps[0][0]
 
 
-def short_word_classes(rows):
-    """Knuth classes of tableaux with at least three cells, with their
-    smallest word one letter short: no path through that word ends on the
-    whole alphabet, so the counted shuffle words fall short of the total."""
-    cls = knuth_class(rows)
-    if size_of(rows) < 3:
-        return cls
-    first, *rest = sorted(cls.words)
-    return KnuthClass(cls.tableau, frozenset([first[1:], *rest]))
+def duplicate_root_step(masks, steps):
+    """The graph's first root step taken twice: each word through it is
+    spelled twice."""
+    steps[0].append(steps[0][0])
 
 
-@pytest.mark.parametrize(
-    "name, fake, message",
-    [
-        ("_knuth_class", partial_classes, "only partially"),
-        ("_knuth_class", short_word_classes, "counted 84 shuffle words, not the 5 "),
-    ],
-    ids=["partial-class", "short-word"],
-)
-def test_product_broken_invariant_is_not_a_value_error(
-    monkeypatch, name, fake, message
-):
-    monkeypatch.setattr(hopf, name, fake)
-    with pytest.raises(InvariantError, match=message) as info:
+def cut_short(masks, steps):
+    """The first step of the first two-letter node led straight to the
+    empty end: the words through it are one letter short."""
+    a = next(a for a, mask in enumerate(masks) if mask.bit_count() == 2)
+    steps[a][0] = (len(steps) - 1, steps[a][0][1])
+
+
+def graph_fault(change):
+    """A fault installer: ``hopf._bump_graph`` with ``change`` applied to
+    the graph of every tableau of at least three cells."""
+
+    def install(monkeypatch):
+        graph = knuthclass._bump_graph
+
+        def broken(rows):
+            masks, steps = graph(rows)
+            if size_of(rows) >= 3:
+                change(masks, steps)
+            return masks, steps
+
+        monkeypatch.setattr(hopf, "_bump_graph", broken)
+
+    return install
+
+
+def exit_letter_one(monkeypatch):
+    """Every reverse bump exits the letter 1, in the graph's steps and
+    masks alike."""
+    real = knuthclass._reverse_bump
+    monkeypatch.setattr(knuthclass, "_reverse_bump", lambda rows, r: (real(rows, r)[0], 1))
+
+
+# fault -> the product's error on 1,2,4/3,5 times 1/2
+GRAPH_FAULTS = {
+    "partial-class": (
+        graph_fault(drop_root_step),
+        "counted 63 shuffle words, not the 5 * 1 * C(7, 5) = 105 of the two classes",
+    ),
+    "root-step-duplicated": (
+        graph_fault(duplicate_root_step),
+        "counted 147 shuffle words, not the 5 * 1 * C(7, 5) = 105 of the two classes",
+    ),
+    "short-word": (
+        graph_fault(cut_short),
+        "a reverse-bump step of 1,2,4/3,5 does not take exactly its letter 1",
+    ),
+    "exit-letter-one": (
+        exit_letter_one,
+        "a reverse-bump step of 1,2,4/3,5 does not take exactly its letter 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault, message", GRAPH_FAULTS.values(), ids=GRAPH_FAULTS)
+def test_product_broken_invariant_is_not_a_value_error(monkeypatch, fault, message):
+    fault(monkeypatch)
+    with pytest.raises(InvariantError) as info:
         plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1/2"))
+    assert str(info.value) == message
     assert not isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize(
-    "change, listed",
-    [
-        (lambda first, *rest: [first[:-1], *rest], 3),
-        (lambda first, *rest: [(*first, 5), *rest], 3),
-        (lambda first, *rest: [(first[1], *first[1:]), *rest], 3),
-        (lambda first, *rest: [(first[0], *first), *rest], 3),
-        (lambda first, *rest: [(*first[:-1], 9), *rest], 3),
-        # the first word stays listed and the second does not, but 2
-        # prepended to each is: their trie nodes (same letters, one child
-        # 2 each) differ only in that the first ends a word
-        (lambda first, second, *rest: [first, (2, *first), (2, *second), *rest], 4),
-    ],
-    ids=["short", "long", "repeated-letter", "doubled-letter", "foreign-letter", "unlisted-suffix"],
-)
-def test_product_counts_only_listed_words_on_their_alphabet(monkeypatch, change, listed):
-    # words of the left class 1,2,4/3 changed so that only two are right:
-    # no path through the others is counted, so the total falls short,
-    # whatever the tables say
-    def classes(rows):
-        cls = knuth_class(rows)
-        if size_of(rows) != 4:
-            return cls
-        return KnuthClass(cls.tableau, frozenset(change(*sorted(cls.words))))
+def test_the_product_lists_no_class_word(monkeypatch):
+    expected = plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1,3/2"))
 
-    monkeypatch.setattr(hopf, "_knuth_class", classes)
-    message = (
-        f"^counted 30 shuffle words, not the {listed} \\* 1 \\* C\\(6, 4\\) = "
-        f"{listed * 15} of the two classes$"
-    )
-    with pytest.raises(InvariantError, match=message):
-        plactic_product(parse_tableau("1,2,4/3"), parse_tableau("1,2"))
+    def refuse(*args):
+        raise AssertionError("a class word was listed")
+
+    monkeypatch.setattr(knuthclass, "_class_words", refuse)
+    monkeypatch.setattr(knuthclass, "_knuth_class", refuse)
+    got = plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1,3/2"))
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert len(got) == 10
 
 
 def test_product_term_short_of_its_hook_count_is_an_invariant_error(monkeypatch):
+    # only the terms' shapes, of 5 cells: the factors' counts, and so the
+    # total, stay right
     count = hopf._hook_count
-    monkeypatch.setattr(hopf, "_hook_count", lambda shape: count(shape) + 1)
+    monkeypatch.setattr(hopf, "_hook_count", lambda shape: count(shape) + (sum(shape) == 5))
     with pytest.raises(InvariantError, match="only partially") as info:
         plactic_product(parse_tableau("1,2/3"), parse_tableau("1/2"))
     assert not isinstance(info.value, ValueError)

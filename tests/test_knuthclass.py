@@ -16,11 +16,13 @@ from sytkit.permutation import (
     inversions_left,
 )
 from sytkit.tableau import (
+    _hook_count,
     all_standard_tableaux,
     descent_set,
     insertion_tableau,
     parse_tableau,
     row_word,
+    shape_of,
 )
 
 
@@ -83,10 +85,11 @@ def test_known_inversion_stays_in_one_class_not_the_other():
 
 
 def test_more_than_ten_cells_is_refused_before_any_word(capsys, monkeypatch):
-    def listing(rows, memo):
+    def listing(rows):
         raise AssertionError("class words listed for an oversized tableau")
 
     monkeypatch.setattr(knuthclass, "_class_words", listing)
+    monkeypatch.setattr(knuthclass, "_bump_graph", listing)
     eleven = "1,2,3,4,5,6/7,8,9,10,11"
     with pytest.raises(ValueError, match="tableau size 11 exceeds the supported maximum 10"):
         knuth_class(parse_tableau(eleven))
@@ -117,3 +120,21 @@ def test_a_repeated_word_is_an_invariant_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: reverse bumping repeated")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bump_graph_paths_are_the_hook_count(n):
+    # one path from the tableau to the empty end per class word: as many
+    # as standard tableaux of the shape, counted through the depth order
+    for tab in all_standard_tableaux(n):
+        masks, steps = knuthclass._bump_graph(tab)
+        assert masks[0] == (2 << n) - 2  # bit x for letter x
+        assert (masks[-1], steps[-1]) == (0, [])
+        paths = [0] * len(steps)
+        paths[-1] = 1
+        for a in range(len(steps) - 2, -1, -1):
+            assert steps[a], a
+            for c, x in steps[a]:
+                assert c > a and masks[c] | 1 << x == masks[a] != masks[c]
+            paths[a] = sum(paths[c] for c, _ in steps[a])
+        assert paths[0] == _hook_count(shape_of(tab)), tab

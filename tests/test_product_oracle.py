@@ -1,9 +1,10 @@
-"""``hopf.plactic_product`` (each factor class listed once, its words
-counted by insertion tableau through the lift's column tables, suffix by
-suffix from the right, and terms checked by the total, the hook-length
-count and the restriction to the factors) against the literal product in
-``product_oracle``, which row-inserts every shuffle word: the same terms
-in the same order, also when a table is broken and the product raises."""
+"""``hopf.plactic_product`` (the factors' reverse-bump graphs walked
+together, the words counted by insertion tableau through the lift's column
+tables, suffix by suffix from the right, and terms checked by the total,
+the hook-length count and the restriction to the factors) against the
+literal product in ``product_oracle``, which row-inserts every shuffle
+word: the same terms in the same order, also when a table or a graph is
+broken and the product raises."""
 
 import random
 from array import array
@@ -12,6 +13,7 @@ import pytest
 
 import product_oracle as oracle
 import sytkit.hopf as hopf
+import sytkit.knuthclass as knuthclass
 import sytkit.permutation as permutation
 import sytkit.tableau as tableau
 import sytkit.weakorder as weakorder
@@ -120,6 +122,59 @@ def test_a_broken_column_table_never_gives_wrong_terms(monkeypatch):
                     assert list(got.items()) == expected, (x, t, wrong, left, right)
                 assert raised, (x, t, wrong)
     assert [list(table) for table in weakorder._LIFTED[3][1]] == shared
+
+
+def graph_changes(masks, steps):
+    """Every change of one step of a reverse-bump graph, as (node, its new
+    steps): the step dropped, taken twice, its exit letter set to each
+    other letter of the tableau, or its child set to each other node of
+    the same letters."""
+    letters = [x for x in range(1, masks[0].bit_length()) if masks[0] >> x & 1]
+    for a, out in enumerate(steps):
+        for i, (c, x) in enumerate(out):
+            before, after = out[:i], out[i + 1:]
+            yield a, [*before, *after]
+            yield a, [*out, out[i]]
+            for y in letters:
+                if y != x:
+                    yield a, [*before, (c, y), *after]
+            for d, mask in enumerate(masks):
+                if d != c and mask == masks[c]:
+                    yield a, [*before, (d, x), *after]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_a_broken_graph_never_gives_wrong_terms(monkeypatch, side):
+    # each single change of one factor's graph against every product of
+    # total 3..6 with that factor on that side: each raises or is right,
+    # and only a step moved to another node of the same letters can be
+    # right
+    graph = knuthclass._bump_graph
+    products = [
+        (pair, list(oracle.plactic_product(*pair).terms.items()))
+        for n in range(3, 7)
+        for pair in pairs(n)
+    ]
+    changes = raised = 0
+    for tab in {pair[side] for pair, _ in products}:
+        masks, steps = graph(tab)
+        for a, out in graph_changes(masks, steps):
+            changes += 1
+            changed = [*steps[:a], out, *steps[a + 1:]]
+            monkeypatch.setattr(
+                hopf, "_bump_graph", lambda rows: (masks, changed) if rows == tab else graph(rows)
+            )
+            for pair, expected in products:
+                if pair[side] != tab:
+                    continue
+                try:
+                    got = plactic_product(*pair).terms
+                except InvariantError:
+                    raised += 1
+                    continue
+                assert list(got.items()) == expected, (a, out, pair)
+                assert len(out) == len(steps[a]) and {x for _, x in out} == {x for _, x in steps[a]}
+    assert changes and raised
 
 
 @pytest.mark.parametrize("n", range(0, 10))

@@ -15,7 +15,8 @@ import sytkit.verify as verify
 import sytkit.weakorder as weakorder
 import translation_oracle as oracle
 from sytkit.cli import EXIT_INTERNAL, main
-from sytkit.knuthclass import knuth_class
+from sytkit.hopf import verify_interval_isomorphism
+from sytkit.knuthclass import KnuthClass, knuth_class
 from sytkit.permutation import InvariantError, all_words, coxeter_length, descents_left, format_word
 from sytkit.tableau import (
     _dual_moves,
@@ -669,6 +670,21 @@ def test_hook_eta_clean(k):
     assert report.passed, report.violations
 
 
+def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
+    # each class cut to its words through the top corner: their last
+    # letters, the two exit letters, then agree
+    def top_corner_words(rows):
+        cls = knuth_class(rows)
+        return KnuthClass(rows, frozenset(w for w in cls.words if w[-1] == rows[0][-1]))
+
+    monkeypatch.setattr(verify, "knuth_class", top_corner_words)
+    report = verify_hook_eta(5)
+    eta = [v for v in report.violations if "eta_top" in v]
+    assert eta[0] == {"R": "1,3,5/2/4", "eta_top": 5, "eta_bottom": 5}
+    assert len(eta) == 4
+    assert all(v["eta_top"] == v["eta_bottom"] == parse_tableau(v["R"])[0][-1] for v in eta)
+
+
 def test_hook_eta_guards():
     with pytest.raises(ValueError):
         verify_hook_eta(4)
@@ -1019,3 +1035,37 @@ def test_two_row_translation_proof_skeleton(n, k):
                 assert found
                 seen_hard += 1
     assert seen_easy > 0
+
+
+# --- integer sizes ------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (weakorder.build_poset, (True,)),
+        (weakorder.build_poset, (3.0,)),
+        (cached_poset, (True,)),
+        (cached_poset, (3.0,)),
+        (verify_descents_constant, (True,)),
+        (verify_descents_constant, (3.0,)),
+        (verify_interval_isomorphism, (True, 2)),
+        (verify_interval_isomorphism, (2, 2.0)),
+        (verify_antisymmetry, (3.0,)),
+        (verify_hook_eta, (5.0,)),
+        (verify_hook_eta, (True,)),
+        (verify_inner_tableau_translation, (3.0,)),
+        (verify_special_cases, (3.0, "hook")),
+        (verify_restriction_insertion, (3.0,)),
+        (verify_restriction_monotone, (3.0,)),
+        (verify_evac_transpose_monotone, (3.0,)),
+        (verify_dual_knuth_connectivity, (3.0,)),
+        (verify_structural, (3.0,)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_a_bool_or_float_size_is_a_value_error(check, args):
+    # True == 1 and 3.0 == 3: the cached orders of sizes 1 and 3 must not
+    # be found under them
+    cached_poset(1), cached_poset(3)
+    with pytest.raises(ValueError, match="must be an integer, got (True|[0-9.]+)$"):
+        check(*args)
