@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import inspect
 import json
 import os
@@ -266,10 +267,16 @@ def _check_out_path(path: str) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads every command line with, built once
+    per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     out = getattr(args, "out", None)

@@ -32,10 +32,7 @@ covers with both ends in it, read off them with no reduction per run.
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
-them.  The layout remakes no tableau: it reads the nodes' row codes from
-the lift's size-n code map (``weakorder._lifted``), names every run by the
-id of its inner tableau in the size-k code map, and reads the moves from
-:func:`_size_moves`.
+them.  The layout remakes no tableau (see :class:`_SweepLayout`).
 Each sweep still applies its own family filter and compares every move
 run against run, whole runs first: equal rows hold every relation.
 
@@ -60,15 +57,16 @@ Transposition reverses the order, so its covers are tested through
 single-triple scan, where failures are expected, calls the kernel
 directly; antisymmetry reads ``reach`` alone, each row tested for an id
 above its node's.  ``checked`` still counts every strict relation, each a
-chain of tested covers.  Restriction images are composed from two
-one-step tables per size (drop the largest letter; drop 1 and rectify),
-which jeu de taquin confluence allows and the tests check against
-``tableau._restrict``.
+chain of tested covers.
 
-The two checks that walk all n! words make no tableau from a word: each
-walks the words depth first, built from the right, and names each suffix's
-tableau (per segment, for restriction) by one lookup in the lift's column
-tables (``weakorder._lifted``); restriction's images are the one-step tables.
+Restriction images are composed from two one-step tables per size, hi
+(drop the largest letter) and lo (drop 1 and rectify), as jeu de taquin
+confluence allows (the tests check them against ``tableau._restrict``).
+No check walks the n! words: each statement about every word follows, by
+induction on its length, from one lemma per size m, size m - 1 node t and
+letter x on the lift's column tables C_m (``weakorder._lifted``), as P(x.w)
+is x column-inserted into P(w) (Schensted), C_m[x][t] once w is
+standardized, and every tableau is P of some word.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -77,11 +75,12 @@ witness is a self-contained dict of text forms.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from math import factorial
 from operator import xor
 
 from .hopf import verify_interval_isomorphism
 from .knuthclass import knuth_class
-from .permutation import MAX_N, InvariantError, Word, check_int, format_word, weak_covers
+from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word, weak_covers
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -96,6 +95,7 @@ from .tableau import (
     format_tableau,
     insertion_tableau,
     partitions,
+    row_word,
     shape_of,
 )
 from .weakorder import (
@@ -178,10 +178,8 @@ class _SweepLayout:
     sweep: the row-sequence numbering, checked to number every cover
     strictly upwards; per k, the runs in canonical order of their inner
     tableaux, each with its shape and its dual Knuth moves, every move
-    checked to be onto its image run.  That the covers go down in the id
-    order, close to ``reach`` and are reduced is read from
-    ``weakorder._closure_fault`` first, and its message raised as it is;
-    no layout reads ``below``.
+    checked to be onto its image run.  The order's premises are read from
+    ``weakorder._closure_fault`` first (see the module docstring).
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
     letter x in the 4-bit digit x - 1) is read from the lift's size-n code
@@ -201,7 +199,7 @@ class _SweepLayout:
     rows are shifted out of them."""
 
     def __init__(self, p: TableauPoset) -> None:
-        # the order's premises, checked once per poset (see the docstring)
+        # the order's premises, checked once per poset
         fault = _closure_fault(p)
         if fault is not None:
             raise InvariantError(fault)
@@ -557,46 +555,60 @@ def verify_antisymmetry(n: int, jobs: int = 1) -> VerificationReport:
     return VerificationReport("antisymmetry", {"n": n}, checked, violations, sw.ms)
 
 
+def _witness(nodes, tables, fault, failing: Callable[[Word], list[dict]]) -> list[dict]:
+    """What ``failing`` lists for the n-letter word of a lemma's failing
+    instance ``fault`` = (m, t, x, ...), else the instance ([] for None):
+    x and t's row word, letters >= x raised (C_m[x][t] if the tables insert
+    the row word to t, checked), after n, ..., m + 1, each the largest so
+    far, which hi undoes, or for a lo step raised by n - m after 1..n - m."""
+    if fault is None:
+        return []
+    n, (m, t, x, *step) = len(tables), fault
+    rows, found = row_word(nodes[m - 2][t]), []
+    if _insertion_id(rows, tables) == t:
+        low = n - m if step == [1] else 0
+        before = range(1, low + 1) if low else range(n, m, -1)
+        found = failing((*before, x + low, *(y + (y >= x) + low for y in rows)))
+    return found or [{"m": m, "T": format_tableau(nodes[m - 2][t]), "x": x}]
+
+
+def _descent_lemma(nodes, tables) -> tuple[int, tuple[int, int, int] | None]:
+    """The instances (m, t, x) tested, in order, up to the first failing
+    one, and that one or None.  Descent sets are masks, bit i for i."""
+    tested, below = 0, [0]  # the one size-1 node has no descent
+    for m in range(2, len(tables) + 1):
+        masks = [sum(1 << i for i in _descents(u)) for u in nodes[m - 1]]
+        for t, d in enumerate(below):
+            for x in range(1, m + 1):
+                tested += 1
+                moved = d & (1 << x - 1) - 1 | d >> x << x + 1 | (1 << x - 1) & ~1
+                if masks[tables[m - 1][x - 1][t]] != moved:
+                    return tested, (m, t, x)
+        below = masks
+    return tested, None
+
+
 def verify_descents_constant(n: int) -> VerificationReport:
     """Left descents of a word equal the descent set of its insertion
     tableau, hence are constant on each class.
 
-    One depth-first walk over the words, built from the right.  The
-    insertion side is the lift's column tables: prepending x names the
-    suffix's tableau by one popcount rank and one lookup, as
-    :func:`weakorder._insertion_id` does.  The word side: x sets the left
-    descent x - 1 when x - 1 is to its right, and x when x + 1 is not.
-    Each word's mask is compared with its node's ``_descents``."""
+    By induction on the word length (see the module docstring): x.w has
+    the descents i < x - 1 of w, those i >= x raised by one, and x - 1 when
+    x > 1, so it is enough that Des(C_m[x][t]) is that image of Des(t) for
+    every m = 2..n, size m - 1 node t and letter x (:func:`_descent_lemma`).
+    ``checked`` counts the n! words so established."""
     if not 1 <= check_int(n, "n") <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}")
-    nodes, _, _, _ = _lifted(n)
-    tables = [_lifted(m)[1] for m in range(1, n + 1)]  # by suffix length
-    checked = 0
-    broken: list[Word] = []
+    nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
+
+    def failing(word: Word) -> list[dict]:
+        same = descents_left(word) == _descents(nodes[-1][_insertion_id(word, tables)])
+        return [] if same else [{"word": format_word(word)}]
+
     with stopwatch() as sw:
-        masks = [sum(1 << d for d in _descents(t)) for t in nodes]
-        full = (2 << n) - 2  # bit x for letter x
-        inner = full >> 1 & ~1  # the descents 1..n - 1
-        stack = [(0, 0, 0, ())]  # letters placed, their node, mask, suffix
-        while stack:
-            seen, t, mask, suffix = stack.pop()
-            table = tables[seen.bit_count()]
-            for x in range(1, n + 1):
-                bit = 1 << x
-                if seen & bit:
-                    continue
-                u = table[(seen & bit - 1).bit_count()][t]
-                m = mask | seen & bit >> 1 | bit & ~seen >> 1 & inner
-                if seen | bit != full:
-                    stack.append((seen | bit, u, m, (x, *suffix)))
-                    continue
-                checked += 1
-                if m != masks[u]:
-                    broken.append((x, *suffix))
-        violations = [{"word": format_word(u)} for u in sorted(broken)]
-    return VerificationReport(
-        "descent-sets-constant-on-classes", {"n": n}, checked, violations, sw.ms
-    )
+        violations = _witness(nodes, tables, _descent_lemma(nodes, tables)[1], failing)
+    check = "descent-sets-constant-on-classes"
+    return VerificationReport(check, {"n": n}, factorial(n), violations, sw.ms)
 
 
 def _one_step(p: TableauPoset, q: TableauPoset) -> tuple[list[int], list[int]]:
@@ -635,68 +647,55 @@ def _segment_images(posets: dict[int, TableauPoset], n: int) -> dict[tuple[int, 
     return images
 
 
+def _restriction_lemma(posets, tables) -> tuple[int, tuple[int, int, int, int] | None]:
+    """The instances (m, t, x, step) tested (step 0 hi, 1 lo), in order, up
+    to the first failing one, and that one or None."""
+    tested = 0
+    for m in range(3, len(tables) + 1):
+        steps, smaller = _one_step(posets[m], posets[m - 1]), tables[m - 2]
+        hi, lo = _one_step(posets[m - 1], posets[m - 2])
+        for t in range(len(hi)):
+            for x in range(1, m + 1):
+                u = tables[m - 1][x - 1][t]
+                tested += 2
+                if steps[0][u] != (t if x == m else smaller[x - 1][hi[t]]):
+                    return tested - 1, (m, t, x, 0)
+                if steps[1][u] != (t if x == 1 else smaller[x - 2][lo[t]]):
+                    return tested, (m, t, x, 1)
+    return tested, None
+
+
 def verify_restriction_insertion(n: int) -> VerificationReport:
     """Restricting a word to a letter segment commutes with insertion.
 
-    Every (word, segment) is checked, in one depth-first walk over the
-    words, built from the right.  The insertion side is the lift's column
-    tables: each suffix carries the node id of its restriction to every
-    segment, and prepending x changes only the segments holding x, each by
-    one popcount rank and one lookup, as :func:`weakorder._insertion_id`
-    does.  The restriction side is the jeu-de-taquin one-step tables
-    (:func:`_segment_images`), compared per word in one tuple comparison."""
+    A restriction is lo steps, then hi steps, on words as on tableaux, so
+    by induction on the word length (see the module docstring) it is
+    enough that both commute with insertion for m = 3..n (at m = 2 they
+    give the one size-1 tableau).  x.w loses m as x.hi(w), and 1 as
+    (x - 1).lo(w) standardized, so for u = C_m[x][t], hi(u) must be t if
+    x = m, else C_(m-1)[x][hi(t)], and lo(u) t if x = 1, else
+    C_(m-1)[x - 1][lo(t)] (:func:`_restriction_lemma`).  ``checked``
+    counts the n! n(n - 1)/2 (word, segment) pairs so established."""
     _check_poset_size(n)
     posets = {m: cached_poset(m) for m in range(1, n + 1)}
-    # the walk names nodes by lift id, the images by poset id
-    for m, p in posets.items():
-        if p.nodes != _lifted(m)[0]:
-            raise InvariantError(
-                f"the size-{m} order's nodes are not the lift's size-{m} tableaux"
-            )
-    tables = [_lifted(m)[1] for m in range(1, n + 1)]  # by restriction length
+    nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
+    for m, p in posets.items():  # the lemma names nodes by lift id, the images by poset id
+        if p.nodes != nodes[m - 1]:
+            raise InvariantError(f"the size-{m} order's nodes are not the lift's size-{m} tableaux")
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    checked = 0
-    broken: list[tuple[Word, int]] = []
+
+    def failing(word: Word) -> list[dict]:
+        images, whole = _segment_images(posets, n), _insertion_id(word, tables)
+        return [
+            {"word": format_word(word), "segment": [i, j]}
+            for i, j in segments
+            if images[i, j][whole] != _insertion_id([y - i + 1 for y in word if i <= y <= j], tables)
+        ]
+
     with stopwatch() as sw:
-        images = _segment_images(posets, n)
-        expected = list(zip(*(images[s] for s in segments)))  # per node a
-        # per letter x, the segments [i, j] holding it: (index, bits i..j,
-        # bits i..x - 1), bit y standing for letter y
-        holding = [
-            [
-                (s, (2 << j) - (1 << i), (1 << x) - (1 << i))
-                for s, (i, j) in enumerate(segments)
-                if i <= x <= j
-            ]
-            for x in range(n + 1)
-        ]
-        full = (2 << n) - 2
-        whole = n - 2  # the segment [1, n]
-        # letters placed, the suffix, its ids per segment; n = 1 has no segment
-        stack = [(0, (), [0] * len(segments))] if segments else []
-        while stack:
-            seen, suffix, ids = stack.pop()
-            for x in range(1, n + 1):
-                bit = 1 << x
-                if seen & bit:
-                    continue
-                new = ids[:]
-                for s, segment, lower in holding[x]:
-                    new[s] = tables[(seen & segment).bit_count()][(seen & lower).bit_count()][new[s]]
-                if seen | bit != full:
-                    stack.append((seen | bit, (x, *suffix), new))
-                    continue
-                checked += len(segments)
-                new = tuple(new)
-                image = expected[new[whole]]
-                if new != image:
-                    broken += [((x, *suffix), s) for s, a in enumerate(new) if a != image[s]]
-        violations = [
-            {"word": format_word(u), "segment": list(segments[s])} for u, s in sorted(broken)
-        ]
-    return VerificationReport(
-        "restriction-commutes-with-insertion", {"n": n}, checked, violations, sw.ms
-    )
+        violations = _witness(nodes, tables, _restriction_lemma(posets, tables)[1], failing)
+    check, checked = "restriction-commutes-with-insertion", factorial(n) * len(segments)
+    return VerificationReport(check, {"n": n}, checked, violations, sw.ms)
 
 
 def verify_restriction_monotone(n: int) -> VerificationReport:
@@ -796,7 +795,7 @@ def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
 
 
 def verify_structural(n: int, jobs: int = 1) -> list[VerificationReport]:
-    """One report per bundled structural statement (six in total)."""
+    """One report per bundled structural statement (six in total), none walking the n! words."""
     _check_scale("structural", n)
     return [
         verify_restriction_monotone(n),
@@ -855,7 +854,7 @@ SCALES: dict[str, tuple[int, int, int, int]] = {
     "inner-translation-fails": (6, 6, 6, 6),
     "special-cases": (2, 8, 7, 8),
     "hook-eta": (5, 9, 7, 9),
-    "structural": (2, 7, 6, 6),
+    "structural": (2, MAX_POSET_N, 6, 6),
     "monotone": (1, MAX_POSET_N, 7, 7),
     "interval-isomorphism": (2, MAX_POSET_N, 6, 6),
 }

@@ -370,6 +370,27 @@ def test_verify_help_lists_each_checks_range(capsys):
     assert listed == [(name, str(lo), str(hi)) for name, (lo, hi, _, _) in verify.SCALES.items()]
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def build():
+        built.append(None)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "rsk", "52413")[0] == EXIT_OK
+        code, out, _ = run(capsys, "verify", "--help")
+    finally:
+        cli._parser.cache_clear()
+    assert code == EXIT_OK
+    assert len(built) == 1
+    listed = re.findall(r"^  ([a-z-]+) +(\d+)\.\.(\d+)$", out, re.M)
+    assert listed == [(name, str(lo), str(hi)) for name, (lo, hi, _, _) in verify.SCALES.items()]
+
+
 def _verify_argv(check, n):
     family = ["--family", "hook"] if check == "special-cases" else []
     return ["verify", check, "--n", str(n), *family]

@@ -17,7 +17,15 @@ import translation_oracle as oracle
 from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.knuthclass import KnuthClass, knuth_class
-from sytkit.permutation import InvariantError, all_words, coxeter_length, descents_left, format_word
+from sytkit.permutation import (
+    InvariantError,
+    all_words,
+    coxeter_length,
+    descents_left,
+    format_word,
+    parse_word,
+    restrict_standardize,
+)
 from sytkit.tableau import (
     _dual_moves,
     _relabel_inner,
@@ -709,7 +717,46 @@ def test_structural_bundle_n2_trivial():
 
 def test_structural_guards():
     with pytest.raises(ValueError):
-        verify_structural(8)
+        verify_structural(10)
+
+
+def test_structural_at_the_top_of_its_row():
+    reports = {r.check: r for r in verify_structural(9)}
+    assert all(r.passed for r in reports.values())
+    assert reports["restriction-commutes-with-insertion"].checked == 13063680
+    assert reports["descent-sets-constant-on-classes"].checked == 362880
+
+
+# the lemma instances tested per n: (restriction, descents)
+LEMMA_INSTANCES = {
+    1: (0, 0), 2: (0, 2), 3: (12, 8), 4: (44, 24), 5: (144, 74),
+    6: (456, 230), 7: (1520, 762), 8: (5232, 2618), 9: (18984, 9494),
+}
+
+
+def _lift_tables(n):
+    return zip(*(verify._lifted(m)[:2] for m in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_lemma_instance_is_tested_and_holds(n):
+    nodes, tables = _lift_tables(n)
+    posets = {m: cached_poset(m) for m in range(1, n + 1)}
+    restriction = verify._restriction_lemma(posets, tables)
+    descents = verify._descent_lemma(nodes, tables)
+    assert (restriction[1], descents[1]) == (None, None)
+    assert (restriction[0], descents[0]) == LEMMA_INSTANCES[n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_lemma_checks_match_the_suffix_walks(n):
+    for check, walk in (
+        (verify_restriction_insertion, restriction_oracle.suffix_walk),
+        (verify_descents_constant, descents_oracle.suffix_walk),
+    ):
+        report = check(n)
+        assert report.passed
+        assert (report.checked, report.violations) == walk(n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -732,13 +779,12 @@ def test_restriction_insertion_matches_the_oracle(n):
     assert (report.checked, report.violations) == restriction_oracle.restriction_insertion(n)
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypatch, n):
-    # dropping the 1 of a size-4 tableau comes out transposed on shape
-    # (2, 1) only, so the segments [i, j] with i >= n - 2, whose images
-    # pass through that step, break for some words of every class and not
-    # for others.  The check reads its images off the one-step tables of
-    # fresh posets; the oracle restricts each segment step by step
+def _break_a_segment(monkeypatch, n):
+    """Dropping the 1 of a size-4 tableau comes out transposed on shape
+    (2, 1) only, so the segments [i, j] with i >= n - 2, whose images pass
+    through that step, break for some words of every class and not for
+    others.  The check reads its images off the one-step tables of fresh
+    posets; the oracle restricts each segment step by step."""
     real = tableau._restrict
 
     def broken(rows, i, j):
@@ -757,13 +803,45 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
     monkeypatch.setattr(verify, "cached_poset", lambda m: posets[m])
     monkeypatch.setattr(verify, "_restrict", broken)
     monkeypatch.setattr(tableau, "_restrict", stepwise)
-    report = verify_restriction_insertion(n)
+    return posets
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypatch, n):
+    # the lemma first fails at m = 4, dropping 1; each (word, segment) the
+    # check reports is one that the per-word oracle and the walk list
+    posets = _break_a_segment(monkeypatch, n)
+    checked, expected = restriction_oracle.restriction_insertion(n)
     broken_words = {}
-    for v in report.violations:
+    for v in expected:
         broken_words.setdefault(tuple(v["segment"]), []).append(v["word"])
     assert {i for i, _ in broken_words} == set(range(n - 2, n))
     assert all(0 < len(words) < len(list(all_words(n))) for words in broken_words.values())
-    assert (report.checked, report.violations) == restriction_oracle.restriction_insertion(n)
+    assert restriction_oracle.suffix_walk(n) == (checked, expected)
+    _, tables = _lift_tables(n)
+    m, _, _, step = verify._restriction_lemma(posets, tables)[1]
+    assert (m, step) == (4, 1)
+    report = verify_restriction_insertion(n)
+    assert report.checked == checked
+    assert report.violations and all(v in expected for v in report.violations)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_a_restriction_witness_replays_through_insertion_and_restriction(monkeypatch, n):
+    # the reported word, inserted by rows and restricted by jeu de taquin
+    # (both through the module), fails on exactly the reported segments
+    _break_a_segment(monkeypatch, n)
+    report = verify_restriction_insertion(n)
+    (word,) = {v["word"] for v in report.violations}
+    u = parse_word(word)
+    p = tableau.insertion_tableau(u)
+    failing = [
+        [i, j]
+        for i in range(1, n)
+        for j in range(i + 1, n + 1)
+        if tableau._restrict(p, i, j) != tableau.insertion_tableau(restrict_standardize(u, i, j))
+    ]
+    assert failing and [v["segment"] for v in report.violations] == failing
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -791,23 +869,31 @@ def test_structural_word_walks_at_n7_check_every_word():
     assert (descents.checked, descents.passed) == (5040, True)
 
 
+def _broken_lift(size, x, t, wrong):
+    """``verify._lifted`` with entry t of the size-``size`` table of the
+    letter x + 1 changed to ``wrong``."""
+    real = verify._lifted
+    nodes, tables, edges, ids_of = real(size)
+    tables = [array(table.typecode, table) for table in tables]
+    tables[x][t] = wrong
+    return lambda k: (nodes, tables, edges, ids_of) if k == size else real(k)
+
+
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
     # one entry of the size-3 column tables is wrong: 1 inserted into the
-    # row 1,2 gives a tableau of another descent set.  Both walks name their
-    # suffixes through the tables, so each must list what inserting every
-    # word and every restricted word through the same tables would give,
-    # words in lexicographic order, then segments in order
-    real = verify._lifted
-    nodes, tables, edges, ids_of = real(3)
-    tables = [array(t.typecode, t) for t in tables]
+    # row 1,2 gives a tableau of another descent set.  Both walks name
+    # their suffixes through the tables, so each must list what inserting
+    # every word and every restricted word through the same tables would
+    # give, words in lexicographic order, then segments in order.  Both
+    # lemmas fail at m = 3, and every word they report is on those lists
+    nodes, tables, _, _ = weakorder._lifted(3)
     right = tables[0][1]
-    tables[0][1] = next(
+    wrong = next(
         b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
     )
-    broken = (nodes, tables, edges, ids_of)
     clean_checked = (verify_restriction_insertion(n).checked, verify_descents_constant(n).checked)
-    monkeypatch.setattr(verify, "_lifted", lambda k: broken if k == 3 else real(k))
+    monkeypatch.setattr(verify, "_lifted", _broken_lift(3, 0, 1, wrong))
     inserting = [verify._lifted(m)[1] for m in range(1, n + 1)]
 
     def node_of(word):
@@ -822,18 +908,82 @@ def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
         for i, j in segments
         if images[i, j][node_of(u)] != node_of([x for x in u if i <= x <= j])
     ]
+    assert expected and restriction_oracle.suffix_walk(n) == (clean_checked[0], expected)
     report = verify_restriction_insertion(n)
-    assert report.violations and report.checked == clean_checked[0]
-    assert report.violations == expected
+    assert report.checked == clean_checked[0]
+    assert report.violations and all(v in expected for v in report.violations)
     nodes_n = verify._lifted(n)[0]
     expected = [
         {"word": format_word(u)}
         for u in words
         if descents_left(u) != tableau._descents(nodes_n[node_of(u)])
     ]
+    assert expected and descents_oracle.suffix_walk(n) == (clean_checked[1], expected)
     report = verify_descents_constant(n)
-    assert report.violations and report.checked == clean_checked[1]
-    assert report.violations == expected
+    assert report.checked == clean_checked[1]
+    assert report.violations and all(v in expected for v in report.violations)
+
+
+def test_the_lemmas_flag_every_table_fault_the_walks_flag(monkeypatch):
+    # every single-entry change of the size-3 and size-4 column tables, at
+    # n = 5: by the induction, a word the walk flags makes a failing lemma
+    # instance, and each is reported as a word the walk flags too
+    faults = [
+        (size, x, t, wrong)
+        for size in (3, 4)
+        for x, table in enumerate(weakorder._lifted(size)[1])
+        for t, right in enumerate(table)
+        for wrong in range(len(weakorder._lifted(size)[0]))
+        if wrong != right
+    ]
+    assert len(faults) == 18 + 144
+    flagged = [0, 0]
+    for fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_lifted", _broken_lift(*fault))
+            for s, (check, walk) in enumerate((
+                (verify_restriction_insertion, restriction_oracle.suffix_walk),
+                (verify_descents_constant, descents_oracle.suffix_walk),
+            )):
+                checked, expected = walk(5)
+                report = check(5)
+                assert report.checked == checked
+                if expected:
+                    flagged[s] += 1
+                    assert report.violations and all(v in expected for v in report.violations), fault
+    assert flagged == [162, 156]
+
+
+def test_a_failing_instance_that_no_word_replays_is_named(monkeypatch):
+    # the size-3 fault above, at m = 3, t = 1,2, x = 1; with row words
+    # read backwards, the tables insert the row word of 1,2 to 1/2, so no
+    # word is made and the instance is named
+    nodes, tables, _, _ = weakorder._lifted(3)
+    right = tables[0][1]
+    wrong = next(
+        b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
+    )
+    monkeypatch.setattr(verify, "_lifted", _broken_lift(3, 0, 1, wrong))
+    monkeypatch.setattr(verify, "row_word", lambda rows: tableau.row_word(rows)[::-1])
+    instance = [{"m": 3, "T": "1,2", "x": 1}]
+    for n in (3, 5):
+        assert verify_restriction_insertion(n).violations == instance
+        assert verify_descents_constant(n).violations == instance
+
+
+def test_restriction_insertion_refuses_an_order_on_other_nodes(capsys, monkeypatch):
+    # the lemma names nodes by lift id and the images by poset id
+    broken = _missing_node()
+    real = cached_poset
+    monkeypatch.setattr(verify, "cached_poset", lambda n: broken if n == 5 else real(n))
+    message = "the size-5 order's nodes are not the lift's size-5 tableaux"
+    with pytest.raises(InvariantError, match=message):
+        verify_restriction_insertion(5)
+    code = main(["verify", "structural", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize("n", range(2, 10))
