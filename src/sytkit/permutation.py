@@ -1,15 +1,15 @@
-"""One-line permutations: inversion sets, weak-order covers, Knuth and dual
-Knuth rewriting moves, segment restriction, and shuffles.
+"""One-line permutations: validation and text forms, the inverse, left
+descents and the evacuation word, and the argument checks and error types
+that the other modules share.
 
 A word is a tuple holding each of 1..n exactly once (one-line notation).
-Everything in this module is a pure function of immutable values.
+Everything in this module is a pure function of immutable values.  The
+weak order, Knuth moves and segment restriction on words are not here:
+the library reaches them through tableaux and the lift's column tables,
+and the tests keep the word-level forms as oracles.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
-from itertools import permutations as _lex_permutations
-from typing import Iterator
 
 Word = tuple[int, ...]
 
@@ -100,144 +100,11 @@ def inverse(word: Word) -> Word:
     return tuple(inv)
 
 
-def inversions_left(word: Word) -> frozenset[tuple[int, int]]:
-    """Pairs (i, j) with i < j whose values appear out of order in the word."""
-    pos = inverse(word)
-    n = len(word)
-    return frozenset(
-        (i, j)
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if pos[i - 1] > pos[j - 1]
-    )
-
-
-def coxeter_length(word: Word) -> int:
-    return len(inversions_left(word))
-
-
-def weak_leq(u: Word, w: Word) -> bool:
-    """Right weak order, decided by containment of left inversion sets."""
-    if len(u) != len(w):
-        raise ValueError(f"size mismatch: {len(u)} vs {len(w)}")
-    return inversions_left(u) <= inversions_left(w)
-
-
-def weak_covers(u: Word) -> list[Word]:
-    """All words one adjacent-ascent swap above u (length goes up by one)."""
-    out = []
-    for p in range(len(u) - 1):
-        if u[p] < u[p + 1]:
-            out.append(u[:p] + (u[p + 1], u[p]) + u[p + 2:])
-    return out
-
-
 def descents_left(u: Word) -> frozenset[int]:
     pos = inverse(u)
     return frozenset(i for i in range(1, len(u)) if pos[i - 1] > pos[i])
 
 
-def restrict_standardize(u: Word, i: int, j: int) -> Word:
-    """Subword of the letters in [i, j], shifted down to a word on 1..j-i+1."""
-    u = check_word(u)
-    if not (1 <= check_int(i, "i") < check_int(j, "j") <= len(u)):
-        raise ValueError(f"bad segment [{i},{j}] for n={len(u)}")
-    return tuple(x - i + 1 for x in u if i <= x <= j)
-
-
-def _window_move(a: int, b: int, c: int) -> tuple[int, int, int] | None:
-    """The unique Knuth rewrite on three adjacent letters, if one applies.
-
-    The last two letters swap when the first lies strictly between them;
-    the first two swap when the last lies strictly between the first two.
-    """
-    if min(b, c) < a < max(b, c):
-        return (a, c, b)
-    if min(a, b) < c < max(a, b):
-        return (b, a, c)
-    return None
-
-
-def knuth_neighbors(u: Word) -> list[Word]:
-    """All words one Knuth move away; v is a neighbor of u iff u is of v."""
-    out = []
-    for p in range(len(u) - 2):
-        moved = _window_move(u[p], u[p + 1], u[p + 2])
-        if moved is not None:
-            out.append(u[:p] + moved + u[p + 3:])
-    return out
-
-
-def dual_knuth_neighbors(u: Word) -> list[Word]:
-    """Words whose inverses are one Knuth move from the inverse of u."""
-    return [inverse(v) for v in knuth_neighbors(inverse(u))]
-
-
-def dual_knuth_move_word(u: Word, i: int) -> Word:
-    """Apply the dual Knuth rewrite on the value triple {i, i+1, i+2}.
-
-    Exchanges the positions of two of the three values; a unique move exists
-    exactly when one of i, i+1 (but not both) is a left descent of u.
-    """
-    u = check_word(u)
-    if not (1 <= check_int(i, "i") <= len(u) - 2):
-        raise ValueError(f"triple start {i} out of range for n={len(u)}")
-    ui = inverse(u)
-    moved = _window_move(ui[i - 1], ui[i], ui[i + 1])
-    if moved is None:
-        raise ValueError(f"no dual Knuth move applies on the triple {{{i},{i + 1},{i + 2}}}")
-    return inverse(ui[:i - 1] + moved + ui[i + 2:])
-
-
-def transpose_word(u: Word) -> Word:
-    return tuple(reversed(u))
-
-
 def evac_word(u: Word) -> Word:
     n = len(u)
     return tuple(n + 1 - x for x in reversed(u))
-
-
-def shifted(w: Word, k: int) -> Word:
-    return tuple(x + k for x in w)
-
-
-def interleavings(a: Word, b: Word) -> list[Word]:
-    """All riffles of two words, each keeping its own letter order.
-
-    The riffles come in the order of the places of ``a`` as
-    ``combinations(range(len(a) + len(b)), len(a))`` lists them; each is
-    ``b`` with the letters of ``a`` inserted at their places, left to right.
-    """
-    out = []
-    for spots in combinations(range(len(a) + len(b)), len(a)):
-        word = list(b)
-        for p, x in zip(spots, a):
-            word.insert(p, x)
-        out.append(tuple(word))
-    return out
-
-
-def shuffle(u: Word, w: Word) -> list[Word]:
-    """Shuffle product: interleave u with w pushed above u's alphabet.
-
-    The second word may be given on 1..l (it is shifted up by len(u)) or
-    already on the shifted alphabet len(u)+1 .. len(u)+l.
-    """
-    check_word(u)
-    k, l = len(u), len(w)
-    if k + l > MAX_N:
-        raise ValueError(f"shuffle output size {k + l} exceeds {MAX_N}")
-    w = _ints(w, "word letters")
-    if sorted(w) == list(range(1, l + 1)):
-        w = shifted(w, k)
-    elif sorted(w) != list(range(k + 1, k + l + 1)):
-        raise ValueError(f"second word must use 1..{l} or {k + 1}..{k + l}: {w}")
-    return interleavings(u, w)
-
-
-def all_words(n: int) -> Iterator[Word]:
-    """All n! words, in lexicographic order."""
-    if not (1 <= n <= MAX_N):
-        raise ValueError(f"n must be in 1..{MAX_N}")
-    return iter(_lex_permutations(range(1, n + 1)))

@@ -69,7 +69,7 @@ def _partitions(n: int) -> tuple[Shape, ...]:
 
 def partitions(n: int) -> tuple[Shape, ...]:
     """All partitions of n, sorted lexicographically."""
-    if n < 0:
+    if check_int(n, "n") < 0:
         raise ValueError("n must be nonnegative")
     return _partitions(n)
 
@@ -224,7 +224,7 @@ def standard_tableaux(shape) -> tuple[Rows, ...]:
 
 
 def all_standard_tableaux(n: int) -> tuple[Rows, ...]:
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise ValueError("n must be positive")
     out: list[Rows] = []
     for shape in partitions(n):
@@ -352,6 +352,9 @@ def reverse_insert(rows: Rows, corner: Cell) -> tuple[Rows, int]:
     earlier result.
     """
     rows = check_tableau(rows)
+    if isinstance(corner, tuple):
+        for x in corner:  # (1.0, 1) == (1, 1), so the membership test passes it
+            check_int(x, "a cell coordinate")
     if corner not in corners(rows):
         raise ValueError(f"{corner} is not a removable cell of {shape_of(rows)}")
     return _reverse_bump(rows, corner[0])
@@ -540,6 +543,9 @@ def _slide(grid, inner, hole, forward, trace=None):
 
 def _checked_slide(t: SkewTableau, hole: Cell, direction: str, trace) -> SkewTableau:
     """Validate the hole and direction, slide once, build the result."""
+    if isinstance(hole, tuple):
+        for x in hole:  # (1.0, 1) == (1, 1), so the membership tests pass it
+            check_int(x, "a cell coordinate")
     if direction == "forward":
         if hole not in inner_corners(t):
             raise ValueError(f"{hole} is not a removable inner cell of {t.inner}")

@@ -80,10 +80,9 @@ from operator import xor
 
 from .hopf import verify_interval_isomorphism
 from .knuthclass import knuth_class
-from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word, weak_covers
+from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word
 from .report import VerificationReport, stopwatch
 from .tableau import (
-    Rows,
     _descents,
     _evacuate,
     _inner_rows,
@@ -93,7 +92,6 @@ from .tableau import (
     _standard_tableaux,
     _transpose,
     format_tableau,
-    insertion_tableau,
     partitions,
     row_word,
     shape_of,
@@ -900,20 +898,3 @@ def battery(stretch: bool = False) -> Iterator[tuple[str, dict]]:
     for total in sizes("interval-isomorphism"):
         for k in range(1, total):
             yield "interval-isomorphism", {"n": total, "k": k}
-
-
-# ---------------------------------------------------------------------------
-# witness extraction
-
-def cover_witness_words(p: TableauPoset, lower, upper) -> tuple[Word, Word]:
-    """Adjacent-transposition witnesses for a projected edge: words sigma in
-    the lower class and tau = sigma * s_j in the upper class.  Every cover
-    of the poset has one."""
-    a = p.node_id(lower)
-    b = p.node_id(upper)
-    target = p.nodes[b]
-    for sigma in sorted(knuth_class(p.nodes[a]).words):
-        for tau in weak_covers(sigma):
-            if insertion_tableau(tau) == target:
-                return sigma, tau
-    raise ValueError("no adjacent-transposition witness: not a projected edge")

@@ -2,15 +2,16 @@
 ``knuthclass.knuth_class``, which lists a class by reverse bumping.
 
 The walk starts at the tableau's row word and applies every Knuth move
-(``permutation.knuth_neighbors``) until no new word appears.  Knuth's
+(``word_oracle.knuth_neighbors``) until no new word appears.  Knuth's
 theorem makes the words reached exactly the words inserting to the
 tableau; nothing here reverse-bumps or reads a recording tableau.
 """
 
 from __future__ import annotations
 
-from sytkit.permutation import Word, knuth_neighbors
+from sytkit.permutation import Word
 from sytkit.tableau import Rows, row_word
+from word_oracle import knuth_neighbors
 
 
 def class_words(rows: Rows) -> frozenset[Word]:

@@ -17,15 +17,17 @@ body is copied here as written.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from sytkit import verify
-from sytkit.permutation import all_words, descents_left, format_word
+from sytkit.permutation import descents_left, format_word
 from sytkit.tableau import _descents, descent_set, insertion_tableau
 
 
 def descents_constant(n: int) -> tuple[int, list[dict]]:
     checked = 0
     violations = []
-    for u in all_words(n):
+    for u in permutations(range(1, n + 1)):
         checked += 1
         if descents_left(u) != descent_set(insertion_tableau(u)):
             violations.append({"word": format_word(u)})

@@ -2,7 +2,7 @@
 ``tableau._dual_moves``, which exchanges two entries in place.
 
 The route reads the row word, applies the dual Knuth rewrite on the value
-triple {i, i+1, i+2} (``permutation.dual_knuth_move_word``: inverse,
+triple {i, i+1, i+2} (``word_oracle.dual_knuth_move_word``: inverse,
 window rewrite, inverse again) and row-inserts the result.  The descents
 come from the word too, so nothing here shares code with the kernel.
 :func:`connectivity` keeps the tableau walk of the connectivity check on
@@ -11,7 +11,7 @@ these moves.
 
 from __future__ import annotations
 
-from sytkit.permutation import descents_left, dual_knuth_move_word
+from sytkit.permutation import descents_left
 from sytkit.tableau import (
     Rows,
     format_tableau,
@@ -22,6 +22,7 @@ from sytkit.tableau import (
     standard_tableaux,
 )
 from sytkit.weakorder import canonical_key
+from word_oracle import dual_knuth_move_word
 
 
 def dual_moves(rows: Rows) -> list[tuple[int, Rows]]:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from sytkit.hopf import PlacticSum
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import InvariantError, Word, shifted
+from sytkit.permutation import InvariantError, Word
 from sytkit.tableau import Rows, format_tableau, insertion_tableau, size_of
 from sytkit.weakorder import canonical_key
 
@@ -46,7 +46,7 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     total = 0
     for u in sorted(knuth_class(left).words):
         for w in sorted(knuth_class(right).words):
-            for word in interleavings(u, shifted(w, k)):
+            for word in interleavings(u, tuple(x + k for x in w)):
                 total += 1
                 grouped.setdefault(insertion_tableau(word), set()).add(word)
     if total != sum(len(words) for words in grouped.values()):

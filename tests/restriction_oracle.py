@@ -20,15 +20,18 @@ them there breaks the walk too.  The body is copied here as written.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from sytkit import tableau, verify
-from sytkit.permutation import all_words, format_word, restrict_standardize
+from sytkit.permutation import format_word
 from sytkit.tableau import insertion_tableau
+from word_oracle import restrict_standardize
 
 
 def restriction_insertion(n: int) -> tuple[int, list[dict]]:
     checked = 0
     violations = []
-    for u in all_words(n):
+    for u in permutations(range(1, n + 1)):
         tab = insertion_tableau(u)
         for i in range(1, n):
             for j in range(i + 1, n + 1):

@@ -11,7 +11,7 @@ from test_weakorder import oracle_relation
 from sytkit.cli import main
 from sytkit.hopf import interval_product, plactic_product, verify_interval_isomorphism
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import format_word, inversions_left, parse_word
+from sytkit.permutation import format_word, parse_word
 from sytkit.tableau import (
     format_skew,
     format_tableau,
@@ -38,6 +38,7 @@ from sytkit.weakorder import (
     leq,
     to_dot,
 )
+from word_oracle import inversions_left
 
 
 def _report(num: int, name: str, elapsed: float, budget: float) -> None:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -11,16 +12,7 @@ import hypothesis.strategies as st
 import jdt_oracle as oracle
 import move_oracle
 from conftest import tableaux, words
-from sytkit.permutation import (
-    InvariantError,
-    ParseError,
-    all_words,
-    descents_left,
-    dual_knuth_move_word,
-    evac_word,
-    restrict_standardize,
-    transpose_word,
-)
+from sytkit.permutation import InvariantError, ParseError, descents_left, evac_word
 from sytkit.knuthclass import knuth_class
 from sytkit.tableau import (
     SkewTableau,
@@ -66,6 +58,7 @@ from sytkit.tableau import (
     transpose,
 )
 from sytkit.weakorder import cached_poset
+from word_oracle import dual_knuth_move_word, restrict_standardize
 
 
 # --- shapes -----------------------------------------------------------------
@@ -138,7 +131,7 @@ def test_rsk_goldens():
 
 def test_rsk_is_a_bijection_n4():
     seen = {}
-    for u in all_words(4):
+    for u in permutations(range(1, 5)):
         pair = rsk(u)
         assert shape_of(pair[0]) == shape_of(pair[1])
         assert pair not in seen
@@ -149,7 +142,7 @@ def test_rsk_is_a_bijection_n4():
 def test_rsk_is_a_bijection_n7():
     # 5040 distinct (P, Q) pairs, f^lambda squared of each shape, and
     # the squares add up to 7!
-    pairs = {rsk(u) for u in all_words(7)}
+    pairs = {rsk(u) for u in permutations(range(1, 8))}
     assert len(pairs) == 5040
     per_shape = {}
     for insertion, recording in pairs:
@@ -647,7 +640,7 @@ def test_evacuate_involution_n5():
 
 @given(words(max_n=6))
 def test_symmetries_through_words(u):
-    assert transpose(insertion_tableau(u)) == insertion_tableau(transpose_word(u))
+    assert transpose(insertion_tableau(u)) == insertion_tableau(u[::-1])
     assert evacuate(insertion_tableau(u)) == insertion_tableau(evac_word(u))
 
 
@@ -696,6 +689,7 @@ def test_dual_knuth_move_preconditions():
 
 
 _SMALL = ((1, 2), (3,))
+_SKEW = SkewTableau.from_rows(((None, 1), (2,)))  # inner corner (1, 1), outer (1, 3), (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -712,12 +706,27 @@ _SMALL = ((1, 2), (3,))
         (dual_knuth_move_word, ((1, 3, 2), 1.0)),
         (lambda node: cached_poset(3).node_id(node), (True,)),
         (lambda node: cached_poset(3).node_id(node), (False,)),
+        (partitions, (True,)),
+        (partitions, (2.0,)),
+        (all_standard_tableaux, (True,)),
+        (all_standard_tableaux, (2.0,)),
+        (jdt_slide, (_SKEW, (1.0, 1), "forward")),
+        (jdt_slide, (_SKEW, (True, 1), "forward")),
+        (jdt_slide, (_SKEW, (1, 3.0), "backward")),
+        (jdt_slide_trace, (_SKEW, (1.0, 1), "forward")),
+        (jdt_slide_trace, (_SKEW, (True, 3), "backward")),
+        (reverse_insert, (_SMALL, (1.0, 2))),
+        (reverse_insert, (_SMALL, (2, True))),
     ],
     ids=[
         "restrict-float-i", "restrict-float-j", "restrict-bool",
         "restrict_standardize-float", "restrict_standardize-str",
         "inner_tableau-float", "inner_tableau-bool", "dual_knuth_move-float",
         "dual_knuth_move_word-float", "node_id-True", "node_id-False",
+        "partitions-True", "partitions-float", "all_standard_tableaux-True",
+        "all_standard_tableaux-float", "jdt_slide-forward-float", "jdt_slide-forward-bool",
+        "jdt_slide-backward-float", "jdt_slide_trace-forward-float",
+        "jdt_slide_trace-backward-bool", "reverse_insert-float", "reverse_insert-bool",
     ],
 )
 def test_integer_arguments_refuse_non_ints(call, args):

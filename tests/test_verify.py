@@ -1,8 +1,10 @@
 import dataclasses
 import random
 from array import array
+from itertools import permutations
+from math import factorial
 import re
-import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,12 +21,9 @@ from sytkit.hopf import verify_interval_isomorphism
 from sytkit.knuthclass import KnuthClass, knuth_class
 from sytkit.permutation import (
     InvariantError,
-    all_words,
-    coxeter_length,
     descents_left,
     format_word,
     parse_word,
-    restrict_standardize,
 )
 from sytkit.tableau import (
     _dual_moves,
@@ -39,7 +38,6 @@ from sytkit.tableau import (
     shape_of,
 )
 from sytkit.verify import (
-    cover_witness_words,
     verify_antisymmetry,
     verify_descents_constant,
     verify_dual_knuth_connectivity,
@@ -53,6 +51,7 @@ from sytkit.verify import (
     verify_structural,
 )
 from sytkit.weakorder import _bits, _closure_fault, cached_poset, induced_covers, leq
+from word_oracle import cover_witness_words, dual_knuth_move_word, inversions_left, restrict_standardize
 
 
 # --- headline sweep ------------------------------------------------------------
@@ -816,7 +815,7 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
     for v in expected:
         broken_words.setdefault(tuple(v["segment"]), []).append(v["word"])
     assert {i for i, _ in broken_words} == set(range(n - 2, n))
-    assert all(0 < len(words) < len(list(all_words(n))) for words in broken_words.values())
+    assert all(0 < len(words) < factorial(n) for words in broken_words.values())
     assert restriction_oracle.suffix_walk(n) == (checked, expected)
     _, tables = _lift_tables(n)
     m, _, _, step = verify._restriction_lemma(posets, tables)[1]
@@ -855,7 +854,6 @@ def test_the_word_walks_make_no_tableau_from_a_word(monkeypatch):
     def refused(*args):
         raise AssertionError("a word-walking check made a tableau from a word")
 
-    monkeypatch.setattr(verify, "insertion_tableau", refused)
     monkeypatch.setattr(tableau, "insertion_tableau", refused)
     assert verify_restriction_insertion(6).checked == 10800
     assert verify_descents_constant(6).checked == 720
@@ -899,7 +897,7 @@ def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
     def node_of(word):
         return weakorder._insertion_id(word, inserting)
 
-    words = list(all_words(n))
+    words = list(permutations(range(1, n + 1)))
     images = verify._segment_images({m: cached_poset(m) for m in range(1, n + 1)}, n)
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     expected = [
@@ -1067,7 +1065,8 @@ def test_dual_knuth_connectivity_refuses_n_outside_the_lift(n):
 
 def test_elapsed_ms_times_the_check_alone(monkeypatch):
     # the poset and the lift tables are made before the stopwatch starts:
-    # slowed by 0.2 s a call, neither shows in a report's time
+    # each call advances a fake clock by 1000 s, and no report's time shows
+    # a step of it
     checks = [
         lambda: verify.CHECKS["inner-translation"](5, "order"),
         lambda: verify.CHECKS["special-cases"](5, "hook"),
@@ -1079,17 +1078,22 @@ def test_elapsed_ms_times_the_check_alone(monkeypatch):
     for check in checks:  # every table and layout made first
         check()
 
+    now = [0.0]
+    step_s = 1000.0
+
     def slowed(make):
         def slow(n):
-            time.sleep(0.2)
+            now[0] += step_s
             return make(n)
         return slow
 
+    monkeypatch.setattr("sytkit.report.time", SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(verify, "cached_poset", slowed(verify.cached_poset))
     monkeypatch.setattr(verify, "_lifted", slowed(verify._lifted))
     for check in checks:
         for report in check():
-            assert report.elapsed_ms < 200, report.check
+            assert report.elapsed_ms < step_s * 1000, report.check
+    assert now[0] > 0  # the patched calls ran, outside every stopwatch
 
 
 # --- determinism ------------------------------------------------------------------------------
@@ -1111,7 +1115,7 @@ def test_every_cover_has_adjacent_swap_witnesses_n5():
         sigma, tau = cover_witness_words(p, a, b)
         assert insertion_tableau(sigma) == p.nodes[a]
         assert insertion_tableau(tau) == p.nodes[b]
-        assert coxeter_length(tau) == coxeter_length(sigma) + 1
+        assert len(inversions_left(tau)) == len(inversions_left(sigma)) + 1
         diff = [j for j in range(5) if sigma[j] != tau[j]]
         assert len(diff) == 2 and diff[1] == diff[0] + 1
 
@@ -1155,8 +1159,6 @@ def test_two_row_translation_proof_skeleton(n, k):
             expect_s = inner_translate(p.nodes[a], sub, moved_sub)
             expect_t = inner_translate(p.nodes[b], sub, moved_sub)
             if {sigma[j], sigma[j + 1]} != {i, i + 2}:
-                from sytkit.permutation import dual_knuth_move_word
-
                 sigma_moved = dual_knuth_move_word(sigma, i)
                 tau_moved = dual_knuth_move_word(tau, i)
                 assert insertion_tableau(sigma_moved) == expect_s
@@ -1167,7 +1169,7 @@ def test_two_row_translation_proof_skeleton(n, k):
                     + (sigma_moved[j + 1], sigma_moved[j])
                     + sigma_moved[j + 2:]
                 )
-                assert coxeter_length(tau_moved) == coxeter_length(sigma_moved) + 1
+                assert len(inversions_left(tau_moved)) == len(inversions_left(sigma_moved)) + 1
                 seen_easy += 1
             else:
                 # the delicate case: confirm the conclusion and that some

@@ -20,7 +20,7 @@ from interval_oracle import is_isomorphic
 from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import InvariantError, inversions_left
+from sytkit.permutation import InvariantError
 from sytkit.tableau import (
     all_standard_tableaux,
     beside,
@@ -46,6 +46,7 @@ from sytkit.weakorder import (
     poset_to_json,
     to_dot,
 )
+from word_oracle import inversions_left
 
 
 # --- brute-force oracle -------------------------------------------------------
