@@ -172,12 +172,24 @@ def _ranked(rows: Rows) -> tuple[list[list[tuple[int, int]]], list[int]]:
     that a no longer holds) are below the step's exit letter;
     ``placed[a]`` is how many letters are placed at a.  Each step must
     take exactly its exit letter from a's letters, or ``InvariantError``
-    is raised: then a path of d steps has placed d letters, which keeps
-    every rank inside the walk's tables.
+    is raised (:func:`_checked_graph`), which keeps every rank inside the
+    walk's tables.
     """
-    masks, steps = _bump_graph(rows)
+    masks, steps = _checked_graph(rows)
     full = masks[0]
-    ranked = []
+    ranked = [
+        [(c, ((full ^ mask) & (1 << x) - 1).bit_count()) for c, x in out]
+        for mask, out in zip(masks, steps)
+    ]
+    return ranked, [(full ^ mask).bit_count() for mask in masks]
+
+
+def _checked_graph(rows: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """``knuthclass._bump_graph`` of the tableau, each step checked to take
+    exactly its exit letter from its node's letters, else
+    :class:`InvariantError`: then a path of d steps has placed d letters.
+    The walks of the product and of ``verify.verify_hook_eta`` read it."""
+    masks, steps = _bump_graph(rows)
     for mask, out in zip(masks, steps):
         for c, x in out:
             if masks[c] | 1 << x != mask or masks[c] == mask:
@@ -185,8 +197,7 @@ def _ranked(rows: Rows) -> tuple[list[list[tuple[int, int]]], list[int]]:
                     f"a reverse-bump step of {format_tableau(rows)} does not "
                     f"take exactly its letter {x}"
                 )
-        ranked.append([(c, ((full ^ mask) & (1 << x) - 1).bit_count()) for c, x in out])
-    return ranked, [(full ^ mask).bit_count() for mask in masks]
+    return masks, steps
 
 
 def _factors(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, Rows]:

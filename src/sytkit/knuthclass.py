@@ -18,8 +18,8 @@ reached, one step per corner, down to the empty tableau.  Each path from
 the tableau to the empty one spells one class word from its last letter,
 so the graph is the class's suffix trie with equal subtrees merged.  The
 class listing reads it from the empty end back, and
-``hopf.plactic_product`` walks it without listing a word.  Nothing is
-cached between calls.
+``hopf.plactic_product`` and ``verify.verify_hook_eta`` walk it without
+listing a word.  Nothing is cached between calls.
 """
 
 from __future__ import annotations

@@ -310,7 +310,12 @@ def rsk(word: Word) -> tuple[Rows, Rows]:
 
 
 def insertion_tableau(word: Word) -> Rows:
-    """Insertion tableau only; trusted input, used on hot enumeration paths."""
+    """Insertion tableau only, of a permutation checked by ``check_word``."""
+    return _insertion_tableau(check_word(word))
+
+
+def _insertion_tableau(word: Word) -> Rows:
+    """:func:`insertion_tableau` of any word of distinct letters, unchecked."""
     insert_rows: list[list[int]] = []
     for x in word:
         r = 0
@@ -340,7 +345,7 @@ def insert(rows: Rows, x: int) -> Rows:
         raise ValueError(f"letter must be a positive integer, got {x!r}")
     if any(x in row for row in rows):
         raise ValueError(f"letter {x} is already in the tableau")
-    return insertion_tableau(row_word(rows) + (x,))
+    return _insertion_tableau(row_word(rows) + (x,))
 
 
 def reverse_insert(rows: Rows, corner: Cell) -> tuple[Rows, int]:
@@ -667,7 +672,7 @@ def evacuate(rows: Rows) -> Rows:
 
 def _evacuate(rows: Rows) -> Rows:
     """:func:`evacuate` of a standard tableau, unchecked."""
-    return insertion_tableau(evac_word(row_word(rows)))
+    return _insertion_tableau(evac_word(row_word(rows)))
 
 
 def descent_set(rows: Rows) -> frozenset[int]:

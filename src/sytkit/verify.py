@@ -78,13 +78,14 @@ from collections.abc import Callable, Iterator
 from math import factorial
 from operator import xor
 
-from .hopf import verify_interval_isomorphism
+from .hopf import _checked_graph, verify_interval_isomorphism
 from .knuthclass import knuth_class
 from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word
 from .report import VerificationReport, stopwatch
 from .tableau import (
     _descents,
     _evacuate,
+    _hook_count,
     _inner_rows,
     _is_hook,
     _move_exchanges,
@@ -142,7 +143,7 @@ def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
     moved code is named through the same map; a code missing from it, or a
     move onto the node itself, raises ``InvariantError``."""
     if k not in _MOVES:
-        nodes, _, _, ids_of = _lifted(k)
+        nodes, _, ids_of = _lifted(k)
         shifts = range(0, 4 * k, 4)
         table = []
         for t, code in enumerate(ids_of):  # the map is made in id order
@@ -204,7 +205,7 @@ class _SweepLayout:
         n, nodes = p.n, p.nodes
         # the lift's code map is in id order; an order made on other nodes
         # (by hand, in tests) has its codes made node by node
-        lift_nodes, _, _, ids_of = _lifted(n)
+        lift_nodes, _, ids_of = _lifted(n)
         codes = list(ids_of) if nodes == lift_nodes else [_row_code(t) for t in nodes]
         width = (n + 1) // 2
 
@@ -257,7 +258,7 @@ class _SweepLayout:
         ]
 
     def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
-        subs, _, _, ids_of = _lifted(k)
+        subs, _, ids_of = _lifted(k)
         table = _size_moves(k)
         digits = (1 << 4 * k) - 1
         runs = []  # (size-k id, lo, hi)
@@ -475,13 +476,19 @@ def verify_hook_eta(k: int) -> VerificationReport:
     tableau.  Hooks whose corners hold other labels are outside the
     hypothesis and are counted as skipped.
 
-    The exit letters are read off the class: reverse bumping a corner
-    exits the last letter of the words listed through it, so the two
-    differ exactly when the words end in two letters.  Each prefix's
-    tableau is named by its node id, found by inserting the prefix from
-    the right through the lift's column-insertion tables
-    (``weakorder._insertion_id``): one popcount rank and one table lookup
-    per letter, with no tableau built."""
+    The class is read off the tableau's reverse-bump graph
+    (``hopf._checked_graph``), whose node 0 has one step per corner: its
+    exit letter is the last letter of the words through it, so the exit
+    letters differ exactly when the words end in two letters.  The words
+    with last letter x are the paths from the corners that exit x to the
+    graph's end, spelling each prefix from its last letter, so each group
+    is walked from there (:func:`_prefix_ids`) and every prefix is inserted
+    from the right through the lift's column-insertion tables, as
+    ``weakorder._insertion_id`` does, with equal states merged: no word is
+    listed unless a group fails, and no id is read off the graph.  The
+    graph is checked, not trusted: each step must take exactly its exit
+    letter, and the paths must number the tableau's hook-length count, the
+    size of its class (RSK), else ``InvariantError`` is raised."""
     _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
@@ -493,31 +500,40 @@ def verify_hook_eta(k: int) -> VerificationReport:
         for shape in partitions(k):
             if not _is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
+            size = _hook_count(shape)  # of each class of this shape (RSK)
             for tab in _standard_tableaux(shape):
                 labels = {tab[0][-1], tab[-1][0]}
                 if labels != {k, k - 1}:
                     skipped += 1
                     continue
                 checked += 1
-                by_last: dict[int, list[Word]] = {}
-                for word in knuth_class(tab).words:
-                    by_last.setdefault(word[-1], []).append(word)
-                # the last letters of the class words are the exit letters
-                # of the two corners, one each: one letter means they agree
+                masks, steps = _checked_graph(tab)
+                # last letter -> {prefix id: number of words}, for the
+                # last letters some word ends in
+                by_last = {}
+                for last in sorted({x for _, x in steps[0]}):
+                    ids = _prefix_ids(masks, steps, last, tables)
+                    if ids:
+                        by_last[last] = ids
+                words = sum(sum(ids.values()) for ids in by_last.values())
+                if words != size:
+                    raise InvariantError(
+                        f"the reverse-bump graph of {format_tableau(tab)} spells "
+                        f"{words} words, not the {size} of its shape"
+                    )
+                # the last letters are the exit letters of the two corners,
+                # one each: one letter means they agree
                 if len(by_last) == 1:
                     (eta,) = by_last
                     violations.append(
                         {"R": format_tableau(tab), "eta_top": eta, "eta_bottom": eta}
                     )
-                for last in sorted(by_last):
-                    group = by_last[last]
-                    if len(group) < 2:
+                for last, ids in by_last.items():
+                    if sum(ids.values()) < 2:
                         continue
                     checked += 1
-                    # every prefix is inserted anew: the class was listed
-                    # from these prefixes, so reading them off it checks nothing
-                    prefixes = {_insertion_id(w[:-1], tables) for w in group}
-                    if len(prefixes) != 1:
+                    if len(ids) != 1:
+                        group = [w for w in knuth_class(tab).words if w[-1] == last]
                         violations.append(
                             {
                                 "R": format_tableau(tab),
@@ -528,6 +544,40 @@ def verify_hook_eta(k: int) -> VerificationReport:
     return VerificationReport(
         "hook-eta", {"k": k}, checked, violations, sw.ms, skipped=skipped
     )
+
+
+def _prefix_ids(masks, steps, last: int, tables) -> dict[int, int]:
+    """The prefixes u of the class words u.``last`` of a reverse-bump graph
+    (``knuthclass._bump_graph``): each one's insertion id among the nodes
+    of its size, with the number of words whose prefix it is.
+
+    The walk starts at the children of node 0's steps that exit ``last``
+    and places one letter per level from the right, as
+    ``hopf.plactic_product`` does: a state is a node and the id of the
+    suffix placed so far, and prepending the exit letter y of a step costs
+    one popcount rank among the letters placed (the start's letters that
+    the node no longer holds) and one lookup in the tables of the new
+    length, ``tables[j - 1]`` holding those of size j for j = 1..k - 1.  Equal states are merged and their counts added: their futures
+    are the same.  Only paths that end at the graph's last node, the empty
+    tableau, are counted."""
+    start = masks[0] & ~(1 << last)
+    states: dict[int, dict[int, int]] = {}
+    for c, x in steps[0]:
+        if x == last:
+            counts = states.setdefault(c, {0: 0})
+            counts[0] += 1
+    for size_tables in tables:
+        following: dict[int, dict[int, int]] = {}
+        for a, counts in states.items():
+            placed = start ^ masks[a]
+            for c, y in steps[a]:
+                table = size_tables[(placed & (1 << y) - 1).bit_count()]
+                merged = following.setdefault(c, {})
+                for t, count in counts.items():
+                    t = table[t]
+                    merged[t] = merged.get(t, 0) + count
+        states = following
+    return states.get(len(steps) - 1, {})
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def descents_constant(n: int) -> tuple[int, list[dict]]:
 
 
 def suffix_walk(n: int) -> tuple[int, list[dict]]:
-    nodes, _, _, _ = verify._lifted(n)
+    nodes, _, _ = verify._lifted(n)
     tables = [verify._lifted(m)[1] for m in range(1, n + 1)]  # by suffix length
     checked = 0
     broken = []

@@ -1,12 +1,15 @@
 """``knuthclass.knuth_class`` (reverse bumping) against the Knuth-move walk
-in ``class_oracle``: the classes, the hook-eta report built on them and the
-``sytkit class`` output must agree exactly."""
+in ``class_oracle``: the classes, the hook-eta report (against the word
+listing of ``hook_eta_oracle`` on those classes) and the ``sytkit class``
+output must agree exactly."""
 
 import json
 
 import pytest
 
 import class_oracle as oracle
+import hook_eta_oracle
+from conftest import broken_lift, table_faults
 import sytkit.cli as cli
 import sytkit.weakorder as weakorder
 from sytkit import verify
@@ -68,22 +71,37 @@ def _counts(report):
     return report.checked, report.skipped, report.violations
 
 
+def _oracle_words(k):
+    """The Knuth-move classes of the hook-eta tableaux of size k, as a
+    lookup for ``hook_eta_oracle``."""
+    return {tab: oracle.class_words(tab) for tab in hook_eta_tableaux(k)}.__getitem__
+
+
 @pytest.mark.parametrize("k", range(5, 10))
-def test_hook_eta_report_is_the_same_on_oracle_classes(monkeypatch, k):
-    fast = verify.verify_hook_eta(k)
-    monkeypatch.setattr(verify, "knuth_class", oracle_class)
-    assert _counts(fast) == _counts(verify.verify_hook_eta(k))
+def test_hook_eta_report_is_the_same_on_oracle_classes(k):
+    # the graph walk against listing the Knuth-move classes and inserting
+    # every prefix
+    assert _counts(verify.verify_hook_eta(k)) == hook_eta_oracle.hook_eta(k, _oracle_words(k))
 
 
 def test_hook_eta_violations_are_the_same_on_oracle_classes(monkeypatch):
-    # with prefixes "inserted" to themselves every group of two or more
-    # words is a violation, so the listed words of each are compared too
-    monkeypatch.setattr(verify, "_insertion_id", lambda word, tables: word)
-    fast = verify.verify_hook_eta(6)
-    assert fast.violations
-    assert all(v["words"] == sorted(v["words"]) for v in fast.violations)
-    monkeypatch.setattr(verify, "knuth_class", oracle_class)
-    assert _counts(fast) == _counts(verify.verify_hook_eta(6))
+    # every single-entry change of the size-3 and size-4 column tables, at
+    # k = 5 and 6: the walk and the word oracle insert the same prefixes
+    # through the same tables, so they report the same violations, each
+    # group's words listed in order
+    faults = table_faults()
+    assert len(faults) == 18 + 144
+    words = {k: _oracle_words(k) for k in (5, 6)}
+    flagged = {5: 0, 6: 0}
+    for fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_lifted", broken_lift(*fault))
+            for k in (5, 6):
+                walked = verify.verify_hook_eta(k)
+                assert _counts(walked) == hook_eta_oracle.hook_eta(k, words[k]), (fault, k)
+                assert all(v["words"] == sorted(v["words"]) for v in walked.violations)
+                flagged[k] += bool(walked.violations)
+    assert flagged == {5: 90, 6: 144}
 
 
 def _class_outputs(capsys, tab):

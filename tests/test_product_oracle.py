@@ -7,11 +7,11 @@ word: the same terms in the same order, also when a table or a graph is
 broken and the product raises."""
 
 import random
-from array import array
 
 import pytest
 
 import product_oracle as oracle
+from conftest import broken_lift
 import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
 import sytkit.tableau as tableau
@@ -68,17 +68,6 @@ def test_the_product_makes_no_tableau_from_a_word(monkeypatch):
     monkeypatch.setattr(tableau, "insert", refuse)
     got = plactic_product(((1, 3), (2,)), ((1, 2, 4), (3,))).terms
     assert list(got.items()) == list(expected.items())
-
-
-def broken_lift(size, x, t, wrong):
-    """``weakorder._lifted`` with ``tables[x][t]`` of the size-``size``
-    tables replaced by ``wrong``, in a copy: the shared entry is kept."""
-    lifted = weakorder._lifted
-    nodes, tables, edges, ids_of = lifted(size)
-    tables = [array("H", table) for table in tables]
-    tables[x][t] = wrong
-    entry = (nodes, tables, edges, ids_of)
-    return lambda m: entry if m == size else lifted(m)
 
 
 def test_a_broken_column_table_is_an_invariant_error(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import jdt_oracle as oracle
+import sytkit.tableau as tableau
 import move_oracle
 from conftest import tableaux, words
 from sytkit.permutation import InvariantError, ParseError, descents_left, evac_word
@@ -17,6 +18,7 @@ from sytkit.knuthclass import knuth_class
 from sytkit.tableau import (
     SkewTableau,
     _dual_moves,
+    _insertion_tableau,
     addable_cells,
     all_standard_tableaux,
     beside,
@@ -205,7 +207,35 @@ def test_reverse_insert_on_other_letters():
     tab = ((2, 5), (7,))
     assert reverse_insert(tab, (2, 1)) == (((2, 7),), 5)
     assert reverse_insert(tab, (1, 2)) == (((2,), (7,)), 5)
-    assert insertion_tableau((2, 7, 5)) == tab
+    assert _insertion_tableau((2, 7, 5)) == tab  # the public form takes permutations only
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((1, 1), r"not a permutation of 1\.\.2: \(1, 1\)"),
+        ((1.5, 2), "word letters must be integers, got 1.5"),
+        ((True,), "word letters must be integers, got True"),
+        ((), "empty word"),
+        ((2, 7, 5), "not a permutation of 1..3"),
+    ],
+)
+def test_insertion_tableau_checks_its_word(word, message):
+    with pytest.raises(ValueError, match=message):
+        insertion_tableau(word)
+
+
+def test_insert_and_evacuate_check_no_word(monkeypatch):
+    # their words are made from checked tableaux, and insert's may hold
+    # any distinct letters: both call the unchecked kernel
+    def refuse(word):
+        raise AssertionError("a word was checked")
+
+    monkeypatch.setattr(tableau, "check_word", refuse)
+    assert insert(((2, 5), (7,)), 3) == ((2, 3), (5,), (7,))
+    assert evacuate(((1, 2), (3,))) == ((1, 3), (2,))
+    with pytest.raises(AssertionError, match="a word was checked"):
+        insertion_tableau((2, 1))
 
 
 def test_reverse_insert_then_insert_is_identity_n5():
@@ -219,7 +249,7 @@ def test_reverse_insert_exit_matches_class_words():
     tab = parse_tableau("1,3/2,4/5")
     up, eta = reverse_insert(tab, (3, 1))
     matching = [w for w in knuth_class(tab).words
-                if w[-1] == eta and insertion_tableau(w[:-1]) == up]
+                if w[-1] == eta and _insertion_tableau(w[:-1]) == up]
     assert matching
 
 

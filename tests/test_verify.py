@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from array import array
 from itertools import permutations
 from math import factorial
 import re
@@ -9,16 +8,20 @@ from types import SimpleNamespace
 import pytest
 
 from closure_oracle import closure
+from conftest import broken_lift, table_faults
 import descents_oracle
+import hook_eta_oracle
 import move_oracle
 import restriction_oracle
+import sytkit.hopf as hopf
+import sytkit.knuthclass as knuthclass
 import sytkit.tableau as tableau
 import sytkit.verify as verify
 import sytkit.weakorder as weakorder
 import translation_oracle as oracle
 from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.hopf import verify_interval_isomorphism
-from sytkit.knuthclass import KnuthClass, knuth_class
+from sytkit.knuthclass import knuth_class
 from sytkit.permutation import (
     InvariantError,
     descents_left,
@@ -353,7 +356,7 @@ def test_sweep_rejects_a_move_that_changes_the_shape(monkeypatch):
     # inner tableaux of shapes (4, 1) and (3, 2) have the same suffixes at
     # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell;
     # the move goes into the size-5 table of a fresh move cache
-    subs, _, _, ids_of = weakorder._lifted(5)
+    subs, _, ids_of = weakorder._lifted(5)
     moved = ids_of[weakorder._row_code(parse_tableau("1,2,3/4,5"))]
     table = [((1, moved),) if shape_of(sub) == (4, 1) else () for sub in subs]
     monkeypatch.setattr(verify, "_MOVES", {5: table})
@@ -368,9 +371,9 @@ def _without_a_size_3_node(monkeypatch):
     and a copy of the size-5 order to lay out with it."""
     p = dataclasses.replace(cached_poset(5))
     lifted = dict(weakorder._LIFTED)
-    subs, tables, edges, ids_of = lifted[3]
+    subs, tables, ids_of = lifted[3]
     gone = ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
-    lifted[3] = (subs, tables, edges, {c: t for c, t in ids_of.items() if t != gone})
+    lifted[3] = (subs, tables, {c: t for c, t in ids_of.items() if t != gone})
     monkeypatch.setattr(weakorder, "_LIFTED", lifted)
     return p
 
@@ -594,7 +597,8 @@ def test_the_stretch_checks_make_no_below(monkeypatch):
     for n in range(7, 10):
         assert verify.verify_evac_transpose_monotone(n).passed
     posets = weakorder._POSET_CACHE
-    assert sorted(posets) == [7, 8, 9]
+    # each order is lifted from the covers of the one a size down
+    assert sorted(posets) == list(range(1, 10))
     assert not any("below" in p._cache for p in posets.values())
 
 
@@ -677,19 +681,59 @@ def test_hook_eta_clean(k):
     assert report.passed, report.violations
 
 
-def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
-    # each class cut to its words through the top corner: their last
-    # letters, the two exit letters, then agree
-    def top_corner_words(rows):
-        cls = knuth_class(rows)
-        return KnuthClass(rows, frozenset(w for w in cls.words if w[-1] == rows[0][-1]))
+def _hook_graphs(monkeypatch, change):
+    """The reverse-bump graphs that the hook-eta walk and the class listing
+    read, with ``change(steps)`` applied to every tableau's steps."""
+    graph = knuthclass._bump_graph
 
-    monkeypatch.setattr(verify, "knuth_class", top_corner_words)
+    def changed(rows):
+        masks, steps = graph(rows)
+        return masks, change(steps)
+
+    monkeypatch.setattr(hopf, "_bump_graph", changed)
+    monkeypatch.setattr(knuthclass, "_bump_graph", changed)
+
+
+def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
+    # each graph cut to its top corner, taken twice: the two exit letters
+    # then agree, and at k = 5 the one shape 3,1,1 has as many words
+    # through either corner (3 and 3), so the paths still number its hook
+    # count and the report is made, equal to the word oracle's on the
+    # paths of the cut graphs
+    _hook_graphs(monkeypatch, lambda steps: [steps[0][:1] * 2, *steps[1:]])
     report = verify_hook_eta(5)
     eta = [v for v in report.violations if "eta_top" in v]
     assert eta[0] == {"R": "1,3,5/2/4", "eta_top": 5, "eta_bottom": 5}
     assert len(eta) == 4
     assert all(v["eta_top"] == v["eta_bottom"] == parse_tableau(v["R"])[0][-1] for v in eta)
+    expected = hook_eta_oracle.hook_eta(5, knuthclass._class_words)
+    assert (report.checked, report.skipped, report.violations) == expected
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["the bottom corner", "the last step of the first node with two"],
+)
+def test_hook_eta_refuses_a_graph_that_drops_a_path(monkeypatch, where):
+    # the walk counts the paths against the hook-length count of the shape
+    def drop(steps):
+        a = 0 if where == "the bottom corner" else next(
+            a for a, out in enumerate(steps) if a and len(out) > 1
+        )
+        return [out[:-1] if b == a else out for b, out in enumerate(steps)]
+
+    _hook_graphs(monkeypatch, drop)
+    message = r"^the reverse-bump graph of 1,3,5/2/4 spells [0-5] words, not the 6 of its shape$"
+    with pytest.raises(InvariantError, match=message):
+        verify_hook_eta(5)
+
+
+def test_hook_eta_refuses_a_step_that_takes_another_letter(monkeypatch):
+    # the test the product's walk makes of every step
+    _hook_graphs(monkeypatch, lambda steps: [[(c, 1) for c, _ in steps[0]], *steps[1:]])
+    message = r"^a reverse-bump step of 1,3,5/2/4 does not take exactly its letter 1$"
+    with pytest.raises(InvariantError, match=message):
+        verify_hook_eta(5)
 
 
 def test_hook_eta_guards():
@@ -867,16 +911,6 @@ def test_structural_word_walks_at_n7_check_every_word():
     assert (descents.checked, descents.passed) == (5040, True)
 
 
-def _broken_lift(size, x, t, wrong):
-    """``verify._lifted`` with entry t of the size-``size`` table of the
-    letter x + 1 changed to ``wrong``."""
-    real = verify._lifted
-    nodes, tables, edges, ids_of = real(size)
-    tables = [array(table.typecode, table) for table in tables]
-    tables[x][t] = wrong
-    return lambda k: (nodes, tables, edges, ids_of) if k == size else real(k)
-
-
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
     # one entry of the size-3 column tables is wrong: 1 inserted into the
@@ -885,13 +919,13 @@ def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
     # every word and every restricted word through the same tables would
     # give, words in lexicographic order, then segments in order.  Both
     # lemmas fail at m = 3, and every word they report is on those lists
-    nodes, tables, _, _ = weakorder._lifted(3)
+    nodes, tables, _ = weakorder._lifted(3)
     right = tables[0][1]
     wrong = next(
         b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
     )
     clean_checked = (verify_restriction_insertion(n).checked, verify_descents_constant(n).checked)
-    monkeypatch.setattr(verify, "_lifted", _broken_lift(3, 0, 1, wrong))
+    monkeypatch.setattr(verify, "_lifted", broken_lift(3, 0, 1, wrong))
     inserting = [verify._lifted(m)[1] for m in range(1, n + 1)]
 
     def node_of(word):
@@ -926,19 +960,12 @@ def test_the_lemmas_flag_every_table_fault_the_walks_flag(monkeypatch):
     # every single-entry change of the size-3 and size-4 column tables, at
     # n = 5: by the induction, a word the walk flags makes a failing lemma
     # instance, and each is reported as a word the walk flags too
-    faults = [
-        (size, x, t, wrong)
-        for size in (3, 4)
-        for x, table in enumerate(weakorder._lifted(size)[1])
-        for t, right in enumerate(table)
-        for wrong in range(len(weakorder._lifted(size)[0]))
-        if wrong != right
-    ]
+    faults = table_faults()
     assert len(faults) == 18 + 144
     flagged = [0, 0]
     for fault in faults:
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_lifted", _broken_lift(*fault))
+            patch.setattr(verify, "_lifted", broken_lift(*fault))
             for s, (check, walk) in enumerate((
                 (verify_restriction_insertion, restriction_oracle.suffix_walk),
                 (verify_descents_constant, descents_oracle.suffix_walk),
@@ -956,12 +983,12 @@ def test_a_failing_instance_that_no_word_replays_is_named(monkeypatch):
     # the size-3 fault above, at m = 3, t = 1,2, x = 1; with row words
     # read backwards, the tables insert the row word of 1,2 to 1/2, so no
     # word is made and the instance is named
-    nodes, tables, _, _ = weakorder._lifted(3)
+    nodes, tables, _ = weakorder._lifted(3)
     right = tables[0][1]
     wrong = next(
         b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
     )
-    monkeypatch.setattr(verify, "_lifted", _broken_lift(3, 0, 1, wrong))
+    monkeypatch.setattr(verify, "_lifted", broken_lift(3, 0, 1, wrong))
     monkeypatch.setattr(verify, "row_word", lambda rows: tableau.row_word(rows)[::-1])
     instance = [{"m": 3, "T": "1,2", "x": 1}]
     for n in (3, 5):
