@@ -24,7 +24,13 @@ For fixed shapes, the intervals of all (left, right) choices are
 isomorphic.  The check writes the isomorphism down instead of searching for
 one: relabel the left factor's inner tableau, evacuate, relabel the other
 factor's, evacuate back.  Every map is tested; a violation means that this
-natural map is not an isomorphism, not that none exists.
+natural map is not an isomorphism, not that none exists.  The maps are
+read on the lift's ids, no tableau made per member: a relabeling is a
+splice of row codes and one lookup in the lift's code map, evacuation one
+read of an id table (``weakorder._symmetries``), and the ends of each
+interval are spliced from the factors' codes.  The tableau forms
+(``tableau._relabel_inner``, ``_evacuate``, ``_beside``, ``_over``) stay
+the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -38,11 +44,9 @@ from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
     _beside,
-    _evacuate,
     _hook_count,
     _inner_rows,
     _over,
-    _relabel_inner,
     _restrict,
     _standard_tableaux,
     check_standard,
@@ -56,7 +60,10 @@ from .weakorder import (
     Interval,
     TableauPoset,
     _bits,
+    _check_lift_nodes,
     _lifted,
+    _row_code,
+    _symmetries,
     cached_poset,
     canonical_key,
     interval,
@@ -251,6 +258,29 @@ def _is_isomorphism(reach, base: int, image: dict[int, int], target: int) -> boo
     )
 
 
+def _forms(m: int, tabs) -> list[tuple[int, int, int]]:
+    """Per standard tableau of size m: the row codes of it, of its
+    transpose and of its evacuation, the last two read from the size-m id
+    tables (``weakorder._symmetries``)."""
+    ids_of = _lifted(m)[2]
+    codes = list(ids_of)  # the map is made in id order
+    evacuation, transposition = _symmetries(m)
+    out = []
+    for t in tabs:
+        a = ids_of[_row_code(t)]
+        out.append((codes[a], codes[transposition[a]], codes[evacuation[a]]))
+    return out
+
+
+def _ends(n: int, k: int, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, int]:
+    """The size-n ids of ``_beside`` and ``_over`` of L and R, from their
+    :func:`_forms`: beside is the row code of L with that of R above its k
+    digits, and over is the transpose of beside of the two transposes."""
+    ids_of = _lifted(n)[2]
+    turned = ids_of[left[1] | right[1] << 4 * k]
+    return ids_of[left[0] | right[0] << 4 * k], _symmetries(n)[1][turned]
+
+
 def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationReport:
     """Product intervals depend only on the two shapes: for fixed shapes,
     every (left, right) choice gives an interval isomorphic to that of the
@@ -265,43 +295,65 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
     and the map must be an isomorphism onto the (L, R) interval
     (:func:`_is_isomorphism`).  A violation means that this map is not an
     isomorphism; the two intervals may still be isomorphic by another.
+
+    No tableau is made per member.  The order's ids must be the lift's,
+    else :class:`InvariantError`; a relabeling then replaces the lowest
+    digits of a member's row code (``weakorder._row_code``) with the code
+    of the new inner tableau, one lookup in the lift's code map names the
+    result, and evacuation is one read of the size-n id table
+    (``weakorder._symmetries``).  The ends of each interval come from
+    :func:`_ends`.
     """
     if check_int(k, "k") < 1 or check_int(l, "l") < 1 or k + l > MAX_POSET_N:
         raise ValueError(f"need k, l >= 1 and k + l <= {MAX_POSET_N}")
-    p = cached_poset(k + l)
+    n = k + l
+    p = cached_poset(n)
+    _check_lift_nodes(p)
     checked = 0
     violations = []
     with stopwatch() as sw:
+        ids_of = _lifted(n)[2]
+        codes = list(ids_of)  # the map is made in id order
+        evacuation = _symmetries(n)[0]
+        reach, below = p.reach, p.below
+        low_k, low_l = (1 << 4 * k) - 1, (1 << 4 * l) - 1
+        sides = []  # (shape, its tableaux, their forms) per right shape
+        for shape_right in partitions(l):
+            rights = _standard_tableaux(shape_right)
+            sides.append((shape_right, rights, _forms(l, rights)))
         for shape_left in partitions(k):
             lefts = _standard_tableaux(shape_left)
-            for shape_right in partitions(l):
-                rights = _standard_tableaux(shape_right)
+            left_forms = _forms(k, lefts)
+            for shape_right, rights, right_forms in sides:
                 left0, right0 = lefts[0], rights[0]
-                base = _product_mask(p, left0, right0)
+                bottom, top = _ends(n, k, left_forms[0], right_forms[0])
+                base = reach[bottom] & below[top]
                 members = _bits(base)
-                tabs = [p.nodes[a] for a in members]
-                base_ok = all(_inner_rows(t, k) == left0 for t in tabs)
-                evac_right0 = _evacuate(right0)
-                for left in lefts:
-                    # eps(rho_{L0 -> L}(T)) per member; None when some base
-                    # member or image breaks the relabeling's precondition
+                # the members' codes with the digits of 1..k cleared
+                highs = [codes[a] & ~low_k for a in members]
+                base_ok = all(codes[a] & low_k == left_forms[0][0] for a in members)
+                evac_right0 = right_forms[0][2]
+                for left, left_form in zip(lefts, left_forms):
+                    # eps(rho_{L0 -> L}(T)) per member, its digits of 1..l
+                    # cleared; None when some base member or image breaks
+                    # the relabeling's precondition
                     halves = None
                     if base_ok:
-                        halves = [_evacuate(_relabel_inner(t, left)) for t in tabs]
-                        if any(_inner_rows(e, l) != evac_right0 for e in halves):
-                            halves = None
-                    for right in rights:
+                        evacuated = [codes[evacuation[ids_of[h | left_form[0]]]] for h in highs]
+                        if all(e & low_l == evac_right0 for e in evacuated):
+                            halves = [e & ~low_l for e in evacuated]
+                    for right, right_form in zip(rights, right_forms):
                         if (left, right) == (left0, right0):
                             continue
                         checked += 1
                         if halves is not None:
-                            evac_right = _evacuate(right)
+                            evac_right = right_form[2]
                             image = {
-                                a: p.index[_evacuate(_relabel_inner(e, evac_right))]
+                                a: evacuation[ids_of[e | evac_right]]
                                 for a, e in zip(members, halves)
                             }
-                            target = _product_mask(p, left, right)
-                            if _is_isomorphism(p.reach, base, image, target):
+                            bottom, top = _ends(n, k, left_form, right_form)
+                            if _is_isomorphism(reach, base, image, reach[bottom] & below[top]):
                                 continue
                         violations.append(
                             {

@@ -61,7 +61,11 @@ chain of tested covers.
 
 Restriction images are composed from two one-step tables per size, hi
 (drop the largest letter) and lo (drop 1 and rectify), as jeu de taquin
-confluence allows (the tests check them against ``tableau._restrict``).
+confluence allows, both by lift id (:func:`_one_step`).  hi clears the
+top digit of a row code; lo goes through evacuation, as dropping 1 and
+rectifying is dropping the largest letter conjugated by evacuation (the
+tests check both against ``tableau._restrict``).  Evacuation and
+transposition are the lift's id tables (``weakorder._symmetries``).
 No check walks the n! words: each statement about every word follows, by
 induction on its length, from one lemma per size m, size m - 1 node t and
 letter x on the lift's column tables C_m (``weakorder._lifted``), as P(x.w)
@@ -84,14 +88,11 @@ from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, 
 from .report import VerificationReport, stopwatch
 from .tableau import (
     _descents,
-    _evacuate,
     _hook_count,
     _inner_rows,
     _is_hook,
     _move_exchanges,
-    _restrict,
     _standard_tableaux,
-    _transpose,
     format_tableau,
     partitions,
     row_word,
@@ -101,11 +102,13 @@ from .weakorder import (
     MAX_POSET_N,
     TableauPoset,
     _bits,
+    _check_lift_nodes,
     _check_poset_size,
     _closure_fault,
     _insertion_id,
     _lifted,
     _row_code,
+    _symmetries,
     _unpreserved,
     _unpreserved_covers,
     cached_poset,
@@ -420,9 +423,7 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     in the report details.
     """
     p = cached_poset(6)
-    # the moves are read by size-6 id, which must be the node id
-    if p.nodes != _lifted(6)[0]:
-        raise InvariantError("the size-6 order's nodes are not the lift's size-6 tableaux")
+    _check_lift_nodes(p)  # the moves are read by size-6 id, which must be the node id
     with stopwatch() as sw:
         descents = [_descents(t) for t in p.nodes]
         moves = [dict(m) for m in _size_moves(6)]
@@ -557,8 +558,9 @@ def _prefix_ids(masks, steps, last: int, tables) -> dict[int, int]:
     suffix placed so far, and prepending the exit letter y of a step costs
     one popcount rank among the letters placed (the start's letters that
     the node no longer holds) and one lookup in the tables of the new
-    length, ``tables[j - 1]`` holding those of size j for j = 1..k - 1.  Equal states are merged and their counts added: their futures
-    are the same.  Only paths that end at the graph's last node, the empty
+    length, ``tables[j - 1]`` holding those of size j for j = 1..k - 1.
+    Equal states are merged and their counts added: their futures are the
+    same.  Only paths that end at the graph's last node, the empty
     tableau, are counted."""
     start = masks[0] & ~(1 << last)
     states: dict[int, dict[int, int]] = {}
@@ -659,49 +661,58 @@ def verify_descents_constant(n: int) -> VerificationReport:
     return VerificationReport(check, {"n": n}, factorial(n), violations, sw.ms)
 
 
-def _one_step(p: TableauPoset, q: TableauPoset) -> tuple[list[int], list[int]]:
-    """For the size-m poset ``p`` and the size m - 1 poset ``q``: the ids in
-    ``q`` of every node of ``p`` restricted to [1, m - 1] (its m dropped)
-    and to [2, m] (its 1 dropped and the rest rectified).  Made once per
-    poset and kept on it."""
-    if "steps" not in p._cache:
-        m = p.n
-        p._cache["steps"] = (
-            [q.index[_restrict(t, 1, m - 1)] for t in p.nodes],
-            [q.index[_restrict(t, 2, m)] for t in p.nodes],
-        )
-    return p._cache["steps"]
+# size m -> (hi, lo): per size-m node id, the size m - 1 ids of the node
+# restricted to [1, m - 1] and to [2, m], made once per size and process
+_STEPS: dict[int, tuple[list[int], list[int]]] = {}
 
 
-def _segment_images(posets: dict[int, TableauPoset], n: int) -> dict[tuple[int, int], list[int]]:
-    """Per segment [i, j] of 1..n, the id in ``posets[j - i + 1]`` of every
-    node of ``posets[n]`` restricted to it: i - 1 drops of the lowest letter,
+def _one_step(m: int) -> tuple[list[int], list[int]]:
+    """The size-m entry of ``_STEPS`` (m >= 2), made first when it is
+    missing, by lift id and with no tableau made.  hi (m dropped) is the
+    node's row code with its digit m - 1 cleared, named in the size m - 1
+    code map; lo (1 dropped and the rest rectified) is E_(m-1)[hi[E_m[t]]],
+    E being the evacuation tables of ``weakorder._symmetries``: evacuation
+    turns dropping the largest letter into dropping 1 and rectifying
+    (Schützenberger).  The tests compare both with jeu de taquin
+    (``tableau._restrict``) on every node for m <= 9."""
+    if m not in _STEPS:
+        smaller = _lifted(m - 1)[2]
+        keep = (1 << 4 * (m - 1)) - 1
+        hi = [smaller[code & keep] for code in _lifted(m)[2]]
+        evacuation, smaller_evacuation = _symmetries(m)[0], _symmetries(m - 1)[0]
+        _STEPS[m] = (hi, [smaller_evacuation[hi[e]] for e in evacuation])
+    return _STEPS[m]
+
+
+def _segment_images(n: int) -> dict[tuple[int, int], list[int]]:
+    """Per segment [i, j] of 1..n, the size j - i + 1 lift id of every
+    size-n lift node restricted to it: i - 1 drops of the lowest letter,
     then n - j drops of the largest, one :func:`_one_step` table lookup
     each.  By the confluence of jeu de taquin this is ``_restrict`` on the
     segment (the differential tests compare them on every tableau and
     segment for n <= 9)."""
     images = {}
-    low = list(range(len(posets[n].nodes)))  # restricted to [i, n]
+    low = list(range(len(_lifted(n)[0])))  # restricted to [i, n]
     for i in range(1, n):
         image = low
         for j in range(n, i, -1):
             images[i, j] = image
             m = j - i + 1
             if m > 2:
-                image = list(map(_one_step(posets[m], posets[m - 1])[0].__getitem__, image))
+                image = list(map(_one_step(m)[0].__getitem__, image))
         m = n - i + 1
         if m > 2:
-            low = list(map(_one_step(posets[m], posets[m - 1])[1].__getitem__, low))
+            low = list(map(_one_step(m)[1].__getitem__, low))
     return images
 
 
-def _restriction_lemma(posets, tables) -> tuple[int, tuple[int, int, int, int] | None]:
+def _restriction_lemma(tables) -> tuple[int, tuple[int, int, int, int] | None]:
     """The instances (m, t, x, step) tested (step 0 hi, 1 lo), in order, up
     to the first failing one, and that one or None."""
     tested = 0
     for m in range(3, len(tables) + 1):
-        steps, smaller = _one_step(posets[m], posets[m - 1]), tables[m - 2]
-        hi, lo = _one_step(posets[m - 1], posets[m - 2])
+        steps, smaller = _one_step(m), tables[m - 2]
+        hi, lo = _one_step(m - 1)
         for t in range(len(hi)):
             for x in range(1, m + 1):
                 u = tables[m - 1][x - 1][t]
@@ -725,15 +736,13 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
     C_(m-1)[x - 1][lo(t)] (:func:`_restriction_lemma`).  ``checked``
     counts the n! n(n - 1)/2 (word, segment) pairs so established."""
     _check_poset_size(n)
-    posets = {m: cached_poset(m) for m in range(1, n + 1)}
+    for m in range(1, n + 1):  # nodes are named by lift id, which must be each order's id
+        _check_lift_nodes(cached_poset(m))
     nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
-    for m, p in posets.items():  # the lemma names nodes by lift id, the images by poset id
-        if p.nodes != nodes[m - 1]:
-            raise InvariantError(f"the size-{m} order's nodes are not the lift's size-{m} tableaux")
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
     def failing(word: Word) -> list[dict]:
-        images, whole = _segment_images(posets, n), _insertion_id(word, tables)
+        images, whole = _segment_images(n), _insertion_id(word, tables)
         return [
             {"word": format_word(word), "segment": [i, j]}
             for i, j in segments
@@ -741,18 +750,22 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
         ]
 
     with stopwatch() as sw:
-        violations = _witness(nodes, tables, _restriction_lemma(posets, tables)[1], failing)
+        violations = _witness(nodes, tables, _restriction_lemma(tables)[1], failing)
     check, checked = "restriction-commutes-with-insertion", factorial(n) * len(segments)
     return VerificationReport(check, {"n": n}, checked, violations, sw.ms)
 
 
 def verify_restriction_monotone(n: int) -> VerificationReport:
-    """Order relations survive restriction to every letter segment."""
+    """Order relations survive restriction to every letter segment.  The
+    images are read by lift id (:func:`_segment_images`), so every order
+    read must be on the lift's nodes."""
     p = cached_poset(n)
     small = {m: cached_poset(m) for m in range(2, n + 1)}
+    for q in small.values():
+        _check_lift_nodes(q)
     with stopwatch() as sw:
         segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        images = _segment_images(small, n)
+        images = _segment_images(n)
         broken = []
         for s, (i, j) in enumerate(segments):
             q = small[j - i + 1]
@@ -777,11 +790,13 @@ def verify_restriction_monotone(n: int) -> VerificationReport:
 
 
 def verify_evac_transpose_monotone(n: int) -> VerificationReport:
-    """Evacuation preserves the order; transposition reverses it."""
+    """Evacuation preserves the order; transposition reverses it.  Both
+    maps are the lift's id tables (``weakorder._symmetries``), so the
+    order must be on the lift's nodes."""
     p = cached_poset(n)
+    _check_lift_nodes(p)
     with stopwatch() as sw:
-        evacuation = [p.index[_evacuate(t)] for t in p.nodes]
-        transpose = [p.index[_transpose(t)] for t in p.nodes]
+        evacuation, transpose = _symmetries(n)
         # reach is transitive when it is the closure of the covers, which is
         # what the covers-first test checks of p itself
         broken = [(a, b, 0) for a, b in _unpreserved_covers(p, evacuation, p.reach, True)]

@@ -14,7 +14,8 @@ kept for the larger ones, with its map from row code to node id, but no
 edge; the sweep layout of sytkit.verify names its runs through those maps,
 and the hook-eta check, the plactic product and the lemmas of
 sytkit.verify insert words through the tables, as :func:`_insertion_id`
-does.
+does.  Evacuation and transposition are id tables per size on the same
+nodes (:func:`_symmetries`), made from the size below and those tables.
 
 Every projected edge a -> b goes down in the id order (a > b), which is
 checked for every node: the id order is then a linear extension, so the
@@ -83,14 +84,15 @@ class TableauPoset:
     :func:`_closure_fault`.  The down-sets, :attr:`below`, are not stored:
     they are made on first read.  ``_cache`` keeps what is derived from
     the order, made on first use (``below``, the closure check of
-    :func:`_closure_fault`, and the translation sweep's layout and the
-    one-step restriction tables of sytkit.verify); two threads making the
-    same entry at once store equal values.  It is not an init field, so a
-    poset made by ``dataclasses.replace`` starts with an empty one.
+    :func:`_closure_fault`, and the translation sweep's layout of
+    sytkit.verify); two threads making the same entry at once store equal
+    values.  It is not an init field, so a poset made by
+    ``dataclasses.replace`` starts with an empty one.
 
     The lifted nodes and tables that :func:`build_poset` keeps for later
-    builds (``_LIFTED``) are as safe: two threads lifting the same size
-    store equal values for it, and no entry is ever mutated.
+    builds (``_LIFTED``) and the id tables of :func:`_symmetries` are as
+    safe: two threads making the same size store equal values for it, and
+    no entry is ever mutated.
     """
 
     n: int
@@ -305,6 +307,85 @@ def _lifted(k: int) -> tuple[tuple[Rows, ...], list[array], dict[int, int]]:
             tables = _column_tables(prev, ids_of, size)
             _LIFTED[size] = (nodes, [array("H", table) for table in tables], ids_of)
     return _LIFTED[k]
+
+
+def _check_lift_nodes(p: TableauPoset) -> None:
+    """Refuse an order whose nodes are not the lift's of its size, with
+    :class:`InvariantError`: the id tables of the lift then name its nodes."""
+    if p.nodes != _lifted(p.n)[0]:
+        n = p.n
+        raise InvariantError(f"the size-{n} order's nodes are not the lift's size-{n} tableaux")
+
+
+# size k -> (evacuation, transposition) as id tables on the size-k nodes of
+# the lift, as :func:`_symmetries` leaves them
+_SYMMETRIES: dict[int, tuple[array, array]] = {}
+
+
+def _symmetries(k: int) -> tuple[array, array]:
+    """The size-k entry of ``_SYMMETRIES`` (k >= 1), made first when it is
+    missing, from the size k - 1 entry; no tableau is made.
+
+    Transposition: the largest letter k ends its row r, so it sits in
+    column ``len(t[r - 1])``, which becomes its row in the transpose, and
+    the rest is the size k - 1 transpose of t with k dropped (its row code
+    with digit k - 1 cleared).  Evacuation: T = P(x.w) is x
+    column-inserted into P(w) (the tables C_k[x] of
+    :func:`_column_tables`), and eps(T) = P(eps(w).(k + 1 - x)) by
+    Schützenberger, the row insertion of k + 1 - x into eps(w) with its
+    letters >= k + 1 - x raised; row insertion is column insertion
+    conjugated by transposition.  So eps_k[C_k[x][t]] is
+    Tr_k[C_k[k + 1 - x][Tr_(k-1)[eps_(k-1)[t]]]] for every size k - 1 node
+    t and letter x, which reaches every node.
+
+    Checked when made, else :class:`InvariantError`: both tables are
+    involutions on every node, evacuation keeps the shape and
+    transposition conjugates it."""
+    if k not in _SYMMETRIES:
+        nodes, tables, ids_of = _lifted(k)
+        count = len(nodes)
+        if k == 1:
+            evacuation, transposition = [0], [0]
+        else:
+            prev_evacuation, prev_transposition = _symmetries(k - 1)
+            prev_ids = _lifted(k - 1)[2]
+            prev_codes = list(prev_ids)  # the map is made in id order
+            shift = 4 * (k - 1)
+            keep = (1 << shift) - 1
+            transposition = []
+            for code, t in zip(ids_of, nodes):
+                rest = prev_codes[prev_transposition[prev_ids[code & keep]]]
+                column = len(t[(code >> shift) - 1])  # of the letter k
+                # a code missing from the map leaves the id ``count``, caught below
+                transposition.append(ids_of.get(rest | column << shift, count))
+            turned = [prev_transposition[e] for e in prev_evacuation]
+            evacuation = [count] * count
+            for x in range(1, k + 1):
+                row = tables[k - x]
+                for u, s in zip(tables[x - 1], turned):
+                    evacuation[u] = transposition[row[s]]
+        _check_symmetries(nodes, evacuation, transposition)
+        _SYMMETRIES[k] = (array("H", evacuation), array("H", transposition))
+    return _SYMMETRIES[k]
+
+
+def _check_symmetries(nodes: tuple[Rows, ...], evacuation: list[int], transposition: list[int]):
+    """Raise :class:`InvariantError` unless both tables are involutions on
+    ``nodes``, evacuation keeps each node's shape and transposition gives
+    the conjugate shape."""
+    shapes = [shape_of(t) for t in nodes]
+    conjugate = {s: tuple(sum(part > c for part in s) for c in range(s[0])) for s in set(shapes)}
+    for name, table, image in (
+        ("evacuation", evacuation, lambda s: s),
+        ("transposition", transposition, conjugate.__getitem__),
+    ):
+        for a, b in enumerate(table):
+            if b >= len(nodes) or table[b] != a:
+                at = format_tableau(nodes[a])
+                raise InvariantError(f"the {name} table is not an involution at {at}")
+            if shapes[b] != image(shapes[a]):
+                at = format_tableau(nodes[a])
+                raise InvariantError(f"the {name} table moves the shape of {at}")
 
 
 def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:

@@ -13,9 +13,10 @@ its walk: one depth-first walk over the words, built from the right.
 Each suffix carries the node id of its restriction to every segment, and
 prepending x changes only the segments holding x, each by one popcount
 rank and one lookup in the lift's column tables; the restriction side is
-the one-step tables of ``verify._segment_images``.  The lift, the orders
-and the images are read through ``verify`` so that a test that replaces
-them there breaks the walk too.  The body is copied here as written.
+the one-step tables of ``verify._segment_images``.  The lift and the
+images are read through ``verify`` so that a test that replaces them
+there breaks the walk too.  The body is copied here as written, but for
+the images, which are now read by lift id and need no order.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ def restriction_insertion(n: int) -> tuple[int, list[dict]]:
 
 
 def suffix_walk(n: int) -> tuple[int, list[dict]]:
-    posets = {m: verify.cached_poset(m) for m in range(1, n + 1)}
     tables = [verify._lifted(m)[1] for m in range(1, n + 1)]  # by restriction length
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     checked = 0
     broken = []
-    images = verify._segment_images(posets, n)
+    images = verify._segment_images(n)
     expected = list(zip(*(images[s] for s in segments)))  # per node a
     # per letter x, the segments [i, j] holding it: (index, bits i..j,
     # bits i..x - 1), bit y standing for letter y

@@ -299,3 +299,45 @@ def test_product_term_short_of_its_hook_count_is_an_invariant_error(monkeypatch)
         plactic_product(parse_tableau("1,2/3"), parse_tableau("1/2"))
     assert not isinstance(info.value, ValueError)
     assert str(info.value).startswith("shuffle words cover class")
+
+
+def test_relabeling_is_a_splice_of_row_codes():
+    # the lowest k digits of T's row code replaced by L's code, named in
+    # the code map, against the tableau form on every (T, k, L) of total
+    # at most 8 where L has the shape of T's inner tableau of size k
+    checked = 0
+    for n in range(2, 9):
+        ids_of = weakorder._lifted(n)[2]
+        for t in weakorder._lifted(n)[0]:
+            code = weakorder._row_code(t)
+            for k in range(1, n):
+                low = (1 << 4 * k) - 1
+                for sub in tableau._standard_tableaux(shape_of(tableau._inner_rows(t, k))):
+                    spliced = ids_of[code & ~low | weakorder._row_code(sub)]
+                    assert spliced == ids_of[weakorder._row_code(tableau._relabel_inner(t, sub))]
+                    checked += n == 8
+    assert checked == 33996
+
+
+def test_the_interval_ends_are_beside_and_over():
+    # hopf._ends against the tableau forms on every (L, R) of total <= 8
+    for n in range(2, 9):
+        index = {t: a for a, t in enumerate(weakorder._lifted(n)[0])}
+        for k in range(1, n):
+            lefts = weakorder._lifted(k)[0]
+            rights = weakorder._lifted(n - k)[0]
+            for left, left_form in zip(lefts, hopf._forms(k, lefts)):
+                for right, right_form in zip(rights, hopf._forms(n - k, rights)):
+                    assert hopf._ends(n, k, left_form, right_form) == (
+                        index[tableau._beside(left, right)],
+                        index[tableau._over(left, right)],
+                    )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_forms_are_the_codes_of_the_tableau_forms(m):
+    tabs = weakorder._lifted(m)[0]
+    code = weakorder._row_code
+    assert hopf._forms(m, tabs) == [
+        (code(t), code(tableau._transpose(t)), code(tableau._evacuate(t))) for t in tabs
+    ]

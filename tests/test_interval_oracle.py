@@ -4,17 +4,21 @@ orders both must count the same choices and pass.  On broken orders the
 search's violations (no isomorphism exists) must all be violations of the
 explicit map too; the map may fail where some other isomorphism exists."""
 
+from array import array
+
 import pytest
 
 import interval_oracle as oracle
 import sytkit.hopf as hopf
+import sytkit.verify as verify
+import sytkit.weakorder as weakorder
 from sytkit.hopf import _is_isomorphism, verify_interval_isomorphism
-from sytkit.tableau import _inner_rows, _relabel_inner, shape_of, size_of
+from sytkit.permutation import InvariantError
 from sytkit.weakorder import cached_poset
-from test_verify import _relations, _thinned
+from test_verify import _missing_node, _relations, _thinned
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_interval_isomorphism_matches_the_oracle(n):
     p = cached_poset(n)
     for k in range(1, n):
@@ -41,21 +45,55 @@ def test_interval_isomorphism_with_covers_dropped(monkeypatch, n, seed):
     assert found
 
 
-def _contract_checked_relabel(rows, sub_new):
-    """``_relabel_inner`` that first asserts its precondition: the tableau's
-    inner tableau of the replacement's size has the replacement's shape."""
-    assert shape_of(_inner_rows(rows, size_of(sub_new))) == shape_of(sub_new)
-    return _relabel_inner(rows, sub_new)
+def _with_evacuation(monkeypatch, n, change):
+    """The lift's id tables with ``change`` applied to a copy of the size-n
+    evacuation table; the tables of every other size stay as made."""
+    weakorder._symmetries(n)
+    tables = dict(weakorder._SYMMETRIES)
+    evacuation = list(tables[n][0])
+    change(evacuation)
+    tables[n] = (array("H", evacuation), tables[n][1])
+    monkeypatch.setattr(weakorder, "_SYMMETRIES", tables)
 
 
 def test_images_without_the_evacuated_inner_tableau_are_violations(monkeypatch):
     # with evacuation replaced by the identity, the images keep inner
     # tableau L, not eps R0: the check must say so, not relabel them anyway
-    monkeypatch.setattr(hopf, "_relabel_inner", _contract_checked_relabel)
-    monkeypatch.setattr(hopf, "_evacuate", lambda rows: rows)
+    def identity(table):
+        table[:] = range(len(table))
+
+    _with_evacuation(monkeypatch, 6, identity)
     report = verify_interval_isomorphism(3, 3)
     assert report.checked == 7
     assert report.violations
+
+
+def _fails(check, *args):
+    """Whether the check reports a violation or raises InvariantError."""
+    try:
+        return bool(check(*args).violations)
+    except InvariantError:
+        return True
+
+
+def test_two_swapped_evacuation_entries_never_pass(monkeypatch):
+    # the entries of 1,5,6/2/3/4 (id 20) and of each other size-6 node
+    # exchanged: both checks that read the table must fail.  (A swap among
+    # 1/2/3/4/5/6, 1,2,3,4,5/6 and 1,2,3,4,5,6 alone slips past interval
+    # isomorphism: it evacuates those three only for shape pairs with one
+    # choice of each factor, where no map is compared.  Evacuation-
+    # transpose still fails on it.)
+    for other in range(76):
+        if other == 20:
+            continue
+
+        def swapped(table):
+            table[20], table[other] = table[other], table[20]
+
+        with monkeypatch.context() as patch:
+            _with_evacuation(patch, 6, swapped)
+            assert any(_fails(verify_interval_isomorphism, k, 6 - k) for k in range(1, 6)), other
+            assert _fails(verify.verify_evac_transpose_monotone, 6), other
 
 
 def test_members_without_the_base_inner_tableau_are_violations(monkeypatch):
@@ -65,9 +103,17 @@ def test_members_without_the_base_inner_tableau_are_violations(monkeypatch):
     line = sorted(range(len(p.nodes)), key=lambda a: (p.below[a].bit_count(), a))
     total = _relations(p, p.nodes, list(zip(line, line[1:])))
     monkeypatch.setattr(hopf, "cached_poset", lambda m: total)
-    monkeypatch.setattr(hopf, "_relabel_inner", _contract_checked_relabel)
     report = verify_interval_isomorphism(3, 3)
     assert report.checked == len(report.violations) == 7
+
+
+def test_an_order_on_other_nodes_is_refused(monkeypatch):
+    # the maps are read by lift id, which must be the node id
+    broken = _missing_node(6, "1,2,3/4,5,6")
+    monkeypatch.setattr(hopf, "cached_poset", lambda m: broken)
+    message = "the size-6 order's nodes are not the lift's size-6 tableaux"
+    with pytest.raises(InvariantError, match=message):
+        verify_interval_isomorphism(3, 3)
 
 
 # --- the isomorphism test on hand-made masks --------------------------------------------

@@ -784,8 +784,7 @@ def _lift_tables(n):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_every_lemma_instance_is_tested_and_holds(n):
     nodes, tables = _lift_tables(n)
-    posets = {m: cached_poset(m) for m in range(1, n + 1)}
-    restriction = verify._restriction_lemma(posets, tables)
+    restriction = verify._restriction_lemma(tables)
     descents = verify._descent_lemma(nodes, tables)
     assert (restriction[1], descents[1]) == (None, None)
     assert (restriction[0], descents[0]) == LEMMA_INSTANCES[n]
@@ -822,12 +821,13 @@ def test_restriction_insertion_matches_the_oracle(n):
     assert (report.checked, report.violations) == restriction_oracle.restriction_insertion(n)
 
 
-def _break_a_segment(monkeypatch, n):
+def _break_a_segment(monkeypatch):
     """Dropping the 1 of a size-4 tableau comes out transposed on shape
     (2, 1) only, so the segments [i, j] with i >= n - 2, whose images pass
     through that step, break for some words of every class and not for
-    others.  The check reads its images off the one-step tables of fresh
-    posets; the oracle restricts each segment step by step."""
+    others.  The check reads its images off the one-step tables, here with
+    the size-4 lo table broken so; the oracle restricts each segment step
+    by step through the same broken step."""
     real = tableau._restrict
 
     def broken(rows, i, j):
@@ -842,18 +842,19 @@ def _break_a_segment(monkeypatch, n):
             rows = broken(rows, 1, m - 1)
         return rows
 
-    posets = {m: dataclasses.replace(cached_poset(m)) for m in range(1, n + 1)}
-    monkeypatch.setattr(verify, "cached_poset", lambda m: posets[m])
-    monkeypatch.setattr(verify, "_restrict", broken)
+    steps = {m: verify._one_step(m) for m in range(2, 10)}
+    subs, turn = weakorder._lifted(3)[0], weakorder._symmetries(3)[1]
+    hi, lo = steps[4]
+    steps[4] = (hi, [turn[t] if shape_of(subs[t]) == (2, 1) else t for t in lo])
+    monkeypatch.setattr(verify, "_STEPS", steps)
     monkeypatch.setattr(tableau, "_restrict", stepwise)
-    return posets
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypatch, n):
     # the lemma first fails at m = 4, dropping 1; each (word, segment) the
     # check reports is one that the per-word oracle and the walk list
-    posets = _break_a_segment(monkeypatch, n)
+    _break_a_segment(monkeypatch)
     checked, expected = restriction_oracle.restriction_insertion(n)
     broken_words = {}
     for v in expected:
@@ -862,7 +863,7 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
     assert all(0 < len(words) < factorial(n) for words in broken_words.values())
     assert restriction_oracle.suffix_walk(n) == (checked, expected)
     _, tables = _lift_tables(n)
-    m, _, _, step = verify._restriction_lemma(posets, tables)[1]
+    m, _, _, step = verify._restriction_lemma(tables)[1]
     assert (m, step) == (4, 1)
     report = verify_restriction_insertion(n)
     assert report.checked == checked
@@ -873,7 +874,7 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
 def test_a_restriction_witness_replays_through_insertion_and_restriction(monkeypatch, n):
     # the reported word, inserted by rows and restricted by jeu de taquin
     # (both through the module), fails on exactly the reported segments
-    _break_a_segment(monkeypatch, n)
+    _break_a_segment(monkeypatch)
     report = verify_restriction_insertion(n)
     (word,) = {v["word"] for v in report.violations}
     u = parse_word(word)
@@ -932,7 +933,7 @@ def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
         return weakorder._insertion_id(word, inserting)
 
     words = list(permutations(range(1, n + 1)))
-    images = verify._segment_images({m: cached_poset(m) for m in range(1, n + 1)}, n)
+    images = verify._segment_images(n)
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     expected = [
         {"word": format_word(u), "segment": [i, j]}
@@ -1011,12 +1012,34 @@ def test_restriction_insertion_refuses_an_order_on_other_nodes(capsys, monkeypat
     assert captured.err == f"internal error: {message}\n"
 
 
+@pytest.mark.parametrize("check", [verify_evac_transpose_monotone, verify.verify_restriction_monotone])
+def test_the_id_table_checks_refuse_an_order_on_other_nodes(monkeypatch, check):
+    # evacuation, transposition and the restriction images are read by
+    # lift id, which must be the node id
+    broken = _missing_node()
+    real = cached_poset
+    monkeypatch.setattr(verify, "cached_poset", lambda n: broken if n == 5 else real(n))
+    with pytest.raises(InvariantError, match="the size-5 order's nodes are not the lift's"):
+        check(5)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_one_step_tables_are_the_restrictions(m):
+    # hi from the row code, lo through evacuation, against jeu de taquin
+    # on every node
+    nodes = weakorder._lifted(m)[0]
+    index = {t: a for a, t in enumerate(weakorder._lifted(m - 1)[0])}
+    hi, lo = verify._one_step(m)
+    assert list(hi) == [index[tableau._restrict(t, 1, m - 1)] for t in nodes]
+    assert list(lo) == [index[tableau._restrict(t, 2, m)] for t in nodes]
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_segment_images_are_the_restrictions(n):
     # the one-step tables composed, against jeu de taquin on every
     # tableau and segment: slide-order independence is checked here
     posets = {m: cached_poset(m) for m in range(2, n + 1)}
-    images = verify._segment_images(posets, n)
+    images = verify._segment_images(n)
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     assert sorted(images) == segments
     for i, j in segments:

@@ -13,6 +13,8 @@ from itertools import permutations
 import pytest
 
 import projection_oracle
+import sytkit.hopf as hopf
+import sytkit.tableau as tableau
 import sytkit.verify as verify
 import sytkit.weakorder as weakorder
 import walk_oracle
@@ -602,6 +604,76 @@ def test_evacuation_preserves_the_hasse_diagram_n8():
     image = [p.index[evacuate(t)] for t in p.nodes]
     assert all(image[image[a]] == a for a in range(len(p.nodes)))
     assert {(image[a], image[b]) for a, b in p.covers} == set(p.covers)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_symmetry_tables_are_evacuation_and_transposition(n):
+    # the id tables made from the size below and the column tables,
+    # against the tableau forms on every node
+    nodes = weakorder._lifted(n)[0]
+    index = {t: a for a, t in enumerate(nodes)}
+    evacuation, transposition = weakorder._symmetries(n)
+    assert list(evacuation) == [index[tableau._evacuate(t)] for t in nodes]
+    assert list(transposition) == [index[tableau._transpose(t)] for t in nodes]
+
+
+def _symmetry_fault(change):
+    """The message of ``_check_symmetries`` on the size-5 tables with
+    ``change(evacuation, transposition, nodes)`` applied to copies."""
+    nodes = weakorder._lifted(5)[0]
+    evacuation, transposition = map(list, weakorder._symmetries(5))
+    change(evacuation, transposition, nodes)
+    with pytest.raises(InvariantError) as info:
+        weakorder._check_symmetries(nodes, evacuation, transposition)
+    return str(info.value)
+
+
+def _swap(table, a, b):
+    table[a], table[b] = table[b], table[a]
+
+
+def test_symmetry_tables_must_be_involutions():
+    # two entries of evacuation exchanged: 1/2/3/4/5 (id 0) now goes where
+    # the next node went, which does not come back
+    message = _symmetry_fault(lambda e, t, nodes: _swap(e, 0, 1))
+    assert message == "the evacuation table is not an involution at 1/2/3/4/5"
+    message = _symmetry_fault(lambda e, t, nodes: _swap(t, 0, 1))
+    assert message == "the transposition table is not an involution at 1/2/3/4/5"
+    # a node left without an image keeps the id past the last node
+    message = _symmetry_fault(lambda e, t, nodes: e.__setitem__(3, len(nodes)))
+    assert message.startswith("the evacuation table is not an involution at ")
+
+
+def test_symmetry_tables_must_keep_or_conjugate_the_shape():
+    # the identity is an involution, but transposes no shape but a
+    # self-conjugate one; evacuation swapped between two nodes of different
+    # shapes, both ways, stays an involution
+    def transposition_identity(e, t, nodes):
+        t[:] = range(len(t))
+
+    message = _symmetry_fault(transposition_identity)
+    assert message == "the transposition table moves the shape of 1/2/3/4/5"
+
+    def evacuation_across_shapes(e, t, nodes):
+        a, b = 0, len(nodes) - 1  # 1/2/3/4/5 and 1,2,3,4,5, both fixed
+        e[a], e[b] = b, a
+
+    message = _symmetry_fault(evacuation_across_shapes)
+    assert message == "the evacuation table moves the shape of 1/2/3/4/5"
+
+
+def test_the_symmetry_tables_are_made_once_per_size(monkeypatch):
+    # made from the size below, each once per process; no table is made by
+    # a product, an interval product or the public evacuate and transpose
+    monkeypatch.setattr(weakorder, "_SYMMETRIES", {})
+    left, right = parse_tableau("1,2/3"), parse_tableau("1,3/2,4")
+    hopf.plactic_product(left, right)
+    hopf.interval_product(left, right, cached_poset(7))
+    evacuate(parse_tableau("1,2,4/3,5")), transpose(parse_tableau("1,2,4/3,5"))
+    assert weakorder._SYMMETRIES == {}
+    first = weakorder._symmetries(6)
+    assert sorted(weakorder._SYMMETRIES) == list(range(1, 7))
+    assert weakorder._symmetries(6) is first
 
 
 def test_poset_counts_n9():
