@@ -191,18 +191,20 @@ def _ranked(rows: Rows) -> tuple[list[list[tuple[int, int]]], list[int]]:
     return ranked, [(full ^ mask).bit_count() for mask in masks]
 
 
-def _checked_graph(rows: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """``knuthclass._bump_graph`` of the tableau, each step checked to take
-    exactly its exit letter from its node's letters, else
+def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """``knuthclass._bump_graph`` below the tableaux, each step checked to
+    take exactly its exit letter from its node's letters, else
     :class:`InvariantError`: then a path of d steps has placed d letters.
-    The walks of the product and of ``verify.verify_hook_eta`` read it."""
-    masks, steps = _bump_graph(rows)
+    The product's walk reads the graph of one factor, and
+    ``verify.verify_hook_eta`` one graph below all the corner children of
+    one size."""
+    masks, steps = _bump_graph(*roots)
     for mask, out in zip(masks, steps):
         for c, x in out:
             if masks[c] | 1 << x != mask or masks[c] == mask:
                 raise InvariantError(
-                    f"a reverse-bump step of {format_tableau(rows)} does not "
-                    f"take exactly its letter {x}"
+                    f"a reverse-bump step of {', '.join(map(format_tableau, roots))} "
+                    f"does not take exactly its letter {x}"
                 )
     return masks, steps
 

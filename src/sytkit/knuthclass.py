@@ -18,8 +18,10 @@ reached, one step per corner, down to the empty tableau.  Each path from
 the tableau to the empty one spells one class word from its last letter,
 so the graph is the class's suffix trie with equal subtrees merged.  The
 class listing reads it from the empty end back, and
-``hopf.plactic_product`` and ``verify.verify_hook_eta`` walk it without
-listing a word.  Nothing is cached between calls.
+``hopf.plactic_product`` walks it without listing a word.
+``verify.verify_hook_eta`` builds one graph below several tableaux of one
+size, sub-tableaux they share made once, and walks it from each.  Nothing
+is cached between calls.
 """
 
 from __future__ import annotations
@@ -65,18 +67,21 @@ def _knuth_class(rows: Rows) -> KnuthClass:
     return KnuthClass(rows, distinct)
 
 
-def _bump_graph(rows: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """The reverse-bump graph of a tableau with distinct entries.
+def _bump_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The reverse-bump graph below one or more distinct tableaux of one
+    size, each with distinct entries.
 
-    Node 0 is the tableau and the nodes come in depth order, one level per
-    letter removed, so the empty tableau is the last node, the one end.
-    ``masks[a]`` holds node a's letters as bits; ``steps[a]`` holds one
-    (child, exit letter) pair per corner of node a, top row first, the
-    child being the sub-tableau left by reverse bumping that corner.
+    The roots are nodes 0, 1, ... in the order given, and the nodes come
+    in depth order, one level per letter removed, so the empty tableau is
+    the last node, the one end.  A sub-tableau reached from several roots
+    is one node.  ``masks[a]`` holds node a's letters as bits;
+    ``steps[a]`` holds one (child, exit letter) pair per corner of node a,
+    top row first, the child being the sub-tableau left by reverse
+    bumping that corner.
     """
-    ids = {rows: 0}
-    tabs = [rows]
-    masks = [sum(1 << x for row in rows for x in row)]
+    tabs = list(roots)
+    ids = {rows: a for a, rows in enumerate(tabs)}
+    masks = [sum(1 << x for row in rows for x in row) for rows in tabs]
     steps: list[list[tuple[int, int]]] = []
     # tabs grows as the loop runs: each level is found from the one before
     for a, tab in enumerate(tabs):

@@ -111,6 +111,11 @@ def dominance_leq(a, b) -> bool:
     b = check_partition(b)
     if sum(a) != sum(b):
         raise ValueError("dominance compares partitions of the same number")
+    return _dominance_leq(a, b)
+
+
+def _dominance_leq(a: Shape, b: Shape) -> bool:
+    """``dominance_leq`` of two partitions of the same number."""
     ta = tb = 0
     for r in range(max(len(a), len(b))):
         ta += a[r] if r < len(a) else 0

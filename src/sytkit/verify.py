@@ -72,12 +72,19 @@ letter x on the lift's column tables C_m (``weakorder._lifted``), as P(x.w)
 is x column-inserted into P(w) (Schensted), C_m[x][t] once w is
 standardized, and every tableau is P of some word.
 
+The hook-eta check lists no class word either.  Per k it makes one
+reverse-bump graph (``hopf._checked_graph``) below the standardized
+children of every hook tableau's two corners, walks it once per distinct
+child through the same column tables, and adds up the walks of each
+tableau's corners that share an exit letter (see :func:`verify_hook_eta`).
+
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 from math import factorial
 from operator import xor
@@ -87,11 +94,13 @@ from .knuthclass import knuth_class
 from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word
 from .report import VerificationReport, stopwatch
 from .tableau import (
+    Rows,
     _descents,
     _hook_count,
     _inner_rows,
     _is_hook,
     _move_exchanges,
+    _reverse_bump,
     _standard_tableaux,
     format_tableau,
     partitions,
@@ -477,27 +486,37 @@ def verify_hook_eta(k: int) -> VerificationReport:
     tableau.  Hooks whose corners hold other labels are outside the
     hypothesis and are counted as skipped.
 
-    The class is read off the tableau's reverse-bump graph
-    (``hopf._checked_graph``), whose node 0 has one step per corner: its
-    exit letter is the last letter of the words through it, so the exit
-    letters differ exactly when the words end in two letters.  The words
-    with last letter x are the paths from the corners that exit x to the
-    graph's end, spelling each prefix from its last letter, so each group
-    is walked from there (:func:`_prefix_ids`) and every prefix is inserted
-    from the right through the lift's column-insertion tables, as
-    ``weakorder._insertion_id`` does, with equal states merged: no word is
-    listed unless a group fails, and no id is read off the graph.  The
+    Each such tableau T is reverse-bumped at its two corners, top row
+    first, each step checked to take exactly its exit letter.  The exit
+    letter is the last letter of the words through the corner, so the
+    exit letters differ exactly when the words end in two letters, and
+    the prefixes of those words are the class of the corner's child
+    (Schensted 1961).  Each child is standardized, its letters above the
+    exit letter lowered by one: that keeps every rank among its letters,
+    and so every prefix's insertion id.  One reverse-bump graph is made
+    per k below all the distinct children (``hopf._checked_graph``), and
+    each child's class is walked once from its root (:func:`_prefix_ids`),
+    every prefix inserted from the right through the lift's
+    column-insertion tables, as ``weakorder._insertion_id`` does, with
+    equal states merged: no word is listed unless a group fails, and no id
+    is read off the graph.  The prefixes of T's words with last letter x
+    are those of the walks of its corners that exit x, counts added.  The
     graph is checked, not trusted: each step must take exactly its exit
-    letter, and the paths must number the tableau's hook-length count, the
-    size of its class (RSK), else ``InvariantError`` is raised."""
+    letter, and T's paths must number its hook-length count, the size of
+    its class (RSK), else ``InvariantError`` is raised."""
     _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
     tables = [_lifted(m)[1] for m in range(1, k)]
+    full = (2 << k) - 2  # the letters 1..k as bits
     checked = 0
     skipped = 0
     violations: list[dict] = []
     with stopwatch() as sw:
+        # per tableau checked, its hook-length count and per corner (exit
+        # letter, root of its standardized child)
+        hooks = []
+        roots: dict[Rows, int] = {}
         for shape in partitions(k):
             if not _is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
@@ -508,66 +527,74 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     skipped += 1
                     continue
                 checked += 1
-                masks, steps = _checked_graph(tab)
-                # last letter -> {prefix id: number of words}, for the
-                # last letters some word ends in
-                by_last = {}
-                for last in sorted({x for _, x in steps[0]}):
-                    ids = _prefix_ids(masks, steps, last, tables)
-                    if ids:
-                        by_last[last] = ids
-                words = sum(sum(ids.values()) for ids in by_last.values())
-                if words != size:
-                    raise InvariantError(
-                        f"the reverse-bump graph of {format_tableau(tab)} spells "
-                        f"{words} words, not the {size} of its shape"
-                    )
-                # the last letters are the exit letters of the two corners,
-                # one each: one letter means they agree
-                if len(by_last) == 1:
-                    (eta,) = by_last
-                    violations.append(
-                        {"R": format_tableau(tab), "eta_top": eta, "eta_bottom": eta}
-                    )
-                for last, ids in by_last.items():
-                    if sum(ids.values()) < 2:
-                        continue
-                    checked += 1
-                    if len(ids) != 1:
-                        group = [w for w in knuth_class(tab).words if w[-1] == last]
-                        violations.append(
-                            {
-                                "R": format_tableau(tab),
-                                "last_letter": last,
-                                "words": [format_word(w) for w in sorted(group)],
-                            }
+                corners = []
+                for r in (1, len(tab)):  # a hook's two corners
+                    sub, x = _reverse_bump(tab, r)
+                    mask = sum(1 << y for row in sub for y in row)
+                    if mask | 1 << x != full or mask == full:
+                        raise InvariantError(
+                            f"a reverse-bump step of {format_tableau(tab)} does not "
+                            f"take exactly its letter {x}"
                         )
+                    child = tuple(tuple(y - (y > x) for y in row) for row in sub)
+                    corners.append((x, roots.setdefault(child, len(roots))))
+                hooks.append((tab, size, sorted(corners)))
+        masks, steps = _checked_graph(*roots)
+        walks = [_prefix_ids(masks, steps, a, tables) for a in range(len(roots))]
+        for tab, size, corners in hooks:
+            # last letter -> {prefix id: number of words}, for the last
+            # letters some word ends in
+            by_last: dict[int, Counter] = {}
+            for last, a in corners:
+                if walks[a]:
+                    by_last.setdefault(last, Counter()).update(walks[a])
+            words = sum(sum(ids.values()) for ids in by_last.values())
+            if words != size:
+                raise InvariantError(
+                    f"the reverse-bump graph of {format_tableau(tab)} spells "
+                    f"{words} words, not the {size} of its shape"
+                )
+            # the last letters are the exit letters of the two corners,
+            # one each: one letter means they agree
+            if len(by_last) == 1:
+                (eta,) = by_last
+                violations.append(
+                    {"R": format_tableau(tab), "eta_top": eta, "eta_bottom": eta}
+                )
+            for last, ids in by_last.items():
+                if sum(ids.values()) < 2:
+                    continue
+                checked += 1
+                if len(ids) != 1:
+                    group = [w for w in knuth_class(tab).words if w[-1] == last]
+                    violations.append(
+                        {
+                            "R": format_tableau(tab),
+                            "last_letter": last,
+                            "words": [format_word(w) for w in sorted(group)],
+                        }
+                    )
     return VerificationReport(
         "hook-eta", {"k": k}, checked, violations, sw.ms, skipped=skipped
     )
 
 
-def _prefix_ids(masks, steps, last: int, tables) -> dict[int, int]:
-    """The prefixes u of the class words u.``last`` of a reverse-bump graph
+def _prefix_ids(masks, steps, root: int, tables) -> dict[int, int]:
+    """The words of a root's class in a reverse-bump graph
     (``knuthclass._bump_graph``): each one's insertion id among the nodes
-    of its size, with the number of words whose prefix it is.
+    of its size, with the number of words inserting to it.
 
-    The walk starts at the children of node 0's steps that exit ``last``
-    and places one letter per level from the right, as
-    ``hopf.plactic_product`` does: a state is a node and the id of the
-    suffix placed so far, and prepending the exit letter y of a step costs
-    one popcount rank among the letters placed (the start's letters that
-    the node no longer holds) and one lookup in the tables of the new
-    length, ``tables[j - 1]`` holding those of size j for j = 1..k - 1.
-    Equal states are merged and their counts added: their futures are the
-    same.  Only paths that end at the graph's last node, the empty
-    tableau, are counted."""
-    start = masks[0] & ~(1 << last)
-    states: dict[int, dict[int, int]] = {}
-    for c, x in steps[0]:
-        if x == last:
-            counts = states.setdefault(c, {0: 0})
-            counts[0] += 1
+    The walk starts at the root, the empty suffix placed, and places one
+    letter per level from the right, as ``hopf.plactic_product`` does: a
+    state is a node and the id of the suffix placed so far, and prepending
+    the exit letter y of a step costs one popcount rank among the letters
+    placed (the root's letters that the node no longer holds) and one
+    lookup in the tables of the new length, ``tables[j - 1]`` holding those
+    of size j for j = 1..m, the root's size m.  Equal states are merged
+    and their counts added: their futures are the same.  Only paths that
+    end at the graph's last node, the empty tableau, are counted."""
+    start = masks[root]
+    states: dict[int, dict[int, int]] = {root: {0: 1}}
     for size_tables in tables:
         following: dict[int, dict[int, int]] = {}
         for a, counts in states.items():
@@ -736,8 +763,6 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
     C_(m-1)[x - 1][lo(t)] (:func:`_restriction_lemma`).  ``checked``
     counts the n! n(n - 1)/2 (word, segment) pairs so established."""
     _check_poset_size(n)
-    for m in range(1, n + 1):  # nodes are named by lift id, which must be each order's id
-        _check_lift_nodes(cached_poset(m))
     nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 

@@ -56,10 +56,10 @@ from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
     _descents,
+    _dominance_leq,
     _transpose,
     all_standard_tableaux,
     check_standard,
-    dominance_leq,
     format_tableau,
     row_word,
     shape_of,
@@ -604,7 +604,8 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
         # dom[sid[a]][sid[b]] says whether the shape of a is below that of b
         distinct = sorted(set(shapes))
         sid = [distinct.index(s) for s in shapes]
-        dom = [[dominance_leq(s, t) for t in distinct] for s in distinct]
+        # node shapes are partitions of n, so none is validated again
+        dom = [[_dominance_leq(s, t) for t in distinct] for s in distinct]
         down = all(dom[sid[b]][sid[a]] for a, b in p.covers)
         up = all(dom[sid[a]][sid[b]] for a, b in p.covers)
         direction = "down" if down else "up" if up else "none"

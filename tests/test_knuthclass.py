@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 import class_oracle
+import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
 from conftest import tableaux
 from sytkit.cli import EXIT_INTERNAL, EXIT_USAGE, main
@@ -13,9 +14,11 @@ from sytkit.permutation import InvariantError, descents_left, format_word
 from sytkit.tableau import (
     _hook_count,
     all_standard_tableaux,
+    corners,
     descent_set,
     insertion_tableau,
     parse_tableau,
+    reverse_insert,
     row_word,
     shape_of,
 )
@@ -134,3 +137,42 @@ def test_bump_graph_paths_are_the_hook_count(n):
                 assert c > a and masks[c] | 1 << x == masks[a] != masks[c]
             paths[a] = sum(paths[c] for c, _ in steps[a])
         assert paths[0] == _hook_count(shape_of(tab)), tab
+
+
+def _graph_by_reverse_insert(roots):
+    """The reverse-bump graph below the roots made with the public
+    ``reverse_insert``: the roots first, then every tableau when it is
+    first reached, level by level, each node's corners top row first."""
+    ids = {rows: a for a, rows in enumerate(roots)}
+    tabs, steps = list(roots), []
+    for tab in tabs:
+        out = []
+        for corner in corners(tab) if tab else ():
+            sub, x = reverse_insert(tab, corner)
+            if sub not in ids:
+                ids[sub] = len(tabs)
+                tabs.append(sub)
+            out.append((ids[sub], x))
+        steps.append(out)
+    return [sum(1 << x for row in tab for x in row) for tab in tabs], steps
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_root_graph_is_made_as_before(n):
+    for tab in all_standard_tableaux(n):
+        assert knuthclass._bump_graph(tab) == _graph_by_reverse_insert([tab]), tab
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_one_graph_below_every_tableau_of_a_size(m):
+    # every standard tableau of size m a root: every step takes exactly its
+    # letter, each root spells its class, and the graph is the one made
+    # with a node per distinct tableau reached, however many roots reach it
+    roots = all_standard_tableaux(m)
+    masks, steps = hopf._checked_graph(*roots)
+    assert (masks, steps) == _graph_by_reverse_insert(roots)
+    words = [set()] * (len(steps) - 1) + [{()}]
+    for a in range(len(steps) - 2, -1, -1):
+        words[a] = {u + (x,) for c, x in steps[a] for u in words[c]}
+    for a, root in enumerate(roots):
+        assert words[a] == class_oracle.class_words(root), root

@@ -681,32 +681,38 @@ def test_hook_eta_clean(k):
     assert report.passed, report.violations
 
 
-def _hook_graphs(monkeypatch, change):
-    """The reverse-bump graphs that the hook-eta walk and the class listing
-    read, with ``change(steps)`` applied to every tableau's steps."""
+def _shared_graph(monkeypatch, change):
+    """The one reverse-bump graph that the hook-eta walk reads per k, below
+    the standardized corner children, with ``change(roots, steps)`` applied
+    to its steps."""
     graph = knuthclass._bump_graph
 
-    def changed(rows):
-        masks, steps = graph(rows)
-        return masks, change(steps)
+    def changed(*roots):
+        masks, steps = graph(*roots)
+        return masks, change(roots, steps)
 
     monkeypatch.setattr(hopf, "_bump_graph", changed)
-    monkeypatch.setattr(knuthclass, "_bump_graph", changed)
 
 
 def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
-    # each graph cut to its top corner, taken twice: the two exit letters
-    # then agree, and at k = 5 the one shape 3,1,1 has as many words
-    # through either corner (3 and 3), so the paths still number its hook
-    # count and the report is made, equal to the word oracle's on the
-    # paths of the cut graphs
-    _hook_graphs(monkeypatch, lambda steps: [steps[0][:1] * 2, *steps[1:]])
+    # every corner step made the top corner's: the two exit letters then
+    # agree, and at k = 5 the one shape 3,1,1 has as many words through
+    # either corner (3 and 3), so the paths still number its hook count
+    # and the report is made, equal to the word oracle's on the words
+    # through the top corner, each twice
+    real = tableau._reverse_bump
+    monkeypatch.setattr(verify, "_reverse_bump", lambda rows, r: real(rows, 1))
     report = verify_hook_eta(5)
     eta = [v for v in report.violations if "eta_top" in v]
     assert eta[0] == {"R": "1,3,5/2/4", "eta_top": 5, "eta_bottom": 5}
     assert len(eta) == 4
     assert all(v["eta_top"] == v["eta_bottom"] == parse_tableau(v["R"])[0][-1] for v in eta)
-    expected = hook_eta_oracle.hook_eta(5, knuthclass._class_words)
+
+    def top_corner_twice(tab):
+        sub, x = real(tab, 1)
+        return [u + (x,) for u in knuthclass._class_words(sub)] * 2
+
+    expected = hook_eta_oracle.hook_eta(5, top_corner_twice)
     assert (report.checked, report.skipped, report.violations) == expected
 
 
@@ -715,25 +721,64 @@ def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
     ["the bottom corner", "the last step of the first node with two"],
 )
 def test_hook_eta_refuses_a_graph_that_drops_a_path(monkeypatch, where):
-    # the walk counts the paths against the hook-length count of the shape
-    def drop(steps):
-        a = 0 if where == "the bottom corner" else next(
-            a for a, out in enumerate(steps) if a and len(out) > 1
-        )
+    # the walk counts the paths against the hook-length count of the shape;
+    # 1,2,4/3 is the standardized bottom child of 1,3,5/2/4, the first
+    # tableau checked
+    def drop(roots, steps):
+        if where == "the bottom corner":
+            a = roots.index(parse_tableau("1,2,4/3"))
+            return [[] if b == a else out for b, out in enumerate(steps)]
+        a = next(a for a, out in enumerate(steps) if len(out) > 1)
         return [out[:-1] if b == a else out for b, out in enumerate(steps)]
 
-    _hook_graphs(monkeypatch, drop)
+    _shared_graph(monkeypatch, drop)
     message = r"^the reverse-bump graph of 1,3,5/2/4 spells [0-5] words, not the 6 of its shape$"
     with pytest.raises(InvariantError, match=message):
         verify_hook_eta(5)
 
 
 def test_hook_eta_refuses_a_step_that_takes_another_letter(monkeypatch):
-    # the test the product's walk makes of every step
-    _hook_graphs(monkeypatch, lambda steps: [[(c, 1) for c, _ in steps[0]], *steps[1:]])
+    # each corner step is tested as the product's walk tests every step
+    real = tableau._reverse_bump
+    monkeypatch.setattr(verify, "_reverse_bump", lambda rows, r: (real(rows, r)[0], 1))
     message = r"^a reverse-bump step of 1,3,5/2/4 does not take exactly its letter 1$"
     with pytest.raises(InvariantError, match=message):
         verify_hook_eta(5)
+
+
+def test_hook_eta_refuses_a_shared_step_that_takes_another_letter(monkeypatch):
+    # the shared graph is checked too; its roots at k = 5 are the four
+    # standardized corner children, in the order the corners are met
+    _shared_graph(monkeypatch, lambda roots, steps: [[(c, 1) for c, _ in steps[0]], *steps[1:]])
+    message = (
+        r"^a reverse-bump step of 1,3/2/4, 1,2,4/3, 1,2/3/4, 1,2,3/4 "
+        r"does not take exactly its letter 1$"
+    )
+    with pytest.raises(InvariantError, match=message):
+        verify_hook_eta(5)
+
+
+@pytest.mark.parametrize(
+    "k, tableaux, walks", [(5, 4, 4), (6, 12, 10), (7, 28, 22), (8, 60, 46), (9, 124, 94)]
+)
+def test_hook_eta_walks_once_per_distinct_corner_child(monkeypatch, k, tableaux, walks):
+    # two corner steps per tableau checked, one walk per standardized
+    # child, however many corners share it
+    calls = {"corners": 0, "walks": 0}
+
+    def counted(name, key):
+        real = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("_reverse_bump", "corners")
+    counted("_prefix_ids", "walks")
+    assert verify_hook_eta(k).passed
+    assert calls == {"corners": 2 * tableaux, "walks": walks}
 
 
 def test_hook_eta_guards():
@@ -995,21 +1040,6 @@ def test_a_failing_instance_that_no_word_replays_is_named(monkeypatch):
     for n in (3, 5):
         assert verify_restriction_insertion(n).violations == instance
         assert verify_descents_constant(n).violations == instance
-
-
-def test_restriction_insertion_refuses_an_order_on_other_nodes(capsys, monkeypatch):
-    # the lemma names nodes by lift id and the images by poset id
-    broken = _missing_node()
-    real = cached_poset
-    monkeypatch.setattr(verify, "cached_poset", lambda n: broken if n == 5 else real(n))
-    message = "the size-5 order's nodes are not the lift's size-5 tableaux"
-    with pytest.raises(InvariantError, match=message):
-        verify_restriction_insertion(5)
-    code = main(["verify", "structural", "--n", "5"])
-    captured = capsys.readouterr()
-    assert code == EXIT_INTERNAL
-    assert captured.out == ""
-    assert captured.err == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize("check", [verify_evac_transpose_monotone, verify.verify_restriction_monotone])
