@@ -61,6 +61,7 @@ from .weakorder import (
     TableauPoset,
     _bits,
     _check_lift_nodes,
+    _interval_mask,
     _lifted,
     _row_code,
     _symmetries,
@@ -209,36 +210,28 @@ def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]
     return masks, steps
 
 
-def _factors(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, Rows]:
-    """The two factors, each checked once, for a product read off ``p``."""
+def _product_ends(left: Rows, right: Rows, p: TableauPoset) -> tuple[int, int]:
+    """The ids in ``p`` of the row-wise and column-wise concatenations, the
+    ends of the product's interval, each factor checked once."""
     left = check_standard(left)
     right = check_standard(right)
     n = size_of(left) + size_of(right)
     if p.n != n:
         raise ValueError(f"poset is for size {p.n}, product needs {n}")
-    return left, right
+    return p.index[_beside(left, right)], p.index[_over(left, right)]
 
 
 def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:
     """The product read off the order: the interval between the row-wise
     and column-wise concatenations."""
-    left, right = _factors(left, right, p)
-    return interval(p, p.index[_beside(left, right)], p.index[_over(left, right)])
+    return interval(p, *_product_ends(left, right, p))
 
 
 def interval_product(left: Rows, right: Rows, p: TableauPoset) -> tuple[Rows, ...]:
     """Support of the product: the tableaux of :func:`product_interval`,
     read from its member mask without its induced covers."""
-    left, right = _factors(left, right, p)
-    return tuple(p.nodes[a] for a in _bits(_product_mask(p, left, right)))
-
-
-def _product_mask(p: TableauPoset, left: Rows, right: Rows) -> int:
-    """The members of :func:`product_interval` as a bit mask, from the
-    unchecked concatenations of two standard tableaux."""
-    bottom = p.index[_beside(left, right)]
-    top = p.index[_over(left, right)]
-    return p.reach[bottom] & p.below[top]
+    mask = _interval_mask(p, *_product_ends(left, right, p))
+    return tuple(p.nodes[a] for a in _bits(mask))
 
 
 def _is_isomorphism(reach, base: int, image: dict[int, int], target: int) -> bool:
@@ -317,7 +310,7 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
         ids_of = _lifted(n)[2]
         codes = list(ids_of)  # the map is made in id order
         evacuation = _symmetries(n)[0]
-        reach, below = p.reach, p.below
+        reach = p.reach
         low_k, low_l = (1 << 4 * k) - 1, (1 << 4 * l) - 1
         sides = []  # (shape, its tableaux, their forms) per right shape
         for shape_right in partitions(l):
@@ -327,9 +320,10 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
             lefts = _standard_tableaux(shape_left)
             left_forms = _forms(k, lefts)
             for shape_right, rights, right_forms in sides:
+                if len(lefts) == len(rights) == 1:
+                    continue  # the base is the only pair: nothing to compare
                 left0, right0 = lefts[0], rights[0]
-                bottom, top = _ends(n, k, left_forms[0], right_forms[0])
-                base = reach[bottom] & below[top]
+                base = _interval_mask(p, *_ends(n, k, left_forms[0], right_forms[0]))
                 members = _bits(base)
                 # the members' codes with the digits of 1..k cleared
                 highs = [codes[a] & ~low_k for a in members]
@@ -354,8 +348,8 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
                                 a: evacuation[ids_of[e | evac_right]]
                                 for a, e in zip(members, halves)
                             }
-                            bottom, top = _ends(n, k, left_form, right_form)
-                            if _is_isomorphism(reach, base, image, reach[bottom] & below[top]):
+                            target = _interval_mask(p, *_ends(n, k, left_form, right_form))
+                            if _is_isomorphism(reach, base, image, target):
                                 continue
                         violations.append(
                             {

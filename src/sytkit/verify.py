@@ -19,7 +19,7 @@ What the sweep relies on is checked, not assumed, or ``InvariantError``
 is raised.  The order's premises come from ``weakorder._closure_fault``,
 the one test of them, shared with the relation checks: every cover goes
 down in the id order, ``reach`` is the closure of the covers, and the
-covers are reduced; no sweep reads ``below``.  The layout checks only its
+covers are reduced.  The layout checks only its
 own: every cover goes strictly up in the row-sequence numbering, and each
 moved inner tableau keeps the shape and its run the same suffixes.  So an
 order with a cycle raises here: the closure of covers that all go down in
@@ -53,7 +53,7 @@ to the mask kernel ``weakorder._unpreserved`` (one test per node, nothing
 assumed) when that check or a cover fails, so broken pairs are listed
 the same way.  Each check names why its target is transitive.
 Transposition reverses the order, so its covers are tested through
-``reach`` too, and only its fall-through reads ``below``.  The
+``reach`` too, and so is every relation in its fall-through.  The
 single-triple scan, where failures are expected, calls the kernel
 directly; antisymmetry reads ``reach`` alone, each row tested for an id
 above its node's.  ``checked`` still counts every strict relation, each a
@@ -825,13 +825,17 @@ def verify_evac_transpose_monotone(n: int) -> VerificationReport:
         # reach is transitive when it is the closure of the covers, which is
         # what the covers-first test checks of p itself
         broken = [(a, b, 0) for a, b in _unpreserved_covers(p, evacuation, p.reach, True)]
-        # reversing: a < b must give T(b) <= T(a), bit T(a) of reach[T(b)].
-        # Tested on the covers the same way, through reach, so below (the
-        # transpose of reach, transitive with it) is read only to list pairs
+        # reversing: a < b must give T(b) <= T(a), bit T(a) of reach[T(b)],
+        # tested on the covers first, then on every relation when that fails
         if _closure_fault(p) is not None or not all(
             p.reach[transpose[b]] >> transpose[a] & 1 for a, b in p.covers
         ):
-            broken += [(a, b, 1) for a, b in _unpreserved(p.reach, transpose, p.below)]
+            broken += [
+                (a, b, 1)
+                for a, row in enumerate(p.reach)
+                for b in _bits(row & ~(1 << a))
+                if not p.reach[transpose[b]] >> transpose[a] & 1
+            ]
         checked = p.strict_relations()
         violations = [
             {

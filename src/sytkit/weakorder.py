@@ -24,10 +24,9 @@ Reachability, stored per node as an integer bitmask, and the cover
 relation come out of one pass in increasing id order over the sorted
 edges, each node's successors one slice of them: the transitive
 reduction of a graph numbered by a linear extension (Aho, Garey and
-Ullman 1972).  The down-sets (``below``) are not stored: the sweeps and
-the relation checks read ``reach`` and the covers only, and ``below`` is
-made from them when an interval, a product or a fall-through first reads
-it.
+Ullman 1972).  No down-set is made: every reader reads ``reach`` and the
+covers only, intervals and products too, as every relation goes down in
+the id order (:func:`_interval_mask`).
 
 The monotone-map checks here and in sytkit.verify test a map on the covers
 first (:func:`_unpreserved_covers`).  The premise is checked, not assumed:
@@ -81,13 +80,12 @@ class TableauPoset:
 
     ``reach[a]`` has bit b set iff a <= b (reflexively).  ``covers`` is
     the transitive reduction, sorted: a checked fact, with the closure, by
-    :func:`_closure_fault`.  The down-sets, :attr:`below`, are not stored:
-    they are made on first read.  ``_cache`` keeps what is derived from
-    the order, made on first use (``below``, the closure check of
-    :func:`_closure_fault`, and the translation sweep's layout of
-    sytkit.verify); two threads making the same entry at once store equal
-    values.  It is not an init field, so a poset made by
-    ``dataclasses.replace`` starts with an empty one.
+    :func:`_closure_fault`.  ``_cache`` keeps what is derived from the
+    order, made on first use (the closure check of :func:`_closure_fault`
+    and the translation sweep's layout of sytkit.verify); two threads
+    making the same entry at once store equal values.  It is not an init
+    field, so a poset made by ``dataclasses.replace`` starts with an empty
+    one.
 
     The lifted nodes and tables that :func:`build_poset` keeps for later
     builds (``_LIFTED``) and the id tables of :func:`_symmetries` are as
@@ -117,29 +115,6 @@ class TableauPoset:
             raise ValueError(
                 f"not a node of the size-{self.n} poset: {format_tableau(key)}"
             ) from None
-
-    @property
-    def below(self) -> tuple[int, ...]:
-        """``below[b]`` has bit a set iff a <= b: the transpose of ``reach``,
-        made once and kept in ``_cache``.  When ``reach`` is the closure of
-        the covers (:func:`_closure_fault`), by the mirror pass over the
-        covers: taken in decreasing order of a, each cover (a, b) finds the
-        row of a final, as everything above a has a larger id.  Otherwise,
-        for orders made broken by hand, ``reach`` is transposed bit by bit.
-        """
-        if "below" not in self._cache:
-            count = len(self.nodes)
-            if _closure_fault(self) is None:
-                below = [1 << b for b in range(count)]
-                for a, b in sorted(self.covers, reverse=True):
-                    below[b] |= below[a]
-            else:
-                below = [0] * count
-                for a, row in enumerate(self.reach):
-                    for b in _bits(row):
-                        below[b] |= 1 << a
-            self._cache["below"] = tuple(below)
-        return self._cache["below"]
 
     def leq_ids(self, a: int, b: int) -> bool:
         return bool(self.reach[a] >> b & 1)
@@ -187,9 +162,8 @@ def _closure_fault(p: TableauPoset) -> str | None:
     ``reach[a]`` being a plus the ``reach`` rows of its covers: by
     induction from id 0 upwards, each row is then its node's closure,
     whatever the rows are, and no cover of a may lie strictly above another
-    (Aho, Garey and Ullman 1972).  ``below`` needs no check: it is made
-    from ``reach`` (:attr:`TableauPoset.below`).  Made once per poset and
-    kept in ``p._cache``.
+    (Aho, Garey and Ullman 1972).  Made once per poset and kept in
+    ``p._cache``.
     """
     if "closure" not in p._cache:
         p._cache["closure"] = _find_closure_fault(p)
@@ -469,8 +443,7 @@ def _poset(n: int, nodes: tuple[Rows, ...], edges: list[int]) -> TableauPoset:
     have smaller ids, and their rows are final when a's row is made.
     Visited from the highest id down, a successor reached through another
     one is visited after it, so it is a bit of the row by then; every other
-    successor is a cover.  No down-set is made here (see
-    :attr:`TableauPoset.below`).
+    successor is a cover.
     """
     if not all(map(lt, edges, islice(edges, 1, None))):
         raise InvariantError("projected edges are not strictly increasing")
@@ -541,7 +514,8 @@ def induced_covers(
     """Hasse edges of the order induced on a node subset.
 
     Computed within the subset (an induced cover need not be a cover of the
-    whole poset).  A node given more than once counts once.
+    whole poset), from ``reach`` alone: b covers a unless a member lies
+    strictly between them.  A node given more than once counts once.
     """
     members = sorted({p.node_id(m) for m in member_ids})
     mask = 0
@@ -549,17 +523,42 @@ def induced_covers(
         mask |= 1 << m
     out = []
     for a in members:
-        for b in _bits(p.reach[a] & mask & ~(1 << a)):
-            gap = p.reach[a] & p.below[b] & mask & ~((1 << a) | (1 << b))
-            if gap == 0:
-                out.append((a, b))
-    return tuple(sorted(out))
+        up = p.reach[a] & mask & ~(1 << a)
+        through = 0  # strictly above some member of up
+        for c in _bits(up):
+            through |= p.reach[c] & ~(1 << c)
+        out += [(a, b) for b in _bits(up & ~through)]
+    return tuple(out)
+
+
+def _interval_mask(p: TableauPoset, lo: int, hi: int) -> int:
+    """The members x of [lo, hi] (lo <= x <= hi) as a bit mask: the bits
+    of ``reach[lo]`` whose rows hold hi, read from the highest id down to
+    hi, as every relation goes down in the id order once
+    :func:`_closure_fault` finds nothing (else :class:`InvariantError`
+    with its message).  A row without hi drops its bits from the rest:
+    nothing above x lies below hi when x does not."""
+    fault = _closure_fault(p)
+    if fault is not None:
+        raise InvariantError(fault)
+    reach, top = p.reach, 1 << hi
+    rest = reach[lo] >> hi << hi
+    mask = 0
+    while rest:
+        x = rest.bit_length() - 1
+        row = reach[x]  # holds x, as the closure check proved
+        if row & top:
+            mask |= 1 << x
+            rest ^= 1 << x
+        else:
+            rest &= ~row
+    return mask
 
 
 def interval(p: TableauPoset, bottom: NodeRef, top: NodeRef) -> Interval:
     lo = p.node_id(bottom)
     hi = p.node_id(top)
-    members = tuple(_bits(p.reach[lo] & p.below[hi]))
+    members = tuple(_bits(_interval_mask(p, lo, hi)))
     return Interval(p, lo, hi, members, induced_covers(p, members))
 
 

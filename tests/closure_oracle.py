@@ -7,6 +7,11 @@ stood in ``weakorder``; ``close_and_reduce`` closes the edges and their
 reverse with it and keeps an edge as a cover iff nothing lies strictly
 between its ends (the gap test).  The broken orders of ``test_verify``,
 some with cycles, are closed here too.
+
+``transpose`` is the one place the tests make down-sets: the posets keep
+none, so an oracle that reads ``below[b]`` (bit a iff a <= b) takes it
+from there.  ``gap_covers`` is the gap test on a node subset, the
+definition of its induced covers.
 """
 
 from __future__ import annotations
@@ -70,6 +75,35 @@ def closure(succ: list[list[int]]) -> list[int]:
                 for w in members:
                     reach[w] = row
     return reach
+
+
+def transpose(reach) -> tuple[int, ...]:
+    """``reach`` transposed bit by bit: bit a of row b iff bit b of row a.
+    Nothing is assumed of ``reach``."""
+    below = [0] * len(reach)
+    for a, row in enumerate(reach):
+        while row:
+            low = row & -row
+            below[low.bit_length() - 1] |= 1 << a
+            row ^= low
+    return tuple(below)
+
+
+def gap_covers(reach, below, members) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs a != b of ``members`` (each counted once) with a <=
+    b and no member c != a, b with a <= c <= b."""
+    members = sorted(set(members))
+    mask = 0
+    for m in members:
+        mask |= 1 << m
+    return tuple(
+        (a, b)
+        for a in members
+        for b in members
+        if a != b
+        and reach[a] >> b & 1
+        and not reach[a] & below[b] & mask & ~((1 << a) | (1 << b))
+    )
 
 
 def close_and_reduce(count: int, edges) -> tuple[list[int], list[int], list[tuple[int, int]]]:

@@ -4,11 +4,13 @@ validating ``hopf.product_interval`` and compares it with the first one of
 its shape pair by a generic backtracking search.
 
 ``is_isomorphic`` and ``_interval_signatures`` are copied here as written
-from ``weakorder``, and the check loop from ``hopf``; the only change is
-that the loop takes the poset instead of building it (so it has no size
-guard) and returns ``(checked, violations)`` rather than a report.  A
-violation here means that no isomorphism exists, which is stronger than a
-violation of the explicit-map check.
+from ``weakorder``, and the check loop from ``hopf``; the only changes are
+that a signature counts the members below a member from their ``reach``
+rows, as the poset keeps no down-sets, and that the loop takes the poset
+instead of building it (so it has no size guard) and returns
+``(checked, violations)`` rather than a report.  A violation here means
+that no isomorphism exists, which is stronger than a violation of the
+explicit-map check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def _interval_signatures(iv: Interval) -> dict[int, tuple[int, int, int, int]]:
             up_deg[m],
             down_deg[m],
             (p.reach[m] & mask).bit_count(),
-            (p.below[m] & mask).bit_count(),
+            sum(p.reach[x] >> m & 1 for x in iv.members),
         )
         for m in iv.members
     }

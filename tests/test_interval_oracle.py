@@ -97,14 +97,43 @@ def test_two_swapped_evacuation_entries_never_pass(monkeypatch):
 
 
 def test_members_without_the_base_inner_tableau_are_violations(monkeypatch):
-    # in a linear extension of the order the base intervals take in
-    # tableaux whose inner tableau is not L0
+    # in a linear extension of the order, here the id order, the base
+    # intervals take in tableaux whose inner tableau is not L0
     p = cached_poset(6)
-    line = sorted(range(len(p.nodes)), key=lambda a: (p.below[a].bit_count(), a))
+    line = range(len(p.nodes) - 1, -1, -1)
     total = _relations(p, p.nodes, list(zip(line, line[1:])))
     monkeypatch.setattr(hopf, "cached_poset", lambda m: total)
     report = verify_interval_isomorphism(3, 3)
     assert report.checked == len(report.violations) == 7
+
+
+def test_an_order_whose_premises_fail_is_refused(monkeypatch):
+    # the interval members are read from reach only when every relation
+    # goes down in the id order: here every cover goes up
+    p = cached_poset(6)
+    line = range(len(p.nodes))
+    rising = _relations(p, p.nodes, list(zip(line, line[1:])))
+    monkeypatch.setattr(hopf, "cached_poset", lambda m: rising)
+    fault = weakorder._closure_fault(rising)
+    assert fault.endswith("does not go down in the id order")
+    with pytest.raises(InvariantError) as raised:
+        verify_interval_isomorphism(3, 3)
+    assert str(raised.value) == fault
+
+
+def test_shape_pairs_of_one_choice_each_read_no_interval(monkeypatch):
+    # each factor shape of total <= 3 has one tableau, so no map is
+    # compared and no base is read; at k = 1, l = 3 only the shape (2, 1)
+    # has two, so one base and one target are read
+    reads = []
+    mask = hopf._interval_mask
+    monkeypatch.setattr(hopf, "_interval_mask", lambda *args: reads.append(args) or mask(*args))
+    for k, l in ((1, 1), (1, 2), (2, 1)):
+        assert verify_interval_isomorphism(k, l).checked == 0
+    assert reads == []
+    report = verify_interval_isomorphism(1, 3)
+    assert report.passed and report.checked == 1
+    assert len(reads) == 2
 
 
 def test_an_order_on_other_nodes_is_refused(monkeypatch):

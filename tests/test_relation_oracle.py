@@ -1,21 +1,28 @@
 """The relation checks, mask tests through one kernel, against the
 pair-by-pair oracle in ``relation_oracle``: ``checked`` and the violation
 lists must agree entry for entry, in order, on the real orders and on
-broken ones where the lists are not empty."""
+broken ones where the lists are not empty.  On the same broken orders,
+intervals and induced covers against ``reach`` and its transpose."""
 
 import dataclasses
+import random
 
 import pytest
 
 import relation_oracle as oracle
 import sytkit.verify as verify
+from closure_oracle import gap_covers, transpose
+from sytkit.permutation import InvariantError
 from sytkit.tableau import format_tableau, shape_of
 from sytkit.weakorder import (
+    _bits,
     _closure_fault,
     _unpreserved,
     cached_poset,
     check_monotone_descent,
     check_monotone_shape,
+    induced_covers,
+    interval,
 )
 from test_verify import _non_transitive, _relations, _self_loop, _thinned, _unreduced
 
@@ -187,13 +194,6 @@ def test_unpreserved_assumes_nothing_of_either_side():
     assert _unpreserved(rows, image, up) == [(0, 3), (1, 2), (3, 1)]
 
 
-def _transposed(reach):
-    """``reach`` transposed bit by bit."""
-    return tuple(
-        sum(1 << a for a, row in enumerate(reach) if row >> b & 1) for b in range(len(reach))
-    )
-
-
 def _two_node_cycle():
     """The size-5 order with its last cover also given reversed, closed again."""
     p = cached_poset(5)
@@ -202,7 +202,7 @@ def _two_node_cycle():
 
 
 @pytest.mark.parametrize(
-    "broken, mirrored",
+    "broken, holds",
     [
         (lambda: _thinned(6, 1), True),
         (_two_node_cycle, False),
@@ -212,9 +212,23 @@ def _two_node_cycle():
         (_unreduced, False),
     ],
 )
-def test_below_is_the_transpose_of_reach_on_broken_orders(broken, mirrored):
-    # below comes from the mirror pass over the covers when reach is their
-    # closure, and from reach bit by bit otherwise: the transpose either way
+def test_intervals_on_broken_orders(broken, holds):
+    # an interval's members are read from reach alone only when the order's
+    # premises hold, else its closure fault is raised; the induced covers
+    # assume nothing of reach and match the gap test on every order
     p = broken()
-    assert (_closure_fault(p) is None) == mirrored
-    assert p.below == _transposed(p.reach)
+    fault = _closure_fault(p)
+    assert (fault is None) == holds
+    below = transpose(p.reach)
+    count = len(p.nodes)
+    rng = random.Random(2)
+    for _ in range(40):
+        a, b = rng.randrange(count), rng.randrange(count)
+        if holds:
+            assert interval(p, a, b).members == tuple(_bits(p.reach[a] & below[b]))
+        else:
+            with pytest.raises(InvariantError) as raised:
+                interval(p, a, b)
+            assert str(raised.value) == fault
+        members = rng.sample(range(count), rng.randrange(1, count + 1))
+        assert induced_covers(p, members) == gap_covers(p.reach, below, members)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from closure_oracle import closure
+from closure_oracle import closure, gap_covers, transpose
 from conftest import broken_lift, table_faults
 import descents_oracle
 import hook_eta_oracle
@@ -124,21 +124,13 @@ def test_sweep_matches_the_oracle(n, mode, family):
 def _relations(p, nodes, kept):
     """A poset on ``nodes`` whose order is the closure of the covers ``kept``."""
     succ = [[] for _ in nodes]
-    pred = [[] for _ in nodes]
     for a, b in kept:
         succ[a].append(b)
-        pred[b].append(a)
-    reach, below = closure(succ), closure(pred)
-    covers = tuple(
-        (a, b)
-        for a in range(len(nodes))
-        for b in _bits(reach[a] & ~(1 << a))
-        if not reach[a] & below[b] & ~((1 << a) | (1 << b))
-    )
+    reach = closure(succ)
     return dataclasses.replace(
         p,
         nodes=tuple(nodes),
-        covers=covers,
+        covers=gap_covers(reach, transpose(reach), range(len(nodes))),
         reach=tuple(reach),
         index={t: i for i, t in enumerate(nodes)},
     )
@@ -177,8 +169,7 @@ def test_local_covers_match_the_gap_test():
                 if rng.random() < 0.3:
                     succ[label[i]].append(label[j])
         reach = closure(succ)
-        below = closure([[a for a in range(size) if reach[a] >> b & 1]
-                         for b in range(size)])
+        below = transpose(reach)
         ups = [reach[a] & ~(1 << a) for a in range(size)]
         want = [
             sum(1 << b for b in _bits(ups[a])
@@ -587,9 +578,9 @@ def test_single_triple_scan_rejects_a_move_off_the_node_set(capsys, monkeypatch)
     assert captured.err == f"internal error: {message}\n"
 
 
-def test_the_stretch_checks_make_no_below(monkeypatch):
+def test_the_stretch_checks_lift_each_order_from_the_one_below(monkeypatch):
     # the sweeps, antisymmetry, the monotone maps and evacuation-transpose
-    # read reach and the covers only, so fresh posets keep no down-sets
+    # keep nothing on a fresh poset but its closure check and sweep layout
     monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
     for name, options in verify.battery(stretch=True):
         if options.get("n", 0) >= 7:
@@ -599,7 +590,7 @@ def test_the_stretch_checks_make_no_below(monkeypatch):
     posets = weakorder._POSET_CACHE
     # each order is lifted from the covers of the one a size down
     assert sorted(posets) == list(range(1, 10))
-    assert not any("below" in p._cache for p in posets.values())
+    assert all(set(p._cache) <= {"closure", "sweep"} for p in posets.values())
 
 
 def test_size_moves_are_the_dual_moves():

@@ -8,10 +8,12 @@ import concurrent.futures.process
 import dataclasses
 import functools
 import multiprocessing
+import random
 from itertools import permutations
 
 import pytest
 
+import closure_oracle
 import projection_oracle
 import sytkit.hopf as hopf
 import sytkit.tableau as tableau
@@ -131,7 +133,7 @@ def test_build_poset_matches_per_word_oracle(n):
     p = build_poset(n)
     assert p.nodes == nodes
     assert p.reach == reach
-    assert p.below == below
+    assert closure_oracle.transpose(p.reach) == below
     assert p.covers == covers
     assert p.index == {t: i for i, t in enumerate(nodes)}
 
@@ -203,9 +205,7 @@ def test_lifted_edges_match_the_projection_oracle(n):
 def test_build_poset_matches_the_projection_oracle(n):
     expected = weakorder._poset(n, *_walked(n))
     got = cached_poset(n)
-    assert (got.nodes, got.covers, got.reach, got.below) == (
-        expected.nodes, expected.covers, expected.reach, expected.below
-    )
+    assert (got.nodes, got.covers, got.reach) == (expected.nodes, expected.covers, expected.reach)
     assert got.index == expected.index
 
 
@@ -262,7 +262,7 @@ def _answers(jobs):
         *verify.verify_structural(4, jobs=jobs),
         verify_interval_isomorphism(2, 3, jobs=jobs),
     ]
-    return (p.nodes, p.covers, p.reach, p.below), [r.to_json(False) for r in reports]
+    return (p.nodes, p.covers, p.reach), [r.to_json(False) for r in reports]
 
 
 @pytest.mark.parametrize("jobs", [2, 64, 10**6])
@@ -342,7 +342,7 @@ def test_each_size_is_lifted_once(monkeypatch):
 
 
 def _fields(p):
-    return p.nodes, p.covers, p.reach, p.below, p.index
+    return p.nodes, p.covers, p.reach, p.index
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -416,6 +416,34 @@ def test_induced_covers_count_a_repeated_node_once():
     assert covers == induced_covers(p, m) == iv.covers
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_intervals_match_reach_and_its_transpose(n):
+    # every node pair, the empty intervals of the pairs a </= b included
+    p = cached_poset(n)
+    below = closure_oracle.transpose(p.reach)
+    count = len(p.nodes)
+    empty = 0
+    for a in range(count):
+        for b in range(count):
+            iv = interval(p, a, b)
+            members = weakorder._bits(p.reach[a] & below[b])
+            assert iv.members == tuple(members)
+            assert iv.covers == closure_oracle.gap_covers(p.reach, below, members)
+            empty += not members
+    assert empty == count * count - p.strict_relations() - count
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_induced_covers_match_the_gap_test_on_random_subsets(n):
+    p = cached_poset(n)
+    below = closure_oracle.transpose(p.reach)
+    rng = random.Random(n)
+    for _ in range(200):
+        members = rng.sample(range(len(p.nodes)), rng.randrange(1, 60))
+        want = closure_oracle.gap_covers(p.reach, below, members)
+        assert induced_covers(p, members) == want
+
+
 def test_induced_covers_contain_known_failure_pair():
     p = cached_poset(6)
     sub = parse_tableau("1,2,4/3")
@@ -476,18 +504,6 @@ def test_built_orders_are_the_closures_of_their_covers(n):
     assert "closure" in p._cache
 
 
-def test_a_replaced_copy_makes_its_own_below():
-    # below is kept in _cache, which a copy does not share
-    p = cached_poset(5)
-    (a, b), below = p.covers[0], p.below
-    reach = list(p.reach)
-    reach[a] &= ~(1 << b)
-    copy = dataclasses.replace(p, reach=tuple(reach))
-    assert "below" not in copy._cache
-    assert below[b] >> a & 1 and not copy.below[b] >> a & 1
-    assert p.below is below
-
-
 def test_closure_fault_names_what_fails_first():
     p = cached_poset(5)
     (a, b), rest = p.covers[0], p.covers[1:]
@@ -535,7 +551,7 @@ def test_monotone_shape_direction_up_on_the_dual_order():
         p.n,
         p.nodes,
         tuple(sorted((b, a) for a, b in p.covers)),
-        p.below,
+        closure_oracle.transpose(p.reach),
         p.index,
     )
     report = check_monotone_shape(dual)

@@ -8,9 +8,11 @@ on full-poset bitmasks, order mode tests one ``reach`` bit per pair.  The
 sweep and its helpers are copied here as written, so that differential
 tests compare the fast sweep with an independent copy rather than with
 itself; the only changes are that the sweep takes the poset instead of
-building it, and takes its dual Knuth moves from the word-route oracle
+building it, takes its dual Knuth moves from the word-route oracle
 ``move_oracle.dual_moves``, so that it also cross-checks the exchange
-kernel ``tableau._dual_moves``.
+kernel ``tableau._dual_moves``, and takes the down-sets that
+``induced_covers`` reads from ``closure_oracle.transpose``, as the poset
+keeps none.
 
 ``local_covers`` is the per-run transitive reduction that the run-based
 sweep used before it read each run's cover rows off the poset's covers;
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from closure_oracle import transpose
 from move_oracle import dual_moves
 from sytkit.permutation import InvariantError
 from sytkit.tableau import (
@@ -68,7 +71,7 @@ def local_covers(ups: list[int]) -> list[int]:
 
 
 def induced_covers(
-    p: TableauPoset, member_ids: tuple[int, ...] | list[int]
+    p: TableauPoset, member_ids: tuple[int, ...] | list[int], below: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
     members = sorted(p.node_id(m) for m in member_ids)
     mask = 0
@@ -77,7 +80,7 @@ def induced_covers(
     out = []
     for a in members:
         for b in _bits(p.reach[a] & mask & ~(1 << a)):
-            gap = p.reach[a] & p.below[b] & mask & ~((1 << a) | (1 << b))
+            gap = p.reach[a] & below[b] & mask & ~((1 << a) | (1 << b))
             if gap == 0:
                 out.append((a, b))
     return tuple(sorted(out))
@@ -108,12 +111,13 @@ def translation_sweep(
 ) -> tuple[int, list[dict]]:
     n = p.n
     nodes, index, reach = p.nodes, p.index, p.reach
+    below = transpose(reach) if mode == "cover" else None
     checked = 0
     violations: list[dict] = []
     for k in range(3, n):  # a triple must fit inside the inner tableau
         groups = _inner_groups(p, k)
         # cover mode reads each group's induced covers, computed once per k
-        group_covers = lru_cache(maxsize=None)(lambda s: induced_covers(p, groups[s]))
+        group_covers = lru_cache(maxsize=None)(lambda s: induced_covers(p, groups[s], below))
         for sub in sorted(groups, key=canonical_key):
             if not _in_family(shape_of(sub), family):
                 continue
