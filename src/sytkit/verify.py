@@ -38,7 +38,9 @@ run against run, whole runs first: equal rows hold every relation.
 
 :func:`_size_moves` is the one place that applies a dual Knuth move: per
 size k, a table of (triple start, moved id), made once per process on the
-row codes of the same code map by the rule of ``tableau._move_exchanges``.
+row codes of the same code map by the rule of ``tableau._move_exchanges``
+and checked as it is made: each move exchanges two letters of its triple,
+and the moved node's move on that triple leads back.
 The layouts of every larger poset, the single-triple scan and dual Knuth
 connectivity (one search per shape over the ids) read it, and a move off
 the node set raises ``InvariantError`` in each.
@@ -152,8 +154,10 @@ def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
     No tableau is made: each node's row code is read from the lift's map,
     the rule of ``tableau._move_exchanges`` is read off its digits, and the
     move exchanges the digits x - 1 and x (the rows of x and x + 1).  The
-    moved code is named through the same map; a code missing from it, or a
-    move onto the node itself, raises ``InvariantError``."""
+    moved code is named through the same map.  Each move is checked, else
+    ``InvariantError``: it is onto another node of the map, it exchanges
+    two letters of its own triple, and the moved node's move on the same
+    triple leads back, as a dual Knuth move is an involution."""
     if k not in _MOVES:
         nodes, _, ids_of = _lifted(k)
         shifts = range(0, 4 * k, 4)
@@ -163,13 +167,22 @@ def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
             for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
                 swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
                 u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
-                if u is None or u == t:
-                    raise InvariantError(
-                        f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
-                        f"{format_tableau(nodes[t])} is not onto another size-{k} node"
-                    )
+                if u is None or u == t or not i <= x <= i + 1:
+                    at = format_tableau(nodes[t])
+                    move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
+                    if u is None or u == t:
+                        raise InvariantError(f"{move} is not onto another size-{k} node")
+                    raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
                 moves.append((i, u))
             table.append(tuple(moves))
+        for t, moves in enumerate(table):
+            for i, u in moves:
+                if (i, t) not in table[u]:  # one move per triple, so u's at i is not t
+                    raise InvariantError(
+                        f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
+                        f"{format_tableau(nodes[t])} is onto {format_tableau(nodes[u])}, "
+                        f"whose move on it does not lead back"
+                    )
         _MOVES[k] = table
     return _MOVES[k]
 

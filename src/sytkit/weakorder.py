@@ -9,24 +9,28 @@ table per size k and first letter x maps the size k - 1 classes to size k.
 The size-n edges are the covers of the size n - 1 order mapped through
 those tables, plus the swaps of the first two letters: the covers generate
 the same order as all the swaps of size n - 1, and each table maps a chain
-to a chain.  Each size's nodes and tables are made once per process and
-kept for the larger ones, with its map from row code to node id, but no
-edge; the sweep layout of sytkit.verify names its runs through those maps,
-and the hook-eta check, the plactic product and the lemmas of
-sytkit.verify insert words through the tables, as :func:`_insertion_id`
-does.  Evacuation and transposition are id tables per size on the same
-nodes (:func:`_symmetries`), made from the size below and those tables.
+to a chain.  Each size's nodes are grown from the size below, k appended
+at each corner it can fill, and its row codes with them (:func:`_grown`);
+its tables are made by column insertion.  Nodes and tables are made once
+per process and kept for the larger sizes, with the map from row code to
+node id, but no edge; the sweep layout of sytkit.verify names its runs
+through those maps, and the hook-eta check, the plactic product and the
+lemmas of sytkit.verify insert words through the tables, as
+:func:`_insertion_id` does.  Evacuation and transposition are id tables
+per size on the same nodes (:func:`_symmetries`), made from the size below
+and those tables.
 
 Every projected edge a -> b goes down in the id order (a > b), which is
 checked for every node: the id order is then a linear extension, so the
 order has no cycle and antisymmetry is a fact checked during the build.
 Reachability, stored per node as an integer bitmask, and the cover
-relation come out of one pass in increasing id order over the sorted
-edges, each node's successors one slice of them: the transitive
-reduction of a graph numbered by a linear extension (Aho, Garey and
-Ullman 1972).  No down-set is made: every reader reads ``reach`` and the
-covers only, intervals and products too, as every relation goes down in
-the id order (:func:`_interval_mask`).
+relation come out of one pass in increasing id order over the nodes'
+successor lists, each sorted descending: the transitive reduction of a
+graph numbered by a linear extension (Aho, Garey and Ullman 1972).  No
+edge is packed into a 16-bit code; the tables are still 16-bit arrays.
+No down-set is made: every reader reads ``reach`` and the covers only,
+intervals and products too, as every relation goes down in the id order
+(:func:`_interval_mask`).
 
 The monotone-map checks here and in sytkit.verify test a map on the covers
 first (:func:`_unpreserved_covers`).  The premise is checked, not assumed:
@@ -47,8 +51,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import lt
 
 from .permutation import InvariantError, check_int
 from .report import VerificationReport, stopwatch
@@ -57,7 +59,6 @@ from .tableau import (
     _descents,
     _dominance_leq,
     _transpose,
-    all_standard_tableaux,
     check_standard,
     format_tableau,
     row_word,
@@ -225,60 +226,96 @@ def _row_code(rows) -> int:
     return code
 
 
-def _column_tables(prev: tuple[Rows, ...], ids_of: dict[int, int], k: int) -> list[list[int]]:
+def _column_tables(
+    prev: tuple[Rows, ...], prev_ids: dict[int, int], ids_of: dict[int, int], k: int
+) -> list[list[int]]:
     """``tables[x - 1][t]``: the size-k node id of x column-inserted into
     node t of ``prev`` (the size k - 1 nodes) with its letters >= x raised
-    by one.  ``ids_of`` maps each size-k node's row code to its id.
+    by one.  ``prev_ids`` and ``ids_of`` map each size k - 1 and size-k
+    node's row code to its id; the first is read in id order.
 
     The columns of node t are searched as they are: a raised letter z + 1
     bumps the first entry >= z + 1 as an unraised one, so only the row code
-    is raised and each bump moves one letter's row in it.
+    is raised and each bump moves one letter's row in it.  A raised code
+    that names no size-k node raises :class:`InvariantError`.
     """
-    columns = [(_transpose(t) if t else (), _row_code(t)) for t in prev]
+    # each node's columns and an empty one past them, where the last bump lands
+    columns = [((_transpose(t) if t else ()) + ((),), code) for t, code in zip(prev, prev_ids)]
     tables = []
     for x in range(1, k + 1):
         keep = (1 << 4 * (x - 1)) - 1
-        table = []
-        for cols, code in columns:
-            code = code & keep | (code & ~keep) << 4
-            v, c = x, 0
-            while True:
-                col = cols[c] if c < len(cols) else ()
-                pos = bisect_left(col, v)
-                code += pos + 1 << 4 * (v - 1)
-                if pos == len(col):
-                    break
-                v = col[pos] + 1  # the bumped letter, raised, leaves row pos + 1
-                code -= pos + 1 << 4 * (v - 1)
-                c += 1
-            table.append(ids_of[code])
+        table: list[int] = []
+        try:
+            for cols, code in columns:
+                code = code & keep | (code & ~keep) << 4
+                v = x
+                for col in cols:
+                    pos = bisect_left(col, v)
+                    code += pos + 1 << 4 * (v - 1)
+                    if pos == len(col):
+                        break
+                    v = col[pos] + 1  # the bumped letter, raised, leaves row pos + 1
+                    code -= pos + 1 << 4 * (v - 1)
+                table.append(ids_of[code])
+        except KeyError:
+            at = format_tableau(prev[len(table)]) or "()"
+            raise InvariantError(
+                f"{x} column-inserted into the size-{k - 1} node {at} is not a size-{k} node"
+            ) from None
         tables.append(table)
     return tables
 
 
+def _grown(
+    prev: tuple[Rows, ...], prev_ids: dict[int, int], k: int
+) -> tuple[tuple[Rows, ...], dict[int, int]]:
+    """The size-k tableaux in canonical order and the map from their row
+    codes to their ids, made in id order: each size k - 1 node t of
+    ``prev`` with k appended to each row that can take it, its row code the
+    code of t (``prev_ids`` is read in id order) plus the row of k in digit
+    k - 1.  Each standard tableau arises once, from the tableau left when
+    its corner k is removed.  For one shape, comparing the rows bottom
+    first compares the row words, so the sort key is canonical."""
+    shift = 4 * (k - 1)
+    grown = []
+    for t, code in zip(prev, prev_ids):
+        for r in range(len(t) + 1):
+            if r == len(t):
+                rows = t + ((k,),)
+            elif r and len(t[r - 1]) == len(t[r]):
+                continue  # the row above is no longer: k would sit below no entry
+            else:
+                rows = t[:r] + (t[r] + (k,),) + t[r + 1:]
+            grown.append((tuple(map(len, rows)), rows[::-1], code | r + 1 << shift))
+    grown.sort()
+    ids_of = {code: i for i, (_, _, code) in enumerate(grown)}
+    return tuple([rows[::-1] for _, rows, _ in grown]), ids_of
+
+
 # size k -> (nodes, tables, ids_of) as :func:`_lifted` leaves them for
-# size k, ``ids_of`` mapping each node's row code to its id, made in id
-# order; the tables are arrays, since the small sizes stay for the rest of
-# the process.  No edge is kept: each order is lifted from the covers of the
-# order one size down (:func:`_lift_edges`)
+# size k, the nodes grown from the size k - 1 ones and ``ids_of`` mapping
+# each node's row code to its id, made in id order (:func:`_grown`); the
+# tables are arrays, since the small sizes stay for the rest of the process.
+# No edge is kept: each order is lifted from the covers of the order one
+# size down (:func:`_lift_edges`)
 _LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], dict[int, int]]] = {}
 
 
 def _lifted(k: int) -> tuple[tuple[Rows, ...], list[array], dict[int, int]]:
     """The size-k entry of ``_LIFTED`` (k >= 1), made first when it is
-    missing, from the largest size already made: the size-k nodes,
-    canonically sorted, and the tables C_k[x] of :func:`_column_tables`
-    from the size k - 1 nodes."""
+    missing, from the largest size already made, one size at a time: the
+    size-k nodes, canonically sorted, grown from the size k - 1 nodes with
+    their row codes (:func:`_grown`), and the tables C_k[x] of
+    :func:`_column_tables` from the size k - 1 nodes."""
     if k not in _LIFTED:
         top = k - 1
         while top and top not in _LIFTED:
             top -= 1
-        nodes = _LIFTED[top][0] if top else ((),)
+        nodes, _, ids_of = _LIFTED[top] if top else (((),), [], {0: 0})
         for size in range(top + 1, k + 1):
-            prev = nodes
-            nodes = tuple(sorted(all_standard_tableaux(size), key=canonical_key))
-            ids_of = {_row_code(t): i for i, t in enumerate(nodes)}
-            tables = _column_tables(prev, ids_of, size)
+            prev, prev_ids = nodes, ids_of
+            nodes, ids_of = _grown(prev, prev_ids, size)
+            tables = _column_tables(prev, prev_ids, ids_of, size)
             _LIFTED[size] = (nodes, [array("H", table) for table in tables], ids_of)
     return _LIFTED[k]
 
@@ -362,11 +399,12 @@ def _check_symmetries(nodes: tuple[Rows, ...], evacuation: list[int], transposit
                 raise InvariantError(f"the {name} table moves the shape of {at}")
 
 
-def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
-    """The size-n nodes, canonically sorted, and sorted distinct edges
-    a << 16 | b (a != b) whose reflexive-transitive closure is the weak
-    order: the closure of a = class of u -> b = class of u s_p, over every
-    word u and ascent p of u.
+def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[list[int]]]:
+    """The size-n nodes, canonically sorted, and per node a the list of
+    its successors b, in no order and with repeats and a itself allowed,
+    whose reflexive-transitive closure is the weak order: the closure of
+    a = class of u -> b = class of u s_p, over every word u and ascent p
+    of u.
 
     By Schensted's theorem the class of x.w is x column-inserted into the
     class of w (Fulton, *Young Tableaux*, appendix A), one lookup in the
@@ -379,20 +417,23 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[int]]:
     reduction lies inside every edge set that generates the closure (Aho,
     Garey and Ullman 1972), and each swap is a chain of them, which each
     C_n[x], a map, takes to a chain.  So the closure is the same, from
-    fewer edges (14994 in place of 22844 at n = 9).
+    fewer edges (14994 distinct in place of 22844 at n = 9).  Repeats and
+    loops are left for :func:`_poset`, which passes over them.
     """
     nodes, tables, _ = _lifted(n)
     covers = cached_poset(n - 1).covers if n > 1 else ()
     before = _lifted(n - 1)[1] if n > 1 else []
-    codes: set[int] = set()
+    succ: list[list[int]] = [[] for _ in nodes]
     for table in tables:
-        codes.update([table[a] << 16 | table[b] for a, b in covers])
+        for a, b in covers:
+            succ[table[a]].append(table[b])
     for x in range(1, n):
         low, up = tables[x - 1], before[x - 1]
         for y in range(x + 1, n + 1):
             high, down = tables[y - 1], before[y - 2]
-            codes.update([low[a] << 16 | high[b] for a, b in zip(down, up)])
-    return nodes, [code for code in sorted(codes) if code >> 16 != code & 0xFFFF]
+            for a, b in zip(down, up):
+                succ[low[a]].append(high[b])
+    return nodes, succ
 
 
 def _insertion_id(word, tables) -> int:
@@ -431,44 +472,36 @@ def build_poset(n: int) -> TableauPoset:
     return _poset(n, *_lift_edges(n))
 
 
-def _poset(n: int, nodes: tuple[Rows, ...], edges: list[int]) -> TableauPoset:
+def _poset(n: int, nodes: tuple[Rows, ...], succ: list[list[int]]) -> TableauPoset:
     """The poset whose order is the reflexive-transitive closure of the
-    sorted ``edges`` (a << 16 | b) on ``nodes``.
+    edges a -> b for b in ``succ[a]``, one list per node of ``nodes``.
 
-    Node a's successors are the slice of ``edges`` between a << 16 and
-    (a + 1) << 16, found by bisection, so the edges must be strictly
-    increasing; that is checked once, or ``InvariantError`` is raised.  So
-    is an edge with a < b: every edge must go down in the id order, which
-    holds when each slice's last edge does.  Then node a's successors all
-    have smaller ids, and their rows are final when a's row is made.
-    Visited from the highest id down, a successor reached through another
-    one is visited after it, so it is a bit of the row by then; every other
-    successor is a cover.
+    Each list is sorted in place, descending.  Every edge must go down in
+    the id order (a > b), which holds when each list's first id is below
+    its node, or ``InvariantError`` is raised; so is an id off the nodes.
+    Then node a's successors all have smaller ids, and their rows are final
+    when a's row is made.  Visited from the highest id down, a successor
+    reached through another one is visited after it, so it is a bit of the
+    row by then, as are a repeat and a itself; every other successor is a
+    cover.
     """
-    if not all(map(lt, edges, islice(edges, 1, None))):
-        raise InvariantError("projected edges are not strictly increasing")
+    count = len(nodes)
+    if len(succ) != count:
+        raise InvariantError(f"projected edges from {len(succ)} node ids, not the {count} nodes")
     reach: list[int] = []
     covers = []
-    hi = 0
-    for a in range(len(nodes)):
-        lo, hi = hi, bisect_left(edges, a + 1 << 16, hi)
-        if lo < hi and edges[hi - 1] & 0xFFFF > a:
-            b = edges[bisect_left(edges, a << 16 | a + 1, lo, hi)] & 0xFFFF
-            raise InvariantError(
-                f"projected edge {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
-                f"goes up in the id order"
-            )
+    for a, links in enumerate(succ):
+        links.sort(reverse=True)
+        if links and (links[0] > a or links[-1] < 0):
+            raise _edge_fault(nodes, a, links)
         row = 1 << a
         kept = []
-        for code in reversed(edges[lo:hi]):
-            b = code & 0xFFFF
+        for b in links:
             if not row >> b & 1:
                 kept.append(b)
                 row |= reach[b]
         reach.append(row)
         covers += [(a, b) for b in reversed(kept)]
-    if hi < len(edges):
-        raise InvariantError(f"projected edge from node id {edges[hi] >> 16}, past the last node")
 
     return TableauPoset(
         n=n,
@@ -476,6 +509,19 @@ def _poset(n: int, nodes: tuple[Rows, ...], edges: list[int]) -> TableauPoset:
         covers=tuple(covers),
         reach=tuple(reach),
         index={t: i for i, t in enumerate(nodes)},
+    )
+
+
+def _edge_fault(nodes: tuple[Rows, ...], a: int, links: list[int]) -> InvariantError:
+    """What :func:`_poset` raises for node a's successors ``links``, sorted
+    descending, when one is off the nodes or goes up in the id order."""
+    at = format_tableau(nodes[a])
+    for off in links[0], links[-1]:
+        if not 0 <= off < len(nodes):
+            return InvariantError(f"projected edge from {at} to node id {off}, off the nodes")
+    b = min(b for b in links if b > a)
+    return InvariantError(
+        f"projected edge {at} < {format_tableau(nodes[b])} goes up in the id order"
     )
 
 

@@ -106,22 +106,21 @@ def gap_covers(reach, below, members) -> tuple[tuple[int, int], ...]:
     )
 
 
-def close_and_reduce(count: int, edges) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+def close_and_reduce(succ: list[list[int]]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """``reach``, ``below`` and the sorted covers of the order that the
-    sorted ``edges`` (a << 16 | b) generate on ``count`` nodes."""
-    succ: list[list[int]] = [[] for _ in range(count)]
+    edges a -> b for b in ``succ[a]`` generate, one list per node; repeats
+    and loops a -> a are allowed.  The lists are not changed."""
+    count = len(succ)
+    edges = sorted({(a, b) for a, links in enumerate(succ) for b in links if a != b})
     pred: list[list[int]] = [[] for _ in range(count)]
-    for code in edges:
-        a, b = divmod(code, 1 << 16)
-        succ[a].append(b)
+    for a, b in edges:
         pred[b].append(a)
     reach = closure(succ)
     below = closure(pred)  # the closure of the reversed edges is the transpose
     # every cover is among the edges, so testing those for a bypass is a
     # full transitive reduction
     covers = []
-    for code in edges:
-        a, b = divmod(code, 1 << 16)
+    for a, b in edges:
         if not reach[a] & below[b] & ~((1 << a) | (1 << b)):
             covers.append((a, b))
     return reach, below, covers

@@ -137,7 +137,12 @@ def projected_edges(n: int, ids: array) -> list[int]:
 
 
 def lift_edges(n: int):
-    """What ``weakorder._lift_edges`` returns, by walking every word."""
+    """What ``weakorder._lift_edges`` returns, by walking every word: the
+    size-n nodes and per node its distinct projected successors, in
+    descending order."""
     nodes = tuple(sorted(all_standard_tableaux(n), key=canonical_key))
     ids = class_ids(n, {_row_code(t): i for i, t in enumerate(nodes)})
-    return nodes, projected_edges(n, ids)
+    succ: list[list[int]] = [[] for _ in nodes]
+    for code in reversed(projected_edges(n, ids)):
+        succ[code >> 16].append(code & 0xFFFF)
+    return nodes, succ

@@ -1126,6 +1126,46 @@ def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, mo
         verify_dual_knuth_connectivity(3)
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        # 3 and 4 exchanged on the triple 1,2,3: 1,2,3/4, of the same shape
+        (
+            (1, 3),
+            "dual Knuth move on the triple 1,2,3 of 1,2,4/3 exchanges 3 and 4, "
+            "not two of its letters",
+        ),
+        # 2 and 3 exchanged on the triple 2,3,4: 1,3,4/2, of the same shape,
+        # which has no move on that triple
+        (
+            (2, 2),
+            "dual Knuth move on the triple 2,3,4 of 1,2,4/3 is onto 1,3,4/2, "
+            "whose move on it does not lead back",
+        ),
+    ],
+)
+def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
+    monkeypatch, move, message
+):
+    # the move table is made afresh from a rule that sends one node's move
+    # on one triple to another node of its shape, which connectivity alone
+    # does not see; 1,2,4/3 has the moves (1, 2) and (2, 3)
+    code = weakorder._row_code(parse_tableau("1,2,4/3"))
+    rows = [0, *(code >> 4 * y & 15 for y in range(4))]
+    exchanges = verify._move_exchanges
+    assert exchanges(rows) == [(1, 2), (2, 3)]
+
+    def wrong(r):
+        if r != rows:
+            return exchanges(r)
+        return [move if i == move[0] else (i, x) for i, x in exchanges(r)]
+
+    monkeypatch.setattr(verify, "_MOVES", {})
+    monkeypatch.setattr(verify, "_move_exchanges", wrong)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        verify_dual_knuth_connectivity(4)
+
+
 @pytest.mark.parametrize("n", [0, -1, 10])
 def test_dual_knuth_connectivity_refuses_n_outside_the_lift(n):
     with pytest.raises(ValueError, match="n must be in 1..9"):

@@ -188,22 +188,35 @@ def _walked(n):
     return projection_oracle.lift_edges(n)
 
 
+def _walked_poset(n):
+    """The size-n order closed from the walked edges, on copies of their
+    successor lists, which ``_poset`` sorts in place."""
+    nodes, succ = _walked(n)
+    return weakorder._poset(n, nodes, [list(links) for links in succ])
+
+
+def _pairs(succ):
+    """The distinct edges a -> b, b != a, of successor lists."""
+    return {(a, b) for a, links in enumerate(succ) for b in links if b != a}
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_lifted_edges_match_the_projection_oracle(n):
     # the covers one size down are lifted, not every walked edge: the
-    # lifted edges are walked ones, and they close and reduce to the same
-    # order
-    nodes, edges = weakorder._lift_edges(n)
+    # lifted edges, repeats and loops set aside, are walked ones, and they
+    # close and reduce to the same order
+    nodes, succ = weakorder._lift_edges(n)
     walked_nodes, walked = _walked(n)
     assert nodes == walked_nodes
-    assert set(edges) <= set(walked)
-    got, expected = weakorder._poset(n, nodes, edges), weakorder._poset(n, nodes, walked)
+    assert len(succ) == len(nodes)
+    assert _pairs(succ) <= _pairs(walked)
+    got, expected = weakorder._poset(n, nodes, succ), _walked_poset(n)
     assert (got.covers, got.reach) == (expected.covers, expected.reach)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_build_poset_matches_the_projection_oracle(n):
-    expected = weakorder._poset(n, *_walked(n))
+    expected = _walked_poset(n)
     got = cached_poset(n)
     assert (got.nodes, got.covers, got.reach) == (expected.nodes, expected.covers, expected.reach)
     assert got.index == expected.index
@@ -215,15 +228,43 @@ def _size(m):
     return nodes, {t: i for i, t in enumerate(nodes)}
 
 
+def _codes(index):
+    """Ids by tableau as ids by row code, in id order."""
+    return {weakorder._row_code(t): i for t, i in index.items()}
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_lifted_nodes_are_the_sorted_tableaux(monkeypatch, k):
+    # from a cold lift, the size-k nodes grown from the size below and their
+    # code map against the enumeration, canonically sorted, and _row_code
+    monkeypatch.setattr(weakorder, "_LIFTED", {})
+    nodes, _, ids_of = weakorder._lifted(k)
+    want, index = _size(k)
+    assert nodes == want
+    assert list(ids_of.items()) == list(_codes(index).items())
+    assert sorted(weakorder._LIFTED) == list(range(1, k + 1))
+
+
+def test_a_column_table_miss_is_an_invariant_error():
+    # a code map without 1,4/2/3 cannot name it; the first letter and node
+    # that give it in table order are 3 and 1/2/3: 3 bumps the raised 4 out
+    # of the one column 1,2,4 into a second one
+    nodes, index = _size(3)
+    _, bigger = _size(4)
+    codes = _codes(bigger)
+    del codes[weakorder._row_code(parse_tableau("1,4/2/3"))]
+    with pytest.raises(InvariantError) as raised:
+        weakorder._column_tables(nodes, _codes(index), codes, 4)
+    assert str(raised.value) == "3 column-inserted into the size-3 node 1/2/3 is not a size-4 node"
+
+
 @pytest.mark.parametrize("m", range(8))
 def test_column_tables_insert_a_first_letter(m):
     # Schensted: P(x.w) is x column-inserted into P(w), for every word w of
     # m letters and every first letter x, with w's letters >= x raised
     nodes, index = _size(m)
     _, bigger = _size(m + 1)
-    tables = weakorder._column_tables(
-        nodes, {weakorder._row_code(t): i for t, i in bigger.items()}, m + 1
-    )
+    tables = weakorder._column_tables(nodes, _codes(index), _codes(bigger), m + 1)
     assert len(tables) == m + 1 and all(len(table) == len(nodes) for table in tables)
     for w in permutations(range(1, m + 1)):
         t = index[insertion_tableau(w) if w else ()]  # the empty word is no permutation
@@ -281,11 +322,13 @@ def test_jobs_start_no_process_pool(monkeypatch, jobs):
 
 
 def _cyclic_lift(n):
-    """The size-n nodes and lifted edges with the reverse of one edge
-    added, which makes a two-node cycle, and that edge's ends."""
-    nodes, edges = weakorder._lift_edges(n)
-    a, b = edges[len(edges) // 2] >> 16, edges[len(edges) // 2] & 0xFFFF
-    return nodes, sorted(edges + [b << 16 | a]), (nodes[b], nodes[a])
+    """The size-n nodes and lifted successor lists with the reverse of one
+    edge added, which makes a two-node cycle, and that edge's ends."""
+    nodes, succ = weakorder._lift_edges(n)
+    pairs = sorted(_pairs(succ))
+    a, b = pairs[len(pairs) // 2]
+    succ[b].append(a)
+    return nodes, succ, (nodes[b], nodes[a])
 
 
 def test_an_edge_that_goes_up_is_an_invariant_error():
@@ -300,19 +343,24 @@ def test_an_edge_that_goes_up_is_an_invariant_error():
     )
 
 
-def test_edges_out_of_order_or_off_the_nodes_are_an_invariant_error():
-    # each node's successors are read as one slice of the sorted edges
-    nodes, edges = weakorder._lift_edges(5)
-    past = len(nodes)
-    cases = [
-        (edges[1::-1] + edges[2:], "projected edges are not strictly increasing"),
-        (edges[:1] + edges, "projected edges are not strictly increasing"),
-        (edges + [past << 16], f"projected edge from node id {past}, past the last node"),
-    ]
-    for broken, message in cases:
+@pytest.mark.parametrize("off", [26, 1000, -1])
+def test_a_successor_off_the_nodes_is_an_invariant_error(off):
+    # a node id past the last node, or a negative one, is named, not read
+    nodes, succ = weakorder._lift_edges(5)
+    assert len(nodes) == 26
+    succ[20].append(off)
+    with pytest.raises(InvariantError) as raised:
+        weakorder._poset(5, nodes, succ)
+    at = format_tableau(nodes[20])
+    assert str(raised.value) == f"projected edge from {at} to node id {off}, off the nodes"
+
+
+def test_successor_lists_for_other_nodes_are_an_invariant_error():
+    nodes, succ = weakorder._lift_edges(5)
+    for broken in succ + [[]], succ[:-1]:
         with pytest.raises(InvariantError) as raised:
             weakorder._poset(5, nodes, broken)
-        assert str(raised.value) == message
+        assert str(raised.value) == f"projected edges from {len(broken)} node ids, not the 26 nodes"
 
 
 def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch):
@@ -329,9 +377,9 @@ def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch):
 def test_each_size_is_lifted_once(monkeypatch):
     sizes = []
 
-    def counted(prev, ids_of, k):
+    def counted(prev, prev_ids, ids_of, k):
         sizes.append(k)
-        return column_tables(prev, ids_of, k)
+        return column_tables(prev, prev_ids, ids_of, k)
 
     column_tables = weakorder._column_tables
     monkeypatch.setattr(weakorder, "_column_tables", counted)
