@@ -4,21 +4,24 @@ The product of two classes is counted, not spelled out: no word of either
 class or of their shuffle is made.  Each factor's class is its
 reverse-bump graph (``knuthclass._bump_graph``), whose paths from the
 tableau to the empty one spell the class words from the right.  The two
-graphs are walked together, one letter placed per level from the right,
-and the insertion tableau of what is placed is named by one lookup in the
-lift's column-insertion tables (``weakorder._lifted``), as P(x.w) is x
-column-inserted into P(w) (Schensted 1961).  Equal states are merged level
-by level and carry their word counts.  The counts must decompose into
-whole classes, each exactly once; that fact is asserted, not assumed.  The
-total is checked against the hook-length counts of the two factors, each
-term's count against the hook-length count of its shape: words that all
-insert to T are a subset of the class of T, so they are the whole class
-exactly when there are as many.  Each term is also checked to restrict to
-the two factors, which neither the graphs nor the tables are trusted for.
-The literal form, which row-inserts every shuffle word and lists every
-term's class, is the test oracle ``tests/product_oracle.py``.  The same
-support is also available as an order interval between the row-wise and
-column-wise concatenations of the two tableaux.
+graphs are walked as one pair graph, the right factor's letters raised
+above the left's, by the one class walk :func:`_prefix_ids`, which
+``verify.verify_hook_eta`` also runs: one letter placed per level from
+the right, and the insertion tableau of what is placed named by one
+lookup in the lift's column-insertion tables (``weakorder._lifted``), as
+P(x.w) is x column-inserted into P(w) (Schensted 1961).  Equal states are
+merged level by level and carry their word counts.  The counts must
+decompose into whole classes, each exactly once; that fact is asserted,
+not assumed.  The total is checked against the hook-length counts of the
+two factors, each term's count against the hook-length count of its
+shape: words that all insert to T are a subset of the class of T, so
+they are the whole class exactly when there are as many.  Each term is
+also checked to restrict to the two factors, which neither the graphs nor
+the tables are trusted for.  The literal form, which row-inserts every
+shuffle word and lists every term's class, is the test oracle
+``tests/product_oracle.py``.  The same support is also available as an
+order interval between the row-wise and column-wise concatenations of
+the two tableaux.
 
 For fixed shapes, the intervals of all (left, right) choices are
 isomorphic.  The check writes the isomorphism down instead of searching for
@@ -92,18 +95,18 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     Each factor is validated once, and the product's size is compared with
     ``MAX_PRODUCT_SIZE`` before either factor's reverse-bump graph
     (``knuthclass._bump_graph``) is made.  No word is made, of a class or
-    of the shuffle: the words are placed from the right, n levels in all,
-    one step of either graph per level.  A state is a node of each graph
-    and the id of the placed suffix's insertion tableau; prepending a
-    letter costs one popcount rank and one lookup in the lift's table of
-    the new length, as in ``weakorder._insertion_id``.  A step's rank is
-    read from its graph (:func:`_ranked`); the right factor is used
-    unshifted, since every placed left letter is below every right one and
-    the right letters' ranks among themselves do not change under a shift.
-    States with the same two nodes and id are merged at each level, their
-    word counts added.  The two alphabets are disjoint, so each pair of
-    paths and interleaving spells one shuffle word and distinct ones spell
-    distinct words: the counts are exact.
+    of the shuffle.  The two checked graphs (:func:`_checked_graph`) are
+    walked as one pair graph: node a * w + b, w the right graph's node
+    count, is the pair (a, b), its letters those of a and those of b
+    raised by k, and each step of a or of b is a step of the pair, a
+    right step's exit letter raised by k.  The shuffle words of the
+    product are then the class words of the pair graph's node 0, and
+    :func:`_prefix_ids` counts them by insertion tableau, n levels from
+    the right.  Every right letter is above every left one, so the rank of
+    a right step counts every left letter placed, and the shifted right
+    letters keep their ranks among themselves.  The two alphabets are
+    disjoint, so each pair of paths and interleaving spells one shuffle
+    word and distinct ones spell distinct words: the counts are exact.
 
     Raises :class:`InvariantError` if the counted words fail to decompose
     into whole classes; they never do, and the interval description below
@@ -130,24 +133,18 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     n = k + size_of(right)
     if n > MAX_PRODUCT_SIZE:
         raise ValueError(f"product size {n} exceeds {MAX_PRODUCT_SIZE}")
-    left_steps, placed = _ranked(left)
-    right_steps, _ = _ranked(right)
-    # (left node, right node) -> {suffix id: number of suffixes}
-    states: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
-    for m in range(1, n + 1):
-        tables = _lifted(m)[1]
-        following: dict[tuple[int, int], dict[int, int]] = {}
-        for (a, b), counts in states.items():
-            # every placed left letter is below every right one
-            moves = [((c, b), tables[rank]) for c, rank in left_steps[a]]
-            moves += [((a, c), tables[placed[a] + rank]) for c, rank in right_steps[b]]
-            for key, table in moves:
-                merged = following.setdefault(key, {})
-                for t, count in counts.items():
-                    t = table[t]
-                    merged[t] = merged.get(t, 0) + count
-        states = following
-    words = states.get((len(left_steps) - 1, len(right_steps) - 1), {})
+    left_masks, left_steps = _checked_graph(left)
+    right_masks, right_steps = _checked_graph(right)
+    w = len(right_steps)
+    # node a * w + b is the pair (a, b); the right letters are raised by k
+    masks = [lm | rm << k for lm in left_masks for rm in right_masks]
+    steps = [
+        [(c * w + b, x) for c, x in left_steps[a]]
+        + [(a * w + c, x + k) for c, x in right_steps[b]]
+        for a in range(len(left_steps))
+        for b in range(w)
+    ]
+    words = _prefix_ids(masks, steps, 0, [_lifted(m)[1] for m in range(1, n + 1)])
     f_left, f_right = _hook_count(shape_of(left)), _hook_count(shape_of(right))
     expected = f_left * f_right * comb(n, k)
     if sum(words.values()) != expected:
@@ -171,32 +168,11 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     return PlacticSum(terms)
 
 
-def _ranked(rows: Rows) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """The reverse-bump graph of a factor as the product walks it, from
-    node 0 to its last node, the empty tableau.
-
-    ``steps[a]`` holds a (child, rank) pair per step of node a, rank being
-    how many of the letters already placed at a (the tableau's letters
-    that a no longer holds) are below the step's exit letter;
-    ``placed[a]`` is how many letters are placed at a.  Each step must
-    take exactly its exit letter from a's letters, or ``InvariantError``
-    is raised (:func:`_checked_graph`), which keeps every rank inside the
-    walk's tables.
-    """
-    masks, steps = _checked_graph(rows)
-    full = masks[0]
-    ranked = [
-        [(c, ((full ^ mask) & (1 << x) - 1).bit_count()) for c, x in out]
-        for mask, out in zip(masks, steps)
-    ]
-    return ranked, [(full ^ mask).bit_count() for mask in masks]
-
-
 def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """``knuthclass._bump_graph`` below the tableaux, each step checked to
     take exactly its exit letter from its node's letters, else
     :class:`InvariantError`: then a path of d steps has placed d letters.
-    The product's walk reads the graph of one factor, and
+    The product reads the graph of each factor, and
     ``verify.verify_hook_eta`` one graph below all the corner children of
     one size."""
     masks, steps = _bump_graph(*roots)
@@ -208,6 +184,37 @@ def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]
                     f"does not take exactly its letter {x}"
                 )
     return masks, steps
+
+
+def _prefix_ids(masks, steps, root: int, tables) -> dict[int, int]:
+    """The words of a root's class in a reverse-bump graph
+    (``knuthclass._bump_graph``): each one's insertion id among the nodes
+    of its size, with the number of words inserting to it.
+
+    The walk starts at the root, the empty suffix placed, and places one
+    letter per level from the right: a state is a node and the id of the
+    suffix placed so far, and prepending the exit letter y of a step costs
+    one popcount rank among the letters placed (the root's letters that
+    the node no longer holds) and one lookup in the tables of the new
+    length, as in ``weakorder._insertion_id``, ``tables[j - 1]`` holding
+    those of size j for j = 1..m, the root's size m.  Equal states are
+    merged and their counts added: their futures are the same.  Only
+    paths that end at the graph's last node, the empty tableau, are
+    counted."""
+    start = masks[root]
+    states: dict[int, dict[int, int]] = {root: {0: 1}}
+    for size_tables in tables:
+        following: dict[int, dict[int, int]] = {}
+        for a, counts in states.items():
+            placed = start ^ masks[a]
+            for c, y in steps[a]:
+                table = size_tables[(placed & (1 << y) - 1).bit_count()]
+                merged = following.setdefault(c, {})
+                for t, count in counts.items():
+                    t = table[t]
+                    merged[t] = merged.get(t, 0) + count
+        states = following
+    return states.get(len(steps) - 1, {})
 
 
 def _product_ends(left: Rows, right: Rows, p: TableauPoset) -> tuple[int, int]:

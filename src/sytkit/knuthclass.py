@@ -17,11 +17,14 @@ being the cell of n in Q.
 reached, one step per corner, down to the empty tableau.  Each path from
 the tableau to the empty one spells one class word from its last letter,
 so the graph is the class's suffix trie with equal subtrees merged.  The
-class listing reads it from the empty end back, and
-``hopf.plactic_product`` walks it without listing a word.
-``verify.verify_hook_eta`` builds one graph below several tableaux of one
-size, sub-tableaux they share made once, and walks it from each.  Nothing
-is cached between calls.
+class listing reads it from the empty end back.  One class walk,
+``hopf._prefix_ids``, counts a root's class words by insertion tableau
+without listing one: ``hopf.plactic_product`` runs it on the pair graph
+of its two factors' graphs, and ``verify.verify_hook_eta`` on one graph
+below several tableaux of one size, sub-tableaux they share made once,
+from each root.  Hook-eta lists a failing group's words through
+:func:`_class_words` of its corners' sub-tableaux.  Nothing is cached
+between calls.
 """
 
 from __future__ import annotations

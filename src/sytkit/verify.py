@@ -79,6 +79,8 @@ reverse-bump graph (``hopf._checked_graph``) below the standardized
 children of every hook tableau's two corners, walks it once per distinct
 child through the same column tables, and adds up the walks of each
 tableau's corners that share an exit letter (see :func:`verify_hook_eta`).
+The walk is ``hopf._prefix_ids``, the one class walk, which
+``hopf.plactic_product`` runs on its pair graph too.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -91,8 +93,8 @@ from collections.abc import Callable, Iterator
 from math import factorial
 from operator import xor
 
-from .hopf import _checked_graph, verify_interval_isomorphism
-from .knuthclass import knuth_class
+from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
+from .knuthclass import _class_words
 from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word
 from .report import VerificationReport, stopwatch
 from .tableau import (
@@ -508,7 +510,8 @@ def verify_hook_eta(k: int) -> VerificationReport:
     exit letter lowered by one: that keeps every rank among its letters,
     and so every prefix's insertion id.  One reverse-bump graph is made
     per k below all the distinct children (``hopf._checked_graph``), and
-    each child's class is walked once from its root (:func:`_prefix_ids`),
+    each child's class is walked once from its root by the class walk
+    ``hopf._prefix_ids``, the one that also counts ``plactic_product``,
     every prefix inserted from the right through the lift's
     column-insertion tables, as ``weakorder._insertion_id`` does, with
     equal states merged: no word is listed unless a group fails, and no id
@@ -516,7 +519,11 @@ def verify_hook_eta(k: int) -> VerificationReport:
     are those of the walks of its corners that exit x, counts added.  The
     graph is checked, not trusted: each step must take exactly its exit
     letter, and T's paths must number its hook-length count, the size of
-    its class (RSK), else ``InvariantError`` is raised."""
+    its class (RSK), else ``InvariantError`` is raised.  A failing group
+    lists its words as the class words of each corner's own sub-tableau
+    (``knuthclass._class_words``), unstandardized, followed by the exit
+    letter x, over the corners that exit x: by Schensted these are T's
+    class words that end in x, and no size bound applies to them."""
     _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
@@ -550,7 +557,7 @@ def verify_hook_eta(k: int) -> VerificationReport:
                             f"take exactly its letter {x}"
                         )
                     child = tuple(tuple(y - (y > x) for y in row) for row in sub)
-                    corners.append((x, roots.setdefault(child, len(roots))))
+                    corners.append((x, roots.setdefault(child, len(roots)), sub))
                 hooks.append((tab, size, sorted(corners)))
         masks, steps = _checked_graph(*roots)
         walks = [_prefix_ids(masks, steps, a, tables) for a in range(len(roots))]
@@ -558,7 +565,7 @@ def verify_hook_eta(k: int) -> VerificationReport:
             # last letter -> {prefix id: number of words}, for the last
             # letters some word ends in
             by_last: dict[int, Counter] = {}
-            for last, a in corners:
+            for last, a, _ in corners:
                 if walks[a]:
                     by_last.setdefault(last, Counter()).update(walks[a])
             words = sum(sum(ids.values()) for ids in by_last.values())
@@ -579,7 +586,12 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     continue
                 checked += 1
                 if len(ids) != 1:
-                    group = [w for w in knuth_class(tab).words if w[-1] == last]
+                    group = [
+                        u + (last,)
+                        for x, _, sub in corners
+                        if x == last
+                        for u in _class_words(sub)
+                    ]
                     violations.append(
                         {
                             "R": format_tableau(tab),
@@ -590,36 +602,6 @@ def verify_hook_eta(k: int) -> VerificationReport:
     return VerificationReport(
         "hook-eta", {"k": k}, checked, violations, sw.ms, skipped=skipped
     )
-
-
-def _prefix_ids(masks, steps, root: int, tables) -> dict[int, int]:
-    """The words of a root's class in a reverse-bump graph
-    (``knuthclass._bump_graph``): each one's insertion id among the nodes
-    of its size, with the number of words inserting to it.
-
-    The walk starts at the root, the empty suffix placed, and places one
-    letter per level from the right, as ``hopf.plactic_product`` does: a
-    state is a node and the id of the suffix placed so far, and prepending
-    the exit letter y of a step costs one popcount rank among the letters
-    placed (the root's letters that the node no longer holds) and one
-    lookup in the tables of the new length, ``tables[j - 1]`` holding those
-    of size j for j = 1..m, the root's size m.  Equal states are merged
-    and their counts added: their futures are the same.  Only paths that
-    end at the graph's last node, the empty tableau, are counted."""
-    start = masks[root]
-    states: dict[int, dict[int, int]] = {root: {0: 1}}
-    for size_tables in tables:
-        following: dict[int, dict[int, int]] = {}
-        for a, counts in states.items():
-            placed = start ^ masks[a]
-            for c, y in steps[a]:
-                table = size_tables[(placed & (1 << y) - 1).bit_count()]
-                merged = following.setdefault(c, {})
-                for t, count in counts.items():
-                    t = table[t]
-                    merged[t] = merged.get(t, 0) + count
-        states = following
-    return states.get(len(steps) - 1, {})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+import product_oracle
 import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
 import sytkit.tableau as tableau
@@ -275,6 +276,32 @@ def test_product_broken_invariant_is_not_a_value_error(monkeypatch, fault, messa
         plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1/2"))
     assert str(info.value) == message
     assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("1", "1"), ("1,2,3,4/5,6,7,8", "1"), ("1", "1,2,3,4/5,6,7,8"), ("1,2/3,4", "1,3/2,5/4")],
+)
+def test_the_product_is_one_walk_of_the_pair_graph(monkeypatch, left, right):
+    # one class walk per product, from node 0 of the pair graph: one node
+    # per (left node, right node), the pair of empty tableaux last
+    left, right = parse_tableau(left), parse_tableau(right)
+    walks = []
+    walk = hopf._prefix_ids
+
+    def counted(masks, steps, root, tables):
+        walks.append((masks, steps, root, len(tables)))
+        return walk(masks, steps, root, tables)
+
+    monkeypatch.setattr(hopf, "_prefix_ids", counted)
+    expected = product_oracle.plactic_product(left, right).terms
+    assert plactic_product(left, right).terms == expected
+    ((masks, steps, root, sizes),) = walks
+    n = size_of(left) + size_of(right)
+    nodes = len(knuthclass._bump_graph(left)[0]) * len(knuthclass._bump_graph(right)[0])
+    assert len(masks) == len(steps) == nodes
+    assert (root, sizes) == (0, n)
+    assert masks[0] == (2 << n) - 2 and masks[-1] == 0 and steps[-1] == []
 
 
 def test_the_product_lists_no_class_word(monkeypatch):
