@@ -3,7 +3,11 @@
 The product of two classes is counted, not spelled out: no word of either
 class or of their shuffle is made.  Each factor's class is its
 reverse-bump graph (``knuthclass._bump_graph``), whose paths from the
-tableau to the empty one spell the class words from the right.  The two
+tableau to the empty one spell the class words from the right.  Its nodes
+are integer keys, not sub-tableaux: a letter mask with a standardized row
+code, whose steps are read from the step table ``knuthclass._STEPS``,
+where each standardized tableau is reverse-bumped and checked once per
+process.  The two
 graphs are walked as one pair graph, the right factor's letters raised
 above the left's, by the one class walk :func:`_prefix_ids`, which
 ``verify.verify_hook_eta`` also runs: one letter placed per level from
@@ -94,8 +98,10 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
 
     Each factor is validated once, and the product's size is compared with
     ``MAX_PRODUCT_SIZE`` before either factor's reverse-bump graph
-    (``knuthclass._bump_graph``) is made.  No word is made, of a class or
-    of the shuffle.  The two checked graphs (:func:`_checked_graph`) are
+    (``knuthclass._bump_graph``) is made, its nodes numbered from integer
+    keys and its steps read from the step table ``knuthclass._STEPS``.
+    No word is made, of a class or of the shuffle, and no sub-tableau.
+    The two checked graphs (:func:`_checked_graph`) are
     walked as one pair graph: node a * w + b, w the right graph's node
     count, is the pair (a, b), its letters those of a and those of b
     raised by k, and each step of a or of b is a step of the pair, a
@@ -172,9 +178,10 @@ def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]
     """``knuthclass._bump_graph`` below the tableaux, each step checked to
     take exactly its exit letter from its node's letters, else
     :class:`InvariantError`: then a path of d steps has placed d letters.
-    The product reads the graph of each factor, and
-    ``verify.verify_hook_eta`` one graph below all the corner children of
-    one size."""
+    Each step table entry is checked once, when it is made; this check is
+    the consumer's, on the graph it is handed.  The product reads the
+    graph of each factor, and ``verify.verify_hook_eta`` one graph below
+    all the corner children of one size."""
     masks, steps = _bump_graph(*roots)
     for mask, out in zip(masks, steps):
         for c, x in out:

@@ -7,9 +7,9 @@ bound shuffle products.  Public functions validate their input; the
 underscored kernels trust theirs and serve sweeps over known-standard
 tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
 alike, runs in the one kernel ``_slide``, and every reverse row insertion,
-behind ``reverse_insert`` and the reverse-bump graph of
-``knuthclass._bump_graph`` (class listing and shuffle product), in
-``_reverse_bump``.  A dual Knuth move exchanges two entries in place
+behind ``reverse_insert`` and the step table of the reverse-bump graph
+``knuthclass._bump_graph`` (class listing, shuffle product and hook-eta),
+in ``_reverse_bump``.  A dual Knuth move exchanges two entries in place
 (``_dual_moves``), by the rule of ``_move_exchanges``, which the move
 tables of sytkit.verify apply to row codes; the row-word route is a test
 oracle.  A skew tableau is built from its rows alone; its outer and inner
@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
+from operator import ge, lt
 
 from .permutation import (
     InvariantError,
@@ -137,9 +138,9 @@ def size_of(rows: Rows) -> int:
 
 
 def check_standard(rows) -> Rows:
-    t = _check_rows(rows)
-    n = size_of(t)
-    if sorted(x for row in t for x in row) != list(range(1, n + 1)):
+    t, entries = _check_rows(rows)
+    n = len(entries)
+    if sorted(entries) != list(range(1, n + 1)):
         raise ValueError(f"entries must be exactly 1..{n}")
     _check_increasing(t)
     return t
@@ -148,40 +149,44 @@ def check_standard(rows) -> Rows:
 def check_tableau(rows) -> Rows:
     """Validate a tableau on any letters: distinct positive integers,
     strictly increasing along rows and down columns."""
-    t = _check_rows(rows)
-    entries = [x for row in t for x in row]
-    if min(entries) < 1:
+    t, entries = _check_rows(rows)
+    entries.sort()
+    if entries[0] < 1:
         raise ValueError("entries must be positive")
-    if len(set(entries)) != len(entries):
+    if not all(map(lt, entries, entries[1:])):
         raise ValueError("entries must be distinct")
     _check_increasing(t)
     return t
 
 
-def _check_rows(rows) -> Rows:
-    """Integer rows, none empty, whose lengths form a partition.  Entries
-    are taken as they are: anything but an ``int`` (a bool, a float such
-    as 2.0) raises ValueError."""
+def _check_rows(rows) -> tuple[Rows, list[int]]:
+    """Integer rows, none empty, whose lengths form a partition, and their
+    entries flattened row by row.  Entries are taken as they are: anything
+    but an ``int`` (a bool, a float such as 2.0) raises ValueError."""
     try:
         t = tuple(map(tuple, rows))
     except TypeError:
         raise ValueError(f"a tableau is a sequence of rows, got {rows!r}") from None
-    for row in t:
-        _ints(row, "tableau entries")
-    if not t or any(not row for row in t):
+    entries = [x for row in t for x in row]
+    if not {*map(type, entries)} <= {int}:
+        bad = next(x for x in entries if type(x) is not int)
+        raise ValueError(f"tableau entries must be integers, got {bad!r}")
+    if not t or not all(t):
         raise ValueError("tableau must have nonempty rows")
-    check_partition(shape_of(t))
-    return t
+    lengths = [*map(len, t)]
+    if not all(map(ge, lengths, lengths[1:])):
+        raise ValueError(f"partition parts must be weakly decreasing: {tuple(lengths)}")
+    return t, entries
 
 
 def _check_increasing(t: Rows) -> None:
     for row in t:
-        if any(a >= b for a, b in zip(row, row[1:])):
+        if not all(map(lt, row, row[1:])):
             raise ValueError(f"row not increasing: {row}")
-    for r in range(len(t) - 1):
-        for c in range(len(t[r + 1])):
-            if t[r][c] >= t[r + 1][c]:
-                raise ValueError(f"column {c + 1} not increasing")
+    for upper, lower in zip(t, t[1:]):
+        if not all(map(lt, upper, lower)):
+            c = next(c for c, (a, b) in enumerate(zip(upper, lower)) if a >= b)
+            raise ValueError(f"column {c + 1} not increasing")
 
 
 def corners(rows: Rows) -> list[Cell]:

@@ -74,11 +74,12 @@ letter x on the lift's column tables C_m (``weakorder._lifted``), as P(x.w)
 is x column-inserted into P(w) (Schensted), C_m[x][t] once w is
 standardized, and every tableau is P of some word.
 
-The hook-eta check lists no class word either.  Per k it makes one
-reverse-bump graph (``hopf._checked_graph``) below the standardized
-children of every hook tableau's two corners, walks it once per distinct
-child through the same column tables, and adds up the walks of each
-tableau's corners that share an exit letter (see :func:`verify_hook_eta`).
+The hook-eta check lists no class word either.  Per k it reads every
+hook tableau's two corner steps from the step table ``knuthclass._STEPS``,
+makes one reverse-bump graph (``hopf._checked_graph``) below their
+standardized children, walks it once per distinct child through the same
+column tables, and adds up the walks of each tableau's corners that share
+an exit letter (see :func:`verify_hook_eta`).
 The walk is ``hopf._prefix_ids``, the one class walk, which
 ``hopf.plactic_product`` runs on its pair graph too.
 
@@ -94,8 +95,8 @@ from math import factorial
 from operator import xor
 
 from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
-from .knuthclass import _class_words
-from .permutation import MAX_N, InvariantError, Word, check_int, descents_left, format_word
+from .knuthclass import _class_words, _code_rows, _code_steps
+from .permutation import InvariantError, Word, check_int, descents_left, format_word
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -104,7 +105,6 @@ from .tableau import (
     _inner_rows,
     _is_hook,
     _move_exchanges,
-    _reverse_bump,
     _standard_tableaux,
     format_tableau,
     partitions,
@@ -502,13 +502,16 @@ def verify_hook_eta(k: int) -> VerificationReport:
     hypothesis and are counted as skipped.
 
     Each such tableau T is reverse-bumped at its two corners, top row
-    first, each step checked to take exactly its exit letter.  The exit
-    letter is the last letter of the words through the corner, so the
-    exit letters differ exactly when the words end in two letters, and
-    the prefixes of those words are the class of the corner's child
-    (Schensted 1961).  Each child is standardized, its letters above the
-    exit letter lowered by one: that keeps every rank among its letters,
-    and so every prefix's insertion id.  One reverse-bump graph is made
+    first, read from the step table ``knuthclass._STEPS`` under T's row
+    code (``knuthclass._code_steps``), each step checked to take exactly
+    its exit letter when its entry was made.  The exit letter is the last
+    letter of the words through the corner, so the exit letters differ
+    exactly when the words end in two letters, and the prefixes of those
+    words are the class of the corner's child (Schensted 1961).  The table
+    gives each child standardized, as its row code with its letters above
+    the exit letter lowered by one: that keeps every rank among its
+    letters, and so every prefix's insertion id.  One reverse-bump graph,
+    its nodes integer keys and its steps read from the same table, is made
     per k below all the distinct children (``hopf._checked_graph``), and
     each child's class is walked once from its root by the class walk
     ``hopf._prefix_ids``, the one that also counts ``plactic_product``,
@@ -520,23 +523,23 @@ def verify_hook_eta(k: int) -> VerificationReport:
     graph is checked, not trusted: each step must take exactly its exit
     letter, and T's paths must number its hook-length count, the size of
     its class (RSK), else ``InvariantError`` is raised.  A failing group
-    lists its words as the class words of each corner's own sub-tableau
-    (``knuthclass._class_words``), unstandardized, followed by the exit
-    letter x, over the corners that exit x: by Schensted these are T's
-    class words that end in x, and no size bound applies to them."""
+    lists its words as the class words of each corner's standardized child
+    (``knuthclass._class_words``), their letters from x up raised by one,
+    followed by the exit letter x, over the corners that exit x: by
+    Schensted these are T's class words that end in x, and no size bound
+    applies to them."""
     _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
     tables = [_lifted(m)[1] for m in range(1, k)]
-    full = (2 << k) - 2  # the letters 1..k as bits
     checked = 0
     skipped = 0
     violations: list[dict] = []
     with stopwatch() as sw:
         # per tableau checked, its hook-length count and per corner (exit
-        # letter, root of its standardized child)
+        # letter, root of its standardized child, the child's row code)
         hooks = []
-        roots: dict[Rows, int] = {}
+        roots: dict[int, int] = {}  # standardized child's row code -> root
         for shape in partitions(k):
             if not _is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
@@ -547,19 +550,13 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     skipped += 1
                     continue
                 checked += 1
-                corners = []
-                for r in (1, len(tab)):  # a hook's two corners
-                    sub, x = _reverse_bump(tab, r)
-                    mask = sum(1 << y for row in sub for y in row)
-                    if mask | 1 << x != full or mask == full:
-                        raise InvariantError(
-                            f"a reverse-bump step of {format_tableau(tab)} does not "
-                            f"take exactly its letter {x}"
-                        )
-                    child = tuple(tuple(y - (y > x) for y in row) for row in sub)
-                    corners.append((x, roots.setdefault(child, len(roots)), sub))
+                # a hook's two corners, each step checked as its entry was made
+                corners = [
+                    (x, roots.setdefault(child, len(roots)), child)
+                    for child, x in _code_steps(_row_code(tab))
+                ]
                 hooks.append((tab, size, sorted(corners)))
-        masks, steps = _checked_graph(*roots)
+        masks, steps = _checked_graph(*map(_code_rows, roots))
         walks = [_prefix_ids(masks, steps, a, tables) for a in range(len(roots))]
         for tab, size, corners in hooks:
             # last letter -> {prefix id: number of words}, for the last
@@ -587,10 +584,10 @@ def verify_hook_eta(k: int) -> VerificationReport:
                 checked += 1
                 if len(ids) != 1:
                     group = [
-                        u + (last,)
-                        for x, _, sub in corners
+                        tuple(y + (y >= last) for y in u) + (last,)
+                        for x, _, child in corners
                         if x == last
-                        for u in _class_words(sub)
+                        for u in _class_words(_code_rows(child))
                     ]
                     violations.append(
                         {
@@ -669,8 +666,7 @@ def verify_descents_constant(n: int) -> VerificationReport:
     x > 1, so it is enough that Des(C_m[x][t]) is that image of Des(t) for
     every m = 2..n, size m - 1 node t and letter x (:func:`_descent_lemma`).
     ``checked`` counts the n! words so established."""
-    if not 1 <= check_int(n, "n") <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}")
+    _check_poset_size(n)
     nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
 
     def failing(word: Word) -> list[dict]:

@@ -10,10 +10,12 @@ The size-n edges are the covers of the size n - 1 order mapped through
 those tables, plus the swaps of the first two letters: the covers generate
 the same order as all the swaps of size n - 1, and each table maps a chain
 to a chain.  Each size's nodes are grown from the size below, k appended
-at each corner it can fill, and its row codes with them (:func:`_grown`);
-its tables are made by column insertion.  Nodes and tables are made once
-per process and kept for the larger sizes, with the map from row code to
-node id, but no edge; the sweep layout of sytkit.verify names its runs
+at each corner it can fill, and its row codes and columns with them
+(:func:`_grown`); its tables are made by column insertion into the
+columns of the size below.  Nodes and tables are made once per process
+and kept for the larger sizes, with the map from row code to node id, but
+no edge; only the largest size's columns are kept, until the next size is
+lifted from them.  The sweep layout of sytkit.verify names its runs
 through those maps, and the hook-eta check, the plactic product and the
 lemmas of sytkit.verify insert words through the tables, as
 :func:`_insertion_id` does.  Evacuation and transposition are id tables
@@ -66,6 +68,12 @@ from .tableau import (
 )
 
 MAX_POSET_N = 9
+
+# a tableau's columns as the lift grows them (:func:`_grown`), each a bytes
+# string of its letters from the top: bytes, unlike a tuple, is never
+# tracked by the cyclic garbage collector, so the columns kept between
+# sizes do not move its collections into the checks that follow
+Columns = tuple[bytes, ...]
 
 NodeRef = Rows | int  # tableaux or node ids are accepted interchangeably
 
@@ -227,26 +235,27 @@ def _row_code(rows) -> int:
 
 
 def _column_tables(
-    prev: tuple[Rows, ...], prev_ids: dict[int, int], ids_of: dict[int, int], k: int
+    columns: list[Columns], prev_ids: dict[int, int], ids_of: dict[int, int], k: int
 ) -> list[list[int]]:
     """``tables[x - 1][t]``: the size-k node id of x column-inserted into
-    node t of ``prev`` (the size k - 1 nodes) with its letters >= x raised
-    by one.  ``prev_ids`` and ``ids_of`` map each size k - 1 and size-k
-    node's row code to its id; the first is read in id order.
+    node t of the size k - 1 nodes, its letters >= x raised by one.
+    ``columns[t]`` holds the columns of node t (see ``Columns``), and
+    ``prev_ids`` and ``ids_of`` map each size k - 1 and size-k node's row
+    code to its id; the first is read in id order.
 
     The columns of node t are searched as they are: a raised letter z + 1
     bumps the first entry >= z + 1 as an unraised one, so only the row code
     is raised and each bump moves one letter's row in it.  A raised code
     that names no size-k node raises :class:`InvariantError`.
     """
-    # each node's columns and an empty one past them, where the last bump lands
-    columns = [((_transpose(t) if t else ()) + ((),), code) for t, code in zip(prev, prev_ids)]
+    # an empty column past each node's, where the last bump lands
+    padded = [(cols + (b"",), code) for cols, code in zip(columns, prev_ids)]
     tables = []
     for x in range(1, k + 1):
         keep = (1 << 4 * (x - 1)) - 1
         table: list[int] = []
         try:
-            for cols, code in columns:
+            for cols, code in padded:
                 code = code & keep | (code & ~keep) << 4
                 v = x
                 for col in cols:
@@ -258,7 +267,8 @@ def _column_tables(
                     code -= pos + 1 << 4 * (v - 1)
                 table.append(ids_of[code])
         except KeyError:
-            at = format_tableau(prev[len(table)]) or "()"
+            cols = columns[len(table)]
+            at = format_tableau(_transpose(tuple(map(tuple, cols)))) if cols else "()"
             raise InvariantError(
                 f"{x} column-inserted into the size-{k - 1} node {at} is not a size-{k} node"
             ) from None
@@ -267,29 +277,40 @@ def _column_tables(
 
 
 def _grown(
-    prev: tuple[Rows, ...], prev_ids: dict[int, int], k: int
-) -> tuple[tuple[Rows, ...], dict[int, int]]:
-    """The size-k tableaux in canonical order and the map from their row
-    codes to their ids, made in id order: each size k - 1 node t of
+    prev: tuple[Rows, ...], prev_ids: dict[int, int], k: int, columns: list[Columns] | None
+) -> tuple[tuple[Rows, ...], dict[int, int], list[Columns] | None]:
+    """The size-k tableaux in canonical order, the map from their row codes
+    to their ids, made in id order, and their columns when ``columns``
+    holds those of ``prev`` (else None): each size k - 1 node t of
     ``prev`` with k appended to each row that can take it, its row code the
     code of t (``prev_ids`` is read in id order) plus the row of k in digit
-    k - 1.  Each standard tableau arises once, from the tableau left when
-    its corner k is removed.  For one shape, comparing the rows bottom
-    first compares the row words, so the sort key is canonical."""
+    k - 1, and its columns those of t with k appended to the column just
+    past the end of that row.  Each standard tableau arises once, from the
+    tableau left when its corner k is removed.  For one shape, comparing
+    the rows bottom first compares the row words, so the sort key is
+    canonical."""
     shift = 4 * (k - 1)
+    grown_letter = bytes((k,))
     grown = []
-    for t, code in zip(prev, prev_ids):
+    for t, code, cols in zip(prev, prev_ids, columns or [None] * len(prev)):
         for r in range(len(t) + 1):
             if r == len(t):
-                rows = t + ((k,),)
+                rows, c = t + ((k,),), 0
             elif r and len(t[r - 1]) == len(t[r]):
                 continue  # the row above is no longer: k would sit below no entry
             else:
-                rows = t[:r] + (t[r] + (k,),) + t[r + 1:]
-            grown.append((tuple(map(len, rows)), rows[::-1], code | r + 1 << shift))
+                rows, c = t[:r] + (t[r] + (k,),) + t[r + 1:], len(t[r])
+            if cols is None:
+                after = None
+            elif c < len(cols):
+                after = cols[:c] + (cols[c] + grown_letter,) + cols[c + 1:]
+            else:
+                after = cols + (grown_letter,)
+            grown.append((tuple(map(len, rows)), rows[::-1], code | r + 1 << shift, after))
     grown.sort()
-    ids_of = {code: i for i, (_, _, code) in enumerate(grown)}
-    return tuple([rows[::-1] for _, rows, _ in grown]), ids_of
+    ids_of = {code: i for i, (_, _, code, _) in enumerate(grown)}
+    nodes = tuple([rows[::-1] for _, rows, _, _ in grown])
+    return nodes, ids_of, None if columns is None else [cols for *_, cols in grown]
 
 
 # size k -> (nodes, tables, ids_of) as :func:`_lifted` leaves them for
@@ -300,23 +321,42 @@ def _grown(
 # size down (:func:`_lift_edges`)
 _LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], dict[int, int]]] = {}
 
+# the nodes of the largest size in ``_LIFTED`` and their columns, as
+# :func:`_lifted` leaves them below ``MAX_POSET_N``; dropped when the next
+# size is made from them
+_TOP_COLUMNS: list[tuple[tuple[Rows, ...], list[Columns]]] = []
+
 
 def _lifted(k: int) -> tuple[tuple[Rows, ...], list[array], dict[int, int]]:
     """The size-k entry of ``_LIFTED`` (k >= 1), made first when it is
     missing, from the largest size already made, one size at a time: the
     size-k nodes, canonically sorted, grown from the size k - 1 nodes with
-    their row codes (:func:`_grown`), and the tables C_k[x] of
-    :func:`_column_tables` from the size k - 1 nodes."""
+    their row codes and columns (:func:`_grown`), and the tables C_k[x] of
+    :func:`_column_tables` from the columns of the size k - 1 nodes.  The
+    columns of the largest size made are kept in ``_TOP_COLUMNS`` for the
+    next size, below ``MAX_POSET_N``, the largest size an order is built
+    for; others are made from the nodes by transposing them."""
     if k not in _LIFTED:
         top = k - 1
         while top and top not in _LIFTED:
             top -= 1
         nodes, _, ids_of = _LIFTED[top] if top else (((),), [], {0: 0})
+        kept = _TOP_COLUMNS.pop() if _TOP_COLUMNS else ((), [])
+        if not top:
+            columns = [()]
+        elif kept[0] is nodes:
+            columns = kept[1]
+        else:
+            columns = [tuple(map(bytes, _transpose(t))) for t in nodes]
         for size in range(top + 1, k + 1):
-            prev, prev_ids = nodes, ids_of
-            nodes, ids_of = _grown(prev, prev_ids, size)
-            tables = _column_tables(prev, prev_ids, ids_of, size)
+            prev_ids, prev_columns = ids_of, columns
+            # the next size's tables read them, in this call or a later one
+            grow = prev_columns if size < max(k, MAX_POSET_N) else None
+            nodes, ids_of, columns = _grown(nodes, prev_ids, size, grow)
+            tables = _column_tables(prev_columns, prev_ids, ids_of, size)
             _LIFTED[size] = (nodes, [array("H", table) for table in tables], ids_of)
+        if columns is not None:
+            _TOP_COLUMNS.append((nodes, columns))
     return _LIFTED[k]
 
 

@@ -242,9 +242,10 @@ def graph_fault(change):
 
 
 def exit_letter_one(monkeypatch):
-    """Every reverse bump exits the letter 1, in the graph's steps and
-    masks alike."""
+    """Every reverse bump exits the letter 1, on an empty step table: the
+    fault reaches every entry made, and none outlives the test."""
     real = knuthclass._reverse_bump
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
     monkeypatch.setattr(knuthclass, "_reverse_bump", lambda rows, r: (real(rows, r)[0], 1))
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import defaultdict
 from itertools import permutations
 
@@ -7,6 +8,7 @@ from hypothesis import given
 import class_oracle
 import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
+import sytkit.weakorder as weakorder
 from conftest import tableaux
 from sytkit.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from sytkit.knuthclass import knuth_class
@@ -17,11 +19,15 @@ from sytkit.tableau import (
     corners,
     descent_set,
     insertion_tableau,
+    is_hook,
     parse_tableau,
+    partitions,
     reverse_insert,
     row_word,
     shape_of,
+    standard_tableaux,
 )
+from sytkit.verify import verify_hook_eta
 from word_oracle import inversions_left
 
 
@@ -106,12 +112,17 @@ def test_ten_cells_are_accepted():
 
 
 def test_a_repeated_word_is_an_invariant_error(capsys, monkeypatch):
+    # every corner reverse-bumped as the last row's: each step takes
+    # exactly its letter, but a node's steps repeat one another; on an
+    # empty step table, so the fault reaches every entry and none outlives
+    # the test
     real = knuthclass._reverse_bump
 
-    def wrong_exit(rows, r):
-        return real(rows, r)[0], 1
+    def last_row(rows, r):
+        return real(rows, len(rows))
 
-    monkeypatch.setattr(knuthclass, "_reverse_bump", wrong_exit)
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
+    monkeypatch.setattr(knuthclass, "_reverse_bump", last_row)
     text = "1,2,3/4,5/6"
     with pytest.raises(InvariantError, match="repeated a word of class 1,2,3/4,5/6"):
         knuth_class(parse_tableau(text))
@@ -119,6 +130,28 @@ def test_a_repeated_word_is_an_invariant_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: reverse bumping repeated")
+
+
+def test_a_wrong_exit_letter_is_an_invariant_error(capsys, monkeypatch):
+    # a step table entry is checked as it is made: its child must hold
+    # the tableau's letters less the exit letter
+    real = knuthclass._reverse_bump
+
+    def wrong_exit(rows, r):
+        return real(rows, r)[0], 1
+
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
+    monkeypatch.setattr(knuthclass, "_reverse_bump", wrong_exit)
+    text = "1,2,3/4,5/6"
+    message = "a reverse-bump step of 1,2,3/4,5/6 does not take exactly its letter 1"
+    with pytest.raises(InvariantError) as info:
+        knuth_class(parse_tableau(text))
+    assert str(info.value) == message
+    assert knuthclass._STEPS == {}  # no faulty entry is kept
+    assert main(["class", text]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -176,3 +209,89 @@ def test_one_graph_below_every_tableau_of_a_size(m):
         words[a] = {u + (x,) for c, x in steps[a] for u in words[c]}
     for a, root in enumerate(roots):
         assert words[a] == class_oracle.class_words(root), root
+
+
+def _hook_eta_roots(k):
+    """The roots of hook-eta's one graph at k: the children of the two
+    corners of each hook tableau it checks, by ``reverse_insert``, their
+    letters above the exit letter lowered by one, in the order met."""
+    roots = {}
+    for shape in partitions(k):
+        if not is_hook(shape) or len(shape) < 3 or shape[0] < 3:
+            continue
+        for tab in standard_tableaux(shape):
+            if {tab[0][-1], tab[-1][0]} == {k, k - 1}:
+                for corner in corners(tab):
+                    sub, x = reverse_insert(tab, corner)
+                    roots.setdefault(tuple(tuple(y - (y > x) for y in row) for row in sub), None)
+    return list(roots)
+
+
+def _standard_count(n):
+    """The standard tableaux of the sizes 0..n, the empty one included."""
+    return 1 + sum(_hook_count(shape) for m in range(1, n + 1) for shape in partitions(m))
+
+
+def test_bump_graph_is_the_reverse_insert_graph_on_an_empty_and_a_warm_table(monkeypatch):
+    # every standard tableau of size <= 8, 200 seeded ones of size 9 and
+    # 10, and hook-eta's graphs below its corner children for k = 5..9:
+    # first on an empty step table, which grows by at most one entry per
+    # standard tableau of the sizes reached, then on the table so filled,
+    # which gains no entry
+    rng = random.Random(34)
+    cases = [[tab] for n in range(1, 9) for tab in all_standard_tableaux(n)]
+    for _ in range(200):
+        n = rng.randint(9, 10)
+        cases.append([insertion_tableau(tuple(rng.sample(range(1, n + 1), n)))])
+    cases += [_hook_eta_roots(k) for k in range(5, 10)]
+    expected = [_graph_by_reverse_insert(roots) for roots in cases]
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
+    reached = 0
+    for roots, graph in zip(cases, expected):
+        assert knuthclass._bump_graph(*roots) == graph, roots
+        reached = max(reached, sum(map(len, roots[0])))
+        assert len(knuthclass._STEPS) <= _standard_count(reached)
+    filled = dict(knuthclass._STEPS)
+    assert len(filled) <= _standard_count(10) == 13_232
+    for roots, graph in zip(cases, expected):
+        assert knuthclass._bump_graph(*roots) == graph, roots
+    assert knuthclass._STEPS == filled
+
+
+@pytest.mark.parametrize("k", range(5, 10))
+def test_hook_eta_graph_has_the_reverse_insert_roots(monkeypatch, k):
+    # hook-eta reads its corner children's codes from the step table; the
+    # roots it hands the graph are the tuple-standardized children
+    seen = []
+    graph = hopf._bump_graph
+
+    def recorded(*roots):
+        seen.append(roots)
+        return graph(*roots)
+
+    monkeypatch.setattr(hopf, "_bump_graph", recorded)
+    assert verify_hook_eta(k).passed
+    assert seen == [tuple(_hook_eta_roots(k))]
+
+
+def test_a_step_table_entry_that_takes_another_letter_is_refused(monkeypatch):
+    # an entry is checked when it is made, and kept only when it passes:
+    # a kernel that names as its exit letter one the child still holds is
+    # refused for the entry's tableau, and the table stays empty
+    real = knuthclass._reverse_bump
+
+    def held_exit(rows, r):
+        sub, _ = real(rows, r)
+        return sub, sub[0][0]
+
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
+    monkeypatch.setattr(knuthclass, "_reverse_bump", held_exit)
+    code = weakorder._row_code(parse_tableau("1,3/2,4"))
+    message = "a reverse-bump step of 1,3/2,4 does not take exactly its letter 1"
+    with pytest.raises(InvariantError) as info:
+        knuthclass._code_steps(code)
+    assert str(info.value) == message
+    assert knuthclass._STEPS == {}
+    monkeypatch.setattr(knuthclass, "_reverse_bump", real)
+    assert knuthclass._code_steps(code) == knuthclass._STEPS[code]
+    assert knuthclass._STEPS[code] == ((weakorder._row_code(parse_tableau("1,3/2")), 3),)

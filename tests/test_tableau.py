@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import hypothesis.strategies as st
 import jdt_oracle as oracle
 import sytkit.tableau as tableau
 import move_oracle
+import validator_oracle
 from conftest import tableaux, words
 from sytkit.permutation import InvariantError, ParseError, descents_left, evac_word
 from sytkit.knuthclass import knuth_class
@@ -103,6 +105,82 @@ def test_check_standard_rejects():
     for bad in [((1, 3), (2, 4, 5)), ((1, 2), (2, 3)), ((2, 1),), ((1,), (2, 3))]:
         with pytest.raises(ValueError):
             check_standard(bad)
+
+
+def _outcome(check, rows):
+    try:
+        return check(rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _corrupted(tab, rng):
+    """The tableau, its letters doubled, and one seeded corruption of each
+    kind: a float, a bool, an entry out of range (n + 1, 0, negative, a
+    repeat), two entries swapped, an empty row, the rows in reverse order
+    and one row reversed."""
+    n = size_of(tab)
+    cells = [(r, c) for r, row in enumerate(tab) for c in range(len(row))]
+
+    def put(value_of):
+        r, c = rng.choice(cells)
+        rows = [list(row) for row in tab]
+        rows[r][c] = value_of(rows[r][c])
+        return rows
+
+    swapped = [list(row) for row in tab]
+    (r, c), (s, d) = rng.sample(cells, 2) if n > 1 else (cells[0], cells[0])
+    swapped[r][c], swapped[s][d] = swapped[s][d], swapped[r][c]
+    r = rng.randrange(len(tab))
+    return [
+        tab,
+        tuple(tuple(2 * x for x in row) for row in tab),
+        put(float),
+        put(lambda x: x == 1 or rng.random() < 0.5),
+        put(lambda x: n + 1),
+        put(lambda x: 0),
+        put(lambda x: -x),
+        put(lambda x: rng.randint(1, n)),
+        swapped,
+        [*tab[:r], (), *tab[r:]],
+        tab[::-1],
+        [*tab[:r], tab[r][::-1], *tab[r + 1:]],
+    ]
+
+
+def test_validators_match_the_old_ones():
+    # the one-pass validators against the row-by-row ones they replace,
+    # every message and its precedence, on every standard tableau of size
+    # <= 9, at most 16 per shape, each seeded corruption of it, and inputs
+    # that are no tableau at all; every message is met
+    rng = random.Random(34)
+    messages = set()
+    cases = [(), [], 5, [1, 2], "12", [[1, 2], 3], [(1,), None], [[1.0]], [[True]]]
+    for n in range(1, 10):
+        for shape in partitions(n):
+            for tab in standard_tableaux(shape)[:16]:
+                cases += _corrupted(tab, rng)
+    for new, old in [
+        (check_standard, validator_oracle.check_standard),
+        (check_tableau, validator_oracle.check_tableau),
+    ]:
+        for rows in cases:
+            outcome = _outcome(new, rows)
+            assert outcome == _outcome(old, rows), rows
+            if type(outcome) is tuple and outcome[0] is ValueError:
+                messages.add(re.sub(r"[:,] .*|[0-9]+", "", outcome[1]))
+    assert len(cases) > 10_000
+    assert messages == {
+        "a tableau is a sequence of rows",
+        "tableau entries must be integers",
+        "tableau must have nonempty rows",
+        "partition parts must be weakly decreasing",
+        "entries must be exactly ..",
+        "entries must be positive",
+        "entries must be distinct",
+        "row not increasing",
+        "column  not increasing",
+    }
 
 
 def test_parse_format_roundtrip():

@@ -39,6 +39,7 @@ from sytkit.tableau import (
     parse_tableau,
     reverse_insert,
     shape_of,
+    size_of,
 )
 from sytkit.verify import (
     verify_antisymmetry,
@@ -691,8 +692,13 @@ def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
     # either corner (3 and 3), so the paths still number its hook count
     # and the report is made, equal to the word oracle's on the words
     # through the top corner, each twice
+    # on an empty step table, and at size 5 only: the graph below the
+    # corner children is the true one
     real = tableau._reverse_bump
-    monkeypatch.setattr(verify, "_reverse_bump", lambda rows, r: real(rows, 1))
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
+    monkeypatch.setattr(
+        knuthclass, "_reverse_bump", lambda rows, r: real(rows, 1 if size_of(rows) == 5 else r)
+    )
     report = verify_hook_eta(5)
     eta = [v for v in report.violations if "eta_top" in v]
     assert eta[0] == {"R": "1,3,5/2/4", "eta_top": 5, "eta_bottom": 5}
@@ -729,9 +735,11 @@ def test_hook_eta_refuses_a_graph_that_drops_a_path(monkeypatch, where):
 
 
 def test_hook_eta_refuses_a_step_that_takes_another_letter(monkeypatch):
-    # each corner step is tested as the product's walk tests every step
+    # each corner step is tested as its step table entry is made, on an
+    # empty table so that the fault reaches the entry
     real = tableau._reverse_bump
-    monkeypatch.setattr(verify, "_reverse_bump", lambda rows, r: (real(rows, r)[0], 1))
+    monkeypatch.setattr(knuthclass, "_STEPS", {})
+    monkeypatch.setattr(knuthclass, "_reverse_bump", lambda rows, r: (real(rows, r)[0], 1))
     message = r"^a reverse-bump step of 1,3,5/2/4 does not take exactly its letter 1$"
     with pytest.raises(InvariantError, match=message):
         verify_hook_eta(5)
@@ -753,21 +761,22 @@ def test_hook_eta_refuses_a_shared_step_that_takes_another_letter(monkeypatch):
     "k, tableaux, walks", [(5, 4, 4), (6, 12, 10), (7, 28, 22), (8, 60, 46), (9, 124, 94)]
 )
 def test_hook_eta_walks_once_per_distinct_corner_child(monkeypatch, k, tableaux, walks):
-    # two corner steps per tableau checked, one walk per standardized
+    # two corner steps read per tableau checked, one walk per standardized
     # child, however many corners share it
     calls = {"corners": 0, "walks": 0}
+    code_steps, walk = verify._code_steps, verify._prefix_ids
 
-    def counted(name, key):
-        real = getattr(verify, name)
+    def corner_steps(code):
+        out = code_steps(code)
+        calls["corners"] += len(out)
+        return out
 
-        def wrapper(*args):
-            calls[key] += 1
-            return real(*args)
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return walk(*args)
 
-        monkeypatch.setattr(verify, name, wrapper)
-
-    counted("_reverse_bump", "corners")
-    counted("_prefix_ids", "walks")
+    monkeypatch.setattr(verify, "_code_steps", corner_steps)
+    monkeypatch.setattr(verify, "_prefix_ids", counted_walk)
     assert verify_hook_eta(k).passed
     assert calls == {"corners": 2 * tableaux, "walks": walks}
 
@@ -929,6 +938,20 @@ def test_descents_constant_matches_the_oracle(n):
     report = verify_descents_constant(n)
     assert report.passed
     assert (report.checked, report.violations) == descents_oracle.descents_constant(n)
+
+
+@pytest.mark.parametrize("n", [0, 10])
+def test_descents_constant_refuses_n_outside_the_lift(n):
+    # the shared size guard of the lift's checks, not the word-length bound
+    # of permutation.MAX_N: the check walks no word
+    with pytest.raises(ValueError, match=r"^n must be in 1\.\.9$"):
+        verify_descents_constant(n)
+
+
+def test_descents_constant_accepts_n_up_to_the_lift():
+    for n in range(1, 10):
+        report = verify_descents_constant(n)
+        assert report.passed and report.checked == factorial(n)
 
 
 def test_the_word_walks_make_no_tableau_from_a_word(monkeypatch):

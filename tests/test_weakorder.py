@@ -233,6 +233,12 @@ def _codes(index):
     return {weakorder._row_code(t): i for t, i in index.items()}
 
 
+def _columns(nodes):
+    """The columns of each tableau as the lift keeps them, none for the
+    empty one."""
+    return [tuple(map(bytes, tableau.transpose(t))) if t else () for t in nodes]
+
+
 @pytest.mark.parametrize("k", range(1, 10))
 def test_lifted_nodes_are_the_sorted_tableaux(monkeypatch, k):
     # from a cold lift, the size-k nodes grown from the size below and their
@@ -254,7 +260,7 @@ def test_a_column_table_miss_is_an_invariant_error():
     codes = _codes(bigger)
     del codes[weakorder._row_code(parse_tableau("1,4/2/3"))]
     with pytest.raises(InvariantError) as raised:
-        weakorder._column_tables(nodes, _codes(index), codes, 4)
+        weakorder._column_tables(_columns(nodes), _codes(index), codes, 4)
     assert str(raised.value) == "3 column-inserted into the size-3 node 1/2/3 is not a size-4 node"
 
 
@@ -264,7 +270,7 @@ def test_column_tables_insert_a_first_letter(m):
     # m letters and every first letter x, with w's letters >= x raised
     nodes, index = _size(m)
     _, bigger = _size(m + 1)
-    tables = weakorder._column_tables(nodes, _codes(index), _codes(bigger), m + 1)
+    tables = weakorder._column_tables(_columns(nodes), _codes(index), _codes(bigger), m + 1)
     assert len(tables) == m + 1 and all(len(table) == len(nodes) for table in tables)
     for w in permutations(range(1, m + 1)):
         t = index[insertion_tableau(w) if w else ()]  # the empty word is no permutation
