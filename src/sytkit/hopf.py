@@ -21,11 +21,14 @@ two factors, each term's count against the hook-length count of its
 shape: words that all insert to T are a subset of the class of T, so
 they are the whole class exactly when there are as many.  Each term is
 also checked to restrict to the two factors, which neither the graphs nor
-the tables are trusted for.  The literal form, which row-inserts every
+the tables are trusted for: its letters above the left factor's are
+row-inserted as one reading word (:func:`_upper_factor`), jeu de taquin
+being a test oracle of that.  The literal form, which row-inserts every
 shuffle word and lists every term's class, is the test oracle
 ``tests/product_oracle.py``.  The same support is also available as an
 order interval between the row-wise and column-wise concatenations of
-the two tableaux.
+the two tableaux, whose ids are read from the factors' row codes
+(:func:`_product_ends`), as interval isomorphism reads them.
 
 For fixed shapes, the intervals of all (left, right) choices are
 isomorphic.  The check writes the isomorphism down instead of searching for
@@ -50,11 +53,9 @@ from .permutation import InvariantError, check_int
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
-    _beside,
     _hook_count,
     _inner_rows,
-    _over,
-    _restrict,
+    _insertion_tableau,
     _standard_tableaux,
     check_standard,
     format_tableau,
@@ -126,7 +127,8 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     one per standard recording tableau (RSK).  A subset of that size is
     the whole class.  Last, each term must restrict to the factors: its
     letters 1..k are ``left`` and its letters above k rectify to
-    ``right``, by jeu de taquin rather than by the tables.  The terms of
+    ``right``, checked by one row insertion of their reading word
+    (:func:`_upper_factor`) rather than by the tables.  The terms of
     the product are exactly the tableaux that restrict so (Poirier and
     Reutenauer 1995): restriction to 1..k and to k + 1..n commutes with
     insertion.  So the terms kept are true terms whose hook counts add up
@@ -166,12 +168,22 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
             raise InvariantError(
                 f"shuffle words cover class {format_tableau(tab)} only partially"
             )
-        if _inner_rows(tab, k) != left or _restrict(tab, k + 1, n) != right:
+        if _inner_rows(tab, k) != left or _upper_factor(tab, k) != right:
             raise InvariantError(
                 f"term {format_tableau(tab)} does not restrict to the two factors"
             )
         terms[tab] = 1
     return PlacticSum(terms)
+
+
+def _upper_factor(rows: Rows, k: int) -> Rows:
+    """The restriction of a standard tableau to its letters above k,
+    standardized: the insertion tableau of the reading word of those
+    letters, bottom row first, each lowered by k.  The rectification of a
+    skew tableau is the insertion tableau of its reading word
+    (Schützenberger 1972), so this is ``tableau._restrict(rows, k + 1, n)``
+    with no slide."""
+    return _insertion_tableau([x - k for row in reversed(rows) for x in row if x > k])
 
 
 def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -226,13 +238,19 @@ def _prefix_ids(masks, steps, root: int, tables) -> dict[int, int]:
 
 def _product_ends(left: Rows, right: Rows, p: TableauPoset) -> tuple[int, int]:
     """The ids in ``p`` of the row-wise and column-wise concatenations, the
-    ends of the product's interval, each factor checked once."""
+    ends of the product's interval, each factor checked once.  They are
+    read from the factors' row codes (:func:`_forms`, :func:`_ends`), no
+    tableau made, so the order's nodes must be the lift's, else
+    :class:`InvariantError`."""
     left = check_standard(left)
     right = check_standard(right)
-    n = size_of(left) + size_of(right)
+    k = size_of(left)
+    n = k + size_of(right)
     if p.n != n:
         raise ValueError(f"poset is for size {p.n}, product needs {n}")
-    return p.index[_beside(left, right)], p.index[_over(left, right)]
+    _check_lift_nodes(p)
+    (left_form,), (right_form,) = _forms(k, (left,)), _forms(n - k, (right,))
+    return _ends(n, k, left_form, right_form)
 
 
 def product_interval(left: Rows, right: Rows, p: TableauPoset) -> Interval:

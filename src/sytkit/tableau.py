@@ -13,7 +13,11 @@ in ``_reverse_bump``.  A dual Knuth move exchanges two entries in place
 (``_dual_moves``), by the rule of ``_move_exchanges``, which the move
 tables of sytkit.verify apply to row codes; the row-word route is a test
 oracle.  A skew tableau is built from its rows alone; its outer and inner
-shapes are read off them, so they cannot disagree with the rows.
+shapes are read off them, so they cannot disagree with the rows.  A
+slide's result is the one exception: it is built unchecked from the
+kernel's grid and inner shape (``SkewTableau._trusted``), the input
+having been validated when it was built and each slide's end checked by
+the kernel, which raises ``InvariantError``, not ``ValueError``.
 
 A tableau is a tuple of strictly increasing rows holding 1..n.  Cells are
 addressed 1-based as (row, col), rows counted from the top, columns from
@@ -456,6 +460,21 @@ class SkewTableau:
         return cls(rows)
 
     @classmethod
+    def _trusted(cls, grid, inner) -> "SkewTableau":
+        """The skew tableau of a slide kernel's grid (see :func:`_slide`),
+        built without validation: ``rows`` are the grid's, ``outer`` their
+        lengths, and ``inner`` the kernel's padded inner shape with its
+        trailing zeros trimmed."""
+        rows = tuple(map(tuple, grid))
+        while inner and not inner[-1]:
+            inner.pop()
+        t = object.__new__(cls)
+        object.__setattr__(t, "outer", tuple(map(len, rows)))
+        object.__setattr__(t, "inner", tuple(inner))
+        object.__setattr__(t, "rows", rows)
+        return t
+
+    @classmethod
     def from_tableau(cls, rows: Rows) -> "SkewTableau":
         return cls(check_standard(rows))
 
@@ -557,7 +576,10 @@ def _slide(grid, inner, hole, forward, trace=None):
 
 
 def _checked_slide(t: SkewTableau, hole: Cell, direction: str, trace) -> SkewTableau:
-    """Validate the hole and direction, slide once, build the result."""
+    """Validate the hole and direction, slide once, and build the result
+    from the kernel's grid and inner shape (``SkewTableau._trusted``): the
+    input was validated when it was built, and the kernel checks where
+    each slide ends, so the result is not validated again."""
     if isinstance(hole, tuple):
         for x in hole:  # (1.0, 1) == (1, 1), so the membership tests pass it
             check_int(x, "a cell coordinate")
@@ -570,8 +592,9 @@ def _checked_slide(t: SkewTableau, hole: Cell, direction: str, trace) -> SkewTab
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     grid = [list(row) for row in t.rows]
-    _slide(grid, list(t._inner_padded()), hole, direction == "forward", trace)
-    return SkewTableau.from_rows(grid)
+    inner = list(t._inner_padded())
+    _slide(grid, inner, hole, direction == "forward", trace)
+    return SkewTableau._trusted(grid, inner)
 
 
 def jdt_slide_trace(

@@ -362,8 +362,11 @@ def _lifted(k: int) -> tuple[tuple[Rows, ...], list[array], dict[int, int]]:
 
 def _check_lift_nodes(p: TableauPoset) -> None:
     """Refuse an order whose nodes are not the lift's of its size, with
-    :class:`InvariantError`: the id tables of the lift then name its nodes."""
-    if p.nodes != _lifted(p.n)[0]:
+    :class:`InvariantError`: the id tables of the lift then name its nodes.
+    An order built here holds the lift's nodes themselves, so the tuples
+    are compared only when they are not the same object."""
+    nodes = _lifted(p.n)[0]
+    if p.nodes is not nodes and p.nodes != nodes:
         n = p.n
         raise InvariantError(f"the size-{n} order's nodes are not the lift's size-{n} tableaux")
 

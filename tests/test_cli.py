@@ -19,7 +19,7 @@ from sytkit.weakorder import (
     check_monotone_shape,
     to_dot,
 )
-from test_hopf import GRAPH_FAULTS, cut_short, graph_fault
+from test_hopf import GRAPH_FAULTS, cut_short, graph_fault, transposed_insertion
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -95,6 +95,14 @@ def test_product_short_word_exits_3(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: a reverse-bump step of 1,2/3 does not take exactly its letter 1\n"
+
+
+def test_product_wrong_upper_factor_exits_3(capsys, monkeypatch):
+    transposed_insertion(monkeypatch)
+    code, out, err = run(capsys, "product", "1,2,4/3,5", "1/2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: term 1,2,4/3,5/6/7 does not restrict to the two factors\n"
 
 
 def test_product_lists_no_class_word(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import pytest
@@ -327,6 +328,71 @@ def test_product_term_short_of_its_hook_count_is_an_invariant_error(monkeypatch)
         plactic_product(parse_tableau("1,2/3"), parse_tableau("1/2"))
     assert not isinstance(info.value, ValueError)
     assert str(info.value).startswith("shuffle words cover class")
+
+
+def test_upper_factor_by_insertion_is_the_restriction_by_slides():
+    # every term of every pair of total <= 7: the reading word of its
+    # letters above k, inserted, against jeu de taquin
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            for left in all_standard_tableaux(k):
+                for right in all_standard_tableaux(n - k):
+                    for t in plactic_product(left, right).terms:
+                        upper = hopf._upper_factor(t, k)
+                        assert upper == tableau._restrict(t, k + 1, n) == right
+                        checked += 1
+    # each standard tableau of size n is a term of one pair per split k
+    assert checked == sum((n - 1) * len(all_standard_tableaux(n)) for n in range(2, 8))
+
+
+def transposed_insertion(monkeypatch):
+    """The product's insertion kernel returns the transpose of the
+    insertion tableau: every term's upper factor comes out wrong."""
+    real = tableau._insertion_tableau
+    monkeypatch.setattr(hopf, "_insertion_tableau", lambda word: tableau._transpose(real(word)))
+
+
+def test_a_wrong_upper_factor_is_an_invariant_error(monkeypatch):
+    transposed_insertion(monkeypatch)
+    with pytest.raises(InvariantError) as info:
+        plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1/2"))
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value) == "term 1,2,4/3,5/6/7 does not restrict to the two factors"
+
+
+def test_product_ends_are_beside_and_over():
+    # _product_ends, from the factors' row codes, against the tableau
+    # forms looked up in the order's index, on every pair of total <= 8
+    for n in range(2, 9):
+        p = cached_poset(n)
+        for k in range(1, n):
+            for left in all_standard_tableaux(k):
+                for right in all_standard_tableaux(n - k):
+                    assert hopf._product_ends(left, right, p) == (
+                        p.index[tableau._beside(left, right)],
+                        p.index[tableau._over(left, right)],
+                    )
+
+
+def test_product_ends_need_the_lift_nodes():
+    left, right = parse_tableau("1,2/3"), parse_tableau("1/2")
+    p = cached_poset(5)
+    nodes = list(p.nodes)
+    nodes[0], nodes[1] = nodes[1], nodes[0]
+    moved = dataclasses.replace(p, nodes=tuple(nodes))
+    for product in (hopf.product_interval, hopf.interval_product):
+        with pytest.raises(InvariantError, match="nodes are not the lift's size-5") as info:
+            product(left, right, moved)
+        assert not isinstance(info.value, ValueError)
+    # a copy holds the same nodes; equal nodes in a new tuple pass as well
+    expected = hopf.product_interval(left, right, p)
+    for same in (dataclasses.replace(p), dataclasses.replace(p, nodes=tuple(list(p.nodes)))):
+        iv = hopf.product_interval(left, right, same)
+        assert (iv.bottom, iv.top, iv.members, iv.covers) == (
+            expected.bottom, expected.top, expected.members, expected.covers
+        )
+        assert hopf.interval_product(left, right, same) == expected.member_tableaux()
 
 
 def test_relabeling_is_a_splice_of_row_codes():

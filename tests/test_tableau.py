@@ -611,6 +611,29 @@ def test_slides_match_the_oracle_on_every_small_filling():
     assert legal == 1912
 
 
+def test_slide_results_built_unchecked_equal_the_validated_ones():
+    # a slide's result is built from the kernel's grid and inner shape
+    # without validation; from_rows of the same grid must agree with it,
+    # field for field, on every small filling and legal hole
+    legal = 0
+    for skew in _all_skew_fillings(6):
+        for direction, holes in (
+            ("forward", inner_corners(skew)),
+            ("backward", addable_cells(skew.outer)),
+        ):
+            for hole in holes:
+                legal += 1
+                grid = [list(row) for row in skew.rows]
+                inner = list(skew._inner_padded())
+                tableau._slide(grid, inner, hole, direction == "forward")
+                want = SkewTableau.from_rows(grid)
+                got = SkewTableau._trusted(grid, inner)
+                assert (got.outer, got.inner, got.rows) == (want.outer, want.inner, want.rows)
+                assert repr(got) == repr(want)
+                assert jdt_slide(skew, hole, direction) == want
+    assert legal == 1912
+
+
 def test_restrict_matches_the_oracle_n7():
     for n in range(2, 8):
         for tab in all_standard_tableaux(n):

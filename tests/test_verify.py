@@ -360,8 +360,13 @@ def test_sweep_rejects_a_move_that_changes_the_shape(monkeypatch):
 
 def _without_a_size_3_node(monkeypatch):
     """A fresh lift cache whose size-3 code map has lost the node 1,3/2,
-    and a copy of the size-5 order to lay out with it."""
+    and a copy of the size-5 order to lay out with it.  The sweep reads
+    the size-3 move table too, so ``verify._MOVES`` is a fresh one whose
+    size-3 entry is made on the intact map first: else a test run alone
+    makes it on the broken map, where it fails on its own check."""
     p = dataclasses.replace(cached_poset(5))
+    monkeypatch.setattr(verify, "_MOVES", {})
+    verify._size_moves(3)
     lifted = dict(weakorder._LIFTED)
     subs, tables, ids_of = lifted[3]
     gone = ids_of[weakorder._row_code(parse_tableau("1,3/2"))]

@@ -734,16 +734,21 @@ def test_symmetry_tables_must_keep_or_conjugate_the_shape():
 
 def test_the_symmetry_tables_are_made_once_per_size(monkeypatch):
     # made from the size below, each once per process; no table is made by
-    # a product, an interval product or the public evacuate and transpose
+    # a product or the public evacuate and transpose
     monkeypatch.setattr(weakorder, "_SYMMETRIES", {})
     left, right = parse_tableau("1,2/3"), parse_tableau("1,3/2,4")
     hopf.plactic_product(left, right)
-    hopf.interval_product(left, right, cached_poset(7))
     evacuate(parse_tableau("1,2,4/3,5")), transpose(parse_tableau("1,2,4/3,5"))
     assert weakorder._SYMMETRIES == {}
     first = weakorder._symmetries(6)
     assert sorted(weakorder._SYMMETRIES) == list(range(1, 7))
     assert weakorder._symmetries(6) is first
+    # an interval product reads its ends through the transposition tables
+    # of its factors' sizes and its total: only the total's is new here
+    kept = dict(weakorder._SYMMETRIES)
+    hopf.interval_product(left, right, cached_poset(7))
+    assert sorted(weakorder._SYMMETRIES) == list(range(1, 8))
+    assert all(weakorder._SYMMETRIES[m] is tables for m, tables in kept.items())
 
 
 def test_poset_counts_n9():
