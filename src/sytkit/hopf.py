@@ -12,7 +12,7 @@ graphs are walked as one pair graph, the right factor's letters raised
 above the left's, by the one class walk :func:`_prefix_ids`, which
 ``verify.verify_hook_eta`` also runs: one letter placed per level from
 the right, and the insertion tableau of what is placed named by one
-lookup in the lift's column-insertion tables (``weakorder._lifted``), as
+lookup in the lift's column-insertion tables (``weakorder._size``), as
 P(x.w) is x column-inserted into P(w) (Schensted 1961).  Equal states are
 merged level by level and carry their word counts.  The counts must
 decompose into whole classes, each exactly once; that fact is asserted,
@@ -37,7 +37,7 @@ factor's, evacuate back.  Every map is tested; a violation means that this
 natural map is not an isomorphism, not that none exists.  The maps are
 read on the lift's ids, no tableau made per member: a relabeling is a
 splice of row codes and one lookup in the lift's code map, evacuation one
-read of an id table (``weakorder._symmetries``), and the ends of each
+read of an id table (both in ``weakorder._size``), and the ends of each
 interval are spliced from the factors' codes.  The tableau forms
 (``tableau._relabel_inner``, ``_evacuate``, ``_beside``, ``_over``) stay
 the oracle of the tests.
@@ -70,9 +70,8 @@ from .weakorder import (
     _bits,
     _check_lift_nodes,
     _interval_mask,
-    _lifted,
     _row_code,
-    _symmetries,
+    _size,
     cached_poset,
     canonical_key,
     interval,
@@ -152,7 +151,7 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
         for a in range(len(left_steps))
         for b in range(w)
     ]
-    words = _prefix_ids(masks, steps, 0, [_lifted(m)[1] for m in range(1, n + 1)])
+    words = _prefix_ids(masks, steps, 0, [_size(m).tables for m in range(1, n + 1)])
     f_left, f_right = _hook_count(shape_of(left)), _hook_count(shape_of(right))
     expected = f_left * f_right * comb(n, k)
     if sum(words.values()) != expected:
@@ -160,7 +159,7 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
             f"counted {sum(words.values())} shuffle words, not the "
             f"{f_left} * {f_right} * C({n}, {k}) = {expected} of the two classes"
         )
-    nodes = _lifted(n)[0]
+    nodes = _size(n).nodes
     terms: dict[Rows, int] = {}
     for t in sorted(words):
         tab = nodes[t]
@@ -287,11 +286,11 @@ def _is_isomorphism(reach, base: int, image: dict[int, int], target: int) -> boo
 
 def _forms(m: int, tabs) -> list[tuple[int, int, int]]:
     """Per standard tableau of size m: the row codes of it, of its
-    transpose and of its evacuation, the last two read from the size-m id
-    tables (``weakorder._symmetries``)."""
-    ids_of = _lifted(m)[2]
-    codes = list(ids_of)  # the map is made in id order
-    evacuation, transposition = _symmetries(m)
+    transpose and of its evacuation, the last two read through the size-m
+    record's id tables and code list (``weakorder._size``)."""
+    size = _size(m)
+    ids_of, codes = size.ids_of, size.codes
+    evacuation, transposition = size.evacuation, size.transposition
     out = []
     for t in tabs:
         a = ids_of[_row_code(t)]
@@ -303,9 +302,9 @@ def _ends(n: int, k: int, left: tuple[int, ...], right: tuple[int, ...]) -> tupl
     """The size-n ids of ``_beside`` and ``_over`` of L and R, from their
     :func:`_forms`: beside is the row code of L with that of R above its k
     digits, and over is the transpose of beside of the two transposes."""
-    ids_of = _lifted(n)[2]
-    turned = ids_of[left[1] | right[1] << 4 * k]
-    return ids_of[left[0] | right[0] << 4 * k], _symmetries(n)[1][turned]
+    size = _size(n)
+    turned = size.ids_of[left[1] | right[1] << 4 * k]
+    return size.ids_of[left[0] | right[0] << 4 * k], size.transposition[turned]
 
 
 def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationReport:
@@ -327,9 +326,9 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
     else :class:`InvariantError`; a relabeling then replaces the lowest
     digits of a member's row code (``weakorder._row_code``) with the code
     of the new inner tableau, one lookup in the lift's code map names the
-    result, and evacuation is one read of the size-n id table
-    (``weakorder._symmetries``).  The ends of each interval come from
-    :func:`_ends`.
+    result, and evacuation is one read of the size-n id table, all of the
+    size-n record (``weakorder._size``).  The ends of each interval come
+    from :func:`_ends`.
     """
     if check_int(k, "k") < 1 or check_int(l, "l") < 1 or k + l > MAX_POSET_N:
         raise ValueError(f"need k, l >= 1 and k + l <= {MAX_POSET_N}")
@@ -339,9 +338,8 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
     checked = 0
     violations = []
     with stopwatch() as sw:
-        ids_of = _lifted(n)[2]
-        codes = list(ids_of)  # the map is made in id order
-        evacuation = _symmetries(n)[0]
+        size = _size(n)
+        ids_of, codes, evacuation = size.ids_of, size.codes, size.evacuation
         reach = p.reach
         low_k, low_l = (1 << 4 * k) - 1, (1 << 4 * l) - 1
         sides = []  # (shape, its tableaux, their forms) per right shape

@@ -36,14 +36,12 @@ them.  The layout remakes no tableau (see :class:`_SweepLayout`).
 Each sweep still applies its own family filter and compares every move
 run against run, whole runs first: equal rows hold every relation.
 
-:func:`_size_moves` is the one place that applies a dual Knuth move: per
-size k, a table of (triple start, moved id), made once per process on the
-row codes of the same code map by the rule of ``tableau._move_exchanges``
-and checked as it is made: each move exchanges two letters of its triple,
-and the moved node's move on that triple leads back.
-The layouts of every larger poset, the single-triple scan and dual Knuth
-connectivity (one search per shape over the ids) read it, and a move off
-the node set raises ``InvariantError`` in each.
+One table per size applies a dual Knuth move, the lift's ``moves``
+(``weakorder._move_table``): per node (triple start, moved id), made on
+the row codes and checked as it is made.  The layouts of every larger
+poset, the single-triple scan and dual Knuth connectivity (one search per
+shape over the ids) read it, and a move off the node set raises
+``InvariantError`` in each.
 
 The relation checks (restriction, evacuation, transposition, the descent
 and shape maps, the single-triple scan) ask whether a map carries every
@@ -63,15 +61,15 @@ chain of tested covers.
 
 Restriction images are composed from two one-step tables per size, hi
 (drop the largest letter) and lo (drop 1 and rectify), as jeu de taquin
-confluence allows, both by lift id (:func:`_one_step`).  hi clears the
-top digit of a row code; lo goes through evacuation, as dropping 1 and
-rectifying is dropping the largest letter conjugated by evacuation (the
-tests check both against ``tableau._restrict``).  Evacuation and
-transposition are the lift's id tables (``weakorder._symmetries``).
+confluence allows, both by lift id (``weakorder._one_steps``).  hi clears
+the top digit of a row code; lo goes through evacuation, as dropping 1
+and rectifying is dropping the largest letter conjugated by evacuation
+(the tests check both against ``tableau._restrict``).  Evacuation and
+transposition are the lift's id tables (``weakorder._symmetry_tables``).
 No check walks the n! words: each statement about every word follows, by
 induction on its length, from one lemma per size m, size m - 1 node t and
-letter x on the lift's column tables C_m (``weakorder._lifted``), as P(x.w)
-is x column-inserted into P(w) (Schensted), C_m[x][t] once w is
+letter x on the lift's column tables C_m (``weakorder._size(m).tables``),
+as P(x.w) is x column-inserted into P(w) (Schensted), C_m[x][t] once w is
 standardized, and every tableau is P of some word.
 
 The hook-eta check lists no class word either.  Per k it reads every
@@ -104,7 +102,6 @@ from .tableau import (
     _hook_count,
     _inner_rows,
     _is_hook,
-    _move_exchanges,
     _standard_tableaux,
     format_tableau,
     partitions,
@@ -119,9 +116,8 @@ from .weakorder import (
     _check_poset_size,
     _closure_fault,
     _insertion_id,
-    _lifted,
     _row_code,
-    _symmetries,
+    _size,
     _unpreserved,
     _unpreserved_covers,
     cached_poset,
@@ -145,50 +141,6 @@ def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-# size k -> per size-k node id, its dual Knuth moves as (i, moved id),
-# made once per size and process (see the module docstring)
-_MOVES: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-
-
-def _size_moves(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """The size-k entry of ``_MOVES``, made first when it is missing.
-
-    No tableau is made: each node's row code is read from the lift's map,
-    the rule of ``tableau._move_exchanges`` is read off its digits, and the
-    move exchanges the digits x - 1 and x (the rows of x and x + 1).  The
-    moved code is named through the same map.  Each move is checked, else
-    ``InvariantError``: it is onto another node of the map, it exchanges
-    two letters of its own triple, and the moved node's move on the same
-    triple leads back, as a dual Knuth move is an involution."""
-    if k not in _MOVES:
-        nodes, _, ids_of = _lifted(k)
-        shifts = range(0, 4 * k, 4)
-        table = []
-        for t, code in enumerate(ids_of):  # the map is made in id order
-            moves = []
-            for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
-                swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
-                u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
-                if u is None or u == t or not i <= x <= i + 1:
-                    at = format_tableau(nodes[t])
-                    move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
-                    if u is None or u == t:
-                        raise InvariantError(f"{move} is not onto another size-{k} node")
-                    raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
-                moves.append((i, u))
-            table.append(tuple(moves))
-        for t, moves in enumerate(table):
-            for i, u in moves:
-                if (i, t) not in table[u]:  # one move per triple, so u's at i is not t
-                    raise InvariantError(
-                        f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
-                        f"{format_tableau(nodes[t])} is onto {format_tableau(nodes[u])}, "
-                        f"whose move on it does not lead back"
-                    )
-        _MOVES[k] = table
-    return _MOVES[k]
-
-
 def _spans(starts: list[int], end: int) -> list[tuple[int, int]]:
     """The runs [lo, hi) that begin at ``starts`` and end at the next one,
     the last at ``end``."""
@@ -209,15 +161,15 @@ class _SweepLayout:
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
     letter x in the 4-bit digit x - 1) is read from the lift's size-n code
-    map (``weakorder._lifted``), which is in id order, when the nodes are
-    the lift's, and made from ``p.nodes`` otherwise; the numbering sorts
-    the codes with their digits reversed, letter 1 first.
+    list (``weakorder._size(n).codes``), which is in id order, when the
+    nodes are the lift's, and made from ``p.nodes`` otherwise; the
+    numbering sorts the codes with their digits reversed, letter 1 first.
     Positions x - 1 and x then share the inner tableau on 1..k exactly
     when their codes agree on the lowest k digits, so one pass over those
     shared lengths cuts the runs at every k.  A run's inner tableau is its
-    code's lowest k digits, named by its size-k id in the map that the lift
-    keeps (``weakorder._lifted``); ids are in canonical order, and the
-    moves are read from the size-k table of :func:`_size_moves`.
+    code's lowest k digits, named by its size-k id in the code map that the
+    lift keeps (``weakorder._size(k).ids_of``); ids are in canonical order,
+    and the moves are read from the size-k record's ``moves``.
 
     Every run lies inside one run at k = 3, so only each position's strict
     up-set and covers inside that run are kept (``ups`` and ``covers``,
@@ -230,10 +182,9 @@ class _SweepLayout:
         if fault is not None:
             raise InvariantError(fault)
         n, nodes = p.n, p.nodes
-        # the lift's code map is in id order; an order made on other nodes
-        # (by hand, in tests) has its codes made node by node
-        lift_nodes, _, ids_of = _lifted(n)
-        codes = list(ids_of) if nodes == lift_nodes else [_row_code(t) for t in nodes]
+        # an order on other nodes (made by hand, in tests) is coded node by node
+        size = _size(n)
+        codes = size.codes if nodes == size.nodes else [_row_code(t) for t in nodes]
         width = (n + 1) // 2
 
         def letter_1_first(a: int) -> int:
@@ -285,8 +236,8 @@ class _SweepLayout:
         ]
 
     def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
-        subs, _, ids_of = _lifted(k)
-        table = _size_moves(k)
+        size = _size(k)
+        subs, ids_of, table = size.nodes, size.ids_of, size.moves
         digits = (1 << 4 * k) - 1
         runs = []  # (size-k id, lo, hi)
         for lo, hi in spans:
@@ -448,9 +399,10 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     """
     p = cached_poset(6)
     _check_lift_nodes(p)  # the moves are read by size-6 id, which must be the node id
+    size = _size(6)
     with stopwatch() as sw:
         descents = [_descents(t) for t in p.nodes]
-        moves = [dict(m) for m in _size_moves(6)]
+        moves = [dict(m) for m in size.moves]
         checked = 0
         broken = []
         for i in range(1, p.n - 1):
@@ -531,7 +483,7 @@ def verify_hook_eta(k: int) -> VerificationReport:
     _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
-    tables = [_lifted(m)[1] for m in range(1, k)]
+    tables = [_size(m).tables for m in range(1, k)]
     checked = 0
     skipped = 0
     violations: list[dict] = []
@@ -667,7 +619,7 @@ def verify_descents_constant(n: int) -> VerificationReport:
     every m = 2..n, size m - 1 node t and letter x (:func:`_descent_lemma`).
     ``checked`` counts the n! words so established."""
     _check_poset_size(n)
-    nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
+    nodes, tables = zip(*((s.nodes, s.tables) for s in map(_size, range(1, n + 1))))
 
     def failing(word: Word) -> list[dict]:
         same = descents_left(word) == _descents(nodes[-1][_insertion_id(word, tables)])
@@ -679,48 +631,25 @@ def verify_descents_constant(n: int) -> VerificationReport:
     return VerificationReport(check, {"n": n}, factorial(n), violations, sw.ms)
 
 
-# size m -> (hi, lo): per size-m node id, the size m - 1 ids of the node
-# restricted to [1, m - 1] and to [2, m], made once per size and process
-_STEPS: dict[int, tuple[list[int], list[int]]] = {}
-
-
-def _one_step(m: int) -> tuple[list[int], list[int]]:
-    """The size-m entry of ``_STEPS`` (m >= 2), made first when it is
-    missing, by lift id and with no tableau made.  hi (m dropped) is the
-    node's row code with its digit m - 1 cleared, named in the size m - 1
-    code map; lo (1 dropped and the rest rectified) is E_(m-1)[hi[E_m[t]]],
-    E being the evacuation tables of ``weakorder._symmetries``: evacuation
-    turns dropping the largest letter into dropping 1 and rectifying
-    (Schützenberger).  The tests compare both with jeu de taquin
-    (``tableau._restrict``) on every node for m <= 9."""
-    if m not in _STEPS:
-        smaller = _lifted(m - 1)[2]
-        keep = (1 << 4 * (m - 1)) - 1
-        hi = [smaller[code & keep] for code in _lifted(m)[2]]
-        evacuation, smaller_evacuation = _symmetries(m)[0], _symmetries(m - 1)[0]
-        _STEPS[m] = (hi, [smaller_evacuation[hi[e]] for e in evacuation])
-    return _STEPS[m]
-
-
 def _segment_images(n: int) -> dict[tuple[int, int], list[int]]:
     """Per segment [i, j] of 1..n, the size j - i + 1 lift id of every
     size-n lift node restricted to it: i - 1 drops of the lowest letter,
-    then n - j drops of the largest, one :func:`_one_step` table lookup
-    each.  By the confluence of jeu de taquin this is ``_restrict`` on the
-    segment (the differential tests compare them on every tableau and
-    segment for n <= 9)."""
+    then n - j drops of the largest, one lookup each in the ``lo`` and
+    ``hi`` tables of the lift's size records.  By the confluence of jeu de
+    taquin this is ``_restrict`` on the segment (the differential tests
+    compare them on every tableau and segment for n <= 9)."""
     images = {}
-    low = list(range(len(_lifted(n)[0])))  # restricted to [i, n]
+    low = list(range(len(_size(n).nodes)))  # restricted to [i, n]
     for i in range(1, n):
         image = low
         for j in range(n, i, -1):
             images[i, j] = image
             m = j - i + 1
             if m > 2:
-                image = list(map(_one_step(m)[0].__getitem__, image))
+                image = list(map(_size(m).hi.__getitem__, image))
         m = n - i + 1
         if m > 2:
-            low = list(map(_one_step(m)[1].__getitem__, low))
+            low = list(map(_size(m).lo.__getitem__, low))
     return images
 
 
@@ -729,15 +658,15 @@ def _restriction_lemma(tables) -> tuple[int, tuple[int, int, int, int] | None]:
     to the first failing one, and that one or None."""
     tested = 0
     for m in range(3, len(tables) + 1):
-        steps, smaller = _one_step(m), tables[m - 2]
-        hi, lo = _one_step(m - 1)
+        size, below, smaller = _size(m), _size(m - 1), tables[m - 2]
+        hi, lo = below.hi, below.lo
         for t in range(len(hi)):
             for x in range(1, m + 1):
                 u = tables[m - 1][x - 1][t]
                 tested += 2
-                if steps[0][u] != (t if x == m else smaller[x - 1][hi[t]]):
+                if size.hi[u] != (t if x == m else smaller[x - 1][hi[t]]):
                     return tested - 1, (m, t, x, 0)
-                if steps[1][u] != (t if x == 1 else smaller[x - 2][lo[t]]):
+                if size.lo[u] != (t if x == 1 else smaller[x - 2][lo[t]]):
                     return tested, (m, t, x, 1)
     return tested, None
 
@@ -754,7 +683,7 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
     C_(m-1)[x - 1][lo(t)] (:func:`_restriction_lemma`).  ``checked``
     counts the n! n(n - 1)/2 (word, segment) pairs so established."""
     _check_poset_size(n)
-    nodes, tables = zip(*(_lifted(m)[:2] for m in range(1, n + 1)))
+    nodes, tables = zip(*((s.nodes, s.tables) for s in map(_size, range(1, n + 1))))
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
     def failing(word: Word) -> list[dict]:
@@ -807,12 +736,12 @@ def verify_restriction_monotone(n: int) -> VerificationReport:
 
 def verify_evac_transpose_monotone(n: int) -> VerificationReport:
     """Evacuation preserves the order; transposition reverses it.  Both
-    maps are the lift's id tables (``weakorder._symmetries``), so the
-    order must be on the lift's nodes."""
+    maps are the lift's id tables (the size record's ``evacuation`` and
+    ``transposition``), so the order must be on the lift's nodes."""
     p = cached_poset(n)
     _check_lift_nodes(p)
     with stopwatch() as sw:
-        evacuation, transpose = _symmetries(n)
+        evacuation, transpose = _size(n).evacuation, _size(n).transposition
         # reach is transitive when it is the closure of the covers, which is
         # what the covers-first test checks of p itself
         broken = [(a, b, 0) for a, b in _unpreserved_covers(p, evacuation, p.reach, True)]
@@ -844,15 +773,16 @@ def verify_evac_transpose_monotone(n: int) -> VerificationReport:
 def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
     """Single dual Knuth moves preserve the shape and connect every two
     tableaux of the same shape: one bitmask search per shape over the
-    size-n table of :func:`_size_moves`.  Ids sort by shape first, so each
+    size-n record's ``moves``.  Ids sort by shape first, so each
     shape is one run of ids, cut where the shape changes, and a shape split
     in two shows up as violations."""
     _check_poset_size(n)
-    nodes = _lifted(n)[0]
+    size = _size(n)
+    nodes = size.nodes
     checked = 0
     violations = []
     with stopwatch() as sw:
-        table = _size_moves(n)
+        table = size.moves
         shapes = [shape_of(t) for t in nodes]
         starts = [a for a, shape in enumerate(shapes) if not a or shape != shapes[a - 1]]
         for lo, hi in _spans(starts, len(nodes)):

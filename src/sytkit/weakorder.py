@@ -12,15 +12,15 @@ the same order as all the swaps of size n - 1, and each table maps a chain
 to a chain.  Each size's nodes are grown from the size below, k appended
 at each corner it can fill, and its row codes and columns with them
 (:func:`_grown`); its tables are made by column insertion into the
-columns of the size below.  Nodes and tables are made once per process
-and kept for the larger sizes, with the map from row code to node id, but
-no edge; only the largest size's columns are kept, until the next size is
-lifted from them.  The sweep layout of sytkit.verify names its runs
-through those maps, and the hook-eta check, the plactic product and the
-lemmas of sytkit.verify insert words through the tables, as
-:func:`_insertion_id` does.  Evacuation and transposition are id tables
-per size on the same nodes (:func:`_symmetries`), made from the size below
-and those tables.
+columns of the size below.  All the lift keeps of a size, made once per
+process, is one record (:class:`_Size`, read through :func:`_size`): its
+nodes, row codes, code map and tables, but no edge, and the id tables
+made on first read: evacuation, transposition, the one-step
+restrictions, the dual Knuth moves and the order of :func:`cached_poset`.
+The sweep layout of sytkit.verify names its runs through the code maps,
+and the hook-eta check, the plactic product and the lemmas of
+sytkit.verify insert words through the tables, as :func:`_insertion_id`
+does.
 
 Every projected edge a -> b goes down in the id order (a > b), which is
 checked for every node: the id order is then a linear extension, so the
@@ -29,7 +29,8 @@ Reachability, stored per node as an integer bitmask, and the cover
 relation come out of one pass in increasing id order over the nodes'
 successor lists, each sorted descending: the transitive reduction of a
 graph numbered by a linear extension (Aho, Garey and Ullman 1972).  No
-edge is packed into a 16-bit code; the tables are still 16-bit arrays.
+edge is packed into a 16-bit code; the tables are arrays of
+``_ID_TYPECODE``, 16-bit ids.
 No down-set is made: every reader reads ``reach`` and the covers only,
 intervals and products too, as every relation goes down in the id order
 (:func:`_interval_mask`).
@@ -60,6 +61,7 @@ from .tableau import (
     Rows,
     _descents,
     _dominance_leq,
+    _move_exchanges,
     _transpose,
     check_standard,
     format_tableau,
@@ -96,10 +98,9 @@ class TableauPoset:
     field, so a poset made by ``dataclasses.replace`` starts with an empty
     one.
 
-    The lifted nodes and tables that :func:`build_poset` keeps for later
-    builds (``_LIFTED``) and the id tables of :func:`_symmetries` are as
-    safe: two threads making the same size store equal values for it, and
-    no entry is ever mutated.
+    The lift's size records (``_SIZES``), tables and orders, are as safe:
+    two threads making the same size or field store equal values for it,
+    and no table is ever mutated; only ``columns`` is ever dropped.
     """
 
     n: int
@@ -235,13 +236,13 @@ def _row_code(rows) -> int:
 
 
 def _column_tables(
-    columns: list[Columns], prev_ids: dict[int, int], ids_of: dict[int, int], k: int
+    columns: list[Columns], prev_codes: list[int], ids_of: dict[int, int], k: int
 ) -> list[list[int]]:
     """``tables[x - 1][t]``: the size-k node id of x column-inserted into
     node t of the size k - 1 nodes, its letters >= x raised by one.
-    ``columns[t]`` holds the columns of node t (see ``Columns``), and
-    ``prev_ids`` and ``ids_of`` map each size k - 1 and size-k node's row
-    code to its id; the first is read in id order.
+    ``columns[t]`` holds the columns of node t (see ``Columns``),
+    ``prev_codes`` the row codes of the size k - 1 nodes in id order, and
+    ``ids_of`` maps each size-k node's row code to its id.
 
     The columns of node t are searched as they are: a raised letter z + 1
     bumps the first entry >= z + 1 as an unraised one, so only the row code
@@ -249,7 +250,7 @@ def _column_tables(
     that names no size-k node raises :class:`InvariantError`.
     """
     # an empty column past each node's, where the last bump lands
-    padded = [(cols + (b"",), code) for cols, code in zip(columns, prev_ids)]
+    padded = [(cols + (b"",), code) for cols, code in zip(columns, prev_codes)]
     tables = []
     for x in range(1, k + 1):
         keep = (1 << 4 * (x - 1)) - 1
@@ -277,22 +278,21 @@ def _column_tables(
 
 
 def _grown(
-    prev: tuple[Rows, ...], prev_ids: dict[int, int], k: int, columns: list[Columns] | None
-) -> tuple[tuple[Rows, ...], dict[int, int], list[Columns] | None]:
-    """The size-k tableaux in canonical order, the map from their row codes
-    to their ids, made in id order, and their columns when ``columns``
-    holds those of ``prev`` (else None): each size k - 1 node t of
-    ``prev`` with k appended to each row that can take it, its row code the
-    code of t (``prev_ids`` is read in id order) plus the row of k in digit
-    k - 1, and its columns those of t with k appended to the column just
-    past the end of that row.  Each standard tableau arises once, from the
-    tableau left when its corner k is removed.  For one shape, comparing
-    the rows bottom first compares the row words, so the sort key is
-    canonical."""
+    prev: tuple[Rows, ...], prev_codes: list[int], k: int, columns: list[Columns] | None
+) -> tuple[tuple[Rows, ...], list[int], list[Columns] | None]:
+    """The size-k tableaux in canonical order, their row codes in id order,
+    and their columns when ``columns`` holds those of ``prev`` (else None):
+    each size k - 1 node t of ``prev`` with k appended to each row that can
+    take it, its row code the code of t (``prev_codes`` is in id order)
+    plus the row of k in digit k - 1, and its columns those of t with k
+    appended to the column just past the end of that row.  Each standard
+    tableau arises once, from the tableau left when its corner k is
+    removed.  For one shape, comparing the rows bottom first compares the
+    row words, so the sort key is canonical."""
     shift = 4 * (k - 1)
     grown_letter = bytes((k,))
     grown = []
-    for t, code, cols in zip(prev, prev_ids, columns or [None] * len(prev)):
+    for t, code, cols in zip(prev, prev_codes, columns or [None] * len(prev)):
         for r in range(len(t) + 1):
             if r == len(t):
                 rows, c = t + ((k,),), 0
@@ -308,56 +308,90 @@ def _grown(
                 after = cols + (grown_letter,)
             grown.append((tuple(map(len, rows)), rows[::-1], code | r + 1 << shift, after))
     grown.sort()
-    ids_of = {code: i for i, (_, _, code, _) in enumerate(grown)}
+    codes = [code for _, _, code, _ in grown]
     nodes = tuple([rows[::-1] for _, rows, _, _ in grown])
-    return nodes, ids_of, None if columns is None else [cols for *_, cols in grown]
+    return nodes, codes, None if columns is None else [cols for *_, cols in grown]
 
 
-# size k -> (nodes, tables, ids_of) as :func:`_lifted` leaves them for
-# size k, the nodes grown from the size k - 1 ones and ``ids_of`` mapping
-# each node's row code to its id, made in id order (:func:`_grown`); the
-# tables are arrays, since the small sizes stay for the rest of the process.
-# No edge is kept: each order is lifted from the covers of the order one
-# size down (:func:`_lift_edges`)
-_LIFTED: dict[int, tuple[tuple[Rows, ...], list[array], dict[int, int]]] = {}
-
-# the nodes of the largest size in ``_LIFTED`` and their columns, as
-# :func:`_lifted` leaves them below ``MAX_POSET_N``; dropped when the next
-# size is made from them
-_TOP_COLUMNS: list[tuple[tuple[Rows, ...], list[Columns]]] = []
+_ID_TYPECODE = "H"  # of every id table of the lift, which refuses a size it cannot number
 
 
-def _lifted(k: int) -> tuple[tuple[Rows, ...], list[array], dict[int, int]]:
-    """The size-k entry of ``_LIFTED`` (k >= 1), made first when it is
-    missing, from the largest size already made, one size at a time: the
-    size-k nodes, canonically sorted, grown from the size k - 1 nodes with
-    their row codes and columns (:func:`_grown`), and the tables C_k[x] of
-    :func:`_column_tables` from the columns of the size k - 1 nodes.  The
-    columns of the largest size made are kept in ``_TOP_COLUMNS`` for the
-    next size, below ``MAX_POSET_N``, the largest size an order is built
-    for; others are made from the nodes by transposing them."""
-    if k not in _LIFTED:
-        top = k - 1
-        while top and top not in _LIFTED:
-            top -= 1
-        nodes, _, ids_of = _LIFTED[top] if top else (((),), [], {0: 0})
-        kept = _TOP_COLUMNS.pop() if _TOP_COLUMNS else ((), [])
-        if not top:
-            columns = [()]
-        elif kept[0] is nodes:
-            columns = kept[1]
+@dataclass(eq=False)
+class _Size:
+    """The lift's record of size k, made with the size by :func:`_lift`:
+    ``nodes`` canonically sorted, ``codes`` their row codes in id order,
+    ``ids_of`` the map from row code to id, ``tables`` the tables C_k[x]
+    of :func:`_column_tables`, and ``columns`` the nodes' columns while
+    the next size is to grow from them.  The other fields are made on
+    first read, each by its maker, which checks what it makes:
+    ``evacuation`` and ``transposition`` (:func:`_symmetry_tables`), ``hi``
+    and ``lo`` (:func:`_one_steps`, from size 2), ``moves``
+    (:func:`_move_table`) and ``order`` (:func:`build_poset`)."""
+
+    k: int
+    nodes: tuple[Rows, ...]
+    codes: list[int]
+    ids_of: dict[int, int]
+    tables: list[array]
+    columns: list[Columns] | None = None
+
+    def __getattr__(self, name: str):
+        # reached only for a field not made yet
+        if name in ("evacuation", "transposition"):
+            self.evacuation, self.transposition = _symmetry_tables(self)
+        elif name in ("hi", "lo"):
+            self.hi, self.lo = _one_steps(self)
+        elif name == "moves":
+            self.moves = _move_table(self)
+        elif name == "order":
+            self.order = build_poset(self.k)
         else:
-            columns = [tuple(map(bytes, _transpose(t))) for t in nodes]
-        for size in range(top + 1, k + 1):
-            prev_ids, prev_columns = ids_of, columns
-            # the next size's tables read them, in this call or a later one
-            grow = prev_columns if size < max(k, MAX_POSET_N) else None
-            nodes, ids_of, columns = _grown(nodes, prev_ids, size, grow)
-            tables = _column_tables(prev_columns, prev_ids, ids_of, size)
-            _LIFTED[size] = (nodes, [array("H", table) for table in tables], ids_of)
-        if columns is not None:
-            _TOP_COLUMNS.append((nodes, columns))
-    return _LIFTED[k]
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+
+_SIZES: dict[int, _Size] = {}
+
+
+def _reset_sizes() -> None:
+    """Drop every size's record: each is made afresh on its next read."""
+    _SIZES.clear()
+
+
+def _size(k: int) -> _Size:
+    """The size-k record (k >= 1), lifted first when it is missing."""
+    if k not in _SIZES:
+        _lift(k)
+    return _SIZES[k]
+
+
+def _lift(k: int) -> None:
+    """Make the missing records up to size k, one size at a time from the
+    largest made: nodes, row codes and columns grown (:func:`_grown`), and
+    tables from the columns of the size below, kept on the largest record
+    below ``MAX_POSET_N``, else made by transposing the nodes.  A size with
+    more nodes than ``_ID_TYPECODE`` holds ids raises InvariantError."""
+    top = k - 1
+    while top and top not in _SIZES:
+        top -= 1
+    nodes, codes, columns = ((),), [0], [()]
+    if top:
+        below = _SIZES[top]
+        nodes, codes, columns = below.nodes, below.codes, below.columns
+        below.columns = None  # the next size grows from them now
+        columns = columns or [tuple(map(bytes, _transpose(t))) for t in nodes]
+    for size in range(top + 1, k + 1):
+        prev_codes, prev_columns = codes, columns
+        # the next size's tables read them, in this call or a later one
+        grow = prev_columns if size < max(k, MAX_POSET_N) else None
+        nodes, codes, columns = _grown(nodes, prev_codes, size, grow)
+        if len(nodes) > (limit := 1 << 8 * array(_ID_TYPECODE).itemsize):
+            raise InvariantError(f"size {size} has {len(nodes)} nodes, more than the {limit} ids "
+                                 f"of typecode {_ID_TYPECODE!r}")
+        ids_of = {code: t for t, code in enumerate(codes)}
+        tables = _column_tables(prev_columns, prev_codes, ids_of, size)
+        _SIZES[size] = _Size(size, nodes, codes, ids_of, [array(_ID_TYPECODE, t) for t in tables])
+    _SIZES[k].columns = columns
 
 
 def _check_lift_nodes(p: TableauPoset) -> None:
@@ -365,20 +399,15 @@ def _check_lift_nodes(p: TableauPoset) -> None:
     :class:`InvariantError`: the id tables of the lift then name its nodes.
     An order built here holds the lift's nodes themselves, so the tuples
     are compared only when they are not the same object."""
-    nodes = _lifted(p.n)[0]
+    nodes = _size(p.n).nodes
     if p.nodes is not nodes and p.nodes != nodes:
         n = p.n
         raise InvariantError(f"the size-{n} order's nodes are not the lift's size-{n} tableaux")
 
 
-# size k -> (evacuation, transposition) as id tables on the size-k nodes of
-# the lift, as :func:`_symmetries` leaves them
-_SYMMETRIES: dict[int, tuple[array, array]] = {}
-
-
-def _symmetries(k: int) -> tuple[array, array]:
-    """The size-k entry of ``_SYMMETRIES`` (k >= 1), made first when it is
-    missing, from the size k - 1 entry; no tableau is made.
+def _symmetry_tables(size: _Size) -> tuple[array, array]:
+    """Evacuation and transposition as id tables on the size-k nodes, made
+    from the size k - 1 ones; no tableau is made.
 
     Transposition: the largest letter k ends its row r, so it sits in
     column ``len(t[r - 1])``, which becomes its row in the transpose, and
@@ -395,32 +424,30 @@ def _symmetries(k: int) -> tuple[array, array]:
     Checked when made, else :class:`InvariantError`: both tables are
     involutions on every node, evacuation keeps the shape and
     transposition conjugates it."""
-    if k not in _SYMMETRIES:
-        nodes, tables, ids_of = _lifted(k)
-        count = len(nodes)
-        if k == 1:
-            evacuation, transposition = [0], [0]
-        else:
-            prev_evacuation, prev_transposition = _symmetries(k - 1)
-            prev_ids = _lifted(k - 1)[2]
-            prev_codes = list(prev_ids)  # the map is made in id order
-            shift = 4 * (k - 1)
-            keep = (1 << shift) - 1
-            transposition = []
-            for code, t in zip(ids_of, nodes):
-                rest = prev_codes[prev_transposition[prev_ids[code & keep]]]
-                column = len(t[(code >> shift) - 1])  # of the letter k
-                # a code missing from the map leaves the id ``count``, caught below
-                transposition.append(ids_of.get(rest | column << shift, count))
-            turned = [prev_transposition[e] for e in prev_evacuation]
-            evacuation = [count] * count
-            for x in range(1, k + 1):
-                row = tables[k - x]
-                for u, s in zip(tables[x - 1], turned):
-                    evacuation[u] = transposition[row[s]]
-        _check_symmetries(nodes, evacuation, transposition)
-        _SYMMETRIES[k] = (array("H", evacuation), array("H", transposition))
-    return _SYMMETRIES[k]
+    k, nodes, tables, ids_of = size.k, size.nodes, size.tables, size.ids_of
+    count = len(nodes)
+    if k == 1:
+        evacuation, transposition = [0], [0]
+    else:
+        below = _size(k - 1)
+        prev_evacuation, prev_transposition = below.evacuation, below.transposition
+        prev_ids, prev_codes = below.ids_of, below.codes
+        shift = 4 * (k - 1)
+        keep = (1 << shift) - 1
+        transposition = []
+        for code, t in zip(size.codes, nodes):
+            rest = prev_codes[prev_transposition[prev_ids[code & keep]]]
+            column = len(t[(code >> shift) - 1])  # of the letter k
+            # a code missing from the map leaves the id ``count``, caught below
+            transposition.append(ids_of.get(rest | column << shift, count))
+        turned = [prev_transposition[e] for e in prev_evacuation]
+        evacuation = [count] * count
+        for x in range(1, k + 1):
+            row = tables[k - x]
+            for u, s in zip(tables[x - 1], turned):
+                evacuation[u] = transposition[row[s]]
+    _check_symmetries(nodes, evacuation, transposition)
+    return array(_ID_TYPECODE, evacuation), array(_ID_TYPECODE, transposition)
 
 
 def _check_symmetries(nodes: tuple[Rows, ...], evacuation: list[int], transposition: list[int]):
@@ -440,6 +467,56 @@ def _check_symmetries(nodes: tuple[Rows, ...], evacuation: list[int], transposit
             if shapes[b] != image(shapes[a]):
                 at = format_tableau(nodes[a])
                 raise InvariantError(f"the {name} table moves the shape of {at}")
+
+
+def _one_steps(size: _Size) -> tuple[list[int], list[int]]:
+    """The one-step restrictions of the size-k nodes (k >= 2) as size
+    k - 1 ids, no tableau made: hi (k dropped) is the row code with digit
+    k - 1 cleared, named in the size k - 1 code map; lo (1 dropped and the
+    rest rectified) is E_(k-1)[hi[E_k[t]]], E the evacuation tables, as
+    evacuation turns dropping the largest letter into dropping 1 and
+    rectifying (Schützenberger)."""
+    below = _size(size.k - 1)
+    smaller, keep = below.ids_of, (1 << 4 * (size.k - 1)) - 1
+    hi = [smaller[code & keep] for code in size.codes]
+    evacuation, smaller_evacuation = size.evacuation, below.evacuation
+    return hi, [smaller_evacuation[hi[e]] for e in evacuation]
+
+
+def _move_table(size: _Size) -> list[tuple[tuple[int, int], ...]]:
+    """Per size-k node id, its dual Knuth moves as (i, moved id), i the
+    first letter of the triple, no tableau made: the rule of
+    ``tableau._move_exchanges`` is read off the node's row code, the move
+    exchanges its digits x - 1 and x (the rows of x and x + 1), and the
+    code map names the result.  Each move is checked, else
+    :class:`InvariantError`: it is onto another node, it exchanges two
+    letters of its triple, and the moved node's move on that triple leads
+    back, as a dual Knuth move is an involution."""
+    k, nodes, ids_of = size.k, size.nodes, size.ids_of
+    shifts = range(0, 4 * k, 4)
+    table = []
+    for t, code in enumerate(size.codes):
+        moves = []
+        for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
+            swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
+            u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
+            if u is None or u == t or not i <= x <= i + 1:
+                at = format_tableau(nodes[t])
+                move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
+                if u is None or u == t:
+                    raise InvariantError(f"{move} is not onto another size-{k} node")
+                raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
+            moves.append((i, u))
+        table.append(tuple(moves))
+    for t, moves in enumerate(table):
+        for i, u in moves:
+            if (i, t) not in table[u]:  # one move per triple, so u's at i is not t
+                raise InvariantError(
+                    f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
+                    f"{format_tableau(nodes[t])} is onto {format_tableau(nodes[u])}, "
+                    f"whose move on it does not lead back"
+                )
+    return table
 
 
 def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[list[int]]]:
@@ -463,9 +540,9 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[list[int]]]:
     fewer edges (14994 distinct in place of 22844 at n = 9).  Repeats and
     loops are left for :func:`_poset`, which passes over them.
     """
-    nodes, tables, _ = _lifted(n)
+    nodes, tables = _size(n).nodes, _size(n).tables
     covers = cached_poset(n - 1).covers if n > 1 else ()
-    before = _lifted(n - 1)[1] if n > 1 else []
+    before = _size(n - 1).tables if n > 1 else []
     succ: list[list[int]] = [[] for _ in nodes]
     for table in tables:
         for a, b in covers:
@@ -482,7 +559,7 @@ def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[list[int]]]:
 def _insertion_id(word, tables) -> int:
     """The id among the size-m nodes of the insertion tableau of ``word``,
     a word of m distinct positive letters, standardized; ``tables[j - 1]``
-    holds the size-j tables of ``_LIFTED`` for j = 1..m.
+    holds the size-j tables of the lift (``_size(j).tables``) for j = 1..m.
 
     By Schensted's theorem P(x.w) is x column-inserted into P(w), so the
     word is inserted from the right: each letter is standardized among the
@@ -568,15 +645,10 @@ def _edge_fault(nodes: tuple[Rows, ...], a: int, links: list[int]) -> InvariantE
     )
 
 
-_POSET_CACHE: dict[int, TableauPoset] = {}
-
-
 def cached_poset(n: int, jobs: int = 1) -> TableauPoset:
-    # checked before the lookup: True and 3.0 would hit the entries of 1 and 3
-    check_int(n, "n")
-    if n not in _POSET_CACHE:
-        _POSET_CACHE[n] = build_poset(n)
-    return _POSET_CACHE[n]
+    # checked before the size is lifted: True and 3.0 would name sizes 1 and 3
+    _check_poset_size(n)
+    return _size(n).order
 
 
 def leq(p: TableauPoset, s: NodeRef, t: NodeRef) -> bool:

@@ -1,6 +1,8 @@
 from array import array
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from sytkit import weakorder
@@ -32,15 +34,29 @@ def segments(draw, n: int):
     return (i, j)
 
 
+class _BrokenSize:
+    """A size record of the lift with its own column tables: every other
+    field is read from the shared record, so the fields made from the
+    tables (evacuation, the one-step tables, the moves) stay as the shared
+    record makes them."""
+
+    def __init__(self, shared, tables):
+        self.shared, self.tables = shared, tables
+
+    def __getattr__(self, name):
+        return getattr(self.shared, name)
+
+
 def broken_lift(size, x, t, wrong):
-    """``weakorder._lifted`` with entry t of the size-``size`` table of the
+    """``weakorder._size`` with entry t of the size-``size`` table of the
     letter x + 1 changed to ``wrong``, in a copy: the shared entry is kept.
-    Tests patch it in where a module reads ``_lifted``."""
-    lifted = weakorder._lifted
-    nodes, tables, ids_of = lifted(size)
-    tables = [array(table.typecode, table) for table in tables]
+    Tests patch it in where a module reads ``_size``."""
+    shared_size = weakorder._size
+    shared = shared_size(size)
+    tables = [array(weakorder._ID_TYPECODE, table) for table in shared.tables]
     tables[x][t] = wrong
-    return lambda m: (nodes, tables, ids_of) if m == size else lifted(m)
+    broken = _BrokenSize(shared, tables)
+    return lambda m: broken if m == size else shared_size(m)
 
 
 def table_faults(sizes=(3, 4)):
@@ -49,8 +65,35 @@ def table_faults(sizes=(3, 4)):
     return [
         (size, x, t, wrong)
         for size in sizes
-        for x, table in enumerate(weakorder._lifted(size)[1])
+        for x, table in enumerate(weakorder._size(size).tables)
         for t, right in enumerate(table)
-        for wrong in range(len(weakorder._lifted(size)[0]))
+        for wrong in range(len(weakorder._size(size).nodes))
         if wrong != right
     ]
+
+
+@contextmanager
+def fresh_sizes():
+    """Every size record of the lift dropped (``weakorder._reset_sizes``),
+    so each is made afresh where it is read; the records made before are
+    put back after, and those made inside dropped with whatever a test
+    changed in them."""
+    kept = dict(weakorder._SIZES)
+    weakorder._reset_sizes()
+    try:
+        yield
+    finally:
+        weakorder._reset_sizes()
+        weakorder._SIZES.update(kept)
+
+
+@pytest.fixture
+def fresh_lift():
+    """The test runs on size records made afresh (:func:`fresh_sizes`)."""
+    with fresh_sizes():
+        yield
+
+
+def made(field):
+    """The sizes whose records hold ``field`` already made, in order."""
+    return sorted(k for k, size in weakorder._SIZES.items() if field in vars(size))

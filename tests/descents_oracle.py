@@ -9,7 +9,7 @@ compares its left descents with its tableau's, with the public
 ``suffix_walk`` is the check as it stood before the local lemma replaced
 its walk: one depth-first walk over the words, built from the right,
 each suffix's tableau named by one popcount rank and one lookup in the
-lift's column tables, read through ``verify._lifted`` so that a test that
+lift's column tables, read through ``verify._size`` so that a test that
 replaces it there breaks the walk too.  The word side: x sets the left
 descent x - 1 when x - 1 is to its right, and x when x + 1 is not.  The
 body is copied here as written.
@@ -35,8 +35,8 @@ def descents_constant(n: int) -> tuple[int, list[dict]]:
 
 
 def suffix_walk(n: int) -> tuple[int, list[dict]]:
-    nodes, _, _ = verify._lifted(n)
-    tables = [verify._lifted(m)[1] for m in range(1, n + 1)]  # by suffix length
+    nodes = verify._size(n).nodes
+    tables = [verify._size(m).tables for m in range(1, n + 1)]  # by suffix length
     checked = 0
     broken = []
     masks = [sum(1 << d for d in _descents(t)) for t in nodes]

@@ -3,7 +3,7 @@ which walks each tableau's reverse-bump graph and lists no word.
 
 Each class is listed and grouped by last letter, and the prefix of every
 word is inserted anew through the lift's column tables
-(``weakorder._insertion_id``), read through ``verify._lifted`` so that a
+(``weakorder._insertion_id``), read through ``verify._size`` so that a
 test's broken table reaches the check and the oracle alike.  The class
 listing is a parameter: ``knuth_class`` by default, the walk by Knuth
 moves of ``class_oracle``, or the paths of a broken graph.
@@ -21,7 +21,7 @@ from sytkit.weakorder import _insertion_id
 def hook_eta(k, class_words=lambda tab: knuth_class(tab).words):
     """(checked, skipped, violations) as ``verify_hook_eta(k)`` reports
     them, from the words ``class_words(tab)`` of each tableau's class."""
-    tables = [verify._lifted(m)[1] for m in range(1, k)]
+    tables = [verify._size(m).tables for m in range(1, k)]
     checked = skipped = 0
     violations = []
     for shape in partitions(k):

@@ -47,7 +47,7 @@ def restriction_insertion(n: int) -> tuple[int, list[dict]]:
 
 
 def suffix_walk(n: int) -> tuple[int, list[dict]]:
-    tables = [verify._lifted(m)[1] for m in range(1, n + 1)]  # by restriction length
+    tables = [verify._size(m).tables for m in range(1, n + 1)]  # by restriction length
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     checked = 0
     broken = []

@@ -56,7 +56,7 @@ def test_hook_eta_classes_match_the_oracle_k9():
 
 def test_hook_eta_prefix_ids_are_the_insertion_tableaux_k9():
     # the ids verify_hook_eta(9) compares, against the prefixes inserted
-    tables = [weakorder._lifted(m)[1] for m in range(1, 9)]
+    tables = [weakorder._size(m).tables for m in range(1, 9)]
     index = weakorder.cached_poset(8).index
     count = 0
     for tab in hook_eta_tableaux(9):
@@ -95,7 +95,7 @@ def test_hook_eta_violations_are_the_same_on_oracle_classes(monkeypatch):
     flagged = {5: 0, 6: 0}
     for fault in faults:
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_lifted", broken_lift(*fault))
+            patch.setattr(verify, "_size", broken_lift(*fault))
             for k in (5, 6):
                 walked = verify.verify_hook_eta(k)
                 assert _counts(walked) == hook_eta_oracle.hook_eta(k, words[k]), (fault, k)

@@ -401,8 +401,8 @@ def test_relabeling_is_a_splice_of_row_codes():
     # at most 8 where L has the shape of T's inner tableau of size k
     checked = 0
     for n in range(2, 9):
-        ids_of = weakorder._lifted(n)[2]
-        for t in weakorder._lifted(n)[0]:
+        ids_of = weakorder._size(n).ids_of
+        for t in weakorder._size(n).nodes:
             code = weakorder._row_code(t)
             for k in range(1, n):
                 low = (1 << 4 * k) - 1
@@ -416,10 +416,10 @@ def test_relabeling_is_a_splice_of_row_codes():
 def test_the_interval_ends_are_beside_and_over():
     # hopf._ends against the tableau forms on every (L, R) of total <= 8
     for n in range(2, 9):
-        index = {t: a for a, t in enumerate(weakorder._lifted(n)[0])}
+        index = {t: a for a, t in enumerate(weakorder._size(n).nodes)}
         for k in range(1, n):
-            lefts = weakorder._lifted(k)[0]
-            rights = weakorder._lifted(n - k)[0]
+            lefts = weakorder._size(k).nodes
+            rights = weakorder._size(n - k).nodes
             for left, left_form in zip(lefts, hopf._forms(k, lefts)):
                 for right, right_form in zip(rights, hopf._forms(n - k, rights)):
                     assert hopf._ends(n, k, left_form, right_form) == (
@@ -430,7 +430,7 @@ def test_the_interval_ends_are_beside_and_over():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_forms_are_the_codes_of_the_tableau_forms(m):
-    tabs = weakorder._lifted(m)[0]
+    tabs = weakorder._size(m).nodes
     code = weakorder._row_code
     assert hopf._forms(m, tabs) == [
         (code(t), code(tableau._transpose(t)), code(tableau._evacuate(t))) for t in tabs

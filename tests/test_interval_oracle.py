@@ -47,16 +47,16 @@ def test_interval_isomorphism_with_covers_dropped(monkeypatch, n, seed):
 
 def _with_evacuation(monkeypatch, n, change):
     """The lift's id tables with ``change`` applied to a copy of the size-n
-    evacuation table; the tables of every other size stay as made."""
-    weakorder._symmetries(n)
-    tables = dict(weakorder._SYMMETRIES)
-    evacuation = list(tables[n][0])
+    evacuation table; the tables of every other size stay as made.  The
+    callers run under the ``fresh_lift`` fixture, so that no field is made
+    from the changed table past the test."""
+    size = weakorder._size(n)
+    evacuation = list(size.evacuation)
     change(evacuation)
-    tables[n] = (array("H", evacuation), tables[n][1])
-    monkeypatch.setattr(weakorder, "_SYMMETRIES", tables)
+    monkeypatch.setattr(size, "evacuation", array(weakorder._ID_TYPECODE, evacuation))
 
 
-def test_images_without_the_evacuated_inner_tableau_are_violations(monkeypatch):
+def test_images_without_the_evacuated_inner_tableau_are_violations(monkeypatch, fresh_lift):
     # with evacuation replaced by the identity, the images keep inner
     # tableau L, not eps R0: the check must say so, not relabel them anyway
     def identity(table):
@@ -76,7 +76,7 @@ def _fails(check, *args):
         return True
 
 
-def test_two_swapped_evacuation_entries_never_pass(monkeypatch):
+def test_two_swapped_evacuation_entries_never_pass(monkeypatch, fresh_lift):
     # the entries of 1,5,6/2/3/4 (id 20) and of each other size-6 node
     # exchanged: both checks that read the table must fail.  (A swap among
     # 1/2/3/4/5/6, 1,2,3,4,5/6 and 1,2,3,4,5,6 alone slips past interval

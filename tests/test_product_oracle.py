@@ -75,19 +75,19 @@ def test_a_broken_column_table_is_an_invariant_error(monkeypatch):
     # three (the word 123); made 1/2/3 instead, every term's count still
     # matches its hook count, and only the restriction to the factors
     # tells that the product of 1 and 1,2 is wrong
-    shared = [list(table) for table in weakorder._lifted(3)[1]]
-    assert weakorder._lifted(3)[0][shared[0][1]] == ((1, 2, 3),)
-    monkeypatch.setattr(hopf, "_lifted", broken_lift(3, 0, 1, 0))
+    shared = [list(table) for table in weakorder._size(3).tables]
+    assert weakorder._size(3).nodes[shared[0][1]] == ((1, 2, 3),)
+    monkeypatch.setattr(hopf, "_size", broken_lift(3, 0, 1, 0))
     with pytest.raises(InvariantError, match=r"^term 1/2/3 does not restrict to the two factors$"):
         plactic_product(((1,),), ((1, 2),))
-    assert [list(table) for table in weakorder._LIFTED[3][1]] == shared
+    assert [list(table) for table in weakorder._SIZES[3].tables] == shared
 
 
 def test_a_broken_column_table_never_gives_wrong_terms(monkeypatch):
     # each size-3 table entry changed to each other node in turn: every
     # product of total 3..6 raises or is right, and some raise
-    shared = [list(table) for table in weakorder._lifted(3)[1]]
-    count = len(weakorder._lifted(3)[0])
+    shared = [list(table) for table in weakorder._size(3).tables]
+    count = len(weakorder._size(3).nodes)
     products = [
         (left, right, list(oracle.plactic_product(left, right).terms.items()))
         for n in range(3, 7)
@@ -98,7 +98,7 @@ def test_a_broken_column_table_never_gives_wrong_terms(monkeypatch):
             for wrong in range(count):
                 if wrong == right_id:
                     continue
-                monkeypatch.setattr(hopf, "_lifted", broken_lift(3, x, t, wrong))
+                monkeypatch.setattr(hopf, "_size", broken_lift(3, x, t, wrong))
                 raised = 0
                 for left, right, expected in products:
                     try:
@@ -108,7 +108,7 @@ def test_a_broken_column_table_never_gives_wrong_terms(monkeypatch):
                         continue
                     assert list(got.items()) == expected, (x, t, wrong, left, right)
                 assert raised, (x, t, wrong)
-    assert [list(table) for table in weakorder._LIFTED[3][1]] == shared
+    assert [list(table) for table in weakorder._SIZES[3].tables] == shared
 
 
 def graph_changes(masks, steps):

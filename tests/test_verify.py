@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from closure_oracle import closure, gap_covers, transpose
-from conftest import broken_lift, table_faults
+from conftest import broken_lift, made, table_faults
 import descents_oracle
 import hook_eta_oracle
 import move_oracle
@@ -344,46 +344,42 @@ def test_sweep_rejects_runs_with_different_suffixes():
             verify._translation_sweep(broken, mode, None)
 
 
-def test_sweep_rejects_a_move_that_changes_the_shape(monkeypatch):
+def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
     # inner tableaux of shapes (4, 1) and (3, 2) have the same suffixes at
     # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell;
-    # the move goes into the size-5 table of a fresh move cache
-    subs, _, ids_of = weakorder._lifted(5)
-    moved = ids_of[weakorder._row_code(parse_tableau("1,2,3/4,5"))]
-    table = [((1, moved),) if shape_of(sub) == (4, 1) else () for sub in subs]
-    monkeypatch.setattr(verify, "_MOVES", {5: table})
+    # the move goes into the move table of a fresh size-5 record
+    size = weakorder._size(5)
+    moved = size.ids_of[weakorder._row_code(parse_tableau("1,2,3/4,5"))]
+    size.moves = [((1, moved),) if shape_of(sub) == (4, 1) else () for sub in size.nodes]
     # a copy, whose sweep layout is made afresh: the cached poset's may
     # already hold the real moves
     with pytest.raises(InvariantError, match="is not onto its group"):
         verify._translation_sweep(dataclasses.replace(cached_poset(6)), "order", None)
 
 
-def _without_a_size_3_node(monkeypatch):
-    """A fresh lift cache whose size-3 code map has lost the node 1,3/2,
-    and a copy of the size-5 order to lay out with it.  The sweep reads
-    the size-3 move table too, so ``verify._MOVES`` is a fresh one whose
-    size-3 entry is made on the intact map first: else a test run alone
-    makes it on the broken map, where it fails on its own check."""
+def _without_a_size_3_node():
+    """Fresh size records, the size-3 code map of which has lost the node
+    1,3/2, and a copy of the size-5 order to lay out with it.  The sweep
+    reads the size-3 move table too, which is made on the intact map
+    first: else it is made on the broken map, where it fails on its own
+    check.  Called under the ``fresh_lift`` fixture."""
     p = dataclasses.replace(cached_poset(5))
-    monkeypatch.setattr(verify, "_MOVES", {})
-    verify._size_moves(3)
-    lifted = dict(weakorder._LIFTED)
-    subs, tables, ids_of = lifted[3]
-    gone = ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
-    lifted[3] = (subs, tables, {c: t for c, t in ids_of.items() if t != gone})
-    monkeypatch.setattr(weakorder, "_LIFTED", lifted)
+    size = weakorder._size(3)
+    assert size.moves  # made on the intact map
+    gone = size.ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
+    size.ids_of = {c: t for c, t in size.ids_of.items() if t != gone}
     return p
 
 
-def test_sweep_rejects_a_run_whose_inner_tableau_is_not_a_node(monkeypatch):
-    p = _without_a_size_3_node(monkeypatch)
+def test_sweep_rejects_a_run_whose_inner_tableau_is_not_a_node(fresh_lift):
+    p = _without_a_size_3_node()
     for mode in ("cover", "order"):
         with pytest.raises(InvariantError, match="inner tableau 1,3/2 of a run is not a size-3 node"):
             verify._translation_sweep(p, mode, None)
 
 
-def test_a_run_whose_inner_tableau_is_not_a_node_exits_3(capsys, monkeypatch):
-    p = _without_a_size_3_node(monkeypatch)
+def test_a_run_whose_inner_tableau_is_not_a_node_exits_3(capsys, monkeypatch, fresh_lift):
+    p = _without_a_size_3_node()
     monkeypatch.setattr(verify, "cached_poset", lambda n: p)
     code = main(["verify", "inner-translation", "--n", "5"])
     captured = capsys.readouterr()
@@ -584,27 +580,27 @@ def test_single_triple_scan_rejects_a_move_off_the_node_set(capsys, monkeypatch)
     assert captured.err == f"internal error: {message}\n"
 
 
-def test_the_stretch_checks_lift_each_order_from_the_one_below(monkeypatch):
+def test_the_stretch_checks_lift_each_order_from_the_one_below(fresh_lift):
     # the sweeps, antisymmetry, the monotone maps and evacuation-transpose
     # keep nothing on a fresh poset but its closure check and sweep layout
-    monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
     for name, options in verify.battery(stretch=True):
         if options.get("n", 0) >= 7:
             assert all(report.passed for report in verify.CHECKS[name](**options))
     for n in range(7, 10):
         assert verify.verify_evac_transpose_monotone(n).passed
-    posets = weakorder._POSET_CACHE
     # each order is lifted from the covers of the one a size down
-    assert sorted(posets) == list(range(1, 10))
-    assert all(set(p._cache) <= {"closure", "sweep"} for p in posets.values())
+    assert made("order") == list(range(1, 10))
+    posets = [weakorder._size(n).order for n in range(1, 10)]
+    assert all(set(p._cache) <= {"closure", "sweep"} for p in posets)
 
 
 def test_size_moves_are_the_dual_moves():
     # the one move table of the sweep, the scan and connectivity, made on
     # row codes, against the exchange kernel and the word route on every node
     for n in range(1, 10):
-        subs = weakorder._lifted(n)[0]
-        for sub, moves in zip(subs, verify._size_moves(n)):
+        size = weakorder._size(n)
+        subs = size.nodes
+        for sub, moves in zip(subs, size.moves):
             named = [(i, subs[t]) for i, t in moves]
             assert named == _dual_moves(sub) == move_oracle.dual_moves(sub)
 
@@ -828,7 +824,8 @@ LEMMA_INSTANCES = {
 
 
 def _lift_tables(n):
-    return zip(*(verify._lifted(m)[:2] for m in range(1, n + 1)))
+    sizes = [verify._size(m) for m in range(1, n + 1)]
+    return [size.nodes for size in sizes], [size.tables for size in sizes]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -876,8 +873,9 @@ def _break_a_segment(monkeypatch):
     (2, 1) only, so the segments [i, j] with i >= n - 2, whose images pass
     through that step, break for some words of every class and not for
     others.  The check reads its images off the one-step tables, here with
-    the size-4 lo table broken so; the oracle restricts each segment step
-    by step through the same broken step."""
+    the size-4 lo table of a fresh record broken so (the callers run under
+    the ``fresh_lift`` fixture); the oracle restricts each segment step by
+    step through the same broken step."""
     real = tableau._restrict
 
     def broken(rows, i, j):
@@ -892,16 +890,14 @@ def _break_a_segment(monkeypatch):
             rows = broken(rows, 1, m - 1)
         return rows
 
-    steps = {m: verify._one_step(m) for m in range(2, 10)}
-    subs, turn = weakorder._lifted(3)[0], weakorder._symmetries(3)[1]
-    hi, lo = steps[4]
-    steps[4] = (hi, [turn[t] if shape_of(subs[t]) == (2, 1) else t for t in lo])
-    monkeypatch.setattr(verify, "_STEPS", steps)
+    subs, turn = weakorder._size(3).nodes, weakorder._size(3).transposition
+    record = weakorder._size(4)
+    record.lo = [turn[t] if shape_of(subs[t]) == (2, 1) else t for t in record.lo]
     monkeypatch.setattr(tableau, "_restrict", stepwise)
 
 
 @pytest.mark.parametrize("n", [4, 6])
-def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypatch, n):
+def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypatch, fresh_lift, n):
     # the lemma first fails at m = 4, dropping 1; each (word, segment) the
     # check reports is one that the per-word oracle and the walk list
     _break_a_segment(monkeypatch)
@@ -921,7 +917,7 @@ def test_restriction_insertion_reports_a_broken_segment_like_the_oracle(monkeypa
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_a_restriction_witness_replays_through_insertion_and_restriction(monkeypatch, n):
+def test_a_restriction_witness_replays_through_insertion_and_restriction(monkeypatch, fresh_lift, n):
     # the reported word, inserted by rows and restricted by jeu de taquin
     # (both through the module), fails on exactly the reported segments
     _break_a_segment(monkeypatch)
@@ -984,14 +980,14 @@ def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
     # every word and every restricted word through the same tables would
     # give, words in lexicographic order, then segments in order.  Both
     # lemmas fail at m = 3, and every word they report is on those lists
-    nodes, tables, _ = weakorder._lifted(3)
+    nodes, tables = weakorder._size(3).nodes, weakorder._size(3).tables
     right = tables[0][1]
     wrong = next(
         b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
     )
     clean_checked = (verify_restriction_insertion(n).checked, verify_descents_constant(n).checked)
-    monkeypatch.setattr(verify, "_lifted", broken_lift(3, 0, 1, wrong))
-    inserting = [verify._lifted(m)[1] for m in range(1, n + 1)]
+    monkeypatch.setattr(verify, "_size", broken_lift(3, 0, 1, wrong))
+    inserting = [verify._size(m).tables for m in range(1, n + 1)]
 
     def node_of(word):
         return weakorder._insertion_id(word, inserting)
@@ -1009,7 +1005,7 @@ def test_word_walks_report_a_broken_insertion_table(monkeypatch, n):
     report = verify_restriction_insertion(n)
     assert report.checked == clean_checked[0]
     assert report.violations and all(v in expected for v in report.violations)
-    nodes_n = verify._lifted(n)[0]
+    nodes_n = verify._size(n).nodes
     expected = [
         {"word": format_word(u)}
         for u in words
@@ -1030,7 +1026,7 @@ def test_the_lemmas_flag_every_table_fault_the_walks_flag(monkeypatch):
     flagged = [0, 0]
     for fault in faults:
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_lifted", broken_lift(*fault))
+            patch.setattr(verify, "_size", broken_lift(*fault))
             for s, (check, walk) in enumerate((
                 (verify_restriction_insertion, restriction_oracle.suffix_walk),
                 (verify_descents_constant, descents_oracle.suffix_walk),
@@ -1048,12 +1044,12 @@ def test_a_failing_instance_that_no_word_replays_is_named(monkeypatch):
     # the size-3 fault above, at m = 3, t = 1,2, x = 1; with row words
     # read backwards, the tables insert the row word of 1,2 to 1/2, so no
     # word is made and the instance is named
-    nodes, tables, _ = weakorder._lifted(3)
+    nodes, tables = weakorder._size(3).nodes, weakorder._size(3).tables
     right = tables[0][1]
     wrong = next(
         b for b in range(len(nodes)) if tableau._descents(nodes[b]) != tableau._descents(nodes[right])
     )
-    monkeypatch.setattr(verify, "_lifted", broken_lift(3, 0, 1, wrong))
+    monkeypatch.setattr(verify, "_size", broken_lift(3, 0, 1, wrong))
     monkeypatch.setattr(verify, "row_word", lambda rows: tableau.row_word(rows)[::-1])
     instance = [{"m": 3, "T": "1,2", "x": 1}]
     for n in (3, 5):
@@ -1076,9 +1072,9 @@ def test_the_id_table_checks_refuse_an_order_on_other_nodes(monkeypatch, check):
 def test_one_step_tables_are_the_restrictions(m):
     # hi from the row code, lo through evacuation, against jeu de taquin
     # on every node
-    nodes = weakorder._lifted(m)[0]
-    index = {t: a for a, t in enumerate(weakorder._lifted(m - 1)[0])}
-    hi, lo = verify._one_step(m)
+    nodes = weakorder._size(m).nodes
+    index = {t: a for a, t in enumerate(weakorder._size(m - 1).nodes)}
+    hi, lo = weakorder._size(m).hi, weakorder._size(m).lo
     assert list(hi) == [index[tableau._restrict(t, 1, m - 1)] for t in nodes]
     assert list(lo) == [index[tableau._restrict(t, 2, m)] for t in nodes]
 
@@ -1107,16 +1103,17 @@ def test_dual_knuth_connectivity_matches_the_oracle(n):
     assert (report.checked, report.violations) == move_oracle.connectivity(n)
 
 
-def test_dual_knuth_connectivity_names_each_broken_move(monkeypatch):
+def test_dual_knuth_connectivity_names_each_broken_move(fresh_lift):
     # the search of shape (3, 1) starts at its first id, whose one move
     # now goes into shape (2, 2), so neither other member is reached
-    subs = weakorder._lifted(4)[0]
-    table = list(verify._size_moves(4))
+    size = weakorder._size(4)
+    subs = size.nodes
+    table = list(size.moves)
     run = [t for t, sub in enumerate(subs) if shape_of(sub) == (3, 1)]
     other = next(t for t, sub in enumerate(subs) if shape_of(sub) == (2, 2))
     assert len(run) == 3
     table[run[0]] = ((2, other),)
-    monkeypatch.setattr(verify, "_MOVES", {4: table})
+    size.moves = table
     report = verify_dual_knuth_connectivity(4)
     assert report.checked == sum(len(moves) for t, moves in enumerate(table) if t not in run[1:])
     assert report.violations == [
@@ -1141,14 +1138,13 @@ def test_dual_knuth_connectivity_names_each_broken_move(monkeypatch):
         ("1,2,3", 1),  # 1 and 2 share a row: the move is onto the node itself
     ],
 )
-def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, moved):
+def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fresh_lift, moved):
     # the move table is made afresh from a rule that leaves the tableaux:
     # at one node, told by the rows of its letters, it exchanges x and x + 1
     text, x = moved
     code = weakorder._row_code(parse_tableau(text))
     rows = [0, *(code >> 4 * y & 15 for y in range(3))]  # the rows of 1, 2, 3
-    monkeypatch.setattr(verify, "_MOVES", {})
-    monkeypatch.setattr(verify, "_move_exchanges", lambda r: [(1, x)] if r == rows else [])
+    monkeypatch.setattr(weakorder, "_move_exchanges", lambda r: [(1, x)] if r == rows else [])
     message = f"dual Knuth move on the triple 1,2,3 of {text} is not onto another size-3 node"
     with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(3)
@@ -1173,14 +1169,14 @@ def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, mo
     ],
 )
 def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
-    monkeypatch, move, message
+    monkeypatch, fresh_lift, move, message
 ):
     # the move table is made afresh from a rule that sends one node's move
     # on one triple to another node of its shape, which connectivity alone
     # does not see; 1,2,4/3 has the moves (1, 2) and (2, 3)
     code = weakorder._row_code(parse_tableau("1,2,4/3"))
     rows = [0, *(code >> 4 * y & 15 for y in range(4))]
-    exchanges = verify._move_exchanges
+    exchanges = weakorder._move_exchanges
     assert exchanges(rows) == [(1, 2), (2, 3)]
 
     def wrong(r):
@@ -1188,8 +1184,7 @@ def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
             return exchanges(r)
         return [move if i == move[0] else (i, x) for i, x in exchanges(r)]
 
-    monkeypatch.setattr(verify, "_MOVES", {})
-    monkeypatch.setattr(verify, "_move_exchanges", wrong)
+    monkeypatch.setattr(weakorder, "_move_exchanges", wrong)
     with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(4)
 
@@ -1228,7 +1223,7 @@ def test_elapsed_ms_times_the_check_alone(monkeypatch):
 
     monkeypatch.setattr("sytkit.report.time", SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(verify, "cached_poset", slowed(verify.cached_poset))
-    monkeypatch.setattr(verify, "_lifted", slowed(verify._lifted))
+    monkeypatch.setattr(verify, "_size", slowed(verify._size))
     for check in checks:
         for report in check():
             assert report.elapsed_ms < step_s * 1000, report.check

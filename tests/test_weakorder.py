@@ -9,12 +9,14 @@ import dataclasses
 import functools
 import multiprocessing
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 import closure_oracle
 import projection_oracle
+from conftest import fresh_sizes, made
 import sytkit.hopf as hopf
 import sytkit.tableau as tableau
 import sytkit.verify as verify
@@ -240,15 +242,15 @@ def _columns(nodes):
 
 
 @pytest.mark.parametrize("k", range(1, 10))
-def test_lifted_nodes_are_the_sorted_tableaux(monkeypatch, k):
+def test_lifted_nodes_are_the_sorted_tableaux(fresh_lift, k):
     # from a cold lift, the size-k nodes grown from the size below and their
     # code map against the enumeration, canonically sorted, and _row_code
-    monkeypatch.setattr(weakorder, "_LIFTED", {})
-    nodes, _, ids_of = weakorder._lifted(k)
+    size = weakorder._size(k)
     want, index = _size(k)
-    assert nodes == want
-    assert list(ids_of.items()) == list(_codes(index).items())
-    assert sorted(weakorder._LIFTED) == list(range(1, k + 1))
+    assert size.nodes == want
+    assert list(size.ids_of.items()) == list(_codes(index).items())
+    assert size.codes == list(_codes(index))
+    assert sorted(weakorder._SIZES) == list(range(1, k + 1))
 
 
 def test_a_column_table_miss_is_an_invariant_error():
@@ -288,7 +290,7 @@ def _standardized(word):
 def test_insertion_ids_are_the_insertion_tableaux(m):
     # every word of m letters, on 1..m or with a gap at g (its letters
     # >= g raised), column-inserted from the right through the lift's tables
-    tables = [weakorder._lifted(j)[1] for j in range(1, m + 1)]
+    tables = [weakorder._size(j).tables for j in range(1, m + 1)]
     index = cached_poset(m).index
     for w in permutations(range(1, m + 1)):
         for gap in range(1, m + 2):
@@ -313,7 +315,7 @@ def _answers(jobs):
 
 
 @pytest.mark.parametrize("jobs", [2, 64, 10**6])
-def test_jobs_start_no_process_pool(monkeypatch, jobs):
+def test_jobs_start_no_process_pool(monkeypatch, fresh_lift, jobs):
     # perfbench passes jobs=1 to these seven; any other value is ignored
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -321,9 +323,8 @@ def test_jobs_start_no_process_pool(monkeypatch, jobs):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    monkeypatch.setattr(weakorder, "_POSET_CACHE", {})  # so the posets are built here
-    got = _answers(jobs)
-    monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
+    got = _answers(jobs)  # the posets are built here, on fresh records
+    weakorder._reset_sizes()
     assert got == _answers(1)
 
 
@@ -369,10 +370,9 @@ def test_successor_lists_for_other_nodes_are_an_invariant_error():
         assert str(raised.value) == f"projected edges from {len(broken)} node ids, not the 26 nodes"
 
 
-def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch):
+def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch, fresh_lift):
     nodes, edges, _ = _cyclic_lift(5)
     monkeypatch.setattr(weakorder, "_lift_edges", lambda n: (nodes, edges))
-    monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
     code = main(["poset", "--n", "5"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
@@ -380,19 +380,69 @@ def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch):
     assert captured.err.startswith("internal error: projected edge ")
 
 
-def test_each_size_is_lifted_once(monkeypatch):
+def test_each_size_is_lifted_once(monkeypatch, fresh_lift):
     sizes = []
 
-    def counted(prev, prev_ids, ids_of, k):
+    def counted(prev, prev_codes, ids_of, k):
         sizes.append(k)
-        return column_tables(prev, prev_ids, ids_of, k)
+        return column_tables(prev, prev_codes, ids_of, k)
 
     column_tables = weakorder._column_tables
     monkeypatch.setattr(weakorder, "_column_tables", counted)
-    monkeypatch.setattr(weakorder, "_LIFTED", {})
     for n in range(2, 10):
         build_poset(n)
     assert sizes == list(range(1, 10))
+
+
+# every field of a size record; hi and lo from size 2, as a size-1 node
+# loses its one letter to no node of the lift
+FIELDS = ("nodes", "codes", "ids_of", "tables", "evacuation", "transposition", "hi", "lo", "moves", "order")
+
+
+def _every_field(k):
+    size = weakorder._size(k)
+    return {name: getattr(size, name) for name in FIELDS if k > 1 or name not in ("hi", "lo")}
+
+
+def test_every_field_is_made_once_after_a_reset(monkeypatch):
+    # each field of sizes 1..7 read twice after a reset, its maker counted
+    # per size: once each, and equal to the record the process made first
+    warm = {k: _every_field(k) for k in range(1, 8)}
+    calls = Counter()
+
+    def count(name, size_of):
+        maker = getattr(weakorder, name)
+
+        def counted(*args):
+            calls[name, size_of(*args)] += 1
+            return maker(*args)
+
+        monkeypatch.setattr(weakorder, name, counted)
+
+    count("_grown", lambda prev, prev_codes, k, columns: k)
+    count("_column_tables", lambda columns, prev_codes, ids_of, k: k)
+    for name in ("_symmetry_tables", "_one_steps", "_move_table"):
+        count(name, lambda size: size.k)
+    count("build_poset", lambda n: n)
+    with fresh_sizes():
+        for k in range(1, 8):
+            first = _every_field(k)
+            assert _every_field(k) == first == warm[k]
+    makers = ("_grown", "_column_tables", "_symmetry_tables", "_one_steps", "_move_table", "build_poset")
+    assert calls == {
+        (name, k): 1 for name in makers for k in range(1, 8) if (name, k) != ("_one_steps", 1)
+    }
+
+
+def test_a_size_with_more_nodes_than_the_id_typecode_holds_is_refused(monkeypatch, fresh_lift):
+    # one byte per id holds the 232 nodes of size 7, not the 764 of size 8
+    monkeypatch.setattr(weakorder, "_ID_TYPECODE", "B")
+    assert [len(weakorder._size(k).nodes) for k in range(1, 8)] == [1, 2, 4, 10, 26, 76, 232]
+    size = weakorder._size(7)
+    assert {table.typecode for table in (*size.tables, size.evacuation, size.transposition)} == {"B"}
+    with pytest.raises(InvariantError) as raised:
+        weakorder._size(8)
+    assert str(raised.value) == "size 8 has 764 nodes, more than the 256 ids of typecode 'B'"
 
 
 def _fields(p):
@@ -400,16 +450,11 @@ def _fields(p):
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_build_poset_does_not_depend_on_the_sizes_lifted_before(monkeypatch, n):
+def test_build_poset_does_not_depend_on_the_sizes_lifted_before(fresh_lift, n):
     # cold: neither the tables nor the orders one size down are made yet
-    def cold_caches():
-        monkeypatch.setattr(weakorder, "_LIFTED", {})
-        monkeypatch.setattr(weakorder, "_POSET_CACHE", {})
-
-    cold_caches()
     cold = _fields(build_poset(n))
     for first in (n + 1, n - 3):
-        cold_caches()
+        weakorder._reset_sizes()
         build_poset(first)
         assert _fields(build_poset(n)) == cold
 
@@ -680,9 +725,10 @@ def test_evacuation_preserves_the_hasse_diagram_n8():
 def test_symmetry_tables_are_evacuation_and_transposition(n):
     # the id tables made from the size below and the column tables,
     # against the tableau forms on every node
-    nodes = weakorder._lifted(n)[0]
+    size = weakorder._size(n)
+    nodes = size.nodes
     index = {t: a for a, t in enumerate(nodes)}
-    evacuation, transposition = weakorder._symmetries(n)
+    evacuation, transposition = size.evacuation, size.transposition
     assert list(evacuation) == [index[tableau._evacuate(t)] for t in nodes]
     assert list(transposition) == [index[tableau._transpose(t)] for t in nodes]
 
@@ -690,8 +736,9 @@ def test_symmetry_tables_are_evacuation_and_transposition(n):
 def _symmetry_fault(change):
     """The message of ``_check_symmetries`` on the size-5 tables with
     ``change(evacuation, transposition, nodes)`` applied to copies."""
-    nodes = weakorder._lifted(5)[0]
-    evacuation, transposition = map(list, weakorder._symmetries(5))
+    size = weakorder._size(5)
+    nodes = size.nodes
+    evacuation, transposition = list(size.evacuation), list(size.transposition)
     change(evacuation, transposition, nodes)
     with pytest.raises(InvariantError) as info:
         weakorder._check_symmetries(nodes, evacuation, transposition)
@@ -732,23 +779,26 @@ def test_symmetry_tables_must_keep_or_conjugate_the_shape():
     assert message == "the evacuation table moves the shape of 1/2/3/4/5"
 
 
-def test_the_symmetry_tables_are_made_once_per_size(monkeypatch):
+def test_the_symmetry_tables_are_made_once_per_size(fresh_lift):
     # made from the size below, each once per process; no table is made by
     # a product or the public evacuate and transpose
-    monkeypatch.setattr(weakorder, "_SYMMETRIES", {})
+    def symmetries(m):
+        size = weakorder._size(m)
+        return size.evacuation, size.transposition
+
     left, right = parse_tableau("1,2/3"), parse_tableau("1,3/2,4")
     hopf.plactic_product(left, right)
     evacuate(parse_tableau("1,2,4/3,5")), transpose(parse_tableau("1,2,4/3,5"))
-    assert weakorder._SYMMETRIES == {}
-    first = weakorder._symmetries(6)
-    assert sorted(weakorder._SYMMETRIES) == list(range(1, 7))
-    assert weakorder._symmetries(6) is first
+    assert made("evacuation") == made("transposition") == []
+    first = symmetries(6)
+    assert made("evacuation") == made("transposition") == list(range(1, 7))
+    assert all(a is b for a, b in zip(symmetries(6), first))
     # an interval product reads its ends through the transposition tables
     # of its factors' sizes and its total: only the total's is new here
-    kept = dict(weakorder._SYMMETRIES)
+    kept = {m: symmetries(m) for m in made("evacuation")}
     hopf.interval_product(left, right, cached_poset(7))
-    assert sorted(weakorder._SYMMETRIES) == list(range(1, 8))
-    assert all(weakorder._SYMMETRIES[m] is tables for m, tables in kept.items())
+    assert made("evacuation") == made("transposition") == list(range(1, 8))
+    assert all(a is b for m, tables in kept.items() for a, b in zip(symmetries(m), tables))
 
 
 def test_poset_counts_n9():
