@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the weak-order Hasse diagrams for n = 2..--max-n (at most 9) as DOT files.
+"""Write the weak-order Hasse diagrams for n = 2..--max-n as DOT files.
 
 Feed the output to graphviz, e.g. ``dot -Tpdf out/weak_order_syt_4.dot``.
 """
@@ -10,7 +10,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from sytkit.weakorder import MAX_POSET_N, cached_poset, to_dot  # noqa: E402
+from sytkit.permutation import CAPS  # noqa: E402
+from sytkit.weakorder import cached_poset, to_dot  # noqa: E402
 
 
 def main() -> int:
@@ -18,8 +19,8 @@ def main() -> int:
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("out"))
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
-    if not (2 <= args.max_n <= MAX_POSET_N):
-        parser.error(f"--max-n must be in 2..{MAX_POSET_N}, got {args.max_n}")
+    if not (2 <= args.max_n <= CAPS["order"]):
+        parser.error(f"--max-n must be in 2..{CAPS['order']}, got {args.max_n}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for n in range(2, args.max_n + 1):
         p = cached_poset(n)

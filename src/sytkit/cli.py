@@ -19,7 +19,7 @@ import sys
 
 from . import hopf, verify, weakorder
 from .knuthclass import knuth_class
-from .permutation import InvariantError, format_word, parse_word
+from .permutation import CAPS, InvariantError, check_range, format_word, parse_word
 from .report import VerificationReport
 from .tableau import (
     evacuate,
@@ -216,7 +216,7 @@ def _dispatch(args) -> tuple[int, str]:
         left = parse_tableau(args.left)
         right = parse_tableau(args.right)
         n = sum(len(r) for r in left) + sum(len(r) for r in right)
-        p = weakorder.cached_poset(n)
+        p = weakorder.cached_poset(check_range(n, 2, CAPS["order"], "product size"))
         iv = hopf.product_interval(left, right, p)
         members = iv.member_tableaux()
         if args.format == "json":

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .knuthclass import _bump_graph
-from .permutation import InvariantError, check_int
+from .permutation import CAPS, InvariantError, check_range
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -64,7 +64,6 @@ from .tableau import (
     size_of,
 )
 from .weakorder import (
-    MAX_POSET_N,
     Interval,
     TableauPoset,
     _bits,
@@ -76,8 +75,6 @@ from .weakorder import (
     canonical_key,
     interval,
 )
-
-MAX_PRODUCT_SIZE = 9
 
 
 @dataclass
@@ -96,8 +93,8 @@ class PlacticSum:
 def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     """Count the shuffle words of the two classes by insertion tableau.
 
-    Each factor is validated once, and the product's size is compared with
-    ``MAX_PRODUCT_SIZE`` before either factor's reverse-bump graph
+    Each factor is validated once, and the product's size is refused above
+    the lift's cap ``CAPS["lift"]`` before either factor's reverse-bump graph
     (``knuthclass._bump_graph``) is made, its nodes numbered from integer
     keys and its steps read from the step table ``knuthclass._STEPS``.
     No word is made, of a class or of the shuffle, and no sub-tableau.
@@ -137,9 +134,7 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     """
     left, right = check_standard(left), check_standard(right)
     k = size_of(left)
-    n = k + size_of(right)
-    if n > MAX_PRODUCT_SIZE:
-        raise ValueError(f"product size {n} exceeds {MAX_PRODUCT_SIZE}")
+    n = check_range(k + size_of(right), 2, CAPS["lift"], "product size")
     left_masks, left_steps = _checked_graph(left)
     right_masks, right_steps = _checked_graph(right)
     w = len(right_steps)
@@ -240,11 +235,12 @@ def _product_ends(left: Rows, right: Rows, p: TableauPoset) -> tuple[int, int]:
     ends of the product's interval, each factor checked once.  They are
     read from the factors' row codes (:func:`_forms`, :func:`_ends`), no
     tableau made, so the order's nodes must be the lift's, else
-    :class:`InvariantError`."""
+    :class:`InvariantError`; a product above the order's cap
+    ``CAPS["order"]`` is refused before the lift is read."""
     left = check_standard(left)
     right = check_standard(right)
     k = size_of(left)
-    n = k + size_of(right)
+    n = check_range(k + size_of(right), 2, CAPS["order"], "product size")
     if p.n != n:
         raise ValueError(f"poset is for size {p.n}, product needs {n}")
     _check_lift_nodes(p)
@@ -328,11 +324,10 @@ def verify_interval_isomorphism(k: int, l: int, jobs: int = 1) -> VerificationRe
     of the new inner tableau, one lookup in the lift's code map names the
     result, and evacuation is one read of the size-n id table, all of the
     size-n record (``weakorder._size``).  The ends of each interval come
-    from :func:`_ends`.
+    from :func:`_ends`.  The total k + l is at most the order's cap
+    ``CAPS["order"]``.
     """
-    if check_int(k, "k") < 1 or check_int(l, "l") < 1 or k + l > MAX_POSET_N:
-        raise ValueError(f"need k, l >= 1 and k + l <= {MAX_POSET_N}")
-    n = k + l
+    n = check_range(k, 1, CAPS["order"] - 1, "k") + check_range(l, 1, CAPS["order"] - k, "l")
     p = cached_poset(n)
     _check_lift_nodes(p)
     checked = 0

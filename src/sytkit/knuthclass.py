@@ -40,8 +40,8 @@ child must hold exactly the tableau's letters less the exit letter, else
 (:func:`_code_steps`).  Hook-eta reads its corner steps from the same
 table.  The table is bounded as the lift's per-size tables are: one entry
 per standard tableau of each size reached and one for the empty tableau,
-at most 3,736 for the sizes up to 9 and 13,232 up to ``MAX_N`` = 10.
-Nothing else is kept between calls.
+at most 3,736 for the sizes up to 9 and 13,232 up to the word cap
+``permutation.CAPS["word"]`` = 10.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .permutation import MAX_N, InvariantError, Word
+from .permutation import CAPS, InvariantError, Word, check_range
 from .tableau import Rows, _reverse_bump, check_standard, format_tableau, size_of
 from .weakorder import _row_code
 
@@ -67,19 +67,17 @@ def knuth_class(rows: Rows) -> KnuthClass:
     """The full class of the tableau: every word whose insertion tableau it
     is, one per standard tableau of its shape.
 
-    Tableaux with more than ``MAX_N`` cells are refused before any word is
-    made (a 4x5 rectangle alone has 1,662,804 words).  Distinct recording
-    tableaux give distinct words; that is checked, not assumed: a repeated
-    word raises :class:`InvariantError`.
+    Tableaux with more than ``CAPS["word"]`` cells are refused before any
+    word is made (a 4x5 rectangle alone has 1,662,804 words).  Distinct
+    recording tableaux give distinct words; that is checked, not assumed: a
+    repeated word raises :class:`InvariantError`.
     """
     return _knuth_class(check_standard(rows))
 
 
 def _knuth_class(rows: Rows) -> KnuthClass:
     """``knuth_class`` of a tableau already checked to be standard."""
-    n = size_of(rows)
-    if n > MAX_N:
-        raise ValueError(f"tableau size {n} exceeds the supported maximum {MAX_N}")
+    check_range(size_of(rows), 1, CAPS["word"], "tableau size")
     words = _class_words(rows)
     distinct = frozenset(words)
     if len(distinct) != len(words):

@@ -1,6 +1,6 @@
 """One-line permutations: validation and text forms, the inverse, left
-descents and the evacuation word, and the argument checks and error types
-that the other modules share.
+descents and the evacuation word, and the argument checks, size caps and
+error types that the other modules share.
 
 A word is a tuple holding each of 1..n exactly once (one-line notation).
 Everything in this module is a pure function of immutable values.  The
@@ -12,8 +12,6 @@ and the tests keep the word-level forms as oracles.
 from __future__ import annotations
 
 Word = tuple[int, ...]
-
-MAX_N = 10  # desk-scale enumeration guard
 
 
 class ParseError(ValueError):
@@ -40,6 +38,21 @@ def check_int(x, name: str) -> int:
     return x
 
 
+# The one table of size caps, each the largest size its layer takes:
+# "word" bounds words and Knuth classes, "lift" the lift's id tables and
+# what reads only them (the plactic product too), and "order" the built
+# orders and what reads them.  Every size refusal reads it through
+# check_range.
+CAPS = {"word": 10, "lift": 9, "order": 9}
+
+
+def check_range(x, lo: int, hi: int, name: str) -> int:
+    """:func:`check_int`, then ValueError unless lo <= x <= hi."""
+    if not lo <= check_int(x, name) <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}")
+    return x
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple, taken as they are: anything but an ``int`` (a
     bool, a float such as 2.0) raises ValueError naming ``what``."""
@@ -56,8 +69,7 @@ def check_word(word) -> Word:
     n = len(w)
     if n < 1:
         raise ValueError("empty word")
-    if n > MAX_N:
-        raise ValueError(f"word size {n} exceeds the supported maximum {MAX_N}")
+    check_range(n, 1, CAPS["word"], "word size")
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {w}")
     return w

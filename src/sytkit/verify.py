@@ -94,7 +94,7 @@ from operator import xor
 
 from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
 from .knuthclass import _class_words, _code_rows, _code_steps
-from .permutation import InvariantError, Word, check_int, descents_left, format_word
+from .permutation import CAPS, InvariantError, Word, check_int, check_range, descents_left, format_word
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -109,11 +109,9 @@ from .tableau import (
     shape_of,
 )
 from .weakorder import (
-    MAX_POSET_N,
     TableauPoset,
     _bits,
     _check_lift_nodes,
-    _check_poset_size,
     _closure_fault,
     _insertion_id,
     _row_code,
@@ -618,7 +616,7 @@ def verify_descents_constant(n: int) -> VerificationReport:
     x > 1, so it is enough that Des(C_m[x][t]) is that image of Des(t) for
     every m = 2..n, size m - 1 node t and letter x (:func:`_descent_lemma`).
     ``checked`` counts the n! words so established."""
-    _check_poset_size(n)
+    check_range(n, 1, CAPS["lift"], "n")
     nodes, tables = zip(*((s.nodes, s.tables) for s in map(_size, range(1, n + 1))))
 
     def failing(word: Word) -> list[dict]:
@@ -682,7 +680,7 @@ def verify_restriction_insertion(n: int) -> VerificationReport:
     x = m, else C_(m-1)[x][hi(t)], and lo(u) t if x = 1, else
     C_(m-1)[x - 1][lo(t)] (:func:`_restriction_lemma`).  ``checked``
     counts the n! n(n - 1)/2 (word, segment) pairs so established."""
-    _check_poset_size(n)
+    check_range(n, 1, CAPS["lift"], "n")
     nodes, tables = zip(*((s.nodes, s.tables) for s in map(_size, range(1, n + 1))))
     segments = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
@@ -776,7 +774,7 @@ def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
     size-n record's ``moves``.  Ids sort by shape first, so each
     shape is one run of ids, cut where the shape changes, and a shape split
     in two shows up as violations."""
-    _check_poset_size(n)
+    check_range(n, 1, CAPS["lift"], "n")
     size = _size(n)
     nodes = size.nodes
     checked = 0
@@ -836,7 +834,8 @@ def _single_triple_scan(n: int | None = None) -> list[VerificationReport]:
 
 
 def _interval_isomorphism(n: int, k: int | None = None):
-    k = n // 2 if k is None else k
+    _check_scale("interval-isomorphism", n)
+    k = n // 2 if k is None else check_range(k, 1, n - 1, "k")
     return [verify_interval_isomorphism(k, n - k)]
 
 
@@ -859,29 +858,28 @@ CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
 # hook-eta, the total k + l for interval-isomorphism), then the battery's
 # top n at the default and at the stretch scale.  The guards read it
 # through _check_scale; antisymmetry and monotone are refused by
-# cached_poset and interval-isomorphism by its own guard in hopf, each at
-# MAX_POSET_N.
+# cached_poset, at the same top.  Each highest n lies inside the cap
+# (permutation.CAPS) of what its check reads: the order's, and for hook-eta
+# the lift's at k - 1.
 SCALES: dict[str, tuple[int, int, int, int]] = {
-    "antisymmetry": (1, MAX_POSET_N, 7, 9),
-    "inner-translation": (2, MAX_POSET_N, 7, 9),
+    "antisymmetry": (1, CAPS["order"], 7, 9),
+    "inner-translation": (2, CAPS["order"], 7, 9),
     "inner-translation-fails": (6, 6, 6, 6),
     "special-cases": (2, 8, 7, 8),
     "hook-eta": (5, 9, 7, 9),
-    "structural": (2, MAX_POSET_N, 6, 6),
-    "monotone": (1, MAX_POSET_N, 7, 7),
-    "interval-isomorphism": (2, MAX_POSET_N, 6, 6),
+    "structural": (2, CAPS["order"], 6, 6),
+    "monotone": (1, CAPS["order"], 7, 7),
+    "interval-isomorphism": (2, CAPS["order"], 6, 6),
 }
 
 
 def _check_scale(check: str, n: int, name: str = "n") -> None:
     """Refuse an n (called ``name`` in the message) outside the check's row
     of SCALES; a bool or a float is no n."""
-    check_int(n, name)
     lo, hi, _, _ = SCALES[check]
-    if lo == hi != n:
+    if lo == hi != check_int(n, name):
         raise ValueError(f"{check} takes {name} = {lo} only")
-    if not lo <= n <= hi:
-        raise ValueError(f"{name} must be in {lo}..{hi}")
+    check_range(n, lo, hi, name)
 
 
 def battery(stretch: bool = False) -> Iterator[tuple[str, dict]]:

@@ -55,7 +55,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .permutation import InvariantError, check_int
+from .permutation import CAPS, InvariantError, check_int, check_range
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
@@ -68,8 +68,6 @@ from .tableau import (
     row_word,
     shape_of,
 )
-
-MAX_POSET_N = 9
 
 # a tableau's columns as the lift grows them (:func:`_grown`), each a bytes
 # string of its letters from the top: bytes, unlike a tuple, is never
@@ -359,8 +357,12 @@ def _reset_sizes() -> None:
 
 
 def _size(k: int) -> _Size:
-    """The size-k record (k >= 1), lifted first when it is missing."""
+    """The size-k record, lifted first when it is missing; a size outside
+    1..``CAPS["lift"]`` is refused there with InvariantError, as every
+    public caller refuses it first."""
     if k not in _SIZES:
+        if not 1 <= k <= CAPS["lift"]:
+            raise InvariantError(f"the lift holds sizes 1..{CAPS['lift']}, not {k}")
         _lift(k)
     return _SIZES[k]
 
@@ -368,9 +370,10 @@ def _size(k: int) -> _Size:
 def _lift(k: int) -> None:
     """Make the missing records up to size k, one size at a time from the
     largest made: nodes, row codes and columns grown (:func:`_grown`), and
-    tables from the columns of the size below, kept on the largest record
-    below ``MAX_POSET_N``, else made by transposing the nodes.  A size with
-    more nodes than ``_ID_TYPECODE`` holds ids raises InvariantError."""
+    tables from the columns of the size below.  Only the largest record
+    keeps its columns, which the next size grows from; the cap size
+    ``CAPS["lift"]`` grows none.  A size with more nodes than
+    ``_ID_TYPECODE`` holds ids raises InvariantError."""
     top = k - 1
     while top and top not in _SIZES:
         top -= 1
@@ -378,20 +381,18 @@ def _lift(k: int) -> None:
     if top:
         below = _SIZES[top]
         nodes, codes, columns = below.nodes, below.codes, below.columns
-        below.columns = None  # the next size grows from them now
-        columns = columns or [tuple(map(bytes, _transpose(t))) for t in nodes]
     for size in range(top + 1, k + 1):
         prev_codes, prev_columns = codes, columns
-        # the next size's tables read them, in this call or a later one
-        grow = prev_columns if size < max(k, MAX_POSET_N) else None
+        grow = prev_columns if size < CAPS["lift"] else None
         nodes, codes, columns = _grown(nodes, prev_codes, size, grow)
         if len(nodes) > (limit := 1 << 8 * array(_ID_TYPECODE).itemsize):
             raise InvariantError(f"size {size} has {len(nodes)} nodes, more than the {limit} ids "
                                  f"of typecode {_ID_TYPECODE!r}")
         ids_of = {code: t for t, code in enumerate(codes)}
-        tables = _column_tables(prev_columns, prev_codes, ids_of, size)
-        _SIZES[size] = _Size(size, nodes, codes, ids_of, [array(_ID_TYPECODE, t) for t in tables])
-    _SIZES[k].columns = columns
+        tables = [array(_ID_TYPECODE, t) for t in _column_tables(prev_columns, prev_codes, ids_of, size)]
+        if size > 1:
+            _SIZES[size - 1].columns = None  # this size has grown from them
+        _SIZES[size] = _Size(size, nodes, codes, ids_of, tables, columns)
 
 
 def _check_lift_nodes(p: TableauPoset) -> None:
@@ -573,13 +574,6 @@ def _insertion_id(word, tables) -> int:
     return t
 
 
-def _check_poset_size(n: int) -> None:
-    """Refuse a size outside 1..MAX_POSET_N, the sizes whose orders are
-    built; a bool or a float is no size."""
-    if not 1 <= check_int(n, "n") <= MAX_POSET_N:
-        raise ValueError(f"n must be in 1..{MAX_POSET_N}")
-
-
 def build_poset(n: int) -> TableauPoset:
     """Lift the covers of the size n - 1 order, ``cached_poset(n - 1)``,
     and the swaps of the first two letters to size n (see
@@ -588,7 +582,7 @@ def build_poset(n: int) -> TableauPoset:
     each once per process.  Serial and deterministic: the whole build of
     n = 9 takes less than starting a process pool would.
     """
-    _check_poset_size(n)
+    check_range(n, 1, CAPS["order"], "n")
     return _poset(n, *_lift_edges(n))
 
 
@@ -647,7 +641,7 @@ def _edge_fault(nodes: tuple[Rows, ...], a: int, links: list[int]) -> InvariantE
 
 def cached_poset(n: int, jobs: int = 1) -> TableauPoset:
     # checked before the size is lifted: True and 3.0 would name sizes 1 and 3
-    _check_poset_size(n)
+    check_range(n, 1, CAPS["order"], "n")
     return _size(n).order
 
 

@@ -12,7 +12,7 @@ import sytkit.knuthclass as knuthclass
 from sytkit import verify
 from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from sytkit.hopf import verify_interval_isomorphism
-from sytkit.permutation import InvariantError
+from sytkit.permutation import CAPS, InvariantError
 from sytkit.weakorder import (
     cached_poset,
     check_monotone_descent,
@@ -435,7 +435,29 @@ def test_product_too_large_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "product", "1,2,3/4,5", "1,2,3/4,5")
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: product size 10 exceeds 9\n"
+    assert err == "error: product size must be in 2..9\n"
+
+
+def test_interval_too_large_is_refused_by_its_product_size(capsys, monkeypatch):
+    # named by the product size, as product names it, before any order is built
+    monkeypatch.setattr(cli.weakorder, "cached_poset", None)
+    code, out, err = run(capsys, "interval", "1,2,3,4,5", "1,2,3,4,5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: product size must be in 2..9\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--n", "10"], "n must be in 2..9"), (["--n", "6", "--k", "6"], "k must be in 1..5"),
+     (["--n", "6", "--k", "0"], "k must be in 1..5")],
+)
+def test_verify_interval_isomorphism_names_the_options_it_takes(capsys, flags, message):
+    # the total through its SCALES row and k in 1..n - 1, never an l
+    code, out, err = run(capsys, "verify", "interval-isomorphism", *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_product_golden(capsys):
@@ -549,12 +571,12 @@ def test_export_hasse_writes_the_dot_of_every_size(tmp_path):
         assert f"{tmp_path / name}: {len(p.nodes)} nodes, {len(p.covers)} covers\n" in done.stdout
 
 
-@pytest.mark.parametrize("max_n", ["1", "10", "-3"])
+@pytest.mark.parametrize("max_n", ["1", str(CAPS["order"] + 1), "-3"])
 def test_export_hasse_refuses_an_out_of_range_max_n(tmp_path, max_n):
     # --max-n 10 once wrote eight files and then died with a traceback
     target = tmp_path / "out"
     done = _script("export_hasse", "--out-dir", str(target), "--max-n", max_n)
     assert done.returncode == EXIT_USAGE
     assert done.stdout == ""
-    assert f"error: --max-n must be in 2..9, got {max_n}" in done.stderr
+    assert f"error: --max-n must be in 2..{CAPS['order']}, got {max_n}" in done.stderr
     assert not target.exists()

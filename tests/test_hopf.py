@@ -14,7 +14,7 @@ from sytkit.hopf import (
     verify_interval_isomorphism,
 )
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import InvariantError
+from sytkit.permutation import CAPS, InvariantError
 from sytkit.tableau import (
     all_standard_tableaux,
     beside,
@@ -25,7 +25,7 @@ from sytkit.tableau import (
     shape_of,
     size_of,
 )
-from sytkit.weakorder import MAX_POSET_N, cached_poset
+from sytkit.weakorder import cached_poset
 
 
 def test_product_golden_four_terms():
@@ -58,13 +58,13 @@ def test_product_size_guard_messages(monkeypatch):
     listed = []
     monkeypatch.setattr(hopf, "_bump_graph", listed.append)
     five = parse_tableau("1,2,3,4,5")
-    with pytest.raises(ValueError, match="product size 10 exceeds 9"):
+    with pytest.raises(ValueError, match=r"^product size must be in 2\.\.9$"):
         plactic_product(five, five)
     # a factor beyond the class listing's limit is refused by the product's
     # size too: each factor is checked, then the size compared, before any
     # reverse-bump graph is made
     eleven = (tuple(range(1, 12)),)
-    with pytest.raises(ValueError, match="product size 12 exceeds 9"):
+    with pytest.raises(ValueError, match=r"^product size must be in 2\.\.9$"):
         plactic_product(eleven, ((1,),))
     with pytest.raises(ValueError, match="row not increasing"):
         plactic_product(((2, 1), (3,)), eleven)
@@ -105,6 +105,19 @@ def test_support_equals_interval_members_upto_6():
 def test_interval_product_needs_matching_poset():
     with pytest.raises(ValueError):
         interval_product(((1,),), ((1,),), cached_poset(3))
+
+
+def test_a_product_above_the_order_cap_is_refused_before_the_lift_is_read(monkeypatch):
+    # a hand-made order of the product's size passes the size match, and
+    # the lift holds no size above its cap: the product size is refused
+    # first, a usage error, never the lift's InvariantError
+    monkeypatch.setattr(hopf, "_check_lift_nodes", None)
+    monkeypatch.setattr(hopf, "_size", None)
+    left, right = (tuple(range(1, CAPS["order"] + 1)),), ((1,),)
+    p = weakorder.TableauPoset(n=CAPS["order"] + 1, nodes=(), covers=(), reach=(), index={})
+    for product in (hopf.product_interval, hopf.interval_product):
+        with pytest.raises(ValueError, match=rf"^product size must be in 2\.\.{CAPS['order']}$"):
+            product(left, right, p)
 
 
 def test_product_interval_validates_each_factor_once(monkeypatch):
@@ -200,7 +213,7 @@ def test_interval_isomorphism_n8(k, checked):
 
 def test_interval_isomorphism_guards():
     with pytest.raises(ValueError):
-        verify_interval_isomorphism(4, MAX_POSET_N + 1 - 4)
+        verify_interval_isomorphism(4, CAPS["order"] + 1 - 4)
     with pytest.raises(ValueError):
         verify_interval_isomorphism(0, 3)
 

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import defaultdict
 from itertools import permutations
 
@@ -12,7 +13,7 @@ import sytkit.weakorder as weakorder
 from conftest import tableaux
 from sytkit.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import InvariantError, descents_left, format_word
+from sytkit.permutation import CAPS, InvariantError, descents_left, format_word
 from sytkit.tableau import (
     _hook_count,
     all_standard_tableaux,
@@ -95,13 +96,14 @@ def test_more_than_ten_cells_is_refused_before_any_word(capsys, monkeypatch):
 
     monkeypatch.setattr(knuthclass, "_class_words", listing)
     monkeypatch.setattr(knuthclass, "_bump_graph", listing)
-    eleven = "1,2,3,4,5,6/7,8,9,10,11"
-    with pytest.raises(ValueError, match="tableau size 11 exceeds the supported maximum 10"):
-        knuth_class(parse_tableau(eleven))
-    assert main(["class", eleven]) == EXIT_USAGE
+    one_more = ",".join(map(str, range(1, CAPS["word"] + 2)))
+    message = f"tableau size must be in 1..{CAPS['word']}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        knuth_class(parse_tableau(one_more))
+    assert main(["class", one_more]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds the supported maximum 10" in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 def test_ten_cells_are_accepted():

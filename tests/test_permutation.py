@@ -12,6 +12,7 @@ import sytkit.permutation as permutation
 from conftest import words
 from product_oracle import interleavings
 from sytkit.permutation import (
+    CAPS,
     ParseError,
     check_word,
     descents_left,
@@ -62,8 +63,8 @@ SYTKIT_NAMES = [
 ]
 
 PERMUTATION_NAMES = [
-    "InvariantError", "MAX_N", "ParseError", "Word", "check_int", "check_word",
-    "descents_left", "evac_word", "format_word", "inverse", "parse_word",
+    "CAPS", "InvariantError", "ParseError", "Word", "check_int", "check_range",
+    "check_word", "descents_left", "evac_word", "format_word", "inverse", "parse_word",
 ]
 
 
@@ -111,11 +112,28 @@ def test_format_roundtrip():
     assert parse_word(format_word(long)) == long
 
 
+def test_the_caps_are_pinned():
+    # the other cap tests read their bounds from CAPS; this one keeps the
+    # values fixed, so that moving a cap is a deliberate change
+    assert permutation.CAPS == {"word": 10, "lift": 9, "order": 9}
+
+
+def test_check_range_checks_the_integer_first():
+    assert permutation.check_range(3, 1, 3, "n") == 3
+    with pytest.raises(ValueError, match=r"^n must be in 1\.\.3$"):
+        permutation.check_range(4, 1, 3, "n")
+    with pytest.raises(ValueError, match=r"^k must be in 2\.\.3$"):
+        permutation.check_range(1, 2, 3, "k")
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(bad))}$"):
+            permutation.check_range(bad, 1, 3, "n")
+
+
 def test_check_word_guards():
     with pytest.raises(ValueError):
         check_word(())
     with pytest.raises(ValueError):
-        check_word(range(1, 12))  # n > 10
+        check_word(range(1, CAPS["word"] + 2))
     with pytest.raises(ValueError):
         check_word((1, 3))
 

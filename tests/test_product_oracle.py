@@ -16,8 +16,8 @@ import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
 import sytkit.tableau as tableau
 import sytkit.weakorder as weakorder
-from sytkit.hopf import MAX_PRODUCT_SIZE, plactic_product
-from sytkit.permutation import InvariantError
+from sytkit.hopf import plactic_product
+from sytkit.permutation import CAPS, InvariantError
 from sytkit.tableau import (
     _hook_count,
     all_standard_tableaux,
@@ -51,7 +51,7 @@ def test_every_product_matches_the_oracle(n):
         assert_same_product(left, right)
 
 
-@pytest.mark.parametrize("n", range(8, MAX_PRODUCT_SIZE + 1))
+@pytest.mark.parametrize("n", range(8, CAPS["lift"] + 1))
 def test_sampled_products_match_the_oracle(n):
     rng = random.Random(n)
     for left, right in rng.sample(pairs(n), 40):

@@ -23,6 +23,7 @@ from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.knuthclass import knuth_class
 from sytkit.permutation import (
+    CAPS,
     InvariantError,
     descents_left,
     format_word,
@@ -648,7 +649,7 @@ def test_special_cases_guards():
     with pytest.raises(ValueError):
         verify_special_cases(6, "three_row")
     with pytest.raises(ValueError):
-        verify_special_cases(9, "hook")
+        verify_special_cases(verify.SCALES["special-cases"][1] + 1, "hook")
 
 
 # --- hook eta ---------------------------------------------------------------------------
@@ -786,7 +787,7 @@ def test_hook_eta_guards():
     with pytest.raises(ValueError):
         verify_hook_eta(4)
     with pytest.raises(ValueError):
-        verify_hook_eta(10)
+        verify_hook_eta(verify.SCALES["hook-eta"][1] + 1)
 
 
 # --- structural bundle ---------------------------------------------------------------------
@@ -806,7 +807,18 @@ def test_structural_bundle_n2_trivial():
 
 def test_structural_guards():
     with pytest.raises(ValueError):
-        verify_structural(10)
+        verify_structural(CAPS["order"] + 1)
+
+
+def test_every_scales_row_lies_inside_the_cap_of_what_it_reads():
+    # the order checks read orders of n up to their highest; hook-eta reads
+    # the lift's tables of sizes 1..k - 1 and builds no order
+    for check, (lo, hi, _, _) in verify.SCALES.items():
+        assert 1 <= lo <= hi, check
+        if check == "hook-eta":
+            assert hi - 1 <= CAPS["lift"]
+        else:
+            assert hi <= CAPS["order"], check
 
 
 def test_structural_at_the_top_of_its_row():
@@ -941,11 +953,10 @@ def test_descents_constant_matches_the_oracle(n):
     assert (report.checked, report.violations) == descents_oracle.descents_constant(n)
 
 
-@pytest.mark.parametrize("n", [0, 10])
+@pytest.mark.parametrize("n", [0, CAPS["lift"] + 1])
 def test_descents_constant_refuses_n_outside_the_lift(n):
-    # the shared size guard of the lift's checks, not the word-length bound
-    # of permutation.MAX_N: the check walks no word
-    with pytest.raises(ValueError, match=r"^n must be in 1\.\.9$"):
+    # the lift's cap, not the word cap: the check walks no word
+    with pytest.raises(ValueError, match=rf"^n must be in 1\.\.{CAPS['lift']}$"):
         verify_descents_constant(n)
 
 
@@ -1189,9 +1200,9 @@ def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
         verify_dual_knuth_connectivity(4)
 
 
-@pytest.mark.parametrize("n", [0, -1, 10])
+@pytest.mark.parametrize("n", [0, -1, CAPS["lift"] + 1])
 def test_dual_knuth_connectivity_refuses_n_outside_the_lift(n):
-    with pytest.raises(ValueError, match="n must be in 1..9"):
+    with pytest.raises(ValueError, match=f"n must be in 1..{CAPS['lift']}"):
         verify_dual_knuth_connectivity(n)
 
 

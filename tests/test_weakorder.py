@@ -26,7 +26,7 @@ from interval_oracle import is_isomorphic
 from sytkit.cli import EXIT_INTERNAL, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.knuthclass import knuth_class
-from sytkit.permutation import InvariantError
+from sytkit.permutation import CAPS, InvariantError
 from sytkit.tableau import (
     all_standard_tableaux,
     beside,
@@ -172,7 +172,7 @@ def test_build_poset_guards():
     with pytest.raises(ValueError):
         build_poset(0)
     with pytest.raises(ValueError):
-        build_poset(10)
+        build_poset(CAPS["order"] + 1)
 
 
 def _ids_of(n):
@@ -443,6 +443,36 @@ def test_a_size_with_more_nodes_than_the_id_typecode_holds_is_refused(monkeypatc
     with pytest.raises(InvariantError) as raised:
         weakorder._size(8)
     assert str(raised.value) == "size 8 has 764 nodes, more than the 256 ids of typecode 'B'"
+
+
+def test_the_lift_refuses_a_size_outside_its_cap(fresh_lift):
+    # _size(0) once counted down through the negative sizes without end, and
+    # a size above the cap was lifted though nothing reads it
+    def records():
+        return {k: (size, dict(vars(size))) for k, size in weakorder._SIZES.items()}
+
+    for largest in (None, 3):
+        if largest:
+            weakorder._size(largest)
+        before = records()
+        for k in (0, -1, CAPS["lift"] + 1):
+            with pytest.raises(InvariantError) as raised:
+                weakorder._size(k)
+            assert str(raised.value) == f"the lift holds sizes 1..{CAPS['lift']}, not {k}"
+            assert records() == before
+    assert [k for k, size in weakorder._SIZES.items() if size.columns is not None] == [3]
+
+
+def test_a_failed_lift_leaves_the_columns_on_the_largest_size(monkeypatch, fresh_lift):
+    # the next lift grows from them: no record is made from the nodes again
+    monkeypatch.setattr(weakorder, "_ID_TYPECODE", "B")
+    weakorder._size(6)
+    with pytest.raises(InvariantError):
+        weakorder._size(8)  # size 7 is made, size 8 is refused
+    assert [k for k, size in weakorder._SIZES.items() if size.columns is not None] == [7]
+    monkeypatch.setattr(weakorder, "_ID_TYPECODE", "H")
+    assert len(weakorder._size(8).nodes) == 764
+    assert [k for k, size in weakorder._SIZES.items() if size.columns is not None] == [8]
 
 
 def _fields(p):
