@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poset.add_argument("--n", type=int, required=True)
     _add_output_flags(p_poset, formats=("text", "json", "dot"))
 
-    ranges = "".join(f"  {check:<24} {lo}..{hi}\n" for check, (lo, hi, _, _) in verify.SCALES.items())
+    ranges = "".join(f"  {check:<24} {row.lo}..{row.hi}\n" for check, row in verify.CHECKS.items())
     p_verify = sub.add_parser("verify", help="run an exhaustive check",
                               epilog="the --n each check accepts:\n" + ranges,
                               formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -130,7 +130,7 @@ def _report_text(reports: list[VerificationReport]) -> str:
 
 
 def _run_verify(args) -> tuple[int, str]:
-    run = verify.CHECKS[args.check]
+    run = verify.CHECKS[args.check].run
     family = args.family and args.family.replace("-", "_")
     given = {"k": args.k, "mode": args.mode, "family": family}
     options = {flag: value for flag, value in given.items() if value is not None}
@@ -140,6 +140,7 @@ def _run_verify(args) -> tuple[int, str]:
             raise ValueError(f"{args.check} does not take --{flag}")
     if "family" in params and family is None:
         raise ValueError(f"{args.check} needs --family, one of {', '.join(FAMILIES)}")
+    verify._check_scale(args.check, args.n)
     reports = run(n=args.n, **options)
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.format == "json":

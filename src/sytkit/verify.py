@@ -91,6 +91,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from math import factorial
 from operator import xor
+from typing import NamedTuple
 
 from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
 from .knuthclass import _class_words, _code_rows, _code_steps
@@ -826,88 +827,72 @@ def _monotone(n: int) -> list[VerificationReport]:
     return [check_monotone_descent(p), check_monotone_shape(p)]
 
 
-def _single_triple_scan(n: int | None = None) -> list[VerificationReport]:
-    # the known witness is at n = 6, the one n the scan takes
-    if n is not None:
-        _check_scale("inner-translation-fails", n)
-    return [verify_inner_translation_fails()]
-
-
-def _interval_isomorphism(n: int, k: int | None = None):
-    _check_scale("interval-isomorphism", n)
+def _interval_isomorphism(n: int, k: int | None = None) -> list[VerificationReport]:
     k = n // 2 if k is None else check_range(k, 1, n - 1, "k")
     return [verify_interval_isomorphism(k, n - k)]
 
 
-# Each check takes the options of `sytkit verify`: n always, and k, mode
-# or family only where its signature names them (family is then
-# required).  Battery order.
-CHECKS: dict[str, Callable[..., list[VerificationReport]]] = {
-    "antisymmetry": lambda n: [verify_antisymmetry(n)],
-    "inner-translation": lambda n, mode="cover": [verify_inner_tableau_translation(n, mode)],
-    "inner-translation-fails": _single_triple_scan,
-    "special-cases": lambda n, family, mode="cover": [verify_special_cases(n, family, mode)],
-    "hook-eta": lambda n: [verify_hook_eta(n)],
-    "structural": verify_structural,
-    "monotone": _monotone,
-    "interval-isomorphism": _interval_isomorphism,
-}
+class Check(NamedTuple):
+    """One row of the check table."""
 
-# The one table of check scales, a row per check in the order of CHECKS:
-# the lowest and highest n the check accepts (the hook length k for
-# hook-eta, the total k + l for interval-isomorphism), then the battery's
-# top n at the default and at the stretch scale.  The guards read it
-# through _check_scale; antisymmetry and monotone are refused by
-# cached_poset, at the same top.  Each highest n lies inside the cap
-# (permutation.CAPS) of what its check reads: the order's, and for hook-eta
-# the lift's at k - 1.
-SCALES: dict[str, tuple[int, int, int, int]] = {
-    "antisymmetry": (1, CAPS["order"], 7, 9),
-    "inner-translation": (2, CAPS["order"], 7, 9),
-    "inner-translation-fails": (6, 6, 6, 6),
-    "special-cases": (2, 8, 7, 8),
-    "hook-eta": (5, 9, 7, 9),
-    "structural": (2, CAPS["order"], 6, 6),
-    "monotone": (1, CAPS["order"], 7, 7),
-    "interval-isomorphism": (2, CAPS["order"], 6, 6),
+    run: Callable[..., list[VerificationReport]]
+    lo: int
+    hi: int
+    top: int
+    stretch_top: int
+    options: Callable[[range], Iterator[dict]] = lambda sizes: ({"n": n} for n in sizes)
+
+
+# The check table, one row per `sytkit verify <name>` in battery order.
+# ``run`` takes the options of `sytkit verify`: n always, and k, mode or
+# family only where its signature names them (family is then required).
+# ``lo`` and ``hi`` are the n it accepts (the hook length k for hook-eta,
+# the total k + l for interval-isomorphism); the CLI refuses any other
+# through _check_scale before it runs, and the public verify_* functions
+# guard their own.  Each hi lies inside the cap (permutation.CAPS) of what
+# its check reads: the order's, and for hook-eta the lift's at k - 1.
+# ``top`` and ``stretch_top`` are the battery's highest n at the default
+# and the stretch scale, and ``options`` the battery's option sets for a
+# range of n, in run order.
+CHECKS: dict[str, Check] = {
+    "antisymmetry": Check(lambda n: [verify_antisymmetry(n)], 1, CAPS["order"], 7, 9),
+    "inner-translation": Check(
+        lambda n, mode="cover": [verify_inner_tableau_translation(n, mode)],
+        2, CAPS["order"], 7, 9,
+        lambda sizes: ({"n": n, "mode": mode} for n in sizes for mode in MODES),
+    ),
+    # the known witness is at n = 6, the one n the scan takes
+    "inner-translation-fails": Check(lambda n: [verify_inner_translation_fails()], 6, 6, 6, 6),
+    "special-cases": Check(
+        lambda n, family, mode="cover": [verify_special_cases(n, family, mode)],
+        2, 8, 7, 8,
+        lambda sizes: ({"n": n, "family": family} for family in FAMILIES for n in sizes),
+    ),
+    "hook-eta": Check(lambda n: [verify_hook_eta(n)], 5, 9, 7, 9),
+    "structural": Check(verify_structural, 2, CAPS["order"], 6, 6),
+    "monotone": Check(_monotone, 1, CAPS["order"], 7, 7),
+    "interval-isomorphism": Check(
+        _interval_isomorphism, 2, CAPS["order"], 6, 6,
+        lambda sizes: ({"n": total, "k": k} for total in sizes for k in range(1, total)),
+    ),
 }
 
 
 def _check_scale(check: str, n: int, name: str = "n") -> None:
     """Refuse an n (called ``name`` in the message) outside the check's row
-    of SCALES; a bool or a float is no n."""
-    lo, hi, _, _ = SCALES[check]
-    if lo == hi != check_int(n, name):
-        raise ValueError(f"{check} takes {name} = {lo} only")
-    check_range(n, lo, hi, name)
+    of CHECKS; a bool or a float is no n."""
+    row = CHECKS[check]
+    if row.lo == row.hi != check_int(n, name):
+        raise ValueError(f"{check} takes {name} = {row.lo} only")
+    check_range(n, row.lo, row.hi, name)
 
 
 def battery(stretch: bool = False) -> Iterator[tuple[str, dict]]:
     """The verification battery as (check, options) pairs in run order:
-    each check from the lowest n of its SCALES row, but not below 2 (one
-    tableau has no relation to check), to its top at the default or at the
-    stretch scale."""
-
-    def sizes(check: str) -> range:
-        lo, _, top, stretch_top = SCALES[check]
-        return range(max(lo, 2), (stretch_top if stretch else top) + 1)
-
-    for n in sizes("antisymmetry"):
-        yield "antisymmetry", {"n": n}
-    for n in sizes("inner-translation"):
-        for mode in MODES:
-            yield "inner-translation", {"n": n, "mode": mode}
-    for n in sizes("inner-translation-fails"):
-        yield "inner-translation-fails", {"n": n}
-    for family in FAMILIES:
-        for n in sizes("special-cases"):
-            yield "special-cases", {"n": n, "family": family}
-    for k in sizes("hook-eta"):
-        yield "hook-eta", {"n": k}
-    for n in sizes("structural"):
-        yield "structural", {"n": n}
-    for n in sizes("monotone"):
-        yield "monotone", {"n": n}
-    for total in sizes("interval-isomorphism"):
-        for k in range(1, total):
-            yield "interval-isomorphism", {"n": total, "k": k}
+    each row's option sets from its lowest n, but not below 2 (one tableau
+    has no relation to check), to its top at the default or at the stretch
+    scale."""
+    for check, row in CHECKS.items():
+        top = row.stretch_top if stretch else row.top
+        for options in row.options(range(max(row.lo, 2), top + 1)):
+            yield check, options

@@ -366,7 +366,7 @@ def test_readme_lists_every_verify_check():
     # and each line gives the --n its check accepts, as the table does
     ranges = re.findall(r"^sytkit verify ([a-z-]+).*# --n (\d+)\.\.(\d+)", block, re.M)
     assert {name: (int(lo), int(hi)) for name, lo, hi in ranges} == {
-        name: row[:2] for name, row in verify.SCALES.items()
+        name: (row.lo, row.hi) for name, row in verify.CHECKS.items()
     }
 
 
@@ -374,8 +374,7 @@ def test_verify_help_lists_each_checks_range(capsys):
     code, out, _ = run(capsys, "verify", "--help")
     assert code == EXIT_OK
     listed = re.findall(r"^  ([a-z-]+) +(\d+)\.\.(\d+)$", out, re.M)
-    assert list(verify.SCALES) == list(verify.CHECKS)
-    assert listed == [(name, str(lo), str(hi)) for name, (lo, hi, _, _) in verify.SCALES.items()]
+    assert listed == [(name, str(row.lo), str(row.hi)) for name, row in verify.CHECKS.items()]
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -396,23 +395,29 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert code == EXIT_OK
     assert len(built) == 1
     listed = re.findall(r"^  ([a-z-]+) +(\d+)\.\.(\d+)$", out, re.M)
-    assert listed == [(name, str(lo), str(hi)) for name, (lo, hi, _, _) in verify.SCALES.items()]
+    assert listed == [(name, str(row.lo), str(row.hi)) for name, row in verify.CHECKS.items()]
 
 
 def _verify_argv(check, n):
-    family = ["--family", "hook"] if check == "special-cases" else []
-    return ["verify", check, "--n", str(n), *family]
+    # the flags of the row's first option set at n (interval-isomorphism
+    # has none at n = 1, where no k splits the total)
+    options = next(iter(verify.CHECKS[check].options(range(n, n + 1))), {})
+    flags = [f"--{key}={value}".replace("_", "-") for key, value in options.items() if key != "n"]
+    return ["verify", check, "--n", str(n), *flags]
 
 
-@pytest.mark.parametrize("check", list(verify.SCALES))
+@pytest.mark.parametrize("check", list(verify.CHECKS))
 def test_verify_accepts_exactly_the_range_in_its_row(capsys, check):
-    lo, hi, _, _ = verify.SCALES[check]
-    for n in (lo - 1, hi + 1):
+    row = verify.CHECKS[check]
+    for n in (row.lo - 1, row.hi + 1):
         code, out, err = run(capsys, *_verify_argv(check, n))
         assert code == EXIT_USAGE, n
         assert out == ""
-        assert err.startswith("error: ")
-    code, out, _ = run(capsys, *_verify_argv(check, lo))
+        if row.lo == row.hi:
+            assert err == f"error: {check} takes n = {row.lo} only\n"
+        else:
+            assert err == f"error: n must be in {row.lo}..{row.hi}\n"
+    code, out, _ = run(capsys, *_verify_argv(check, row.lo))
     assert code == EXIT_OK
     assert out.rstrip().endswith("PASS")
 
@@ -421,12 +426,12 @@ def test_verify_accepts_exactly_the_range_in_its_row(capsys, check):
 def test_battery_stays_inside_each_checks_row(stretch):
     tops = {}
     for check, options in verify.battery(stretch):
-        lo, hi, _, _ = verify.SCALES[check]
+        row = verify.CHECKS[check]
         n = options["n"]
-        assert lo <= n <= hi, (check, options)
+        assert row.lo <= n <= row.hi, (check, options)
         tops[check] = max(tops.get(check, n), n)
     # each check reaches the top of its row's column at that scale
-    assert tops == {check: row[3 if stretch else 2] for check, row in verify.SCALES.items()}
+    assert tops == {check: row.stretch_top if stretch else row.top for check, row in verify.CHECKS.items()}
 
 
 def test_product_too_large_exits_2(capsys, monkeypatch):
@@ -453,7 +458,7 @@ def test_interval_too_large_is_refused_by_its_product_size(capsys, monkeypatch):
      (["--n", "6", "--k", "0"], "k must be in 1..5")],
 )
 def test_verify_interval_isomorphism_names_the_options_it_takes(capsys, flags, message):
-    # the total through its SCALES row and k in 1..n - 1, never an l
+    # the total through its CHECKS row and k in 1..n - 1, never an l
     code, out, err = run(capsys, "verify", "interval-isomorphism", *flags)
     assert code == EXIT_USAGE
     assert out == ""

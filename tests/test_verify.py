@@ -586,7 +586,7 @@ def test_the_stretch_checks_lift_each_order_from_the_one_below(fresh_lift):
     # keep nothing on a fresh poset but its closure check and sweep layout
     for name, options in verify.battery(stretch=True):
         if options.get("n", 0) >= 7:
-            assert all(report.passed for report in verify.CHECKS[name](**options))
+            assert all(report.passed for report in verify.CHECKS[name].run(**options))
     for n in range(7, 10):
         assert verify.verify_evac_transpose_monotone(n).passed
     # each order is lifted from the covers of the one a size down
@@ -649,7 +649,7 @@ def test_special_cases_guards():
     with pytest.raises(ValueError):
         verify_special_cases(6, "three_row")
     with pytest.raises(ValueError):
-        verify_special_cases(verify.SCALES["special-cases"][1] + 1, "hook")
+        verify_special_cases(verify.CHECKS["special-cases"].hi + 1, "hook")
 
 
 # --- hook eta ---------------------------------------------------------------------------
@@ -787,7 +787,7 @@ def test_hook_eta_guards():
     with pytest.raises(ValueError):
         verify_hook_eta(4)
     with pytest.raises(ValueError):
-        verify_hook_eta(verify.SCALES["hook-eta"][1] + 1)
+        verify_hook_eta(verify.CHECKS["hook-eta"].hi + 1)
 
 
 # --- structural bundle ---------------------------------------------------------------------
@@ -813,12 +813,12 @@ def test_structural_guards():
 def test_every_scales_row_lies_inside_the_cap_of_what_it_reads():
     # the order checks read orders of n up to their highest; hook-eta reads
     # the lift's tables of sizes 1..k - 1 and builds no order
-    for check, (lo, hi, _, _) in verify.SCALES.items():
-        assert 1 <= lo <= hi, check
+    for check, row in verify.CHECKS.items():
+        assert 1 <= row.lo <= row.hi, check
         if check == "hook-eta":
-            assert hi - 1 <= CAPS["lift"]
+            assert row.hi - 1 <= CAPS["lift"]
         else:
-            assert hi <= CAPS["order"], check
+            assert row.hi <= CAPS["order"], check
 
 
 def test_structural_at_the_top_of_its_row():
@@ -1213,11 +1213,11 @@ def test_elapsed_ms_times_the_check_alone(monkeypatch):
     # each call advances a fake clock by 1000 s, and no report's time shows
     # a step of it
     checks = [
-        lambda: verify.CHECKS["inner-translation"](5, "order"),
-        lambda: verify.CHECKS["special-cases"](5, "hook"),
-        lambda: verify.CHECKS["hook-eta"](5),
-        lambda: verify.CHECKS["inner-translation-fails"](),
-        lambda: verify.CHECKS["antisymmetry"](5),
+        lambda: verify.CHECKS["inner-translation"].run(5, "order"),
+        lambda: verify.CHECKS["special-cases"].run(5, "hook"),
+        lambda: verify.CHECKS["hook-eta"].run(5),
+        lambda: verify.CHECKS["inner-translation-fails"].run(6),
+        lambda: verify.CHECKS["antisymmetry"].run(5),
         lambda: [verify_dual_knuth_connectivity(5)],
     ]
     for check in checks:  # every table and layout made first
