@@ -7,16 +7,16 @@ tableau to the empty one spell the class words from the right.  Its nodes
 are integer keys, not sub-tableaux: a letter mask with a standardized row
 code, whose steps are read from the step table ``knuthclass._STEPS``,
 where each standardized tableau is reverse-bumped and checked once per
-process.  The two
-graphs are walked as one pair graph, the right factor's letters raised
-above the left's, by the one class walk :func:`_prefix_ids`, which
-``verify.verify_hook_eta`` also runs: one letter placed per level from
-the right, and the insertion tableau of what is placed named by one
-lookup in the lift's column-insertion tables (``weakorder._size``), as
-P(x.w) is x column-inserted into P(w) (Schensted 1961).  Equal states are
-merged level by level and carry their word counts.  The counts must
-decompose into whole classes, each exactly once; that fact is asserted,
-not assumed.  The total is checked against the hook-length counts of the
+process.  The two graphs are walked in place, no pair graph listed, by
+the one class walk :func:`_prefix_ids`, which ``verify.verify_hook_eta``
+also runs: a state is a pair of their nodes, the right factor's letters
+raised above the left's, one letter is placed per level from the right,
+and the insertion tableau of what is placed is named by one lookup in
+the lift's column-insertion tables (``weakorder._size``), as P(x.w) is x
+column-inserted into P(w) (Schensted 1961).  Equal states are merged
+level by level and carry their word counts.  The counts must decompose
+into whole classes, each exactly once; that fact is asserted, not
+assumed.  The total is checked against the hook-length counts of the
 two factors, each term's count against the hook-length count of its
 shape: words that all insert to T are a subset of the class of T, so
 they are the whole class exactly when there are as many.  Each term is
@@ -98,18 +98,18 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     (``knuthclass._bump_graph``) is made, its nodes numbered from integer
     keys and its steps read from the step table ``knuthclass._STEPS``.
     No word is made, of a class or of the shuffle, and no sub-tableau.
-    The two checked graphs (:func:`_checked_graph`) are
-    walked as one pair graph: node a * w + b, w the right graph's node
-    count, is the pair (a, b), its letters those of a and those of b
-    raised by k, and each step of a or of b is a step of the pair, a
-    right step's exit letter raised by k.  The shuffle words of the
-    product are then the class words of the pair graph's node 0, and
-    :func:`_prefix_ids` counts them by insertion tableau, n levels from
-    the right.  Every right letter is above every left one, so the rank of
-    a right step counts every left letter placed, and the shifted right
-    letters keep their ranks among themselves.  The two alphabets are
-    disjoint, so each pair of paths and interleaving spells one shuffle
-    word and distinct ones spell distinct words: the counts are exact.
+    The two checked graphs (:func:`_checked_graph`) are handed, each with
+    its root 0, to the class walk :func:`_prefix_ids`, which walks them in
+    place: a state is a pair (a, b) of their nodes, a left step moves a, a
+    right step moves b with its exit letter raised by k, and no pair graph
+    is listed.  The shuffle words of the product are the words the walk
+    spells from the pair of roots to the pair of empty tableaux, and it
+    counts them by insertion tableau, n levels from the right.  Every
+    right letter is above every left one, so the rank of a right step
+    counts every left letter placed, and the raised right letters keep
+    their ranks among themselves.  The two alphabets are disjoint, so each
+    pair of paths and interleaving spells one shuffle word and distinct
+    ones spell distinct words: the counts are exact.
 
     Raises :class:`InvariantError` if the counted words fail to decompose
     into whole classes; they never do, and the interval description below
@@ -135,18 +135,8 @@ def plactic_product(left: Rows, right: Rows) -> PlacticSum:
     left, right = check_standard(left), check_standard(right)
     k = size_of(left)
     n = check_range(k + size_of(right), 2, CAPS["lift"], "product size")
-    left_masks, left_steps = _checked_graph(left)
-    right_masks, right_steps = _checked_graph(right)
-    w = len(right_steps)
-    # node a * w + b is the pair (a, b); the right letters are raised by k
-    masks = [lm | rm << k for lm in left_masks for rm in right_masks]
-    steps = [
-        [(c * w + b, x) for c, x in left_steps[a]]
-        + [(a * w + c, x + k) for c, x in right_steps[b]]
-        for a in range(len(left_steps))
-        for b in range(w)
-    ]
-    words = _prefix_ids(masks, steps, 0, [_size(m).tables for m in range(1, n + 1)])
+    tables = [_size(m).tables for m in range(1, n + 1)]
+    words = _prefix_ids(_checked_graph(left), 0, _checked_graph(right), 0, tables)
     f_left, f_right = _hook_count(shape_of(left)), _hook_count(shape_of(right))
     expected = f_left * f_right * comb(n, k)
     if sum(words.values()) != expected:
@@ -199,35 +189,55 @@ def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]
     return masks, steps
 
 
-def _prefix_ids(masks, steps, root: int, tables) -> dict[int, int]:
-    """The words of a root's class in a reverse-bump graph
-    (``knuthclass._bump_graph``): each one's insertion id among the nodes
-    of its size, with the number of words inserting to it.
+def _prefix_ids(left, a: int, right, b: int, tables) -> dict[int, int]:
+    """The shuffle words of the classes of a left root a and a right root
+    b, the right letters raised above the left's (by k, the left root's
+    size, for standard roots): each word's insertion id among the nodes of
+    its size, with the number of words inserting to it.  Each graph is a
+    checked (masks, steps) reverse-bump graph (:func:`_checked_graph`),
+    whose last node is the empty tableau.  The right graph of that node
+    alone, ``([0], [[]])``, makes the words those of the left root's class.
 
-    The walk starts at the root, the empty suffix placed, and places one
-    letter per level from the right: a state is a node and the id of the
-    suffix placed so far, and prepending the exit letter y of a step costs
-    one popcount rank among the letters placed (the root's letters that
-    the node no longer holds) and one lookup in the tables of the new
-    length, as in ``weakorder._insertion_id``, ``tables[j - 1]`` holding
-    those of size j for j = 1..m, the root's size m.  Equal states are
-    merged and their counts added: their futures are the same.  Only
-    paths that end at the graph's last node, the empty tableau, are
-    counted."""
-    start = masks[root]
-    states: dict[int, dict[int, int]] = {root: {0: 1}}
-    for size_tables in tables:
+    The two graphs are walked in place; no pair graph is listed.  The walk
+    starts at the pair of roots, the empty suffix placed, and places one
+    letter per level from the right.  A state is a pair of nodes, keyed
+    a << s | b, s the bit length of the right graph's last node index, and
+    the id of the suffix placed so far.  A left step moves a, a right step
+    moves b, its exit letter raised.  Prepending the exit letter costs
+    one popcount rank among the letters placed and one lookup in the
+    tables of the new length, as in ``weakorder._insertion_id``,
+    ``tables[j - 1]`` holding those of size j for j = 1..m, m the two
+    roots' sizes added.  A left letter's rank counts the left letters
+    placed below it (the left root's letters that a no longer holds); a
+    right letter's is the j letters placed at level j less the right ones
+    above it.  Equal states are merged and their counts added: their
+    futures are the same.  Only paths that end at the last nodes of both
+    graphs, the empty tableaux, are counted."""
+    left_masks, left_steps = left
+    right_masks, right_steps = right
+    start_left, start_right = left_masks[a], right_masks[b]
+    s = (len(right_steps) - 1).bit_length()
+    low = (1 << s) - 1
+    states: dict[int, dict[int, int]] = {a << s | b: {0: 1}}
+    for j, size_tables in enumerate(tables):
         following: dict[int, dict[int, int]] = {}
-        for a, counts in states.items():
-            placed = start ^ masks[a]
-            for c, y in steps[a]:
+        for key, counts in states.items():
+            a, b = key >> s, key & low
+            placed = start_left ^ left_masks[a]
+            for c, y in left_steps[a]:
                 table = size_tables[(placed & (1 << y) - 1).bit_count()]
-                merged = following.setdefault(c, {})
+                merged = following.setdefault(c << s | b, {})
+                for t, count in counts.items():
+                    t = table[t]
+                    merged[t] = merged.get(t, 0) + count
+            for c, y in right_steps[b]:
+                table = size_tables[j - ((start_right ^ right_masks[b]) >> y).bit_count()]
+                merged = following.setdefault(key ^ b | c, {})
                 for t, count in counts.items():
                     t = table[t]
                     merged[t] = merged.get(t, 0) + count
         states = following
-    return states.get(len(steps) - 1, {})
+    return states.get((len(left_steps) - 1) << s | len(right_steps) - 1, {})
 
 
 def _product_ends(left: Rows, right: Rows, p: TableauPoset) -> tuple[int, int]:

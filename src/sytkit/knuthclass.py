@@ -18,12 +18,13 @@ reached, one step per corner, down to the empty tableau.  Each path from
 the tableau to the empty one spells one class word from its last letter,
 so the graph is the class's suffix trie with equal subtrees merged.  The
 class listing reads it from the empty end back.  One class walk,
-``hopf._prefix_ids``, counts a root's class words by insertion tableau
-without listing one: ``hopf.plactic_product`` runs it on the pair graph
-of its two factors' graphs, and ``verify.verify_hook_eta`` on one graph
-below several tableaux of one size, sub-tableaux they share made once,
-from each root.  Hook-eta lists a failing group's words through
-:func:`_class_words` of its corners' children.
+``hopf._prefix_ids``, counts words by insertion tableau without listing
+one, walking a pair of graphs in place: ``hopf.plactic_product`` runs it
+on its two factors' graphs, for the shuffle words of their classes, and
+``verify.verify_hook_eta`` on one graph below several tableaux of one
+size, sub-tableaux they share made once, from each root, beside the
+one-node graph of the empty tableau.  Hook-eta lists a failing group's
+words through :func:`_class_words` of its corners' children.
 
 No sub-tableau is made per node.  A node is keyed by one integer made of
 its letter mask (bit x for letter x) and its standardized row code, the

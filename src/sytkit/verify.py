@@ -79,7 +79,7 @@ standardized children, walks it once per distinct child through the same
 column tables, and adds up the walks of each tableau's corners that share
 an exit letter (see :func:`verify_hook_eta`).
 The walk is ``hopf._prefix_ids``, the one class walk, which
-``hopf.plactic_product`` runs on its pair graph too.
+``hopf.plactic_product`` runs on its two factors' graphs in place.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -87,7 +87,6 @@ witness is a self-contained dict of text forms.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator
 from math import factorial
 from operator import xor
@@ -466,7 +465,9 @@ def verify_hook_eta(k: int) -> VerificationReport:
     per k below all the distinct children (``hopf._checked_graph``), and
     each child's class is walked once from its root by the class walk
     ``hopf._prefix_ids``, the one that also counts ``plactic_product``,
-    every prefix inserted from the right through the lift's
+    the shared graph on the left and the one-node graph of the empty
+    tableau on the right (a state's key is then its left node), every
+    prefix inserted from the right through the lift's
     column-insertion tables, as ``weakorder._insertion_id`` does, with
     equal states merged: no word is listed unless a group fails, and no id
     is read off the graph.  The prefixes of T's words with last letter x
@@ -507,15 +508,19 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     for child, x in _code_steps(_row_code(tab))
                 ]
                 hooks.append((tab, size, sorted(corners)))
-        masks, steps = _checked_graph(*map(_code_rows, roots))
-        walks = [_prefix_ids(masks, steps, a, tables) for a in range(len(roots))]
+        graph = _checked_graph(*map(_code_rows, roots))
+        # walked beside the one-node graph of the empty tableau: each
+        # walk's words are those of one root's class
+        walks = [_prefix_ids(graph, a, ([0], [[]]), 0, tables) for a in range(len(roots))]
         for tab, size, corners in hooks:
             # last letter -> {prefix id: number of words}, for the last
             # letters some word ends in
-            by_last: dict[int, Counter] = {}
+            by_last: dict[int, dict[int, int]] = {}
             for last, a, _ in corners:
                 if walks[a]:
-                    by_last.setdefault(last, Counter()).update(walks[a])
+                    ids = by_last.setdefault(last, {})
+                    for t, count in walks[a].items():
+                        ids[t] = ids.get(t, 0) + count
             words = sum(sum(ids.values()) for ids in by_last.values())
             if words != size:
                 raise InvariantError(

@@ -80,7 +80,7 @@ def test_source_has_no_assert():
 
 
 def test_product_broken_invariant_exits_3(capsys, monkeypatch):
-    for fault, message in GRAPH_FAULTS.values():
+    for fault, message, _ in GRAPH_FAULTS.values():
         with monkeypatch.context() as patch:
             fault(patch)
             code, out, err = run(capsys, "product", "1,2,4/3,5", "1/2")

@@ -263,34 +263,43 @@ def exit_letter_one(monkeypatch):
     monkeypatch.setattr(knuthclass, "_reverse_bump", lambda rows, r: (real(rows, r)[0], 1))
 
 
-# fault -> the product's error on 1,2,4/3,5 times 1/2
+# fault -> the product's errors on 1,2,4/3,5 times 1/2 and on 1/2 times
+# 1,2,4/3,5: only the graph of 1,2,4/3,5 is faulted, so the second pair
+# faults the right factor, whose steps the walk reads with their letters
+# raised
 GRAPH_FAULTS = {
     "partial-class": (
         graph_fault(drop_root_step),
         "counted 63 shuffle words, not the 5 * 1 * C(7, 5) = 105 of the two classes",
+        "counted 63 shuffle words, not the 1 * 5 * C(7, 2) = 105 of the two classes",
     ),
     "root-step-duplicated": (
         graph_fault(duplicate_root_step),
         "counted 147 shuffle words, not the 5 * 1 * C(7, 5) = 105 of the two classes",
+        "counted 147 shuffle words, not the 1 * 5 * C(7, 2) = 105 of the two classes",
     ),
     "short-word": (
         graph_fault(cut_short),
+        "a reverse-bump step of 1,2,4/3,5 does not take exactly its letter 1",
         "a reverse-bump step of 1,2,4/3,5 does not take exactly its letter 1",
     ),
     "exit-letter-one": (
         exit_letter_one,
         "a reverse-bump step of 1,2,4/3,5 does not take exactly its letter 1",
+        "a reverse-bump step of 1,2,4/3,5 does not take exactly its letter 1",
     ),
 }
 
 
-@pytest.mark.parametrize("fault, message", GRAPH_FAULTS.values(), ids=GRAPH_FAULTS)
-def test_product_broken_invariant_is_not_a_value_error(monkeypatch, fault, message):
+@pytest.mark.parametrize("fault, message, swapped", GRAPH_FAULTS.values(), ids=GRAPH_FAULTS)
+def test_product_broken_invariant_is_not_a_value_error(monkeypatch, fault, message, swapped):
     fault(monkeypatch)
-    with pytest.raises(InvariantError) as info:
-        plactic_product(parse_tableau("1,2,4/3,5"), parse_tableau("1/2"))
-    assert str(info.value) == message
-    assert not isinstance(info.value, ValueError)
+    big, small = parse_tableau("1,2,4/3,5"), parse_tableau("1/2")
+    for left, right, expected in [(big, small, message), (small, big, swapped)]:
+        with pytest.raises(InvariantError) as info:
+            plactic_product(left, right)
+        assert str(info.value) == expected
+        assert not isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize(
@@ -298,25 +307,26 @@ def test_product_broken_invariant_is_not_a_value_error(monkeypatch, fault, messa
     [("1", "1"), ("1,2,3,4/5,6,7,8", "1"), ("1", "1,2,3,4/5,6,7,8"), ("1,2/3,4", "1,3/2,5/4")],
 )
 def test_the_product_is_one_walk_of_the_pair_graph(monkeypatch, left, right):
-    # one class walk per product, from node 0 of the pair graph: one node
-    # per (left node, right node), the pair of empty tableaux last
+    # one class walk per product, of the pair of the two factors' checked
+    # graphs in place, each from its root 0: no pair graph is listed
     left, right = parse_tableau(left), parse_tableau(right)
     walks = []
     walk = hopf._prefix_ids
 
-    def counted(masks, steps, root, tables):
-        walks.append((masks, steps, root, len(tables)))
-        return walk(masks, steps, root, tables)
+    def counted(left_graph, a, right_graph, b, tables):
+        walks.append((left_graph, a, right_graph, b, len(tables)))
+        return walk(left_graph, a, right_graph, b, tables)
 
     monkeypatch.setattr(hopf, "_prefix_ids", counted)
     expected = product_oracle.plactic_product(left, right).terms
     assert plactic_product(left, right).terms == expected
-    ((masks, steps, root, sizes),) = walks
-    n = size_of(left) + size_of(right)
-    nodes = len(knuthclass._bump_graph(left)[0]) * len(knuthclass._bump_graph(right)[0])
-    assert len(masks) == len(steps) == nodes
-    assert (root, sizes) == (0, n)
-    assert masks[0] == (2 << n) - 2 and masks[-1] == 0 and steps[-1] == []
+    ((left_graph, a, right_graph, b, sizes),) = walks
+    for graph, tab in [(left_graph, left), (right_graph, right)]:
+        # the factor's own graph, node for node: its root 0, its end last
+        assert graph == knuthclass._bump_graph(tab)
+        masks, steps = graph
+        assert masks[0] == (2 << size_of(tab)) - 2 and masks[-1] == 0 and steps[-1] == []
+    assert (a, b, sizes) == (0, 0, size_of(left) + size_of(right))
 
 
 def test_the_product_lists_no_class_word(monkeypatch):

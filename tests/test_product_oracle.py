@@ -56,6 +56,12 @@ def test_sampled_products_match_the_oracle(n):
     rng = random.Random(n)
     for left, right in rng.sample(pairs(n), 40):
         assert_same_product(left, right)
+    if n == CAPS["lift"]:
+        # the one-cell factor's two-node graph, the walk's smallest, as the
+        # left factor and as the right one, at the cap
+        for tab in rng.sample(all_standard_tableaux(n - 1), 20):
+            assert_same_product(tab, ((1,),))
+            assert_same_product(((1,),), tab)
 
 
 def test_the_product_makes_no_tableau_from_a_word(monkeypatch):

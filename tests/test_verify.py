@@ -810,7 +810,7 @@ def test_structural_guards():
         verify_structural(CAPS["order"] + 1)
 
 
-def test_every_scales_row_lies_inside_the_cap_of_what_it_reads():
+def test_every_checks_row_lies_inside_the_cap_of_what_it_reads():
     # the order checks read orders of n up to their highest; hook-eta reads
     # the lift's tables of sizes 1..k - 1 and builds no order
     for check, row in verify.CHECKS.items():
