@@ -32,15 +32,24 @@ covers with both ends in it, read off them with no reduction per run.
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
-them.  The layout remakes no tableau (see :class:`_SweepLayout`).
-Each sweep still applies its own family filter and compares every move
-run against run, whole runs first: equal rows hold every relation.
+them.  The layout remakes no tableau (see :class:`_SweepLayout`); for
+the lift's own nodes it reads the numbering from the lift's row sequence
+(``weakorder._sequence``) and checks it in the pass that cuts the runs.
+Each (run, move) is judged once per poset, the first time a sweep reads
+the run: the run's cover and relation counts, and whether the move
+carries every cover of the run onto a cover of its image run, whole runs
+first.  Each run is convex and its relations are the closure of its
+covers, so a move that keeps every cover keeps every relation.  A sweep,
+in either mode and for any family, applies its family filter and adds a
+count per move, and compares rows only for the moves judged failing:
+their broken covers in cover mode, their relations in order mode.
 
 One table per size applies a dual Knuth move, the lift's ``moves``
-(``weakorder._move_table``): per node (triple start, moved id), made on
-the row codes and checked as it is made.  The layouts of every larger
-poset, the single-triple scan and dual Knuth connectivity (one search per
-shape over the ids) read it, and a move off the node set raises
+(``weakorder._move_table``): per node (triple start, moved id), lifted
+from the size below's table but for the last triple, read off the row
+code, and checked as it is made.  The layouts of every larger poset, the
+single-triple scan and dual Knuth connectivity (one search per shape
+over the ids) read it, and a move off the node set raises
 ``InvariantError`` in each.
 
 The relation checks (restriction, evacuation, transposition, the descent
@@ -87,9 +96,11 @@ witness is a self-contained dict of text forms.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Iterator
+from itertools import count, repeat
 from math import factorial
-from operator import xor
+from operator import rshift, xor
 from typing import NamedTuple
 
 from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
@@ -154,14 +165,17 @@ class _SweepLayout:
     sweep: the row-sequence numbering, checked to number every cover
     strictly upwards; per k, the runs in canonical order of their inner
     tableaux, each with its shape and its dual Knuth moves, every move
-    checked to be onto its image run.  The order's premises are read from
+    checked to be onto its image run; and each run's judgment, made the
+    first time a sweep reads the run.  The order's premises are read from
     ``weakorder._closure_fault`` first (see the module docstring).
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
     letter x in the 4-bit digit x - 1) is read from the lift's size-n code
     list (``weakorder._size(n).codes``), which is in id order, when the
-    nodes are the lift's, and made from ``p.nodes`` otherwise; the
-    numbering sorts the codes with their digits reversed, letter 1 first.
+    nodes are the lift's, and made from ``p.nodes`` otherwise.  The
+    numbering is then the lift's ``sequence``, grown from the size below,
+    or the codes sorted with their digits reversed, letter 1 first.  The
+    pass that reads the shared lengths below checks that it is sorted so.
     Positions x - 1 and x then share the inner tableau on 1..k exactly
     when their codes agree on the lowest k digits, so one pass over those
     shared lengths cuts the runs at every k.  A run's inner tableau is its
@@ -172,7 +186,14 @@ class _SweepLayout:
     Every run lies inside one run at k = 3, so only each position's strict
     up-set and covers inside that run are kept (``ups`` and ``covers``,
     bits of offsets from the run's ``start``), and a run's order and cover
-    rows are shifted out of them."""
+    rows are shifted out of them.
+
+    A run's judgment (:meth:`judge`) is its cover count, its relation
+    count and the moves whose relabeling does not carry every one of its
+    covers onto a cover.  A sweep adds a count per move and compares rows
+    only for those moves, in either mode: the run is convex and its
+    relations are the closure of its covers, so a relabeling that keeps
+    every cover keeps every relation."""
 
     def __init__(self, p: TableauPoset) -> None:
         # the order's premises, checked once per poset
@@ -182,15 +203,39 @@ class _SweepLayout:
         n, nodes = p.n, p.nodes
         # an order on other nodes (made by hand, in tests) is coded node by node
         size = _size(n)
-        codes = size.codes if nodes == size.nodes else [_row_code(t) for t in nodes]
-        width = (n + 1) // 2
+        if nodes == size.nodes:
+            codes, order = size.codes, size.sequence  # position -> id
+        else:
+            codes = [_row_code(t) for t in nodes]
+            width = (n + 1) // 2
 
-        def letter_1_first(a: int) -> int:
-            # the digits of a's code reversed: each byte's digits swapped, the
-            # bytes read backwards (n odd adds a 0 digit last to every code)
-            return int.from_bytes(codes[a].to_bytes(width, "little").translate(_NIBBLES_SWAPPED), "big")
+            def letter_1_first(a: int) -> int:
+                # the digits of a's code reversed: each byte's digits swapped, the
+                # bytes read backwards (n odd adds a 0 digit last to every code)
+                return int.from_bytes(codes[a].to_bytes(width, "little").translate(_NIBBLES_SWAPPED), "big")
 
-        order = sorted(range(len(nodes)), key=letter_1_first)  # position -> id
+            order = sorted(range(len(nodes)), key=letter_1_first)
+        if len(order) != len(nodes):
+            raise InvariantError(f"the row-sequence numbering has {len(order)} positions, "
+                                 f"not the {len(nodes)} nodes")
+        seq = [codes[a] for a in order]
+        # the shift of the lowest digit in which the codes of positions x - 1
+        # and x differ: position x must hold the higher row there, so the
+        # numbering is sorted letter 1 first, each node once
+        shifts = [(d & -d).bit_length() - 1 & ~3 for d in map(xor, seq, seq[1:])]
+        unsorted = [
+            x for x, before, after, shift in zip(count(1), seq, seq[1:], shifts)
+            if shift < 0 or after >> shift & 15 <= before >> shift & 15
+        ]
+        if unsorted:
+            x = unsorted[0]
+            raise InvariantError(
+                f"the row-sequence numbering puts {format_tableau(nodes[order[x - 1]])} "
+                f"before {format_tableau(nodes[order[x]])}"
+            )
+        # shared[x]: the letters 1.. whose rows positions x - 1 and x share
+        # (-1 at x = 0); the runs at k start where fewer than k are shared
+        shared = [-1] + [shift >> 2 for shift in shifts]
         position = [0] * len(nodes)
         for x, a in enumerate(order):
             position[a] = x
@@ -202,11 +247,6 @@ class _SweepLayout:
                     f"goes down in the row-sequence numbering"
                 )
             succ[position[a]].append(position[b])
-        seq = [codes[a] for a in order]
-        # shared[x]: the letters 1.. whose rows positions x - 1 and x share,
-        # the lowest digit in which their codes differ (-1 at x = 0); the
-        # runs at k start where fewer than k are shared
-        shared = [-1] + [((d & -d).bit_length() - 1) >> 2 for d in map(xor, seq, seq[1:])]
         starts = {k: [x for x, m in enumerate(shared) if m < k] for k in range(3, n)}
         self.order = order
         self.start: list[int] = []
@@ -232,6 +272,11 @@ class _SweepLayout:
         self.levels = [
             self._level(nodes, seq, k, _spans(starts[k], len(seq))) for k in range(3, n)
         ]
+        # per level k, once run s is judged: counts[k - 3][2s] and [2s + 1],
+        # its covers and strict relations (-1 before), and failing[k - 3][s],
+        # its failing moves when it has any; no object per run is kept
+        self.counts = [array("q", [-1]) * (2 * len(level)) for level in self.levels]
+        self.failing: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in self.levels]
 
     def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
         size = _size(k)
@@ -248,9 +293,9 @@ class _SweepLayout:
             runs.append((t, lo, hi))
         runs.sort()  # canonical order
         where = {t: s for s, (t, _, _) in enumerate(runs)}
-        shapes = [shape_of(subs[t]) for t, _, _ in runs]
+        shapes = [tuple(map(len, subs[t])) for t, _, _ in runs]
         # the rows of the letters above k, member by member
-        high = [code >> 4 * k for code in seq]
+        high = list(map(rshift, seq, repeat(4 * k)))
         tails = [high[lo:hi] for _, lo, hi in runs]
         level = []
         for s, (t, lo, hi) in enumerate(runs):
@@ -273,6 +318,42 @@ class _SweepLayout:
         shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
         return [mask >> shift & full for mask in masks[lo:hi]]
 
+    def judge(self, k: int, s: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """The judgment of run s of level k, made and kept when missing:
+        (its covers, its strict relations, the moves (i, t) of its level's
+        ``moves`` whose image run misses one of its covers).  Every run of
+        s's shape in the level is judged with it: ids sort by shape first,
+        so they are one block of the level, and a move keeps the shape, so
+        the block holds every image run and each run's cover rows are made
+        once.  The relations are read off ``ups`` unshifted: a member's bits
+        there all lie past the run's start, so one mask below the run's end
+        keeps those inside it."""
+        level, counts, failing = self.levels[k - 3], self.counts[k - 3], self.failing[k - 3]
+        if counts[2 * s] < 0:
+            shape = level[s][0]
+            first, end = s, s + 1
+            while first and level[first - 1][0] == shape:
+                first -= 1
+            while end < len(level) and level[end][0] == shape:
+                end += 1
+            rows = {}
+            for t in range(first, end):
+                _, lo, hi, _ = level[t]
+                rows[t] = source = self.rows("cover", lo, hi)
+                inside, relations = (1 << (hi - self.start[lo])) - 1, 0
+                for up in self.ups[lo:hi]:
+                    relations += (up & inside).bit_count()
+                counts[2 * t], counts[2 * t + 1] = sum(map(int.bit_count, source)), relations
+            for t in range(first, end):
+                source = rows[t]
+                broken = tuple(
+                    (i, u) for i, u in level[t][3]
+                    if rows[u] != source and any(row & ~image for row, image in zip(source, rows[u]))
+                )
+                if broken:
+                    failing[t] = broken
+        return counts[2 * s], counts[2 * s + 1], failing.get(s, ())
+
 
 def _sweep_layout(p: TableauPoset) -> _SweepLayout:
     """The poset's sweep layout, made on its first sweep and kept on it."""
@@ -285,34 +366,29 @@ def _translation_sweep(
     p: TableauPoset, mode: str, family: str | None
 ) -> tuple[int, list[dict]]:
     """Check every (k, inner tableau, dual Knuth move) of the poset, run
-    by run in the row-sequence numbering (see the module docstring)."""
+    by run in the row-sequence numbering (see the module docstring): each
+    run's count, covers or strict relations, once per move, and rows only
+    for the moves its judgment lists (:meth:`_SweepLayout.judge`).  In
+    order mode such a move may still keep every relation."""
     layout = _sweep_layout(p)
     n, nodes, order = p.n, p.nodes, layout.order
+    which = 0 if mode == "cover" else 1  # of a run's two counts
     checked = 0
     violations: list[dict] = []
     for k, level in enumerate(layout.levels, 3):  # a triple must fit inside
-        rows: dict[int, list[int]] = {}  # run start -> its rows, this call
-
-        def rows_of(lo: int, hi: int) -> list[int]:
-            if lo not in rows:
-                rows[lo] = layout.rows(mode, lo, hi)
-            return rows[lo]
-
-        for shape, lo, hi, moves in level:
+        counts, failing = layout.counts[k - 3], layout.failing[k - 3]
+        for s, (shape, lo, hi, moves) in enumerate(level):
             if not _in_family(shape, family) or not moves:
                 continue
-            source = rows_of(lo, hi)
-            count = sum(row.bit_count() for row in source)
+            if counts[2 * s] < 0:
+                layout.judge(k, s)
+            count = counts[2 * s + which]
             if not count:
                 continue
-            for i, t in moves:
-                checked += count
+            checked += count * len(moves)
+            for i, t in failing.get(s, ()):
                 _, lo2, hi2, _ = level[t]
-                target = rows_of(lo2, hi2)
-                if source == target or not any(
-                    row & ~image for row, image in zip(source, target)
-                ):
-                    continue
+                source, target = layout.rows(mode, lo, hi), layout.rows(mode, lo2, hi2)
                 broken = [
                     (order[lo + x], order[lo + y], order[lo2 + x], order[lo2 + y])
                     for x, (row, image) in enumerate(zip(source, target))

@@ -306,7 +306,7 @@ def test_product_broken_invariant_is_not_a_value_error(monkeypatch, fault, messa
     "left, right",
     [("1", "1"), ("1,2,3,4/5,6,7,8", "1"), ("1", "1,2,3,4/5,6,7,8"), ("1,2/3,4", "1,3/2,5/4")],
 )
-def test_the_product_is_one_walk_of_the_pair_graph(monkeypatch, left, right):
+def test_the_product_is_one_walk_of_the_two_factor_graphs(monkeypatch, left, right):
     # one class walk per product, of the pair of the two factors' checked
     # graphs in place, each from its root 0: no pair graph is listed
     left, right = parse_tableau(left), parse_tableau(right)

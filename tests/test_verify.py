@@ -184,7 +184,8 @@ def test_local_covers_match_the_gap_test():
 @pytest.mark.parametrize("n", range(4, 10))
 def test_layout_cover_rows_are_the_reduction_of_the_order_rows(n):
     # each run is convex, so its cover rows, read off the poset's covers,
-    # are the transitive reduction of its order rows
+    # are the transitive reduction of its order rows; and a run's judgment
+    # counts the bits of both
     layout = verify._sweep_layout(cached_poset(n))
     runs = {(lo, hi) for level in layout.levels for _, lo, hi, _ in level}
     for lo, hi in runs:
@@ -192,6 +193,11 @@ def test_layout_cover_rows_are_the_reduction_of_the_order_rows(n):
             layout.rows("order", lo, hi)
         )
     assert runs
+    for k, level in enumerate(layout.levels, 3):
+        for s, (_, lo, hi, _) in enumerate(level):
+            covers, relations, _ = layout.judge(k, s)
+            assert covers == sum(row.bit_count() for row in layout.rows("cover", lo, hi))
+            assert relations == sum(row.bit_count() for row in layout.rows("order", lo, hi))
 
 
 def _moves(p):
@@ -229,6 +235,45 @@ def _richer(p, mode):
                 if rows != images and not any(r & ~im for r, im in zip(rows, images)):
                     return richer, k, i, source
     raise AssertionError("no such order")
+
+
+def _cover_made_a_relation():
+    """The size-6 order with a member b of a target run put
+    between the ends of a cover a < c inside it, as the covers a < b < c,
+    b unrelated to both before and between them in the id order and in the
+    row-sequence numbering: with the move onto that run and its source.
+    The source's cover at the places of a and c is then carried onto a
+    relation that is no cover, so the move breaks a cover and keeps every
+    relation."""
+    p = cached_poset(6)
+    covers = set(p.covers)
+    for k, i, source, (lo, hi), order in _moves(p):
+        members = order[lo:hi]
+        for x, a in enumerate(members):
+            for z in range(x + 2, len(members)):
+                c = members[z]
+                if (a, c) not in covers:
+                    continue
+                for b in members[x + 1:z]:
+                    if a > b > c and not p.reach[a] >> b & 1 and not p.reach[b] >> c & 1:
+                        added = list(p.covers) + [(a, b), (b, c)]
+                        return _relations(p, p.nodes, added), k, i, source
+    raise AssertionError("no such order")
+
+
+def test_sweep_judges_a_move_that_breaks_a_cover_but_keeps_the_relations():
+    # the move is judged failing; cover mode lists the broken cover, and
+    # order mode, comparing the relation rows, finds nothing for it
+    q, k, i, source = _cover_made_a_relation()
+    covers, relations = (verify._translation_sweep(q, mode, None) for mode in ("cover", "order"))
+    assert _move_witnesses(q, covers[1], k, i, source)
+    assert _move_witnesses(q, relations[1], k, i, source) == []
+    layout = verify._sweep_layout(q)
+    level = layout.levels[k - 3]
+    s = next(s for s, run in enumerate(level) if run[1:3] == source)
+    assert i in [j for j, _ in layout.judge(k, s)[2]]
+    assert covers == oracle.translation_sweep(q, "cover", None)
+    assert relations == oracle.translation_sweep(q, "order", None)
 
 
 @pytest.mark.parametrize("mode", ["cover", "order"])
@@ -361,12 +406,16 @@ def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
 def _without_a_size_3_node():
     """Fresh size records, the size-3 code map of which has lost the node
     1,3/2, and a copy of the size-5 order to lay out with it.  The sweep
-    reads the size-3 move table too, which is made on the intact map
-    first: else it is made on the broken map, where it fails on its own
-    check.  Called under the ``fresh_lift`` fixture."""
+    reads the size-3 and size-4 move tables too, and the size-5 row
+    sequence, all made on the intact map first: else each is made on the
+    broken map, where the size-4 moves and sequence, both grown from the
+    size-3 code map, fail on their own lookups (see
+    ``test_a_lookup_one_size_down_names_the_node``).  Called under the
+    ``fresh_lift`` fixture."""
     p = dataclasses.replace(cached_poset(5))
     size = weakorder._size(3)
-    assert size.moves  # made on the intact map
+    # made on the intact map
+    assert size.moves and weakorder._size(4).moves and weakorder._size(5).sequence
     gone = size.ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
     size.ids_of = {c: t for c, t in size.ids_of.items() if t != gone}
     return p
@@ -430,8 +479,16 @@ def test_single_family_sweep_reads_only_two_row_runs(monkeypatch):
     monkeypatch.setattr(layout, "rows", recorded)
     for mode in ("cover", "order"):
         verify._translation_sweep(p, mode, "two_row")
-    # a move keeps the shape, so its image run is two-row too
+    # a move keeps the shape, so its image run is two-row too; only the
+    # runs of the shapes read are judged: every two-row run, each has a move
     assert read and set(read) <= two_row
+    judged = {
+        (lo, hi)
+        for level, counts in zip(layout.levels, layout.counts)
+        for s, (_, lo, hi, _) in enumerate(level)
+        if counts[2 * s] >= 0
+    }
+    assert judged == two_row
 
 
 def _unreduced(p=None):
@@ -474,9 +531,18 @@ def test_sweep_rejects_covers_that_are_not_reduced():
 _LAYOUT_FIELDS = ("order", "start", "ups", "covers", "levels")
 
 
+def _fields(layout):
+    """The fields of ``layout``, and every run's judgment, level by level."""
+    judgments = [
+        [layout.judge(k, s) for s in range(len(level))] for k, level in enumerate(layout.levels, 3)
+    ]
+    return [getattr(layout, name) for name in _LAYOUT_FIELDS] + [judgments]
+
+
 def _layouts(p):
     """The fields of the sweep layout of a copy of ``p`` and of the
-    tableau-built oracle's, or the message each raises."""
+    tableau-built oracle's, with every run's judgment, or the message each
+    raises."""
     out = []
     for make in (verify._SweepLayout, oracle.sweep_layout):
         try:
@@ -484,7 +550,7 @@ def _layouts(p):
         except InvariantError as error:
             out.append(str(error))
         else:
-            out.append([getattr(layout, name) for name in _LAYOUT_FIELDS])
+            out.append(_fields(layout))
     return out
 
 
@@ -504,7 +570,7 @@ def test_the_layout_reads_the_lifts_row_codes(monkeypatch, n):
     made = []
     monkeypatch.setattr(verify, "_row_code", lambda t: made.append(t) or weakorder._row_code(t))
     layout = verify._SweepLayout(dataclasses.replace(cached_poset(n)))
-    assert [getattr(layout, name) for name in _LAYOUT_FIELDS] == expected
+    assert _fields(layout) == expected
     assert made == []
     assert _layouts(_missing_node(5))[0] == missing
     assert len(made) == len(cached_poset(5).nodes) - 1
@@ -525,6 +591,23 @@ def test_sweep_layout_matches_the_oracle_on_test_made_orders(broken, message):
         assert fast[-1]
     else:
         assert fast.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda: _richer(cached_poset(6), "order")[0],
+        lambda: _thinned(6, 1),
+        lambda: _cover_made_a_relation()[0],
+    ],
+    ids=["richer-in-order", "thinned", "cover-made-a-relation"],
+)
+def test_sweep_layout_judges_as_the_oracle_on_orders_with_failing_moves(broken):
+    # relations added, covers dropped, and a cover made a relation that is
+    # no cover: the judgments list failing moves, and match the oracle's
+    fast, slow = _layouts(broken())
+    assert fast == slow
+    assert any(judgment[2] for level in fast[-1] for judgment in level)
 
 
 @pytest.mark.parametrize(
@@ -593,6 +676,33 @@ def test_the_stretch_checks_lift_each_order_from_the_one_below(fresh_lift):
     assert made("order") == list(range(1, 10))
     posets = [weakorder._size(n).order for n in range(1, 10)]
     assert all(set(p._cache) <= {"closure", "sweep"} for p in posets)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_the_row_sequence_is_the_letter_1_first_sort(k):
+    # grown from the size below, against the sort of the tableau-built
+    # row sequences
+    nodes = weakorder._size(k).nodes
+    expected = sorted(range(len(nodes)), key=lambda a: oracle._seq_code(nodes[a]))
+    assert weakorder._size(k).sequence == expected
+
+
+def test_the_layout_rejects_a_row_sequence_out_of_order(fresh_lift):
+    # the size-5 sequence with two neighbours exchanged, one node repeated
+    # and one dropped, each in a fresh size record, laid out afresh
+    p = dataclasses.replace(cached_poset(5))
+    size = weakorder._size(5)
+    seq, name = list(size.sequence), lambda x: tableau.format_tableau(p.nodes[x])
+    swapped = seq[:3] + [seq[4], seq[3]] + seq[5:]
+    for broken, message in [
+        (swapped, f"the row-sequence numbering puts {name(seq[4])} before {name(seq[3])}"),
+        ([seq[0], *seq[:-1]], f"the row-sequence numbering puts {name(seq[0])} before {name(seq[0])}"),
+        (seq[:-1], "the row-sequence numbering has 25 positions, not the 26 nodes"),
+    ]:
+        size.sequence = broken
+        for mode in ("cover", "order"):
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                verify._translation_sweep(dataclasses.replace(p), mode, None)
 
 
 def test_size_moves_are_the_dual_moves():
@@ -1164,16 +1274,18 @@ def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fr
 @pytest.mark.parametrize(
     "move, message",
     [
-        # 3 and 4 exchanged on the triple 1,2,3: 1,2,3/4, of the same shape
+        # (size, node, triple start, x): the rule gives the move on the last
+        # triple, 3,4,5 at size 5; here it exchanges 2 and 3 there: 1,3,4/2,5,
+        # of the same shape
         (
-            (1, 3),
-            "dual Knuth move on the triple 1,2,3 of 1,2,4/3 exchanges 3 and 4, "
+            (5, "1,2,4/3,5", 3, 2),
+            "dual Knuth move on the triple 3,4,5 of 1,2,4/3,5 exchanges 2 and 3, "
             "not two of its letters",
         ),
         # 2 and 3 exchanged on the triple 2,3,4: 1,3,4/2, of the same shape,
         # which has no move on that triple
         (
-            (2, 2),
+            (4, "1,2,4/3", 2, 2),
             "dual Knuth move on the triple 2,3,4 of 1,2,4/3 is onto 1,3,4/2, "
             "whose move on it does not lead back",
         ),
@@ -1183,21 +1295,61 @@ def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
     monkeypatch, fresh_lift, move, message
 ):
     # the move table is made afresh from a rule that sends one node's move
-    # on one triple to another node of its shape, which connectivity alone
-    # does not see; 1,2,4/3 has the moves (1, 2) and (2, 3)
-    code = weakorder._row_code(parse_tableau("1,2,4/3"))
-    rows = [0, *(code >> 4 * y & 15 for y in range(4))]
+    # on its last triple to another node of its shape, which connectivity
+    # alone does not see.  The rule is told by the rows of the triple's
+    # three letters, which nodes one size down share (1,3/2 and 1,3/2,4):
+    # their tables are made on the real rule first.
+    size, text, _, x = move
+    for k in range(3, size):
+        assert weakorder._size(k).moves
+    code = weakorder._row_code(parse_tableau(text))
+    rows = [0, *(code >> 4 * y & 15 for y in range(size - 3, size))]  # of the last three letters
     exchanges = weakorder._move_exchanges
-    assert exchanges(rows) == [(1, 2), (2, 3)]
+    assert [i for i, _ in exchanges(rows)] == [1]  # one move, on the last triple
 
     def wrong(r):
-        if r != rows:
-            return exchanges(r)
-        return [move if i == move[0] else (i, x) for i, x in exchanges(r)]
+        return [(1, x - size + 3)] if r == rows else exchanges(r)
 
     monkeypatch.setattr(weakorder, "_move_exchanges", wrong)
     with pytest.raises(InvariantError, match=re.escape(message)):
+        verify_dual_knuth_connectivity(size)
+
+
+def test_a_wrong_move_one_size_down_is_caught_where_it_is_lifted(fresh_lift):
+    # 1,2/3 moved onto 1/2/3 on the triple 1,2,3, put in the size-3 table
+    # after its checks: the first child of 1,2/3 in id order, 1,2/3/4,
+    # lifts it onto 1/2/3 with 4 in row 3, no tableau
+    size = weakorder._size(3)
+    t, wrong = (size.ids_of[weakorder._row_code(parse_tableau(text))] for text in ("1,2/3", "1/2/3"))
+    size.moves = [((1, wrong),) if s == t else moves for s, moves in enumerate(size.moves)]
+    message = "dual Knuth move on the triple 1,2,3 of 1,2/3/4 is not onto another size-4 node"
+    with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(4)
+
+
+@pytest.mark.parametrize(
+    "field, why",
+    [("moves", "whose moves it lifts"), ("sequence", "after which it comes in the row sequence")],
+)
+def test_a_lookup_one_size_down_names_the_node(fresh_lift, field, why):
+    # the size-3 code map loses 1,3/2 before size 4 grows its moves or its
+    # row sequence from it: 1,3/2/4, the first size-4 node in id order with
+    # no parent left, is named in an InvariantError, not a bare KeyError
+    size = weakorder._size(3)
+    assert size.moves and size.sequence
+    gone = size.ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
+    size.ids_of = {c: t for c, t in size.ids_of.items() if t != gone}
+    message = f"1,3/2/4 with 4 removed is not a size-3 node, {why}"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        getattr(weakorder._size(4), field)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_lifted_moves_match_the_per_node_maker(k):
+    # each size's table lifts the triples 1..k - 3 from the size below; the
+    # maker that read every triple off each node's row code is the oracle
+    size = weakorder._size(k)
+    assert size.moves == move_oracle.move_table(size)
 
 
 @pytest.mark.parametrize("n", [0, -1, CAPS["lift"] + 1])

@@ -24,7 +24,10 @@ sequence from its rows, cuts the runs with one scan per k, names each
 run by its inner tableau, sorts the runs by canonical key and takes every
 run's moves from ``tableau._dual_moves``.  It is the oracle for
 ``verify._SweepLayout``: the same numbering, runs, rows and moves, and the
-same ``InvariantError`` messages on broken orders.
+same ``InvariantError`` messages on broken orders.  It judges every run
+as it is made: its counts are the popcounts of its cover and order rows,
+shifted out of the run's up-sets, and its failing moves those whose
+image run's cover rows miss a bit of its own, every row compared.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
 class sweep_layout:
     """The sweep layout of ``p``, made from its tableaux: ``order``,
     ``start``, ``ups``, ``covers`` and ``levels`` as in
-    ``verify._SweepLayout``."""
+    ``verify._SweepLayout``, and ``judged``, every run judged."""
 
     def __init__(self, p: TableauPoset) -> None:
         fault = _closure_fault(p)
@@ -240,6 +243,28 @@ class sweep_layout:
             self.ups += ups
             self.covers += covers
         self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]
+        self.judged = [
+            [self._judgment(level, s) for s in range(len(level))] for level in self.levels
+        ]
+
+    def _rows(self, masks: list[int], lo: int, hi: int) -> list[int]:
+        shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
+        return [mask >> shift & full for mask in masks[lo:hi]]
+
+    def _judgment(self, level: list[tuple], s: int) -> tuple:
+        _, lo, hi, moves = level[s]
+        covers = self._rows(self.covers, lo, hi)
+        relations = self._rows(self.ups, lo, hi)
+        failing = []
+        for i, t in moves:
+            image = self._rows(self.covers, level[t][1], level[t][2])
+            if any(row & ~moved for row, moved in zip(covers, image)):
+                failing.append((i, t))
+        count = sum(bin(row).count("1") for row in covers)
+        return count, sum(bin(row).count("1") for row in relations), tuple(failing)
+
+    def judge(self, k: int, s: int) -> tuple:
+        return self.judged[k - 3][s]
 
     def _level(self, nodes, seq: list[int], n: int, k: int) -> list[tuple]:
         cut = 4 * (n - k)
