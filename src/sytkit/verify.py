@@ -32,9 +32,7 @@ covers with both ends in it, read off them with no reduction per run.
 The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
-them.  The layout remakes no tableau (see :class:`_SweepLayout`); for
-the lift's own nodes it reads the numbering from the lift's row sequence
-(``weakorder._sequence``) and checks it in the pass that cuts the runs.
+them.  The layout remakes no tableau (see :class:`_SweepLayout`).
 Each (run, move) is judged once per poset, the first time a sweep reads
 the run: the run's cover and relation counts, and whether the move
 carries every cover of the run onto a cover of its image run, whole runs
@@ -45,11 +43,10 @@ count per move, and compares rows only for the moves judged failing:
 their broken covers in cover mode, their relations in order mode.
 
 One table per size applies a dual Knuth move, the lift's ``moves``
-(``weakorder._move_table``): per node (triple start, moved id), lifted
-from the size below's table but for the last triple, read off the row
-code, and checked as it is made.  The layouts of every larger poset, the
-single-triple scan and dual Knuth connectivity (one search per shape
-over the ids) read it, and a move off the node set raises
+(``weakorder._move_table``): per node (triple start, moved id), made on
+the row codes and checked as it is made.  The layouts of every larger
+poset, the single-triple scan and dual Knuth connectivity (one search per
+shape over the ids) read it, and a move off the node set raises
 ``InvariantError`` in each.
 
 The relation checks (restriction, evacuation, transposition, the descent
@@ -98,9 +95,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Iterator
-from itertools import count, repeat
 from math import factorial
-from operator import rshift, xor
+from operator import xor
 from typing import NamedTuple
 
 from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
@@ -172,10 +168,8 @@ class _SweepLayout:
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
     letter x in the 4-bit digit x - 1) is read from the lift's size-n code
     list (``weakorder._size(n).codes``), which is in id order, when the
-    nodes are the lift's, and made from ``p.nodes`` otherwise.  The
-    numbering is then the lift's ``sequence``, grown from the size below,
-    or the codes sorted with their digits reversed, letter 1 first.  The
-    pass that reads the shared lengths below checks that it is sorted so.
+    nodes are the lift's, and made from ``p.nodes`` otherwise; the
+    numbering sorts the codes with their digits reversed, letter 1 first.
     Positions x - 1 and x then share the inner tableau on 1..k exactly
     when their codes agree on the lowest k digits, so one pass over those
     shared lengths cuts the runs at every k.  A run's inner tableau is its
@@ -203,39 +197,15 @@ class _SweepLayout:
         n, nodes = p.n, p.nodes
         # an order on other nodes (made by hand, in tests) is coded node by node
         size = _size(n)
-        if nodes == size.nodes:
-            codes, order = size.codes, size.sequence  # position -> id
-        else:
-            codes = [_row_code(t) for t in nodes]
-            width = (n + 1) // 2
+        codes = size.codes if nodes == size.nodes else [_row_code(t) for t in nodes]
+        width = (n + 1) // 2
 
-            def letter_1_first(a: int) -> int:
-                # the digits of a's code reversed: each byte's digits swapped, the
-                # bytes read backwards (n odd adds a 0 digit last to every code)
-                return int.from_bytes(codes[a].to_bytes(width, "little").translate(_NIBBLES_SWAPPED), "big")
+        def letter_1_first(a: int) -> int:
+            # the digits of a's code reversed: each byte's digits swapped, the
+            # bytes read backwards (n odd adds a 0 digit last to every code)
+            return int.from_bytes(codes[a].to_bytes(width, "little").translate(_NIBBLES_SWAPPED), "big")
 
-            order = sorted(range(len(nodes)), key=letter_1_first)
-        if len(order) != len(nodes):
-            raise InvariantError(f"the row-sequence numbering has {len(order)} positions, "
-                                 f"not the {len(nodes)} nodes")
-        seq = [codes[a] for a in order]
-        # the shift of the lowest digit in which the codes of positions x - 1
-        # and x differ: position x must hold the higher row there, so the
-        # numbering is sorted letter 1 first, each node once
-        shifts = [(d & -d).bit_length() - 1 & ~3 for d in map(xor, seq, seq[1:])]
-        unsorted = [
-            x for x, before, after, shift in zip(count(1), seq, seq[1:], shifts)
-            if shift < 0 or after >> shift & 15 <= before >> shift & 15
-        ]
-        if unsorted:
-            x = unsorted[0]
-            raise InvariantError(
-                f"the row-sequence numbering puts {format_tableau(nodes[order[x - 1]])} "
-                f"before {format_tableau(nodes[order[x]])}"
-            )
-        # shared[x]: the letters 1.. whose rows positions x - 1 and x share
-        # (-1 at x = 0); the runs at k start where fewer than k are shared
-        shared = [-1] + [shift >> 2 for shift in shifts]
+        order = sorted(range(len(nodes)), key=letter_1_first)  # position -> id
         position = [0] * len(nodes)
         for x, a in enumerate(order):
             position[a] = x
@@ -247,6 +217,11 @@ class _SweepLayout:
                     f"goes down in the row-sequence numbering"
                 )
             succ[position[a]].append(position[b])
+        seq = [codes[a] for a in order]
+        # shared[x]: the letters 1.. whose rows positions x - 1 and x share,
+        # the lowest digit in which their codes differ (-1 at x = 0); the
+        # runs at k start where fewer than k are shared
+        shared = [-1] + [((d & -d).bit_length() - 1) >> 2 for d in map(xor, seq, seq[1:])]
         starts = {k: [x for x, m in enumerate(shared) if m < k] for k in range(3, n)}
         self.order = order
         self.start: list[int] = []
@@ -293,9 +268,9 @@ class _SweepLayout:
             runs.append((t, lo, hi))
         runs.sort()  # canonical order
         where = {t: s for s, (t, _, _) in enumerate(runs)}
-        shapes = [tuple(map(len, subs[t])) for t, _, _ in runs]
+        shapes = [shape_of(subs[t]) for t, _, _ in runs]
         # the rows of the letters above k, member by member
-        high = list(map(rshift, seq, repeat(4 * k)))
+        high = [code >> 4 * k for code in seq]
         tails = [high[lo:hi] for _, lo, hi in runs]
         level = []
         for s, (t, lo, hi) in enumerate(runs):

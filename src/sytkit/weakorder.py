@@ -11,29 +11,24 @@ those tables, plus the swaps of the first two letters: the covers generate
 the same order as all the swaps of size n - 1, and each table maps a chain
 to a chain.  Each size's nodes are grown from the size below, k appended
 at each corner it can fill, and its row codes and columns with them
-(:func:`_grown`, sorted on one integer key); its tables are made by
-column insertion into the columns of the size below.  All the lift keeps
-of a size, made once per process, is one record (:class:`_Size`, read
-through :func:`_size`): its nodes, row codes, code map and tables, but no
-edge, and the id tables made on first read: evacuation, transposition,
-the one-step restrictions, the dual Knuth moves, the row sequence and the
-order of :func:`cached_poset`.  The moves and the row sequence grow from
-the size below too: a move on a triple without the largest letter is the
-size below's, lifted, and the row sequence lists each node of the size
-below followed by its children (:func:`_move_table`, :func:`_sequence`).
-The sweep layout of sytkit.verify names its runs through the code maps
-and numbers the nodes by the row sequence, and the hook-eta check, the
-plactic product and the lemmas of sytkit.verify insert words through the
-tables, as :func:`_insertion_id` does.
+(:func:`_grown`); its tables are made by column insertion into the
+columns of the size below.  All the lift keeps of a size, made once per
+process, is one record (:class:`_Size`, read through :func:`_size`): its
+nodes, row codes, code map and tables, but no edge, and the id tables
+made on first read: evacuation, transposition, the one-step
+restrictions, the dual Knuth moves and the order of :func:`cached_poset`.
+The sweep layout of sytkit.verify names its runs through the code maps,
+and the hook-eta check, the plactic product and the lemmas of
+sytkit.verify insert words through the tables, as :func:`_insertion_id`
+does.
 
 Every projected edge a -> b goes down in the id order (a > b), which is
 checked for every node: the id order is then a linear extension, so the
 order has no cycle and antisymmetry is a fact checked during the build.
 Reachability, stored per node as an integer bitmask, and the cover
 relation come out of one pass in increasing id order over the nodes'
-successor lists, each sorted descending and its repeats passed over: the
-transitive reduction of a graph numbered by a linear extension (Aho,
-Garey and Ullman 1972).  No
+successor lists, each sorted descending: the transitive reduction of a
+graph numbered by a linear extension (Aho, Garey and Ullman 1972).  No
 edge is packed into a 16-bit code; the tables are arrays of
 ``_ID_TYPECODE``, 16-bit ids.
 No down-set is made: every reader reads ``reach`` and the covers only,
@@ -44,8 +39,7 @@ The monotone-map checks here and in sytkit.verify test a map on the covers
 first (:func:`_unpreserved_covers`).  The premise is checked, not assumed:
 every cover goes down in the id order, each ``reach`` row is its node plus
 the rows of its covers, and no cover passes through another
-(:func:`_closure_fault`, one pass over each node's covers), so every
-relation is a chain of covers.
+(:func:`_closure_fault`), so every relation is a chain of covers.
 The target must be transitive; each caller names why.  When either
 fails, every relation is tested by the mask kernel :func:`_unpreserved`.
 
@@ -185,50 +179,27 @@ def _closure_fault(p: TableauPoset) -> str | None:
 
 
 def _find_closure_fault(p: TableauPoset) -> str | None:
-    """:func:`_closure_fault` made: every cover is first tested to go down
-    in the id order, the first one that does not named.  Then, from id 0
-    up, one pass over each node's covers, sorted descending and each
-    repeat passed over: a cover already in the row made so far, the node
-    and the rows of the covers before it, lies strictly above one of them,
-    so the covers are not reduced; else its row is ORed in.  The row must
-    be the node's ``reach`` row, which is checked first, and then the
-    highest such cover is named, as every cover strictly above another
-    lies below it in the id order."""
-    nodes, covers, reach = p.nodes, p.covers, p.reach
+    nodes = p.nodes
     succ: list[list[int]] = [[] for _ in nodes]
-    for a, b in reversed(covers):  # each list descending, when the covers are sorted
+    for a, b in p.covers:
         if a <= b:
-            a, b = next((a, b) for a, b in covers if a <= b)
             return (
                 f"cover {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
                 f"does not go down in the id order"
             )
         succ[a].append(b)
     for a, links in enumerate(succ):
-        links.sort(reverse=True)
-        row = 1 << a
+        ends = through = 0
         for b in links:  # reach[b] is proved closed already, so it holds b
-            if row >> b & 1:
-                break
-            row |= reach[b]
-        else:
-            if row != reach[a]:
-                return f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
-            continue
-        # a repeat, or a cover that passes through another
-        row, through, last = 1 << a, -1, -1
-        for b in links:
-            if not row >> b & 1:
-                row |= reach[b]
-            elif b != last and through < 0:
-                through = b
-            last = b
-        if row != reach[a]:
+            ends |= 1 << b
+            through |= p.reach[b] ^ 1 << b  # strictly above b
+        if 1 << a | ends | through != p.reach[a]:
             return f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
-        if through >= 0:
+        if through & ends:
+            c = (through & ends).bit_length() - 1
             return (
                 f"covers are not reduced: cover {format_tableau(nodes[a])} < "
-                f"{format_tableau(nodes[through])} passes through another"
+                f"{format_tableau(nodes[c])} passes through another"
             )
     return None
 
@@ -314,40 +285,29 @@ def _grown(
     plus the row of k in digit k - 1, and its columns those of t with k
     appended to the column just past the end of that row.  Each standard
     tableau arises once, from the tableau left when its corner k is
-    removed.  The sort key is one integer of 4-bit digits: the shape's
-    parts, zero-padded to k, then the row word (the rows bottom first),
-    k letters for every tableau; so it sorts by shape, then by row word,
-    the canonical order."""
-    shift, width = 4 * (k - 1), 4 * k
+    removed.  For one shape, comparing the rows bottom first compares the
+    row words, so the sort key is canonical."""
+    shift = 4 * (k - 1)
     grown_letter = bytes((k,))
     grown = []
     for t, code, cols in zip(prev, prev_codes, columns or [None] * len(prev)):
-        parts = word = 0
-        for row in t:
-            parts = parts << 4 | len(row)
-        parts <<= width - 4 * len(t)  # zero-padded to k parts
-        for row in reversed(t):
-            for x in row:
-                word = word << 4 | x
-        above = 0  # the letters of the rows above row r, the last of the word
-        for r, row in enumerate(t + ((),)):  # k may start a new row
-            low, above = 4 * above, above + len(row)
-            if r and len(t[r - 1]) == len(row):
+        for r in range(len(t) + 1):
+            if r == len(t):
+                rows, c = t + ((k,),), 0
+            elif r and len(t[r - 1]) == len(t[r]):
                 continue  # the row above is no longer: k would sit below no entry
-            c = len(row)
-            if cols is None:
-                grew = None
-            elif c < len(cols):
-                grew = cols[:c] + (cols[c] + grown_letter,) + cols[c + 1:]
             else:
-                grew = cols + (grown_letter,)
-            # k in row r: one more part there, and k just before the rows above r
-            key = ((parts + (1 << shift - 4 * r)) << width
-                   | (word >> low << 4 | k) << low | word & (1 << low) - 1)
-            grown.append((key, t[:r] + (row + (k,),) + t[r + 1:], code | r + 1 << shift, grew))
+                rows, c = t[:r] + (t[r] + (k,),) + t[r + 1:], len(t[r])
+            if cols is None:
+                after = None
+            elif c < len(cols):
+                after = cols[:c] + (cols[c] + grown_letter,) + cols[c + 1:]
+            else:
+                after = cols + (grown_letter,)
+            grown.append((tuple(map(len, rows)), rows[::-1], code | r + 1 << shift, after))
     grown.sort()
     codes = [code for _, _, code, _ in grown]
-    nodes = tuple([rows for _, rows, _, _ in grown])
+    nodes = tuple([rows[::-1] for _, rows, _, _ in grown])
     return nodes, codes, None if columns is None else [cols for *_, cols in grown]
 
 
@@ -364,11 +324,7 @@ class _Size:
     first read, each by its maker, which checks what it makes:
     ``evacuation`` and ``transposition`` (:func:`_symmetry_tables`), ``hi``
     and ``lo`` (:func:`_one_steps`, from size 2), ``moves``
-    (:func:`_move_table`, lifted from the size below but for one triple)
-    and ``order`` (:func:`build_poset`).  ``sequence``, the ids in
-    row-sequence order, grown from the size below too
-    (:func:`_sequence`), is made on first read and checked where it is
-    read, by the sweep layout of sytkit.verify."""
+    (:func:`_move_table`) and ``order`` (:func:`build_poset`)."""
 
     k: int
     nodes: tuple[Rows, ...]
@@ -385,8 +341,6 @@ class _Size:
             self.hi, self.lo = _one_steps(self)
         elif name == "moves":
             self.moves = _move_table(self)
-        elif name == "sequence":
-            self.sequence = _sequence(self)
         elif name == "order":
             self.order = build_poset(self.k)
         else:
@@ -532,74 +486,29 @@ def _one_steps(size: _Size) -> tuple[list[int], list[int]]:
 
 def _move_table(size: _Size) -> list[tuple[tuple[int, int], ...]]:
     """Per size-k node id, its dual Knuth moves as (i, moved id), i the
-    first letter of the triple, in order of i, no tableau made.
-
-    A move on a triple 1..k - 3 leaves the letter k in its row, so it is
-    the size k - 1 move of the node with k removed, lifted: that node is
-    the row code with digit k - 1 cleared, named in the size k - 1 code
-    map, and its moved node's code gets digit k - 1 back.  Only the move on
-    the triple k - 2 is read off the rule of ``tableau._move_exchanges``,
-    given the rows of k - 2, k - 1 and k; it exchanges the digits x - 1
-    and x (the rows of x and x + 1).  The code map names each result.
-    Each move is checked, else :class:`InvariantError`: it is onto another
-    node; it changes only the digits of its triple's letters, and the
-    lowest it changes is the digit of the first or second, x, as an
-    exchange of x and x + 1 must (the message names x, read from that
-    digit); and the moved node's move on that triple leads back, as a
-    dual Knuth move is an involution.  A size k - 1 code missing from its
-    code map raises :class:`InvariantError` too."""
-    k, nodes, ids_of, codes = size.k, size.nodes, size.ids_of, size.codes
-    if k < 3:
-        return [()] * len(nodes)
-    below = _size(k - 1)
-    parent_of, below_codes, below_moves = below.ids_of, below.codes, below.moves
-    shift, low = 4 * (k - 1), 4 * (k - 3)
-    keep = (1 << shift) - 1
-    # per triple start i, the digits of the letters off its triple, and of
-    # its first two letters, one of which the lowest digit changed must be
-    outside = [0] + [~(0xFFF << 4 * (i - 1)) for i in range(1, k - 1)]
-    leading = [0] + [0xFF << 4 * (i - 1) for i in range(1, k - 1)]
-    exchanges: dict[int, list[tuple[int, int]]] = {}  # rows of k - 2, k - 1, k -> (i, x) per move
+    first letter of the triple, no tableau made: the rule of
+    ``tableau._move_exchanges`` is read off the node's row code, the move
+    exchanges its digits x - 1 and x (the rows of x and x + 1), and the
+    code map names the result.  Each move is checked, else
+    :class:`InvariantError`: it is onto another node, it exchanges two
+    letters of its triple, and the moved node's move on that triple leads
+    back, as a dual Knuth move is an involution."""
+    k, nodes, ids_of = size.k, size.nodes, size.ids_of
+    shifts = range(0, 4 * k, 4)
     table = []
-    paired = ahead = 0
-    for t, code in enumerate(codes):
-        parent = parent_of.get(code & keep)
-        if parent is None:
-            raise InvariantError(
-                f"{format_tableau(nodes[t])} with {k} removed is not a size-{k - 1} node, "
-                f"whose moves it lifts"
-            )
-        top = code & ~keep
-        moved = [(i, below_codes[u] | top) for i, u in below_moves[parent]]
-        rows = code >> low
-        if rows not in exchanges:
-            rule = _move_exchanges([0, rows & 15, rows >> 4 & 15, rows >> 8 & 15])
-            exchanges[rows] = [(i + k - 3, x + k - 3) for i, x in rule]
-        for i, x in exchanges[rows]:
-            swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
-            moved.append((i, code ^ (swap << 4 * (x - 1) | swap << 4 * x)))
+    for t, code in enumerate(size.codes):
         moves = []
-        for i, after in moved:
-            u = ids_of.get(after)
-            if u is None or u == t or (code ^ after) & outside[i] or not (code ^ after) & leading[i]:
+        for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
+            swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
+            u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
+            if u is None or u == t or not i <= x <= i + 1:
                 at = format_tableau(nodes[t])
                 move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
                 if u is None or u == t:
                     raise InvariantError(f"{move} is not onto another size-{k} node")
-                changed = code ^ after
-                x = ((changed & -changed).bit_length() - 1 >> 2) + 1
                 raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
             moves.append((i, u))
-            if u < t:  # onto a node made before: its moves must hold this one back
-                paired += (i, t) in table[u]
-            else:
-                ahead += 1
         table.append(tuple(moves))
-    # when every move onto a lower id is found back, and they are as many
-    # as the moves onto higher ids, each of these is the reverse of one of
-    # them: every move leads back.  Else the first that does not is named.
-    if paired == ahead == sum(map(len, table)) - ahead:
-        return table
     for t, moves in enumerate(table):
         for i, u in moves:
             if (i, t) not in table[u]:  # one move per triple, so u's at i is not t
@@ -609,37 +518,6 @@ def _move_table(size: _Size) -> list[tuple[tuple[int, int], ...]]:
                     f"whose move on it does not lead back"
                 )
     return table
-
-
-def _sequence(size: _Size) -> list[int]:
-    """The size-k ids in row-sequence order, letter 1 first: by the row of
-    1, then of 2, ..., then of k.  That is the size k - 1 sequence with
-    each node followed by its children, the size-k nodes it is with k
-    removed, the row of k ascending.  A child's parent is its row code
-    with digit k - 1 cleared, named in the size k - 1 code map; a code
-    missing there raises :class:`InvariantError`.  A parent's children
-    come in id order with the row of k descending (ids sort by shape
-    first, and k in an earlier row makes the larger shape), so they are
-    read backwards.  Unchecked here: the sweep layout of sytkit.verify
-    checks the order of every two neighbours."""
-    k, nodes = size.k, size.nodes
-    if k == 1:
-        return [0]
-    below = _size(k - 1)
-    parent_of, keep = below.ids_of, (1 << 4 * (k - 1)) - 1
-    children: list[list[int]] = [[] for _ in below.nodes]
-    for t, code in enumerate(size.codes):
-        parent = parent_of.get(code & keep)
-        if parent is None:
-            raise InvariantError(
-                f"{format_tableau(nodes[t])} with {k} removed is not a size-{k - 1} node, "
-                f"after which it comes in the row sequence"
-            )
-        children[parent].append(t)
-    sequence: list[int] = []
-    for parent in below.sequence:
-        sequence += reversed(children[parent])
-    return sequence
 
 
 def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[list[int]]]:
@@ -730,13 +608,12 @@ def _poset(n: int, nodes: tuple[Rows, ...], succ: list[list[int]]) -> TableauPos
         links.sort(reverse=True)
         if links and (links[0] > a or links[-1] < 0):
             raise _edge_fault(nodes, a, links)
-        row, last = 1 << a, -1
+        row = 1 << a
         kept = []
         for b in links:
-            if b != last and not row >> b & 1:  # a repeat is a bit of row already
+            if not row >> b & 1:
                 kept.append(b)
                 row |= reach[b]
-            last = b
         reach.append(row)
         covers += [(a, b) for b in reversed(kept)]
 

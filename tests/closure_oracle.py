@@ -8,11 +8,6 @@ reverse with it and keeps an edge as a cover iff nothing lies strictly
 between its ends (the gap test).  The broken orders of ``test_verify``,
 some with cycles, are closed here too.
 
-``closure_fault`` is ``weakorder._find_closure_fault`` as it stood before
-its one pass per node: the id-order scan of every cover, then per node
-its covers' ends and the rows strictly above them, compared with
-``reach``.  It is the oracle for the one-pass check's messages.
-
 ``transpose`` is the one place the tests make down-sets: the posets keep
 none, so an oracle that reads ``below[b]`` (bit a iff a <= b) takes it
 from there.  ``gap_covers`` is the gap test on a node subset, the
@@ -20,8 +15,6 @@ definition of its induced covers.
 """
 
 from __future__ import annotations
-
-from sytkit.tableau import format_tableau
 
 
 def closure(succ: list[list[int]]) -> list[int]:
@@ -131,34 +124,3 @@ def close_and_reduce(succ: list[list[int]]) -> tuple[list[int], list[int], list[
         if not reach[a] & below[b] & ~((1 << a) | (1 << b)):
             covers.append((a, b))
     return reach, below, covers
-
-
-def closure_fault(p) -> str | None:
-    """None when ``p.reach`` is the reflexive-transitive closure of
-    ``p.covers`` and the covers are reduced; else the message of what fails
-    first: a cover that does not go down in the id order, then, node by
-    node from id 0, a row that is not its node plus its covers' rows, then
-    a cover strictly above another cover of its node."""
-    nodes = p.nodes
-    succ: list[list[int]] = [[] for _ in nodes]
-    for a, b in p.covers:
-        if a <= b:
-            return (
-                f"cover {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
-                f"does not go down in the id order"
-            )
-        succ[a].append(b)
-    for a, links in enumerate(succ):
-        ends = through = 0
-        for b in links:  # reach[b] is proved closed already, so it holds b
-            ends |= 1 << b
-            through |= p.reach[b] ^ 1 << b  # strictly above b
-        if 1 << a | ends | through != p.reach[a]:
-            return f"closure of the covers disagrees with reach at {format_tableau(nodes[a])}"
-        if through & ends:
-            c = (through & ends).bit_length() - 1
-            return (
-                f"covers are not reduced: cover {format_tableau(nodes[a])} < "
-                f"{format_tableau(nodes[c])} passes through another"
-            )
-    return None

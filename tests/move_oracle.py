@@ -7,19 +7,13 @@ window rewrite, inverse again) and row-inserts the result.  The descents
 come from the word too, so nothing here shares code with the kernel.
 :func:`connectivity` keeps the tableau walk of the connectivity check on
 these moves.
-
-:func:`move_table` is ``weakorder._move_table`` as it stood before it
-lifted the moves of the triples 1..k - 3 from the size below: the rule of
-``tableau._move_exchanges`` read off every node's whole row code, with
-the same checks and messages.  It is the oracle for the lifted tables.
 """
 
 from __future__ import annotations
 
-from sytkit.permutation import InvariantError, descents_left
+from sytkit.permutation import descents_left
 from sytkit.tableau import (
     Rows,
-    _move_exchanges,
     format_tableau,
     insertion_tableau,
     partitions,
@@ -81,35 +75,3 @@ def connectivity(n: int) -> tuple[int, list[dict]]:
                 }
             )
     return checked, violations
-
-
-def move_table(size) -> list[tuple[tuple[int, int], ...]]:
-    """Per node id of the lift's size record ``size``, its dual Knuth moves
-    as (i, moved id), each read off the node's row code by the rule, the
-    moved node named in the code map; checked as ``weakorder._move_table``
-    checks its moves, with the same messages."""
-    k, nodes, ids_of = size.k, size.nodes, size.ids_of
-    shifts = range(0, 4 * k, 4)
-    table = []
-    for t, code in enumerate(size.codes):
-        moves = []
-        for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
-            swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
-            u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
-            if u is None or u == t or not i <= x <= i + 1:
-                at = format_tableau(nodes[t])
-                move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
-                if u is None or u == t:
-                    raise InvariantError(f"{move} is not onto another size-{k} node")
-                raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
-            moves.append((i, u))
-        table.append(tuple(moves))
-    for t, moves in enumerate(table):
-        for i, u in moves:
-            if (i, t) not in table[u]:
-                raise InvariantError(
-                    f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
-                    f"{format_tableau(nodes[t])} is onto {format_tableau(nodes[u])}, "
-                    f"whose move on it does not lead back"
-                )
-    return table

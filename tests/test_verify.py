@@ -406,16 +406,12 @@ def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
 def _without_a_size_3_node():
     """Fresh size records, the size-3 code map of which has lost the node
     1,3/2, and a copy of the size-5 order to lay out with it.  The sweep
-    reads the size-3 and size-4 move tables too, and the size-5 row
-    sequence, all made on the intact map first: else each is made on the
-    broken map, where the size-4 moves and sequence, both grown from the
-    size-3 code map, fail on their own lookups (see
-    ``test_a_lookup_one_size_down_names_the_node``).  Called under the
-    ``fresh_lift`` fixture."""
+    reads the size-3 move table too, which is made on the intact map
+    first: else it is made on the broken map, where it fails on its own
+    check.  Called under the ``fresh_lift`` fixture."""
     p = dataclasses.replace(cached_poset(5))
     size = weakorder._size(3)
-    # made on the intact map
-    assert size.moves and weakorder._size(4).moves and weakorder._size(5).sequence
+    assert size.moves  # made on the intact map
     gone = size.ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
     size.ids_of = {c: t for c, t in size.ids_of.items() if t != gone}
     return p
@@ -676,33 +672,6 @@ def test_the_stretch_checks_lift_each_order_from_the_one_below(fresh_lift):
     assert made("order") == list(range(1, 10))
     posets = [weakorder._size(n).order for n in range(1, 10)]
     assert all(set(p._cache) <= {"closure", "sweep"} for p in posets)
-
-
-@pytest.mark.parametrize("k", range(1, 10))
-def test_the_row_sequence_is_the_letter_1_first_sort(k):
-    # grown from the size below, against the sort of the tableau-built
-    # row sequences
-    nodes = weakorder._size(k).nodes
-    expected = sorted(range(len(nodes)), key=lambda a: oracle._seq_code(nodes[a]))
-    assert weakorder._size(k).sequence == expected
-
-
-def test_the_layout_rejects_a_row_sequence_out_of_order(fresh_lift):
-    # the size-5 sequence with two neighbours exchanged, one node repeated
-    # and one dropped, each in a fresh size record, laid out afresh
-    p = dataclasses.replace(cached_poset(5))
-    size = weakorder._size(5)
-    seq, name = list(size.sequence), lambda x: tableau.format_tableau(p.nodes[x])
-    swapped = seq[:3] + [seq[4], seq[3]] + seq[5:]
-    for broken, message in [
-        (swapped, f"the row-sequence numbering puts {name(seq[4])} before {name(seq[3])}"),
-        ([seq[0], *seq[:-1]], f"the row-sequence numbering puts {name(seq[0])} before {name(seq[0])}"),
-        (seq[:-1], "the row-sequence numbering has 25 positions, not the 26 nodes"),
-    ]:
-        size.sequence = broken
-        for mode in ("cover", "order"):
-            with pytest.raises(InvariantError, match=re.escape(message)):
-                verify._translation_sweep(dataclasses.replace(p), mode, None)
 
 
 def test_size_moves_are_the_dual_moves():
@@ -1274,18 +1243,16 @@ def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fr
 @pytest.mark.parametrize(
     "move, message",
     [
-        # (size, node, triple start, x): the rule gives the move on the last
-        # triple, 3,4,5 at size 5; here it exchanges 2 and 3 there: 1,3,4/2,5,
-        # of the same shape
+        # 3 and 4 exchanged on the triple 1,2,3: 1,2,3/4, of the same shape
         (
-            (5, "1,2,4/3,5", 3, 2),
-            "dual Knuth move on the triple 3,4,5 of 1,2,4/3,5 exchanges 2 and 3, "
+            (1, 3),
+            "dual Knuth move on the triple 1,2,3 of 1,2,4/3 exchanges 3 and 4, "
             "not two of its letters",
         ),
         # 2 and 3 exchanged on the triple 2,3,4: 1,3,4/2, of the same shape,
         # which has no move on that triple
         (
-            (4, "1,2,4/3", 2, 2),
+            (2, 2),
             "dual Knuth move on the triple 2,3,4 of 1,2,4/3 is onto 1,3,4/2, "
             "whose move on it does not lead back",
         ),
@@ -1295,61 +1262,21 @@ def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
     monkeypatch, fresh_lift, move, message
 ):
     # the move table is made afresh from a rule that sends one node's move
-    # on its last triple to another node of its shape, which connectivity
-    # alone does not see.  The rule is told by the rows of the triple's
-    # three letters, which nodes one size down share (1,3/2 and 1,3/2,4):
-    # their tables are made on the real rule first.
-    size, text, _, x = move
-    for k in range(3, size):
-        assert weakorder._size(k).moves
-    code = weakorder._row_code(parse_tableau(text))
-    rows = [0, *(code >> 4 * y & 15 for y in range(size - 3, size))]  # of the last three letters
+    # on one triple to another node of its shape, which connectivity alone
+    # does not see; 1,2,4/3 has the moves (1, 2) and (2, 3)
+    code = weakorder._row_code(parse_tableau("1,2,4/3"))
+    rows = [0, *(code >> 4 * y & 15 for y in range(4))]
     exchanges = weakorder._move_exchanges
-    assert [i for i, _ in exchanges(rows)] == [1]  # one move, on the last triple
+    assert exchanges(rows) == [(1, 2), (2, 3)]
 
     def wrong(r):
-        return [(1, x - size + 3)] if r == rows else exchanges(r)
+        if r != rows:
+            return exchanges(r)
+        return [move if i == move[0] else (i, x) for i, x in exchanges(r)]
 
     monkeypatch.setattr(weakorder, "_move_exchanges", wrong)
     with pytest.raises(InvariantError, match=re.escape(message)):
-        verify_dual_knuth_connectivity(size)
-
-
-def test_a_wrong_move_one_size_down_is_caught_where_it_is_lifted(fresh_lift):
-    # 1,2/3 moved onto 1/2/3 on the triple 1,2,3, put in the size-3 table
-    # after its checks: the first child of 1,2/3 in id order, 1,2/3/4,
-    # lifts it onto 1/2/3 with 4 in row 3, no tableau
-    size = weakorder._size(3)
-    t, wrong = (size.ids_of[weakorder._row_code(parse_tableau(text))] for text in ("1,2/3", "1/2/3"))
-    size.moves = [((1, wrong),) if s == t else moves for s, moves in enumerate(size.moves)]
-    message = "dual Knuth move on the triple 1,2,3 of 1,2/3/4 is not onto another size-4 node"
-    with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(4)
-
-
-@pytest.mark.parametrize(
-    "field, why",
-    [("moves", "whose moves it lifts"), ("sequence", "after which it comes in the row sequence")],
-)
-def test_a_lookup_one_size_down_names_the_node(fresh_lift, field, why):
-    # the size-3 code map loses 1,3/2 before size 4 grows its moves or its
-    # row sequence from it: 1,3/2/4, the first size-4 node in id order with
-    # no parent left, is named in an InvariantError, not a bare KeyError
-    size = weakorder._size(3)
-    assert size.moves and size.sequence
-    gone = size.ids_of[weakorder._row_code(parse_tableau("1,3/2"))]
-    size.ids_of = {c: t for c, t in size.ids_of.items() if t != gone}
-    message = f"1,3/2/4 with 4 removed is not a size-3 node, {why}"
-    with pytest.raises(InvariantError, match=re.escape(message)):
-        getattr(weakorder._size(4), field)
-
-
-@pytest.mark.parametrize("k", range(1, 10))
-def test_lifted_moves_match_the_per_node_maker(k):
-    # each size's table lifts the triples 1..k - 3 from the size below; the
-    # maker that read every triple off each node's row code is the oracle
-    size = weakorder._size(k)
-    assert size.moves == move_oracle.move_table(size)
 
 
 @pytest.mark.parametrize("n", [0, -1, CAPS["lift"] + 1])
