@@ -33,14 +33,14 @@ The numbering, the closure, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
 them.  The layout remakes no tableau (see :class:`_SweepLayout`).
-Each (run, move) is judged once per poset, the first time a sweep reads
-the run: the run's cover and relation counts, and whether the move
-carries every cover of the run onto a cover of its image run, whole runs
-first.  Each run is convex and its relations are the closure of its
-covers, so a move that keeps every cover keeps every relation.  A sweep,
-in either mode and for any family, applies its family filter and adds a
-count per move, and compares rows only for the moves judged failing:
-their broken covers in cover mode, their relations in order mode.
+Each (run, move) is judged once, as the layout is made: the run's cover
+and relation counts, and whether the move carries every cover of the run
+onto a cover of its image run, whole runs first.  Each run is convex and
+its relations are the closure of its covers, so a move that keeps every
+cover keeps every relation.  A sweep, in either mode and for any family,
+applies its family filter and adds a count per move, and compares rows
+only for the moves judged failing: their broken covers in cover mode,
+their relations in order mode.
 
 One table per size applies a dual Knuth move, the lift's ``moves``
 (``weakorder._move_table``): per node (triple start, moved id), made on
@@ -93,7 +93,6 @@ witness is a self-contained dict of text forms.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable, Iterator
 from math import factorial
 from operator import xor
@@ -161,9 +160,8 @@ class _SweepLayout:
     sweep: the row-sequence numbering, checked to number every cover
     strictly upwards; per k, the runs in canonical order of their inner
     tableaux, each with its shape and its dual Knuth moves, every move
-    checked to be onto its image run; and each run's judgment, made the
-    first time a sweep reads the run.  The order's premises are read from
-    ``weakorder._closure_fault`` first (see the module docstring).
+    checked to be onto its image run, and judged.  The order's premises are
+    read from ``weakorder._closure_fault`` first (see the module docstring).
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
     letter x in the 4-bit digit x - 1) is read from the lift's size-n code
@@ -182,12 +180,15 @@ class _SweepLayout:
     bits of offsets from the run's ``start``), and a run's order and cover
     rows are shifted out of them.
 
-    A run's judgment (:meth:`judge`) is its cover count, its relation
-    count and the moves whose relabeling does not carry every one of its
-    covers onto a cover.  A sweep adds a count per move and compares rows
-    only for those moves, in either mode: the run is convex and its
-    relations are the closure of its covers, so a relabeling that keeps
-    every cover keeps every relation."""
+    Each run is one record of its level, (shape, lo, hi, moves, covers,
+    relations, failing): its cover and relation counts, and the moves whose
+    relabeling does not carry every one of its covers onto a cover.  Cover
+    rows are made once per level, and counts taken, only for the runs that
+    have a move: a run with none is never counted or compared, and its
+    counts are 0.  A sweep adds a count per move and compares rows only for
+    the failing moves, in either mode: the run is convex and its relations
+    are the closure of its covers, so a relabeling that keeps every cover
+    keeps every relation."""
 
     def __init__(self, p: TableauPoset) -> None:
         # the order's premises, checked once per poset
@@ -242,16 +243,11 @@ class _SweepLayout:
             self.start += [lo] * (hi - lo)
             self.ups += ups
             self.covers += covers
-        # levels[k - 3]: (shape, lo, hi, moves) per run, moves (i, the index
-        # of the moved run in the level)
+        # levels[k - 3]: per run, (shape, lo, hi, moves, covers, relations,
+        # failing), moves (i, the index of the moved run in the level)
         self.levels = [
             self._level(nodes, seq, k, _spans(starts[k], len(seq))) for k in range(3, n)
         ]
-        # per level k, once run s is judged: counts[k - 3][2s] and [2s + 1],
-        # its covers and strict relations (-1 before), and failing[k - 3][s],
-        # its failing moves when it has any; no object per run is kept
-        self.counts = [array("q", [-1]) * (2 * len(level)) for level in self.levels]
-        self.failing: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in self.levels]
 
     def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
         size = _size(k)
@@ -284,50 +280,35 @@ class _SweepLayout:
                         f"{format_tableau(subs[moved])} is not onto its group"
                     )
                 moves.append((i, u))
-            level.append((shapes[s], lo, hi, tuple(moves)))
-        return level
+            level.append((lo, hi, tuple(moves)))
+        # ids sort by shape first, so the runs of one shape are one block, and
+        # a move keeps the shape and leads back: the cover rows of a block's
+        # runs that have a move hold every row a move of the block compares
+        blocks = [s for s in range(len(runs)) if not s or shapes[s] != shapes[s - 1]]
+        records = []
+        for first, end in _spans(blocks, len(runs)):
+            rows = {s: self.rows("cover", *level[s][:2]) for s in range(first, end) if level[s][2]}
+            for s in range(first, end):
+                lo, hi, moves = level[s]
+                covers = relations = 0  # a run with no move is never counted
+                if moves:
+                    covers = sum(map(int.bit_count, rows[s]))
+                    # a member's bits all lie past the run's start, so one
+                    # mask below the run's end keeps those inside it
+                    inside = (1 << (hi - self.start[lo])) - 1
+                    relations = sum((up & inside).bit_count() for up in self.ups[lo:hi])
+                failing = tuple(
+                    (i, u) for i, u in moves
+                    if rows[u] != rows[s] and any(row & ~image for row, image in zip(rows[s], rows[u]))
+                )
+                records.append((shapes[s], lo, hi, moves, covers, relations, failing))
+        return records
 
     def rows(self, mode: str, lo: int, hi: int) -> list[int]:
         """The order (mode "order") or cover rows of the run [lo, hi)."""
         masks = self.covers if mode == "cover" else self.ups
         shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
         return [mask >> shift & full for mask in masks[lo:hi]]
-
-    def judge(self, k: int, s: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        """The judgment of run s of level k, made and kept when missing:
-        (its covers, its strict relations, the moves (i, t) of its level's
-        ``moves`` whose image run misses one of its covers).  Every run of
-        s's shape in the level is judged with it: ids sort by shape first,
-        so they are one block of the level, and a move keeps the shape, so
-        the block holds every image run and each run's cover rows are made
-        once.  The relations are read off ``ups`` unshifted: a member's bits
-        there all lie past the run's start, so one mask below the run's end
-        keeps those inside it."""
-        level, counts, failing = self.levels[k - 3], self.counts[k - 3], self.failing[k - 3]
-        if counts[2 * s] < 0:
-            shape = level[s][0]
-            first, end = s, s + 1
-            while first and level[first - 1][0] == shape:
-                first -= 1
-            while end < len(level) and level[end][0] == shape:
-                end += 1
-            rows = {}
-            for t in range(first, end):
-                _, lo, hi, _ = level[t]
-                rows[t] = source = self.rows("cover", lo, hi)
-                inside, relations = (1 << (hi - self.start[lo])) - 1, 0
-                for up in self.ups[lo:hi]:
-                    relations += (up & inside).bit_count()
-                counts[2 * t], counts[2 * t + 1] = sum(map(int.bit_count, source)), relations
-            for t in range(first, end):
-                source = rows[t]
-                broken = tuple(
-                    (i, u) for i, u in level[t][3]
-                    if rows[u] != source and any(row & ~image for row, image in zip(source, rows[u]))
-                )
-                if broken:
-                    failing[t] = broken
-        return counts[2 * s], counts[2 * s + 1], failing.get(s, ())
 
 
 def _sweep_layout(p: TableauPoset) -> _SweepLayout:
@@ -343,26 +324,19 @@ def _translation_sweep(
     """Check every (k, inner tableau, dual Knuth move) of the poset, run
     by run in the row-sequence numbering (see the module docstring): each
     run's count, covers or strict relations, once per move, and rows only
-    for the moves its judgment lists (:meth:`_SweepLayout.judge`).  In
+    for the moves its record lists as failing (:class:`_SweepLayout`).  In
     order mode such a move may still keep every relation."""
     layout = _sweep_layout(p)
     n, nodes, order = p.n, p.nodes, layout.order
-    which = 0 if mode == "cover" else 1  # of a run's two counts
     checked = 0
     violations: list[dict] = []
     for k, level in enumerate(layout.levels, 3):  # a triple must fit inside
-        counts, failing = layout.counts[k - 3], layout.failing[k - 3]
-        for s, (shape, lo, hi, moves) in enumerate(level):
-            if not _in_family(shape, family) or not moves:
+        for shape, lo, hi, moves, covers, relations, failing in level:
+            if not _in_family(shape, family):
                 continue
-            if counts[2 * s] < 0:
-                layout.judge(k, s)
-            count = counts[2 * s + which]
-            if not count:
-                continue
-            checked += count * len(moves)
-            for i, t in failing.get(s, ()):
-                _, lo2, hi2, _ = level[t]
+            checked += (covers if mode == "cover" else relations) * len(moves)
+            for i, t in failing:
+                lo2, hi2 = level[t][1:3]
                 source, target = layout.rows(mode, lo, hi), layout.rows(mode, lo2, hi2)
                 broken = [
                     (order[lo + x], order[lo + y], order[lo2 + x], order[lo2 + y])

@@ -499,12 +499,14 @@ def _move_table(size: _Size) -> list[tuple[tuple[int, int], ...]]:
     for t, code in enumerate(size.codes):
         moves = []
         for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
-            swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
-            u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
+            u = None
+            if x >= 1:  # else the shifts would be negative
+                swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
+                u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
             if u is None or u == t or not i <= x <= i + 1:
                 at = format_tableau(nodes[t])
                 move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
-                if u is None or u == t:
+                if x >= 1 and (u is None or u == t):
                     raise InvariantError(f"{move} is not onto another size-{k} node")
                 raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
             moves.append((i, u))

@@ -434,28 +434,33 @@ def test_battery_stays_inside_each_checks_row(stretch):
     assert tops == {check: row.stretch_top if stretch else row.top for check, row in verify.CHECKS.items()}
 
 
+def _halves(total):
+    """Two one-row tableaux, as text, of ``total`` letters in all."""
+    return tuple(",".join(map(str, range(1, m + 1))) for m in (total // 2, (total + 1) // 2))
+
+
 def test_product_too_large_exits_2(capsys, monkeypatch):
     # refused before either reverse-bump graph is made
     monkeypatch.setattr(cli.hopf, "_bump_graph", None)
-    code, out, err = run(capsys, "product", "1,2,3/4,5", "1,2,3/4,5")
+    code, out, err = run(capsys, "product", *_halves(CAPS["lift"] + 1))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: product size must be in 2..9\n"
+    assert err == f"error: product size must be in 2..{CAPS['lift']}\n"
 
 
 def test_interval_too_large_is_refused_by_its_product_size(capsys, monkeypatch):
     # named by the product size, as product names it, before any order is built
     monkeypatch.setattr(cli.weakorder, "cached_poset", None)
-    code, out, err = run(capsys, "interval", "1,2,3,4,5", "1,2,3,4,5")
+    code, out, err = run(capsys, "interval", *_halves(CAPS["order"] + 1))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "error: product size must be in 2..9\n"
+    assert err == f"error: product size must be in 2..{CAPS['order']}\n"
 
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--n", "10"], "n must be in 2..9"), (["--n", "6", "--k", "6"], "k must be in 1..5"),
-     (["--n", "6", "--k", "0"], "k must be in 1..5")],
+    [(["--n", str(CAPS["order"] + 1)], f"n must be in 2..{CAPS['order']}"),
+     (["--n", "6", "--k", "6"], "k must be in 1..5"), (["--n", "6", "--k", "0"], "k must be in 1..5")],
 )
 def test_verify_interval_isomorphism_names_the_options_it_takes(capsys, flags, message):
     # the total through its CHECKS row and k in 1..n - 1, never an l

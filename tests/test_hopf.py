@@ -47,27 +47,37 @@ def test_product_of_single_cells():
     assert set(got.terms) == {((1, 2),), ((1,), (2,))}
 
 
+def _one_row(m):
+    return (tuple(range(1, m + 1)),)
+
+
+# a product one past the lift's cap, in two factors, and its refusal
+_TOO_LARGE = (CAPS["lift"] + 1) // 2, (CAPS["lift"] + 2) // 2
+_TOO_LARGE_MESSAGE = rf"^product size must be in 2\.\.{CAPS['lift']}$"
+
+
 def test_product_size_guard():
-    with pytest.raises(ValueError):
+    left, right = _TOO_LARGE
+    with pytest.raises(ValueError, match=_TOO_LARGE_MESSAGE):
         plactic_product(
-            all_standard_tableaux(5)[0], all_standard_tableaux(5)[0]
+            all_standard_tableaux(left)[0], all_standard_tableaux(right)[0]
         )
 
 
 def test_product_size_guard_messages(monkeypatch):
     listed = []
     monkeypatch.setattr(hopf, "_bump_graph", listed.append)
-    five = parse_tableau("1,2,3,4,5")
-    with pytest.raises(ValueError, match=r"^product size must be in 2\.\.9$"):
-        plactic_product(five, five)
+    left, right = _TOO_LARGE
+    with pytest.raises(ValueError, match=_TOO_LARGE_MESSAGE):
+        plactic_product(_one_row(left), _one_row(right))
     # a factor beyond the class listing's limit is refused by the product's
     # size too: each factor is checked, then the size compared, before any
     # reverse-bump graph is made
-    eleven = (tuple(range(1, 12)),)
-    with pytest.raises(ValueError, match=r"^product size must be in 2\.\.9$"):
-        plactic_product(eleven, ((1,),))
+    beyond = _one_row(CAPS["word"] + 1)
+    with pytest.raises(ValueError, match=_TOO_LARGE_MESSAGE):
+        plactic_product(beyond, ((1,),))
     with pytest.raises(ValueError, match="row not increasing"):
-        plactic_product(((2, 1), (3,)), eleven)
+        plactic_product(((2, 1), (3,)), beyond)
     assert listed == []
 
 

@@ -43,6 +43,8 @@ from sytkit.tableau import (
     size_of,
 )
 from sytkit.verify import (
+    FAMILIES,
+    MODES,
     verify_antisymmetry,
     verify_descents_constant,
     verify_dual_knuth_connectivity,
@@ -184,20 +186,19 @@ def test_local_covers_match_the_gap_test():
 @pytest.mark.parametrize("n", range(4, 10))
 def test_layout_cover_rows_are_the_reduction_of_the_order_rows(n):
     # each run is convex, so its cover rows, read off the poset's covers,
-    # are the transitive reduction of its order rows; and a run's judgment
-    # counts the bits of both
+    # are the transitive reduction of its order rows; and the record of a
+    # run that has a move counts the bits of both, of one that has none 0
     layout = verify._sweep_layout(cached_poset(n))
-    runs = {(lo, hi) for level in layout.levels for _, lo, hi, _ in level}
+    runs = {(lo, hi) for level in layout.levels for _, lo, hi, *_ in level}
     for lo, hi in runs:
         assert layout.rows("cover", lo, hi) == oracle.local_covers(
             layout.rows("order", lo, hi)
         )
     assert runs
-    for k, level in enumerate(layout.levels, 3):
-        for s, (_, lo, hi, _) in enumerate(level):
-            covers, relations, _ = layout.judge(k, s)
-            assert covers == sum(row.bit_count() for row in layout.rows("cover", lo, hi))
-            assert relations == sum(row.bit_count() for row in layout.rows("order", lo, hi))
+    for level in layout.levels:
+        for _, lo, hi, moves, covers, relations, _ in level:
+            counts = [sum(row.bit_count() for row in layout.rows(mode, lo, hi)) for mode in MODES]
+            assert [covers, relations] == (counts if moves else [0, 0])
 
 
 def _moves(p):
@@ -206,7 +207,7 @@ def _moves(p):
     (lo, hi)."""
     layout = verify._sweep_layout(dataclasses.replace(p))
     for k, level in enumerate(layout.levels, 3):
-        for _, lo, hi, moves in level:
+        for _, lo, hi, moves, *_ in level:
             for i, t in moves:
                 yield k, i, (lo, hi), level[t][1:3], layout.order
 
@@ -268,10 +269,8 @@ def test_sweep_judges_a_move_that_breaks_a_cover_but_keeps_the_relations():
     covers, relations = (verify._translation_sweep(q, mode, None) for mode in ("cover", "order"))
     assert _move_witnesses(q, covers[1], k, i, source)
     assert _move_witnesses(q, relations[1], k, i, source) == []
-    layout = verify._sweep_layout(q)
-    level = layout.levels[k - 3]
-    s = next(s for s, run in enumerate(level) if run[1:3] == source)
-    assert i in [j for j, _ in layout.judge(k, s)[2]]
+    failing = next(run[6] for run in verify._sweep_layout(q).levels[k - 3] if run[1:3] == source)
+    assert i in [j for j, _ in failing]
     assert covers == oracle.translation_sweep(q, "cover", None)
     assert relations == oracle.translation_sweep(q, "order", None)
 
@@ -456,35 +455,30 @@ def test_sweep_layout_is_made_once_per_poset():
     assert p._cache["sweep"] is layout
 
 
-def test_single_family_sweep_reads_only_two_row_runs(monkeypatch):
-    p = dataclasses.replace(cached_poset(7))
-    layout = verify._sweep_layout(p)
-    two_row = {
-        (lo, hi)
-        for level in layout.levels
-        for shape, lo, hi, _ in level
-        if len(shape) == 2
-    }
-    read = []
-    rows = layout.rows
-
-    def recorded(mode, lo, hi):
-        read.append((lo, hi))
-        return rows(mode, lo, hi)
-
-    monkeypatch.setattr(layout, "rows", recorded)
-    for mode in ("cover", "order"):
-        verify._translation_sweep(p, mode, "two_row")
-    # a move keeps the shape, so its image run is two-row too; only the
-    # runs of the shapes read are judged: every two-row run, each has a move
-    assert read and set(read) <= two_row
-    judged = {
-        (lo, hi)
-        for level, counts in zip(layout.levels, layout.counts)
-        for s, (_, lo, hi, _) in enumerate(level)
-        if counts[2 * s] >= 0
-    }
-    assert judged == two_row
+@pytest.mark.parametrize(
+    "order, broken",
+    [
+        (lambda: cached_poset(7), False),
+        (lambda: _thinned(6, 1), True),
+        (lambda: _thinned(6, 2), True),
+        (lambda: _thinned(7, 1), True),
+    ],
+    ids=["order-7", "thinned-6-1", "thinned-6-2", "thinned-7-1"],
+)
+def test_a_family_sweep_made_first_counts_as_after_the_unfiltered_sweeps(order, broken):
+    # every run is judged as the layout is made, so no sweep depends on
+    # which sweep came first; the thinned orders have failing moves
+    p = order()
+    after = dataclasses.replace(p)
+    for mode in MODES:
+        verify._translation_sweep(after, mode, None)
+    found = []
+    for family in FAMILIES:
+        for mode in MODES:
+            first = verify._translation_sweep(dataclasses.replace(p), mode, family)
+            assert first == verify._translation_sweep(after, mode, family)
+            found += first[1]
+    assert bool(found) == broken
 
 
 def _unreduced(p=None):
@@ -528,17 +522,13 @@ _LAYOUT_FIELDS = ("order", "start", "ups", "covers", "levels")
 
 
 def _fields(layout):
-    """The fields of ``layout``, and every run's judgment, level by level."""
-    judgments = [
-        [layout.judge(k, s) for s in range(len(level))] for k, level in enumerate(layout.levels, 3)
-    ]
-    return [getattr(layout, name) for name in _LAYOUT_FIELDS] + [judgments]
+    """The fields of ``layout``, its levels' records last."""
+    return [getattr(layout, name) for name in _LAYOUT_FIELDS]
 
 
 def _layouts(p):
     """The fields of the sweep layout of a copy of ``p`` and of the
-    tableau-built oracle's, with every run's judgment, or the message each
-    raises."""
+    tableau-built oracle's, or the message each raises."""
     out = []
     for make in (verify._SweepLayout, oracle.sweep_layout):
         try:
@@ -600,10 +590,10 @@ def test_sweep_layout_matches_the_oracle_on_test_made_orders(broken, message):
 )
 def test_sweep_layout_judges_as_the_oracle_on_orders_with_failing_moves(broken):
     # relations added, covers dropped, and a cover made a relation that is
-    # no cover: the judgments list failing moves, and match the oracle's
+    # no cover: the records list failing moves, and match the oracle's
     fast, slow = _layouts(broken())
     assert fast == slow
-    assert any(judgment[2] for level in fast[-1] for judgment in level)
+    assert any(run[6] for level in fast[-1] for run in level)
 
 
 @pytest.mark.parametrize(
@@ -1223,19 +1213,24 @@ def test_dual_knuth_connectivity_names_each_broken_move(fresh_lift):
 @pytest.mark.parametrize(
     "moved",
     [
-        ("1,3/2", 1),  # 1 and 2 exchanged: 2,3/1, the row code of no node
-        ("1,3/2", 3),  # 3 and 4 exchanged: a letter past the size
-        ("1,2,3", 1),  # 1 and 2 share a row: the move is onto the node itself
+        # 1 and 2 exchanged: 2,3/1, the row code of no node
+        ("1,3/2", 1, "is not onto another size-3 node"),
+        # 3 and 4 exchanged: a letter past the size
+        ("1,3/2", 3, "is not onto another size-3 node"),
+        # 1 and 2 share a row: the move is onto the node itself
+        ("1,2,3", 1, "is not onto another size-3 node"),
+        # 0 and 1 exchanged: no letter 0, refused before any shift
+        ("1,3/2", 0, "exchanges 0 and 1, not two of its letters"),
     ],
 )
 def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fresh_lift, moved):
     # the move table is made afresh from a rule that leaves the tableaux:
     # at one node, told by the rows of its letters, it exchanges x and x + 1
-    text, x = moved
+    text, x, reason = moved
     code = weakorder._row_code(parse_tableau(text))
     rows = [0, *(code >> 4 * y & 15 for y in range(3))]  # the rows of 1, 2, 3
     monkeypatch.setattr(weakorder, "_move_exchanges", lambda r: [(1, x)] if r == rows else [])
-    message = f"dual Knuth move on the triple 1,2,3 of {text} is not onto another size-3 node"
+    message = f"dual Knuth move on the triple 1,2,3 of {text} {reason}"
     with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(3)
 
