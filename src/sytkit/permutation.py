@@ -75,6 +75,13 @@ def check_word(word) -> Word:
     return w
 
 
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` is a nonempty run of the ASCII digits 0-9:
+    ``str.isdigit`` also takes superscripts and other scripts' digits, and
+    ``int`` reads the latter."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_word(text: str) -> Word:
     """Parse "5,2,4,1,3", or for n <= 9 the compact digit form "52413"."""
     s = text.strip()
@@ -84,13 +91,13 @@ def parse_word(text: str) -> Word:
     if "," in s:
         pos = 0
         for token in s.split(","):
-            if not token.strip().isdigit():
+            if not _is_decimal(token.strip()):
                 raise ParseError(f"expected an integer, got {token!r}", pos)
             values.append(int(token))
             pos += len(token) + 1
     else:
         for p, ch in enumerate(s):
-            if not ch.isdigit() or ch == "0":
+            if ch not in "123456789":
                 raise ParseError(f"unexpected character {ch!r}", p)
             values.append(int(ch))
     try:

@@ -37,6 +37,7 @@ from .permutation import (
     ParseError,
     Word,
     _ints,
+    _is_decimal,
     check_int,
     check_word,
     evac_word,
@@ -266,7 +267,7 @@ def _scan_grid(text: str, allow_gaps: bool) -> tuple[tuple[int | None, ...], ...
             t = token.strip()
             if allow_gaps and t == ".":
                 row.append(None)
-            elif t.isdigit():
+            elif _is_decimal(t):
                 row.append(int(t))
             else:
                 what = "a cell entry or '.'" if allow_gaps else "an integer"

@@ -35,12 +35,18 @@ poset: made, and checked, on the poset's first sweep and kept on it
 them.  The layout remakes no tableau (see :class:`_SweepLayout`).
 Each (run, move) is judged once, as the layout is made: the run's cover
 and relation counts, and whether the move carries every cover of the run
-onto a cover of its image run, whole runs first.  Each run is convex and
-its relations are the closure of its covers, so a move that keeps every
-cover keeps every relation.  A sweep, in either mode and for any family,
-applies its family filter and adds a count per move, and compares rows
-only for the moves judged failing: their broken covers in cover mode,
-their relations in order mode.
+onto a cover of its image run.  A move keeps the shape, so it stays in
+its level's block of runs of one shape, and each block is judged whole
+first: when every run of it that has a move has the same cover rows, each
+move carries every cover onto a cover, and the block's counts are taken
+once, as each run is convex and its relations are the closure of its
+covers, a function of its cover rows.  Only a block whose runs differ is
+judged run by run and move by move.  Every block has been uniform at
+every n <= 9 (checked by the tests, not proved).  A move that keeps every
+cover keeps every relation, so a sweep, in either mode and for any
+family, applies its family filter and adds a count per move, and
+compares rows only for the moves judged failing: their broken covers in
+cover mode, their relations in order mode.
 
 One table per size applies a dual Knuth move, the lift's ``moves``
 (``weakorder._move_table``): per node (triple start, moved id), made on
@@ -112,7 +118,6 @@ from .tableau import (
     format_tableau,
     partitions,
     row_word,
-    shape_of,
 )
 from .weakorder import (
     TableauPoset,
@@ -134,15 +139,15 @@ MODES = ("cover", "order")
 
 
 def _in_family(shape: tuple[int, ...], family: str | None) -> bool:
+    """Whether a node's shape lies in ``family``, one of ``FAMILIES`` or
+    None for every shape, as :func:`_translation_sweep` checks first."""
     if family is None:
         return True
     if family == "two_row":
         return len(shape) == 2
     if family == "two_col":
         return shape[0] == 2
-    if family == "hook":
-        return _is_hook(shape)  # a poset node's shape is a partition
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _is_hook(shape)  # a poset node's shape is a partition
 
 
 def _spans(starts: list[int], end: int) -> list[tuple[int, int]]:
@@ -185,10 +190,15 @@ class _SweepLayout:
     relabeling does not carry every one of its covers onto a cover.  Cover
     rows are made once per level, and counts taken, only for the runs that
     have a move: a run with none is never counted or compared, and its
-    counts are 0.  A sweep adds a count per move and compares rows only for
-    the failing moves, in either mode: the run is convex and its relations
-    are the closure of its covers, so a relabeling that keeps every cover
-    keeps every relation."""
+    counts are 0.  The runs of one shape are one block of the level, and
+    every move stays in its block.  When the runs of a block that have a
+    move all have the block's first such run's cover rows, the block is
+    uniform: its counts are taken once and given to each of those runs,
+    and no move of it fails or is compared.  Else each run of the block is
+    counted, and each of its moves compared, on its own.  A sweep adds a
+    count per move and compares rows only for the failing moves, in either
+    mode: the run is convex and its relations are the closure of its
+    covers, so a relabeling that keeps every cover keeps every relation."""
 
     def __init__(self, p: TableauPoset) -> None:
         # the order's premises, checked once per poset
@@ -252,7 +262,8 @@ class _SweepLayout:
     def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
         size = _size(k)
         subs, ids_of, table = size.nodes, size.ids_of, size.moves
-        digits = (1 << 4 * k) - 1
+        shift = 4 * k
+        digits = (1 << shift) - 1
         runs = []  # (size-k id, lo, hi)
         for lo, hi in spans:
             t = ids_of.get(seq[lo] & digits)
@@ -264,10 +275,9 @@ class _SweepLayout:
             runs.append((t, lo, hi))
         runs.sort()  # canonical order
         where = {t: s for s, (t, _, _) in enumerate(runs)}
-        shapes = [shape_of(subs[t]) for t, _, _ in runs]
+        shapes = [size.shapes[t] for t, _, _ in runs]
         # the rows of the letters above k, member by member
-        high = [code >> 4 * k for code in seq]
-        tails = [high[lo:hi] for _, lo, hi in runs]
+        tails = [[code >> shift for code in seq[lo:hi]] for _, lo, hi in runs]
         level = []
         for s, (t, lo, hi) in enumerate(runs):
             moves = []
@@ -282,27 +292,40 @@ class _SweepLayout:
                 moves.append((i, u))
             level.append((lo, hi, tuple(moves)))
         # ids sort by shape first, so the runs of one shape are one block, and
-        # a move keeps the shape and leads back: the cover rows of a block's
-        # runs that have a move hold every row a move of the block compares
+        # a move keeps the shape and leads back (``weakorder._move_table``
+        # checks its return): the cover rows of a block's runs that have a
+        # move hold every row a move of the block compares
         blocks = [s for s in range(len(runs)) if not s or shapes[s] != shapes[s - 1]]
         records = []
         for first, end in _spans(blocks, len(runs)):
             rows = {s: self.rows("cover", *level[s][:2]) for s in range(first, end) if level[s][2]}
+            head = next(iter(rows), None)  # the block's first run that has a move
+            if all(row == rows[head] for row in rows.values()):
+                # a uniform block: every move carries each cover onto a
+                # cover, and runs with equal cover rows have equal counts,
+                # as each run's relations are the closure of its covers
+                counts = self._counts(*level[head][:2], rows[head]) if rows else ()
+                for s in range(first, end):
+                    lo, hi, moves = level[s]
+                    records.append((shapes[s], lo, hi, moves, *(counts if moves else (0, 0)), ()))
+                continue
             for s in range(first, end):
                 lo, hi, moves = level[s]
-                covers = relations = 0  # a run with no move is never counted
-                if moves:
-                    covers = sum(map(int.bit_count, rows[s]))
-                    # a member's bits all lie past the run's start, so one
-                    # mask below the run's end keeps those inside it
-                    inside = (1 << (hi - self.start[lo])) - 1
-                    relations = sum((up & inside).bit_count() for up in self.ups[lo:hi])
                 failing = tuple(
                     (i, u) for i, u in moves
                     if rows[u] != rows[s] and any(row & ~image for row, image in zip(rows[s], rows[u]))
                 )
-                records.append((shapes[s], lo, hi, moves, covers, relations, failing))
+                # a run with no move is never counted
+                counts = self._counts(lo, hi, rows[s]) if moves else (0, 0)
+                records.append((shapes[s], lo, hi, moves, *counts, failing))
         return records
+
+    def _counts(self, lo: int, hi: int, rows: list[int]) -> tuple[int, int]:
+        """The cover and relation counts of the run [lo, hi) with cover rows
+        ``rows``: a member's bits all lie past the run's start, so one mask
+        below the run's end keeps its relations inside the run."""
+        inside = (1 << (hi - self.start[lo])) - 1
+        return sum(map(int.bit_count, rows)), sum((up & inside).bit_count() for up in self.ups[lo:hi])
 
     def rows(self, mode: str, lo: int, hi: int) -> list[int]:
         """The order (mode "order") or cover rows of the run [lo, hi)."""
@@ -326,6 +349,8 @@ def _translation_sweep(
     run's count, covers or strict relations, once per move, and rows only
     for the moves its record lists as failing (:class:`_SweepLayout`).  In
     order mode such a move may still keep every relation."""
+    if family is not None and family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     layout = _sweep_layout(p)
     n, nodes, order = p.n, p.nodes, layout.order
     checked = 0
@@ -811,8 +836,7 @@ def verify_dual_knuth_connectivity(n: int) -> VerificationReport:
     checked = 0
     violations = []
     with stopwatch() as sw:
-        table = size.moves
-        shapes = [shape_of(t) for t in nodes]
+        table, shapes = size.moves, size.shapes
         starts = [a for a, shape in enumerate(shapes) if not a or shape != shapes[a - 1]]
         for lo, hi in _spans(starts, len(nodes)):
             seen, frontier = 1, [lo]  # bit a - lo of seen: member a is reached

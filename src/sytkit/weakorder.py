@@ -324,7 +324,8 @@ class _Size:
     first read, each by its maker, which checks what it makes:
     ``evacuation`` and ``transposition`` (:func:`_symmetry_tables`), ``hi``
     and ``lo`` (:func:`_one_steps`, from size 2), ``moves``
-    (:func:`_move_table`) and ``order`` (:func:`build_poset`)."""
+    (:func:`_move_table`), ``shapes`` (each node's shape, in id order) and
+    ``order`` (:func:`build_poset`)."""
 
     k: int
     nodes: tuple[Rows, ...]
@@ -341,6 +342,8 @@ class _Size:
             self.hi, self.lo = _one_steps(self)
         elif name == "moves":
             self.moves = _move_table(self)
+        elif name == "shapes":
+            self.shapes = [shape_of(t) for t in self.nodes]
         elif name == "order":
             self.order = build_poset(self.k)
         else:

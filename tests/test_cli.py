@@ -51,6 +51,23 @@ def test_parse_error_exit_2_with_position(capsys):
     assert "position 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (("rsk", "21\u00b3"), 2),
+        (("rsk", "2,1,\u00b3"), 4),
+        (("class", "1,\u0662/3"), 2),
+        (("jdt", ".,\u00b2/1", "1", "1", "forward"), 2),
+    ],
+    ids=["rsk-compact", "rsk-commas", "class", "jdt"],
+)
+def test_non_ascii_digits_exit_2_with_position(capsys, argv, position):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"(at position {position})" in err
+
+
 def test_tableau_parse_error_position(capsys):
     code, _, err = run(capsys, "class", "1,3/2,x/5")
     assert code == EXIT_USAGE

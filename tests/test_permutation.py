@@ -106,6 +106,20 @@ def test_parse_errors_carry_position():
         parse_word("122")  # not a bijection
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("21\u00b3", 2), ("2\u0661", 1), ("\uff12\uff11", 0), ("2,1,\u00b3", 4), ("1,\u0662", 2), ("2, \u0663", 2)],
+    ids=["compact-superscript", "compact-arabic-indic", "compact-fullwidth",
+         "comma-superscript", "comma-arabic-indic", "comma-spaced"],
+)
+def test_parse_word_takes_ascii_digits_only(text, position):
+    # str.isdigit and int take these digits too; the literal must refuse
+    # each at its character or token, as a ParseError
+    with pytest.raises(ParseError) as err:
+        parse_word(text)
+    assert err.value.position == position
+
+
 def test_format_roundtrip():
     assert format_word((5, 2, 4, 1, 3)) == "52413"
     long = tuple(range(10, 0, -1))

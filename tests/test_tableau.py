@@ -191,6 +191,24 @@ def test_parse_format_roundtrip():
     assert err.value.position == 6
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_tableau, "1,\u0662/3", 2),
+        (parse_tableau, "1,2/\u00b3", 4),
+        (parse_skew, ".,\u00b2/1", 2),
+        (parse_skew, ".,2/\uff11", 4),
+    ],
+    ids=["tableau-arabic-indic", "tableau-superscript", "skew-superscript", "skew-fullwidth"],
+)
+def test_grid_literals_take_ascii_digits_only(parse, text, position):
+    # an entry of other digits is refused at its token, as a ParseError,
+    # not read as a number nor left to int's bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_json_roundtrip():
     tab = parse_tableau("1,3/2,4/5")
     assert tableau_from_json(tableau_to_json(tab)) == tab

@@ -125,6 +125,14 @@ def test_sweep_matches_the_oracle(n, mode, family):
     )
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_refuses_an_unknown_family_before_any_run(n):
+    # checked at the sweep's entry: for n <= 3 there is no run to reach it
+    for mode in MODES:
+        with pytest.raises(ValueError, match="unknown family 'bogus'; expected one of"):
+            verify._translation_sweep(cached_poset(n), mode, "bogus")
+
+
 def _relations(p, nodes, kept):
     """A poset on ``nodes`` whose order is the closure of the covers ``kept``."""
     succ = [[] for _ in nodes]
@@ -579,21 +587,90 @@ def test_sweep_layout_matches_the_oracle_on_test_made_orders(broken, message):
         assert fast.startswith(message)
 
 
+def _one_run_thinned():
+    """The size-7 order with one cover dropped inside one run of a shape
+    block where several runs have a move, at the first level k >= 5 that
+    has such a block: the first run with a move there and its first cover.
+    With k and the run's index in its level, which the drop keeps."""
+    p = cached_poset(7)
+    layout = verify._sweep_layout(p)
+    for k, level in enumerate(layout.levels[2:], 5):
+        for s, (shape, lo, hi, moves, *_) in enumerate(level):
+            if not moves or sum(1 for run in level if run[0] == shape and run[3]) < 2:
+                continue
+            x, row = next((x, row) for x, row in enumerate(layout.rows("cover", lo, hi)) if row)
+            dropped = (layout.order[lo + x], layout.order[lo + (row & -row).bit_length() - 1])
+            return _relations(p, p.nodes, [edge for edge in p.covers if edge != dropped]), k, s
+    raise AssertionError("no such order")
+
+
 @pytest.mark.parametrize(
     "broken",
     [
         lambda: _richer(cached_poset(6), "order")[0],
         lambda: _thinned(6, 1),
         lambda: _cover_made_a_relation()[0],
+        lambda: _one_run_thinned()[0],
     ],
-    ids=["richer-in-order", "thinned", "cover-made-a-relation"],
+    ids=["richer-in-order", "thinned", "cover-made-a-relation", "one-run-thinned"],
 )
 def test_sweep_layout_judges_as_the_oracle_on_orders_with_failing_moves(broken):
-    # relations added, covers dropped, and a cover made a relation that is
-    # no cover: the records list failing moves, and match the oracle's
+    # relations added, covers dropped, a cover made a relation that is no
+    # cover, and one run of a block made unlike the others: the records
+    # list failing moves, and match the oracle's
     fast, slow = _layouts(broken())
     assert fast == slow
     assert any(run[6] for level in fast[-1] for run in level)
+
+
+def test_a_block_with_one_thinned_run_is_judged_run_by_run():
+    # the thinned run's block is not uniform, so it falls through to
+    # per-run counts and per-move tests: the thinned run counts one cover
+    # fewer, and its covers all land on covers, so it lists no failing
+    # move; each move partner lists exactly its moves onto it; every other
+    # run of the block keeps the record of the intact order
+    q, k, s = _one_run_thinned()
+    level = verify._SweepLayout(q).levels[k - 3]
+    intact = verify._sweep_layout(cached_poset(7)).levels[k - 3]
+    shape, partners = level[s][0], {u for _, u in level[s][3]}
+    assert partners
+    assert level[s][4:] == (intact[s][4] - 1, level[s][5], ())
+    assert level[s][5] < intact[s][5]
+    for t, (run, before) in enumerate(zip(level, intact)):
+        if run[0] != shape or t == s:
+            continue
+        assert run[:6] == before[:6]
+        assert run[6] == tuple((i, u) for i, u in run[3] if u == s)
+        assert bool(run[6]) == (t in partners)
+    for mode in MODES:
+        assert verify._translation_sweep(q, mode, None) == oracle.translation_sweep(q, mode, None)
+
+
+@pytest.mark.parametrize(
+    "n, blocks, pairs",
+    [(4, 1, 2), (5, 4, 14), (6, 9, 62), (7, 18, 254), (8, 31, 994), (9, 51, 3946)],
+)
+def test_every_shape_block_with_a_move_is_uniform(monkeypatch, n, blocks, pairs):
+    # a finding, checked for n <= 9 and not proved: at every level, the
+    # runs of one shape that have a move have equal cover rows, so the
+    # layout counts each such block once (one _counts call) and compares
+    # no move; ``blocks`` and ``pairs`` sum the blocks and (run, move)
+    # pairs over the levels
+    calls = []
+    counts = verify._SweepLayout._counts
+    monkeypatch.setattr(verify._SweepLayout, "_counts", lambda *args: calls.append(1) or counts(*args))
+    layout = verify._SweepLayout(dataclasses.replace(cached_poset(n)))
+    seen = moved = 0
+    for level in layout.levels:
+        rows = {}
+        for shape, lo, hi, moves, *_, failing in level:
+            if moves:
+                rows.setdefault(shape, []).append(layout.rows("cover", lo, hi))
+                moved += len(moves)
+            assert failing == ()
+        assert all(row == block[0] for block in rows.values() for row in block)
+        seen += len(rows)
+    assert (seen, moved, len(calls)) == (blocks, pairs, blocks)
 
 
 @pytest.mark.parametrize(
