@@ -19,7 +19,7 @@ import sys
 
 from . import hopf, verify, weakorder
 from .knuthclass import knuth_class
-from .permutation import CAPS, InvariantError, check_range, format_word, parse_word
+from .permutation import CAPS, InvariantError, _is_decimal, check_range, format_word, parse_word
 from .report import VerificationReport
 from .tableau import (
     evacuate,
@@ -44,6 +44,16 @@ VERIFY_CHECKS = tuple(verify.CHECKS)
 FAMILIES = tuple(f.replace("_", "-") for f in verify.FAMILIES)  # CLI spellings
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits 0-9 after an optional "-", so that
+    other scripts' digits, underscores, signs "+" and spaces, which ``int``
+    takes, are refused as usage errors; the range is checked by the
+    command."""
+    if not _is_decimal(text[1:] if text.startswith("-") else text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _add_output_flags(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -65,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_class)
 
     p_poset = sub.add_parser("poset", help="the weak order poset on size-n tableaux")
-    p_poset.add_argument("--n", type=int, required=True)
+    p_poset.add_argument("--n", type=_integer, required=True)
     _add_output_flags(p_poset, formats=("text", "json", "dot"))
 
     ranges = "".join(f"  {check:<24} {row.lo}..{row.hi}\n" for check, row in verify.CHECKS.items())
@@ -73,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                               epilog="the --n each check accepts:\n" + ranges,
                               formatter_class=argparse.RawDescriptionHelpFormatter)
     p_verify.add_argument("check", choices=VERIFY_CHECKS)
-    p_verify.add_argument("--n", type=int, default=6,
+    p_verify.add_argument("--n", type=_integer, default=6,
                           help="size swept (hook length k for hook-eta, k + l for interval-isomorphism)")
-    p_verify.add_argument("--k", type=int, default=None,
+    p_verify.add_argument("--k", type=_integer, default=None,
                           help="first factor size for interval-isomorphism")
     p_verify.add_argument("--mode", choices=verify.MODES, default=None)
     p_verify.add_argument("--family", default=None, choices=FAMILIES)
@@ -95,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_restrict = sub.add_parser("restrict", help="restrict a tableau to a letter segment")
     p_restrict.add_argument("tableau")
-    p_restrict.add_argument("i", type=int)
-    p_restrict.add_argument("j", type=int)
+    p_restrict.add_argument("i", type=_integer)
+    p_restrict.add_argument("j", type=_integer)
     _add_output_flags(p_restrict)
 
     p_evac = sub.add_parser("evac", help="evacuation of a tableau")
@@ -112,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="one jeu de taquin slide on a skew tableau (gaps written '.')",
     )
     p_jdt.add_argument("skew")
-    p_jdt.add_argument("row", type=int)
-    p_jdt.add_argument("col", type=int)
+    p_jdt.add_argument("row", type=_integer)
+    p_jdt.add_argument("col", type=_integer)
     p_jdt.add_argument("direction", choices=("forward", "backward"))
     _add_output_flags(p_jdt)
 

@@ -21,9 +21,11 @@ the one test of them, shared with the relation checks: every cover goes
 down in the id order, ``reach`` is the closure of the covers, and the
 covers are reduced.  The layout checks only its
 own: every cover goes strictly up in the row-sequence numbering, and each
-moved inner tableau keeps the shape and its run the same suffixes.  So an
-order with a cycle raises here: the closure of covers that all go down in
-the id order has none.
+moved inner tableau keeps the shape and its run the same suffixes, which
+are checked once per block of runs of one shape: when every run of the
+block has the suffixes of the block's first, a move has only to stay in
+the block.  So an order with a cycle raises here: the closure of covers
+that all go down in the id order has none.
 ``verify_antisymmetry`` is the check that reports cycles as violations.
 As every cover goes up, every chain between two members of a run stays
 inside it: each run is convex, so its induced covers are the poset's
@@ -50,7 +52,8 @@ cover mode, their relations in order mode.
 
 One table per size applies a dual Knuth move, the lift's ``moves``
 (``weakorder._move_table``): per node (triple start, moved id), made on
-the row codes and checked as it is made.  The layouts of every larger
+the row codes, the rule read once per pattern of a triple's three rows,
+and checked as it is made.  The layouts of every larger
 poset, the single-triple scan and dual Knuth connectivity (one search per
 shape over the ids) read it, and a move off the node set raises
 ``InvariantError`` in each.
@@ -198,7 +201,16 @@ class _SweepLayout:
     counted, and each of its moves compared, on its own.  A sweep adds a
     count per move and compares rows only for the failing moves, in either
     mode: the run is convex and its relations are the closure of its
-    covers, so a relabeling that keeps every cover keeps every relation."""
+    covers, so a relabeling that keeps every cover keeps every relation.
+
+    A move must land on a run of its run's shape and suffixes (the rows of
+    the letters above k, member by member), so in its block.  Inside a run
+    the codes agree below digit k, so a run's suffixes are its first
+    code's suffix and the xor of its neighbouring codes, a slice of the
+    list the runs are cut from: each run of a block is compared with the
+    block's first run in the two, and when all agree a move has only to
+    land in its block.  Else each move of the block is compared with its
+    image run in both."""
 
     def __init__(self, p: TableauPoset) -> None:
         # the order's premises, checked once per poset
@@ -229,10 +241,12 @@ class _SweepLayout:
                 )
             succ[position[a]].append(position[b])
         seq = [codes[a] for a in order]
-        # shared[x]: the letters 1.. whose rows positions x - 1 and x share,
-        # the lowest digit in which their codes differ (-1 at x = 0); the
-        # runs at k start where fewer than k are shared
-        shared = [-1] + [((d & -d).bit_length() - 1) >> 2 for d in map(xor, seq, seq[1:])]
+        # steps[x]: the xor of the codes at positions x and x + 1; shared[x]:
+        # the letters 1.. whose rows positions x - 1 and x share, the lowest
+        # digit in which their codes differ (-1 at x = 0); the runs at k
+        # start where fewer than k are shared
+        steps = list(map(xor, seq, seq[1:]))
+        shared = [-1] + [((d & -d).bit_length() - 1) >> 2 for d in steps]
         starts = {k: [x for x, m in enumerate(shared) if m < k] for k in range(3, n)}
         self.order = order
         self.start: list[int] = []
@@ -255,69 +269,85 @@ class _SweepLayout:
             self.covers += covers
         # levels[k - 3]: per run, (shape, lo, hi, moves, covers, relations,
         # failing), moves (i, the index of the moved run in the level)
-        self.levels = [
-            self._level(nodes, seq, k, _spans(starts[k], len(seq))) for k in range(3, n)
-        ]
+        self.levels = [self._level(nodes, seq, steps, k, starts[k]) for k in range(3, n)]
 
-    def _level(self, nodes, seq: list[int], k: int, spans) -> list[tuple]:
+    def _level(
+        self, nodes, seq: list[int], steps: list[int], k: int, starts: list[int]
+    ) -> list[tuple]:
         size = _size(k)
-        subs, ids_of, table = size.nodes, size.ids_of, size.moves
+        subs, ids_of, table, shapes = size.nodes, size.ids_of, size.moves, size.shapes
         shift = 4 * k
         digits = (1 << shift) - 1
-        runs = []  # (size-k id, lo, hi)
-        for lo, hi in spans:
-            t = ids_of.get(seq[lo] & digits)
-            if t is None:
-                raise InvariantError(
-                    f"inner tableau {format_tableau(_inner_rows(nodes[self.order[lo]], k))} "
-                    f"of a run is not a size-{k} node"
-                )
-            runs.append((t, lo, hi))
-        runs.sort()  # canonical order
-        where = {t: s for s, (t, _, _) in enumerate(runs)}
-        shapes = [size.shapes[t] for t, _, _ in runs]
-        # the rows of the letters above k, member by member
-        tails = [[code >> shift for code in seq[lo:hi]] for _, lo, hi in runs]
-        level = []
-        for s, (t, lo, hi) in enumerate(runs):
-            moves = []
-            for i, moved in table[t]:
-                # the relabeling maps the run onto the moved run: checked, not assumed
-                u = where.get(moved)
-                if u is None or shapes[u] != shapes[s] or tails[u] != tails[s]:
-                    raise InvariantError(
-                        f"relabeling {format_tableau(subs[t])} -> "
-                        f"{format_tableau(subs[moved])} is not onto its group"
-                    )
-                moves.append((i, u))
-            level.append((lo, hi, tuple(moves)))
-        # ids sort by shape first, so the runs of one shape are one block, and
-        # a move keeps the shape and leads back (``weakorder._move_table``
-        # checks its return): the cover rows of a block's runs that have a
-        # move hold every row a move of the block compares
-        blocks = [s for s in range(len(runs)) if not s or shapes[s] != shapes[s - 1]]
+        ids = [ids_of.get(seq[lo] & digits) for lo in starts]
+        if None in ids:
+            lo = starts[ids.index(None)]
+            raise InvariantError(
+                f"inner tableau {format_tableau(_inner_rows(nodes[self.order[lo]], k))} "
+                f"of a run is not a size-{k} node"
+            )
+        runs = sorted(zip(ids, starts, starts[1:] + [len(seq)]))  # canonical order
+        where = [-1] * len(subs)  # size-k id -> its run's index, -1 for none
+        for s, (t, _, _) in enumerate(runs):
+            where[t] = s
+        # ids sort by shape first, so the runs of one shape are one block
+        blocks = [
+            s for s, (t, _, _) in enumerate(runs) if not s or shapes[t] != shapes[runs[s - 1][0]]
+        ]
+        start, covers = self.start, self.covers
         records = []
         for first, end in _spans(blocks, len(runs)):
-            rows = {s: self.rows("cover", *level[s][:2]) for s in range(first, end) if level[s][2]}
+            # a run's tails (the rows of the letters above k, member by
+            # member) are its first code's tail and its members' xor steps,
+            # which are 0 below digit k inside a run; when every run of the
+            # block agrees with the block's first in both, a move has only
+            # to land in the block
+            block = runs[first:end]
+            _, lo, hi = block[0]
+            tail, step = seq[lo] >> shift, steps[lo:hi - 1]
+            tails = None
+            if not all(seq[lo] >> shift == tail and steps[lo:hi - 1] == step for _, lo, hi in block):
+                tails = {
+                    s: (seq[lo] >> shift, steps[lo:hi - 1]) for s, (_, lo, hi) in enumerate(block, first)
+                }
+            # a move keeps the shape and leads back (``weakorder._move_table``
+            # checks its return): the cover rows of a block's runs that have a
+            # move hold every row a move of the block compares
+            level, rows = [], {}
+            for s in range(first, end):
+                t, lo, hi = runs[s]
+                moves = []
+                for i, moved in table[t]:
+                    # the relabeling maps the run onto the moved run, of the
+                    # same shape and tails: checked, not assumed
+                    u = where[moved]
+                    if not first <= u < end or tails and tails[u] != tails[s]:
+                        raise InvariantError(
+                            f"relabeling {format_tableau(subs[t])} -> "
+                            f"{format_tableau(subs[moved])} is not onto its group"
+                        )
+                    moves.append((i, u))
+                if moves:
+                    down, full = lo - start[lo], (1 << (hi - lo)) - 1
+                    rows[s] = [mask >> down & full for mask in covers[lo:hi]]
+                level.append((lo, hi, tuple(moves)))
             head = next(iter(rows), None)  # the block's first run that has a move
+            shape = shapes[runs[first][0]]
             if all(row == rows[head] for row in rows.values()):
                 # a uniform block: every move carries each cover onto a
                 # cover, and runs with equal cover rows have equal counts,
                 # as each run's relations are the closure of its covers
-                counts = self._counts(*level[head][:2], rows[head]) if rows else ()
-                for s in range(first, end):
-                    lo, hi, moves = level[s]
-                    records.append((shapes[s], lo, hi, moves, *(counts if moves else (0, 0)), ()))
+                counts = self._counts(*level[head - first][:2], rows[head]) if rows else ()
+                for lo, hi, moves in level:
+                    records.append((shape, lo, hi, moves, *(counts if moves else (0, 0)), ()))
                 continue
-            for s in range(first, end):
-                lo, hi, moves = level[s]
+            for s, (lo, hi, moves) in enumerate(level, first):
                 failing = tuple(
                     (i, u) for i, u in moves
                     if rows[u] != rows[s] and any(row & ~image for row, image in zip(rows[s], rows[u]))
                 )
                 # a run with no move is never counted
                 counts = self._counts(lo, hi, rows[s]) if moves else (0, 0)
-                records.append((shapes[s], lo, hi, moves, *counts, failing))
+                records.append((shape, lo, hi, moves, *counts, failing))
         return records
 
     def _counts(self, lo: int, hi: int, rows: list[int]) -> tuple[int, int]:

@@ -489,40 +489,83 @@ def _one_steps(size: _Size) -> tuple[list[int], list[int]]:
 
 def _move_table(size: _Size) -> list[tuple[tuple[int, int], ...]]:
     """Per size-k node id, its dual Knuth moves as (i, moved id), i the
-    first letter of the triple, no tableau made: the rule of
-    ``tableau._move_exchanges`` is read off the node's row code, the move
-    exchanges its digits x - 1 and x (the rows of x and x + 1), and the
-    code map names the result.  Each move is checked, else
-    :class:`InvariantError`: it is onto another node, it exchanges two
-    letters of its triple, and the moved node's move on that triple leads
-    back, as a dual Knuth move is an involution."""
+    first letter of the triple, no tableau made.  The rule of
+    ``tableau._move_exchanges`` at the triple i reads only the rows of i,
+    i + 1 and i + 2, the node's row-code digits i - 1..i + 1: that 12-bit
+    window is the rule's pattern, and the rule is read once per distinct
+    pattern (on the window's three rows, its answers then shifted by
+    i - 1), not once per node.  The move exchanges the code's digits
+    x - 1 and x (the rows of x and x + 1), and one lookup in the code map
+    names the result.  Each move is checked, else :class:`InvariantError`:
+    it is onto another node, it exchanges two letters of its triple, and
+    the moved node's move on that triple leads back, as a dual Knuth move
+    is an involution."""
     k, nodes, ids_of = size.k, size.nodes, size.ids_of
-    shifts = range(0, 4 * k, 4)
+    windows = [(4 * base, base) for base in range(k - 2)]  # 4 * (i - 1), i - 1 per triple i
+    rule: dict[int, list[tuple[int, int, int]]] = {}  # pattern -> the rule's answers on it
     table = []
     for t, code in enumerate(size.codes):
         moves = []
-        for i, x in _move_exchanges([0, *(code >> s & 15 for s in shifts)]):
-            u = None
-            if x >= 1:  # else the shifts would be negative
-                swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
-                u = ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
-            if u is None or u == t or not i <= x <= i + 1:
-                at = format_tableau(nodes[t])
-                move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {at}"
-                if x >= 1 and (u is None or u == t):
-                    raise InvariantError(f"{move} is not onto another size-{k} node")
-                raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
-            moves.append((i, u))
+        for shift, base in windows:
+            pattern = code >> shift & 0xFFF
+            try:
+                answers = rule[pattern]
+            except KeyError:
+                answers = rule[pattern] = _window_exchanges(pattern)
+            for i, x, mask in answers:
+                u = ids_of.get(code ^ mask << shift) if mask else None
+                if u is None:  # named, or refused, by the move on its own
+                    u = _checked_move(size, t, i + base, x + base)
+                moves.append((i + base, u))
         table.append(tuple(moves))
-    for t, moves in enumerate(table):
-        for i, u in moves:
-            if (i, t) not in table[u]:  # one move per triple, so u's at i is not t
-                raise InvariantError(
-                    f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
-                    f"{format_tableau(nodes[t])} is onto {format_tableau(nodes[u])}, "
-                    f"whose move on it does not lead back"
-                )
+    # a move exchanges two digits of its window, so the moved node's window
+    # is the pattern with them exchanged, and the move leads back wherever
+    # the rule answers the same there; else each move is followed back
+    if any(
+        not mask or rule.get(pattern ^ mask) != answers
+        for pattern, answers in rule.items()
+        for _, _, mask in answers
+    ):
+        for t, moves in enumerate(table):
+            for i, u in moves:
+                if (i, t) not in table[u]:  # one move per triple, so u's at i is not t
+                    raise InvariantError(
+                        f"dual Knuth move on the triple {i},{i + 1},{i + 2} of "
+                        f"{format_tableau(nodes[t])} is onto {format_tableau(nodes[u])}, "
+                        f"whose move on it does not lead back"
+                    )
     return table
+
+
+def _window_exchanges(pattern: int) -> list[tuple[int, int, int]]:
+    """The rule's answers on one 12-bit window of three row digits, each
+    (i, x) with the xor that exchanges the window's digits x - 1 and x, or
+    0 when that exchange is not between two of the triple's letters in
+    different rows, which :func:`_checked_move` then judges."""
+    out = []
+    for i, x in _move_exchanges([0, pattern & 15, pattern >> 4 & 15, pattern >> 8]):
+        mask = 0
+        if i <= x <= i + 1 and 1 <= x <= 2:
+            swap = (pattern >> 4 * (x - 1) ^ pattern >> 4 * x) & 15
+            mask = swap << 4 * (x - 1) | swap << 4 * x
+        out.append((i, x, mask))
+    return out
+
+
+def _checked_move(size: _Size, t: int, i: int, x: int) -> int:
+    """The id that node t's move on the triple i, exchanging x and x + 1,
+    is onto; else :class:`InvariantError`: the move is not onto another
+    node, or it exchanges letters outside its triple."""
+    code, u = size.codes[t], None
+    if x >= 1:  # else the shifts would be negative
+        swap = (code >> 4 * (x - 1) ^ code >> 4 * x) & 15
+        u = size.ids_of.get(code ^ (swap << 4 * (x - 1) | swap << 4 * x))
+    if u is None or u == t or not i <= x <= i + 1:
+        move = f"dual Knuth move on the triple {i},{i + 1},{i + 2} of {format_tableau(size.nodes[t])}"
+        if x >= 1 and (u is None or u == t):
+            raise InvariantError(f"{move} is not onto another size-{size.k} node")
+        raise InvariantError(f"{move} exchanges {x} and {x + 1}, not two of its letters")
+    return u
 
 
 def _lift_edges(n: int) -> tuple[tuple[Rows, ...], list[list[int]]]:

@@ -68,6 +68,47 @@ def test_non_ascii_digits_exit_2_with_position(capsys, argv, position):
     assert f"(at position {position})" in err
 
 
+_SCRIPTS = {
+    "arabic-indic": lambda text: text.translate({ord(d): 0x0660 + int(d) for d in "0123456789"}),
+    "fullwidth": lambda text: text.translate({ord(d): 0xFF10 + int(d) for d in "0123456789"}),
+    "underscored": lambda text: "0_" + text,
+}
+
+
+@pytest.mark.parametrize("script", list(_SCRIPTS))
+@pytest.mark.parametrize(
+    "argv, slot",
+    [
+        (("poset", "--n", "3"), 2),
+        (("verify", "antisymmetry", "--n", "3"), 3),
+        (("verify", "interval-isomorphism", "--n", "3", "--k", "1"), 5),
+        (("restrict", "1,2/3", "1", "2"), 2),
+        (("restrict", "1,2/3", "1", "2"), 3),
+        (("jdt", ".,.,4/.,2,5/1,3", "1", "2", "forward"), 2),
+        (("jdt", ".,.,4/.,2,5/1,3", "1", "2", "forward"), 3),
+    ],
+    ids=["poset-n", "verify-n", "verify-k", "restrict-i", "restrict-j", "jdt-row", "jdt-col"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, slot, script):
+    # the command runs with its ASCII argument; the same integer in another
+    # script's digits or with an underscore, both of which ``int`` reads, is
+    # a usage error naming the argument
+    assert run(capsys, *argv)[0] == EXIT_OK
+    written = _SCRIPTS[script](argv[slot])
+    code, out, err = run(capsys, *argv[:slot], written, *argv[slot + 1:])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"invalid int value: {written!r}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-0"])
+def test_integer_options_below_the_range_get_its_message(capsys, value):
+    # a leading "-" is read, so the command's range check names the value
+    code, out, err = run(capsys, "verify", "antisymmetry", "--n", value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: n must be in 1..{verify.CHECKS['antisymmetry'].hi}\n"
+
+
 def test_tableau_parse_error_position(capsys):
     code, _, err = run(capsys, "class", "1,3/2,x/5")
     assert code == EXIT_USAGE

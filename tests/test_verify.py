@@ -397,6 +397,32 @@ def test_sweep_rejects_runs_with_different_suffixes():
             verify._translation_sweep(broken, mode, None)
 
 
+@pytest.mark.parametrize(
+    "members",
+    [
+        # the rows of 4 and 5: (1, 1), (1, 2) against (3, 1), (3, 2), the
+        # same xor step between the two members and a different first tail
+        ("1,2,4,5/3", "1,2,4/3,5", "1,3,5/2/4", "1,3/2,5/4"),
+        # (1, 1), (1, 2) against (1, 1), (1, 3): the same first tail and a
+        # different xor step
+        ("1,2,4,5/3", "1,2,4/3,5", "1,3,4,5/2", "1,3,4/2/5"),
+    ],
+    ids=["same-steps", "same-first-tail"],
+)
+def test_sweep_compares_both_halves_of_a_runs_tails(members):
+    # an antichain on four size-5 nodes: at k = 3 the runs of 1,2/3 and 1,3/2,
+    # one dual Knuth move apart and the one block of shape (2, 1), have two
+    # members each, whose tails agree in one half only; at k = 4 every move
+    # leaves the nodes, so a check that read only one half would fail there,
+    # naming another relabeling
+    p = cached_poset(5)
+    nodes = [parse_tableau(text) for text in members]
+    antichain = _relations(p, nodes, [])
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match=re.escape("relabeling 1,3/2 -> 1,2/3 is not onto its group")):
+            verify._translation_sweep(antichain, mode, None)
+
+
 def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
     # inner tableaux of shapes (4, 1) and (3, 2) have the same suffixes at
     # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell;
@@ -1301,8 +1327,10 @@ def test_dual_knuth_connectivity_names_each_broken_move(fresh_lift):
     ],
 )
 def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fresh_lift, moved):
-    # the move table is made afresh from a rule that leaves the tableaux:
-    # at one node, told by the rows of its letters, it exchanges x and x + 1
+    # the move table is made afresh from a rule that leaves the tableaux: on
+    # one window of three rows it exchanges x and x + 1; the rule is read per
+    # window, and at size 3 a node's one window is the rows of all its
+    # letters, so the fault is at that node alone
     text, x, reason = moved
     code = weakorder._row_code(parse_tableau(text))
     rows = [0, *(code >> 4 * y & 15 for y in range(3))]  # the rows of 1, 2, 3
@@ -1315,17 +1343,20 @@ def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fr
 @pytest.mark.parametrize(
     "move, message",
     [
-        # 3 and 4 exchanged on the triple 1,2,3: 1,2,3/4, of the same shape
+        # on a window in one row, which has no move, 3 and 4 exchanged: first
+        # at 1,2,3/4 on the triple 1,2,3, onto 1,2,4/3, of the same shape
         (
-            (1, 3),
-            "dual Knuth move on the triple 1,2,3 of 1,2,4/3 exchanges 3 and 4, "
+            ((1, 1, 1), 3),
+            "dual Knuth move on the triple 1,2,3 of 1,2,3/4 exchanges 3 and 4, "
             "not two of its letters",
         ),
-        # 2 and 3 exchanged on the triple 2,3,4: 1,3,4/2, of the same shape,
-        # which has no move on that triple
+        # on a window whose first letter is a row below the other two, which
+        # has no move, its first two letters exchanged: at size 4 only 1,3,4/2
+        # has it, on the triple 2,3,4, onto 1,2,4/3, of the same shape, whose
+        # move on that triple is onto 1,2,3/4
         (
-            (2, 2),
-            "dual Knuth move on the triple 2,3,4 of 1,2,4/3 is onto 1,3,4/2, "
+            ((2, 1, 1), 1),
+            "dual Knuth move on the triple 2,3,4 of 1,3,4/2 is onto 1,2,4/3, "
             "whose move on it does not lead back",
         ),
     ],
@@ -1333,20 +1364,15 @@ def test_dual_knuth_connectivity_rejects_a_move_off_the_node_set(monkeypatch, fr
 def test_dual_knuth_connectivity_rejects_a_move_to_a_wrong_node_of_its_shape(
     monkeypatch, fresh_lift, move, message
 ):
-    # the move table is made afresh from a rule that sends one node's move
-    # on one triple to another node of its shape, which connectivity alone
-    # does not see; 1,2,4/3 has the moves (1, 2) and (2, 3)
-    code = weakorder._row_code(parse_tableau("1,2,4/3"))
-    rows = [0, *(code >> 4 * y & 15 for y in range(4))]
+    # the move table is made afresh from a rule that answers a move on one
+    # window of three rows where the true rule has none; every size-4 node
+    # with that window moves onto another node of its shape, which
+    # connectivity alone does not see
+    window, x = move
+    rows = [0, *window]
     exchanges = weakorder._move_exchanges
-    assert exchanges(rows) == [(1, 2), (2, 3)]
-
-    def wrong(r):
-        if r != rows:
-            return exchanges(r)
-        return [move if i == move[0] else (i, x) for i, x in exchanges(r)]
-
-    monkeypatch.setattr(weakorder, "_move_exchanges", wrong)
+    assert exchanges(rows) == []
+    monkeypatch.setattr(weakorder, "_move_exchanges", lambda r: [(1, x)] if r == rows else exchanges(r))
     with pytest.raises(InvariantError, match=re.escape(message)):
         verify_dual_knuth_connectivity(4)
 
