@@ -10,6 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from sytkit.cli import _integer  # noqa: E402
 from sytkit.permutation import CAPS  # noqa: E402
 from sytkit.weakorder import cached_poset, to_dot  # noqa: E402
 
@@ -17,7 +18,7 @@ from sytkit.weakorder import cached_poset, to_dot  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("out"))
-    parser.add_argument("--max-n", type=int, default=5)
+    parser.add_argument("--max-n", type=_integer, default=5)
     args = parser.parse_args()
     if not (2 <= args.max_n <= CAPS["order"]):
         parser.error(f"--max-n must be in 2..{CAPS['order']}, got {args.max_n}")

@@ -21,11 +21,9 @@ the one test of them, shared with the relation checks: every cover goes
 down in the id order, ``reach`` is the closure of the covers, and the
 covers are reduced.  The layout checks only its
 own: every cover goes strictly up in the row-sequence numbering, and each
-moved inner tableau keeps the shape and its run the same suffixes, which
-are checked once per block of runs of one shape: when every run of the
-block has the suffixes of the block's first, a move has only to stay in
-the block.  So an order with a cycle raises here: the closure of covers
-that all go down in the id order has none.
+move lands on a run of the same shape and the same suffixes.  So an
+order with a cycle raises here: the closure of covers that all go down
+in the id order has none.
 ``verify_antisymmetry`` is the check that reports cycles as violations.
 As every cover goes up, every chain between two members of a run stays
 inside it: each run is convex, so its induced covers are the poset's
@@ -37,14 +35,15 @@ poset: made, and checked, on the poset's first sweep and kept on it
 them.  The layout remakes no tableau (see :class:`_SweepLayout`).
 Each (run, move) is judged once, as the layout is made: the run's cover
 and relation counts, and whether the move carries every cover of the run
-onto a cover of its image run.  A move keeps the shape, so it stays in
-its level's block of runs of one shape, and each block is judged whole
-first: when every run of it that has a move has the same cover rows, each
-move carries every cover onto a cover, and the block's counts are taken
-once, as each run is convex and its relations are the closure of its
-covers, a function of its cover rows.  Only a block whose runs differ is
-judged run by run and move by move.  Every block has been uniform at
-every n <= 9 (checked by the tests, not proved).  A move that keeps every
+onto a cover of its image run.  Each run that has a move is keyed by its
+shape, its suffixes and its cover rows, and each key is counted once per
+level, as each run is convex and its relations are the closure of its
+covers, a function of its cover rows.  A move onto a run of its own key
+carries every cover onto a cover and is neither checked nor compared;
+only a move onto another key is checked to keep the shape and the
+suffixes, and its cover rows compared.  At every n <= 9 the runs with a
+move of one shape share one key, so no move is compared (checked for
+n <= 9, not proved).  A move that keeps every
 cover keeps every relation, so a sweep, in either mode and for any
 family, applies its family filter and adds a count per move, and
 compares rows only for the moves judged failing: their broken covers in
@@ -190,27 +189,21 @@ class _SweepLayout:
 
     Each run is one record of its level, (shape, lo, hi, moves, covers,
     relations, failing): its cover and relation counts, and the moves whose
-    relabeling does not carry every one of its covers onto a cover.  Cover
-    rows are made once per level, and counts taken, only for the runs that
-    have a move: a run with none is never counted or compared, and its
-    counts are 0.  The runs of one shape are one block of the level, and
-    every move stays in its block.  When the runs of a block that have a
-    move all have the block's first such run's cover rows, the block is
-    uniform: its counts are taken once and given to each of those runs,
-    and no move of it fails or is compared.  Else each run of the block is
-    counted, and each of its moves compared, on its own.  A sweep adds a
-    count per move and compares rows only for the failing moves, in either
-    mode: the run is convex and its relations are the closure of its
-    covers, so a relabeling that keeps every cover keeps every relation.
-
-    A move must land on a run of its run's shape and suffixes (the rows of
-    the letters above k, member by member), so in its block.  Inside a run
-    the codes agree below digit k, so a run's suffixes are its first
-    code's suffix and the xor of its neighbouring codes, a slice of the
-    list the runs are cut from: each run of a block is compared with the
-    block's first run in the two, and when all agree a move has only to
-    land in its block.  Else each move of the block is compared with its
-    image run in both."""
+    relabeling does not carry every one of its covers onto a cover.  Each
+    run that has a move is keyed by its shape, its suffixes (the rows of
+    the letters above k, member by member) and its cover rows, made once
+    per level; inside a run the codes agree below digit k, so its suffixes
+    are its first code's suffix and its slice of the xors of neighbouring
+    codes, the list the runs are cut from.  The runs of one key share one
+    entry, counted once.  A move onto a run of its own key is neither
+    checked nor compared.  A move onto another key must land on a run of
+    the same shape and suffixes, and fails when a cover row misses its
+    image's.  A move leads back, so a run with no move, which is never
+    counted (its counts are 0) and has no key, is no move's image, and a
+    move onto it raises.  A sweep adds a count per move and compares rows
+    only for the failing moves, in either mode: the run is convex and its
+    relations are the closure of its covers, so a relabeling that keeps
+    every cover keeps every relation."""
 
     def __init__(self, p: TableauPoset) -> None:
         # the order's premises, checked once per poset
@@ -287,70 +280,49 @@ class _SweepLayout:
             )
         runs = sorted(zip(ids, starts, starts[1:] + [len(seq)]))  # canonical order
         where = [-1] * len(subs)  # size-k id -> its run's index, -1 for none
-        for s, (t, _, _) in enumerate(runs):
+        # size-k id -> its run's key and counts, None for none or a run with
+        # no move; the key is the shape, the tails (the rows of the letters
+        # above k, member by member: the first code's tail and the xor
+        # steps, which are 0 below digit k inside a run) and the cover rows,
+        # and the runs of one key share one entry
+        judged: list[tuple | None] = [None] * len(subs)
+        start, covers, seen = self.start, self.covers, {}
+        for s, (t, lo, hi) in enumerate(runs):
             where[t] = s
-        # ids sort by shape first, so the runs of one shape are one block
-        blocks = [
-            s for s, (t, _, _) in enumerate(runs) if not s or shapes[t] != shapes[runs[s - 1][0]]
-        ]
-        start, covers = self.start, self.covers
+            if table[t]:
+                down, full = lo - start[lo], (1 << (hi - lo)) - 1
+                rows = tuple([mask >> down & full for mask in covers[lo:hi]])
+                key = (shapes[t], seq[lo] >> shift, tuple(steps[lo:hi - 1]), rows)
+                entry = seen.get(key)
+                if entry is None:
+                    # runs of one key have equal counts, as each run's
+                    # relations are the closure of its covers
+                    entry = seen[key] = key, self._counts(lo, hi, rows)
+                judged[t] = entry
         records = []
-        for first, end in _spans(blocks, len(runs)):
-            # a run's tails (the rows of the letters above k, member by
-            # member) are its first code's tail and its members' xor steps,
-            # which are 0 below digit k inside a run; when every run of the
-            # block agrees with the block's first in both, a move has only
-            # to land in the block
-            block = runs[first:end]
-            _, lo, hi = block[0]
-            tail, step = seq[lo] >> shift, steps[lo:hi - 1]
-            tails = None
-            if not all(seq[lo] >> shift == tail and steps[lo:hi - 1] == step for _, lo, hi in block):
-                tails = {
-                    s: (seq[lo] >> shift, steps[lo:hi - 1]) for s, (_, lo, hi) in enumerate(block, first)
-                }
-            # a move keeps the shape and leads back (``weakorder._move_table``
-            # checks its return): the cover rows of a block's runs that have a
-            # move hold every row a move of the block compares
-            level, rows = [], {}
-            for s in range(first, end):
-                t, lo, hi = runs[s]
-                moves = []
-                for i, moved in table[t]:
+        for t, lo, hi in runs:
+            entry = judged[t]
+            key, counts = entry or (None, (0, 0))  # a run with no move is never counted
+            moves, failing = [], []
+            for i, moved in table[t]:
+                other, u = judged[moved], where[moved]
+                if other is not entry:
                     # the relabeling maps the run onto the moved run, of the
-                    # same shape and tails: checked, not assumed
-                    u = where[moved]
-                    if not first <= u < end or tails and tails[u] != tails[s]:
+                    # same shape and tails: checked, not assumed; a move
+                    # leads back (``weakorder._move_table`` checks it), so
+                    # the moved run has a move, and a key
+                    if other is None or other[0][:3] != key[:3]:
                         raise InvariantError(
                             f"relabeling {format_tableau(subs[t])} -> "
                             f"{format_tableau(subs[moved])} is not onto its group"
                         )
-                    moves.append((i, u))
-                if moves:
-                    down, full = lo - start[lo], (1 << (hi - lo)) - 1
-                    rows[s] = [mask >> down & full for mask in covers[lo:hi]]
-                level.append((lo, hi, tuple(moves)))
-            head = next(iter(rows), None)  # the block's first run that has a move
-            shape = shapes[runs[first][0]]
-            if all(row == rows[head] for row in rows.values()):
-                # a uniform block: every move carries each cover onto a
-                # cover, and runs with equal cover rows have equal counts,
-                # as each run's relations are the closure of its covers
-                counts = self._counts(*level[head - first][:2], rows[head]) if rows else ()
-                for lo, hi, moves in level:
-                    records.append((shape, lo, hi, moves, *(counts if moves else (0, 0)), ()))
-                continue
-            for s, (lo, hi, moves) in enumerate(level, first):
-                failing = tuple(
-                    (i, u) for i, u in moves
-                    if rows[u] != rows[s] and any(row & ~image for row, image in zip(rows[s], rows[u]))
-                )
-                # a run with no move is never counted
-                counts = self._counts(lo, hi, rows[s]) if moves else (0, 0)
-                records.append((shape, lo, hi, moves, *counts, failing))
+                    if any(row & ~image for row, image in zip(key[3], other[0][3])):
+                        failing.append((i, u))
+                moves.append((i, u))
+            records.append((shapes[t], lo, hi, tuple(moves), *counts, tuple(failing)))
         return records
 
-    def _counts(self, lo: int, hi: int, rows: list[int]) -> tuple[int, int]:
+    def _counts(self, lo: int, hi: int, rows: tuple[int, ...]) -> tuple[int, int]:
         """The cover and relation counts of the run [lo, hi) with cover rows
         ``rows``: a member's bits all lie past the run's start, so one mask
         below the run's end keeps its relations inside the run."""

@@ -648,3 +648,14 @@ def test_export_hasse_refuses_an_out_of_range_max_n(tmp_path, max_n):
     assert done.stdout == ""
     assert f"error: --max-n must be in 2..{CAPS['order']}, got {max_n}" in done.stderr
     assert not target.exists()
+
+
+@pytest.mark.parametrize("max_n", ["٣", "0_3"], ids=["arabic-indic", "underscored"])
+def test_export_hasse_takes_ascii_digits_only(tmp_path, max_n):
+    # ``int`` reads both as 3, which once exported the sizes 2..3
+    target = tmp_path / "out"
+    done = _script("export_hasse", "--out-dir", str(target), "--max-n", max_n)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert f"invalid int value: {max_n!r}" in done.stderr
+    assert not target.exists()

@@ -423,10 +423,11 @@ def test_sweep_compares_both_halves_of_a_runs_tails(members):
             verify._translation_sweep(antichain, mode, None)
 
 
-def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
-    # inner tableaux of shapes (4, 1) and (3, 2) have the same suffixes at
-    # n = 6 (letter 6 in row 1, 2 or 3), so only the shape test can tell;
-    # the move goes into the move table of a fresh size-5 record
+def test_sweep_rejects_a_move_onto_a_run_with_no_move(fresh_lift):
+    # every node of shape (4, 1) moves onto 1,2,3/4,5, which has no move of
+    # its own, so its run has no key: a move leads back, so such a run is
+    # no move's image; the moves go into the move table of a fresh size-5
+    # record
     size = weakorder._size(5)
     moved = size.ids_of[weakorder._row_code(parse_tableau("1,2,3/4,5"))]
     size.moves = [((1, moved),) if shape_of(sub) == (4, 1) else () for sub in size.nodes]
@@ -434,6 +435,21 @@ def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
     # already hold the real moves
     with pytest.raises(InvariantError, match="is not onto its group"):
         verify._translation_sweep(dataclasses.replace(cached_poset(6)), "order", None)
+
+
+def test_sweep_rejects_a_move_that_changes_the_shape(fresh_lift):
+    # 1,2,3,5/4 of shape (4, 1) and 1,2,3/4,5 of shape (3, 2) move onto each
+    # other, so both runs have a key; at n = 6 both runs have the same
+    # tails (letter 6 in row 1, 2 or 3), so only the shape tells their keys
+    # apart; the moves go into the move table of a fresh size-5 record
+    size = weakorder._size(5)
+    pair = [size.ids_of[weakorder._row_code(parse_tableau(text))] for text in ("1,2,3,5/4", "1,2,3/4,5")]
+    size.moves = [((1, pair[1 - pair.index(t)]),) if t in pair else () for t in range(len(size.nodes))]
+    # a copy, whose sweep layout is made afresh: the cached poset's may
+    # already hold the real moves
+    for mode in ("cover", "order"):
+        with pytest.raises(InvariantError, match="is not onto its group"):
+            verify._translation_sweep(dataclasses.replace(cached_poset(6)), mode, None)
 
 
 def _without_a_size_3_node():
@@ -650,11 +666,12 @@ def test_sweep_layout_judges_as_the_oracle_on_orders_with_failing_moves(broken):
 
 
 def test_a_block_with_one_thinned_run_is_judged_run_by_run():
-    # the thinned run's block is not uniform, so it falls through to
-    # per-run counts and per-move tests: the thinned run counts one cover
-    # fewer, and its covers all land on covers, so it lists no failing
-    # move; each move partner lists exactly its moves onto it; every other
-    # run of the block keeps the record of the intact order
+    # the thinned run's cover rows give it a key of its own in its shape
+    # block, so it is counted on its own and each move between it and
+    # another key compared: the thinned run counts one cover fewer, and
+    # its covers all land on covers, so it lists no failing move; each move
+    # partner lists exactly its moves onto it; every other run of the
+    # block keeps the record of the intact order
     q, k, s = _one_run_thinned()
     level = verify._SweepLayout(q).levels[k - 3]
     intact = verify._sweep_layout(cached_poset(7)).levels[k - 3]
@@ -678,24 +695,28 @@ def test_a_block_with_one_thinned_run_is_judged_run_by_run():
 )
 def test_every_shape_block_with_a_move_is_uniform(monkeypatch, n, blocks, pairs):
     # a finding, checked for n <= 9 and not proved: at every level, the
-    # runs of one shape that have a move have equal cover rows, so the
-    # layout counts each such block once (one _counts call) and compares
-    # no move; ``blocks`` and ``pairs`` sum the blocks and (run, move)
-    # pairs over the levels
+    # runs of one shape that have a move have one key (the same tails,
+    # member by member, and the same cover rows), so the layout counts
+    # each such block once (one _counts call) and compares no move;
+    # ``blocks`` and ``pairs`` sum the blocks and (run, move) pairs over
+    # the levels
     calls = []
     counts = verify._SweepLayout._counts
     monkeypatch.setattr(verify._SweepLayout, "_counts", lambda *args: calls.append(1) or counts(*args))
-    layout = verify._SweepLayout(dataclasses.replace(cached_poset(n)))
+    p = dataclasses.replace(cached_poset(n))
+    layout = verify._SweepLayout(p)
+    codes = [weakorder._row_code(p.nodes[a]) for a in layout.order]
     seen = moved = 0
-    for level in layout.levels:
-        rows = {}
+    for k, level in enumerate(layout.levels, 3):
+        keys = {}
         for shape, lo, hi, moves, *_, failing in level:
             if moves:
-                rows.setdefault(shape, []).append(layout.rows("cover", lo, hi))
+                tails = [code >> 4 * k for code in codes[lo:hi]]
+                keys.setdefault(shape, set()).add((tuple(tails), tuple(layout.rows("cover", lo, hi))))
                 moved += len(moves)
             assert failing == ()
-        assert all(row == block[0] for block in rows.values() for row in block)
-        seen += len(rows)
+        assert all(len(block) == 1 for block in keys.values())
+        seen += len(keys)
     assert (seen, moved, len(calls)) == (blocks, pairs, blocks)
 
 
