@@ -42,7 +42,9 @@ def check_int(x, name: str) -> int:
 # "word" bounds words and Knuth classes, "lift" the lift's id tables and
 # what reads only them (the plactic product too), and "order" the built
 # orders and what reads them.  Every size refusal reads it through
-# check_range.
+# check_range.  The lift cannot go past 11: its ids are of typecode
+# weakorder._ID_TYPECODE ("H", 16 bits), which holds 65536 ids, and size 11
+# has 35696 standard tableaux, size 12 140152.
 CAPS = {"word": 10, "lift": 9, "order": 9}
 
 

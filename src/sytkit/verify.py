@@ -13,8 +13,9 @@ row of 2, ..., the row of n).  Tableaux with the same inner tableau on
 1..k share a prefix of that sequence, so for every k each group is one
 contiguous run of positions, and a relabeling, which keeps the rows of the
 letters above k, maps the x-th member of a run to the x-th member of the
-moved run.  The covers are closed again inside each run at k = 3, in one
-pass, and each group's relations are read with one shift per member.
+moved run.  The order is closed once per poset, in ``reach``: a run's
+relations are its members' ``reach`` rows masked to its members, and its
+covers are read off the poset's covers, with no closure per run.
 What the sweep relies on is checked, not assumed, or ``InvariantError``
 is raised.  The order's premises come from ``weakorder._closure_fault``,
 the one test of them, shared with the relation checks: every cover goes
@@ -27,9 +28,10 @@ in the id order has none.
 ``verify_antisymmetry`` is the check that reports cycles as violations.
 As every cover goes up, every chain between two members of a run stays
 inside it: each run is convex, so its induced covers are the poset's
-covers with both ends in it, read off them with no reduction per run.
+covers with both ends in it, read off them with no reduction per run,
+and its relations are the closure of those covers.
 
-The numbering, the closure, the runs and the moves are one layout per
+The numbering, the cover rows, the runs and the moves are one layout per
 poset: made, and checked, on the poset's first sweep and kept on it
 (``TableauPoset._cache``), so the sweeps of every mode and family share
 them.  The layout remakes no tableau (see :class:`_SweepLayout`).
@@ -182,10 +184,13 @@ class _SweepLayout:
     lift keeps (``weakorder._size(k).ids_of``); ids are in canonical order,
     and the moves are read from the size-k record's ``moves``.
 
-    Every run lies inside one run at k = 3, so only each position's strict
-    up-set and covers inside that run are kept (``ups`` and ``covers``,
-    bits of offsets from the run's ``start``), and a run's order and cover
-    rows are shifted out of them.
+    Every run lies inside one run at k = 3, so only each position's covers
+    inside that run are kept, found in one pass over ``p.covers`` as the
+    covers whose codes agree on letters 1..3 (``covers``, bits of offsets
+    from the position); as the run is convex, a run's cover rows, shifted
+    out of them, are its induced covers.  No relation is kept: a run's
+    order rows and relation count are read from ``reach``, each member's
+    row masked to the run's members.
 
     Each run is one record of its level, (shape, lo, hi, moves, covers,
     relations, failing): its cover and relation counts, and the moves whose
@@ -225,14 +230,18 @@ class _SweepLayout:
         position = [0] * len(nodes)
         for x, a in enumerate(order):
             position[a] = x
-        succ: list[list[int]] = [[] for _ in nodes]
+        # covers[x]: the covers of position x inside its run at k = 3, those
+        # whose codes agree on letters 1..3, as bits of their offsets from x
+        covers = [0] * len(nodes)
         for a, b in p.covers:
-            if position[a] > position[b]:
+            x = position[a]
+            if x > position[b]:
                 raise InvariantError(
                     f"cover {format_tableau(nodes[a])} < {format_tableau(nodes[b])} "
                     f"goes down in the row-sequence numbering"
                 )
-            succ[position[a]].append(position[b])
+            if not (codes[a] ^ codes[b]) & 0xFFF:
+                covers[x] |= 1 << (position[b] - x)
         seq = [codes[a] for a in order]
         # steps[x]: the xor of the codes at positions x and x + 1; shared[x]:
         # the letters 1.. whose rows positions x - 1 and x share, the lowest
@@ -241,25 +250,7 @@ class _SweepLayout:
         steps = list(map(xor, seq, seq[1:]))
         shared = [-1] + [((d & -d).bit_length() - 1) >> 2 for d in steps]
         starts = {k: [x for x, m in enumerate(shared) if m < k] for k in range(3, n)}
-        self.order = order
-        self.start: list[int] = []
-        self.ups: list[int] = []
-        self.covers: list[int] = []
-        for lo, hi in _spans(starts[3], len(seq)) if n > 3 else ():
-            # covers go up, so a path between two members of a run stays
-            # inside it: each run is closed from its own covers
-            ups, covers = [0] * (hi - lo), [0] * (hi - lo)
-            for x in range(hi - 1, lo - 1, -1):
-                cover = above = 0
-                for y in succ[x]:
-                    if y < hi:
-                        cover |= 1 << (y - lo)
-                        above |= ups[y - lo]
-                ups[x - lo] = cover | above
-                covers[x - lo] = cover
-            self.start += [lo] * (hi - lo)
-            self.ups += ups
-            self.covers += covers
+        self.order, self.reach, self.covers = order, p.reach, covers
         # levels[k - 3]: per run, (shape, lo, hi, moves, covers, relations,
         # failing), moves (i, the index of the moved run in the level)
         self.levels = [self._level(nodes, seq, steps, k, starts[k]) for k in range(3, n)]
@@ -286,12 +277,11 @@ class _SweepLayout:
         # steps, which are 0 below digit k inside a run) and the cover rows,
         # and the runs of one key share one entry
         judged: list[tuple | None] = [None] * len(subs)
-        start, covers, seen = self.start, self.covers, {}
+        seen = {}
         for s, (t, lo, hi) in enumerate(runs):
             where[t] = s
             if table[t]:
-                down, full = lo - start[lo], (1 << (hi - lo)) - 1
-                rows = tuple([mask >> down & full for mask in covers[lo:hi]])
+                rows = tuple(self.rows("cover", lo, hi))
                 key = (shapes[t], seq[lo] >> shift, tuple(steps[lo:hi - 1]), rows)
                 entry = seen.get(key)
                 if entry is None:
@@ -322,18 +312,27 @@ class _SweepLayout:
             records.append((shapes[t], lo, hi, tuple(moves), *counts, tuple(failing)))
         return records
 
+    def _members(self, lo: int, hi: int) -> tuple[list[int], int]:
+        """The node ids of the run [lo, hi), and one mask of their bits."""
+        members = self.order[lo:hi]
+        return members, sum(1 << a for a in members)  # distinct bits: a sum is an OR
+
     def _counts(self, lo: int, hi: int, rows: tuple[int, ...]) -> tuple[int, int]:
         """The cover and relation counts of the run [lo, hi) with cover rows
-        ``rows``: a member's bits all lie past the run's start, so one mask
-        below the run's end keeps its relations inside the run."""
-        inside = (1 << (hi - self.start[lo])) - 1
-        return sum(map(int.bit_count, rows)), sum((up & inside).bit_count() for up in self.ups[lo:hi])
+        ``rows``: its relations are read from ``reach``, each member's row
+        masked to the run's members, less the member itself."""
+        members, mask = self._members(lo, hi)
+        return sum(map(int.bit_count, rows)), sum((self.reach[a] & mask).bit_count() for a in members) - len(members)
 
     def rows(self, mode: str, lo: int, hi: int) -> list[int]:
-        """The order (mode "order") or cover rows of the run [lo, hi)."""
-        masks = self.covers if mode == "cover" else self.ups
-        shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
-        return [mask >> shift & full for mask in masks[lo:hi]]
+        """The order (mode "order") or cover rows of the run [lo, hi), as
+        bits of offsets in the run."""
+        full = (1 << (hi - lo)) - 1
+        if mode == "cover":
+            return [mask << x & full for x, mask in enumerate(self.covers[lo:hi])]
+        members, mask = self._members(lo, hi)
+        offset = {a: x for x, a in enumerate(members)}
+        return [sum(1 << offset[b] for b in _bits(self.reach[a] & mask ^ 1 << a)) for a in members]
 
 
 def _sweep_layout(p: TableauPoset) -> _SweepLayout:

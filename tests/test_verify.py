@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 import random
 from itertools import permutations
 from math import factorial
@@ -568,7 +569,7 @@ def test_sweep_rejects_covers_that_are_not_reduced():
             verify._translation_sweep(_unreduced(), mode, None)
 
 
-_LAYOUT_FIELDS = ("order", "start", "ups", "covers", "levels")
+_LAYOUT_FIELDS = ("order", "covers", "levels")
 
 
 def _fields(layout):
@@ -663,6 +664,29 @@ def test_sweep_layout_judges_as_the_oracle_on_orders_with_failing_moves(broken):
     fast, slow = _layouts(broken())
     assert fast == slow
     assert any(run[6] for level in fast[-1] for run in level)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [*(partial(cached_poset, n) for n in range(2, 10)),
+     lambda: _richer(cached_poset(6), "order")[0],
+     lambda: _thinned(6, 1),
+     lambda: _cover_made_a_relation()[0],
+     lambda: _one_run_thinned()[0]],
+    ids=[*(f"order-{n}" for n in range(2, 10)),
+         "richer-in-order", "thinned", "cover-made-a-relation", "one-run-thinned"],
+)
+def test_layout_rows_match_the_oracles_closure_of_each_run(order):
+    # the layout reads each run's relations from ``reach`` and its covers
+    # from the poset's covers; the oracle closes every run at k = 3 again
+    # from its covers: both row kinds of every run agree
+    p = order()
+    layout, slow = verify._SweepLayout(dataclasses.replace(p)), oracle.sweep_layout(dataclasses.replace(p))
+    runs = {(lo, hi) for level in layout.levels for _, lo, hi, *_ in level}
+    for lo, hi in runs:
+        for mode in MODES:
+            assert layout.rows(mode, lo, hi) == slow.rows(mode, lo, hi)
+    assert p.n < 4 or runs
 
 
 def test_a_block_with_one_thinned_run_is_judged_run_by_run():

@@ -30,6 +30,15 @@ its cover and order rows, shifted out of the run's up-sets (0 for a run
 with no move, as the layout counts only runs that have one), and its
 failing moves those whose image run's cover rows miss a bit of its own,
 every row compared.
+
+The oracle keeps its own closure as the reference for the layout's rows:
+where ``verify._SweepLayout`` reads each run's relations from the poset's
+``reach``, ``sweep_layout`` closes every run at k = 3 again from its
+covers, in one pass (``ups``, with the run's cover rows ``run_covers``,
+bits of offsets from the run's ``start``; at n <= 3 each node is a run of
+its own).  ``rows`` shifts a run's order or cover rows out of them, and
+``covers`` gives the cover rows in the layout's form, bits of offsets from
+each position.
 """
 
 from __future__ import annotations
@@ -205,8 +214,9 @@ def _runs(seq: list[int], cut: int) -> list[tuple[int, int]]:
 
 class sweep_layout:
     """The sweep layout of ``p``, made from its tableaux: ``order``,
-    ``start``, ``ups``, ``covers`` and ``levels``, every run's record
-    judged, as in ``verify._SweepLayout``."""
+    ``covers`` and ``levels``, every run's record judged, and ``rows``, as
+    in ``verify._SweepLayout``; with each run's closure at k = 3,
+    ``start``, ``ups`` and ``run_covers``."""
 
     def __init__(self, p: TableauPoset) -> None:
         fault = _closure_fault(p)
@@ -230,8 +240,8 @@ class sweep_layout:
         self.order = order
         self.start: list[int] = []
         self.ups: list[int] = []
-        self.covers: list[int] = []
-        for lo, hi in _runs(seq, 4 * (n - 3)) if n > 3 else ():
+        self.run_covers: list[int] = []
+        for lo, hi in _runs(seq, 4 * max(n - 3, 0)):
             ups, covers = [0] * (hi - lo), [0] * (hi - lo)
             for x in range(hi - 1, lo - 1, -1):
                 cover = above = 0
@@ -243,10 +253,14 @@ class sweep_layout:
                 covers[x - lo] = cover
             self.start += [lo] * (hi - lo)
             self.ups += ups
-            self.covers += covers
+            self.run_covers += covers
+        self.covers = [mask >> (x - lo) for x, (lo, mask) in enumerate(zip(self.start, self.run_covers))]
         self.levels = [self._level(nodes, seq, n, k) for k in range(3, n)]
 
-    def _rows(self, masks: list[int], lo: int, hi: int) -> list[int]:
+    def rows(self, mode: str, lo: int, hi: int) -> list[int]:
+        """The order (mode "order") or cover rows of the run [lo, hi),
+        shifted out of its run's closure at k = 3."""
+        masks = self.run_covers if mode == "cover" else self.ups
         shift, full = lo - self.start[lo], (1 << (hi - lo)) - 1
         return [mask >> shift & full for mask in masks[lo:hi]]
 
@@ -256,11 +270,11 @@ class sweep_layout:
         _, lo, hi, moves = level[s]
         if not moves:
             return (*level[s], 0, 0, ())
-        covers = self._rows(self.covers, lo, hi)
-        relations = self._rows(self.ups, lo, hi)
+        covers = self.rows("cover", lo, hi)
+        relations = self.rows("order", lo, hi)
         failing = []
         for i, t in moves:
-            image = self._rows(self.covers, level[t][1], level[t][2])
+            image = self.rows("cover", level[t][1], level[t][2])
             if any(row & ~moved for row, moved in zip(covers, image)):
                 failing.append((i, t))
         count = sum(bin(row).count("1") for row in covers)
