@@ -10,12 +10,13 @@ The size-n edges are the covers of the size n - 1 order mapped through
 those tables, plus the swaps of the first two letters: the covers generate
 the same order as all the swaps of size n - 1, and each table maps a chain
 to a chain.  Each size's nodes are grown from the size below, k appended
-at each corner it can fill, and its row codes and columns with them
-(:func:`_grown`); its tables are made by column insertion into the
-columns of the size below.  All the lift keeps of a size, made once per
-process, is one record (:class:`_Size`, read through :func:`_size`): its
-nodes, row codes, code map and tables, but no edge, and the id tables
-made on first read: evacuation, transposition, the one-step
+at each corner it can fill, with their row codes and parents
+(:func:`_grown`); its tables are lifted from those of the size below
+with no column, by the bumping lemma of :func:`_column_tables`.  All the
+lift keeps of a size, made once per process, is one record
+(:class:`_Size`, read through :func:`_size`): its nodes, row codes, code
+map, parents, tables and the rows they add, but no edge, and the id
+tables made on first read: evacuation, transposition, the one-step
 restrictions, the dual Knuth moves and the order of :func:`cached_poset`.
 The sweep layout of sytkit.verify names its runs through the code maps,
 and the hook-eta check, the plactic product and the lemmas of
@@ -52,8 +53,8 @@ build is serial; it goes once perfbench stops passing it.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .permutation import CAPS, InvariantError, check_int, check_range
 from .report import VerificationReport, stopwatch
@@ -62,18 +63,11 @@ from .tableau import (
     _descents,
     _dominance_leq,
     _move_exchanges,
-    _transpose,
     check_standard,
     format_tableau,
     row_word,
     shape_of,
 )
-
-# a tableau's columns as the lift grows them (:func:`_grown`), each a bytes
-# string of its letters from the top: bytes, unlike a tuple, is never
-# tracked by the cyclic garbage collector, so the columns kept between
-# sizes do not move its collections into the checks that follow
-Columns = tuple[bytes, ...]
 
 NodeRef = Rows | int  # tableaux or node ids are accepted interchangeably
 
@@ -98,7 +92,7 @@ class TableauPoset:
 
     The lift's size records (``_SIZES``), tables and orders, are as safe:
     two threads making the same size or field store equal values for it,
-    and no table is ever mutated; only ``columns`` is ever dropped.
+    and no table is ever mutated or dropped.
     """
 
     n: int
@@ -234,81 +228,87 @@ def _row_code(rows) -> int:
 
 
 def _column_tables(
-    columns: list[Columns], prev_codes: list[int], ids_of: dict[int, int], k: int
-) -> list[list[int]]:
+    below: _Size, ids_of: dict[int, int], k: int
+) -> tuple[list[array], list[array]]:
     """``tables[x - 1][t]``: the size-k node id of x column-inserted into
-    node t of the size k - 1 nodes, its letters >= x raised by one.
-    ``columns[t]`` holds the columns of node t (see ``Columns``),
-    ``prev_codes`` the row codes of the size k - 1 nodes in id order, and
-    ``ids_of`` maps each size-k node's row code to its id.
+    node t of the size k - 1 record ``below``, its letters >= x raised by
+    one; ``added[x - 1][t]``: the row that insertion adds to t.  ``ids_of``
+    maps each size-k row code to its id.
 
-    The columns of node t are searched as they are: a raised letter z + 1
-    bumps the first entry >= z + 1 as an unraised one, so only the row code
-    is raised and each bump moves one letter's row in it.  A raised code
-    that names no size-k node raises :class:`InvariantError`.
+    Lifted from the tables of ``below`` by the bumping lemma, with no
+    column: t's largest letter k - 1 ends row r at the foot of column c,
+    and t less it is t's parent s.  Raised to k it is the largest letter,
+    so x's bumping path through t is its path through s, but where that
+    path ends by appending at row r of column c, it bumps k instead, to the
+    foot of column c + 1, at row (length of column c + 1) + 1.  So
+    C_k[x][t] is C_(k-1)[x][s] plus k in row r, or in that row when
+    C_(k-1)[x] adds row r to s; x = k makes a new bottom row.  The entries
+    are met x by x and t by t, x = k last, and the first derived code that
+    names no size-k node raises :class:`InvariantError`.
     """
-    # an empty column past each node's, where the last bump lands
-    padded = [(cols + (b"",), code) for cols, code in zip(columns, prev_codes)]
-    tables = []
+    shift = 4 * (k - 1)
+    nodes, codes = below.nodes, below.codes
+    # per node t: its parent s, the row r of its largest letter and the row
+    # k is bumped to, the first as long as row r, both also at k's digit
+    spots = []
+    for t, s, code in zip(nodes, below.parents, codes):
+        r = bumped = code >> shift - 4
+        while bumped > 1 and len(t[bumped - 2]) == len(t[r - 1]):
+            bumped -= 1
+        spots.append((s, r, r << shift, bumped, bumped << shift))
+    tables, added = [], []
     for x in range(1, k + 1):
-        keep = (1 << 4 * (x - 1)) - 1
-        table: list[int] = []
+        if x < k:
+            table, adds = below.tables[x - 1], below.added[x - 1]
+            made = [codes[u] for u in table]
+            rows = [bumped if adds[s] == r else adds[s] for s, r, _, bumped, _ in spots]
+            found = [made[s] | (up if adds[s] == r else stay) for s, r, stay, _, up in spots]
+        else:
+            rows = [len(t) + 1 for t in nodes]
+            found = [code | row << shift for code, row in zip(codes, rows)]
         try:
-            for cols, code in padded:
-                code = code & keep | (code & ~keep) << 4
-                v = x
-                for col in cols:
-                    pos = bisect_left(col, v)
-                    code += pos + 1 << 4 * (v - 1)
-                    if pos == len(col):
-                        break
-                    v = col[pos] + 1  # the bumped letter, raised, leaves row pos + 1
-                    code -= pos + 1 << 4 * (v - 1)
-                table.append(ids_of[code])
+            tables.append(array(_ID_TYPECODE, [ids_of[code] for code in found]))
         except KeyError:
-            cols = columns[len(table)]
-            at = format_tableau(_transpose(tuple(map(tuple, cols)))) if cols else "()"
+            t = next(t for t, code in enumerate(found) if code not in ids_of)
+            at = format_tableau(nodes[t]) if nodes[t] else "()"
             raise InvariantError(
                 f"{x} column-inserted into the size-{k - 1} node {at} is not a size-{k} node"
             ) from None
-        tables.append(table)
-    return tables
+        added.append(array("B", rows))
+    return tables, added
 
 
 def _grown(
-    prev: tuple[Rows, ...], prev_codes: list[int], k: int, columns: list[Columns] | None
-) -> tuple[tuple[Rows, ...], list[int], list[Columns] | None]:
-    """The size-k tableaux in canonical order, their row codes in id order,
-    and their columns when ``columns`` holds those of ``prev`` (else None):
-    each size k - 1 node t of ``prev`` with k appended to each row that can
-    take it, its row code the code of t (``prev_codes`` is in id order)
-    plus the row of k in digit k - 1, and its columns those of t with k
-    appended to the column just past the end of that row.  Each standard
-    tableau arises once, from the tableau left when its corner k is
-    removed.  For one shape, comparing the rows bottom first compares the
-    row words, so the sort key is canonical."""
+    prev: tuple[Rows, ...], prev_codes: list[int], k: int
+) -> tuple[tuple[Rows, ...], list[int], array]:
+    """The size-k tableaux in canonical order, their row codes and their
+    parents' ids in id order: each size k - 1 node t of ``prev`` with k
+    appended to each row that can take it, its code t's (``prev_codes`` is
+    in id order) plus the row of k in digit k - 1, its parent t.  Each
+    standard tableau arises once, from the tableau left when its corner k
+    is removed.  For one shape, comparing the rows bottom first compares
+    the row words, so the sort key is canonical; each shape of ``prev`` is
+    one block of ids, and k appended to one row keeps a block's order, so
+    the children of each (parent shape, row) are emitted as one sorted run
+    and the sort only merges runs."""
     shift = 4 * (k - 1)
-    grown_letter = bytes((k,))
     grown = []
-    for t, code, cols in zip(prev, prev_codes, columns or [None] * len(prev)):
-        for r in range(len(t) + 1):
-            if r == len(t):
-                rows, c = t + ((k,),), 0
-            elif r and len(t[r - 1]) == len(t[r]):
+    for shape, ids in groupby(range(len(prev)), lambda t: tuple(map(len, prev[t]))):
+        block = [(t, prev[t][::-1], prev_codes[t]) for t in ids]
+        depth = len(shape)
+        child = shape + (1,)
+        grown += [(child, ((k,),) + rows, code | depth + 1 << shift, t) for t, rows, code in block]
+        for r in range(depth):
+            if r and shape[r - 1] == shape[r]:
                 continue  # the row above is no longer: k would sit below no entry
-            else:
-                rows, c = t[:r] + (t[r] + (k,),) + t[r + 1:], len(t[r])
-            if cols is None:
-                after = None
-            elif c < len(cols):
-                after = cols[:c] + (cols[c] + grown_letter,) + cols[c + 1:]
-            else:
-                after = cols + (grown_letter,)
-            grown.append((tuple(map(len, rows)), rows[::-1], code | r + 1 << shift, after))
+            j, child = depth - 1 - r, shape[:r] + (shape[r] + 1,) + shape[r + 1:]
+            grown += [
+                (child, rows[:j] + (rows[j] + (k,),) + rows[j + 1:], code | r + 1 << shift, t)
+                for t, rows, code in block
+            ]
     grown.sort()
-    codes = [code for _, _, code, _ in grown]
-    nodes = tuple([rows[::-1] for _, rows, _, _ in grown])
-    return nodes, codes, None if columns is None else [cols for *_, cols in grown]
+    _, rows, codes, parents = zip(*grown)
+    return tuple([r[::-1] for r in rows]), list(codes), array(_ID_TYPECODE, parents)
 
 
 _ID_TYPECODE = "H"  # of every id table of the lift, which refuses a size it cannot number
@@ -318,9 +318,10 @@ _ID_TYPECODE = "H"  # of every id table of the lift, which refuses a size it can
 class _Size:
     """The lift's record of size k, made with the size by :func:`_lift`:
     ``nodes`` canonically sorted, ``codes`` their row codes in id order,
-    ``ids_of`` the map from row code to id, ``tables`` the tables C_k[x]
-    of :func:`_column_tables`, and ``columns`` the nodes' columns while
-    the next size is to grow from them.  The other fields are made on
+    ``ids_of`` the map from row code to id, ``parents`` each node's parent
+    id (the node less its letter k), and ``tables`` and ``added``, the
+    tables C_k[x] and the rows their insertions add (:func:`_column_tables`),
+    from which the next size's are lifted.  The other fields are made on
     first read, each by its maker, which checks what it makes:
     ``evacuation`` and ``transposition`` (:func:`_symmetry_tables`), ``hi``
     and ``lo`` (:func:`_one_steps`, from size 2), ``moves``
@@ -331,8 +332,9 @@ class _Size:
     nodes: tuple[Rows, ...]
     codes: list[int]
     ids_of: dict[int, int]
+    parents: array
     tables: list[array]
-    columns: list[Columns] | None = None
+    added: list[array]
 
     def __getattr__(self, name: str):
         # reached only for a field not made yet
@@ -350,6 +352,10 @@ class _Size:
             raise AttributeError(name)
         return self.__dict__[name]
 
+
+# the empty tableau, which size 1 grows from: with no parent, only x = 1 is
+# inserted into it, as a new row, so nothing but its nodes and codes is read
+_EMPTY = _Size(0, ((),), [0], {0: 0}, array(_ID_TYPECODE), [], [])
 
 _SIZES: dict[int, _Size] = {}
 
@@ -372,30 +378,22 @@ def _size(k: int) -> _Size:
 
 def _lift(k: int) -> None:
     """Make the missing records up to size k, one size at a time from the
-    largest made: nodes, row codes and columns grown (:func:`_grown`), and
-    tables from the columns of the size below.  Only the largest record
-    keeps its columns, which the next size grows from; the cap size
-    ``CAPS["lift"]`` grows none.  A size with more nodes than
-    ``_ID_TYPECODE`` holds ids raises InvariantError."""
+    largest made: nodes, row codes and parents grown (:func:`_grown`), and
+    tables lifted from those of the size below (:func:`_column_tables`).
+    A size with more nodes than ``_ID_TYPECODE`` holds ids raises
+    InvariantError; the records made before it are kept."""
     top = k - 1
     while top and top not in _SIZES:
         top -= 1
-    nodes, codes, columns = ((),), [0], [()]
-    if top:
-        below = _SIZES[top]
-        nodes, codes, columns = below.nodes, below.codes, below.columns
+    below = _SIZES[top] if top else _EMPTY
     for size in range(top + 1, k + 1):
-        prev_codes, prev_columns = codes, columns
-        grow = prev_columns if size < CAPS["lift"] else None
-        nodes, codes, columns = _grown(nodes, prev_codes, size, grow)
+        nodes, codes, parents = _grown(below.nodes, below.codes, size)
         if len(nodes) > (limit := 1 << 8 * array(_ID_TYPECODE).itemsize):
             raise InvariantError(f"size {size} has {len(nodes)} nodes, more than the {limit} ids "
                                  f"of typecode {_ID_TYPECODE!r}")
         ids_of = {code: t for t, code in enumerate(codes)}
-        tables = [array(_ID_TYPECODE, t) for t in _column_tables(prev_columns, prev_codes, ids_of, size)]
-        if size > 1:
-            _SIZES[size - 1].columns = None  # this size has grown from them
-        _SIZES[size] = _Size(size, nodes, codes, ids_of, tables, columns)
+        tables, added = _column_tables(below, ids_of, size)
+        below = _SIZES[size] = _Size(size, nodes, codes, ids_of, parents, tables, added)
 
 
 def _check_lift_nodes(p: TableauPoset) -> None:

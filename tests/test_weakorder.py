@@ -15,6 +15,7 @@ from itertools import permutations
 import pytest
 
 import closure_oracle
+import column_oracle
 import projection_oracle
 from conftest import fresh_sizes, made
 import sytkit.hopf as hopf
@@ -235,44 +236,55 @@ def _codes(index):
     return {weakorder._row_code(t): i for t, i in index.items()}
 
 
-def _columns(nodes):
-    """The columns of each tableau as the lift keeps them, none for the
-    empty one."""
-    return [tuple(map(bytes, tableau.transpose(t))) if t else () for t in nodes]
-
-
 @pytest.mark.parametrize("k", range(1, 10))
 def test_lifted_nodes_are_the_sorted_tableaux(fresh_lift, k):
     # from a cold lift, the size-k nodes grown from the size below and their
-    # code map against the enumeration, canonically sorted, and _row_code
+    # code map against the enumeration, canonically sorted, and _row_code;
+    # each node's parent is the node left when its largest letter is removed
     size = weakorder._size(k)
     want, index = _size(k)
     assert size.nodes == want
     assert list(size.ids_of.items()) == list(_codes(index).items())
     assert size.codes == list(_codes(index))
+    _, smaller = _size(k - 1)
+    less = [tuple(row for row in (tuple(x for x in r if x != k) for r in t) if row) for t in want]
+    assert list(size.parents) == [smaller[t] for t in less]
     assert sorted(weakorder._SIZES) == list(range(1, k + 1))
+
+
+def test_lifted_tables_match_the_column_walk(fresh_lift):
+    # every entry of each size's tables C_k[x] and of the rows they add,
+    # lifted from the size below on a cold lift, against a real column
+    # insertion into each size k - 1 tableau
+    for k in range(1, 10):
+        size = weakorder._size(k)
+        nodes, index = _size(k - 1)
+        tables, added = column_oracle.column_tables(nodes, list(_codes(index)), size.ids_of, k)
+        assert [list(table) for table in size.tables] == tables
+        assert [list(rows) for rows in size.added] == added
+        assert {table.typecode for table in size.tables} == {weakorder._ID_TYPECODE}
+        assert {rows.typecode for rows in size.added} == {"B"}
 
 
 def test_a_column_table_miss_is_an_invariant_error():
     # a code map without 1,4/2/3 cannot name it; the first letter and node
     # that give it in table order are 3 and 1/2/3: 3 bumps the raised 4 out
     # of the one column 1,2,4 into a second one
-    nodes, index = _size(3)
-    _, bigger = _size(4)
-    codes = _codes(bigger)
+    codes = dict(weakorder._size(4).ids_of)
     del codes[weakorder._row_code(parse_tableau("1,4/2/3"))]
     with pytest.raises(InvariantError) as raised:
-        weakorder._column_tables(_columns(nodes), _codes(index), codes, 4)
+        weakorder._column_tables(weakorder._size(3), codes, 4)
     assert str(raised.value) == "3 column-inserted into the size-3 node 1/2/3 is not a size-4 node"
 
 
 @pytest.mark.parametrize("m", range(8))
 def test_column_tables_insert_a_first_letter(m):
     # Schensted: P(x.w) is x column-inserted into P(w), for every word w of
-    # m letters and every first letter x, with w's letters >= x raised
+    # m letters and every first letter x, with w's letters >= x raised, in
+    # the lift's size m + 1 tables
     nodes, index = _size(m)
     _, bigger = _size(m + 1)
-    tables = weakorder._column_tables(_columns(nodes), _codes(index), _codes(bigger), m + 1)
+    tables = weakorder._size(m + 1).tables
     assert len(tables) == m + 1 and all(len(table) == len(nodes) for table in tables)
     for w in permutations(range(1, m + 1)):
         t = index[insertion_tableau(w) if w else ()]  # the empty word is no permutation
@@ -381,11 +393,13 @@ def test_an_edge_that_goes_up_exits_3(capsys, monkeypatch, fresh_lift):
 
 
 def test_each_size_is_lifted_once(monkeypatch, fresh_lift):
+    # each size's tables are lifted once, from the record one size down
     sizes = []
 
-    def counted(prev, prev_codes, ids_of, k):
+    def counted(below, ids_of, k):
+        assert below is (weakorder._SIZES[k - 1] if k > 1 else weakorder._EMPTY)
         sizes.append(k)
-        return column_tables(prev, prev_codes, ids_of, k)
+        return column_tables(below, ids_of, k)
 
     column_tables = weakorder._column_tables
     monkeypatch.setattr(weakorder, "_column_tables", counted)
@@ -396,7 +410,10 @@ def test_each_size_is_lifted_once(monkeypatch, fresh_lift):
 
 # every field of a size record; hi and lo from size 2, as a size-1 node
 # loses its one letter to no node of the lift
-FIELDS = ("nodes", "codes", "ids_of", "tables", "evacuation", "transposition", "hi", "lo", "moves", "order")
+FIELDS = (
+    "nodes", "codes", "ids_of", "parents", "tables", "added",
+    "evacuation", "transposition", "hi", "lo", "moves", "order",
+)
 
 
 def _every_field(k):
@@ -419,8 +436,8 @@ def test_every_field_is_made_once_after_a_reset(monkeypatch):
 
         monkeypatch.setattr(weakorder, name, counted)
 
-    count("_grown", lambda prev, prev_codes, k, columns: k)
-    count("_column_tables", lambda columns, prev_codes, ids_of, k: k)
+    count("_grown", lambda prev, prev_codes, k: k)
+    count("_column_tables", lambda below, ids_of, k: k)
     for name in ("_symmetry_tables", "_one_steps", "_move_table"):
         count(name, lambda size: size.k)
     count("build_poset", lambda n: n)
@@ -460,19 +477,38 @@ def test_the_lift_refuses_a_size_outside_its_cap(fresh_lift):
                 weakorder._size(k)
             assert str(raised.value) == f"the lift holds sizes 1..{CAPS['lift']}, not {k}"
             assert records() == before
-    assert [k for k, size in weakorder._SIZES.items() if size.columns is not None] == [3]
+    # each size made keeps what the next is lifted from
+    lifted = {"parents", "tables", "added"}
+    assert [k for k, size in weakorder._SIZES.items() if lifted <= vars(size).keys()] == [1, 2, 3]
 
 
-def test_a_failed_lift_leaves_the_columns_on_the_largest_size(monkeypatch, fresh_lift):
-    # the next lift grows from them: no record is made from the nodes again
+def _lifted_fields(size):
+    return (size.nodes, size.codes, list(size.parents),
+            [list(table) for table in size.tables], [list(rows) for rows in size.added])
+
+
+def test_a_failed_lift_leaves_the_records_it_made(monkeypatch, fresh_lift):
+    # the next lift grows from the largest of them: no record is made again
     monkeypatch.setattr(weakorder, "_ID_TYPECODE", "B")
     weakorder._size(6)
     with pytest.raises(InvariantError):
         weakorder._size(8)  # size 7 is made, size 8 is refused
-    assert [k for k, size in weakorder._SIZES.items() if size.columns is not None] == [7]
+    made_before = dict(weakorder._SIZES)
+    assert sorted(made_before) == list(range(1, 8))
+    grown = []
+    grow = weakorder._grown
+
+    def counted(prev, codes, k):
+        grown.append(k)
+        return grow(prev, codes, k)
+
+    monkeypatch.setattr(weakorder, "_grown", counted)
     monkeypatch.setattr(weakorder, "_ID_TYPECODE", "H")
-    assert len(weakorder._size(8).nodes) == 764
-    assert [k for k, size in weakorder._SIZES.items() if size.columns is not None] == [8]
+    size = weakorder._size(8)
+    assert len(size.nodes) == 764 and grown == [8]
+    assert all(weakorder._SIZES[k] is record for k, record in made_before.items())
+    with fresh_sizes():
+        assert _lifted_fields(size) == _lifted_fields(weakorder._size(8))
 
 
 def _fields(p):
