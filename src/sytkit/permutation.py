@@ -115,6 +115,8 @@ def format_word(word: Word) -> str:
 
 
 def inverse(word: Word) -> Word:
+    """The inverse permutation; ``word`` is checked by :func:`check_word`."""
+    word = check_word(word)
     inv = [0] * len(word)
     for pos, value in enumerate(word):
         inv[value - 1] = pos + 1
@@ -122,10 +124,17 @@ def inverse(word: Word) -> Word:
 
 
 def descents_left(u: Word) -> frozenset[int]:
+    """The i with i + 1 left of i in ``u``, checked by :func:`check_word`."""
     pos = inverse(u)
-    return frozenset(i for i in range(1, len(u)) if pos[i - 1] > pos[i])
+    return frozenset(i for i in range(1, len(pos)) if pos[i - 1] > pos[i])
 
 
 def evac_word(u: Word) -> Word:
+    """The reversed complement of ``u``, checked by :func:`check_word`."""
+    return _evac_word(check_word(u))
+
+
+def _evac_word(u: Word) -> Word:
+    """:func:`evac_word` of a permutation, unchecked."""
     n = len(u)
     return tuple(n + 1 - x for x in reversed(u))

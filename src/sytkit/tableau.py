@@ -36,11 +36,11 @@ from .permutation import (
     InvariantError,
     ParseError,
     Word,
+    _evac_word,
     _ints,
     _is_decimal,
     check_int,
     check_word,
-    evac_word,
 )
 
 Rows = tuple[tuple[int, ...], ...]
@@ -706,7 +706,7 @@ def evacuate(rows: Rows) -> Rows:
 
 def _evacuate(rows: Rows) -> Rows:
     """:func:`evacuate` of a standard tableau, unchecked."""
-    return _insertion_tableau(evac_word(row_word(rows)))
+    return _insertion_tableau(_evac_word(row_word(rows)))
 
 
 def descent_set(rows: Rows) -> frozenset[int]:

@@ -2,6 +2,7 @@ import ast
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 import sytkit.cli as cli
 import sytkit.knuthclass as knuthclass
 from sytkit import verify
-from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from sytkit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from sytkit.hopf import verify_interval_isomorphism
 from sytkit.permutation import CAPS, InvariantError
 from sytkit.weakorder import (
@@ -20,6 +21,7 @@ from sytkit.weakorder import (
     to_dot,
 )
 from test_hopf import GRAPH_FAULTS, cut_short, graph_fault, transposed_insertion
+from test_verify import _thinned
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -570,6 +572,118 @@ def test_jdt_rejects_bad_hole(capsys):
     code, _, err = run(capsys, "jdt", ".,.,4/.,2,5/1,3", "2", "2", "forward")
     assert code == EXIT_USAGE
     assert "removable" in err
+
+
+# one input per command, with its text and its JSON (less elapsed_ms)
+PINNED = {
+    "rsk": (
+        ["52413"],
+        "I: 1,3/2,4/5\nR: 1,3/2,5/4\n",
+        {"insertion": {"rows": [[1, 3], [2, 4], [5]]}, "recording": {"rows": [[1, 3], [2, 5], [4]]},
+         "word": "52413"},
+    ),
+    "class": (
+        ["1,2,5/3,4"],
+        "31425\n31452\n34125\n34152\n34512\n",
+        {"tableau": "1,2,5/3,4", "words": ["31425", "31452", "34125", "34152", "34512"]},
+    ),
+    "poset": (
+        ["--n", "3"],
+        "n: 3\nnodes: 4\ncovers: 4\nnode 0: 1/2/3\nnode 1: 1,3/2\nnode 2: 1,2/3\nnode 3: 1,2,3\n"
+        "cover: 1 -> 0\ncover: 2 -> 0\ncover: 3 -> 1\ncover: 3 -> 2\n",
+        {"covers": [[1, 0], [2, 0], [3, 1], [3, 2]], "n": 3, "nodes": ["1/2/3", "1,3/2", "1,2/3", "1,2,3"]},
+    ),
+    "verify": (
+        ["inner-translation", "--n", "4"],
+        "check: inner-tableau-translation\nmode: cover\nn: 4\nchecked: 4\nviolations: 0\nPASS\n",
+        {"check": "inner-tableau-translation", "checked": 4, "range": {"mode": "cover", "n": 4},
+         "violations": []},
+    ),
+    "product": (
+        ["1,3/2", "1,2"],
+        "1,3/2,5/4 x1\n1,3,5/2/4 x1\n1,3,5/2,4 x1\n1,3,4,5/2 x1\n",
+        {"terms": [{"multiplicity": 1, "tableau": t}
+                   for t in ("1,3/2,5/4", "1,3,5/2/4", "1,3,5/2,4", "1,3,4,5/2")]},
+    ),
+    "interval": (
+        ["1,2/3", "1/2"],
+        "bottom: 1,2,4/3,5\ntop: 1,2/3/4/5\n1,2/3/4/5\n1,2/3,4/5\n1,2,4/3/5\n1,2,4/3,5\n",
+        {"bottom": "1,2,4/3,5", "covers": [[9, 4], [14, 9], [19, 14]], "top": "1,2/3/4/5",
+         "members": ["1,2/3/4/5", "1,2/3,4/5", "1,2,4/3/5", "1,2,4/3,5"]},
+    ),
+    "restrict": (["1,3/2,4/5", "2", "5"], "1,2/3/4\n", {"rows": [[1, 2], [3], [4]]}),
+    "evac": (["1,3/2,4/5"], "1,4/2,5/3\n", {"rows": [[1, 4], [2, 5], [3]]}),
+    "transpose": (["1,3/2,4/5"], "1,2,5/3,4\n", {"rows": [[1, 2, 5], [3, 4]]}),
+    "jdt": (
+        [".,.,4/.,2,5/1,3", "1", "2", "forward"],
+        ".,2,4/.,3,5/1\n",
+        {"inner": [1, 1], "outer": [3, 3, 1], "rows": [[None, 2, 4], [None, 3, 5], [1]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_every_command_prints_its_pinned_text_and_json(capsys, command):
+    argv, text, payload = PINNED[command]
+    assert run(capsys, command, *argv) == (EXIT_OK, text, "")
+    code, out, err = run(capsys, command, *argv, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    got = json.loads(out)
+    assert out == json.dumps(got, indent=2, sort_keys=True) + "\n"
+    got.pop("elapsed_ms", None)
+    assert got == payload
+
+
+def test_verify_exits_1_and_prints_the_witnesses_on_a_broken_order(capsys, monkeypatch):
+    broken = _thinned(6, 1)
+    witnesses = verify._translation_sweep(broken, "cover", None)[1]
+    assert witnesses
+    monkeypatch.setattr(verify, "cached_poset", lambda n: broken)
+    code, out, err = run(capsys, "verify", "inner-translation", "--n", "6")
+    assert (code, err) == (EXIT_VIOLATION, "")
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL"
+    assert f"violations: {len(witnesses)}" in lines
+    shown = witnesses[:20]
+    assert [line for line in lines if line.startswith("  witness: ")] == [
+        "  witness: " + json.dumps(w, sort_keys=True) for w in shown
+    ]
+    code, out, _ = run(capsys, "verify", "inner-translation", "--n", "6", "--format", "json")
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["violations"] == witnesses
+
+
+def _readme_commands():
+    """Each ``sytkit …`` line of the README's CLI block: its arguments and
+    its comment."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line.partition("#") for line in block.splitlines() if line.startswith("sytkit ")]
+    return [(shlex.split(command)[1:], comment.strip()) for command, _, comment in lines]
+
+
+def test_readme_cli_block_runs_and_its_comments_match(capsys):
+    outputs = {}
+    for argv, comment in _readme_commands():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        outputs[argv[0], argv[-1]] = out, comment
+    out, comment = outputs["rsk", "52413"]
+    assert "  ".join(out.splitlines()) == comment
+    out, comment = outputs["poset", "dot"]
+    nodes = int(re.search(r"(\d+) nodes", comment).group(1))
+    assert len(re.findall(r"^  n\d+ \[label=", out, re.M)) == nodes == 10
+    out, comment = outputs["product", "1/2"]
+    assert comment == "four tableaux, multiplicity 1 each"
+    terms = [line.rsplit(" ", 1) for line in out.splitlines()]
+    assert len(terms) == 4 and {m for _, m in terms} == {"x1"}
+    out, comment = outputs["interval", "1/2"]
+    bottom, top = re.search(r"from (\S+) to (\S+)$", comment).groups()
+    lines = out.splitlines()
+    assert lines[:2] == [f"bottom: {bottom}", f"top: {top}"]
+    assert sorted(lines[2:]) == sorted(t for t, _ in terms)
+    for direction in ("forward", "backward"):
+        out, comment = outputs["jdt", direction]
+        assert out == comment.split()[0].rstrip(",") + "\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

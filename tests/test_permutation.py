@@ -309,6 +309,21 @@ def test_word_involutions(u):
     assert inverse(inverse(u)) == u
 
 
+@pytest.mark.parametrize(
+    "word",
+    [(2,), (3, 1), (1, 1), (5, 5), (), (1.0,), (True,), tuple(range(1, CAPS["word"] + 2))],
+    ids=["gap", "gap-2", "repeat", "out-of-range", "empty", "float", "bool", "above-cap"],
+)
+@pytest.mark.parametrize("function", [inverse, descents_left, evac_word])
+def test_word_functions_refuse_what_check_word_refuses(function, word):
+    # inverse((2,)) and descents_left((3, 1)) once raised IndexError,
+    # inverse((1, 1)) returned (2, 0) and evac_word((5, 5)) (-2, -2)
+    with pytest.raises(ValueError) as refused:
+        check_word(word)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        function(word)
+
+
 # --- shuffles: the riffles of the product oracle, the second word shifted ------
 
 def test_shuffle_trivial():
