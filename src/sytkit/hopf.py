@@ -8,8 +8,8 @@ are integer keys, not sub-tableaux: a letter mask with a standardized row
 code, whose steps are read from the step table ``knuthclass._STEPS``,
 where each standardized tableau is reverse-bumped and checked once per
 process.  The two graphs are walked in place, no pair graph listed, by
-the one class walk :func:`_prefix_ids`, which ``verify.verify_hook_eta``
-also runs: a state is a pair of their nodes, the right factor's letters
+the class walk :func:`_prefix_ids`, run on the product's two graphs
+only: a state is a pair of their nodes, the right factor's letters
 raised above the left's, one letter is placed per level from the right,
 and the insertion tableau of what is placed is named by one lookup in
 the lift's column-insertion tables (``weakorder._size``), as P(x.w) is x
@@ -170,20 +170,19 @@ def _upper_factor(rows: Rows, k: int) -> Rows:
     return _insertion_tableau([x - k for row in reversed(rows) for x in row if x > k])
 
 
-def _checked_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """``knuthclass._bump_graph`` below the tableaux, each step checked to
+def _checked_graph(rows: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """``knuthclass._bump_graph`` below the tableau, each step checked to
     take exactly its exit letter from its node's letters, else
     :class:`InvariantError`: then a path of d steps has placed d letters.
     Each step table entry is checked once, when it is made; this check is
-    the consumer's, on the graph it is handed.  The product reads the
-    graph of each factor, and ``verify.verify_hook_eta`` one graph below
-    all the corner children of one size."""
-    masks, steps = _bump_graph(*roots)
+    the consumer's, on the graph it is handed, the graph of one factor of
+    the product."""
+    masks, steps = _bump_graph(rows)
     for mask, out in zip(masks, steps):
         for c, x in out:
             if masks[c] | 1 << x != mask or masks[c] == mask:
                 raise InvariantError(
-                    f"a reverse-bump step of {', '.join(map(format_tableau, roots))} "
+                    f"a reverse-bump step of {format_tableau(rows)} "
                     f"does not take exactly its letter {x}"
                 )
     return masks, steps
@@ -195,8 +194,7 @@ def _prefix_ids(left, a: int, right, b: int, tables) -> dict[int, int]:
     size, for standard roots): each word's insertion id among the nodes of
     its size, with the number of words inserting to it.  Each graph is a
     checked (masks, steps) reverse-bump graph (:func:`_checked_graph`),
-    whose last node is the empty tableau.  The right graph of that node
-    alone, ``([0], [[]])``, makes the words those of the left root's class.
+    whose last node is the empty tableau.
 
     The two graphs are walked in place; no pair graph is listed.  The walk
     starts at the pair of roots, the empty suffix placed, and places one

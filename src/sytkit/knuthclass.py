@@ -20,11 +20,11 @@ so the graph is the class's suffix trie with equal subtrees merged.  The
 class listing reads it from the empty end back.  One class walk,
 ``hopf._prefix_ids``, counts words by insertion tableau without listing
 one, walking a pair of graphs in place: ``hopf.plactic_product`` runs it
-on its two factors' graphs, for the shuffle words of their classes, and
-``verify.verify_hook_eta`` on one graph below several tableaux of one
-size, sub-tableaux they share made once, from each root, beside the
-one-node graph of the empty tableau.  Hook-eta lists a failing group's
-words through :func:`_class_words` of its corners' children.
+on its two factors' graphs, for the shuffle words of their classes.
+``verify.verify_hook_eta`` makes no graph: it reads the same recursion
+off the step table below, one memo per call keyed by standardized row
+code, and lists a failing group's words through :func:`_class_words` of
+its corners' children.
 
 No sub-tableau is made per node.  A node is keyed by one integer made of
 its letter mask (bit x for letter x) and its standardized row code, the
@@ -35,13 +35,14 @@ rank turned back into a letter by the node's own letters.  The steps of
 each standardized code are kept in one process-level table, ``_STEPS``:
 one (child's standardized code, exit letter's rank) pair per corner, top
 row first.  An entry is made by the one kernel ``tableau._reverse_bump``
-the first time any graph reaches its code, and it is checked then: the
-child must hold exactly the tableau's letters less the exit letter, else
-:class:`InvariantError` is raised and no entry is kept
-(:func:`_code_steps`).  Hook-eta reads its corner steps from the same
-table.  The table is bounded as the lift's per-size tables are: one entry
-per standard tableau of each size reached and one for the empty tableau,
-at most 3,736 for the sizes up to 9 and 13,232 up to the word cap
+the first time any graph or hook-eta reaches its code, and it is checked
+then: the child must hold exactly the tableau's letters less the exit
+letter, else :class:`InvariantError` is raised and no entry is kept
+(:func:`_code_steps`).  Hook-eta reads its corner steps, and the steps
+below its corner children's transposes, from the same table.  The table
+is bounded as the lift's per-size tables are: one entry per standard
+tableau of each size reached and one for the empty tableau, at most
+3,736 for the sizes up to 9 and 13,232 up to the word cap
 ``permutation.CAPS["word"]`` = 10.  Nothing else is kept between calls.
 """
 
@@ -88,17 +89,14 @@ def _knuth_class(rows: Rows) -> KnuthClass:
     return KnuthClass(rows, distinct)
 
 
-def _bump_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """The reverse-bump graph below one or more distinct tableaux of one
-    size, each with distinct entries.
+def _bump_graph(rows: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The reverse-bump graph below a tableau with distinct entries.
 
-    The roots are nodes 0, 1, ... in the order given, and the nodes come
-    in depth order, one level per letter removed, so the empty tableau is
-    the last node, the one end.  A sub-tableau reached from several roots
-    is one node.  ``masks[a]`` holds node a's letters as bits;
-    ``steps[a]`` holds one (child, exit letter) pair per corner of node a,
-    top row first, the child being the sub-tableau left by reverse
-    bumping that corner.
+    The tableau is node 0, and the nodes come in depth order, one level
+    per letter removed, so the empty tableau is the last node, the one
+    end.  ``masks[a]`` holds node a's letters as bits; ``steps[a]`` holds
+    one (child, exit letter) pair per corner of node a, top row first, the
+    child being the sub-tableau left by reverse bumping that corner.
 
     No sub-tableau is made.  A node is keyed by one integer, its
     standardized row code shifted above its mask, and its steps are read
@@ -109,12 +107,13 @@ def _bump_graph(*roots: Rows) -> tuple[list[int], list[list[tuple[int, int]]]]:
     graph is the one reverse bumping the sub-tableaux themselves gives,
     node for node, in the same order.
     """
-    masks = [sum(1 << x for row in rows for x in row) for rows in roots]
-    codes = [_standard_code(rows, mask) for rows, mask in zip(roots, masks)]
-    shift = max(masks, default=0).bit_length()
-    ids = {code << shift | mask: a for a, (code, mask) in enumerate(zip(codes, masks))}
+    mask = sum(1 << x for row in rows for x in row)
+    masks = [mask]
+    codes = [_standard_code(rows, mask)]
+    shift = mask.bit_length()
+    ids = {codes[0] << shift | mask: 0}
     # each node's letters in increasing order, the rank of a letter its index + 1
-    letters = [sorted(x for row in rows for x in row) for rows in roots]
+    letters = [sorted(x for row in rows for x in row)]
     steps: list[list[tuple[int, int]]] = []
     # codes grows as the loop runs: each level is found from the one before
     for a, code in enumerate(codes):

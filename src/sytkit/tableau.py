@@ -7,8 +7,8 @@ bound shuffle products.  Public functions validate their input; the
 underscored kernels trust theirs and serve sweeps over known-standard
 tableaux.  Every slide, behind ``jdt_slide``, ``rectify`` and ``restrict``
 alike, runs in the one kernel ``_slide``, and every reverse row insertion,
-behind ``reverse_insert`` and the step table of the reverse-bump graph
-``knuthclass._bump_graph`` (class listing, shuffle product and hook-eta),
+behind ``reverse_insert`` and the reverse-bump step table
+``knuthclass._STEPS`` (class listing, shuffle product and hook-eta),
 in ``_reverse_bump``.  A dual Knuth move exchanges two entries in place
 (``_dual_moves``), by the rule of ``_move_exchanges``, which the move
 tables of sytkit.verify apply to row codes; the row-word route is a test

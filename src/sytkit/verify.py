@@ -89,13 +89,15 @@ as P(x.w) is x column-inserted into P(w) (Schensted), C_m[x][t] once w is
 standardized, and every tableau is P of some word.
 
 The hook-eta check lists no class word either.  Per k it reads every
-hook tableau's two corner steps from the step table ``knuthclass._STEPS``,
-makes one reverse-bump graph (``hopf._checked_graph``) below their
-standardized children, walks it once per distinct child through the same
-column tables, and adds up the walks of each tableau's corners that share
-an exit letter (see :func:`verify_hook_eta`).
-The walk is ``hopf._prefix_ids``, the one class walk, which
-``hopf.plactic_product`` runs on its two factors' graphs in place.
+hook tableau's two corner steps from the step table ``knuthclass._STEPS``
+and reads each distinct standardized child at the row code of its
+transpose, whose reversed class words are the child's class (Schensted).
+One memo per call, keyed by standardized row code, sums over a code's
+steps the ids of its children, each carried through the same column
+tables, so each prefix's id is the one ``weakorder._insertion_id`` gives
+it.  The ids of each tableau's corners that share an exit letter are
+added up (see :func:`verify_hook_eta`).  No graph is made and nothing
+but the step table is kept between calls.
 
 Reports are deterministic: sweeps run in a fixed canonical order and every
 witness is a self-contained dict of text forms.
@@ -108,7 +110,7 @@ from math import factorial
 from operator import xor
 from typing import NamedTuple
 
-from .hopf import _checked_graph, _prefix_ids, verify_interval_isomorphism
+from .hopf import verify_interval_isomorphism
 from .knuthclass import _class_words, _code_rows, _code_steps
 from .permutation import CAPS, InvariantError, Word, check_int, check_range, descents_left, format_word
 from .report import VerificationReport, stopwatch
@@ -119,6 +121,7 @@ from .tableau import (
     _inner_rows,
     _is_hook,
     _standard_tableaux,
+    _transpose,
     format_tableau,
     partitions,
     row_word,
@@ -508,41 +511,66 @@ def verify_hook_eta(k: int) -> VerificationReport:
     its exit letter when its entry was made.  The exit letter is the last
     letter of the words through the corner, so the exit letters differ
     exactly when the words end in two letters, and the prefixes of those
-    words are the class of the corner's child (Schensted 1961).  The table
-    gives each child standardized, as its row code with its letters above
-    the exit letter lowered by one: that keeps every rank among its
-    letters, and so every prefix's insertion id.  One reverse-bump graph,
-    its nodes integer keys and its steps read from the same table, is made
-    per k below all the distinct children (``hopf._checked_graph``), and
-    each child's class is walked once from its root by the class walk
-    ``hopf._prefix_ids``, the one that also counts ``plactic_product``,
-    the shared graph on the left and the one-node graph of the empty
-    tableau on the right (a state's key is then its left node), every
-    prefix inserted from the right through the lift's
-    column-insertion tables, as ``weakorder._insertion_id`` does, with
-    equal states merged: no word is listed unless a group fails, and no id
-    is read off the graph.  The prefixes of T's words with last letter x
-    are those of the walks of its corners that exit x, counts added.  The
-    graph is checked, not trusted: each step must take exactly its exit
-    letter, and T's paths must number its hook-length count, the size of
-    its class (RSK), else ``InvariantError`` is raised.  A failing group
-    lists its words as the class words of each corner's standardized child
-    (``knuthclass._class_words``), their letters from x up raised by one,
-    followed by the exit letter x, over the corners that exit x: by
+    words are the class of the corner's child S (Schensted 1961).  The
+    table gives each child standardized, as its row code with its letters
+    above the exit letter lowered by one: that keeps every rank among its
+    letters, and so every prefix's insertion id.
+
+    Reversing a word transposes its insertion tableau (Schensted 1961),
+    so the class of S is the set of reversed words of the class of its
+    transpose, and each child is read at the row code of its transpose,
+    made once per distinct child.  One memo per call, keyed by
+    standardized row code Q of size m, holds {insertion id: words} of the
+    reversed class words of Q: the empty code's is {0: 1}, and Q's is the
+    sum over Q's steps (child c, exit letter x) of c's, each id carried
+    through the lift's size-m column table of x.  That is
+    ``weakorder._insertion_id`` of each reversed word, lookup for lookup:
+    it inserts from the right, so the first letter x last, column-inserted
+    into P of the rest (Schensted).  No word is listed unless a group
+    fails.  Each step the memo reads is checked: its exit letter lies in
+    1..m and its child is a size m - 1 code, else ``InvariantError``.  The
+    prefixes of T's words with last letter x are those of its corners
+    that exit x, counts added, and they must number T's hook-length count,
+    the size of its class (RSK), else ``InvariantError``.  A failing group
+    lists its words as the class words of each corner's standardized
+    child (``knuthclass._class_words``), their letters from x up raised by
+    one, followed by the exit letter x, over the corners that exit x: by
     Schensted these are T's class words that end in x, and no size bound
     applies to them."""
     _check_scale("hook-eta", k, "k")
     # per size m < k, the tables of a letter column-inserted into the size
     # m - 1 nodes, lifted once per process
     tables = [_size(m).tables for m in range(1, k)]
+    # standardized row code -> {insertion id: words} of its reversed class
+    # words, made once per call
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
+
+    def reversed_ids(code: int, m: int) -> dict[int, int]:
+        ids = memo.get(code)
+        if ids is not None:
+            return ids
+        size_tables = tables[m - 1]
+        ids = {}
+        for child, x in _code_steps(code):
+            if not 0 < x <= m or (child.bit_length() + 3) >> 2 != m - 1:
+                raise InvariantError(
+                    f"a reverse-bump step of {format_tableau(_code_rows(code))} "
+                    f"does not take exactly its letter {x}"
+                )
+            table = size_tables[x - 1]
+            for t, count in reversed_ids(child, m - 1).items():
+                t = table[t]
+                ids[t] = ids.get(t, 0) + count
+        memo[code] = ids
+        return ids
+
     checked = 0
     skipped = 0
     violations: list[dict] = []
     with stopwatch() as sw:
         # per tableau checked, its hook-length count and per corner (exit
-        # letter, root of its standardized child, the child's row code)
+        # letter, the child's standardized row code)
         hooks = []
-        roots: dict[int, int] = {}  # standardized child's row code -> root
         for shape in partitions(k):
             if not _is_hook(shape) or len(shape) < 3 or shape[0] < 3:
                 continue
@@ -554,23 +582,23 @@ def verify_hook_eta(k: int) -> VerificationReport:
                     continue
                 checked += 1
                 # a hook's two corners, each step checked as its entry was made
-                corners = [
-                    (x, roots.setdefault(child, len(roots)), child)
-                    for child, x in _code_steps(_row_code(tab))
-                ]
+                corners = [(x, child) for child, x in _code_steps(_row_code(tab))]
                 hooks.append((tab, size, sorted(corners)))
-        graph = _checked_graph(*map(_code_rows, roots))
-        # walked beside the one-node graph of the empty tableau: each
-        # walk's words are those of one root's class
-        walks = [_prefix_ids(graph, a, ([0], [[]]), 0, tables) for a in range(len(roots))]
+        # standardized child's row code -> {prefix id: number of words},
+        # read at the row code of the child's transpose
+        prefixes: dict[int, dict[int, int]] = {}
         for tab, size, corners in hooks:
             # last letter -> {prefix id: number of words}, for the last
             # letters some word ends in
             by_last: dict[int, dict[int, int]] = {}
-            for last, a, _ in corners:
-                if walks[a]:
+            for last, child in corners:
+                found = prefixes.get(child)
+                if found is None:
+                    turned = _row_code(_transpose(_code_rows(child)))
+                    found = prefixes[child] = reversed_ids(turned, k - 1)
+                if found:
                     ids = by_last.setdefault(last, {})
-                    for t, count in walks[a].items():
+                    for t, count in found.items():
                         ids[t] = ids.get(t, 0) + count
             words = sum(sum(ids.values()) for ids in by_last.values())
             if words != size:
@@ -592,7 +620,7 @@ def verify_hook_eta(k: int) -> VerificationReport:
                 if len(ids) != 1:
                     group = [
                         tuple(y + (y >= last) for y in u) + (last,)
-                        for x, _, child in corners
+                        for x, child in corners
                         if x == last
                         for u in _class_words(_code_rows(child))
                     ]
@@ -923,7 +951,7 @@ CHECKS: dict[str, Check] = {
         2, 8, 7, 8,
         lambda sizes: ({"n": n, "family": family} for family in FAMILIES for n in sizes),
     ),
-    "hook-eta": Check(lambda n: [verify_hook_eta(n)], 5, 9, 7, 9),
+    "hook-eta": Check(lambda n: [verify_hook_eta(n)], 5, CAPS["lift"] + 1, 7, 9),
     "structural": Check(verify_structural, 2, CAPS["order"], 6, 6),
     "monotone": Check(_monotone, 1, CAPS["order"], 7, 7),
     "interval-isomorphism": Check(

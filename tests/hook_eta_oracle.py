@@ -1,12 +1,13 @@
 """Hook-eta by listing words: a slow oracle for ``verify.verify_hook_eta``,
-which walks each tableau's reverse-bump graph and lists no word.
+which reads one memo per call over the reverse-bump step table and lists
+no word.
 
 Each class is listed and grouped by last letter, and the prefix of every
 word is inserted anew through the lift's column tables
 (``weakorder._insertion_id``), read through ``verify._size`` so that a
 test's broken table reaches the check and the oracle alike.  The class
 listing is a parameter: ``knuth_class`` by default, the walk by Knuth
-moves of ``class_oracle``, or the paths of a broken graph.
+moves of ``class_oracle``, or the words of a broken step table.
 """
 
 from __future__ import annotations

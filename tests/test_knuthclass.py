@@ -9,6 +9,7 @@ from hypothesis import given
 import class_oracle
 import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
+import sytkit.verify as verify
 import sytkit.weakorder as weakorder
 from conftest import tableaux
 from sytkit.cli import EXIT_INTERNAL, EXIT_USAGE, main
@@ -26,7 +27,9 @@ from sytkit.tableau import (
     reverse_insert,
     row_word,
     shape_of,
+    size_of,
     standard_tableaux,
+    transpose,
 )
 from sytkit.verify import verify_hook_eta
 from word_oracle import inversions_left
@@ -200,21 +203,20 @@ def test_one_root_graph_is_made_as_before(n):
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_one_graph_below_every_tableau_of_a_size(m):
-    # every standard tableau of size m a root: every step takes exactly its
-    # letter, each root spells its class, and the graph is the one made
-    # with a node per distinct tableau reached, however many roots reach it
-    roots = all_standard_tableaux(m)
-    masks, steps = hopf._checked_graph(*roots)
-    assert (masks, steps) == _graph_by_reverse_insert(roots)
-    words = [set()] * (len(steps) - 1) + [{()}]
-    for a in range(len(steps) - 2, -1, -1):
-        words[a] = {u + (x,) for c, x in steps[a] for u in words[c]}
-    for a, root in enumerate(roots):
-        assert words[a] == class_oracle.class_words(root), root
+    # one checked graph below each standard tableau of size m: every step
+    # takes exactly its letter, the root spells its class, and the graph is
+    # the one made with a node per distinct tableau reached
+    for root in all_standard_tableaux(m):
+        masks, steps = hopf._checked_graph(root)
+        assert (masks, steps) == _graph_by_reverse_insert([root])
+        words = [set()] * (len(steps) - 1) + [{()}]
+        for a in range(len(steps) - 2, -1, -1):
+            words[a] = {u + (x,) for c, x in steps[a] for u in words[c]}
+        assert words[0] == class_oracle.class_words(root), root
 
 
 def _hook_eta_roots(k):
-    """The roots of hook-eta's one graph at k: the children of the two
+    """The corner children hook-eta reads at k: the children of the two
     corners of each hook tableau it checks, by ``reverse_insert``, their
     letters above the exit letter lowered by one, in the order met."""
     roots = {}
@@ -236,44 +238,47 @@ def _standard_count(n):
 
 def test_bump_graph_is_the_reverse_insert_graph_on_an_empty_and_a_warm_table(monkeypatch):
     # every standard tableau of size <= 8, 200 seeded ones of size 9 and
-    # 10, and hook-eta's graphs below its corner children for k = 5..9:
+    # 10, and hook-eta's corner children for k = 5..9, one graph each:
     # first on an empty step table, which grows by at most one entry per
     # standard tableau of the sizes reached, then on the table so filled,
     # which gains no entry
     rng = random.Random(34)
-    cases = [[tab] for n in range(1, 9) for tab in all_standard_tableaux(n)]
+    cases = [tab for n in range(1, 9) for tab in all_standard_tableaux(n)]
     for _ in range(200):
         n = rng.randint(9, 10)
-        cases.append([insertion_tableau(tuple(rng.sample(range(1, n + 1), n)))])
-    cases += [_hook_eta_roots(k) for k in range(5, 10)]
-    expected = [_graph_by_reverse_insert(roots) for roots in cases]
+        cases.append(insertion_tableau(tuple(rng.sample(range(1, n + 1), n))))
+    cases += [root for k in range(5, 10) for root in _hook_eta_roots(k)]
+    expected = [_graph_by_reverse_insert([tab]) for tab in cases]
     monkeypatch.setattr(knuthclass, "_STEPS", {})
     reached = 0
-    for roots, graph in zip(cases, expected):
-        assert knuthclass._bump_graph(*roots) == graph, roots
-        reached = max(reached, sum(map(len, roots[0])))
+    for tab, graph in zip(cases, expected):
+        assert knuthclass._bump_graph(tab) == graph, tab
+        reached = max(reached, size_of(tab))
         assert len(knuthclass._STEPS) <= _standard_count(reached)
     filled = dict(knuthclass._STEPS)
     assert len(filled) <= _standard_count(10) == 13_232
-    for roots, graph in zip(cases, expected):
-        assert knuthclass._bump_graph(*roots) == graph, roots
+    for tab, graph in zip(cases, expected):
+        assert knuthclass._bump_graph(tab) == graph, tab
     assert knuthclass._STEPS == filled
 
 
 @pytest.mark.parametrize("k", range(5, 10))
 def test_hook_eta_graph_has_the_reverse_insert_roots(monkeypatch, k):
-    # hook-eta reads its corner children's codes from the step table; the
-    # roots it hands the graph are the tuple-standardized children
-    seen = []
-    graph = hopf._bump_graph
+    # hook-eta reads the step table below each corner child's transpose,
+    # not below the child: the size k - 1 codes whose steps it reads are
+    # the row codes of the transposes of the tuple-standardized children
+    read = []
+    code_steps = verify._code_steps
 
-    def recorded(*roots):
-        seen.append(roots)
-        return graph(*roots)
+    def recorded(code):
+        read.append(code)
+        return code_steps(code)
 
-    monkeypatch.setattr(hopf, "_bump_graph", recorded)
+    monkeypatch.setattr(verify, "_code_steps", recorded)
     assert verify_hook_eta(k).passed
-    assert seen == [tuple(_hook_eta_roots(k))]
+    turned = [weakorder._row_code(transpose(root)) for root in _hook_eta_roots(k)]
+    top = [code for code in read if size_of(knuthclass._code_rows(code)) == k - 1]
+    assert sorted(top) == sorted(turned)
 
 
 def test_a_step_table_entry_that_takes_another_letter_is_refused(monkeypatch):

@@ -14,7 +14,6 @@ import descents_oracle
 import hook_eta_oracle
 import move_oracle
 import restriction_oracle
-import sytkit.hopf as hopf
 import sytkit.knuthclass as knuthclass
 import sytkit.tableau as tableau
 import sytkit.verify as verify
@@ -892,27 +891,24 @@ def test_hook_eta_clean(k):
     assert report.passed, report.violations
 
 
-def _shared_graph(monkeypatch, change):
-    """The one reverse-bump graph that the hook-eta walk reads per k, below
-    the standardized corner children, with ``change(roots, steps)`` applied
-    to its steps."""
-    graph = knuthclass._bump_graph
-
-    def changed(*roots):
-        masks, steps = graph(*roots)
-        return masks, change(roots, steps)
-
-    monkeypatch.setattr(hopf, "_bump_graph", changed)
+def _tampered_entry(monkeypatch, text, change):
+    """The step table entry of the tableau ``text``, made if missing, then
+    replaced by ``change(entry)`` until the test ends; the entry made is
+    returned."""
+    code = weakorder._row_code(parse_tableau(text))
+    entry = knuthclass._code_steps(code)
+    monkeypatch.setitem(knuthclass._STEPS, code, change(entry))
+    return entry
 
 
 def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
     # every corner step made the top corner's: the two exit letters then
     # agree, and at k = 5 the one shape 3,1,1 has as many words through
-    # either corner (3 and 3), so the paths still number its hook count
+    # either corner (3 and 3), so the words still number its hook count
     # and the report is made, equal to the word oracle's on the words
     # through the top corner, each twice
-    # on an empty step table, and at size 5 only: the graph below the
-    # corner children is the true one
+    # on an empty step table, and at size 5 only: the steps below the
+    # corner children are the true ones
     real = tableau._reverse_bump
     monkeypatch.setattr(knuthclass, "_STEPS", {})
     monkeypatch.setattr(
@@ -937,17 +933,14 @@ def test_hook_eta_reports_corners_with_one_exit_letter(monkeypatch):
     ["the bottom corner", "the last step of the first node with two"],
 )
 def test_hook_eta_refuses_a_graph_that_drops_a_path(monkeypatch, where):
-    # the walk counts the paths against the hook-length count of the shape;
-    # 1,2,4/3 is the standardized bottom child of 1,3,5/2/4, the first
-    # tableau checked
-    def drop(roots, steps):
-        if where == "the bottom corner":
-            a = roots.index(parse_tableau("1,2,4/3"))
-            return [[] if b == a else out for b, out in enumerate(steps)]
-        a = next(a for a, out in enumerate(steps) if len(out) > 1)
-        return [out[:-1] if b == a else out for b, out in enumerate(steps)]
-
-    _shared_graph(monkeypatch, drop)
+    # the words below each tableau are counted against the hook-length
+    # count of its shape; 1,2,4/3 is the standardized bottom child of
+    # 1,3,5/2/4, the first tableau checked, and its class is read below
+    # its transpose 1,3/2/4, whose step table entry is tampered with: all
+    # its steps dropped, or its last one of two
+    assert tableau.transpose(parse_tableau("1,2,4/3")) == parse_tableau("1,3/2/4")
+    keep = 0 if where == "the bottom corner" else 1
+    assert len(_tampered_entry(monkeypatch, "1,3/2/4", lambda steps: steps[:keep])) == 2
     message = r"^the reverse-bump graph of 1,3,5/2/4 spells [0-5] words, not the 6 of its shape$"
     with pytest.raises(InvariantError, match=message):
         verify_hook_eta(5)
@@ -965,13 +958,31 @@ def test_hook_eta_refuses_a_step_that_takes_another_letter(monkeypatch):
 
 
 def test_hook_eta_refuses_a_shared_step_that_takes_another_letter(monkeypatch):
-    # the shared graph is checked too; its roots at k = 5 are the four
-    # standardized corner children, in the order the corners are met
-    _shared_graph(monkeypatch, lambda roots, steps: [[(c, 1) for c, _ in steps[0]], *steps[1:]])
-    message = (
-        r"^a reverse-bump step of 1,3/2/4, 1,2,4/3, 1,2/3/4, 1,2,3/4 "
-        r"does not take exactly its letter 1$"
-    )
+    # the steps the memo reads are checked as it reads them, not only as
+    # their entries were made: the entry of 1,2, which the memo reaches
+    # below several corner children's transposes, tampered with after it
+    # was made to take its letter 3, which no size-2 tableau holds
+    _tampered_entry(monkeypatch, "1,2", lambda steps: tuple((c, 3) for c, _ in steps))
+    message = r"^a reverse-bump step of 1,2 does not take exactly its letter 3$"
+    with pytest.raises(InvariantError, match=message):
+        verify_hook_eta(5)
+
+
+@pytest.mark.parametrize(
+    "change, x",
+    [
+        (lambda steps: ((steps[0][0], 0), *steps[1:]), 0),
+        (lambda steps: ((0, steps[0][1]), *steps[1:]), 3),
+    ],
+    ids=["an exit rank outside 1..m", "a child of the wrong size"],
+)
+def test_hook_eta_refuses_a_step_table_entry_tampered_after_it_was_made(monkeypatch, change, x):
+    # the entry of 1,3/2/4, the transpose of the first corner child read,
+    # is made right, then changed: its first step exits the rank 0, which
+    # no letter has, or leads from its exit letter 3 to the empty code, of
+    # size 0 and not 3
+    _tampered_entry(monkeypatch, "1,3/2/4", change)
+    message = rf"^a reverse-bump step of 1,3/2/4 does not take exactly its letter {x}$"
     with pytest.raises(InvariantError, match=message):
         verify_hook_eta(5)
 
@@ -980,24 +991,38 @@ def test_hook_eta_refuses_a_shared_step_that_takes_another_letter(monkeypatch):
     "k, tableaux, walks", [(5, 4, 4), (6, 12, 10), (7, 28, 22), (8, 60, 46), (9, 124, 94)]
 )
 def test_hook_eta_walks_once_per_distinct_corner_child(monkeypatch, k, tableaux, walks):
-    # two corner steps read per tableau checked, one walk per standardized
-    # child, however many corners share it
-    calls = {"corners": 0, "walks": 0}
-    code_steps, walk = verify._code_steps, verify._prefix_ids
+    # two corner steps read per tableau checked (8, 24, 56, 120, 248), and
+    # each standardized code's ids made once per call: its steps read once,
+    # the size k - 1 codes being the transposes of the distinct corner
+    # children, however many corners share one; a second call reads the
+    # same, as the memo is not kept between calls
+    code_steps = verify._code_steps
+    calls = []
 
-    def corner_steps(code):
+    def recorded(code):
         out = code_steps(code)
-        calls["corners"] += len(out)
+        calls.append((size_of(knuthclass._code_rows(code)), code, len(out)))
         return out
 
-    def counted_walk(*args):
-        calls["walks"] += 1
-        return walk(*args)
-
-    monkeypatch.setattr(verify, "_code_steps", corner_steps)
-    monkeypatch.setattr(verify, "_prefix_ids", counted_walk)
+    monkeypatch.setattr(verify, "_code_steps", recorded)
     assert verify_hook_eta(k).passed
-    assert calls == {"corners": 2 * tableaux, "walks": walks}
+    first, calls[:] = calls[:], []
+    assert verify_hook_eta(k).passed
+    assert calls == first
+    hooks = [steps for m, _, steps in first if m == k]
+    assert (len(hooks), sum(hooks)) == (tableaux, 2 * tableaux)
+    assert sum(m == k - 1 for m, _, _ in first) == walks
+    below = [code for m, code, _ in first if m < k]
+    assert len(below) == len(set(below))
+
+
+def test_hook_eta_k10_is_the_oracle_report():
+    # the top of the check's range, the lift's cap plus one: the classes
+    # of size 10 read through the tables of sizes 1..9
+    assert verify.CHECKS["hook-eta"].hi == CAPS["lift"] + 1 == 10
+    report = verify_hook_eta(10)
+    assert (report.checked, report.skipped, report.violations) == (756, 240, [])
+    assert (report.checked, report.skipped, report.violations) == hook_eta_oracle.hook_eta(10)
 
 
 def test_hook_eta_guards():
