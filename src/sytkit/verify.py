@@ -73,7 +73,14 @@ Transposition reverses the order, so its covers are tested through
 single-triple scan, where failures are expected, calls the kernel
 directly; antisymmetry reads ``reach`` alone, each row tested for an id
 above its node's.  ``checked`` still counts every strict relation, each a
-chain of tested covers.
+chain of tested covers.  Descent sets are masks, bit i for i, read from
+the lift's ``descents`` (``weakorder._Size``; each node's is its
+parent's plus one comparison of two row-code digits, and no column table
+is read) by the descent map, the single-triple scan and the descent
+lemma; the descent map's targets are one superset sum over the masks
+(``weakorder._superset_rows``).  The shape map reads the lift's
+``shapes``, one id per distinct shape.  Orders on other nodes, made by
+hand in tests, have their masks and shapes made node by node.
 
 Restriction images are composed from two one-step tables per size, hi
 (drop the largest letter) and lo (drop 1 and rectify), as jeu de taquin
@@ -132,6 +139,7 @@ from .weakorder import (
     _check_lift_nodes,
     _closure_fault,
     _insertion_id,
+    _node_codes,
     _row_code,
     _size,
     _unpreserved,
@@ -176,10 +184,10 @@ class _SweepLayout:
     read from ``weakorder._closure_fault`` first (see the module docstring).
 
     No tableau is remade.  Each node's ``weakorder._row_code`` (the row of
-    letter x in the 4-bit digit x - 1) is read from the lift's size-n code
-    list (``weakorder._size(n).codes``), which is in id order, when the
-    nodes are the lift's, and made from ``p.nodes`` otherwise; the
-    numbering sorts the codes with their digits reversed, letter 1 first.
+    letter x in the 4-bit digit x - 1) is read by ``weakorder._node_codes``:
+    the lift's size-n code list, which is in id order, when the nodes are
+    the lift's, and made from ``p.nodes`` otherwise; the numbering sorts
+    the codes with their digits reversed, letter 1 first.
     Positions x - 1 and x then share the inner tableau on 1..k exactly
     when their codes agree on the lowest k digits, so one pass over those
     shared lengths cuts the runs at every k.  A run's inner tableau is its
@@ -219,9 +227,7 @@ class _SweepLayout:
         if fault is not None:
             raise InvariantError(fault)
         n, nodes = p.n, p.nodes
-        # an order on other nodes (made by hand, in tests) is coded node by node
-        size = _size(n)
-        codes = size.codes if nodes == size.nodes else [_row_code(t) for t in nodes]
+        codes = _node_codes(p)
         width = (n + 1) // 2
 
         def letter_1_first(a: int) -> int:
@@ -453,19 +459,19 @@ def verify_inner_translation_fails(jobs: int = 1) -> VerificationReport:
     _check_lift_nodes(p)  # the moves are read by size-6 id, which must be the node id
     size = _size(6)
     with stopwatch() as sw:
-        descents = [_descents(t) for t in p.nodes]
+        masks = size.descents
         moves = [dict(m) for m in size.moves]
         checked = 0
         broken = []
         for i in range(1, p.n - 1):
             domain = sum(1 << a for a, m in enumerate(moves) if i in m)
-            falls = sum(1 << a for a, des in enumerate(descents) if i in des)
+            falls = sum(1 << a for a, mask in enumerate(masks) if mask >> i & 1)
             # the move at i, and the identity off its domain, whose rows are empty
             image = [m.get(i, a) for a, m in enumerate(moves)]
             # both endpoints must lie in the map's domain and on the same side
             # of its split, i.e. share which of i, i+1 descends
             rows = [
-                row & ~(1 << a) & domain & (falls if i in descents[a] else ~falls)
+                row & ~(1 << a) & domain & (falls if masks[a] >> i & 1 else ~falls)
                 if i in moves[a] else 0
                 for a, row in enumerate(p.reach)
             ]
@@ -676,12 +682,14 @@ def _witness(nodes, tables, fault, failing: Callable[[Word], list[dict]]) -> lis
     return found or [{"m": m, "T": format_tableau(nodes[m - 2][t]), "x": x}]
 
 
-def _descent_lemma(nodes, tables) -> tuple[int, tuple[int, int, int] | None]:
+def _descent_lemma(tables) -> tuple[int, tuple[int, int, int] | None]:
     """The instances (m, t, x) tested, in order, up to the first failing
-    one, and that one or None.  Descent sets are masks, bit i for i."""
+    one, and that one or None.  Descent sets are the lift's masks, bit i
+    for i (``_size(m).descents``), read off the row codes and not the
+    tables."""
     tested, below = 0, [0]  # the one size-1 node has no descent
     for m in range(2, len(tables) + 1):
-        masks = [sum(1 << i for i in _descents(u)) for u in nodes[m - 1]]
+        masks = _size(m).descents
         for t, d in enumerate(below):
             for x in range(1, m + 1):
                 tested += 1
@@ -709,7 +717,7 @@ def verify_descents_constant(n: int) -> VerificationReport:
         return [] if same else [{"word": format_word(word)}]
 
     with stopwatch() as sw:
-        violations = _witness(nodes, tables, _descent_lemma(nodes, tables)[1], failing)
+        violations = _witness(nodes, tables, _descent_lemma(tables)[1], failing)
     check = "descent-sets-constant-on-classes"
     return VerificationReport(check, {"n": n}, factorial(n), violations, sw.ms)
 

@@ -60,7 +60,6 @@ from .permutation import CAPS, InvariantError, check_int, check_range
 from .report import VerificationReport, stopwatch
 from .tableau import (
     Rows,
-    _descents,
     _dominance_leq,
     _move_exchanges,
     check_standard,
@@ -227,6 +226,61 @@ def _row_code(rows) -> int:
     return code
 
 
+def _node_codes(p: TableauPoset) -> list[int]:
+    """Each node's :func:`_row_code` in id order: the lift's size-n code
+    list itself when the nodes are the lift's, else made node by node (an
+    order on other nodes, made by hand in tests)."""
+    size, nodes = _size(p.n), p.nodes
+    if nodes is size.nodes or nodes == size.nodes:
+        return size.codes
+    return [_row_code(t) for t in nodes]
+
+
+def _descent_masks(codes: list[int], n: int) -> list[int]:
+    """The descent set of each size-n row code as a mask: bit i set when
+    letter i + 1 lies in a lower row than letter i, digit i of the code
+    against digit i - 1."""
+    masks = [0] * len(codes)
+    for i in range(1, n):
+        shift, bit = 4 * i, 1 << i
+        masks = [m | bit if c >> shift & 15 > c >> shift - 4 & 15 else m for m, c in zip(masks, codes)]
+    return masks
+
+
+def _descent_table(size: _Size) -> list[int]:
+    """The ``descents`` of a size-k record, the masks of
+    :func:`_descent_masks` in id order, each lifted from its parent's: the
+    parent's mask, plus bit k - 1 when k lies in a lower row than k - 1
+    (the top two digits of the node's row code).  No column table is
+    read."""
+    k = size.k
+    if k == 1:
+        return [0]
+    below, shift, bit = _size(k - 1).descents, 4 * (k - 1), 1 << k - 1
+    return [
+        below[s] | bit if code >> shift > code >> shift - 4 & 15 else below[s]
+        for s, code in zip(size.parents, size.codes)
+    ]
+
+
+def _superset_rows(masks: list[int], n: int) -> list[int]:
+    """Per mask value m < 2**n, the distinct ``masks`` t that hold m
+    (m <= t by inclusion) as the bits of ``rows[m]``.  A superset sum:
+    each t seeds its own row, then for each bit i = 1..n - 1 every m
+    without it takes in the row of m with it.  Bit 0 is never a descent,
+    so the masks are even and only even m are summed."""
+    size = 1 << n
+    rows = [0] * size
+    for t in set(masks):
+        rows[t] = 1 << t
+    for i in range(1, n):
+        bit = 1 << i
+        for m in range(0, size, 2):
+            if not m & bit:
+                rows[m] |= rows[m | bit]
+    return rows
+
+
 def _column_tables(
     below: _Size, ids_of: dict[int, int], k: int
 ) -> tuple[list[array], list[array]]:
@@ -325,8 +379,10 @@ class _Size:
     first read, each by its maker, which checks what it makes:
     ``evacuation`` and ``transposition`` (:func:`_symmetry_tables`), ``hi``
     and ``lo`` (:func:`_one_steps`, from size 2), ``moves``
-    (:func:`_move_table`), ``shapes`` (each node's shape, in id order) and
-    ``order`` (:func:`build_poset`)."""
+    (:func:`_move_table`), ``shapes`` (each node's shape, in id order),
+    ``descents`` (each node's descent set as a mask, in id order, lifted
+    from the parents' by :func:`_descent_table`) and ``order``
+    (:func:`build_poset`)."""
 
     k: int
     nodes: tuple[Rows, ...]
@@ -346,6 +402,8 @@ class _Size:
             self.moves = _move_table(self)
         elif name == "shapes":
             self.shapes = [shape_of(t) for t in self.nodes]
+        elif name == "descents":
+            self.descents = _descent_table(self)
         elif name == "order":
             self.order = build_poset(self.k)
         else:
@@ -448,15 +506,15 @@ def _symmetry_tables(size: _Size) -> tuple[array, array]:
             row = tables[k - x]
             for u, s in zip(tables[x - 1], turned):
                 evacuation[u] = transposition[row[s]]
-    _check_symmetries(nodes, evacuation, transposition)
+    _check_symmetries(size, evacuation, transposition)
     return array(_ID_TYPECODE, evacuation), array(_ID_TYPECODE, transposition)
 
 
-def _check_symmetries(nodes: tuple[Rows, ...], evacuation: list[int], transposition: list[int]):
+def _check_symmetries(size: _Size, evacuation: list[int], transposition: list[int]):
     """Raise :class:`InvariantError` unless both tables are involutions on
-    ``nodes``, evacuation keeps each node's shape and transposition gives
-    the conjugate shape."""
-    shapes = [shape_of(t) for t in nodes]
+    the record's nodes, evacuation keeps each node's shape and
+    transposition gives the conjugate shape (the record's ``shapes``)."""
+    nodes, shapes = size.nodes, size.shapes
     conjugate = {s: tuple(sum(part > c for part in s) for c in range(s[0])) for s in set(shapes)}
     for name, table, image in (
         ("evacuation", evacuation, lambda s: s),
@@ -767,20 +825,22 @@ def interval(p: TableauPoset, bottom: NodeRef, top: NodeRef) -> Interval:
 # monotone-map checks
 
 def check_monotone_descent(p: TableauPoset) -> VerificationReport:
-    """Along every order relation, descent sets only gain elements."""
-    descents = [_descents(t) for t in p.nodes]
-    masks = [sum(1 << i for i in des) for des in descents]
+    """Along every order relation, descent sets only gain elements.
+
+    The descent masks are the lift's ``descents`` when the nodes are the
+    lift's, else read off each node's row code (:func:`_node_codes`)."""
+    size, codes = _size(p.n), _node_codes(p)
+    masks = size.descents if codes is size.codes else _descent_masks(codes, p.n)
     with stopwatch() as sw:
         # the descent masks ordered by inclusion: bit t of up[m] iff m <= t
-        distinct = set(masks)
-        up = {m: sum(1 << t for t in distinct if not m & ~t) for m in distinct}
+        up = _superset_rows(masks, p.n)
         checked = p.strict_relations()
         violations = [
             {
                 "S": format_tableau(p.nodes[a]),
                 "T": format_tableau(p.nodes[b]),
-                "des_S": sorted(descents[a]),
-                "des_T": sorted(descents[b]),
+                "des_S": _bits(masks[a]),
+                "des_T": _bits(masks[b]),
             }
             # inclusion is transitive
             for a, b in _unpreserved_covers(p, masks, up, True)
@@ -798,12 +858,13 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
     when the order's premises hold, pair by pair otherwise.  The report
     names the direction that holds.
     """
-    shapes = [shape_of(t) for t in p.nodes]
+    size = _size(p.n)
+    shapes = size.shapes if _node_codes(p) is size.codes else [shape_of(t) for t in p.nodes]
     with stopwatch() as sw:
         # dominance between every two node shapes, each pair compared once;
         # dom[sid[a]][sid[b]] says whether the shape of a is below that of b
         distinct = sorted(set(shapes))
-        sid = [distinct.index(s) for s in shapes]
+        sid = list(map({s: i for i, s in enumerate(distinct)}.__getitem__, shapes))
         # node shapes are partitions of n, so none is validated again
         dom = [[_dominance_leq(s, t) for t in distinct] for s in distinct]
         down = all(dom[sid[b]][sid[a]] for a, b in p.covers)

@@ -38,7 +38,8 @@ class _BrokenSize:
     """A size record of the lift with its own column tables: every other
     field is read from the shared record, so the fields made from the
     tables (evacuation, the one-step tables, the moves) stay as the shared
-    record makes them."""
+    record makes them, and so do the descent masks, which the descent
+    lemma tests the tables against."""
 
     def __init__(self, shared, tables):
         self.shared, self.tables = shared, tables

@@ -79,16 +79,16 @@ def _oracle_words(k):
 
 @pytest.mark.parametrize("k", range(5, 10))
 def test_hook_eta_report_is_the_same_on_oracle_classes(k):
-    # the graph walk against listing the Knuth-move classes and inserting
-    # every prefix
+    # the memo over standardized row codes against listing the Knuth-move
+    # classes and inserting every prefix
     assert _counts(verify.verify_hook_eta(k)) == hook_eta_oracle.hook_eta(k, _oracle_words(k))
 
 
 def test_hook_eta_violations_are_the_same_on_oracle_classes(monkeypatch):
     # every single-entry change of the size-3 and size-4 column tables, at
-    # k = 5 and 6: the walk and the word oracle insert the same prefixes
-    # through the same tables, so they report the same violations, each
-    # group's words listed in order
+    # k = 5 and 6: the memo carries each prefix's id through the same
+    # tables the word oracle inserts it through, so they report the same
+    # violations, each group's words listed in order
     faults = table_faults()
     assert len(faults) == 18 + 144
     words = {k: _oracle_words(k) for k in (5, 6)}
@@ -97,10 +97,10 @@ def test_hook_eta_violations_are_the_same_on_oracle_classes(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_size", broken_lift(*fault))
             for k in (5, 6):
-                walked = verify.verify_hook_eta(k)
-                assert _counts(walked) == hook_eta_oracle.hook_eta(k, words[k]), (fault, k)
-                assert all(v["words"] == sorted(v["words"]) for v in walked.violations)
-                flagged[k] += bool(walked.violations)
+                report = verify.verify_hook_eta(k)
+                assert _counts(report) == hook_eta_oracle.hook_eta(k, words[k]), (fault, k)
+                assert all(v["words"] == sorted(v["words"]) for v in report.violations)
+                flagged[k] += bool(report.violations)
     assert flagged == {5: 90, 6: 144}
 
 

@@ -604,7 +604,8 @@ def test_the_layout_reads_the_lifts_row_codes(monkeypatch, n):
     expected = _layouts(cached_poset(n))[0]
     missing = _layouts(_missing_node(5))[0]
     made = []
-    monkeypatch.setattr(verify, "_row_code", lambda t: made.append(t) or weakorder._row_code(t))
+    row_code = weakorder._row_code
+    monkeypatch.setattr(weakorder, "_row_code", lambda t: made.append(t) or row_code(t))
     layout = verify._SweepLayout(dataclasses.replace(cached_poset(n)))
     assert _fields(layout) == expected
     assert made == []
@@ -1084,9 +1085,9 @@ def _lift_tables(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_every_lemma_instance_is_tested_and_holds(n):
-    nodes, tables = _lift_tables(n)
+    _, tables = _lift_tables(n)
     restriction = verify._restriction_lemma(tables)
-    descents = verify._descent_lemma(nodes, tables)
+    descents = verify._descent_lemma(tables)
     assert (restriction[1], descents[1]) == (None, None)
     assert (restriction[0], descents[0]) == LEMMA_INSTANCES[n]
 

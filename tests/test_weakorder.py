@@ -17,6 +17,7 @@ import pytest
 import closure_oracle
 import column_oracle
 import projection_oracle
+import relation_oracle
 from conftest import fresh_sizes, made
 import sytkit.hopf as hopf
 import sytkit.tableau as tableau
@@ -745,6 +746,82 @@ def test_monotone_shape_direction_none():
     ]
 
 
+def _without(p, gone):
+    """The order ``p`` induced on all its nodes but ``gone``."""
+    keep = [a for a in range(len(p.nodes)) if a != gone]
+    new = {a: i for i, a in enumerate(keep)}
+    nodes = tuple(p.nodes[a] for a in keep)
+    reach = tuple(sum(1 << new[b] for b in weakorder._bits(p.reach[a]) if b in new) for a in keep)
+    covers = tuple((new[a], new[b]) for a, b in induced_covers(p, keep))
+    return TableauPoset(p.n, nodes, covers, reach, {t: i for i, t in enumerate(nodes)})
+
+
+def _dual(p):
+    """``p`` with every relation reversed: its covers go up in the id order."""
+    reach = tuple(closure_oracle.transpose(p.reach))
+    return dataclasses.replace(p, covers=tuple(sorted((b, a) for a, b in p.covers)), reach=reach)
+
+
+def test_monotone_descent_on_other_nodes_matches_the_oracle():
+    # orders on nodes that are not the lift's: the three nodes of
+    # test_monotone_shape_direction_none, where 1,2/3 < 1,2,3 loses the
+    # descent 2, and the size-5 order less one node, upright and reversed;
+    # each node's mask is read off its own row code
+    nodes = (((1,), (2,), (3,)), ((1, 2), (3,)), ((1, 2, 3),))
+    small = TableauPoset(3, nodes, ((1, 0), (1, 2)), (0b001, 0b111, 0b100),
+                         {t: i for i, t in enumerate(nodes)})
+    five = _without(cached_poset(5), cached_poset(5).index[parse_tableau("1,2,4/3,5")])
+    for p in (small, five, _dual(five)):
+        assert weakorder._node_codes(p) is not weakorder._size(p.n).codes
+        report = check_monotone_descent(p)
+        assert (report.checked, report.violations) == relation_oracle.monotone_descent(p)
+        assert report.passed == (p is five)
+    assert check_monotone_descent(small).violations == [
+        {"S": "1,2/3", "T": "1,2,3", "des_S": [2], "des_T": []}
+    ]
+
+
+def _inclusion_rows(masks):
+    """The pairwise definition: bit t of row m for each mask t that holds m."""
+    distinct = set(masks)
+    return {m: sum(1 << t for t in distinct if not m & ~t) for m in distinct}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_superset_rows_are_the_inclusion_rows(n):
+    masks = weakorder._size(n).descents
+    rows = weakorder._superset_rows(masks, n)
+    assert len(rows) == 1 << n
+    assert {m: rows[m] for m in set(masks)} == _inclusion_rows(masks)
+
+
+def test_superset_rows_on_masks_with_gaps():
+    # even masks below 2**7 with neither bit 3 nor bit 5 in all but one,
+    # and values between them that no mask takes
+    masks = [0b0000000, 0b0000100, 0b1000010, 0b1010110, 0b1000110, 0b0101000, 0b1000010]
+    rows = weakorder._superset_rows(masks, 7)
+    assert {m: rows[m] for m in set(masks)} == _inclusion_rows(masks)
+    assert rows[0b0000000] == sum(1 << t for t in set(masks))
+    assert rows[0b0101000] == 1 << 0b0101000
+
+
+def test_the_descent_and_shape_tables_are_the_tableaux(fresh_lift):
+    # every node of sizes 1..9 of a cold lift; the column tables are gone
+    # before any mask is made, so no mask reads them, and each size's masks
+    # are lifted from the size below's, made on that read, largest first
+    top = CAPS["lift"]
+    weakorder._size(top)
+    for k in range(1, top + 1):
+        vars(weakorder._size(k))["tables"] = None
+    for k in range(top, 0, -1):
+        size = weakorder._size(k)
+        assert [weakorder._bits(d) for d in size.descents] == [
+            sorted(tableau._descents(t)) for t in size.nodes
+        ]
+        assert weakorder._descent_masks(size.codes, k) == size.descents
+        assert size.shapes == [shape_of(t) for t in size.nodes]
+
+
 def test_restriction_is_order_monotone_n5():
     p = cached_poset(5)
     small = {m: cached_poset(m) for m in range(2, 6)}
@@ -807,7 +884,7 @@ def _symmetry_fault(change):
     evacuation, transposition = list(size.evacuation), list(size.transposition)
     change(evacuation, transposition, nodes)
     with pytest.raises(InvariantError) as info:
-        weakorder._check_symmetries(nodes, evacuation, transposition)
+        weakorder._check_symmetries(size, evacuation, transposition)
     return str(info.value)
 
 
