@@ -74,8 +74,8 @@ single-triple scan, where failures are expected, calls the kernel
 directly; antisymmetry reads ``reach`` alone, each row tested for an id
 above its node's.  ``checked`` still counts every strict relation, each a
 chain of tested covers.  Descent sets are masks, bit i for i, read from
-the lift's ``descents`` (``weakorder._Size``; each node's is its
-parent's plus one comparison of two row-code digits, and no column table
+the lift's ``descents`` (``weakorder._Size``; each node's is read off its
+row code, one comparison of two digits per letter, and no column table
 is read) by the descent map, the single-triple scan and the descent
 lemma; the descent map's targets are one superset sum over the masks
 (``weakorder._superset_rows``).  The shape map reads the lift's

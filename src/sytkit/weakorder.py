@@ -226,14 +226,21 @@ def _row_code(rows) -> int:
     return code
 
 
+def _lift_nodes(p: TableauPoset) -> bool:
+    """Whether the order's nodes are the lift's size-n nodes, in id order
+    (else an order on other nodes, made by hand in tests).  An order built
+    here holds the lift's nodes themselves, so the tuples are compared only
+    when they are not the same object."""
+    nodes = _size(p.n).nodes
+    return p.nodes is nodes or p.nodes == nodes
+
+
 def _node_codes(p: TableauPoset) -> list[int]:
     """Each node's :func:`_row_code` in id order: the lift's size-n code
-    list itself when the nodes are the lift's, else made node by node (an
-    order on other nodes, made by hand in tests)."""
-    size, nodes = _size(p.n), p.nodes
-    if nodes is size.nodes or nodes == size.nodes:
-        return size.codes
-    return [_row_code(t) for t in nodes]
+    list itself when the nodes are the lift's, else made node by node."""
+    if _lift_nodes(p):
+        return _size(p.n).codes
+    return [_row_code(t) for t in p.nodes]
 
 
 def _descent_masks(codes: list[int], n: int) -> list[int]:
@@ -245,22 +252,6 @@ def _descent_masks(codes: list[int], n: int) -> list[int]:
         shift, bit = 4 * i, 1 << i
         masks = [m | bit if c >> shift & 15 > c >> shift - 4 & 15 else m for m, c in zip(masks, codes)]
     return masks
-
-
-def _descent_table(size: _Size) -> list[int]:
-    """The ``descents`` of a size-k record, the masks of
-    :func:`_descent_masks` in id order, each lifted from its parent's: the
-    parent's mask, plus bit k - 1 when k lies in a lower row than k - 1
-    (the top two digits of the node's row code).  No column table is
-    read."""
-    k = size.k
-    if k == 1:
-        return [0]
-    below, shift, bit = _size(k - 1).descents, 4 * (k - 1), 1 << k - 1
-    return [
-        below[s] | bit if code >> shift > code >> shift - 4 & 15 else below[s]
-        for s, code in zip(size.parents, size.codes)
-    ]
 
 
 def _superset_rows(masks: list[int], n: int) -> list[int]:
@@ -380,8 +371,8 @@ class _Size:
     ``evacuation`` and ``transposition`` (:func:`_symmetry_tables`), ``hi``
     and ``lo`` (:func:`_one_steps`, from size 2), ``moves``
     (:func:`_move_table`), ``shapes`` (each node's shape, in id order),
-    ``descents`` (each node's descent set as a mask, in id order, lifted
-    from the parents' by :func:`_descent_table`) and ``order``
+    ``descents`` (each node's descent set as a mask, in id order, read off
+    the row codes by :func:`_descent_masks`) and ``order``
     (:func:`build_poset`)."""
 
     k: int
@@ -403,7 +394,7 @@ class _Size:
         elif name == "shapes":
             self.shapes = [shape_of(t) for t in self.nodes]
         elif name == "descents":
-            self.descents = _descent_table(self)
+            self.descents = _descent_masks(self.codes, self.k)
         elif name == "order":
             self.order = build_poset(self.k)
         else:
@@ -455,12 +446,10 @@ def _lift(k: int) -> None:
 
 
 def _check_lift_nodes(p: TableauPoset) -> None:
-    """Refuse an order whose nodes are not the lift's of its size, with
-    :class:`InvariantError`: the id tables of the lift then name its nodes.
-    An order built here holds the lift's nodes themselves, so the tuples
-    are compared only when they are not the same object."""
-    nodes = _size(p.n).nodes
-    if p.nodes is not nodes and p.nodes != nodes:
+    """Refuse an order whose nodes are not the lift's of its size
+    (:func:`_lift_nodes`), with :class:`InvariantError`: the id tables of
+    the lift then name its nodes."""
+    if not _lift_nodes(p):
         n = p.n
         raise InvariantError(f"the size-{n} order's nodes are not the lift's size-{n} tableaux")
 
@@ -829,8 +818,7 @@ def check_monotone_descent(p: TableauPoset) -> VerificationReport:
 
     The descent masks are the lift's ``descents`` when the nodes are the
     lift's, else read off each node's row code (:func:`_node_codes`)."""
-    size, codes = _size(p.n), _node_codes(p)
-    masks = size.descents if codes is size.codes else _descent_masks(codes, p.n)
+    masks = _size(p.n).descents if _lift_nodes(p) else _descent_masks(_node_codes(p), p.n)
     with stopwatch() as sw:
         # the descent masks ordered by inclusion: bit t of up[m] iff m <= t
         up = _superset_rows(masks, p.n)
@@ -858,8 +846,7 @@ def check_monotone_shape(p: TableauPoset) -> VerificationReport:
     when the order's premises hold, pair by pair otherwise.  The report
     names the direction that holds.
     """
-    size = _size(p.n)
-    shapes = size.shapes if _node_codes(p) is size.codes else [shape_of(t) for t in p.nodes]
+    shapes = _size(p.n).shapes if _lift_nodes(p) else [shape_of(t) for t in p.nodes]
     with stopwatch() as sw:
         # dominance between every two node shapes, each pair compared once;
         # dom[sid[a]][sid[b]] says whether the shape of a is below that of b
